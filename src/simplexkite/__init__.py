@@ -32,6 +32,7 @@ from .cayley import (
     cm_matrix,
     circumradius_sq,
     facet_sdm,
+    gram_ldl,
     gram_matrix,
     inner_cm_det,
     is_realizable,

@@ -3,6 +3,12 @@
 A simplex on n+1 vertices is described by its matrix of squared
 pairwise distances.  Everything here is exact: determinants, squared
 volume, squared circumradius, and the Gram-based realizability verdict.
+
+Volume, circumradius and verdict all come from one integer symmetric
+elimination of the Gram matrix G of edge vectors (`_gram_elimination`):
+its pivot signs give the inertia of G, its last leading minor gives
+det(G) = (n!)**2 * V**2, and one extra bordered row gives R**2.  So a
+number is returned only for data the same pass has certified.
 """
 
 from __future__ import annotations
@@ -15,7 +21,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .exact import ExactMatrix, as_scalar, exact_determinant, inertia, scalar_str
+from .exact import (
+    ExactMatrix,
+    _bareiss,
+    _signature,
+    as_scalar,
+    exact_determinant,
+    scalar_str,
+)
 
 
 class Realizability(enum.Enum):
@@ -83,19 +96,25 @@ class SquaredDistanceMatrix:
 
     @classmethod
     def from_json(cls, payload) -> "SquaredDistanceMatrix":
-        """Parse {"n": int, "a": [[scalar-text]]}; the full symmetric matrix is required."""
+        """Parse {"n": int, "a": [[scalar-text]]}; the full symmetric matrix is required.
+
+        Entries may also be bare integers; booleans are refused.  Every
+        malformed payload raises ValueError.
+        """
         if isinstance(payload, str):
             payload = json.loads(payload)
         if not isinstance(payload, dict) or "n" not in payload or "a" not in payload:
             raise ValueError('expected an object with fields "n" and "a"')
         n = payload["n"]
         rows = payload["a"]
-        if not isinstance(n, int) or not isinstance(rows, list):
+        if isinstance(n, bool) or not isinstance(n, int) or not isinstance(rows, list):
             raise ValueError('"n" must be an integer and "a" a matrix')
         if len(rows) != n + 1:
             raise ValueError('"a" must have n+1 rows')
-        sdm = cls(rows)
-        return sdm
+        try:
+            return cls(rows)
+        except TypeError as exc:
+            raise ValueError("invalid matrix entry: %s" % exc) from exc
 
     def to_json(self) -> dict:
         return {
@@ -146,8 +165,12 @@ def cm_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
 
 
 def cm_det(d: SquaredDistanceMatrix) -> Fraction:
-    """Cayley-Menger determinant (with the ones border)."""
-    return exact_determinant(cm_matrix(d))
+    """Cayley-Menger determinant (with the ones border).
+
+    Read off the Gram elimination: det(CM) = (-1)**(n+1) * 2**n * det(G).
+    """
+    _, minors, scale, _ = _gram_elimination(d)
+    return (-1) ** (d.n + 1) * 2**d.n * _gram_det(minors, scale, d.n)
 
 
 def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
@@ -155,33 +178,41 @@ def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
     return exact_determinant(ExactMatrix(d.a))
 
 
-def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
-    """Exact squared volume: (-1)**(n+1) * cm_det / (2**n * (n!)**2).
+def volume_sq_from_cm_det(c, n: int) -> Fraction:
+    """Squared n-volume from a Cayley-Menger determinant:
+    (-1)**(n+1) * c / (2**n * (n!)**2).
 
-    Zero for degenerate (flat) configurations.  A negative value cannot
-    come from Euclidean data, so in that case the realizability verdict
-    is computed and a NonEuclideanError carrying it is raised.
+    The bare formula, with no realizability check: a negative result
+    means the determinant did not come from Euclidean data.
     """
-    n = d.n
-    raw = (-1) ** (n + 1) * cm_det(d) / (2**n * Fraction(math.factorial(n)) ** 2)
-    if raw < 0:
-        verdict = is_realizable(d)
-        raise NonEuclideanError(
-            "squared volume came out negative; distances are not Euclidean",
-            verdict=verdict,
-        )
-    return raw
+    return (-1) ** (n + 1) * c / (2**n * Fraction(math.factorial(n)) ** 2)
+
+
+def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
+    """Exact squared volume det(G) / (n!)**2.
+
+    Zero for degenerate (flat) configurations.  Distances that are not
+    Euclidean raise NonEuclideanError carrying the realizability
+    verdict, read from the same elimination as the determinant, so an
+    even number of negative Gram eigenvalues cannot pass as a volume.
+    """
+    _, minors, scale, verdict = _gram_elimination(d)
+    if verdict.status is Realizability.NON_EUCLIDEAN:
+        raise NonEuclideanError("distances are not Euclidean; no volume", verdict=verdict)
+    return _gram_det(minors, scale, d.n) / math.factorial(d.n) ** 2
 
 
 def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
-    """Exact squared circumradius: -inner_cm_det / (2 * cm_det)."""
-    c = cm_det(d)
-    if c == 0:
-        raise DegenerateSimplexError(
-            "degenerate simplex has no circumradius",
-            verdict=is_realizable(d),
-        )
-    return -inner_cm_det(d) / (2 * c)
+    """Exact squared circumradius g^T G^-1 g / 4, with g the diagonal of G.
+
+    The bordered matrix B = [[G, g], [g^T, 0]] has det(B) =
+    -det(G) * g^T G^-1 g, and its last minor comes out of the Gram
+    elimination for one more row.  Degenerate or non-Euclidean input
+    raises with the verdict attached.
+    """
+    rows, minors, scale, verdict = _gram_elimination(d, border=True)
+    _raise_unless_nondegenerate(verdict)
+    return Fraction(-rows[d.n][d.n], 4 * scale * minors[-1])
 
 
 def gram_matrix(d: SquaredDistanceMatrix, base: int = 0) -> ExactMatrix:
@@ -190,16 +221,56 @@ def gram_matrix(d: SquaredDistanceMatrix, base: int = 0) -> ExactMatrix:
     G[i][j] = (a[base][i] + a[base][j] - a[i][j]) / 2 over the other
     vertices, in ascending index order.
     """
+    rows, scale = _scaled_gram(d, base)
+    return ExactMatrix([[Fraction(x, scale) for x in row] for row in rows])
+
+
+def _scaled_gram(d: SquaredDistanceMatrix, base: int = 0) -> tuple[list[list[int]], int]:
+    """(A, s): the Gram matrix as the integer matrix A = s*G.
+
+    s = 2*c, where c is the common denominator of the distances.
+    """
+    c = math.lcm(*(x.denominator for row in d.a for x in row))
+    a = [[x.numerator * (c // x.denominator) for x in row] for row in d.a]
     others = [i for i in range(d.n + 1) if i != base]
-    return ExactMatrix(
-        [
-            [
-                (d.a[base][i] + d.a[base][j] - d.a[i][j]) / 2
-                for j in others
-            ]
-            for i in others
-        ]
-    )
+    top = a[base]
+    return [[top[i] + top[j] - a[i][j] for j in others] for i in others], 2 * c
+
+
+def _gram_elimination(d: SquaredDistanceMatrix, base: int = 0, border: bool = False):
+    """One integer symmetric elimination of the scaled Gram matrix A = s*G.
+
+    A has the inertia of G.  With `border`, A gets one more row and
+    column holding its own diagonal and a zero corner; pivots are still
+    taken from A alone.  Returns (rows, minors, s, verdict).
+    """
+    rows, scale = _scaled_gram(d, base)
+    if border:
+        diag = [row[i] for i, row in enumerate(rows)]
+        for row, x in zip(rows, diag):
+            row.append(x)
+        rows.append(diag + [0])
+    minors, _ = _bareiss(rows, symmetric=True, order=d.n)
+    sig = _signature(minors, d.n)
+    if sig[1] > 0:
+        status = Realizability.NON_EUCLIDEAN
+    elif sig[2] > 0:
+        status = Realizability.DEGENERATE
+    else:
+        status = Realizability.NONDEGENERATE
+    return rows, minors, scale, RealizabilityVerdict(status=status, gram_inertia=sig)
+
+
+def _gram_det(minors, scale: int, n: int) -> Fraction:
+    """det(G) from the leading minors of the scaled Gram elimination."""
+    return Fraction(minors[-1], scale**n) if len(minors) == n else Fraction(0)
+
+
+def _raise_unless_nondegenerate(verdict: RealizabilityVerdict) -> None:
+    if verdict.status is Realizability.DEGENERATE:
+        raise DegenerateSimplexError("simplex is degenerate (zero volume)", verdict=verdict)
+    if verdict.status is Realizability.NON_EUCLIDEAN:
+        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
 
 
 def is_realizable(d: SquaredDistanceMatrix, base: int = 0) -> RealizabilityVerdict:
@@ -210,25 +281,30 @@ def is_realizable(d: SquaredDistanceMatrix, base: int = 0) -> RealizabilityVerdi
     any negative eigenvalue means the numbers are not Euclidean
     distances at all.  The verdict does not depend on the base vertex.
     """
-    sig = inertia(gram_matrix(d, base))
-    pos, neg, zero = sig
-    if neg > 0:
-        status = Realizability.NON_EUCLIDEAN
-    elif zero > 0:
-        status = Realizability.DEGENERATE
-    else:
-        status = Realizability.NONDEGENERATE
-    return RealizabilityVerdict(status=status, gram_inertia=sig)
+    return _gram_elimination(d, base)[3]
 
 
 def require_nondegenerate(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
     """Return the verdict, raising the matching error unless nondegenerate."""
     verdict = is_realizable(d)
-    if verdict.status is Realizability.DEGENERATE:
-        raise DegenerateSimplexError("simplex is degenerate (zero volume)", verdict=verdict)
-    if verdict.status is Realizability.NON_EUCLIDEAN:
-        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
+    _raise_unless_nondegenerate(verdict)
     return verdict
+
+
+def gram_ldl(d: SquaredDistanceMatrix):
+    """Exact LDL^T factors (L, D) of the Gram matrix of a nondegenerate simplex.
+
+    L is unit lower triangular and D holds the positive pivots, so that
+    gram_matrix(d) == L * diag(D) * L^T.  Degenerate or non-Euclidean
+    input raises with the verdict attached.
+    """
+    rows, minors, scale, verdict = _gram_elimination(d)
+    _raise_unless_nondegenerate(verdict)
+    lower = [
+        [Fraction(rows[k][i], minors[k]) if k < i else Fraction(int(k == i)) for k in range(d.n)]
+        for i in range(d.n)
+    ]
+    return lower, [Fraction(cur, prev * scale) for prev, cur in zip([1] + minors, minors)]
 
 
 def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -20,9 +19,8 @@ from .cayley import (
     SquaredDistanceMatrix,
     cm_det,
     inner_cm_det,
-    volume_sq,
-    circumradius_sq,
     facet_sdm,
+    volume_sq_from_cm_det,
 )
 from .centers import coincidence_report, equiareal_scan
 from .exact import parse_scalar, scalar_str
@@ -131,14 +129,12 @@ def cmd_classify(args):
 
 
 def _facet_row(j, c, dd, n) -> dict:
-    facet_dim = n - 1
-    vol2 = (-1) ** (facet_dim + 1) * c / (2**facet_dim * Fraction(math.factorial(facet_dim)) ** 2)
     degenerate = c == 0
     return {
         "j": j,
         "cm_det": scalar_str(c),
         "inner_cm_det": scalar_str(dd),
-        "volume_sq": scalar_str(vol2),
+        "volume_sq": scalar_str(volume_sq_from_cm_det(c, n - 1)),
         "circumradius_sq": None if degenerate else scalar_str(-dd / (2 * c)),
         "degenerate": degenerate,
     }
@@ -151,7 +147,6 @@ def cmd_prekite_eval(args):
     c = pk_cm_det(pk)
     dd = pk_inner_cm_det(pk)
     degenerate = c == 0
-    vol2 = (-1) ** (n + 1) * c / (2**n * Fraction(math.factorial(n)) ** 2)
     facets = []
     for j in range(n + 1):
         if n >= 3:
@@ -166,7 +161,7 @@ def cmd_prekite_eval(args):
         "v": [scalar_str(x) for x in pk.v],
         "cm_det": scalar_str(c),
         "inner_cm_det": scalar_str(dd),
-        "volume_sq": scalar_str(vol2),
+        "volume_sq": scalar_str(volume_sq_from_cm_det(c, n)),
         "circumradius_sq": None if degenerate else scalar_str(-dd / (2 * c)),
         "degenerate": degenerate,
         "equiareal": len({row["cm_det"] for row in facets}) == 1,
@@ -326,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="override the command's float tolerance")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format (csv: scan table only)")
     common.add_argument("--lengths", action="store_true", help="numeric edge inputs are plain lengths; square them on ingestion")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampling commands (current commands are deterministic)")
 
     parser = _Parser(prog="simplexkite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,14 +1,16 @@
 """Exact rational scalars and dense exact linear algebra.
 
-Everything in this module is exact: scalars are arbitrary-precision
-rationals and no floating point is ever involved.  The naive cofactor
-determinant is kept alongside the fraction-free elimination so the two
-can serve as independent cross-checks for each other and for every
-closed form built on top of them.
+Everything here is exact; no floating point is ever involved.  One
+integer elimination, `_bareiss`, serves determinants, inertia, linear
+solves and the Gram LDL^T factors: rational input is cleared of
+denominators and eliminated by Bareiss's fraction-free method, whose
+every division is an exact integer `//`.  The cofactor determinant is
+kept as an independent oracle for it and for every closed form.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,11 +28,12 @@ def as_scalar(value) -> Fraction:
     """Coerce an int, Fraction, or scalar text to an exact rational.
 
     Floats are refused deliberately: the exact core never guesses what a
-    float was meant to be.
+    float was meant to be.  Booleans are refused too, although Python
+    counts them as integers.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
@@ -98,33 +101,92 @@ class ExactMatrix:
         return ExactMatrix(zip(*self.rows))
 
 
-def exact_determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _cleared(rows, common: bool = False):
+    """Integer rows, each rational row times the lcm of its denominators
+    (with `common`, one lcm for all rows).  Returns (rows, scales)."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    if common:
+        scales = [math.lcm(*scales)] * len(rows)
+    return [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)], scales
 
-    The empty matrix has determinant 1 by convention.
+
+def _bareiss(a: list[list[int]], symmetric: bool = False, order: int | None = None):
+    """Integer Bareiss elimination of the rows `a`, in place.
+
+    Pivots come from the leading `order` rows (default all); later rows
+    and columns (a right-hand side, a border) are eliminated alongside.
+    Returns (minors, sign): minors[k] is the pivot of step k, the
+    (k+1)-th leading minor of the permuted matrix, and elimination stops
+    at the first step without a pivot.  Rows are swapped to find a pivot
+    (sign is their parity) unless `symmetric`, which keeps the matrix
+    congruent to the input, updates only the upper triangle and leaves
+    the LDL^T multipliers as L[i][k] = a[k][i] / minors[k].
     """
-    n = m.order
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in m.rows]
+    rows = len(a)
+    order = rows if order is None else order
+    minors = []
     sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+    prev = 1
+    for k in range(order):
+        if symmetric:
+            if a[k][k] == 0 and not _symmetric_pivot(a, k, order):
+                break
+        else:
+            p = next((r for r in range(k, order) if a[r][k]), None)
+            if p is None:
+                break
+            if p != k:
+                a[k], a[p] = a[p], a[k]
+                sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, rows):
+            row = a[i]
+            f, lo = (top[i], i) if symmetric else (row[k], k + 1)
+            row[lo:] = [(pivot * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+        minors.append(pivot)
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return minors, sign
+
+
+def _symmetric_pivot(a, k: int, order: int) -> bool:
+    """Move a nonzero pivot to a[k][k] by an integer unimodular congruence
+    on indices >= k, so the minors taken and the exact divisions to come
+    are unchanged.  An all-zero live diagonal is repaired by adding row and
+    column j to i, making a[i][i] = 2*a[i][j].  False if the block is zero.
+    """
+    rows = len(a)
+    for r in range(k, rows):  # refresh the lower triangle the updates skip
+        for c in range(r + 1, rows):
+            a[c][r] = a[r][c]
+    p = next((p for p in range(k, order) if a[p][p]), None)
+    if p is None:
+        pair = next(((i, j) for i in range(k, order) for j in range(i + 1, order) if a[i][j]), None)
+        if pair is None:
+            return False
+        p, j = pair
+        a[p] = [x + y for x, y in zip(a[p], a[j])]
+        for row in a:
+            row[p] += row[j]
+    a[k], a[p] = a[p], a[k]
+    for row in a:
+        row[k], row[p] = row[p], row[k]
+    return True
+
+
+def _signature(minors: list[int], order: int) -> tuple[int, int, int]:
+    """Inertia from symmetric elimination: LDL^T pivot k is minors[k] / minors[k-1]."""
+    neg = sum(1 for prev, cur in zip([1] + minors, minors) if (prev < 0) != (cur < 0))
+    return len(minors) - neg, neg, order - len(minors)
+
+
+def exact_determinant(m: ExactMatrix) -> Fraction:
+    """Exact determinant by integer Bareiss elimination (1 for the empty matrix)."""
+    a, scales = _cleared(m.rows)
+    minors, sign = _bareiss(a)
+    if len(minors) < m.order:
+        return Fraction(0)
+    return Fraction(sign * (minors[-1] if minors else 1), math.prod(scales))
 
 
 def determinant_by_cofactors(m: ExactMatrix) -> Fraction:
@@ -157,73 +219,30 @@ def _cofactor(rows) -> Fraction:
 def inertia(m: ExactMatrix) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric matrix, exactly.
 
-    Uses symmetric congruence elimination; when the whole remaining
-    diagonal is zero but an off-diagonal entry is not, a row/column of
-    the partner index is added first so a nonzero pivot appears.
+    One common denominator keeps the matrix symmetric and its inertia.
     """
     if not m.is_symmetric():
         raise ValueError("inertia requires a symmetric matrix")
-    n = m.order
-    a = [list(row) for row in m.rows]
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        piv = next((p for p in range(k, n) if a[p][p] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                zero += n - k
-                break
-            i, j = pair
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for r in range(n):
-                a[r][k], a[r][piv] = a[r][piv], a[r][k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            f = a[r][k] / d
-            if f == 0:
-                continue
-            for c in range(k, n):
-                a[r][c] -= f * a[k][c]
-            for c in range(k, n):
-                a[c][r] -= f * a[c][k]
-        k += 1
-    return pos, neg, zero
+    minors, _ = _bareiss(_cleared(m.rows, common=True)[0], symmetric=True)
+    return _signature(minors, m.order)
 
 
 def solve_linear(m: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve m x = rhs exactly; raises SingularMatrixError when singular."""
+    """Solve m x = rhs exactly; raises SingularMatrixError when singular.
+
+    Back substitution runs on the integral y = det * x, so it too divides exactly.
+    """
     n = m.order
     b = [as_scalar(v) for v in rhs]
     if len(b) != n:
         raise ValueError("right-hand side length does not match matrix order")
-    a = [list(row) + [b[i]] for i, row in enumerate(m.rows)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        pivot = a[k][k]
-        for r in range(n):
-            if r == k:
-                continue
-            f = a[r][k] / pivot
-            if f == 0:
-                continue
-            for c in range(k, n + 1):
-                a[r][c] -= f * a[k][c]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
+    a, _ = _cleared([row + (x,) for row, x in zip(m.rows, b)])
+    minors, _ = _bareiss(a)
+    if len(minors) < n:
+        raise SingularMatrixError("matrix is singular")
+    det = minors[-1] if minors else 1
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(v, det) for v in y)

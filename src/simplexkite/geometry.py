@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .cayley import (
     DegenerateSimplexError,
     SquaredDistanceMatrix,
     facet_sdm,
-    gram_matrix,
-    require_nondegenerate,
+    gram_ldl,
     volume_sq,
 )
 
@@ -68,28 +66,6 @@ class EmbeddedSimplex:
         return "EmbeddedSimplex(n=%d, max_rel_error=%.2e)" % (self.n, self.max_rel_error)
 
 
-def _exact_ldl(g):
-    """LDL^T factorization of an exact positive-definite matrix.
-
-    Returns (L, D) with L unit lower triangular and D the positive
-    pivots, all exact rationals.  Positive definiteness is assumed to be
-    certified already; a nonpositive pivot means it was not.
-    """
-    n = g.order
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    pivots = [Fraction(0)] * n
-    for j in range(n):
-        d = g[j][j] - sum(lower[j][k] ** 2 * pivots[k] for k in range(j))
-        if d <= 0:
-            raise DegenerateSimplexError("Gram matrix is not positive definite")
-        pivots[j] = d
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            s = g[i][j] - sum(lower[i][k] * lower[j][k] * pivots[k] for k in range(j))
-            lower[i][j] = s / d
-    return lower, pivots
-
-
 def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
     """Realize a nondegenerate matrix as coordinates in R^n.
 
@@ -97,8 +73,7 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
     verdict attached.  The exact Gram matrix is LDL-factored first and
     floats enter only when the factors are multiplied out.
     """
-    require_nondegenerate(d)
-    lower, pivots = _exact_ldl(gram_matrix(d))
+    lower, pivots = gram_ldl(d)
     scale = [math.sqrt(float(p)) for p in pivots]
     rows = [[0.0] * d.n]
     for i in range(d.n):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexkite import (
     DegenerateSimplexError,
@@ -12,6 +14,7 @@ from simplexkite import (
     Realizability,
     SquaredDistanceMatrix,
     cm_det,
+    cm_matrix,
     circumradius_sq,
     exact_determinant,
     facet_sdm,
@@ -200,6 +203,108 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             SquaredDistanceMatrix.from_json({"n": 3, "a": [["0", "1"], ["1", "0"]]})
 
+    def test_json_rejects_boolean_order(self):
+        with pytest.raises(ValueError):
+            SquaredDistanceMatrix.from_json({"n": True, "a": [["0", "1"], ["1", "0"]]})
+
+    def test_json_rejects_boolean_entry(self):
+        with pytest.raises(ValueError):
+            SquaredDistanceMatrix.from_json({"n": 1, "a": [["0", True], [True, "0"]]})
+        with pytest.raises(TypeError):
+            SquaredDistanceMatrix([[0, True], [True, 0]])
+
+    def test_json_accepts_bare_integers(self):
+        d = SquaredDistanceMatrix.from_json({"n": 1, "a": [[0, 3], [3, 0]]})
+        assert d == SquaredDistanceMatrix([[0, 3], [3, 0]])
+
     def test_json_rejects_bad_scalar(self):
         with pytest.raises(ValueError):
             SquaredDistanceMatrix.from_json({"n": 1, "a": [["0", "1.5"], ["1.5", "0"]]})
+
+
+def _sdm_from_entries(n, entries):
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    for (i, j), x in zip(pairs, entries):
+        rows[i][j] = rows[j][i] = Fraction(x, 2)
+    return SquaredDistanceMatrix(rows)
+
+
+def _sdm_from_points(points):
+    return SquaredDistanceMatrix(
+        [[sum((x - y) ** 2 for x, y in zip(p, q)) for q in points] for p in points]
+    )
+
+
+# random positive entries (mostly non-Euclidean) and integer points in a
+# space of dimension <= n (Euclidean, often degenerate)
+_ANY_SDM = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.integers(1, 40), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(
+            lambda xs: _sdm_from_entries(n, xs)
+        )
+    ),
+    st.integers(1, 4).flatmap(
+        lambda n: st.integers(1, n).flatmap(
+            lambda dim: st.lists(
+                st.tuples(*[st.integers(-3, 3)] * dim), min_size=n + 1, max_size=n + 1, unique=True
+            ).map(_sdm_from_points)
+        )
+    ),
+)
+
+
+class TestRealizabilityGate:
+    # Gram inertia (2, 2, 0): the even number of negative eigenvalues gives
+    # det(G) the Euclidean sign, so a sign test alone passes it
+    FIVE_POINT = [
+        [0, 15, 28, 17, 9],
+        [15, 0, 2, 26, 30],
+        [28, 2, 0, 18, 30],
+        [17, 26, 18, 0, 1],
+        [9, 30, 30, 1, 0],
+    ]
+    # Gram inertia (2, 1, 0)
+    TETRAHEDRON = [[0, 1, 1, 100], [1, 0, 100, 1], [1, 100, 0, 1], [100, 1, 1, 0]]
+
+    def test_volume_of_even_negative_inertia_raises(self):
+        d = SquaredDistanceMatrix(self.FIVE_POINT)
+        with pytest.raises(NonEuclideanError) as exc:
+            volume_sq(d)
+        assert exc.value.verdict.gram_inertia == (2, 2, 0)
+        # the bare formula would have given 43873/9216
+        assert cm_det(d) == exact_determinant(cm_matrix(d)) == -43873
+
+    def test_circumradius_of_non_euclidean_tetrahedron_raises(self):
+        d = SquaredDistanceMatrix(self.TETRAHEDRON)
+        with pytest.raises(NonEuclideanError) as exc:
+            circumradius_sq(d)
+        assert exc.value.verdict.gram_inertia == (2, 1, 0)
+        with pytest.raises(NonEuclideanError):
+            volume_sq(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ANY_SDM)
+    def test_volume_raises_or_agrees_with_verdict(self, d):
+        verdict = is_realizable(d)
+        if verdict.status is Realizability.NON_EUCLIDEAN:
+            with pytest.raises(NonEuclideanError) as exc:
+                volume_sq(d)
+            assert exc.value.verdict == verdict
+            return
+        v2 = volume_sq(d)
+        assert (v2 == 0) == (verdict.status is Realizability.DEGENERATE)
+        assert v2 >= 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ANY_SDM)
+    def test_gram_reads_match_determinant_formulas(self, d):
+        # cm_det and circumradius_sq are read off the Gram elimination;
+        # pin them to the bordered Cayley-Menger determinants
+        c = exact_determinant(cm_matrix(d))
+        assert cm_det(d) == c
+        if is_realizable(d).status is Realizability.NONDEGENERATE:
+            assert circumradius_sq(d) == -inner_cm_det(d) / (2 * c)
+        else:
+            with pytest.raises((DegenerateSimplexError, NonEuclideanError)):
+                circumradius_sq(d)

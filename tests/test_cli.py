@@ -271,3 +271,11 @@ def test_module_entry_point():
 
 def test_unknown_command_is_bad_input():
     assert main(["frobnicate"]) == 1
+
+
+def test_boolean_matrix_entry_is_bad_input(run, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"n": 1, "a": [["0", True], [True, "0"]]}))
+    assert run(["classify", str(path)])[0] == 1
+    path.write_text(json.dumps({"n": True, "a": [["0", "1"], ["1", "0"]]}))
+    assert run(["embed", str(path)])[0] == 1

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,12 +11,15 @@ from simplexkite import (
     SingularMatrixError,
     determinant_by_cofactors,
     exact_determinant,
+    gram_ldl,
+    gram_matrix,
     inertia,
     parse_scalar,
     scalar_str,
     solve_linear,
     uniform_det,
 )
+from conftest import random_point_sdm
 
 
 def test_one_by_one():
@@ -163,3 +167,136 @@ class TestSolveLinear:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             solve_linear(ExactMatrix([[1, 2], [2, 4]]), [1, 1])
+
+
+def _mixed(rng, zero_share=0.25):
+    """A random rational with a mixed denominator, zero with the given chance."""
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 2, 3, 4, 6, 9, 10]))
+
+
+class TestIntegerKernel:
+    def test_mixed_denominators_against_cofactors(self):
+        rng = random.Random(21)
+        for order in range(1, 9):
+            for _ in range(3 if order < 8 else 2):
+                m = ExactMatrix([[_mixed(rng) for _ in range(order)] for _ in range(order)])
+                assert exact_determinant(m) == determinant_by_cofactors(m)
+
+    def test_zero_leading_pivots_need_row_swaps(self):
+        rng = random.Random(22)
+        for order in range(2, 9):
+            for _ in range(3):
+                rows = [[_mixed(rng, 0.1) for _ in range(order)] for _ in range(order)]
+                # zero the top-left block so the first pivots must come from below
+                lead = rng.randint(1, order - 1)
+                for i in range(lead):
+                    for j in range(lead):
+                        rows[i][j] = Fraction(0)
+                m = ExactMatrix(rows)
+                assert exact_determinant(m) == determinant_by_cofactors(m)
+
+    def test_anti_diagonal(self):
+        vals = [Fraction(k + 1, 2 * k + 3) for k in range(7)]
+        m = ExactMatrix([[vals[i] if i + j == 6 else 0 for j in range(7)] for i in range(7)])
+        expected = -math.prod(vals)  # reversing 7 indices is an odd permutation
+        assert exact_determinant(m) == expected == determinant_by_cofactors(m)
+
+    def test_singular(self):
+        rng = random.Random(23)
+        for order in range(2, 9):
+            rows = [[_mixed(rng, 0.1) for _ in range(order)] for _ in range(order)]
+            i = rng.randrange(order)
+            # row i becomes a rational combination of the other rows
+            coef = [0 if r == i else _mixed(rng, 0.3) for r in range(order)]
+            rows[i] = [sum(coef[r] * rows[r][c] for r in range(order)) for c in range(order)]
+            k = rng.randrange(order)
+            m = ExactMatrix(rows)
+            assert exact_determinant(m) == 0
+            if order <= 7:
+                assert determinant_by_cofactors(m) == 0
+            with pytest.raises(SingularMatrixError):
+                solve_linear(m, [_mixed(rng) for _ in range(order)])
+            zero_col = ExactMatrix([row[:k] + [0] + row[k + 1:] for row in rows])
+            assert exact_determinant(zero_col) == 0
+
+    def test_solve_round_trip_order_12(self):
+        rng = random.Random(24)
+        for zero_lead in (False, True):
+            while True:
+                rows = [[_mixed(rng) for _ in range(12)] for _ in range(12)]
+                if zero_lead:
+                    rows[0][0] = rows[1][0] = Fraction(0)
+                m = ExactMatrix(rows)
+                if exact_determinant(m) != 0:
+                    break
+            x = [_mixed(rng, 0.1) for _ in range(12)]
+            rhs = [sum(m[i][j] * x[j] for j in range(12)) for i in range(12)]
+            assert list(solve_linear(m, rhs)) == x
+
+
+class TestInertiaTwoByTwoPath:
+    """Matrices whose live diagonal runs out mid-elimination.
+
+    T^T (p + H) T with T = [[1, t], [0, I]] has the leading pivot p and,
+    after it, the Schur complement H = [[0, B], [B^T, 0]].  H has a zero
+    diagonal, so only the 2x2 congruence can produce the next pivot, and
+    for B of full rank m its inertia is (m, m, size - 2m).
+    """
+
+    @staticmethod
+    def _build(rng, p, r, s):
+        while True:
+            b = [[_mixed(rng, 0.3) for _ in range(s)] for _ in range(r)]
+            short, other = (b, list(zip(*b))) if r <= s else (list(zip(*b)), b)
+            gram = [[sum(x * y for x, y in zip(u, v)) for v in short] for u in short]
+            if exact_determinant(ExactMatrix(gram)) != 0:  # full rank min(r, s)
+                break
+        h = [[Fraction(0)] * (r + s) for _ in range(r + s)]
+        for i in range(r):
+            for j in range(s):
+                h[i][r + j] = h[r + j][i] = b[i][j]
+        t = [_mixed(rng, 0.2) for _ in range(r + s)]
+        rows = [[p] + [p * x for x in t]]
+        for i in range(r + s):
+            rows.append([p * t[i]] + [p * t[i] * t[j] + h[i][j] for j in range(r + s)])
+        det = p * (-1) ** r * exact_determinant(ExactMatrix(b)) ** 2 if r == s else 0
+        return ExactMatrix(rows), det
+
+    def test_signature_determinant_and_path(self, monkeypatch):
+        import simplexkite.exact as exact
+
+        steps = []
+        real = exact._symmetric_pivot
+
+        def spy(a, k, order):
+            steps.append(k)
+            return real(a, k, order)
+
+        monkeypatch.setattr(exact, "_symmetric_pivot", spy)
+        rng = random.Random(25)
+        for _ in range(30):
+            p = _mixed(rng, 0)
+            r, s = rng.randint(1, 3), rng.randint(1, 3)
+            m, det = self._build(rng, p, r, s)
+            assert m.is_symmetric()
+            steps.clear()
+            rank = min(r, s)
+            assert inertia(m) == (rank + (p > 0), rank + (p < 0), r + s - 2 * rank)
+            assert steps and steps[0] == 1  # the diagonal ran out after one pivot
+            assert exact_determinant(m) == det
+
+
+def test_gram_ldl_reproduces_gram_exactly():
+    # the factors embed turns into coordinates
+    rng = random.Random(26)
+    for n in range(1, 9):
+        d = random_point_sdm(rng, n)
+        lower, pivots = gram_ldl(d)
+        g = gram_matrix(d)
+        assert all(p > 0 for p in pivots)
+        for i in range(n):
+            assert lower[i][i] == 1 and all(x == 0 for x in lower[i][i + 1:])
+            for j in range(n):
+                assert sum(lower[i][k] * pivots[k] * lower[j][k] for k in range(n)) == g[i][j]
