@@ -30,6 +30,7 @@ from .cayley import (
     SquaredDistanceMatrix,
     cm_det,
     cm_matrix,
+    circumcenter_barycentrics,
     circumradius_sq,
     facet_sdm,
     gram_ldl,
@@ -66,7 +67,6 @@ from .geometry import (
 from .centers import (
     CoincidenceReport,
     EquiarealCandidate,
-    circumcenter_barycentrics,
     coincidence_report,
     equiareal_prekite_solve,
     equiareal_scan,

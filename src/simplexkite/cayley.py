@@ -4,11 +4,12 @@ A simplex on n+1 vertices is described by its matrix of squared
 pairwise distances.  Everything here is exact: determinants, squared
 volume, squared circumradius, and the Gram-based realizability verdict.
 
-Volume, circumradius and verdict all come from one integer symmetric
-elimination of the Gram matrix G of edge vectors (`_gram_elimination`):
-its pivot signs give the inertia of G, its last leading minor gives
-det(G) = (n!)**2 * V**2, and one extra bordered row gives R**2.  So a
-number is returned only for data the same pass has certified.
+Volume, circumradius, circumcenter and verdict all come from one integer
+symmetric elimination of the Gram matrix G of edge vectors
+(`_gram_elimination`): its pivot signs give the inertia of G, its last
+leading minor gives det(G) = (n!)**2 * V**2, and one extra bordered row
+gives R**2 and, by back substitution, the circumcenter.  So a number is
+returned only for data the same pass has certified.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterable
 
 from .exact import (
     ExactMatrix,
+    _back_substitute,
     _bareiss,
     _signature,
     as_scalar,
@@ -215,6 +217,30 @@ def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
     return Fraction(-rows[d.n][d.n], 4 * scale * minors[-1])
 
 
+def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
+    """Exact barycentric coordinates of the circumcenter.
+
+    The circumcenter is p0 + sum x_i (p_i - p0) with 2 G x = g, g the
+    diagonal of G, so its barycentrics are w = (1 - sum x, x).  Back
+    substitution on the echelon rows [A | s g] of the bordered pass behind
+    `circumradius_sq` (A = s*G) gives the integers det(A) G^-1 g = 2 det(A) x.
+    w is certified against the Cayley-Menger system: sum w = 1 holds by
+    construction, and every entry of D w must equal 2 R**2.  Degenerate
+    or non-Euclidean input raises with the verdict attached.
+    """
+    n = d.n
+    rows, minors, scale, verdict = _gram_elimination(d, border=True)
+    _raise_unless_nondegenerate(verdict)
+    det = minors[-1]
+    y = _back_substitute(rows, det, n)
+    weights = [2 * det - sum(y)] + y  # 2 det(A) w
+    # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -rows[n][n] / 2.
+    dist, _ = _cleared_distances(d)
+    if any(2 * sum(x * w for x, w in zip(row, weights)) != -rows[n][n] for row in dist):
+        raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
+    return tuple(Fraction(w, 2 * det) for w in weights)
+
+
 def gram_matrix(d: SquaredDistanceMatrix, base: int = 0) -> ExactMatrix:
     """Gram matrix of edge vectors out of the base vertex.
 
@@ -225,13 +251,18 @@ def gram_matrix(d: SquaredDistanceMatrix, base: int = 0) -> ExactMatrix:
     return ExactMatrix([[Fraction(x, scale) for x in row] for row in rows])
 
 
+def _cleared_distances(d: SquaredDistanceMatrix) -> tuple[list[list[int]], int]:
+    """(c*D, c): the distances as integers, c their common denominator."""
+    c = math.lcm(*(x.denominator for row in d.a for x in row))
+    return [[x.numerator * (c // x.denominator) for x in row] for row in d.a], c
+
+
 def _scaled_gram(d: SquaredDistanceMatrix, base: int = 0) -> tuple[list[list[int]], int]:
     """(A, s): the Gram matrix as the integer matrix A = s*G.
 
     s = 2*c, where c is the common denominator of the distances.
     """
-    c = math.lcm(*(x.denominator for row in d.a for x in row))
-    a = [[x.numerator * (c // x.denominator) for x in row] for row in d.a]
+    a, c = _cleared_distances(d)
     others = [i for i in range(d.n + 1) if i != base]
     top = a[base]
     return [[top[i] + top[j] - a[i][j] for j in others] for i in others], 2 * c

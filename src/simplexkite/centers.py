@@ -16,15 +16,15 @@ from fractions import Fraction
 import numpy as np
 
 from .cayley import (
+    Realizability,
     SquaredDistanceMatrix,
-    cm_det,
-    cm_matrix,
-    facet_sdm,
+    circumcenter_barycentrics,
     circumradius_sq,
-    require_nondegenerate,
+    facet_sdm,
+    is_realizable,
     volume_sq,
 )
-from .exact import solve_linear
+from .exact import scalar_str
 from .prekite import PreKite
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
@@ -86,22 +86,6 @@ def prekite_equiradial_residual(pk: PreKite, j: int) -> Fraction:
     return 2 * (s1 - n * u) * vj - (s1**2 + s2 - 2 * n * s1 * u + n * (n - 1) * u**2)
 
 
-def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
-    """Exact barycentric coordinates of the circumcenter.
-
-    Solves the bordered linear system whose matrix is the Cayley-Menger
-    matrix; the scalar unknown that rides along equals -2*R**2, which is
-    cross-checked against the closed-form circumradius.
-    """
-    require_nondegenerate(d)
-    rhs = [1] + [0] * (d.n + 1)
-    solution = solve_linear(cm_matrix(d), rhs)
-    mu, bary = solution[0], solution[1:]
-    if -mu / 2 != circumradius_sq(d):
-        raise RuntimeError("barycentric solve disagrees with the circumradius")
-    return bary
-
-
 def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
     """Whether the circumcenter lies strictly inside the simplex."""
     return all(w > 0 for w in circumcenter_barycentrics(d))
@@ -148,13 +132,13 @@ def coincidence_report(
 
     When with_floats is set, the simplex is embedded and the pairwise
     center distances are attached, including the experimental
-    Fermat-Torricelli coincidence flags.
+    Fermat-Torricelli coincidence flags.  Degenerate or non-Euclidean
+    input raises first, from the circumcenter's elimination.
     """
-    require_nondegenerate(d)
+    interior = is_circumcenter_interior(d)
     well = is_well_distributed(d)
     radial = is_equiradial(d)
     areal = is_equiareal(d)
-    interior = is_circumcenter_interior(d)
     fermat = None
     distances = None
     if with_floats:
@@ -216,8 +200,6 @@ class EquiarealCandidate:
         return PreKite(self.n, self.u, (self.x,) * self.t + (self.y,) * self.s)
 
     def to_json(self) -> dict:
-        from .exact import scalar_str
-
         return {
             "n": self.n,
             "t": self.t,
@@ -259,11 +241,9 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
         return []
     pk = PreKite(n, u, (x,) * t + (y,) * s)
     sdm = pk.to_sdm()
-    degenerate = cm_det(sdm) == 0
-    from .cayley import Realizability, is_realizable
-
     verdict = is_realizable(sdm)
     realizable = verdict.status is Realizability.NONDEGENERATE
+    degenerate = verdict.gram_inertia[2] > 0
     verified = is_equiareal(sdm)
     regular = sdm.is_regular()
     candidate = EquiarealCandidate(

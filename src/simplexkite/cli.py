@@ -101,11 +101,6 @@ def _load_sdm(path: str) -> SquaredDistanceMatrix:
         raise InputError("invalid matrix in %s: %s" % (path, exc)) from exc
 
 
-def _require_json_format(args):
-    if args.format != "json":
-        raise InputError("only the scan table supports --format csv")
-
-
 def _prekite_from_args(args) -> PreKite:
     u = _scalar(args.u)
     v = [_scalar(x) for x in args.v]
@@ -119,7 +114,6 @@ def _prekite_from_args(args) -> PreKite:
 
 
 def cmd_classify(args):
-    _require_json_format(args)
     d = _load_sdm(args.matrix)
     tol = args.tol if args.tol is not None else TOL_FAMILY
     report = classify(d, tol=tol)
@@ -141,7 +135,6 @@ def _facet_row(j, c, dd, n) -> dict:
 
 
 def cmd_prekite_eval(args):
-    _require_json_format(args)
     pk = _prekite_from_args(args)
     n = pk.n
     c = pk_cm_det(pk)
@@ -171,7 +164,6 @@ def cmd_prekite_eval(args):
 
 
 def cmd_prekite_feasible(args):
-    _require_json_format(args)
     u = _scalar(args.u)
     v = _scalar(args.v)
     if args.lengths:
@@ -226,7 +218,6 @@ def _parse_known(text: str, n: int):
 
 
 def cmd_rel(args):
-    _require_json_format(args)
     t0 = _number(args.t0)
     if args.mode == "solve":
         if args.known is None:
@@ -272,7 +263,6 @@ def cmd_rel(args):
 
 
 def cmd_pompeiu(args):
-    _require_json_format(args)
     a, x, y, z = (_number(v) for v in (args.a, args.x, args.y, args.z))
     tol = args.tol if args.tol is not None else 1e-12
     try:
@@ -293,7 +283,6 @@ def cmd_pompeiu(args):
 
 
 def cmd_embed(args):
-    _require_json_format(args)
     d = _load_sdm(args.matrix)
     s = embed(d)
     out = {
@@ -305,7 +294,6 @@ def cmd_embed(args):
 
 
 def cmd_centers(args):
-    _require_json_format(args)
     d = _load_sdm(args.matrix)
     s = embed(d)
     tol = args.tol if args.tol is not None else FT_GRADIENT_TOL
@@ -315,58 +303,59 @@ def cmd_centers(args):
     return _dumps(out), EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--exact", action="store_true", help="exact output only; skip float cross-checks")
-    common.add_argument("--tol", type=float, default=None, help="override the command's float tolerance")
-    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format (csv: scan table only)")
-    common.add_argument("--lengths", action="store_true", help="numeric edge inputs are plain lengths; square them on ingestion")
+_FLAGS = {
+    "--exact": {"action": "store_true", "help": "exact output only; skip float cross-checks"},
+    "--tol": {"type": float, "default": None, "help": "override the command's float tolerance"},
+    "--format": {"choices": ("json", "csv"), "default": "json", "help": "output format of the scan table"},
+    "--lengths": {"action": "store_true", "help": "numeric edge inputs are plain lengths; square them on ingestion"},
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="simplexkite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="apex census, family membership, and center coincidences for a matrix file")
-    p.add_argument("matrix", help="path to a squared-distance matrix JSON file")
-    p.set_defaults(func=cmd_classify)
+    def command(name, func, help, flags=()):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("prekite-eval", parents=[common], help="exact determinants, volume, and circumradius of PK[n;u;v], with per-facet values")
+    p = command("classify", cmd_classify, "apex census, family membership, and center coincidences for a matrix file", ("--exact", "--tol"))
+    p.add_argument("matrix", help="path to a squared-distance matrix JSON file")
+
+    p = command("prekite-eval", cmd_prekite_eval, "exact determinants, volume, and circumradius of PK[n;u;v], with per-facet values", ("--lengths",))
     p.add_argument("n", type=int)
     p.add_argument("u")
     p.add_argument("v", nargs="+")
-    p.set_defaults(func=cmd_prekite_eval)
 
-    p = sub.add_parser("prekite-feasible", parents=[common], help="feasibility window test for the single-odd-edge pre-kite")
+    p = command("prekite-feasible", cmd_prekite_feasible, "feasibility window test for the single-odd-edge pre-kite", ("--lengths",))
     p.add_argument("n", type=int)
     p.add_argument("u")
     p.add_argument("v")
-    p.set_defaults(func=cmd_prekite_feasible)
 
-    p = sub.add_parser("equiareal-scan", parents=[common], help="equal-facet-volume candidates over all (t, s) splits at dimension n")
+    p = command("equiareal-scan", cmd_equiareal_scan, "equal-facet-volume candidates over all (t, s) splits at dimension n", ("--format",))
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_equiareal_scan)
 
-    p = sub.add_parser("rel", parents=[common], help="solve or verify the regular-simplex distance relation")
+    p = command("rel", cmd_rel, "solve or verify the regular-simplex distance relation", ("--tol",))
     p.add_argument("mode", choices=("solve", "verify"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t0", required=True)
     p.add_argument("--known", help="solve: comma-separated known distances, '?' for the open slot")
     p.add_argument("--t", help="verify: comma-separated distances to all n+1 vertices")
-    p.set_defaults(func=cmd_rel)
 
-    p = sub.add_parser("pompeiu", parents=[common], help="classify three distances against an equilateral triangle")
+    p = command("pompeiu", cmd_pompeiu, "classify three distances against an equilateral triangle", ("--tol",))
     p.add_argument("a")
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("z")
-    p.set_defaults(func=cmd_pompeiu)
 
-    p = sub.add_parser("embed", parents=[common], help="coordinates realizing a matrix file")
+    p = command("embed", cmd_embed, "coordinates realizing a matrix file")
     p.add_argument("matrix")
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("centers", parents=[common], help="the four centers of the simplex in a matrix file")
+    p = command("centers", cmd_centers, "the four centers of the simplex in a matrix file", ("--tol",))
     p.add_argument("matrix")
-    p.set_defaults(func=cmd_centers)
 
     return parser
 

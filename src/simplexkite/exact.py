@@ -228,10 +228,7 @@ def inertia(m: ExactMatrix) -> tuple[int, int, int]:
 
 
 def solve_linear(m: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve m x = rhs exactly; raises SingularMatrixError when singular.
-
-    Back substitution runs on the integral y = det * x, so it too divides exactly.
-    """
+    """Solve m x = rhs exactly; raises SingularMatrixError when singular."""
     n = m.order
     b = [as_scalar(v) for v in rhs]
     if len(b) != n:
@@ -241,8 +238,16 @@ def solve_linear(m: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     if len(minors) < n:
         raise SingularMatrixError("matrix is singular")
     det = minors[-1] if minors else 1
+    return tuple(Fraction(v, det) for v in _back_substitute(a, det, n))
+
+
+def _back_substitute(a: list[list[int]], det: int, n: int) -> list[int]:
+    """y = det * x from the first n rows of `a` after an n-step `_bareiss`
+    of [M | b] (b in column n, det = det(M)).  Only entries on and right of
+    the diagonal are read, so the symmetric mode serves too.  y is integral
+    (Cramer's rule), so every division is exact."""
     y = [0] * n
     for i in reversed(range(n)):
         row = a[i]
         y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return tuple(Fraction(v, det) for v in y)
+    return y

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import SquaredDistanceMatrix, require_nondegenerate
-from .exact import as_scalar
+from .exact import as_scalar, scalar_str
 from .prekite import ApexReport, find_apexes
 
 TOL_FAMILY = 1e-9
@@ -39,8 +39,6 @@ class BetaVector:
 
     def to_json(self) -> dict:
         if self.family == "orthocentric":
-            from .exact import scalar_str
-
             beta = [scalar_str(b) for b in self.beta]
             residual = scalar_str(self.residual)
         else:

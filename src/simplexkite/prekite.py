@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cayley import SquaredDistanceMatrix, cm_det, inner_cm_det
+from .cayley import SquaredDistanceMatrix
 from .exact import as_scalar, scalar_str
 
 
@@ -90,8 +90,6 @@ def pk_cm_det(pk: PreKite) -> Fraction:
 
         (-u)**(n-2) * [ n*(u**2 + sum v_i**2) - (u + sum v_i)**2 ]
     """
-    if pk.n == 2:
-        return cm_det(pk.to_sdm())
     return (-pk.u) ** (pk.n - 2) * (pk.n * pk.sum2 - pk.sum1**2)
 
 
@@ -100,8 +98,6 @@ def pk_inner_cm_det(pk: PreKite) -> Fraction:
 
         (-u)**(n-1) * [ (n-1)*(sum v_i**2) - (sum v_i)**2 ]
     """
-    if pk.n == 2:
-        return inner_cm_det(pk.to_sdm())
     vsum = sum(pk.v)
     vsq = sum(x**2 for x in pk.v)
     return (-pk.u) ** (pk.n - 1) * ((pk.n - 1) * vsq - vsum**2)

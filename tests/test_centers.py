@@ -6,10 +6,14 @@ import pytest
 
 from simplexkite import (
     DegenerateSimplexError,
+    NonEuclideanError,
     PreKite,
+    Realizability,
     SquaredDistanceMatrix,
     circumcenter_barycentrics,
     circumradius_sq,
+    cm_det,
+    cm_matrix,
     coincidence_report,
     embed,
     equiareal_prekite_solve,
@@ -21,15 +25,54 @@ from simplexkite import (
     is_circumcenter_interior,
     is_equiareal,
     is_equiradial,
+    is_realizable,
     is_well_distributed,
     prekite_equiradial_residual,
+    solve_linear,
     volume_sq,
 )
+from simplexkite.cayley import require_nondegenerate
 from conftest import random_prekite, random_realizable_prekite
 
 
 def sdm_triangle(x, y, z):
     return SquaredDistanceMatrix([[0, x, y], [x, 0, z], [y, z, 0]])
+
+
+def mixed_point_sdm(rng, n):
+    """A nondegenerate simplex on n+1 random points of Q^n with mixed denominators."""
+    while True:
+        pts = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)] for _ in range(n + 1)]
+        rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
+        if all(rows[i][j] for i in range(n + 1) for j in range(i)):
+            d = SquaredDistanceMatrix(rows)
+            if is_realizable(d).status is Realizability.NONDEGENERATE:
+                return d
+
+
+def count_kernel_calls(monkeypatch):
+    """Patch the integer elimination where the library calls it; return the call log."""
+    import simplexkite.cayley as cayley
+    import simplexkite.exact as exact
+
+    calls = []
+    real = exact._bareiss
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_bareiss", spy)
+    monkeypatch.setattr(cayley, "_bareiss", spy)
+    return calls
+
+
+# Gram inertia (2, 1, 0) and (2, 2, 0): non-Euclidean, the second with the
+# Euclidean sign of det(G)
+NON_EUCLIDEAN = (
+    [[0, 1, 1, 100], [1, 0, 100, 1], [1, 100, 0, 1], [100, 1, 1, 0]],
+    [[0, 15, 28, 17, 9], [15, 0, 2, 26, 30], [28, 2, 0, 18, 30], [17, 26, 18, 0, 1], [9, 30, 30, 1, 0]],
+)
 
 
 class TestPredicates:
@@ -153,6 +196,40 @@ class TestCircumcenterBarycentrics:
             q, _ = circumcenter(s)
             assert np.allclose(bary @ s.vertices, q, atol=1e-8)
 
+    def test_matches_cayley_menger_solve(self):
+        rng = random.Random(31)
+        exterior = 0
+        for n in range(2, 9):
+            for _ in range(6):
+                d = mixed_point_sdm(rng, n)
+                bary = circumcenter_barycentrics(d)
+                assert bary == solve_linear(cm_matrix(d), [1] + [0] * (n + 1))[1:]
+                exterior += min(bary) < 0
+        assert exterior >= 10
+
+    def test_one_elimination(self, monkeypatch):
+        rng = random.Random(32)
+        calls = count_kernel_calls(monkeypatch)
+        for n in range(1, 8):
+            d = mixed_point_sdm(rng, n)
+            calls.clear()
+            circumcenter_barycentrics(d)
+            assert len(calls) == 1
+
+    def test_unrealizable_raises_like_the_verdict(self):
+        cases = [sdm_triangle(1, 4, 1), sdm_triangle(1, 9, 1), PreKite(3, 1, (1, 1, 3)).to_sdm()]
+        cases += [SquaredDistanceMatrix(rows) for rows in NON_EUCLIDEAN]
+        kinds = set()
+        for d in cases:
+            with pytest.raises((DegenerateSimplexError, NonEuclideanError)) as expected:
+                require_nondegenerate(d)
+            kinds.add(type(expected.value))
+            for f in (circumcenter_barycentrics, coincidence_report):
+                with pytest.raises(type(expected.value)) as got:
+                    f(d)
+                assert got.value.verdict == expected.value.verdict
+        assert kinds == {DegenerateSimplexError, NonEuclideanError}
+
 
 class TestCoincidenceReport:
     def test_regular_all_true(self):
@@ -170,6 +247,17 @@ class TestCoincidenceReport:
     def test_kite_all_false(self):
         rep = coincidence_report(PreKite(3, 1, (2, 2, 2)).to_sdm())
         assert not (rep.qg_coincide or rep.qi_coincide or rep.ig_coincide)
+
+    def test_kernel_calls(self, monkeypatch):
+        # one bordered pass for the circumcenter, then one per facet for the
+        # radii and one per facet for the volumes
+        rng = random.Random(33)
+        calls = count_kernel_calls(monkeypatch)
+        for n in range(2, 9):
+            d = mixed_point_sdm(rng, n)
+            calls.clear()
+            coincidence_report(d)
+            assert len(calls) == 2 * n + 3
 
     def test_float_cross_check(self):
         for d in (
@@ -249,6 +337,15 @@ class TestEquiarealSolver:
                     s2 = u * u + t * x * x + s * y * y
                     assert n * u * u - s1 * s1 + (n - 1) * s2 - n * x * x + 2 * s1 * x == 0
                     assert (t - s) * (y - x) == 2 * u
+
+    def test_degenerate_flag_is_the_cm_determinant(self):
+        seen = set()
+        for n in range(3, 13):
+            for s in range(1, (n - 1) // 2 + 1):
+                for cand in equiareal_prekite_solve(n, n - s, s):
+                    assert cand.degenerate == (cm_det(cand.prekite().to_sdm()) == 0)
+                    seen.add(cand.degenerate)
+        assert seen == {False, True}
 
     def test_scan_shapes(self):
         result = equiareal_scan(6)

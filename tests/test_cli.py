@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from simplexkite import PreKite, SquaredDistanceMatrix
-from simplexkite.cli import main
+from simplexkite.cli import build_parser, main
 
 
 @pytest.fixture
@@ -178,6 +178,36 @@ class TestEquiarealScan:
     def test_csv_rejected_elsewhere(self, run):
         code, _ = run(["prekite-eval", "3", "1", "1", "1", "2", "--format", "csv"])
         assert code == 1
+
+
+class TestFlagScope:
+    def test_each_flag_only_where_read(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {"--exact", "--tol", "--format", "--lengths"}
+        attached = {
+            name: sorted({o for a in p._actions for o in a.option_strings} & flags)
+            for name, p in sub.choices.items()
+        }
+        assert attached == {
+            "classify": ["--exact", "--tol"],
+            "prekite-eval": ["--lengths"],
+            "prekite-feasible": ["--lengths"],
+            "equiareal-scan": ["--format"],
+            "rel": ["--tol"],
+            "pompeiu": ["--tol"],
+            "embed": [],
+            "centers": ["--tol"],
+        }
+
+    def test_foreign_flag_is_bad_input(self, run, tmp_path):
+        matrix = write_matrix(tmp_path, REGULAR3)
+        for argv in (
+            ["classify", matrix, "--lengths"],
+            ["embed", matrix, "--tol", "1e-300"],
+            ["pompeiu", "1", "0", "1", "1", "--lengths"],
+            ["prekite-feasible", "3", "1", "3", "--exact"],
+        ):
+            assert run(argv)[0] == 1
 
 
 class TestRel:
