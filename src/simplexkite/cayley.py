@@ -6,8 +6,9 @@ volume, squared circumradius, and the Gram-based realizability verdict.
 
 Volume, circumradius, circumcenter and verdict all come from one integer
 symmetric elimination of the Gram matrix G of edge vectors
-(`_gram_elimination`): its pivot signs give the inertia of G, its last
-leading minor gives det(G) = (n!)**2 * V**2, and one extra bordered row
+(`_gram_elimination`), run at most once per matrix and kept on it: its
+pivot signs give the inertia of G, its last leading minor gives
+det(G) = (n!)**2 * V**2, and a sweep of G's diagonal through its pivots
 gives R**2 and, by back substitution, the circumcenter.  So a number is
 returned only for data the same pass has certified.
 """
@@ -72,7 +73,7 @@ class SquaredDistanceMatrix:
     (n+1) x (n+1).
     """
 
-    __slots__ = ("n", "a")
+    __slots__ = ("n", "a", "_gram", "_facets")
 
     def __init__(self, entries: Iterable[Iterable]):
         table = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -89,6 +90,8 @@ class SquaredDistanceMatrix:
                     raise ValueError("off-diagonal entries must be positive")
         self.n = m - 1
         self.a = table
+        self._gram = None  # the `_gram_elimination` result, filled on first use
+        self._facets = None  # the `facet_sdm` results, filled on first use
 
     @classmethod
     def regular(cls, n: int, side_sq=1) -> "SquaredDistanceMatrix":
@@ -171,7 +174,7 @@ def cm_det(d: SquaredDistanceMatrix) -> Fraction:
 
     Read off the Gram elimination: det(CM) = (-1)**(n+1) * 2**n * det(G).
     """
-    _, minors, scale, _ = _gram_elimination(d)
+    _, minors, scale, _, _ = _gram_elimination(d)
     return (-1) ** (d.n + 1) * 2**d.n * _gram_det(minors, scale, d.n)
 
 
@@ -198,7 +201,7 @@ def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
     verdict, read from the same elimination as the determinant, so an
     even number of negative Gram eigenvalues cannot pass as a volume.
     """
-    _, minors, scale, verdict = _gram_elimination(d)
+    _, minors, scale, verdict, _ = _gram_elimination(d)
     if verdict.status is Realizability.NON_EUCLIDEAN:
         raise NonEuclideanError("distances are not Euclidean; no volume", verdict=verdict)
     return _gram_det(minors, scale, d.n) / math.factorial(d.n) ** 2
@@ -208,13 +211,13 @@ def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
     """Exact squared circumradius g^T G^-1 g / 4, with g the diagonal of G.
 
     The bordered matrix B = [[G, g], [g^T, 0]] has det(B) =
-    -det(G) * g^T G^-1 g, and its last minor comes out of the Gram
-    elimination for one more row.  Degenerate or non-Euclidean input
-    raises with the verdict attached.
+    -det(G) * g^T G^-1 g, which `_diagonal_sweep` reads off the Gram
+    elimination.  Degenerate or non-Euclidean input raises with the
+    verdict attached.
     """
-    rows, minors, scale, verdict = _gram_elimination(d, border=True)
-    _raise_unless_nondegenerate(verdict)
-    return Fraction(-rows[d.n][d.n], 4 * scale * minors[-1])
+    _, corner = _diagonal_sweep(d)
+    _, minors, scale, _, _ = _gram_elimination(d)
+    return Fraction(-corner, 4 * scale * minors[-1])
 
 
 def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
@@ -222,32 +225,31 @@ def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
 
     The circumcenter is p0 + sum x_i (p_i - p0) with 2 G x = g, g the
     diagonal of G, so its barycentrics are w = (1 - sum x, x).  Back
-    substitution on the echelon rows [A | s g] of the bordered pass behind
-    `circumradius_sq` (A = s*G) gives the integers det(A) G^-1 g = 2 det(A) x.
-    w is certified against the Cayley-Menger system: sum w = 1 holds by
-    construction, and every entry of D w must equal 2 R**2.  Degenerate
-    or non-Euclidean input raises with the verdict attached.
+    substitution on the echelon rows of A = s*G, with the right-hand side
+    that `_diagonal_sweep` carries s*g to, gives the integers
+    det(A) G^-1 g = 2 det(A) x.  w is certified against the Cayley-Menger
+    system: sum w = 1 holds by construction, and every entry of D w must
+    equal 2 R**2.  Degenerate or non-Euclidean input raises with the
+    verdict attached.
     """
-    n = d.n
-    rows, minors, scale, verdict = _gram_elimination(d, border=True)
-    _raise_unless_nondegenerate(verdict)
+    rhs, corner = _diagonal_sweep(d)
+    rows, minors, _, _, _ = _gram_elimination(d)
     det = minors[-1]
-    y = _back_substitute(rows, det, n)
+    y = _back_substitute(rows, det, rhs)
     weights = [2 * det - sum(y)] + y  # 2 det(A) w
-    # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -rows[n][n] / 2.
+    # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
     dist, _ = _cleared_distances(d)
-    if any(2 * sum(x * w for x, w in zip(row, weights)) != -rows[n][n] for row in dist):
+    if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in dist):
         raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
     return tuple(Fraction(w, 2 * det) for w in weights)
 
 
-def gram_matrix(d: SquaredDistanceMatrix, base: int = 0) -> ExactMatrix:
-    """Gram matrix of edge vectors out of the base vertex.
+def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
+    """Gram matrix of edge vectors out of vertex 0.
 
-    G[i][j] = (a[base][i] + a[base][j] - a[i][j]) / 2 over the other
-    vertices, in ascending index order.
+    G[i][j] = (a[0][i] + a[0][j] - a[i][j]) / 2 for 1 <= i, j <= n.
     """
-    rows, scale = _scaled_gram(d, base)
+    rows, scale = _scaled_gram(d)
     return ExactMatrix([[Fraction(x, scale) for x in row] for row in rows])
 
 
@@ -257,39 +259,50 @@ def _cleared_distances(d: SquaredDistanceMatrix) -> tuple[list[list[int]], int]:
     return [[x.numerator * (c // x.denominator) for x in row] for row in d.a], c
 
 
-def _scaled_gram(d: SquaredDistanceMatrix, base: int = 0) -> tuple[list[list[int]], int]:
+def _scaled_gram(d: SquaredDistanceMatrix) -> tuple[list[list[int]], int]:
     """(A, s): the Gram matrix as the integer matrix A = s*G.
 
     s = 2*c, where c is the common denominator of the distances.
     """
     a, c = _cleared_distances(d)
-    others = [i for i in range(d.n + 1) if i != base]
-    top = a[base]
-    return [[top[i] + top[j] - a[i][j] for j in others] for i in others], 2 * c
+    top = a[0]
+    return [[top[i] + top[j] - a[i][j] for j in range(1, d.n + 1)] for i in range(1, d.n + 1)], 2 * c
 
 
-def _gram_elimination(d: SquaredDistanceMatrix, base: int = 0, border: bool = False):
-    """One integer symmetric elimination of the scaled Gram matrix A = s*G.
+def _gram_elimination(d: SquaredDistanceMatrix):
+    """The integer symmetric elimination of the scaled Gram matrix A = s*G,
+    run once and kept on d; callers only read it.
 
-    A has the inertia of G.  With `border`, A gets one more row and
-    column holding its own diagonal and a zero corner; pivots are still
-    taken from A alone.  Returns (rows, minors, s, verdict).
+    A has the inertia of G.  Returns (rows, minors, s, verdict, diag),
+    where diag is A's diagonal from before the elimination.
     """
-    rows, scale = _scaled_gram(d, base)
-    if border:
+    if d._gram is None:
+        rows, scale = _scaled_gram(d)
         diag = [row[i] for i, row in enumerate(rows)]
-        for row, x in zip(rows, diag):
-            row.append(x)
-        rows.append(diag + [0])
-    minors, _ = _bareiss(rows, symmetric=True, order=d.n)
-    sig = _signature(minors, d.n)
-    if sig[1] > 0:
-        status = Realizability.NON_EUCLIDEAN
-    elif sig[2] > 0:
-        status = Realizability.DEGENERATE
-    else:
-        status = Realizability.NONDEGENERATE
-    return rows, minors, scale, RealizabilityVerdict(status=status, gram_inertia=sig)
+        minors, _ = _bareiss(rows, symmetric=True, order=d.n)
+        sig = _signature(minors, d.n)
+        status = Realizability.NON_EUCLIDEAN if sig[1] else (
+            Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)
+        d._gram = rows, minors, scale, RealizabilityVerdict(status=status, gram_inertia=sig), diag
+    return d._gram
+
+
+def _diagonal_sweep(d: SquaredDistanceMatrix) -> tuple[list[int], int]:
+    """(b, corner): the last column the elimination would leave on the bordered
+    [[A, g], [g^T, 0]], g the diagonal of A: b = the right-hand side of the
+    echelon rows of [A | g], corner = -det(A) * g^T A^-1 g.  It replays the
+    border's Bareiss updates through the kept pivot rows in O(n**2), exact
+    only without pivot moves, so anything but nondegenerate input raises."""
+    require_nondegenerate(d)
+    rows, minors, _, _, diag = _gram_elimination(d)
+    b, corner, prev = list(diag), 0, 1
+    for k, pivot in enumerate(minors):
+        top, bk = rows[k], b[k]
+        for i in range(k + 1, d.n):
+            b[i] = (pivot * b[i] - top[i] * bk) // prev
+        corner = (pivot * corner - bk * bk) // prev
+        prev = pivot
+    return b, corner
 
 
 def _gram_det(minors, scale: int, n: int) -> Fraction:
@@ -297,28 +310,25 @@ def _gram_det(minors, scale: int, n: int) -> Fraction:
     return Fraction(minors[-1], scale**n) if len(minors) == n else Fraction(0)
 
 
-def _raise_unless_nondegenerate(verdict: RealizabilityVerdict) -> None:
-    if verdict.status is Realizability.DEGENERATE:
-        raise DegenerateSimplexError("simplex is degenerate (zero volume)", verdict=verdict)
-    if verdict.status is Realizability.NON_EUCLIDEAN:
-        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
-
-
-def is_realizable(d: SquaredDistanceMatrix, base: int = 0) -> RealizabilityVerdict:
+def is_realizable(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
     """Classify the matrix by the inertia of its Gram matrix.
 
     Positive definite means a genuine n-dimensional simplex; positive
     semidefinite with rank loss means a flat (degenerate) configuration;
     any negative eigenvalue means the numbers are not Euclidean
-    distances at all.  The verdict does not depend on the base vertex.
+    distances at all.  The verdict does not depend on which vertex the
+    edge vectors start from.
     """
-    return _gram_elimination(d, base)[3]
+    return _gram_elimination(d)[3]
 
 
 def require_nondegenerate(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
     """Return the verdict, raising the matching error unless nondegenerate."""
     verdict = is_realizable(d)
-    _raise_unless_nondegenerate(verdict)
+    if verdict.status is Realizability.DEGENERATE:
+        raise DegenerateSimplexError("simplex is degenerate (zero volume)", verdict=verdict)
+    if verdict.status is Realizability.NON_EUCLIDEAN:
+        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
     return verdict
 
 
@@ -329,8 +339,8 @@ def gram_ldl(d: SquaredDistanceMatrix):
     gram_matrix(d) == L * diag(D) * L^T.  Degenerate or non-Euclidean
     input raises with the verdict attached.
     """
-    rows, minors, scale, verdict = _gram_elimination(d)
-    _raise_unless_nondegenerate(verdict)
+    require_nondegenerate(d)
+    rows, minors, scale, _, _ = _gram_elimination(d)
     lower = [
         [Fraction(rows[k][i], minors[k]) if k < i else Fraction(int(k == i)) for k in range(d.n)]
         for i in range(d.n)
@@ -339,10 +349,15 @@ def gram_ldl(d: SquaredDistanceMatrix):
 
 
 def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
-    """The facet opposite vertex j: delete row and column j."""
+    """The facet opposite vertex j: delete row and column j.
+
+    All facets are built once and kept on d, so every caller gets the same
+    object and with it the facet's kept elimination."""
     if d.n < 2:
         raise ValueError("facets of a 1-simplex are single points")
     if not 0 <= j <= d.n:
         raise IndexError("vertex index out of range")
-    keep = [i for i in range(d.n + 1) if i != j]
-    return SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep])
+    if d._facets is None:
+        keeps = [[i for i in range(d.n + 1) if i != k] for k in range(d.n + 1)]
+        d._facets = tuple(SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep]) for keep in keeps)
+    return d._facets[j]

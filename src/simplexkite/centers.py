@@ -16,12 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from .cayley import (
+    NonEuclideanError,
     Realizability,
     SquaredDistanceMatrix,
     circumcenter_barycentrics,
     circumradius_sq,
     facet_sdm,
     is_realizable,
+    require_nondegenerate,
     volume_sq,
 )
 from .exact import scalar_str
@@ -35,22 +37,29 @@ def _vertex_square_sums(d: SquaredDistanceMatrix) -> list[Fraction]:
     return [sum(d.a[j][i] for i in range(d.n + 1) if i != j) for j in range(d.n + 1)]
 
 
+def _check_predicate_input(d: SquaredDistanceMatrix) -> None:
+    """Refuse n < 2, and non-Euclidean distances with the verdict; flat input passes."""
+    if d.n < 2:
+        raise ValueError("predicate needs n >= 2")
+    verdict = is_realizable(d)
+    if verdict.status is Realizability.NON_EUCLIDEAN:
+        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
+
+
 def is_well_distributed(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have the same sum of squared edge lengths.
 
     Equivalent to the per-vertex sums being equal, since each facet sum
     is the total minus the sum at the deleted vertex.
     """
-    if d.n < 2:
-        raise ValueError("predicate needs n >= 2")
+    _check_predicate_input(d)
     sums = _vertex_square_sums(d)
     return all(s == sums[0] for s in sums)
 
 
 def is_equiareal(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have equal volume (exact, via squared volumes)."""
-    if d.n < 2:
-        raise ValueError("predicate needs n >= 2")
+    _check_predicate_input(d)
     vols = [volume_sq(facet_sdm(d, j)) for j in range(d.n + 1)]
     return all(v == vols[0] for v in vols)
 
@@ -61,8 +70,7 @@ def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     A degenerate facet has no circumradius and raises through from the
     underlying computation.
     """
-    if d.n < 2:
-        raise ValueError("predicate needs n >= 2")
+    _check_predicate_input(d)
     radii = [circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1)]
     return all(r == radii[0] for r in radii)
 
@@ -133,12 +141,13 @@ def coincidence_report(
     When with_floats is set, the simplex is embedded and the pairwise
     center distances are attached, including the experimental
     Fermat-Torricelli coincidence flags.  Degenerate or non-Euclidean
-    input raises first, from the circumcenter's elimination.
+    input raises first, with the verdict attached.
     """
-    interior = is_circumcenter_interior(d)
+    require_nondegenerate(d)
     well = is_well_distributed(d)
     radial = is_equiradial(d)
     areal = is_equiareal(d)
+    interior = is_circumcenter_interior(d)
     fermat = None
     distances = None
     if with_floats:

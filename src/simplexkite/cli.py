@@ -14,14 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cayley import (
-    RealizabilityError,
-    SquaredDistanceMatrix,
-    cm_det,
-    inner_cm_det,
-    facet_sdm,
-    volume_sq_from_cm_det,
-)
+from .cayley import RealizabilityError, SquaredDistanceMatrix, volume_sq_from_cm_det
 from .centers import coincidence_report, equiareal_scan
 from .exact import parse_scalar, scalar_str
 from .families import TOL_FAMILY, classify
@@ -122,13 +115,14 @@ def cmd_classify(args):
     return _dumps(out), EXIT_OK
 
 
-def _facet_row(j, c, dd, n) -> dict:
+def _cm_fields(c, dd, n) -> dict:
+    """Determinants, volume and circumradius of an n-simplex from its
+    Cayley-Menger determinant c and inner determinant dd."""
     degenerate = c == 0
     return {
-        "j": j,
         "cm_det": scalar_str(c),
         "inner_cm_det": scalar_str(dd),
-        "volume_sq": scalar_str(volume_sq_from_cm_det(c, n - 1)),
+        "volume_sq": scalar_str(volume_sq_from_cm_det(c, n)),
         "circumradius_sq": None if degenerate else scalar_str(-dd / (2 * c)),
         "degenerate": degenerate,
     }
@@ -137,30 +131,20 @@ def _facet_row(j, c, dd, n) -> dict:
 def cmd_prekite_eval(args):
     pk = _prekite_from_args(args)
     n = pk.n
-    c = pk_cm_det(pk)
-    dd = pk_inner_cm_det(pk)
-    degenerate = c == 0
-    facets = []
-    for j in range(n + 1):
-        if n >= 3:
-            fc, fd = pk_facet_cm(pk, j), pk_facet_inner_cm(pk, j)
-        else:
-            facet = facet_sdm(pk.to_sdm(), j)
-            fc, fd = cm_det(facet), inner_cm_det(facet)
-        facets.append(_facet_row(j, fc, fd, n))
+    whole = _cm_fields(pk_cm_det(pk), pk_inner_cm_det(pk), n)
+    facets = [
+        {"j": j, **_cm_fields(pk_facet_cm(pk, j), pk_facet_inner_cm(pk, j), n - 1)}
+        for j in range(n + 1)
+    ]
     out = {
         "n": n,
         "u": scalar_str(pk.u),
         "v": [scalar_str(x) for x in pk.v],
-        "cm_det": scalar_str(c),
-        "inner_cm_det": scalar_str(dd),
-        "volume_sq": scalar_str(volume_sq_from_cm_det(c, n)),
-        "circumradius_sq": None if degenerate else scalar_str(-dd / (2 * c)),
-        "degenerate": degenerate,
+        **whole,
         "equiareal": len({row["cm_det"] for row in facets}) == 1,
         "facets": facets,
     }
-    return _dumps(out), EXIT_NOT_REALIZABLE if degenerate else EXIT_OK
+    return _dumps(out), EXIT_NOT_REALIZABLE if whole["degenerate"] else EXIT_OK
 
 
 def cmd_prekite_feasible(args):

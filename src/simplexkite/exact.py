@@ -114,7 +114,7 @@ def _bareiss(a: list[list[int]], symmetric: bool = False, order: int | None = No
     """Integer Bareiss elimination of the rows `a`, in place.
 
     Pivots come from the leading `order` rows (default all); later rows
-    and columns (a right-hand side, a border) are eliminated alongside.
+    and columns (a right-hand side) are eliminated alongside.
     Returns (minors, sign): minors[k] is the pivot of step k, the
     (k+1)-th leading minor of the permuted matrix, and elimination stops
     at the first step without a pivot.  Rows are swapped to find a pivot
@@ -238,16 +238,18 @@ def solve_linear(m: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     if len(minors) < n:
         raise SingularMatrixError("matrix is singular")
     det = minors[-1] if minors else 1
-    return tuple(Fraction(v, det) for v in _back_substitute(a, det, n))
+    return tuple(Fraction(v, det) for v in _back_substitute(a, det, [row[n] for row in a[:n]]))
 
 
-def _back_substitute(a: list[list[int]], det: int, n: int) -> list[int]:
-    """y = det * x from the first n rows of `a` after an n-step `_bareiss`
-    of [M | b] (b in column n, det = det(M)).  Only entries on and right of
-    the diagonal are read, so the symmetric mode serves too.  y is integral
+def _back_substitute(a: list[list[int]], det: int, rhs: list[int]) -> list[int]:
+    """y = det * x from the first n = len(rhs) rows of `a` after an n-step
+    `_bareiss` of M (det = det(M)), rhs being the right-hand side b as the
+    same elimination left it.  Only entries of M on and right of the
+    diagonal are read, so the symmetric mode serves too.  y is integral
     (Cramer's rule), so every division is exact."""
+    n = len(rhs)
     y = [0] * n
     for i in reversed(range(n)):
         row = a[i]
-        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+        y[i] = (det * rhs[i] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
     return y

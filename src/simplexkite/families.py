@@ -180,14 +180,6 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
     return None
 
 
-_RECOVERIES = {
-    "orthocentric": recover_orthocentric,
-    "circumscriptible": recover_circumscriptible,
-    "isodynamic": recover_isodynamic,
-    "tetra_isogonic": recover_tetra_isogonic,
-}
-
-
 def matrix_from_beta(family: str, beta) -> SquaredDistanceMatrix:
     """Build the squared-distance matrix a family weight vector induces.
 

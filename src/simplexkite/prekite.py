@@ -104,8 +104,6 @@ def pk_inner_cm_det(pk: PreKite) -> Fraction:
 
 
 def _check_facet_index(pk: PreKite, j: int):
-    if pk.n < 3:
-        raise ValueError("facet closed forms need n >= 3")
     if not 0 <= j <= pk.n:
         raise IndexError("facet index out of range")
 

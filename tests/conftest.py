@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and the kernel-call spy for the test suite.
 
 Everything takes an explicit random.Random so the suites stay
 deterministic; the acceptance tests pin their own seeds.
@@ -52,3 +52,20 @@ def random_point_sdm(rng: random.Random, n: int, max_tries=200) -> SquaredDistan
         if is_realizable(sdm).status is Realizability.NONDEGENERATE:
             return sdm
     raise RuntimeError("could not sample a realizable point configuration")
+
+
+def count_kernel_calls(monkeypatch):
+    """Patch the integer elimination where the library calls it; return the call log."""
+    import simplexkite.cayley as cayley
+    import simplexkite.exact as exact
+
+    calls = []
+    real = exact._bareiss
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_bareiss", spy)
+    monkeypatch.setattr(cayley, "_bareiss", spy)
+    return calls

@@ -80,11 +80,10 @@ def test_criterion_02_prekite_formula_equivalence():
         d = pk.to_sdm()
         assert pk_cm_det(pk) == cm_det(d)
         assert pk_inner_cm_det(pk) == inner_cm_det(d)
-        if n >= 3:
-            for j in range(n + 1):
-                facet = facet_sdm(d, j)
-                assert pk_facet_cm(pk, j) == cm_det(facet)
-                assert pk_facet_inner_cm(pk, j) == inner_cm_det(facet)
+        for j in range(n + 1):
+            facet = facet_sdm(d, j)
+            assert pk_facet_cm(pk, j) == cm_det(facet)
+            assert pk_facet_inner_cm(pk, j) == inner_cm_det(facet)
     _report(2, "500 random pre-kites match the generic evaluations exactly")
 
 

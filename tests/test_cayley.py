@@ -15,15 +15,17 @@ from simplexkite import (
     SquaredDistanceMatrix,
     cm_det,
     cm_matrix,
+    circumcenter_barycentrics,
     circumradius_sq,
     exact_determinant,
     facet_sdm,
+    gram_ldl,
     gram_matrix,
     inner_cm_det,
     is_realizable,
     volume_sq,
 )
-from conftest import random_point_sdm
+from conftest import count_kernel_calls, random_point_sdm
 
 
 def sdm_triangle(x, y, z):
@@ -142,7 +144,10 @@ class TestRealizability:
         cases.append(sdm_triangle(1, 4, 1))
         cases.append(sdm_triangle(1, 9, 1))
         for d in cases:
-            verdicts = {is_realizable(d, base=b).status for b in range(d.n + 1)}
+            # edge vectors start at vertex 0; moving each vertex there in turn
+            # must not change the verdict
+            swaps = [[b] + [i for i in range(d.n + 1) if i != b] for b in range(d.n + 1)]
+            verdicts = {is_realizable(d.permuted(p)) for p in swaps}
             assert len(verdicts) == 1
 
 
@@ -308,3 +313,60 @@ class TestRealizabilityGate:
         else:
             with pytest.raises((DegenerateSimplexError, NonEuclideanError)):
                 circumradius_sq(d)
+
+
+_INVARIANTS = (is_realizable, volume_sq, cm_det, circumradius_sq, circumcenter_barycentrics, gram_ldl)
+
+
+def _outcome(f, d):
+    """f(d), or the class, message and verdict of what it raised."""
+    try:
+        return f(d)
+    except (DegenerateSimplexError, NonEuclideanError) as exc:
+        return type(exc), str(exc), exc.verdict
+
+
+def _memo_cases(rng):
+    cases = [random_point_sdm(rng, n) for n in range(1, 9)]
+    cases.append(sdm_triangle(1, 4, 1))  # degenerate
+    cases.append(sdm_triangle(1, 9, 1))  # non-Euclidean
+    cases.append(SquaredDistanceMatrix([[0, 1, 1, 100], [1, 0, 100, 1], [1, 100, 0, 1], [100, 1, 1, 0]]))
+    return cases
+
+
+class TestEliminationMemo:
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        rng = random.Random(41)
+        calls = count_kernel_calls(monkeypatch)
+        for d in _memo_cases(rng):
+            for _ in range(4):
+                order = rng.sample(_INVARIANTS, rng.randint(1, len(_INVARIANTS)))
+                fresh = SquaredDistanceMatrix(d.a)
+                calls.clear()
+                for f in order + order:
+                    _outcome(f, fresh)
+                assert len(calls) == 1
+
+    def test_any_order_matches_a_fresh_matrix(self):
+        # the kept rows are shared by every reader; none may change them
+        rng = random.Random(42)
+        for d in _memo_cases(rng):
+            expected = [_outcome(f, SquaredDistanceMatrix(d.a)) for f in _INVARIANTS]
+            for _ in range(5):
+                shared = SquaredDistanceMatrix(d.a)
+                order = list(range(len(_INVARIANTS))) * 2
+                rng.shuffle(order)
+                for i in order:
+                    assert _outcome(_INVARIANTS[i], shared) == expected[i]
+
+    def test_facets_built_once(self, monkeypatch):
+        d = random_point_sdm(random.Random(43), 5)
+        facets = [facet_sdm(d, j) for j in range(6)]
+        assert all(facet_sdm(d, j) is f for j, f in enumerate(facets))
+        calls = count_kernel_calls(monkeypatch)
+        for f in facets:
+            volume_sq(f)
+        assert len(calls) == 6
+        for j in range(6):
+            circumradius_sq(facet_sdm(d, j))
+        assert len(calls) == 6

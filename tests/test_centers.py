@@ -12,6 +12,7 @@ from simplexkite import (
     SquaredDistanceMatrix,
     circumcenter_barycentrics,
     circumradius_sq,
+    classify,
     cm_det,
     cm_matrix,
     coincidence_report,
@@ -32,7 +33,7 @@ from simplexkite import (
     volume_sq,
 )
 from simplexkite.cayley import require_nondegenerate
-from conftest import random_prekite, random_realizable_prekite
+from conftest import count_kernel_calls, random_prekite, random_realizable_prekite
 
 
 def sdm_triangle(x, y, z):
@@ -48,23 +49,6 @@ def mixed_point_sdm(rng, n):
             d = SquaredDistanceMatrix(rows)
             if is_realizable(d).status is Realizability.NONDEGENERATE:
                 return d
-
-
-def count_kernel_calls(monkeypatch):
-    """Patch the integer elimination where the library calls it; return the call log."""
-    import simplexkite.cayley as cayley
-    import simplexkite.exact as exact
-
-    calls = []
-    real = exact._bareiss
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(exact, "_bareiss", spy)
-    monkeypatch.setattr(cayley, "_bareiss", spy)
-    return calls
 
 
 # Gram inertia (2, 1, 0) and (2, 2, 0): non-Euclidean, the second with the
@@ -112,8 +96,9 @@ class TestPredicates:
             assert is_equiradial(d) == is_equiradial(scaled)
             assert is_equiareal(d) == is_equiareal(scaled)
 
-    def test_equiradial_degenerate_facet_reported(self):
-        # one facet of this 3-simplex is a collinear triple
+    def test_equiradial_non_euclidean_with_degenerate_facet(self):
+        # one facet of this 3-simplex is a collinear triple, but the whole
+        # matrix has Gram inertia (2, 1, 0), which is reported first
         rows = [
             [0, 1, 1, 4],
             [1, 0, 4, 1],
@@ -122,8 +107,28 @@ class TestPredicates:
         ]
         d = SquaredDistanceMatrix(rows)
         assert cm_det_nonzero_facets_exist(d)
+        with pytest.raises(NonEuclideanError) as exc:
+            is_equiradial(d)
+        assert exc.value.verdict.gram_inertia == (2, 1, 0)
+
+    def test_equiradial_degenerate_facet_reported(self):
+        # a flat Euclidean 3-simplex whose facet {0, 1, 2} is collinear
+        d = SquaredDistanceMatrix([[0, 1, 4, 1], [1, 0, 1, 2], [4, 1, 0, 5], [1, 2, 5, 0]])
+        assert is_realizable(d).status is Realizability.DEGENERATE
         with pytest.raises(DegenerateSimplexError):
             is_equiradial(d)
+
+    def test_non_euclidean_with_euclidean_facets_raises(self):
+        # a regular triangle with an apex at squared distance 3/10 < 1/3,
+        # the squared circumradius of the triangle: every facet is Euclidean
+        d = PreKite(3, 1, (Fraction(3, 10),) * 3).to_sdm()
+        verdict = is_realizable(d)
+        assert verdict.gram_inertia == (2, 1, 0)
+        assert all(is_realizable(facet_sdm(d, j)).status is not Realizability.NON_EUCLIDEAN for j in range(4))
+        for predicate in (is_well_distributed, is_equiareal, is_equiradial):
+            with pytest.raises(NonEuclideanError) as exc:
+                predicate(d)
+            assert exc.value.verdict == verdict
 
 
 def cm_det_nonzero_facets_exist(d):
@@ -208,10 +213,11 @@ class TestCircumcenterBarycentrics:
         assert exterior >= 10
 
     def test_one_elimination(self, monkeypatch):
+        # mixed_point_sdm has already eliminated d, so count on a fresh copy
         rng = random.Random(32)
         calls = count_kernel_calls(monkeypatch)
         for n in range(1, 8):
-            d = mixed_point_sdm(rng, n)
+            d = SquaredDistanceMatrix(mixed_point_sdm(rng, n).a)
             calls.clear()
             circumcenter_barycentrics(d)
             assert len(calls) == 1
@@ -249,15 +255,27 @@ class TestCoincidenceReport:
         assert not (rep.qg_coincide or rep.qi_coincide or rep.ig_coincide)
 
     def test_kernel_calls(self, monkeypatch):
-        # one bordered pass for the circumcenter, then one per facet for the
-        # radii and one per facet for the volumes
+        # one elimination of the simplex and one of each facet, shared by
+        # the radii and the volumes
         rng = random.Random(33)
         calls = count_kernel_calls(monkeypatch)
         for n in range(2, 9):
-            d = mixed_point_sdm(rng, n)
+            d = SquaredDistanceMatrix(mixed_point_sdm(rng, n).a)
             calls.clear()
             coincidence_report(d)
-            assert len(calls) == 2 * n + 3
+            assert len(calls) == n + 2
+
+    def test_classify_and_report_kernel_calls(self, monkeypatch):
+        # the reports benchmark item: the floats (embedding and incenter)
+        # and the family census read the same eliminations
+        rng = random.Random(34)
+        calls = count_kernel_calls(monkeypatch)
+        for n in range(2, 13):
+            d = SquaredDistanceMatrix(mixed_point_sdm(rng, n).a)
+            calls.clear()
+            classify(d)
+            coincidence_report(d, with_floats=True)
+            assert len(calls) == n + 2
 
     def test_float_cross_check(self):
         for d in (

@@ -81,7 +81,7 @@ class TestClosedForms:
         assert pk_inner_cm_det(pk) == inner_cm_det(d)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(3, 6), positive, st.data())
+    @given(st.integers(2, 6), positive, st.data())
     def test_facet_forms_match_generic(self, n, u, data):
         v = data.draw(st.lists(positive, min_size=n, max_size=n))
         pk = PreKite(n, u, v)
@@ -104,8 +104,12 @@ class TestClosedForms:
         pk = PreKite(3, 1, (1, 1, 2))
         with pytest.raises(IndexError):
             pk_facet_cm(pk, 4)
-        with pytest.raises(ValueError):
-            pk_facet_cm(PreKite(2, 1, (1, 1)), 0)
+        # at n = 2 every facet is an edge: CM determinant 2a, inner -a**2
+        pk2 = PreKite(2, 1, (4, 9))
+        assert [pk_facet_cm(pk2, j) for j in range(3)] == [2, 18, 8]
+        assert [pk_facet_inner_cm(pk2, j) for j in range(3)] == [-1, -81, -16]
+        with pytest.raises(IndexError):
+            pk_facet_cm(pk2, 3)
 
 
 class TestApexes:
