@@ -27,6 +27,7 @@ from .exact import (
     ExactMatrix,
     _back_substitute,
     _bareiss,
+    _cleared,
     _signature,
     as_scalar,
     exact_determinant,
@@ -238,7 +239,7 @@ def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     y = _back_substitute(rows, det, rhs)
     weights = [2 * det - sum(y)] + y  # 2 det(A) w
     # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
-    dist, _ = _cleared_distances(d)
+    dist, _ = _cleared(d.a, common=True)
     if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in dist):
         raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
     return tuple(Fraction(w, 2 * det) for w in weights)
@@ -253,20 +254,14 @@ def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
     return ExactMatrix([[Fraction(x, scale) for x in row] for row in rows])
 
 
-def _cleared_distances(d: SquaredDistanceMatrix) -> tuple[list[list[int]], int]:
-    """(c*D, c): the distances as integers, c their common denominator."""
-    c = math.lcm(*(x.denominator for row in d.a for x in row))
-    return [[x.numerator * (c // x.denominator) for x in row] for row in d.a], c
-
-
 def _scaled_gram(d: SquaredDistanceMatrix) -> tuple[list[list[int]], int]:
     """(A, s): the Gram matrix as the integer matrix A = s*G.
 
     s = 2*c, where c is the common denominator of the distances.
     """
-    a, c = _cleared_distances(d)
+    a, scales = _cleared(d.a, common=True)
     top = a[0]
-    return [[top[i] + top[j] - a[i][j] for j in range(1, d.n + 1)] for i in range(1, d.n + 1)], 2 * c
+    return [[top[i] + top[j] - a[i][j] for j in range(1, d.n + 1)] for i in range(1, d.n + 1)], 2 * scales[0]
 
 
 def _gram_elimination(d: SquaredDistanceMatrix):
@@ -279,7 +274,7 @@ def _gram_elimination(d: SquaredDistanceMatrix):
     if d._gram is None:
         rows, scale = _scaled_gram(d)
         diag = [row[i] for i, row in enumerate(rows)]
-        minors, _ = _bareiss(rows, symmetric=True, order=d.n)
+        minors, _ = _bareiss(rows, symmetric=True)
         sig = _signature(minors, d.n)
         status = Realizability.NON_EUCLIDEAN if sig[1] else (
             Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)

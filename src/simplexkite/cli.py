@@ -43,24 +43,13 @@ EXIT_NOT_REALIZABLE = 2
 EXIT_INTERNAL = 3
 
 
-class InputError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _scalar(text: str) -> Fraction:
-    try:
-        return parse_scalar(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _number(text: str):
@@ -71,7 +60,7 @@ def _number(text: str):
         try:
             return float(text)
         except ValueError:
-            raise InputError("not a number: %r" % text) from None
+            raise ValueError("not a number: %r" % text) from None
 
 
 def _jsonable(value):
@@ -85,25 +74,22 @@ def _load_sdm(path: str) -> SquaredDistanceMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from exc
+        raise ValueError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
-        raise InputError("malformed JSON in %s: %s" % (path, exc)) from exc
+        raise ValueError("malformed JSON in %s: %s" % (path, exc)) from exc
     try:
         return SquaredDistanceMatrix.from_json(payload)
     except (ValueError, TypeError) as exc:
-        raise InputError("invalid matrix in %s: %s" % (path, exc)) from exc
+        raise ValueError("invalid matrix in %s: %s" % (path, exc)) from exc
 
 
 def _prekite_from_args(args) -> PreKite:
-    u = _scalar(args.u)
-    v = [_scalar(x) for x in args.v]
+    u = parse_scalar(args.u)
+    v = [parse_scalar(x) for x in args.v]
     if args.lengths:
         u = u * u
         v = [x * x for x in v]
-    try:
-        return PreKite(args.n, u, v)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return PreKite(args.n, u, v)
 
 
 def cmd_classify(args):
@@ -148,12 +134,12 @@ def cmd_prekite_eval(args):
 
 
 def cmd_prekite_feasible(args):
-    u = _scalar(args.u)
-    v = _scalar(args.v)
+    u = parse_scalar(args.u)
+    v = parse_scalar(args.v)
     if args.lengths:
         u, v = u * u, v * v
     if args.n < 2 or u <= 0 or v <= 0:
-        raise InputError("need n >= 2 and positive parameters")
+        raise ValueError("need n >= 2 and positive parameters")
     lo, hi = apex_squared_ratio_window(args.n)
     out = {
         "n": args.n,
@@ -182,8 +168,6 @@ _SCAN_COLUMNS = (
 
 
 def cmd_equiareal_scan(args):
-    if not 3 <= args.n <= 12:
-        raise InputError("scan supports 3 <= n <= 12")
     result = equiareal_scan(args.n)
     if args.format == "csv":
         lines = [",".join(_SCAN_COLUMNS)]
@@ -197,7 +181,7 @@ def _parse_known(text: str, n: int):
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     values = [None if p == "?" else _number(p) for p in parts]
     if len(values) not in (n, n + 1):
-        raise InputError("expected n or n+1 comma-separated distances")
+        raise ValueError("expected n or n+1 comma-separated distances")
     return values
 
 
@@ -205,12 +189,9 @@ def cmd_rel(args):
     t0 = _number(args.t0)
     if args.mode == "solve":
         if args.known is None:
-            raise InputError("rel solve needs --known")
+            raise ValueError("rel solve needs --known")
         known = _parse_known(args.known, args.n)
-        try:
-            solutions = solve_missing_distance(args.n, t0, known)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        solutions = solve_missing_distance(args.n, t0, known)
         flat = [v for v in known if v is not None]
         squares = solve_missing_distance_squares(
             args.n, t0 * t0, [v * v for v in flat]
@@ -225,14 +206,11 @@ def cmd_rel(args):
         }
         return _dumps(out), EXIT_OK
     if args.t is None:
-        raise InputError("rel verify needs --t")
+        raise ValueError("rel verify needs --t")
     values = _parse_known(args.t, args.n)
     if any(v is None for v in values) or len(values) != args.n + 1:
-        raise InputError("rel verify needs all n+1 distances")
-    try:
-        dt = DistanceTuple(args.n, t0, tuple(values))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError("rel verify needs all n+1 distances")
+    dt = DistanceTuple(args.n, t0, tuple(values))
     residual = relation_residual(dt)
     tol = args.tol if args.tol is not None else 1e-9
     scale = max([float(t0)] + [float(v) for v in values]) ** 4
@@ -249,10 +227,7 @@ def cmd_rel(args):
 def cmd_pompeiu(args):
     a, x, y, z = (_number(v) for v in (args.a, args.x, args.y, args.z))
     tol = args.tol if args.tol is not None else 1e-12
-    try:
-        verdict = pompeiu_classify(a, x, y, z, tol=tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    verdict = pompeiu_classify(a, x, y, z, tol=tol)
     g, h = pompeiu_invariants(a, x, y, z)
     out = {
         "a": _jsonable(a),
@@ -352,9 +327,6 @@ def main(argv=None) -> int:
         if text:
             print(text)
         return code
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
     except RealizabilityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NOT_REALIZABLE

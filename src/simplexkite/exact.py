@@ -97,42 +97,39 @@ class ExactMatrix:
             for j in range(i + 1, self.order)
         )
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self.rows))
-
 
 def _cleared(rows, common: bool = False):
     """Integer rows, each rational row times the lcm of its denominators
     (with `common`, one lcm for all rows).  Returns (rows, scales)."""
-    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
     if common:
-        scales = [math.lcm(*scales)] * len(rows)
+        scales = [math.lcm(*(x.denominator for row in rows for x in row))] * len(rows)
+    else:
+        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
     return [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)], scales
 
 
-def _bareiss(a: list[list[int]], symmetric: bool = False, order: int | None = None):
+def _bareiss(a: list[list[int]], symmetric: bool = False):
     """Integer Bareiss elimination of the rows `a`, in place.
 
-    Pivots come from the leading `order` rows (default all); later rows
-    and columns (a right-hand side) are eliminated alongside.
-    Returns (minors, sign): minors[k] is the pivot of step k, the
-    (k+1)-th leading minor of the permuted matrix, and elimination stops
-    at the first step without a pivot.  Rows are swapped to find a pivot
-    (sign is their parity) unless `symmetric`, which keeps the matrix
-    congruent to the input, updates only the upper triangle and leaves
-    the LDL^T multipliers as L[i][k] = a[k][i] / minors[k].
+    Every row may give a pivot; columns past the last row (a right-hand
+    side) are eliminated alongside.  Returns (minors, sign): minors[k] is
+    the pivot of step k, the (k+1)-th leading minor of the permuted
+    matrix, and elimination stops at the first step without a pivot.
+    Rows are swapped to find a pivot (sign is their parity) unless
+    `symmetric`, which keeps the matrix congruent to the input, updates
+    only the upper triangle and leaves the LDL^T multipliers as
+    L[i][k] = a[k][i] / minors[k].
     """
     rows = len(a)
-    order = rows if order is None else order
     minors = []
     sign = 1
     prev = 1
-    for k in range(order):
+    for k in range(rows):
         if symmetric:
-            if a[k][k] == 0 and not _symmetric_pivot(a, k, order):
+            if a[k][k] == 0 and not _symmetric_pivot(a, k):
                 break
         else:
-            p = next((r for r in range(k, order) if a[r][k]), None)
+            p = next((r for r in range(k, rows) if a[r][k]), None)
             if p is None:
                 break
             if p != k:
@@ -149,7 +146,7 @@ def _bareiss(a: list[list[int]], symmetric: bool = False, order: int | None = No
     return minors, sign
 
 
-def _symmetric_pivot(a, k: int, order: int) -> bool:
+def _symmetric_pivot(a, k: int) -> bool:
     """Move a nonzero pivot to a[k][k] by an integer unimodular congruence
     on indices >= k, so the minors taken and the exact divisions to come
     are unchanged.  An all-zero live diagonal is repaired by adding row and
@@ -159,9 +156,9 @@ def _symmetric_pivot(a, k: int, order: int) -> bool:
     for r in range(k, rows):  # refresh the lower triangle the updates skip
         for c in range(r + 1, rows):
             a[c][r] = a[r][c]
-    p = next((p for p in range(k, order) if a[p][p]), None)
+    p = next((p for p in range(k, rows) if a[p][p]), None)
     if p is None:
-        pair = next(((i, j) for i in range(k, order) for j in range(i + 1, order) if a[i][j]), None)
+        pair = next(((i, j) for i in range(k, rows) for j in range(i + 1, rows) if a[i][j]), None)
         if pair is None:
             return False
         p, j = pair

@@ -1,17 +1,19 @@
 """Recognition of the four special simplex families by weight recovery.
 
-Each family is characterized by a vector of per-vertex weights beta
-that reproduces every edge through a fixed two-argument form:
+Each family is a vector of per-vertex weights beta that gives every
+squared edge through one two-argument form, held in the table `_FORMS`:
 
-    orthocentric      squared edge = beta_i + beta_j      (beta real)
-    circumscriptible  edge length  = beta_i + beta_j      (beta > 0)
-    isodynamic        squared edge = beta_i * beta_j      (beta > 0)
-    tetra_isogonic    squared edge = beta_i**2 + beta_i*beta_j + beta_j**2
+    orthocentric      beta_i + beta_j                        (beta real)
+    circumscriptible  (beta_i + beta_j)**2                   (beta > 0)
+    isodynamic        beta_i * beta_j                        (beta > 0)
+    tetra_isogonic    beta_i**2 + beta_i*beta_j + beta_j**2  (beta > 0)
 
-The weights are unique when they exist, so membership testing reduces
-to recovering a candidate from a few entries and verifying every pair.
-The orthocentric recovery is exact rational; the other three involve
-square roots and run in floating point with a relative tolerance.
+`matrix_from_beta` builds from the table.  The weights are unique when
+they exist, so each recovery takes a candidate from a few entries and
+verifies every pair against the same form (the circumscriptible one on
+edge lengths, l_ij = beta_i + beta_j).  The orthocentric recovery is
+exact rational; the other three take square roots and run in floating
+point with a relative tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from .prekite import ApexReport, find_apexes
 
 TOL_FAMILY = 1e-9
 
-FAMILY_NAMES = ("orthocentric", "circumscriptible", "isodynamic", "tetra_isogonic")
+_FORMS = {
+    "orthocentric": lambda bi, bj: bi + bj,
+    "circumscriptible": lambda bi, bj: (bi + bj) ** 2,
+    "isodynamic": lambda bi, bj: bi * bj,
+    "tetra_isogonic": lambda bi, bj: bi**2 + bi * bj + bj**2,
+}
+
+FAMILY_NAMES = tuple(_FORMS)
 
 
 @dataclass(frozen=True)
@@ -47,68 +56,58 @@ class BetaVector:
         return {"family": self.family, "beta": beta, "residual": residual}
 
 
+def _per_vertex(x, rule) -> list:
+    """rule(x_ij, x_ik, x_jk) for each vertex i, j and k its first two other vertices."""
+    others = [[m for m in range(len(x)) if m != i][:2] for i in range(len(x))]
+    return [rule(x[i][j], x[i][k], x[j][k]) for i, (j, k) in enumerate(others)]
+
+
+def _half_sum(x_ij, x_ik, x_jk):
+    """beta_i of an additive family, x_ij = beta_i + beta_j."""
+    return (x_ij + x_ik - x_jk) / 2
+
+
+def _off_form(family):
+    """The pair defect x_ij - form(beta_i, beta_j) of the family's form."""
+    form = _FORMS[family]
+    return lambda x, bi, bj: x - form(bi, bj)
+
+
+def _worst(x, beta, defect):
+    """Largest |defect(x_ij, beta_i, beta_j)| over the pairs i < j."""
+    size = len(beta)
+    return max(abs(defect(x[i][j], beta[i], beta[j])) for i in range(size) for j in range(i + 1, size))
+
+
+def _accept(family, x, beta, defect, tol) -> BetaVector | None:
+    """The weights when the worst pair defect, relative to the largest
+    entry of x, is at most tol (a NaN residual never is); else None."""
+    residual = _worst(x, beta, defect) / max(max(row) for row in x)
+    return BetaVector(family=family, beta=tuple(beta), residual=residual) if residual <= tol else None
+
+
 def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
     """Exact recovery of weights with squared edge = beta_i + beta_j."""
-    size = d.n + 1
-    beta = []
-    for i in range(size):
-        j, k = [m for m in range(size) if m != i][:2]
-        beta.append((d.a[i][j] + d.a[i][k] - d.a[j][k]) / 2)
-    worst = max(
-        abs(d.a[i][j] - beta[i] - beta[j])
-        for i in range(size)
-        for j in range(i + 1, size)
-    )
-    if worst != 0:
+    beta = _per_vertex(d.a, _half_sum)
+    if _worst(d.a, beta, _off_form("orthocentric")) != 0:
         return None
     return BetaVector(family="orthocentric", beta=tuple(beta), residual=Fraction(0))
 
 
-def _float_lengths(d: SquaredDistanceMatrix):
-    size = d.n + 1
-    return [[math.sqrt(float(d.a[i][j])) if i != j else 0.0 for j in range(size)] for i in range(size)]
-
-
 def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with edge length = beta_i + beta_j."""
-    size = d.n + 1
-    ell = _float_lengths(d)
-    scale = max(max(row) for row in ell)
-    beta = []
-    for i in range(size):
-        j, k = [m for m in range(size) if m != i][:2]
-        beta.append((ell[i][j] + ell[i][k] - ell[j][k]) / 2)
+    ell = [[math.sqrt(float(x)) for x in row] for row in d.a]
+    beta = _per_vertex(ell, _half_sum)
     if any(b <= 0 for b in beta):
         return None
-    worst = max(
-        abs(ell[i][j] - beta[i] - beta[j])
-        for i in range(size)
-        for j in range(i + 1, size)
-    )
-    residual = worst / scale
-    if residual > tol:
-        return None
-    return BetaVector(family="circumscriptible", beta=tuple(beta), residual=residual)
+    return _accept("circumscriptible", ell, beta, lambda x, bi, bj: x - bi - bj, tol)
 
 
 def recover_isodynamic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with squared edge = beta_i * beta_j."""
-    size = d.n + 1
     a = [[float(x) for x in row] for row in d.a]
-    scale = max(max(row) for row in a)
-    beta = []
-    for i in range(size):
-        j, k = [m for m in range(size) if m != i][:2]
-        beta.append(math.sqrt(a[i][j] * a[i][k] / a[j][k]))
-    worst = max(
-        abs(a[i][j] - beta[i] * beta[j])
-        for i in range(size)
-        for j in range(i + 1, size)
-    )
-    residual = worst / scale
-    if residual > tol:
-        return None
-    return BetaVector(family="isodynamic", beta=tuple(beta), residual=residual)
+    beta = _per_vertex(a, lambda x_ij, x_ik, x_jk: math.sqrt(x_ij * x_ik / x_jk))
+    return _accept("isodynamic", a, beta, _off_form("isodynamic"), tol)
 
 
 def _tetra_candidates(a) -> list[list[float]]:
@@ -149,34 +148,22 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
     reduction above; the remaining weights follow one by one from the
     edges at vertex 0, and every pair is verified at the end.
     """
-    size = d.n + 1
     a = [[float(x) for x in row] for row in d.a]
-    scale = max(max(row) for row in a)
     for triple in _tetra_candidates(a):
         if any(b <= 0 for b in triple):
             continue
         beta = list(triple)
-        ok = True
-        for m in range(3, size):
+        for m in range(3, d.n + 1):
             disc = 4 * a[0][m] - 3 * beta[0] ** 2
             if disc <= 0:
-                ok = False
                 break
             bm = (-beta[0] + math.sqrt(disc)) / 2
             if bm <= 0:
-                ok = False
                 break
             beta.append(bm)
-        if not ok:
-            continue
-        worst = max(
-            abs(a[i][j] - (beta[i] ** 2 + beta[i] * beta[j] + beta[j] ** 2))
-            for i in range(size)
-            for j in range(i + 1, size)
-        )
-        residual = worst / scale
-        if residual <= tol:
-            return BetaVector(family="tetra_isogonic", beta=tuple(beta), residual=residual)
+        else:
+            if (vec := _accept("tetra_isogonic", a, beta, _off_form("tetra_isogonic"), tol)) is not None:
+                return vec
     return None
 
 
@@ -186,7 +173,7 @@ def matrix_from_beta(family: str, beta) -> SquaredDistanceMatrix:
     Exact when the weights are rational.  The result is not guaranteed
     to be realizable; check it before treating it as a simplex.
     """
-    if family not in FAMILY_NAMES:
+    if family not in _FORMS:
         raise ValueError("unknown family %r" % family)
     weights = [as_scalar(b) for b in beta]
     if len(weights) < 3:
@@ -197,16 +184,7 @@ def matrix_from_beta(family: str, beta) -> SquaredDistanceMatrix:
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            bi, bj = weights[i], weights[j]
-            if family == "orthocentric":
-                val = bi + bj
-            elif family == "circumscriptible":
-                val = (bi + bj) ** 2
-            elif family == "isodynamic":
-                val = bi * bj
-            else:
-                val = bi**2 + bi * bj + bj**2
-            rows[i][j] = rows[j][i] = val
+            rows[i][j] = rows[j][i] = _FORMS[family](weights[i], weights[j])
     return SquaredDistanceMatrix(rows)
 
 
@@ -223,14 +201,9 @@ class ClassificationReport:
         fams = {}
         for name in FAMILY_NAMES:
             vec = self.families[name]
-            entry = {"member": vec is not None}
-            if vec is not None:
-                entry.update(vec.to_json())
-                entry.pop("family")
-            else:
-                entry["beta"] = None
-                entry["residual"] = None
-            fams[name] = entry
+            entry = {"beta": None, "residual": None} if vec is None else vec.to_json()
+            entry.pop("family", None)
+            fams[name] = {"member": vec is not None, **entry}
         return {
             "realizable": self.realizable,
             "apexes": list(self.apex_report.apexes),

@@ -103,9 +103,6 @@ def _facet_unit_normal(s: EmbeddedSimplex, j: int) -> tuple[np.ndarray, np.ndarr
     """Unit normal of facet j's hyperplane and one vertex on it."""
     others = [i for i in range(s.n + 1) if i != j]
     base = s.vertices[others[0]]
-    if s.n == 1:
-        normal = np.array([1.0])
-        return normal, base
     span = s.vertices[others[1:]] - base
     _, _, vt = np.linalg.svd(span)
     return vt[-1], base

@@ -309,3 +309,43 @@ def test_boolean_matrix_entry_is_bad_input(run, tmp_path):
     assert run(["classify", str(path)])[0] == 1
     path.write_text(json.dumps({"n": True, "a": [["0", "1"], ["1", "0"]]}))
     assert run(["embed", str(path)])[0] == 1
+
+
+BAD_INPUT = [
+    (["prekite-eval", "3", "1/0", "1", "1", "1"], "zero denominator in scalar: '1/0'"),
+    (["prekite-feasible", "3", "abc", "2"], "not a valid scalar: 'abc'"),
+    (["prekite-eval", "3", "1", "1", "1"], "expected exactly n apex edge parameters"),
+    (["prekite-feasible", "3", "0", "2"], "need n >= 2 and positive parameters"),
+    (["rel", "solve", "--n", "2", "--t0", "1", "--known", "?,?,1"], "exactly one slot must be open"),
+    (["rel", "solve", "--n", "2", "--t0", "1", "--known=-1,1"], "lengths must be positive (known distances nonnegative)"),
+    (["rel", "solve", "--n", "2", "--t0", "1"], "rel solve needs --known"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--t=-1,1,1"], "distances must be nonnegative"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--t", "1,?,1"], "rel verify needs all n+1 distances"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--t", "1"], "expected n or n+1 comma-separated distances"),
+    (["pompeiu", "--", "1", "-1", "1", "1"], "side must be positive and distances nonnegative"),
+    (["pompeiu", "1", "x", "1", "1"], "not a number: 'x'"),
+    (["equiareal-scan", "13"], "scan supports 3 <= n <= 12"),
+    (["pompeiu", "1", "0", "1"], "the following arguments are required: z"),
+    (["classify", "m.json", "--lengths"], "unrecognized arguments: --lengths"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT)
+def test_bad_input_message(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_bad_matrix_file_messages(capsys, tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    asym = tmp_path / "asym.json"
+    asym.write_text(json.dumps({"n": 1, "a": [["0", "1"], ["2", "0"]]}))
+    for path, message in (
+        (broken, "malformed JSON in %s: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (asym, "invalid matrix in %s: matrix must be symmetric"),
+    ):
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % (message % path)

@@ -270,9 +270,9 @@ class TestInertiaTwoByTwoPath:
         steps = []
         real = exact._symmetric_pivot
 
-        def spy(a, k, order):
+        def spy(a, k):
             steps.append(k)
-            return real(a, k, order)
+            return real(a, k)
 
         monkeypatch.setattr(exact, "_symmetric_pivot", spy)
         rng = random.Random(25)

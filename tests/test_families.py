@@ -189,3 +189,52 @@ class TestClassify:
             matrix_from_beta("isodynamic", (1, -1, 2))
         with pytest.raises(ValueError):
             matrix_from_beta("nonsense", (1, 2, 3))
+
+
+F = Fraction
+
+# The float recoveries' exact output on fixed members and on the same
+# members with entry (0, 1) scaled by 1 + 1e-12: a change in the order of
+# any float operation moves some of these bits.
+GOLDEN = [
+    ("circumscriptible", (F(7, 2), F(1), F(21, 5), F(2), F(1)), False,
+     (3.4999999999999996, 0.9999999999999996, 4.2, 2.0, 1.0), 1.1534784671430197e-16),
+    ("circumscriptible", (F(7, 2), F(1), F(21, 5), F(2), F(1)), True,
+     (3.500000000001125, 1.0000000000011249, 4.199999999998875, 1.9999999999988751, 0.9999999999988751), 2.9223376965068403e-13),
+    ("circumscriptible", (F(2), F(3), F(13, 3), F(3)), False,
+     (2.0000000000000004, 2.999999999999999, 4.333333333333334, 3.0), 1.211152390500171e-16),
+    ("circumscriptible", (F(2), F(3), F(13, 3), F(3)), True,
+     (2.00000000000125, 3.0000000000012497, 4.333333333332083, 2.99999999999875), 3.408788403062731e-13),
+    ("isodynamic", (F(21, 2), F(5), F(14, 3), F(11, 4), F(8)), False,
+     (10.5, 5.0, 4.666666666666666, 2.75, 8.0), 8.458842092382145e-17),
+    ("isodynamic", (F(21, 2), F(5), F(14, 3), F(11, 4), F(8)), True,
+     (10.500000000005251, 5.0000000000025, 4.666666666664333, 2.749999999998625, 7.999999999996), 4.4451215195468173e-13),
+    ("tetra_isogonic", (F(25, 6), F(29, 5), F(3, 2), F(29, 2)), False,
+     (4.166666666666666, 5.8, 1.5000000000000007, 14.5), 1.0831774379708225e-17),
+    ("tetra_isogonic", (F(25, 6), F(29, 5), F(3, 2), F(29, 2)), True,
+     (4.16666666666929, 5.800000000002417, 1.4999999999964029, 14.499999999998193), 3.5987487199142607e-13),
+    ("tetra_isogonic", (F(21, 2), F(11, 5), F(9), F(4)), False,
+     (10.5, 2.1999999999999993, 9.0, 4.0), 4.97317750313281e-17),
+    ("tetra_isogonic", (F(21, 2), F(11, 5), F(9), F(4)), True,
+     (10.50000000000295, 2.200000000004681, 8.999999999996895, 3.999999999996013), 4.762314776999978e-13),
+]
+
+
+@pytest.mark.parametrize("family, beta, near, want_beta, want_residual", GOLDEN)
+def test_float_recovery_golden(family, beta, near, want_beta, want_residual):
+    d = matrix_from_beta(family, beta)
+    if near:
+        rows = [list(row) for row in d.a]
+        rows[0][1] = rows[1][0] = rows[0][1] * (1 + F(1, 10**12))
+        d = SquaredDistanceMatrix(rows)
+    vec = FAMILIES[family](d)
+    assert vec.beta == want_beta
+    assert vec.residual == want_residual
+
+
+def test_nan_residual_is_not_membership():
+    # beta_0 underflows to 0.0 and beta_1 overflows to inf, so the (0, 1)
+    # defect is inf * 0.0 = nan; NaN must never pass the tolerance test
+    tiny, huge = F(1, 10**300), F(10**300)
+    d = SquaredDistanceMatrix([[0, 1, tiny], [1, 0, huge], [tiny, huge, 0]])
+    assert recover_isodynamic(d) is None
