@@ -17,12 +17,16 @@ from fractions import Fraction
 from simplexkite import (
     PreKite,
     Realizability,
+    circumradius_sq,
     coincidence_report,
     equiareal_prekite_solve,
     equiareal_scan,
+    facet_record,
+    facet_sdm,
     is_equiradial,
     is_realizable,
     is_well_distributed,
+    volume_sq,
 )
 
 print(__doc__)
@@ -35,6 +39,21 @@ print("  equiradial + interior (circumcenter = incenter):", rep.qi_coincide)
 print("  embedded center distances:", {k: round(v, 12) for k, v in rep.center_distances.items()})
 print("  (the incenter really does land on the centroid, to float precision,")
 print("   while the circumcenter sits 0.245 away)")
+
+print()
+print("Its facet record, read off the one Gram elimination of the whole simplex,")
+print("beside the per-facet oracle that builds and eliminates each facet:")
+witness = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
+record = facet_record(witness)
+print("  circumcenter barycentrics w =", tuple(str(w) for w in record.circumcenter), " R^2 =", record.circumradius_sq)
+print("  facet  V^2 (record)  V^2 (oracle)  R^2 (record)  R^2 (oracle)")
+for k in range(witness.n + 1):
+    facet = facet_sdm(witness, k)
+    row = (record.facet_volume_sq[k], volume_sq(facet), record.facet_circumradius_sq[k], circumradius_sq(facet))
+    assert row[0] == row[1] and row[2] == row[3]
+    print("  %5d  %12s  %12s  %12s  %12s" % ((k,) + tuple(str(x) for x in row)))
+print("  (all five facets have V^2 = 1/72; w vanishes at vertices 1 to 3, so the")
+print("   circumcenter lies on facets 1 to 3 and their radii equal R)")
 
 print()
 print("Fuzz: among 400 random realizable pre-kites, every one that is")

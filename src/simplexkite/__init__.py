@@ -23,6 +23,7 @@ from .exact import (
 from .determinants import BorderedUniform, bordered_uniform_det, uniform_det, uniform_matrix
 from .cayley import (
     DegenerateSimplexError,
+    FacetRecord,
     NonEuclideanError,
     Realizability,
     RealizabilityError,
@@ -32,7 +33,10 @@ from .cayley import (
     cm_matrix,
     circumcenter_barycentrics,
     circumradius_sq,
+    facet_circumradii_sq,
+    facet_record,
     facet_sdm,
+    facet_volumes_sq,
     gram_ldl,
     gram_matrix,
     inner_cm_det,

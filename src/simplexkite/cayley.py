@@ -4,13 +4,22 @@ A simplex on n+1 vertices is described by its matrix of squared
 pairwise distances.  Everything here is exact: determinants, squared
 volume, squared circumradius, and the Gram-based realizability verdict.
 
-Volume, circumradius, circumcenter and verdict all come from one integer
-symmetric elimination of the Gram matrix G of edge vectors
-(`_gram_elimination`), run at most once per matrix and kept on it: its
-pivot signs give the inertia of G, its last leading minor gives
-det(G) = (n!)**2 * V**2, and a sweep of G's diagonal through its pivots
-gives R**2 and, by back substitution, the circumcenter.  So a number is
-returned only for data the same pass has certified.
+Volume, circumradius, circumcenter, verdict and every facet's volume and
+circumradius all come from one integer symmetric elimination of the
+Gram matrix G of edge vectors (`_gram_elimination`), run at most once
+per matrix and kept on it with the distances cleared of their common
+denominator.  Its pivot signs give the inertia of G, and its last
+leading minor gives det(G) = (n!)**2 * V**2.  Any vector b swept
+through the kept pivots (`_sweep`) gives -b^T adj(A) b, A = s*G the
+scaled integer Gram matrix.  With b the diagonal of A that is R**2, and
+back substitution gives the circumcenter.  With b = e_j it is the
+principal minor adj(A)[j][j], the scaled Gram determinant of the facet
+opposite vertex j+1.  The facet opposite vertex 0 has 1^T adj(A) 1, by
+the unimodular change of base to vertex 1.  Each facet's circumradius
+then follows from Pythagoras: R_k**2 = R**2 - (w_k * h_k)**2, with w
+the circumcenter's barycentrics and h_k = n V / F_k the height over
+facet k.  So a number is returned only for data the same pass has
+certified, and a report builds and eliminates no facet matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact import (
     ExactMatrix,
@@ -74,7 +83,7 @@ class SquaredDistanceMatrix:
     (n+1) x (n+1).
     """
 
-    __slots__ = ("n", "a", "_gram", "_facets")
+    __slots__ = ("n", "a", "_gram", "_facets", "_record")
 
     def __init__(self, entries: Iterable[Iterable]):
         table = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -93,6 +102,7 @@ class SquaredDistanceMatrix:
         self.a = table
         self._gram = None  # the `_gram_elimination` result, filled on first use
         self._facets = None  # the `facet_sdm` results, filled on first use
+        self._record = None  # the `facet_record` result, filled on first use
 
     @classmethod
     def regular(cls, n: int, side_sq=1) -> "SquaredDistanceMatrix":
@@ -175,8 +185,8 @@ def cm_det(d: SquaredDistanceMatrix) -> Fraction:
 
     Read off the Gram elimination: det(CM) = (-1)**(n+1) * 2**n * det(G).
     """
-    _, minors, scale, _, _ = _gram_elimination(d)
-    return (-1) ** (d.n + 1) * 2**d.n * _gram_det(minors, scale, d.n)
+    g = _gram_elimination(d)
+    return (-1) ** (d.n + 1) * 2**d.n * _gram_det(g.minors, g.scale, d.n)
 
 
 def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
@@ -202,47 +212,55 @@ def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
     verdict, read from the same elimination as the determinant, so an
     even number of negative Gram eigenvalues cannot pass as a volume.
     """
-    _, minors, scale, verdict, _ = _gram_elimination(d)
-    if verdict.status is Realizability.NON_EUCLIDEAN:
-        raise NonEuclideanError("distances are not Euclidean; no volume", verdict=verdict)
-    return _gram_det(minors, scale, d.n) / math.factorial(d.n) ** 2
+    g = _gram_elimination(d)
+    if g.verdict.status is Realizability.NON_EUCLIDEAN:
+        raise NonEuclideanError("distances are not Euclidean; no volume", verdict=g.verdict)
+    return _gram_det(g.minors, g.scale, d.n) / math.factorial(d.n) ** 2
 
 
 def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
     """Exact squared circumradius g^T G^-1 g / 4, with g the diagonal of G.
 
     The bordered matrix B = [[G, g], [g^T, 0]] has det(B) =
-    -det(G) * g^T G^-1 g, which `_diagonal_sweep` reads off the Gram
-    elimination.  Degenerate or non-Euclidean input raises with the
-    verdict attached.
+    -det(G) * g^T G^-1 g, which `_sweep` reads off the Gram elimination.
+    Degenerate or non-Euclidean input raises with the verdict attached.
     """
-    _, corner = _diagonal_sweep(d)
-    _, minors, scale, _, _ = _gram_elimination(d)
-    return Fraction(-corner, 4 * scale * minors[-1])
+    g = _gram_elimination(d)
+    _, corner = _sweep(d, g.diag)
+    return Fraction(-corner, 4 * g.scale * g.minors[-1])
 
 
 def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     """Exact barycentric coordinates of the circumcenter.
 
     The circumcenter is p0 + sum x_i (p_i - p0) with 2 G x = g, g the
-    diagonal of G, so its barycentrics are w = (1 - sum x, x).  Back
-    substitution on the echelon rows of A = s*G, with the right-hand side
-    that `_diagonal_sweep` carries s*g to, gives the integers
-    det(A) G^-1 g = 2 det(A) x.  w is certified against the Cayley-Menger
-    system: sum w = 1 holds by construction, and every entry of D w must
-    equal 2 R**2.  Degenerate or non-Euclidean input raises with the
-    verdict attached.
+    diagonal of G, so its barycentrics are w = (1 - sum x, x), certified
+    against the Cayley-Menger system before they are returned.
+    Degenerate or non-Euclidean input raises with the verdict attached.
     """
-    rhs, corner = _diagonal_sweep(d)
-    rows, minors, _, _, _ = _gram_elimination(d)
-    det = minors[-1]
-    y = _back_substitute(rows, det, rhs)
+    weights, _ = _circumsphere(d)
+    det = _gram_elimination(d).minors[-1]
+    return tuple(Fraction(w, 2 * det) for w in weights)
+
+
+def _circumsphere(d: SquaredDistanceMatrix) -> tuple[list[int], int]:
+    """(2 det(A) w, corner): the circumcenter's barycentrics w as integers,
+    and corner = -4 s det(A) R**2 from `_sweep` of A's diagonal.
+
+    Back substitution on the echelon rows of A = s*G, with the right-hand
+    side the sweep carries s*g to, gives the integers det(A) G^-1 g =
+    2 det(A) x.  w is certified against the Cayley-Menger system: sum w = 1
+    holds by construction, and every entry of D w must equal 2 R**2.
+    """
+    g = _gram_elimination(d)
+    rhs, corner = _sweep(d, g.diag)
+    det = g.minors[-1]
+    y = _back_substitute(g.rows, det, rhs)
     weights = [2 * det - sum(y)] + y  # 2 det(A) w
     # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
-    dist, _ = _cleared(d.a, common=True)
-    if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in dist):
+    if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in g.dist):
         raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
-    return tuple(Fraction(w, 2 * det) for w in weights)
+    return weights, corner
 
 
 def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
@@ -250,50 +268,65 @@ def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
 
     G[i][j] = (a[0][i] + a[0][j] - a[i][j]) / 2 for 1 <= i, j <= n.
     """
-    rows, scale = _scaled_gram(d)
-    return ExactMatrix([[Fraction(x, scale) for x in row] for row in rows])
+    dist, scales = _cleared(d.a, common=True)
+    return ExactMatrix([[Fraction(x, 2 * scales[0]) for x in row] for row in _scaled_gram(dist)])
 
 
-def _scaled_gram(d: SquaredDistanceMatrix) -> tuple[list[list[int]], int]:
-    """(A, s): the Gram matrix as the integer matrix A = s*G.
-
-    s = 2*c, where c is the common denominator of the distances.
-    """
-    a, scales = _cleared(d.a, common=True)
-    top = a[0]
-    return [[top[i] + top[j] - a[i][j] for j in range(1, d.n + 1)] for i in range(1, d.n + 1)], 2 * scales[0]
+def _scaled_gram(dist: list[list[int]]) -> list[list[int]]:
+    """The Gram matrix as the integer matrix A = s*G, from the cleared
+    distances c*D, where c is their common denominator and s = 2*c."""
+    top = dist[0]
+    return [[top[i] + top[j] - row[j] for j in range(1, len(top))] for i, row in enumerate(dist) if i]
 
 
-def _gram_elimination(d: SquaredDistanceMatrix):
+class _Gram(NamedTuple):
+    """The integer symmetric elimination of A = s*G, kept on the matrix."""
+
+    rows: list[list[int]]  # A after `_bareiss`: the echelon rows in the upper triangle
+    minors: list[int]  # the pivots, A's leading principal minors
+    scale: int  # s
+    verdict: RealizabilityVerdict
+    diag: list[int]  # A's diagonal from before the elimination
+    dist: list[list[int]]  # c*D, the distances cleared of their common denominator c = s/2
+
+
+def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
     """The integer symmetric elimination of the scaled Gram matrix A = s*G,
-    run once and kept on d; callers only read it.
-
-    A has the inertia of G.  Returns (rows, minors, s, verdict, diag),
-    where diag is A's diagonal from before the elimination.
+    run once and kept on d; callers only read it.  A has the inertia of G.
     """
     if d._gram is None:
-        rows, scale = _scaled_gram(d)
+        dist, scales = _cleared(d.a, common=True)
+        rows = _scaled_gram(dist)
         diag = [row[i] for i, row in enumerate(rows)]
         minors, _ = _bareiss(rows, symmetric=True)
         sig = _signature(minors, d.n)
         status = Realizability.NON_EUCLIDEAN if sig[1] else (
             Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)
-        d._gram = rows, minors, scale, RealizabilityVerdict(status=status, gram_inertia=sig), diag
+        verdict = RealizabilityVerdict(status=status, gram_inertia=sig)
+        d._gram = _Gram(rows, minors, 2 * scales[0], verdict, diag, dist)
     return d._gram
 
 
-def _diagonal_sweep(d: SquaredDistanceMatrix) -> tuple[list[int], int]:
-    """(b, corner): the last column the elimination would leave on the bordered
-    [[A, g], [g^T, 0]], g the diagonal of A: b = the right-hand side of the
-    echelon rows of [A | g], corner = -det(A) * g^T A^-1 g.  It replays the
-    border's Bareiss updates through the kept pivot rows in O(n**2), exact
-    only without pivot moves, so anything but nondegenerate input raises."""
+def _sweep(d: SquaredDistanceMatrix, b: list[int]) -> tuple[list[int], int]:
+    """(b', corner): the last column the elimination would leave on the
+    bordered [[A, b], [b^T, 0]]: b' = the right-hand side of the echelon rows
+    of [A | b], corner = -b^T adj(A) b.  It replays the border's Bareiss
+    updates through the kept pivot rows in O(n**2), exact only without pivot
+    moves, so anything but nondegenerate input raises.  Leading zeros of b
+    stay zero, and the steps over them only carry the rest to the leading
+    minor there, so the replay starts at the first nonzero entry."""
     require_nondegenerate(d)
-    rows, minors, _, _, diag = _gram_elimination(d)
-    b, corner, prev = list(diag), 0, 1
-    for k, pivot in enumerate(minors):
-        top, bk = rows[k], b[k]
-        for i in range(k + 1, d.n):
+    g = _gram_elimination(d)
+    rows, minors, n = g.rows, g.minors, d.n
+    start = 0
+    while start < n and not b[start]:
+        start += 1
+    prev = minors[start - 1] if start else 1
+    b = [0] * start + [x * prev for x in b[start:]]
+    corner = 0
+    for k in range(start, n):
+        pivot, top, bk = minors[k], rows[k], b[k]
+        for i in range(k + 1, n):
             b[i] = (pivot * b[i] - top[i] * bk) // prev
         corner = (pivot * corner - bk * bk) // prev
         prev = pivot
@@ -314,7 +347,7 @@ def is_realizable(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
     distances at all.  The verdict does not depend on which vertex the
     edge vectors start from.
     """
-    return _gram_elimination(d)[3]
+    return _gram_elimination(d).verdict
 
 
 def require_nondegenerate(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
@@ -335,12 +368,12 @@ def gram_ldl(d: SquaredDistanceMatrix):
     input raises with the verdict attached.
     """
     require_nondegenerate(d)
-    rows, minors, scale, _, _ = _gram_elimination(d)
+    g = _gram_elimination(d)
     lower = [
-        [Fraction(rows[k][i], minors[k]) if k < i else Fraction(int(k == i)) for k in range(d.n)]
+        [Fraction(g.rows[k][i], g.minors[k]) if k < i else Fraction(int(k == i)) for k in range(d.n)]
         for i in range(d.n)
     ]
-    return lower, [Fraction(cur, prev * scale) for prev, cur in zip([1] + minors, minors)]
+    return lower, [Fraction(cur, prev * g.scale) for prev, cur in zip([1] + g.minors, g.minors)]
 
 
 def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
@@ -356,3 +389,79 @@ def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
         keeps = [[i for i in range(d.n + 1) if i != k] for k in range(d.n + 1)]
         d._facets = tuple(SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep]) for keep in keeps)
     return d._facets[j]
+
+
+@dataclass(frozen=True)
+class FacetRecord:
+    """The circumsphere and every facet's invariants of a nondegenerate
+    simplex; entry j of a facet tuple belongs to the facet opposite vertex j."""
+
+    circumcenter: tuple[Fraction, ...]  # barycentrics, as `circumcenter_barycentrics`
+    circumradius_sq: Fraction
+    facet_volume_sq: tuple[Fraction, ...]
+    facet_circumradius_sq: tuple[Fraction, ...]
+
+
+def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
+    """Circumsphere, facet volumes and facet circumradii, read off the one
+    Gram elimination and kept on d.
+
+    The facet Gram determinants, scaled like A = s*G, are det_k =
+    adj(A)[k-1][k-1] for k >= 1 and det_0 = 1^T adj(A) 1, so V_k**2 =
+    det_k / (s**(n-1) ((n-1)!)**2).  The circumcenter lies at signed
+    distance w_k h_k from facet k's hyperplane and projects onto the
+    facet's circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 =
+    R**2 - w_k**2 det(A) / (s det_k).  The summed adjugate column is
+    certified, A adj(A) 1 = det(A) 1, in O(n**2) integers.  Degenerate or
+    non-Euclidean input raises with the verdict attached: it has no
+    circumsphere, and its facets are `facet_sdm`'s to eliminate.
+    """
+    if d.n < 2:
+        raise ValueError("facets of a 1-simplex are single points")
+    if d._record is None:
+        weights, corner = _circumsphere(d)
+        g = _gram_elimination(d)
+        det, scale, n = g.minors[-1], g.scale, d.n
+        sweeps = [_sweep(d, [int(i == j) for i in range(n)]) for j in range(n)]
+        y = _back_substitute(g.rows, det, [sum(col) for col in zip(*(b for b, _ in sweeps))])  # adj(A) 1
+        # A = s*G has entries t_i + t_j - (c D)_ij, with t the cleared distances from vertex 0
+        top, total = g.dist[0], sum(y)
+        cross = sum(t * x for t, x in zip(top[1:], y))
+        if any(t * total + cross - sum(x * v for x, v in zip(row[1:], y)) != det
+               for t, row in zip(top[1:], g.dist[1:])):
+            raise RuntimeError("facet determinants fail the adjugate certificate")
+        dets = [total] + [-c for _, c in sweeps]
+        volume_den = scale ** (n - 1) * math.factorial(n - 1) ** 2
+        d._record = FacetRecord(
+            circumcenter=tuple(Fraction(w, 2 * det) for w in weights),
+            circumradius_sq=Fraction(-corner, 4 * scale * det),
+            facet_volume_sq=tuple(Fraction(k, volume_den) for k in dets),
+            facet_circumradius_sq=tuple(
+                Fraction(-corner * k - w * w, 4 * scale * det * k) for w, k in zip(weights, dets)
+            ),
+        )
+    return d._record
+
+
+def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
+    """Squared volumes of the facets, entry j opposite vertex j.
+
+    Read off `facet_record` for a nondegenerate simplex.  Flat input has a
+    singular Gram matrix, so each facet is eliminated on its own
+    (`facet_sdm`, `volume_sq`).
+    """
+    if is_realizable(d).status is Realizability.NONDEGENERATE:
+        return facet_record(d).facet_volume_sq
+    return tuple(volume_sq(facet_sdm(d, j)) for j in range(d.n + 1))
+
+
+def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
+    """Squared circumradii of the facets, entry j opposite vertex j.
+
+    Read off `facet_record` for a nondegenerate simplex.  Flat input has no
+    circumsphere, so each facet is eliminated on its own (`facet_sdm`,
+    `circumradius_sq`), and a degenerate facet raises.
+    """
+    if is_realizable(d).status is Realizability.NONDEGENERATE:
+        return facet_record(d).facet_circumradius_sq
+    return tuple(circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1))

@@ -20,11 +20,10 @@ from .cayley import (
     Realizability,
     SquaredDistanceMatrix,
     circumcenter_barycentrics,
-    circumradius_sq,
-    facet_sdm,
+    facet_circumradii_sq,
+    facet_volumes_sq,
     is_realizable,
     require_nondegenerate,
-    volume_sq,
 )
 from .exact import scalar_str
 from .prekite import PreKite
@@ -60,18 +59,20 @@ def is_well_distributed(d: SquaredDistanceMatrix) -> bool:
 def is_equiareal(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have equal volume (exact, via squared volumes)."""
     _check_predicate_input(d)
-    vols = [volume_sq(facet_sdm(d, j)) for j in range(d.n + 1)]
+    vols = facet_volumes_sq(d)
     return all(v == vols[0] for v in vols)
 
 
 def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have equal circumradius (exact).
 
-    A degenerate facet has no circumradius and raises through from the
-    underlying computation.
+    A nondegenerate simplex reads its facet radii off `facet_record`, and
+    its facets are never degenerate.  So a degenerate facet can only occur
+    on flat input, whose facets are eliminated one by one; such a facet has
+    no circumradius and raises DegenerateSimplexError.
     """
     _check_predicate_input(d)
-    radii = [circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1)]
+    radii = facet_circumradii_sq(d)
     return all(r == radii[0] for r in radii)
 
 
@@ -231,8 +232,11 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
     quadratic term, so there is exactly one candidate (x, y) per (t, s)
     with t != s; t = s would force u = 0 and is rejected.  Candidates
     with a nonpositive parameter are dropped; the rest are checked for
-    realizability and re-verified as equiareal by the generic
-    facet-volume computation.
+    realizability and re-verified as equiareal by `is_equiareal` on the
+    candidate's distance matrix, independent of the two conditions.  A
+    realizable candidate reads its facet volumes off its facet record,
+    the adjugate of the same Gram elimination that gave the verdict; a
+    degenerate one eliminates each facet on its own.
     """
     if n < 3:
         raise ValueError("solver needs n >= 3")

@@ -13,7 +13,8 @@ they exist, so each recovery takes a candidate from a few entries and
 verifies every pair against the same form (the circumscriptible one on
 edge lengths, l_ij = beta_i + beta_j).  The orthocentric recovery is
 exact rational; the other three take square roots and run in floating
-point with a relative tolerance.
+point with a relative tolerance, on the matrix scaled by a power of four
+(`_floats`) so that any magnitude within the float range is handled.
 """
 
 from __future__ import annotations
@@ -79,11 +80,34 @@ def _worst(x, beta, defect):
     return max(abs(defect(x[i][j], beta[i], beta[j])) for i in range(size) for j in range(i + 1, size))
 
 
-def _accept(family, x, beta, defect, tol) -> BetaVector | None:
-    """The weights when the worst pair defect, relative to the largest
-    entry of x, is at most tol (a NaN residual never is); else None."""
+def _accept(family, x, beta, defect, tol, k) -> BetaVector | None:
+    """The weights, times 2**k, when the worst pair defect, relative to the
+    largest entry of x, is at most tol (a NaN residual never is); else None."""
     residual = _worst(x, beta, defect) / max(max(row) for row in x)
-    return BetaVector(family=family, beta=tuple(beta), residual=residual) if residual <= tol else None
+    if not residual <= tol:
+        return None
+    return BetaVector(family=family, beta=tuple(math.ldexp(b, k) for b in beta), residual=residual)
+
+
+def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
+    """(x, k): the matrix divided by 4**k as floats, with k chosen from the
+    bit lengths of the largest entry so that it lands in [1/2, 4).
+
+    Every family weight scales as the square root of the entries, so the
+    weights of x times 2**k are those of d, and the residual, relative to
+    the largest entry, is unchanged.  Power-of-two scaling commutes with
+    the rounding of +, -, *, / and sqrt in the normal range, so the result
+    depends on d only up to that power of four.  Against converting d
+    unscaled, only `**` (libm's pow, not correctly rounded, in the
+    tetra-isogonic recovery) can move a last bit.  Entries that span more
+    than the float range within one matrix, or weights beyond it, still
+    under- or overflow; they are out of scope.
+    """
+    top = max(max(row[i + 1:]) for i, row in enumerate(d.a[:-1]))
+    k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
+    up, down = max(-2 * k, 0), max(2 * k, 0)
+    # int / int rounds correctly, as float(Fraction) does
+    return [[(x.numerator << up) / (x.denominator << down) for x in row] for row in d.a], k
 
 
 def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
@@ -96,18 +120,26 @@ def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
 
 def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with edge length = beta_i + beta_j."""
-    ell = [[math.sqrt(float(x)) for x in row] for row in d.a]
+    a, k = _floats(d)
+    ell = [[math.sqrt(x) for x in row] for row in a]
     beta = _per_vertex(ell, _half_sum)
     if any(b <= 0 for b in beta):
         return None
-    return _accept("circumscriptible", ell, beta, lambda x, bi, bj: x - bi - bj, tol)
+    return _accept("circumscriptible", ell, beta, lambda x, bi, bj: x - bi - bj, tol, k)
+
+
+def _ratio_root(x_ij, x_ik, x_jk):
+    """beta_i of the isodynamic family, x_ij = beta_i * beta_j.  An entry
+    that underflowed to 0.0 gives inf, as IEEE division would, and the
+    pair check then refuses the weights."""
+    return math.sqrt(x_ij * x_ik / x_jk) if x_jk else math.inf
 
 
 def recover_isodynamic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with squared edge = beta_i * beta_j."""
-    a = [[float(x) for x in row] for row in d.a]
-    beta = _per_vertex(a, lambda x_ij, x_ik, x_jk: math.sqrt(x_ij * x_ik / x_jk))
-    return _accept("isodynamic", a, beta, _off_form("isodynamic"), tol)
+    a, k = _floats(d)
+    beta = _per_vertex(a, _ratio_root)
+    return _accept("isodynamic", a, beta, _off_form("isodynamic"), tol, k)
 
 
 def _tetra_candidates(a) -> list[list[float]]:
@@ -148,7 +180,7 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
     reduction above; the remaining weights follow one by one from the
     edges at vertex 0, and every pair is verified at the end.
     """
-    a = [[float(x) for x in row] for row in d.a]
+    a, k = _floats(d)
     for triple in _tetra_candidates(a):
         if any(b <= 0 for b in triple):
             continue
@@ -162,7 +194,7 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
                 break
             beta.append(bm)
         else:
-            if (vec := _accept("tetra_isogonic", a, beta, _off_form("tetra_isogonic"), tol)) is not None:
+            if (vec := _accept("tetra_isogonic", a, beta, _off_form("tetra_isogonic"), tol, k)) is not None:
                 return vec
     return None
 

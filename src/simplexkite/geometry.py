@@ -20,9 +20,8 @@ import numpy as np
 from .cayley import (
     DegenerateSimplexError,
     SquaredDistanceMatrix,
-    facet_sdm,
+    facet_volumes_sq,
     gram_ldl,
-    volume_sq,
 )
 
 TOL_EMBED = 1e-9
@@ -118,9 +117,7 @@ def incenter(s: EmbeddedSimplex) -> tuple[np.ndarray, float]:
     if s.n == 1:
         center = s.vertices.mean(axis=0)
         return center, float(np.linalg.norm(s.vertices[1] - s.vertices[0])) / 2.0
-    weights = np.array(
-        [math.sqrt(float(volume_sq(facet_sdm(s.source, j)))) for j in range(s.n + 1)]
-    )
+    weights = np.array([math.sqrt(float(v)) for v in facet_volumes_sq(s.source)])
     center = (weights[:, None] * s.vertices).sum(axis=0) / weights.sum()
     distances = []
     for j in range(s.n + 1):

@@ -13,6 +13,7 @@ validated against the generic determinants in tests.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,23 +164,33 @@ def find_apexes(d: SquaredDistanceMatrix) -> ApexReport:
     The kite flag is set when some apex has all of its own edges equal
     as well; the regular flag when every entry of the matrix is equal.
     For n = 2 every vertex is trivially an apex (facets are segments).
+
+    A regular facet has C(n, 2) edges of one value, so only a value that
+    occurs that often can be a regular facet's, and its apexes are the
+    vertices on every edge of another value.  At most two values qualify
+    for n >= 3, and both are tried (at n = 3 a kite's base and star tie at
+    three edges each), so the census is O(n**2).  At n = 2 every value
+    qualifies, and the rule marks every vertex.
     """
     if d.n < 2:
         raise ValueError("apex enumeration needs n >= 2")
     size = d.n + 1
-    apexes = []
-    for j in range(size):
-        keep = [i for i in range(size) if i != j]
-        facet_vals = {d.a[p][q] for p in keep for q in keep if p < q}
-        if len(facet_vals) <= 1:
-            apexes.append(j)
+    counts = Counter(x for _, _, x in d.edges())
+    apexes = set()
+    for value, count in counts.items():
+        if count >= d.n * (d.n - 1) // 2:
+            common = set(range(size))
+            for i, j, x in d.edges():
+                if x != value:
+                    common &= {i, j}
+            apexes |= common
     is_kite = any(
         len({d.a[j][i] for i in range(size) if i != j}) == 1 for j in apexes
     )
     return ApexReport(
-        apexes=tuple(apexes),
+        apexes=tuple(sorted(apexes)),
         is_kite=is_kite,
-        is_regular=d.is_regular(),
+        is_regular=len(counts) == 1,
     )
 
 

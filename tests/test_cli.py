@@ -254,6 +254,15 @@ class TestPompeiu:
         assert json.loads(out)["verdict"] == "degenerate_on_circle"
 
 
+@pytest.mark.parametrize("side_sq", ["1" + "0" * 160, "1" + "0" * 320, "1/1" + "0" * 330], ids=["1e160", "1e320", "1e-330"])
+def test_classify_extreme_magnitudes(run, tmp_path, side_sq):
+    # the exact census of a regular tetrahedron whose squares leave the float range
+    code, out = run(["classify", write_matrix(tmp_path, SquaredDistanceMatrix.regular(3, side_sq)), "--exact"])
+    assert code == 0
+    families = json.loads(out)["classification"]["families"]
+    assert all(f["member"] for f in families.values())
+
+
 class TestEmbedAndCenters:
     def test_embed(self, run, tmp_path):
         code, out = run(["embed", write_matrix(tmp_path, TWO_APEXED)])

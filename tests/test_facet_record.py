@@ -1,0 +1,234 @@
+"""The facet record: every facet's volume and circumradius read off the
+simplex's one Gram elimination, checked against the per-facet path
+(`facet_sdm` -> `volume_sq` / `circumradius_sq`), which stays the oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import simplexkite.cayley as cayley
+from simplexkite import (
+    DegenerateSimplexError,
+    NonEuclideanError,
+    PreKite,
+    Realizability,
+    SquaredDistanceMatrix,
+    circumcenter_barycentrics,
+    circumradius_sq,
+    classify,
+    coincidence_report,
+    equiareal_prekite_solve,
+    facet_circumradii_sq,
+    facet_record,
+    facet_sdm,
+    facet_volumes_sq,
+    is_realizable,
+    matrix_from_beta,
+    volume_sq,
+)
+from simplexkite.cayley import require_nondegenerate
+from conftest import count_kernel_calls, random_realizable_prekite
+
+F = Fraction
+
+
+def mixed_points(rng, n, lo=-9, hi=9, den=7):
+    """Distance matrix of n+1 random points of Q^n with mixed denominators,
+    or None when two points coincide."""
+    pts = [[F(rng.randint(lo, hi), rng.randint(1, den)) for _ in range(n)] for _ in range(n + 1)]
+    rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
+    if not all(rows[i][j] for i in range(n + 1) for j in range(i)):
+        return None
+    return SquaredDistanceMatrix(rows)
+
+
+def nondegenerate(d):
+    return d is not None and is_realizable(d).status is Realizability.NONDEGENERATE
+
+
+def oracle(d):
+    """(circumcenter, R**2, facet volumes, facet radii) by eliminating each facet."""
+    facets = [facet_sdm(d, k) for k in range(d.n + 1)]
+    return (
+        circumcenter_barycentrics(d),
+        circumradius_sq(d),
+        tuple(volume_sq(f) for f in facets),
+        tuple(circumradius_sq(f) for f in facets),
+    )
+
+
+def as_tuple(record):
+    return record.circumcenter, record.circumradius_sq, record.facet_volume_sq, record.facet_circumradius_sq
+
+
+def family_members(rng):
+    for family in ("orthocentric", "circumscriptible", "isodynamic", "tetra_isogonic"):
+        for n in range(2, 8):
+            for _ in range(16):
+                lo = -3 if family == "orthocentric" else 4
+                beta = [F(rng.randint(lo, 20), rng.randint(1, 3)) for _ in range(n + 1)]
+                if family == "orthocentric" and any(
+                    beta[i] + beta[j] <= 0 for i in range(n + 1) for j in range(i)
+                ):
+                    continue
+                yield matrix_from_beta(family, beta)
+
+
+def equiareal_prekites():
+    """Every realizable equiareal pre-kite candidate n = 3..12, and each permuted."""
+    rng = random.Random(71)
+    for n in range(3, 13):
+        for s in range(1, n // 2 + 1):
+            if n - s == s:
+                continue
+            for cand in equiareal_prekite_solve(n, n - s, s):
+                if cand.realizable:
+                    d = cand.prekite().to_sdm()
+                    perm = list(range(n + 1))
+                    rng.shuffle(perm)
+                    yield d
+                    yield d.permuted(perm)
+
+
+def test_record_matches_per_facet_oracle():
+    rng = random.Random(61)
+    clouds = []
+    while len(clouds) < 700:
+        d = mixed_points(rng, rng.randint(2, 8))
+        if nondegenerate(d):
+            clouds.append(d)
+    members = [d for d in family_members(rng) if nondegenerate(d)]
+    equiareal = list(equiareal_prekites())
+    prekites = [random_realizable_prekite(rng, rng.randint(2, 7)).to_sdm() for _ in range(80)]
+    regular = [SquaredDistanceMatrix.regular(n, F(rng.randint(1, 9), rng.randint(1, 9))) for n in range(2, 11)]
+    assert len(members) >= 200 and len(equiareal) >= 10
+    cases = clouds + members + equiareal + prekites + regular
+    assert len(cases) >= 1000
+    exterior = 0
+    for d in cases:
+        record = facet_record(SquaredDistanceMatrix(d.a))
+        assert as_tuple(record) == oracle(d)
+        exterior += min(record.circumcenter) < 0
+    assert exterior >= 100
+
+
+_POINTS = st.integers(2, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=n, max_size=n),
+        min_size=n + 1,
+        max_size=n + 1,
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_POINTS)
+def test_record_property(pts):
+    rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
+    if not all(rows[i][j] for i in range(len(pts)) for j in range(i)):
+        return
+    d = SquaredDistanceMatrix(rows)
+    if is_realizable(d).status is not Realizability.NONDEGENERATE:
+        with pytest.raises(DegenerateSimplexError):
+            facet_record(d)
+        assert facet_volumes_sq(d) == tuple(volume_sq(facet_sdm(d, k)) for k in range(d.n + 1))
+        return
+    assert as_tuple(facet_record(SquaredDistanceMatrix(rows))) == oracle(d)
+
+
+def test_equiareal_witness():
+    # PK[4; 1; 1,1,1,2]: not a kite, yet all five facets have V**2 = 1/72;
+    # w = (1/2, 0, 0, 0, 1/2) puts the circumcenter on facets 1 to 3
+    record = facet_record(PreKite(4, 1, (1, 1, 1, 2)).to_sdm())
+    assert record.circumcenter == (F(1, 2), 0, 0, 0, F(1, 2))
+    assert record.circumradius_sq == F(1, 2)
+    assert record.facet_volume_sq == (F(1, 72),) * 5
+    assert record.facet_circumradius_sq == (F(3, 8), F(1, 2), F(1, 2), F(1, 2), F(3, 8))
+
+
+def test_record_is_kept_and_leaves_the_elimination_alone(monkeypatch):
+    rng = random.Random(63)
+    calls = count_kernel_calls(monkeypatch)
+    for n in range(2, 9):
+        rows = mixed_points(rng, n)
+        while not nondegenerate(rows):
+            rows = mixed_points(rng, n)
+        d = SquaredDistanceMatrix(rows.a)
+        calls.clear()
+        record = facet_record(d)
+        assert facet_record(d) is record
+        assert len(calls) == 1
+        fresh = SquaredDistanceMatrix(rows.a)
+        assert (circumcenter_barycentrics(d), circumradius_sq(d)) == (
+            circumcenter_barycentrics(fresh), circumradius_sq(fresh))
+        assert d._facets is None
+
+
+def test_report_builds_no_facet_matrix(monkeypatch):
+    rng = random.Random(64)
+    built = []
+    real = SquaredDistanceMatrix.__init__
+
+    def spy(self, entries):
+        built.append(self)
+        real(self, entries)
+
+    for n in range(2, 11):
+        d = mixed_points(rng, n)
+        while not nondegenerate(d):
+            d = mixed_points(rng, n)
+        d = SquaredDistanceMatrix(d.a)
+        monkeypatch.setattr(SquaredDistanceMatrix, "__init__", spy)
+        classify(d)
+        coincidence_report(d, with_floats=True)
+        monkeypatch.setattr(SquaredDistanceMatrix, "__init__", real)
+        assert built == []
+        assert d._facets is None
+
+
+def test_unrealizable_input_raises_like_the_verdict():
+    cases = [
+        [[0, 1, 4], [1, 0, 1], [4, 1, 0]],  # collinear
+        [[0, 1, 4, 1], [1, 0, 1, 2], [4, 1, 0, 5], [1, 2, 5, 0]],  # flat, one facet collinear
+        [[0, 1, 9], [1, 0, 1], [9, 1, 0]],  # non-Euclidean triangle
+        [[0, 1, 1, 100], [1, 0, 100, 1], [1, 100, 0, 1], [100, 1, 1, 0]],
+    ]
+    for rows in cases:
+        d = SquaredDistanceMatrix(rows)
+        with pytest.raises((DegenerateSimplexError, NonEuclideanError)) as expected:
+            require_nondegenerate(d)
+        with pytest.raises(type(expected.value)) as got:
+            facet_record(d)
+        assert got.value.verdict == expected.value.verdict
+    with pytest.raises(ValueError):
+        facet_record(SquaredDistanceMatrix([[0, 1], [1, 0]]))
+
+
+def test_flat_input_keeps_the_per_facet_path():
+    # four coplanar points: a flat 3-simplex whose facets are all triangles
+    d = SquaredDistanceMatrix([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    assert is_realizable(d).status is Realizability.DEGENERATE
+    assert facet_volumes_sq(d) == tuple(volume_sq(facet_sdm(d, k)) for k in range(4)) == (F(1, 4),) * 4
+    assert facet_circumradii_sq(d) == tuple(circumradius_sq(facet_sdm(d, k)) for k in range(4)) == (F(1, 2),) * 4
+    flat = SquaredDistanceMatrix([[0, 1, 4, 1], [1, 0, 1, 2], [4, 1, 0, 5], [1, 2, 5, 0]])
+    assert facet_volumes_sq(flat)[3] == 0
+    with pytest.raises(DegenerateSimplexError):
+        facet_circumradii_sq(flat)
+
+
+def test_certificate_catches_a_wrong_adjugate_column(monkeypatch):
+    real = cayley._sweep
+
+    def off_by_one(d, b):
+        swept, corner = real(d, b)
+        if sorted(b)[-2:] == [0, 1]:  # a unit vector e_j
+            swept[-1] += 1
+        return swept, corner
+
+    monkeypatch.setattr(cayley, "_sweep", off_by_one)
+    d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
+    with pytest.raises(RuntimeError, match="adjugate certificate"):
+        facet_record(d)

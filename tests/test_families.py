@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -238,3 +239,37 @@ def test_nan_residual_is_not_membership():
     tiny, huge = F(1, 10**300), F(10**300)
     d = SquaredDistanceMatrix([[0, 1, tiny], [1, 0, huge], [tiny, huge, 0]])
     assert recover_isodynamic(d) is None
+
+
+# a regular tetrahedron far outside the float range of its squares, with
+# its edge length; each crashed a float recovery before the matrix was
+# scaled by a power of four
+EXTREME = ((F(10**160), 1e80), (F(10**320), 1e160), (F(1, 10**330), 1e-165))
+
+
+@pytest.mark.parametrize("side_sq, side", EXTREME)
+def test_extreme_magnitudes_classify(side_sq, side):
+    report = classify(SquaredDistanceMatrix.regular(3, side_sq))
+    assert report.apex_report.is_regular
+    assert report.families["orthocentric"].beta == (side_sq / 2,) * 4
+    expected = {"circumscriptible": side / 2, "isodynamic": side, "tetra_isogonic": side / math.sqrt(3)}
+    for family, beta in expected.items():
+        vec = report.families[family]
+        assert vec is not None, family
+        assert vec.residual <= 1e-15
+        assert vec.beta == pytest.approx((beta,) * 4, rel=1e-15)
+
+
+@pytest.mark.parametrize("family, beta, near, want_beta, want_residual", GOLDEN)
+def test_power_of_four_scaling_is_exact(family, beta, near, want_beta, want_residual):
+    # scaling the matrix by 4**k scales the weights by exactly 2**k and
+    # leaves the residual alone, far beyond the range of unscaled squares
+    d = matrix_from_beta(family, beta)
+    if near:
+        rows = [list(row) for row in d.a]
+        rows[0][1] = rows[1][0] = rows[0][1] * (1 + F(1, 10**12))
+        d = SquaredDistanceMatrix(rows)
+    for k in (-300, -170, -1, 1, 170, 300):
+        vec = FAMILIES[family](d.scaled(F(4) ** k))
+        assert vec.beta == tuple(math.ldexp(b, k) for b in want_beta)
+        assert vec.residual == want_residual

@@ -112,6 +112,19 @@ class TestClosedForms:
             pk_facet_cm(pk2, 3)
 
 
+def apex_census(d):
+    """(apexes, kite, regular) by listing each facet's edge values: the
+    O(n**3) oracle for `find_apexes`."""
+    size = d.n + 1
+    apexes = []
+    for j in range(size):
+        keep = [i for i in range(size) if i != j]
+        if len({d.a[p][q] for p in keep for q in keep if p < q}) <= 1:
+            apexes.append(j)
+    kite = any(len({d.a[j][i] for i in range(size) if i != j}) == 1 for j in apexes)
+    return tuple(apexes), kite, d.is_regular()
+
+
 class TestApexes:
     def test_two_apexed_example(self):
         report = find_apexes(PreKite(3, 1, (1, 1, 2)).to_sdm())
@@ -138,6 +151,33 @@ class TestApexes:
             report = find_apexes(pk.to_sdm())
             if not report.is_regular:
                 assert len(report.apexes) <= 2
+
+    def test_matches_the_per_facet_census(self):
+        # permuted pre-kites with edges in {1, 2, 3} and random {1, 2}
+        # matrices tie edge counts often, e.g. a kite's base and star at n = 3
+        rng = random.Random(38)
+        for _ in range(1500):
+            n = rng.randint(2, 8)
+            if rng.random() < 0.6:
+                perm = list(range(n + 1))
+                rng.shuffle(perm)
+                d = PreKite(n, rng.randint(1, 3), [rng.randint(1, 3) for _ in range(n)]).to_sdm().permuted(perm)
+            else:
+                rows = [[0] * (n + 1) for _ in range(n + 1)]
+                for i in range(n + 1):
+                    for j in range(i + 1, n + 1):
+                        rows[i][j] = rows[j][i] = rng.randint(1, 2)
+                d = SquaredDistanceMatrix(rows)
+            report = find_apexes(d)
+            assert (report.apexes, report.is_kite, report.is_regular) == apex_census(d)
+
+    def test_tied_values_both_tried(self):
+        # facet {0, 1, 2} is regular at value 1, and the three edges to
+        # vertex 3 carry value 2: both values have three edges
+        d = SquaredDistanceMatrix([[0, 1, 1, 2], [1, 0, 1, 2], [1, 1, 0, 2], [2, 2, 2, 0]])
+        report = find_apexes(d)
+        assert report.apexes == (3,)
+        assert report.is_kite
 
     def test_every_facet_of_a_prekite_is_a_prekite(self):
         rng = random.Random(37)
