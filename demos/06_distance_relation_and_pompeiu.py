@@ -17,8 +17,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from simplexkite import (
     DistanceTuple,
     SquaredDistanceMatrix,
@@ -51,10 +49,10 @@ for n in range(2, 7):
     s = embed(SquaredDistanceMatrix.regular(n))
     worst = 0.0
     for _ in range(300):
-        w = np.array([rng.uniform(-1.5, 2.5) for _ in range(n + 1)])
-        w /= w.sum()
-        p = (w[:, None] * s.vertices).sum(axis=0)
-        dists = tuple(float(np.linalg.norm(p - v)) for v in s.vertices)
+        w = [rng.uniform(-1.5, 2.5) for _ in range(n + 1)]
+        total = sum(w)
+        p = [sum(wi / total * v[k] for wi, v in zip(w, s.vertices)) for k in range(n)]
+        dists = tuple(math.dist(p, v) for v in s.vertices)
         scale = max((1.0,) + dists) ** 4
         worst = max(worst, abs(float(relation_residual(DistanceTuple(n, 1.0, dists)))) / scale)
     print("  n = %d: worst relative residual over 300 hull points: %.2e" % (n, worst))
@@ -86,7 +84,7 @@ for label, (x, y, z) in cases:
 print()
 print("Walking a ray from the center outward, the verdict flips exactly")
 print("at the circumcircle radius 1/sqrt(3) = %.6f:" % (1 / math.sqrt(3)))
-direction = np.array([math.cos(0.93), math.sin(0.93)])
+direction = (math.cos(0.93), math.sin(0.93))
 for rho in (0.2, 0.5, 0.57735026919, 0.7, 1.2):
-    _, verdict = pompeiu_from_point(1.0, tuple(rho * direction))
+    _, verdict = pompeiu_from_point(1.0, [rho * c for c in direction])
     print("  |p| = %-13s -> %s" % (rho, verdict))

@@ -83,7 +83,7 @@ class SquaredDistanceMatrix:
     (n+1) x (n+1).
     """
 
-    __slots__ = ("n", "a", "_gram", "_facets", "_record")
+    __slots__ = ("n", "a", "_gram", "_sphere", "_facets", "_record")
 
     def __init__(self, entries: Iterable[Iterable]):
         table = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -101,6 +101,7 @@ class SquaredDistanceMatrix:
         self.n = m - 1
         self.a = table
         self._gram = None  # the `_gram_elimination` result, filled on first use
+        self._sphere = None  # the `_circumsphere` result, filled on first use
         self._facets = None  # the `facet_sdm` results, filled on first use
         self._record = None  # the `facet_record` result, filled on first use
 
@@ -238,29 +239,51 @@ def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     against the Cayley-Menger system before they are returned.
     Degenerate or non-Euclidean input raises with the verdict attached.
     """
-    weights, _ = _circumsphere(d)
     det = _gram_elimination(d).minors[-1]
-    return tuple(Fraction(w, 2 * det) for w in weights)
+    return tuple(Fraction(w, 2 * det) for w in _circumsphere(d).weights)
 
 
-def _circumsphere(d: SquaredDistanceMatrix) -> tuple[list[int], int]:
-    """(2 det(A) w, corner): the circumcenter's barycentrics w as integers,
-    and corner = -4 s det(A) R**2 from `_sweep` of A's diagonal.
+class _Sphere(NamedTuple):
+    """The circumsphere read off the kept Gram elimination, kept on the matrix."""
+
+    weights: tuple[int, ...]  # 2 det(A) w, w the circumcenter's barycentrics
+    corner: int  # -4 s det(A) R**2
+    swept: list[int]  # the right-hand side `_sweep` carries A's diagonal to
+
+
+def _circumsphere(d: SquaredDistanceMatrix) -> _Sphere:
+    """The circumcenter's barycentrics as integers and the sweep of A's
+    diagonal, computed once and kept on d.
 
     Back substitution on the echelon rows of A = s*G, with the right-hand
     side the sweep carries s*g to, gives the integers det(A) G^-1 g =
     2 det(A) x.  w is certified against the Cayley-Menger system: sum w = 1
     holds by construction, and every entry of D w must equal 2 R**2.
     """
-    g = _gram_elimination(d)
-    rhs, corner = _sweep(d, g.diag)
-    det = g.minors[-1]
-    y = _back_substitute(g.rows, det, rhs)
-    weights = [2 * det - sum(y)] + y  # 2 det(A) w
-    # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
-    if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in g.dist):
-        raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
-    return weights, corner
+    if d._sphere is None:
+        g = _gram_elimination(d)
+        swept, corner = _sweep(d, g.diag)
+        det = g.minors[-1]
+        y = _back_substitute(g.rows, det, swept)
+        weights = (2 * det - sum(y), *y)
+        # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
+        if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in g.dist):
+            raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
+        d._sphere = _Sphere(weights, corner, swept)
+    return d._sphere
+
+
+def _circumcenter_frame(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
+    """y with the circumcenter at sum_k y_k sqrt(D_k) e_k when vertex i+1 is
+    at sum_k L[i][k] sqrt(D_k) e_k (`gram_ldl`, the frame `embed` builds).
+
+    2 G x = g and G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and the sweep
+    of A's diagonal holds L^-1 (s g) times the leading minors, so y_k =
+    swept_k / (2 minors[k]).  A far circumcenter has huge barycentrics x,
+    whose float image through the vertices would cancel; y does not.
+    """
+    minors = _gram_elimination(d).minors
+    return tuple(Fraction(b, 2 * m) for b, m in zip(_circumsphere(d).swept, minors))
 
 
 def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
@@ -419,7 +442,7 @@ def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
     if d.n < 2:
         raise ValueError("facets of a 1-simplex are single points")
     if d._record is None:
-        weights, corner = _circumsphere(d)
+        weights, corner, _ = _circumsphere(d)
         g = _gram_elimination(d)
         det, scale, n = g.minors[-1], g.scale, d.n
         sweeps = [_sweep(d, [int(i == j) for i in range(n)]) for j in range(n)]

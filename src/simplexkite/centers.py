@@ -10,10 +10,9 @@ characterization here and are reported only as float experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .cayley import (
     NonEuclideanError,
@@ -26,6 +25,7 @@ from .cayley import (
     require_nondegenerate,
 )
 from .exact import scalar_str
+from .geometry import TOL_CENTER, center_set, embed
 from .prekite import PreKite
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
@@ -152,11 +152,8 @@ def coincidence_report(
     fermat = None
     distances = None
     if with_floats:
-        from . import geometry
-
-        tol = geometry.TOL_CENTER if tol_center is None else tol_center
-        s = geometry.embed(d)
-        cs = geometry.center_set(s)
+        tol = TOL_CENTER if tol_center is None else tol_center
+        cs = center_set(embed(d))
         pairs = {
             "qg": (cs.circumcenter, cs.centroid),
             "qi": (cs.circumcenter, cs.incenter),
@@ -165,13 +162,8 @@ def coincidence_report(
             "fq": (cs.fermat, cs.circumcenter),
             "fi": (cs.fermat, cs.incenter),
         }
-        distances = {
-            key: float(np.linalg.norm(p - q)) for key, (p, q) in pairs.items()
-        }
-        coincide = {
-            key: distances[key] <= tol * (1.0 + cs.circumradius) for key in pairs
-        }
-        fermat = {key: coincide[key] for key in ("fg", "fq", "fi")}
+        distances = {key: math.dist(p, q) for key, (p, q) in pairs.items()}
+        fermat = {key: distances[key] <= tol * (1.0 + cs.circumradius) for key in ("fg", "fq", "fi")}
     return CoincidenceReport(
         well_distributed=well,
         equiradial=radial,

@@ -246,7 +246,7 @@ def cmd_embed(args):
     s = embed(d)
     out = {
         "n": s.n,
-        "vertices": [[float(x) for x in row] for row in s.vertices],
+        "vertices": [list(row) for row in s.vertices],
         "max_rel_error": s.max_rel_error,
     }
     return _dumps(out), EXIT_OK

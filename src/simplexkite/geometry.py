@@ -1,9 +1,14 @@
 """Floating-point realization of distance matrices and the four centers.
 
-This is the only module that leaves exact arithmetic.  A matrix is
-embedded by factoring its exact Gram matrix (exact LDL^T, converted to
-floats only at the very end), after which the centroid, circumcenter,
-incenter, and Fermat-Torricelli point are computed numerically.
+This is the only module that leaves exact arithmetic, and it needs only
+`math`; points are tuples of floats.  A matrix is embedded by factoring
+its exact Gram matrix (exact LDL^T, converted to floats only at the very
+end).  The circumcenter and incenter are read off the Gram elimination
+that certified the simplex, not solved for in floats: the incenter's
+barycentrics are the facet volumes over their sum, and the
+circumcenter's coordinates in the embedding frame are exact rationals
+times the frame's scales.  The centroid is the vertex mean, and the
+Fermat-Torricelli point is found by re-weighted averaging.
 
 Default tolerances are generous for double precision at desk scale:
 embedding round-trip 1e-9 relative, center checks 1e-8, and a 1e-10
@@ -13,15 +18,16 @@ gradient norm for the Fermat-Torricelli iteration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import combinations
 
 from .cayley import (
-    DegenerateSimplexError,
     SquaredDistanceMatrix,
+    _circumcenter_frame,
     facet_volumes_sq,
     gram_ldl,
+    volume_sq,
 )
 
 TOL_EMBED = 1e-9
@@ -29,25 +35,29 @@ TOL_CENTER = 1e-8
 FT_GRADIENT_TOL = 1e-10
 FT_MAX_ITER = 100_000
 
+Point = tuple[float, ...]
+
 
 class ConvergenceError(RuntimeError):
     """Iteration budget ran out before the convergence test was met."""
 
 
 class EmbeddedSimplex:
-    """Coordinates realizing a squared-distance matrix, vertex 0 at the origin."""
+    """Coordinates realizing a squared-distance matrix in the frame `embed`
+    builds: vertex 0 at the origin and vertex i in the first i coordinates."""
 
     __slots__ = ("n", "vertices", "source", "max_rel_error")
 
     def __init__(self, vertices, source: SquaredDistanceMatrix, tol: float = TOL_EMBED):
-        pts = np.asarray(vertices, dtype=float)
-        if pts.shape != (source.n + 1, source.n):
+        pts = tuple(tuple(float(x) for x in row) for row in vertices)
+        if len(pts) != source.n + 1 or any(len(p) != source.n for p in pts):
             raise ValueError("expected n+1 vertices of dimension n")
+        if any(x != 0.0 for i, p in enumerate(pts) for x in p[i:]):
+            raise ValueError("vertex i must lie in the first i coordinates")
         err = 0.0
         for i in range(source.n + 1):
             for j in range(i + 1, source.n + 1):
-                diff = pts[i] - pts[j]
-                have = float(diff @ diff)
+                have = sum((a - b) * (a - b) for a, b in zip(pts[i], pts[j]))
                 want = float(source.a[i][j])
                 err = max(err, abs(have - want) / want)
         if err > tol:
@@ -55,7 +65,6 @@ class EmbeddedSimplex:
                 "coordinates do not reproduce the distance matrix "
                 "(relative error %.3e exceeds %.1e)" % (err, tol)
             )
-        pts.setflags(write=False)
         self.n = source.n
         self.vertices = pts
         self.source = source
@@ -69,97 +78,90 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
     """Realize a nondegenerate matrix as coordinates in R^n.
 
     Degenerate or non-Euclidean input raises with the realizability
-    verdict attached.  The exact Gram matrix is LDL-factored first and
-    floats enter only when the factors are multiplied out.
+    verdict attached, and a squared distance outside the range of normal
+    floats raises ValueError.  The exact Gram matrix is LDL-factored first
+    and floats enter only when the factors are multiplied out.
     """
     lower, pivots = gram_ldl(d)
+    if not all(sys.float_info.min <= x <= sys.float_info.max for _, _, x in d.edges()):
+        raise ValueError(
+            "squared distances leave the float range; the exact results "
+            "(classify --exact) do not need floats"
+        )
     scale = [math.sqrt(float(p)) for p in pivots]
-    rows = [[0.0] * d.n]
+    rows = [(0.0,) * d.n]
     for i in range(d.n):
         rows.append([float(lower[i][k]) * scale[k] for k in range(d.n)])
-    return EmbeddedSimplex(np.array(rows), d, tol=tol)
+    return EmbeddedSimplex(rows, d, tol=tol)
 
 
-def centroid(s: EmbeddedSimplex) -> np.ndarray:
+def _combine(weights, points) -> Point:
+    """The point sum_i weights[i] * points[i]."""
+    return tuple(sum(col) for col in zip(*([w * x for x in p] for w, p in zip(weights, points))))
+
+
+def centroid(s: EmbeddedSimplex) -> Point:
     """Arithmetic mean of the vertices."""
-    return s.vertices.mean(axis=0)
+    return tuple(sum(col) / len(s.vertices) for col in zip(*s.vertices))
 
 
-def circumcenter(s: EmbeddedSimplex) -> tuple[np.ndarray, float]:
-    """Equidistant point and its radius, from the linear equidistance system."""
-    pts = s.vertices
-    lhs = 2.0 * (pts[1:] - pts[0])
-    rhs = (pts[1:] ** 2).sum(axis=1) - (pts[0] ** 2).sum()
-    try:
-        center = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSimplexError("equidistance system is singular") from exc
-    radius = float(np.linalg.norm(center - pts[0]))
-    return center, radius
+def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
+    """Equidistant point and its radius (the float distance to vertex 0).
+
+    Coordinate k is y_k times coordinate k of vertex k+1, which is
+    sqrt(D_k) of the Gram LDL^T, with y the exact circumcenter in that
+    frame (`_circumcenter_frame`).
+    """
+    ys = _circumcenter_frame(s.source)
+    center = tuple(float(y) * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
+    return center, math.dist(center, s.vertices[0])
 
 
-def _facet_unit_normal(s: EmbeddedSimplex, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normal of facet j's hyperplane and one vertex on it."""
-    others = [i for i in range(s.n + 1) if i != j]
-    base = s.vertices[others[0]]
-    span = s.vertices[others[1:]] - base
-    _, _, vt = np.linalg.svd(span)
-    return vt[-1], base
+def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
+    """Facet-volume-weighted vertex average and the inradius n V / sum F_j.
 
-
-def incenter(s: EmbeddedSimplex) -> tuple[np.ndarray, float]:
-    """Facet-volume-weighted vertex average and the shared facet distance.
-
-    The insphere touch points are also verified to lie inside their
-    facets; a gross violation means the input was not a valid embedded
-    simplex and raises RuntimeError.
+    The weights F_j / sum F leave exact arithmetic as square roots of the
+    ratios F_j**2 / max F**2, so the facet volumes themselves never need
+    to fit a float.  The insphere touches facet j inside it exactly when
+    the weight of vertex j is positive, at distance n V / sum F from the
+    incenter for every j; a weight that is not a positive finite float
+    raises RuntimeError.
     """
     if s.n == 1:
-        center = s.vertices.mean(axis=0)
-        return center, float(np.linalg.norm(s.vertices[1] - s.vertices[0])) / 2.0
-    weights = np.array([math.sqrt(float(v)) for v in facet_volumes_sq(s.source)])
-    center = (weights[:, None] * s.vertices).sum(axis=0) / weights.sum()
-    distances = []
-    for j in range(s.n + 1):
-        normal, base = _facet_unit_normal(s, j)
-        dist = abs(float((center - base) @ normal))
-        distances.append(dist)
-        touch = center - ((center - base) @ normal) * normal
-        others = [i for i in range(s.n + 1) if i != j]
-        span = (s.vertices[others[1:]] - base).T
-        coeffs, *_ = np.linalg.lstsq(span, touch - base, rcond=None)
-        bary = np.concatenate([[1.0 - coeffs.sum()], coeffs])
-        if bary.min() < -1e-6:
-            raise RuntimeError(
-                "insphere touch point fell outside facet %d (barycentric %.3e)"
-                % (j, bary.min())
-            )
-    radius = float(np.mean(distances))
-    spread = max(distances) - min(distances)
-    if spread > 1e-6 * (1.0 + radius):
-        raise RuntimeError("facet distances from the incenter disagree")
-    return center, radius
+        return centroid(s), math.dist(*s.vertices) / 2.0
+    volumes = facet_volumes_sq(s.source)
+    largest = max(volumes)
+    roots = [math.sqrt(float(v / largest)) for v in volumes]
+    total = sum(roots)
+    weights = [r / total for r in roots]
+    if not all(0.0 < w < math.inf for w in weights):
+        raise RuntimeError("incenter weights are not all positive finite floats")
+    radius = s.n * math.sqrt(float(volume_sq(s.source) / largest)) / total
+    return _combine(weights, s.vertices), radius
 
 
 def sum_distances(s: EmbeddedSimplex, point) -> float:
     """Sum of distances from a point to all vertices."""
-    p = np.asarray(point, dtype=float)
-    return float(np.linalg.norm(s.vertices - p, axis=1).sum())
+    return sum(math.dist(v, point) for v in s.vertices)
 
 
-def _vertex_pull(s: EmbeddedSimplex, k: int) -> tuple[float, np.ndarray]:
+def _pull(x, points, dists) -> list[float]:
+    """Sum of the unit vectors from x towards the points, dists[i] = |points[i] - x|."""
+    return [sum(col) for col in zip(*([(b - a) / r for a, b in zip(x, p)] for p, r in zip(points, dists)))]
+
+
+def _vertex_pull(s: EmbeddedSimplex, k: int) -> tuple[float, list[float]]:
     """Norm and direction of the combined unit pulls of the other vertices."""
-    diffs = np.delete(s.vertices, k, axis=0) - s.vertices[k]
-    units = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-    pull = units.sum(axis=0)
-    return float(np.linalg.norm(pull)), pull
+    vk, others = s.vertices[k], s.vertices[:k] + s.vertices[k + 1:]
+    pull = _pull(vk, others, [math.dist(v, vk) for v in others])
+    return math.hypot(*pull), pull
 
 
 def fermat_torricelli(
     s: EmbeddedSimplex,
     tol: float = FT_GRADIENT_TOL,
     max_iter: int = FT_MAX_ITER,
-) -> np.ndarray:
+) -> Point:
     """Minimizer of the summed vertex distances.
 
     The objective is convex, and a vertex is the global minimizer
@@ -168,38 +170,31 @@ def fermat_torricelli(
     Otherwise the minimizer is interior and is found by iteratively
     re-weighted averaging started at the centroid, accepted once the
     objective gradient norm drops to tol.  An iterate that lands on a
-    (necessarily non-optimal) vertex is stepped off along the pull.
+    (necessarily non-optimal) vertex is stepped off along the pull,
+    whose norm the certificate has shown to exceed 1.
     """
     pts = s.vertices
     for k in range(len(pts)):
         pull_norm, _ = _vertex_pull(s, k)
         if pull_norm <= 1.0 + 1e-12:
-            return pts[k].copy()
-    diameter = max(
-        float(np.linalg.norm(pts[i] - pts[j]))
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
+            return pts[k]
+    diameter = max(math.dist(p, q) for p, q in combinations(pts, 2))
     vertex_snap = 1e-12 * diameter
-    x = pts.mean(axis=0)
+    x = centroid(s)
     for _ in range(max_iter):
-        dists = np.linalg.norm(pts - x, axis=1)
-        k = int(np.argmin(dists))
+        dists = [math.dist(p, x) for p in pts]
+        k = min(range(len(pts)), key=dists.__getitem__)
         if dists[k] <= vertex_snap:
             pull_norm, pull = _vertex_pull(s, k)
-            direction = pull / pull_norm
-            if not np.isfinite(direction).all():
-                direction = pts.mean(axis=0) - pts[k]
-                direction = direction / np.linalg.norm(direction)
-            inv = 1.0 / np.linalg.norm(np.delete(pts, k, axis=0) - pts[k], axis=1)
-            step = (pull_norm - 1.0) / inv.sum()
-            x = pts[k] + step * direction
+            inv = sum(1.0 / math.dist(p, pts[k]) for i, p in enumerate(pts) if i != k)
+            step = (pull_norm - 1.0) / inv
+            x = tuple(a + step * (c / pull_norm) for a, c in zip(pts[k], pull))
             continue
-        grad = ((x - pts) / dists[:, None]).sum(axis=0)
-        if float(np.linalg.norm(grad)) <= tol:
+        if math.hypot(*_pull(x, pts, dists)) <= tol:  # the objective's gradient, negated
             return x
-        weights = 1.0 / dists
-        x = (weights[:, None] * pts).sum(axis=0) / weights.sum()
+        weights = [1.0 / r for r in dists]
+        total = sum(weights)
+        x = tuple(c / total for c in _combine(weights, pts))
     raise ConvergenceError(
         "Fermat-Torricelli iteration did not reach gradient norm %.1e in %d steps"
         % (tol, max_iter)
@@ -223,10 +218,10 @@ def sum_sq_to_vertices(s: EmbeddedSimplex, point) -> SumSquaresReport:
     """
     if not s.source.is_regular():
         raise ValueError("sum-of-squares prediction only holds for regular simplices")
-    p = np.asarray(point, dtype=float)
-    total = float(((s.vertices - p) ** 2).sum())
+    p = tuple(float(x) for x in point)
+    total = sum((a - b) * (a - b) for v in s.vertices for a, b in zip(v, p))
     center, radius = circumcenter(s)
-    rho = float(np.linalg.norm(p - center))
+    rho = math.dist(p, center)
     predicted = (s.n + 1) * (rho**2 + radius**2)
     return SumSquaresReport(total=total, predicted=predicted)
 
@@ -235,19 +230,19 @@ def sum_sq_to_vertices(s: EmbeddedSimplex, point) -> SumSquaresReport:
 class CenterSet:
     """The four classical centers of an embedded simplex, with both radii."""
 
-    centroid: np.ndarray
-    circumcenter: np.ndarray
-    incenter: np.ndarray
-    fermat: np.ndarray
+    centroid: Point
+    circumcenter: Point
+    incenter: Point
+    fermat: Point
     circumradius: float
     inradius: float
 
     def to_json(self) -> dict:
         return {
-            "centroid": [float(x) for x in self.centroid],
-            "circumcenter": [float(x) for x in self.circumcenter],
-            "incenter": [float(x) for x in self.incenter],
-            "fermat": [float(x) for x in self.fermat],
+            "centroid": list(self.centroid),
+            "circumcenter": list(self.circumcenter),
+            "incenter": list(self.incenter),
+            "fermat": list(self.fermat),
             "circumradius": self.circumradius,
             "inradius": self.inradius,
         }

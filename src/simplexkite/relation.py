@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 _POMPEIU_TOL = 1e-12
 
 VALID_TRIANGLE = "valid_triangle"
@@ -195,16 +193,10 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
     return DEGENERATE_ON_CIRCLE if abs(float(h)) <= tol * scale else VALID_TRIANGLE
 
 
-def equilateral_vertices(a) -> np.ndarray:
+def equilateral_vertices(a) -> tuple[tuple[float, float], ...]:
     """Vertices of the side-a equilateral triangle centered at the origin."""
     r = float(a) / math.sqrt(3.0)
-    return np.array(
-        [
-            [0.0, r],
-            [-float(a) / 2.0, -r / 2.0],
-            [float(a) / 2.0, -r / 2.0],
-        ]
-    )
+    return ((0.0, r), (-float(a) / 2.0, -r / 2.0), (float(a) / 2.0, -r / 2.0))
 
 
 def pompeiu_from_point(a, point, tol: float = _POMPEIU_TOL):
@@ -213,10 +205,9 @@ def pompeiu_from_point(a, point, tol: float = _POMPEIU_TOL):
     The point is on the circumcircle exactly when its distance from the
     origin is a/sqrt(3), which is when the verdict degenerates.
     """
-    p = np.asarray(point, dtype=float)
-    if p.shape != (2,):
+    p = tuple(float(x) for x in point)
+    if len(p) != 2:
         raise ValueError("expected a planar point")
-    verts = equilateral_vertices(a)
-    x, y, z = (float(np.linalg.norm(p - v)) for v in verts)
+    x, y, z = (math.dist(p, v) for v in equilateral_vertices(a))
     verdict = pompeiu_classify(float(a), x, y, z, tol=tol)
     return (x, y, z), verdict

@@ -91,9 +91,9 @@ def test_criterion_03_regular_simplex_constants():
     for n in range(2, 9):
         d = SquaredDistanceMatrix.regular(n)
         assert circumradius_sq(d) == Fraction(n, 2 * (n + 1))
-        s = embed(d)
-        g = s.vertices[1:].mean(axis=0)
-        dist_sq = float(((s.vertices[0] - g) ** 2).sum())
+        vertices = np.asarray(embed(d).vertices)
+        g = vertices[1:].mean(axis=0)
+        dist_sq = float(((vertices[0] - g) ** 2).sum())
         expected = (n + 1) / (2 * n)
         assert abs(dist_sq - expected) <= 1e-9 * expected
     _report(3, "circumradius and apex-to-base-centroid constants, n = 2..8")

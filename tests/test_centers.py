@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import simplexkite.cayley as cayley
 from simplexkite import (
     DegenerateSimplexError,
     NonEuclideanError,
@@ -276,6 +277,20 @@ class TestCoincidenceReport:
             classify(d)
             coincidence_report(d, with_floats=True)
             assert len(calls) == 1
+
+    def test_classify_and_report_sweeps(self, monkeypatch):
+        # the circumsphere is swept once and kept, and each facet k >= 1
+        # costs one more sweep; the float circumcenter reads the kept sweep
+        rng = random.Random(35)
+        sweeps = []
+        real = cayley._sweep
+        monkeypatch.setattr(cayley, "_sweep", lambda d, b: sweeps.append(b) or real(d, b))
+        for n in range(2, 13):
+            d = SquaredDistanceMatrix(mixed_point_sdm(rng, n).a)
+            sweeps.clear()
+            classify(d)
+            coincidence_report(d, with_floats=True)
+            assert len(sweeps) == n + 1
 
     def test_float_cross_check(self):
         for d in (

@@ -263,6 +263,36 @@ def test_classify_extreme_magnitudes(run, tmp_path, side_sq):
     assert all(f["member"] for f in families.values())
 
 
+@pytest.mark.parametrize("command", ["classify", "centers", "embed"])
+@pytest.mark.parametrize(
+    "side_sq, code", [("1" + "0" * 160, 0), ("1" + "0" * 320, 1), ("1/1" + "0" * 330, 1)], ids=["1e160", "1e320", "1e-330"]
+)
+def test_float_commands_at_extreme_magnitudes(capsys, tmp_path, command, side_sq, code):
+    # facet volumes of about 1e480 leave the float range, the centers do not;
+    # squared edges whose floats overflow or fall below the normal range are refused
+    assert main([command, write_matrix(tmp_path, SquaredDistanceMatrix.regular(3, side_sq))]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err == "error: squared distances leave the float range; the exact results (classify --exact) do not need floats\n"
+    else:
+        assert "Infinity" not in out and "NaN" not in out
+
+
+def test_float_commands_need_no_numpy(tmp_path):
+    # numpy is a test dependency only: the package must run with it blocked
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from simplexkite.cli import main\n"
+        "codes = [main([command, sys.argv[1]]) for command in ('classify', 'centers', 'embed')]\n"
+        "sys.exit(codes != [0, 0, 0])\n"
+    )
+    path = write_matrix(tmp_path, TWO_APEXED)
+    proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestEmbedAndCenters:
     def test_embed(self, run, tmp_path):
         code, out = run(["embed", write_matrix(tmp_path, TWO_APEXED)])

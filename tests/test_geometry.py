@@ -7,6 +7,7 @@ import pytest
 
 from simplexkite import (
     DegenerateSimplexError,
+    EmbeddedSimplex,
     NonEuclideanError,
     PreKite,
     SquaredDistanceMatrix,
@@ -36,22 +37,22 @@ def hull_point(rng, s):
 
 class TestEmbed:
     def test_segment(self):
-        s = embed(SquaredDistanceMatrix([[0, 4], [4, 0]]))
-        assert np.allclose(sorted(s.vertices[:, 0]), [0.0, 2.0])
+        vertices = np.asarray(embed(SquaredDistanceMatrix([[0, 4], [4, 0]])).vertices)
+        assert np.allclose(sorted(vertices[:, 0]), [0.0, 2.0])
 
     def test_unit_triangle_distances(self):
-        s = embed(SquaredDistanceMatrix.regular(2))
+        vertices = np.asarray(embed(SquaredDistanceMatrix.regular(2)).vertices)
         for i in range(3):
             for j in range(i + 1, 3):
-                assert np.linalg.norm(s.vertices[i] - s.vertices[j]) == pytest.approx(1.0)
+                assert np.linalg.norm(vertices[i] - vertices[j]) == pytest.approx(1.0)
 
     def test_apex_height(self):
         # apex of PK[3;1;(1,1,2)] sits at squared height 2/3 over the base plane
-        s = embed(PreKite(3, 1, (1, 1, 2)).to_sdm())
-        base = s.vertices[1:]
+        vertices = np.asarray(embed(PreKite(3, 1, (1, 1, 2)).to_sdm()).vertices)
+        base = vertices[1:]
         span = base[1:] - base[0]
         _, _, vt = np.linalg.svd(span)
-        height = abs(float((s.vertices[0] - base[0]) @ vt[-1]))
+        height = abs(float((vertices[0] - base[0]) @ vt[-1]))
         assert height**2 == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_round_trip_error_bound(self):
@@ -60,6 +61,14 @@ class TestEmbed:
             n = rng.randint(1, 8)
             s = embed(random_point_sdm(rng, n))
             assert s.max_rel_error <= 1e-9
+
+    def test_vertices_outside_the_frame_rejected(self):
+        # the circumcenter is read in the frame embed builds, so no other is accepted
+        d = sdm_triangle(1, 1, 2)
+        assert EmbeddedSimplex([[0, 0], [1, 0], [0, 1]], d).vertices == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        for rows in ([[0, 0], [0, 1], [1, 0]], [[1, 1], [2, 1], [1, 2]]):
+            with pytest.raises(ValueError, match="first i coordinates"):
+                EmbeddedSimplex(rows, d)
 
     def test_rejections_carry_verdict(self):
         with pytest.raises(DegenerateSimplexError) as exc:
@@ -79,15 +88,16 @@ class TestCentroid:
         for n in (2, 3, 5):
             s = embed(SquaredDistanceMatrix.regular(n))
             q, _ = circumcenter(s)
-            assert np.linalg.norm(centroid(s) - q) < 1e-12
+            assert np.linalg.norm(np.asarray(centroid(s)) - q) < 1e-12
 
     def test_in_convex_hull(self):
         rng = random.Random(53)
         for _ in range(10):
             s = embed(random_point_sdm(rng, 3))
-            g = centroid(s)
+            g = np.asarray(centroid(s))
+            vertices = np.asarray(s.vertices)
             # barycentric coordinates of the centroid are all 1/(n+1)
-            coeffs, *_ = np.linalg.lstsq((s.vertices[1:] - s.vertices[0]).T, g - s.vertices[0], rcond=None)
+            coeffs, *_ = np.linalg.lstsq((vertices[1:] - vertices[0]).T, g - vertices[0], rcond=None)
             bary = np.concatenate([[1 - coeffs.sum()], coeffs])
             assert bary.min() > 0
 
@@ -122,7 +132,7 @@ class TestCircumcenter:
         rng = random.Random(59)
         s = embed(random_point_sdm(rng, 4))
         c, r = circumcenter(s)
-        for vertex in s.vertices:
+        for vertex in np.asarray(s.vertices):
             assert np.linalg.norm(vertex - c) == pytest.approx(r, rel=1e-9)
 
 
@@ -131,7 +141,7 @@ class TestIncenter:
         for n in (2, 3, 4):
             s = embed(SquaredDistanceMatrix.regular(n))
             center, _ = incenter(s)
-            assert np.linalg.norm(center - centroid(s)) < 1e-10
+            assert np.linalg.norm(np.asarray(center) - centroid(s)) < 1e-10
 
     def test_right_triangle_inradius(self):
         # squared sides 9, 16, 25: the classical 3-4-5 right triangle
@@ -142,7 +152,7 @@ class TestIncenter:
     def test_equiareal_prekite_incenter_is_centroid(self):
         s = embed(PreKite(4, 1, (1, 1, 1, 2)).to_sdm())
         center, _ = incenter(s)
-        assert np.linalg.norm(center - centroid(s)) < 1e-10
+        assert np.linalg.norm(np.asarray(center) - centroid(s)) < 1e-10
 
     def test_inradius_equals_volume_ratio(self):
         # r = n * V / (sum of facet volumes)
@@ -164,19 +174,19 @@ class TestFermatTorricelli:
     def test_regular_center(self):
         for n in (2, 3, 4):
             s = embed(SquaredDistanceMatrix.regular(n))
-            f = fermat_torricelli(s)
+            f = np.asarray(fermat_torricelli(s))
             assert np.linalg.norm(f - centroid(s)) < 1e-8
 
     def test_obtuse_triangle_returns_vertex(self):
         # angle at vertex 0 is about 138 degrees (cos = -3/4)
         s = embed(sdm_triangle(1, 1, Fraction(7, 2)))
-        f = fermat_torricelli(s)
+        f = np.asarray(fermat_torricelli(s))
         assert np.linalg.norm(f - s.vertices[0]) < 1e-12
 
     def test_exactly_120_degree_vertex(self):
         # squared opposite side 1 + 1 - 2*cos(120) = 3: boundary case
         s = embed(sdm_triangle(1, 1, 3))
-        f = fermat_torricelli(s)
+        f = np.asarray(fermat_torricelli(s))
         assert np.linalg.norm(f - s.vertices[0]) < 1e-6
 
     def test_equilateral_objective(self):
@@ -230,9 +240,9 @@ class TestSumSquares:
 
     def test_vertex_to_facet_centroid_distance(self):
         for n in range(2, 9):
-            s = embed(SquaredDistanceMatrix.regular(n))
-            g = s.vertices[1:].mean(axis=0)
-            dist_sq = float(((s.vertices[0] - g) ** 2).sum())
+            vertices = np.asarray(embed(SquaredDistanceMatrix.regular(n)).vertices)
+            g = vertices[1:].mean(axis=0)
+            dist_sq = float(((vertices[0] - g) ** 2).sum())
             assert dist_sq == pytest.approx((n + 1) / (2 * n), rel=1e-9)
 
     def test_rejects_non_regular(self):
@@ -245,8 +255,8 @@ def test_center_set_bundle():
     s = embed(SquaredDistanceMatrix.regular(3))
     cs = center_set(s)
     assert cs.circumradius == pytest.approx(math.sqrt(3.0 / 8.0))
-    assert np.linalg.norm(cs.centroid - cs.incenter) < 1e-10
-    assert np.linalg.norm(cs.centroid - cs.fermat) < 1e-8
+    assert np.linalg.norm(np.asarray(cs.centroid) - cs.incenter) < 1e-10
+    assert np.linalg.norm(np.asarray(cs.centroid) - cs.fermat) < 1e-8
     payload = cs.to_json()
     assert set(payload) == {
         "centroid", "circumcenter", "incenter", "fermat", "circumradius", "inradius",

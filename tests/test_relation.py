@@ -185,7 +185,7 @@ class TestPompeiuFromPoint:
             assert verdict == pompeiu_classify(1.0, *dists)
 
     def test_triangle_construction(self):
-        verts = equilateral_vertices(2.0)
+        verts = np.asarray(equilateral_vertices(2.0))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.linalg.norm(verts[i] - verts[j]) == pytest.approx(2.0)
