@@ -4,12 +4,14 @@ A simplex on n+1 vertices is described by its matrix of squared
 pairwise distances.  Everything here is exact: determinants, squared
 volume, squared circumradius, and the Gram-based realizability verdict.
 
-Volume, circumradius, circumcenter, verdict and every facet's volume and
-circumradius all come from one integer symmetric elimination of the
-Gram matrix G of edge vectors (`_gram_elimination`), run at most once
-per matrix and kept on it with the distances cleared of their common
-denominator.  Its pivot signs give the inertia of G, and its last
-leading minor gives det(G) = (n!)**2 * V**2.  Any vector b swept
+A matrix clears its distances of their common denominator c once, at
+construction, and keeps the integer form c*D; every exact step reads
+it.  Volume, circumradius, circumcenter, verdict and every facet's
+volume and circumradius all come from one integer symmetric elimination
+of the Gram matrix G of edge vectors (`_gram_elimination`), run on
+first use and kept on the matrix, as are the facets.  Its pivot signs
+give the inertia of G, and its last leading minor gives
+det(G) = (n!)**2 * V**2.  Any vector b swept
 through the kept pivots (`_sweep`) gives -b^T adj(A) b, A = s*G the
 scaled integer Gram matrix.  With b the diagonal of A that is R**2, and
 back substitution gives the circumcenter.  With b = e_j it is the
@@ -80,26 +82,30 @@ class SquaredDistanceMatrix:
 
     The diagonal is zero and every off-diagonal entry is a positive
     exact rational.  `n` is the simplex dimension, so the matrix is
-    (n+1) x (n+1).
+    (n+1) x (n+1).  The constructor checks the entries on their cleared
+    integer form c*D, which it keeps with c for every exact step.
     """
 
-    __slots__ = ("n", "a", "_gram", "_sphere", "_facets", "_record")
+    __slots__ = ("n", "a", "_dist", "_den", "_gram", "_sphere", "_facets", "_record")
 
     def __init__(self, entries: Iterable[Iterable]):
         table = tuple(tuple(as_scalar(x) for x in row) for row in entries)
         m = len(table)
         if m < 2 or any(len(row) != m for row in table):
             raise ValueError("expected a square matrix with at least two vertices")
-        for i in range(m):
-            if table[i][i] != 0:
+        dist, scales = _cleared(table, common=True)
+        for i, row in enumerate(dist):
+            if row[i] != 0:
                 raise ValueError("diagonal entries must be zero")
             for j in range(i + 1, m):
-                if table[i][j] != table[j][i]:
+                if row[j] != dist[j][i]:
                     raise ValueError("matrix must be symmetric")
-                if table[i][j] <= 0:
+                if row[j] <= 0:
                     raise ValueError("off-diagonal entries must be positive")
         self.n = m - 1
         self.a = table
+        self._dist = dist  # c*D, the distances cleared of their common denominator c
+        self._den = scales[0]  # c
         self._gram = None  # the `_gram_elimination` result, filled on first use
         self._sphere = None  # the `_circumsphere` result, filled on first use
         self._facets = None  # the `facet_sdm` results, filled on first use
@@ -267,7 +273,7 @@ def _circumsphere(d: SquaredDistanceMatrix) -> _Sphere:
         y = _back_substitute(g.rows, det, swept)
         weights = (2 * det - sum(y), *y)
         # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
-        if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in g.dist):
+        if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in d._dist):
             raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
         d._sphere = _Sphere(weights, corner, swept)
     return d._sphere
@@ -291,8 +297,7 @@ def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
 
     G[i][j] = (a[0][i] + a[0][j] - a[i][j]) / 2 for 1 <= i, j <= n.
     """
-    dist, scales = _cleared(d.a, common=True)
-    return ExactMatrix([[Fraction(x, 2 * scales[0]) for x in row] for row in _scaled_gram(dist)])
+    return ExactMatrix([[Fraction(x, 2 * d._den) for x in row] for row in _scaled_gram(d._dist)])
 
 
 def _scaled_gram(dist: list[list[int]]) -> list[list[int]]:
@@ -310,7 +315,6 @@ class _Gram(NamedTuple):
     scale: int  # s
     verdict: RealizabilityVerdict
     diag: list[int]  # A's diagonal from before the elimination
-    dist: list[list[int]]  # c*D, the distances cleared of their common denominator c = s/2
 
 
 def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
@@ -318,15 +322,14 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
     run once and kept on d; callers only read it.  A has the inertia of G.
     """
     if d._gram is None:
-        dist, scales = _cleared(d.a, common=True)
-        rows = _scaled_gram(dist)
+        rows = _scaled_gram(d._dist)
         diag = [row[i] for i, row in enumerate(rows)]
         minors, _ = _bareiss(rows, symmetric=True)
         sig = _signature(minors, d.n)
         status = Realizability.NON_EUCLIDEAN if sig[1] else (
             Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)
         verdict = RealizabilityVerdict(status=status, gram_inertia=sig)
-        d._gram = _Gram(rows, minors, 2 * scales[0], verdict, diag, dist)
+        d._gram = _Gram(rows, minors, 2 * d._den, verdict, diag)
     return d._gram
 
 
@@ -448,10 +451,10 @@ def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
         sweeps = [_sweep(d, [int(i == j) for i in range(n)]) for j in range(n)]
         y = _back_substitute(g.rows, det, [sum(col) for col in zip(*(b for b, _ in sweeps))])  # adj(A) 1
         # A = s*G has entries t_i + t_j - (c D)_ij, with t the cleared distances from vertex 0
-        top, total = g.dist[0], sum(y)
+        top, total = d._dist[0], sum(y)
         cross = sum(t * x for t, x in zip(top[1:], y))
         if any(t * total + cross - sum(x * v for x, v in zip(row[1:], y)) != det
-               for t, row in zip(top[1:], g.dist[1:])):
+               for t, row in zip(top[1:], d._dist[1:])):
             raise RuntimeError("facet determinants fail the adjugate certificate")
         dets = [total] + [-c for _, c in sweeps]
         volume_den = scale ** (n - 1) * math.factorial(n - 1) ** 2

@@ -31,11 +31,6 @@ from .prekite import PreKite
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
 
 
-def _vertex_square_sums(d: SquaredDistanceMatrix) -> list[Fraction]:
-    """Sum of squared edge lengths meeting each vertex."""
-    return [sum(d.a[j][i] for i in range(d.n + 1) if i != j) for j in range(d.n + 1)]
-
-
 def _check_predicate_input(d: SquaredDistanceMatrix) -> None:
     """Refuse n < 2, and non-Euclidean distances with the verdict; flat input passes."""
     if d.n < 2:
@@ -49,10 +44,11 @@ def is_well_distributed(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have the same sum of squared edge lengths.
 
     Equivalent to the per-vertex sums being equal, since each facet sum
-    is the total minus the sum at the deleted vertex.
+    is the total minus the sum at the deleted vertex.  They are compared
+    as the row sums of the cleared integer distances.
     """
     _check_predicate_input(d)
-    sums = _vertex_square_sums(d)
+    sums = [sum(row) for row in d._dist]
     return all(s == sums[0] for s in sums)
 
 

@@ -12,9 +12,10 @@ squared edge through one two-argument form, held in the table `_FORMS`:
 they exist, so each recovery takes a candidate from a few entries and
 verifies every pair against the same form (the circumscriptible one on
 edge lengths, l_ij = beta_i + beta_j).  The orthocentric recovery is
-exact rational; the other three take square roots and run in floating
-point with a relative tolerance, on the matrix scaled by a power of four
-(`_floats`) so that any magnitude within the float range is handled.
+exact, on the matrix's cleared integer distances; the other three take
+square roots and run in floating point with a relative tolerance, on the
+matrix scaled by a power of four (`_floats`) so that any magnitude
+within the float range is handled.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def _accept(family, x, beta, defect, tol, k) -> BetaVector | None:
 
 def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
     """(x, k): the matrix divided by 4**k as floats, with k chosen from the
-    bit lengths of the largest entry so that it lands in [1/2, 4).
+    bit lengths of the largest entry so that it lands in [1/2, 4).  Each
+    float is one correctly rounded division of cleared integers.
 
     Every family weight scales as the square root of the entries, so the
     weights of x times 2**k are those of d, and the residual, relative to
@@ -103,19 +105,27 @@ def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
     than the float range within one matrix, or weights beyond it, still
     under- or overflow; they are out of scope.
     """
-    top = max(max(row[i + 1:]) for i, row in enumerate(d.a[:-1]))
-    k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
+    dist, den = d._dist, d._den
+    top = max(map(max, dist))
+    g = math.gcd(top, den)
+    k = ((top // g).bit_length() - (den // g).bit_length()) // 2
     up, down = max(-2 * k, 0), max(2 * k, 0)
     # int / int rounds correctly, as float(Fraction) does
-    return [[(x.numerator << up) / (x.denominator << down) for x in row] for row in d.a], k
+    return [[(x << up) / (den << down) for x in row] for row in dist], k
 
 
 def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
-    """Exact recovery of weights with squared edge = beta_i + beta_j."""
-    beta = _per_vertex(d.a, _half_sum)
-    if _worst(d.a, beta, _off_form("orthocentric")) != 0:
+    """Exact recovery of weights with squared edge = beta_i + beta_j.
+
+    On the cleared integers x = c*D the doubled weights b_i = 2c beta_i
+    are integers, and every pair must satisfy 2 x_ij = b_i + b_j.
+    """
+    x, size = d._dist, d.n + 1
+    b = _per_vertex(x, lambda x_ij, x_ik, x_jk: x_ij + x_ik - x_jk)
+    if any(2 * x[i][j] != b[i] + b[j] for i in range(size) for j in range(i + 1, size)):
         return None
-    return BetaVector(family="orthocentric", beta=tuple(beta), residual=Fraction(0))
+    beta = tuple(Fraction(v, 2 * d._den) for v in b)
+    return BetaVector(family="orthocentric", beta=beta, residual=Fraction(0))
 
 
 def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:

@@ -20,13 +20,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, repeat
+from operator import mul, sub, truediv
 
 from .cayley import (
     SquaredDistanceMatrix,
     _circumcenter_frame,
+    _gram_elimination,
     facet_volumes_sq,
-    gram_ldl,
+    require_nondegenerate,
     volume_sq,
 )
 
@@ -55,10 +58,11 @@ class EmbeddedSimplex:
         if any(x != 0.0 for i, p in enumerate(pts) for x in p[i:]):
             raise ValueError("vertex i must lie in the first i coordinates")
         err = 0.0
+        dist, den = source._dist, source._den
         for i in range(source.n + 1):
             for j in range(i + 1, source.n + 1):
                 have = sum((a - b) * (a - b) for a, b in zip(pts[i], pts[j]))
-                want = float(source.a[i][j])
+                want = dist[i][j] / den
                 err = max(err, abs(have - want) / want)
         if err > tol:
             raise ValueError(
@@ -78,26 +82,35 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
     """Realize a nondegenerate matrix as coordinates in R^n.
 
     Degenerate or non-Euclidean input raises with the realizability
-    verdict attached, and a squared distance outside the range of normal
-    floats raises ValueError.  The exact Gram matrix is LDL-factored first
-    and floats enter only when the factors are multiplied out.
+    verdict attached.  Then, unless the smallest squared distance is at
+    least `sys.float_info.min` and the largest at most
+    `sys.float_info.max` (compared exactly), it raises ValueError.  The
+    exact LDL^T factors of the Gram matrix (`gram_ldl`) are read off its
+    kept elimination, each rounded to a float once, and floats enter only
+    when the factors are multiplied out.
     """
-    lower, pivots = gram_ldl(d)
-    if not all(sys.float_info.min <= x <= sys.float_info.max for _, _, x in d.edges()):
+    require_nondegenerate(d)
+    g = _gram_elimination(d)
+    dist, den = d._dist, d._den
+    lo = Fraction(min(min(row[i + 1:]) for i, row in enumerate(dist[:-1])), den)
+    hi = Fraction(max(map(max, dist)), den)
+    if not (sys.float_info.min <= lo and hi <= sys.float_info.max):
         raise ValueError(
             "squared distances leave the float range; the exact results "
             "(classify --exact) do not need floats"
         )
-    scale = [math.sqrt(float(p)) for p in pivots]
+    # int / int rounds correctly, as float(Fraction) does
+    scale = [math.sqrt(cur / (prev * g.scale)) for prev, cur in zip([1] + g.minors, g.minors)]
     rows = [(0.0,) * d.n]
     for i in range(d.n):
-        rows.append([float(lower[i][k]) * scale[k] for k in range(d.n)])
+        below = [g.rows[k][i] / g.minors[k] * scale[k] for k in range(i)]
+        rows.append(below + [scale[i]] + [0.0] * (d.n - 1 - i))
     return EmbeddedSimplex(rows, d, tol=tol)
 
 
-def _combine(weights, points) -> Point:
-    """The point sum_i weights[i] * points[i]."""
-    return tuple(sum(col) for col in zip(*([w * x for x in p] for w, p in zip(weights, points))))
+def _combine(weights, cols) -> Point:
+    """The point sum_i weights[i] * points[i], given the points' coordinate columns."""
+    return tuple(sum(map(mul, weights, col)) for col in cols)
 
 
 def centroid(s: EmbeddedSimplex) -> Point:
@@ -137,7 +150,7 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     if not all(0.0 < w < math.inf for w in weights):
         raise RuntimeError("incenter weights are not all positive finite floats")
     radius = s.n * math.sqrt(float(volume_sq(s.source) / largest)) / total
-    return _combine(weights, s.vertices), radius
+    return _combine(weights, zip(*s.vertices)), radius
 
 
 def sum_distances(s: EmbeddedSimplex, point) -> float:
@@ -145,15 +158,16 @@ def sum_distances(s: EmbeddedSimplex, point) -> float:
     return sum(math.dist(v, point) for v in s.vertices)
 
 
-def _pull(x, points, dists) -> list[float]:
-    """Sum of the unit vectors from x towards the points, dists[i] = |points[i] - x|."""
-    return [sum(col) for col in zip(*([(b - a) / r for a, b in zip(x, p)] for p, r in zip(points, dists)))]
+def _pull(x, cols, dists) -> list[float]:
+    """Sum of the unit vectors from x towards the points, given the points'
+    coordinate columns, with dists[i] = |points[i] - x|."""
+    return [sum(map(truediv, map(sub, col, repeat(a)), dists)) for a, col in zip(x, cols)]
 
 
 def _vertex_pull(s: EmbeddedSimplex, k: int) -> tuple[float, list[float]]:
     """Norm and direction of the combined unit pulls of the other vertices."""
     vk, others = s.vertices[k], s.vertices[:k] + s.vertices[k + 1:]
-    pull = _pull(vk, others, [math.dist(v, vk) for v in others])
+    pull = _pull(vk, zip(*others), [math.dist(v, vk) for v in others])
     return math.hypot(*pull), pull
 
 
@@ -181,6 +195,7 @@ def fermat_torricelli(
     diameter = max(math.dist(p, q) for p, q in combinations(pts, 2))
     vertex_snap = 1e-12 * diameter
     x = centroid(s)
+    cols = list(zip(*pts))
     for _ in range(max_iter):
         dists = [math.dist(p, x) for p in pts]
         k = min(range(len(pts)), key=dists.__getitem__)
@@ -190,11 +205,11 @@ def fermat_torricelli(
             step = (pull_norm - 1.0) / inv
             x = tuple(a + step * (c / pull_norm) for a, c in zip(pts[k], pull))
             continue
-        if math.hypot(*_pull(x, pts, dists)) <= tol:  # the objective's gradient, negated
+        if math.hypot(*_pull(x, cols, dists)) <= tol:  # the objective's gradient, negated
             return x
         weights = [1.0 / r for r in dists]
         total = sum(weights)
-        x = tuple(c / total for c in _combine(weights, pts))
+        x = tuple(c / total for c in _combine(weights, cols))
     raise ConvergenceError(
         "Fermat-Torricelli iteration did not reach gradient norm %.1e in %d steps"
         % (tol, max_iter)

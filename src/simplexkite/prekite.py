@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .cayley import SquaredDistanceMatrix
 from .exact import as_scalar, scalar_str
@@ -174,18 +175,19 @@ def find_apexes(d: SquaredDistanceMatrix) -> ApexReport:
     """
     if d.n < 2:
         raise ValueError("apex enumeration needs n >= 2")
-    size = d.n + 1
-    counts = Counter(x for _, _, x in d.edges())
+    size, dist = d.n + 1, d._dist  # the cleared integers compare as the entries do
+    edges = [(i, j, dist[i][j]) for i, j in combinations(range(size), 2)]
+    counts = Counter(x for _, _, x in edges)
     apexes = set()
     for value, count in counts.items():
         if count >= d.n * (d.n - 1) // 2:
             common = set(range(size))
-            for i, j, x in d.edges():
+            for i, j, x in edges:
                 if x != value:
                     common &= {i, j}
             apexes |= common
     is_kite = any(
-        len({d.a[j][i] for i in range(size) if i != j}) == 1 for j in apexes
+        len({dist[j][i] for i in range(size) if i != j}) == 1 for j in apexes
     )
     return ApexReport(
         apexes=tuple(sorted(apexes)),

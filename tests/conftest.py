@@ -54,18 +54,19 @@ def random_point_sdm(rng: random.Random, n: int, max_tries=200) -> SquaredDistan
     raise RuntimeError("could not sample a realizable point configuration")
 
 
-def count_kernel_calls(monkeypatch):
-    """Patch the integer elimination where the library calls it; return the call log."""
+def count_kernel_calls(monkeypatch, name="_bareiss"):
+    """Patch the kernel function `name` (the integer elimination by default)
+    where the library calls it; return the call log."""
     import simplexkite.cayley as cayley
     import simplexkite.exact as exact
 
     calls = []
-    real = exact._bareiss
+    real = getattr(exact, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(exact, "_bareiss", spy)
-    monkeypatch.setattr(cayley, "_bareiss", spy)
+    monkeypatch.setattr(exact, name, spy)
+    monkeypatch.setattr(cayley, name, spy)
     return calls

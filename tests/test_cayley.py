@@ -199,6 +199,38 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             SquaredDistanceMatrix([[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0]], "expected a square matrix with at least two vertices"),
+        ([[0, 1], [1]], "expected a square matrix with at least two vertices"),
+        ([[0, 1], [2, 0]], "matrix must be symmetric"),
+        ([[0, Fraction(1, 3)], [Fraction(1, 6), 0]], "matrix must be symmetric"),
+        ([[1, 1], [1, 0]], "diagonal entries must be zero"),
+        ([[0, 1], [1, Fraction(1, 7)]], "diagonal entries must be zero"),
+        ([[0, 0], [0, 0]], "off-diagonal entries must be positive"),
+        ([[0, Fraction(-1, 3)], [Fraction(-1, 3), 0]], "off-diagonal entries must be positive"),
+    ])
+    def test_error_messages(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            SquaredDistanceMatrix(rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rows, message", [
+        # row by row: a row's diagonal, then its pairs (i, j > i), symmetry before sign
+        ([[0, 1, 2], [1, 1, 1], [3, 1, 0]], "matrix must be symmetric"),
+        ([[1, 1, 2], [1, 0, 1], [2, 3, 0]], "diagonal entries must be zero"),
+        ([[0, -1, 1], [1, 0, 1], [1, 1, 0]], "matrix must be symmetric"),
+        ([[0, -1, 1], [-1, 0, 2], [1, 3, 0]], "off-diagonal entries must be positive"),
+        ([[0, 1, 1], [1, 0, -2], [2, -2, 0]], "matrix must be symmetric"),
+    ])
+    def test_first_fault_is_reported(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            SquaredDistanceMatrix(rows)
+        assert str(exc.value) == message
+
+    def test_equal_rationals_in_any_form(self):
+        d = SquaredDistanceMatrix([[0, "1/3", Fraction(2, 4)], [Fraction(2, 6), 0, 1], ["2/4", "3/3", 0]])
+        assert d == SquaredDistanceMatrix([[0, Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 3), 0, 1], [Fraction(1, 2), 1, 0]])
+
     def test_json_round_trip(self):
         d = SquaredDistanceMatrix([[0, Fraction(3, 2)], [Fraction(3, 2), 0]])
         again = SquaredDistanceMatrix.from_json(d.to_json())
