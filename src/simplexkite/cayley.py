@@ -201,16 +201,6 @@ def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
     return exact_determinant(ExactMatrix(d.a))
 
 
-def volume_sq_from_cm_det(c, n: int) -> Fraction:
-    """Squared n-volume from a Cayley-Menger determinant:
-    (-1)**(n+1) * c / (2**n * (n!)**2).
-
-    The bare formula, with no realizability check: a negative result
-    means the determinant did not come from Euclidean data.
-    """
-    return (-1) ** (n + 1) * c / (2**n * Fraction(math.factorial(n)) ** 2)
-
-
 def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
     """Exact squared volume det(G) / (n!)**2.
 

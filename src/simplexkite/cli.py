@@ -5,6 +5,9 @@ rel, pompeiu, embed, centers.  Output is JSON (CSV only for the scan
 table), byte-identical across repeated runs.  Exit codes: 0 success,
 1 bad input, 2 not realizable (or degenerate where nondegeneracy is
 required), 3 internal error.
+
+Each command imports the modules it runs when it runs, so a process
+loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -14,28 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cayley import RealizabilityError, SquaredDistanceMatrix, volume_sq_from_cm_det
-from .centers import coincidence_report, equiareal_scan
 from .exact import parse_scalar, scalar_str
-from .families import TOL_FAMILY, classify
-from .geometry import FT_GRADIENT_TOL, center_set, embed
-from .prekite import (
-    PreKite,
-    apex_squared_ratio_window,
-    pk_cm_det,
-    pk_facet_cm,
-    pk_facet_inner_cm,
-    pk_inner_cm_det,
-    two_apexed_feasible,
-)
-from .relation import (
-    DistanceTuple,
-    pompeiu_classify,
-    pompeiu_invariants,
-    relation_residual,
-    solve_missing_distance,
-    solve_missing_distance_squares,
-)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -69,7 +51,9 @@ def _jsonable(value):
     return float(value)
 
 
-def _load_sdm(path: str) -> SquaredDistanceMatrix:
+def _load_sdm(path: str):
+    from .cayley import SquaredDistanceMatrix
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -83,7 +67,9 @@ def _load_sdm(path: str) -> SquaredDistanceMatrix:
         raise ValueError("invalid matrix in %s: %s" % (path, exc)) from exc
 
 
-def _prekite_from_args(args) -> PreKite:
+def _prekite_from_args(args):
+    from .prekite import PreKite
+
     u = parse_scalar(args.u)
     v = [parse_scalar(x) for x in args.v]
     if args.lengths:
@@ -93,6 +79,9 @@ def _prekite_from_args(args) -> PreKite:
 
 
 def cmd_classify(args):
+    from .centers import coincidence_report
+    from .families import TOL_FAMILY, classify
+
     d = _load_sdm(args.matrix)
     tol = args.tol if args.tol is not None else TOL_FAMILY
     report = classify(d, tol=tol)
@@ -104,6 +93,8 @@ def cmd_classify(args):
 def _cm_fields(c, dd, n) -> dict:
     """Determinants, volume and circumradius of an n-simplex from its
     Cayley-Menger determinant c and inner determinant dd."""
+    from .prekite import volume_sq_from_cm_det
+
     degenerate = c == 0
     return {
         "cm_det": scalar_str(c),
@@ -115,6 +106,8 @@ def _cm_fields(c, dd, n) -> dict:
 
 
 def cmd_prekite_eval(args):
+    from .prekite import pk_cm_det, pk_facet_cm, pk_facet_inner_cm, pk_inner_cm_det
+
     pk = _prekite_from_args(args)
     n = pk.n
     whole = _cm_fields(pk_cm_det(pk), pk_inner_cm_det(pk), n)
@@ -134,6 +127,8 @@ def cmd_prekite_eval(args):
 
 
 def cmd_prekite_feasible(args):
+    from .prekite import apex_squared_ratio_window, two_apexed_feasible
+
     u = parse_scalar(args.u)
     v = parse_scalar(args.v)
     if args.lengths:
@@ -168,6 +163,8 @@ _SCAN_COLUMNS = (
 
 
 def cmd_equiareal_scan(args):
+    from .centers import equiareal_scan
+
     result = equiareal_scan(args.n)
     if args.format == "csv":
         lines = [",".join(_SCAN_COLUMNS)]
@@ -186,6 +183,13 @@ def _parse_known(text: str, n: int):
 
 
 def cmd_rel(args):
+    from .relation import (
+        DistanceTuple,
+        relation_residual,
+        solve_missing_distance,
+        solve_missing_distance_squares,
+    )
+
     t0 = _number(args.t0)
     if args.mode == "solve":
         if args.known is None:
@@ -225,6 +229,8 @@ def cmd_rel(args):
 
 
 def cmd_pompeiu(args):
+    from .relation import pompeiu_classify, pompeiu_invariants
+
     a, x, y, z = (_number(v) for v in (args.a, args.x, args.y, args.z))
     tol = args.tol if args.tol is not None else 1e-12
     verdict = pompeiu_classify(a, x, y, z, tol=tol)
@@ -242,6 +248,8 @@ def cmd_pompeiu(args):
 
 
 def cmd_embed(args):
+    from .geometry import embed
+
     d = _load_sdm(args.matrix)
     s = embed(d)
     out = {
@@ -253,6 +261,8 @@ def cmd_embed(args):
 
 
 def cmd_centers(args):
+    from .geometry import FT_GRADIENT_TOL, center_set, embed
+
     d = _load_sdm(args.matrix)
     s = embed(d)
     tol = args.tol if args.tol is not None else FT_GRADIENT_TOL
@@ -327,12 +337,11 @@ def main(argv=None) -> int:
         if text:
             print(text)
         return code
-    except RealizabilityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NOT_REALIZABLE
     except (ValueError, OSError) as exc:
+        from .cayley import RealizabilityError  # only an error path loads cayley to name it
+
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_NOT_REALIZABLE if isinstance(exc, RealizabilityError) else EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL

@@ -58,6 +58,12 @@ class BetaVector:
         return {"family": self.family, "beta": beta, "residual": residual}
 
 
+def _check_size(d: SquaredDistanceMatrix):
+    """Each recovery reads a triangle of edges, so a segment has none."""
+    if d.n < 2:
+        raise ValueError("family recovery needs n >= 2")
+
+
 def _per_vertex(x, rule) -> list:
     """rule(x_ij, x_ik, x_jk) for each vertex i, j and k its first two other vertices."""
     others = [[m for m in range(len(x)) if m != i][:2] for i in range(len(x))]
@@ -120,6 +126,7 @@ def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
     On the cleared integers x = c*D the doubled weights b_i = 2c beta_i
     are integers, and every pair must satisfy 2 x_ij = b_i + b_j.
     """
+    _check_size(d)
     x, size = d._dist, d.n + 1
     b = _per_vertex(x, lambda x_ij, x_ik, x_jk: x_ij + x_ik - x_jk)
     if any(2 * x[i][j] != b[i] + b[j] for i in range(size) for j in range(i + 1, size)):
@@ -130,6 +137,7 @@ def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
 
 def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with edge length = beta_i + beta_j."""
+    _check_size(d)
     a, k = _floats(d)
     ell = [[math.sqrt(x) for x in row] for row in a]
     beta = _per_vertex(ell, _half_sum)
@@ -147,6 +155,7 @@ def _ratio_root(x_ij, x_ik, x_jk):
 
 def recover_isodynamic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with squared edge = beta_i * beta_j."""
+    _check_size(d)
     a, k = _floats(d)
     beta = _per_vertex(a, _ratio_root)
     return _accept("isodynamic", a, beta, _off_form("isodynamic"), tol, k)
@@ -190,6 +199,7 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
     reduction above; the remaining weights follow one by one from the
     edges at vertex 0, and every pair is verified at the end.
     """
+    _check_size(d)
     a, k = _floats(d)
     for triple in _tetra_candidates(a):
         if any(b <= 0 for b in triple):

@@ -45,6 +45,22 @@ class ConvergenceError(RuntimeError):
     """Iteration budget ran out before the convergence test was met."""
 
 
+def _round_trip_shift(d: SquaredDistanceMatrix) -> int:
+    """k >= 0 with the largest squared distance over 4**k below 2**1021,
+    read off the bit lengths of the reduced largest entry as
+    `families._floats` does; 0 unless that entry is at least 2**1020.
+
+    The round trip compares squared distances over 4**k, with the
+    coordinates over 2**k, so that a float sum of squared differences
+    cannot overflow near `sys.float_info.max`.  A power of two moves no
+    relative error in the normal range.
+    """
+    top = max(map(max, d._dist))
+    g = math.gcd(top, d._den)
+    e = (top // g).bit_length() - (d._den // g).bit_length()  # top / den < 2**(e + 1)
+    return max(0, (e - 1019) // 2)
+
+
 class EmbeddedSimplex:
     """Coordinates realizing a squared-distance matrix in the frame `embed`
     builds: vertex 0 at the origin and vertex i in the first i coordinates."""
@@ -58,10 +74,12 @@ class EmbeddedSimplex:
         if any(x != 0.0 for i, p in enumerate(pts) for x in p[i:]):
             raise ValueError("vertex i must lie in the first i coordinates")
         err = 0.0
-        dist, den = source._dist, source._den
+        k = _round_trip_shift(source)
+        scaled = [[math.ldexp(x, -k) for x in p] for p in pts] if k else pts
+        dist, den = source._dist, source._den << 2 * k
         for i in range(source.n + 1):
             for j in range(i + 1, source.n + 1):
-                have = sum((a - b) * (a - b) for a, b in zip(pts[i], pts[j]))
+                have = sum((a - b) * (a - b) for a, b in zip(scaled[i], scaled[j]))
                 want = dist[i][j] / den
                 err = max(err, abs(have - want) / want)
         if err > tol:
@@ -87,7 +105,9 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
     `sys.float_info.max` (compared exactly), it raises ValueError.  The
     exact LDL^T factors of the Gram matrix (`gram_ldl`) are read off its
     kept elimination, each rounded to a float once, and floats enter only
-    when the factors are multiplied out.
+    when the factors are multiplied out.  The round-trip check runs at a
+    power-of-two scale, so its sums of squares cannot overflow at the top
+    of the range.
     """
     require_nondegenerate(d)
     g = _gram_elimination(d)

@@ -7,18 +7,20 @@ callers holding plain lengths must square them first.
 
 The closed forms below evaluate the Cayley-Menger determinants of a
 pre-kite and of all its facets without building any matrix, and are
-validated against the generic determinants in tests.
+validated against the generic determinants in tests;
+`volume_sq_from_cm_det` turns such a determinant into a squared volume.
+Nothing here loads `cayley` until `PreKite.to_sdm` builds a matrix.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cayley import SquaredDistanceMatrix
 from .exact import as_scalar, scalar_str
 
 
@@ -56,6 +58,8 @@ class PreKite:
 
     def to_sdm(self) -> SquaredDistanceMatrix:
         """Squared-distance matrix: a[0][i] = v_i, a[i][j] = u for 1 <= i < j."""
+        from .cayley import SquaredDistanceMatrix
+
         size = self.n + 1
         rows = [[Fraction(0)] * size for _ in range(size)]
         for i in range(1, size):
@@ -141,6 +145,16 @@ def pk_facet_inner_cm(pk: PreKite, j: int) -> Fraction:
         - 2 * u * vj
     )
     return (-u) ** (n - 2) * core
+
+
+def volume_sq_from_cm_det(c, n: int) -> Fraction:
+    """Squared n-volume from a Cayley-Menger determinant:
+    (-1)**(n+1) * c / (2**n * (n!)**2).
+
+    The bare formula, with no realizability check: a negative result
+    means the determinant did not come from Euclidean data.
+    """
+    return (-1) ** (n + 1) * c / (2**n * Fraction(math.factorial(n)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from simplexkite import PreKite, SquaredDistanceMatrix
+from simplexkite import PreKite, SquaredDistanceMatrix, facet_volumes_sq, scalar_str, volume_sq
 from simplexkite.cli import build_parser, main
 
 
@@ -108,6 +109,14 @@ class TestPrekiteEval:
         assert code == 0
         payload = json.loads(out)
         assert payload["v"] == ["1", "1", "4"]
+
+    def test_volumes_match_the_generic_determinants(self, run):
+        code, out = run(["prekite-eval", "4", "1", "1", "2", "3", "5/2"])
+        assert code == 0
+        payload = json.loads(out)
+        d = PreKite(4, 1, (1, 2, 3, Fraction(5, 2))).to_sdm()
+        assert payload["volume_sq"] == scalar_str(volume_sq(d))
+        assert [f["volume_sq"] for f in payload["facets"]] == [scalar_str(v) for v in facet_volumes_sq(d)]
 
     def test_triangle_case(self, run):
         code, out = run(["prekite-eval", "2", "1", "1", "1"])

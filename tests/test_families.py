@@ -192,6 +192,13 @@ class TestClassify:
             matrix_from_beta("nonsense", (1, 2, 3))
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_recovery_refuses_a_segment(family):
+    # a 1-simplex has no triangle of edges to read weights from
+    with pytest.raises(ValueError, match=r"^family recovery needs n >= 2$"):
+        FAMILIES[family](SquaredDistanceMatrix([[0, 1], [1, 0]]))
+
+
 F = Fraction
 
 # The float recoveries' exact output on fixed members and on the same

@@ -1,0 +1,148 @@
+"""What a process loads, and the public names the package keeps.
+
+The package imports its modules on first use, and each CLI command
+imports only what it runs.  Each footprint is taken in a fresh
+interpreter, since this process has long since loaded everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import simplexkite
+from simplexkite import SquaredDistanceMatrix
+
+SRC = os.path.dirname(os.path.dirname(simplexkite.__file__))
+
+# The package's public API, by defining module, as it stood when every
+# module was imported eagerly.
+API = {
+    "exact": "ExactMatrix Scalar SingularMatrixError as_scalar determinant_by_cofactors exact_determinant "
+    "inertia parse_scalar scalar_str solve_linear",
+    "determinants": "BorderedUniform bordered_uniform_det uniform_det uniform_matrix",
+    "cayley": "DegenerateSimplexError FacetRecord NonEuclideanError Realizability RealizabilityError "
+    "RealizabilityVerdict SquaredDistanceMatrix cm_det cm_matrix circumcenter_barycentrics circumradius_sq "
+    "facet_circumradii_sq facet_record facet_sdm facet_volumes_sq gram_ldl gram_matrix inner_cm_det "
+    "is_realizable volume_sq",
+    "prekite": "ApexReport PreKite apex_squared_ratio_window find_apexes pk_cm_det pk_facet_cm "
+    "pk_facet_inner_cm pk_inner_cm_det two_apexed two_apexed_feasible",
+    "geometry": "CenterSet ConvergenceError EmbeddedSimplex center_set centroid circumcenter embed "
+    "fermat_torricelli incenter sum_distances sum_sq_to_vertices",
+    "centers": "CoincidenceReport EquiarealCandidate coincidence_report equiareal_prekite_solve "
+    "equiareal_scan is_circumcenter_interior is_equiareal is_equiradial is_well_distributed "
+    "prekite_equiradial_residual",
+    "families": "BetaVector ClassificationReport classify matrix_from_beta recover_circumscriptible "
+    "recover_isodynamic recover_orthocentric recover_tetra_isogonic",
+    "relation": "DEGENERATE_ON_CIRCLE INCONSISTENT VALID_TRIANGLE DistanceTuple equilateral_vertices "
+    "on_circumsphere_by_sums pompeiu_classify pompeiu_from_point relation_residual "
+    "relation_residual_from_squares solve_missing_distance solve_missing_distance_squares",
+}
+EXPORTS = {name: module for module, names in API.items() for name in names.split()}
+
+
+def fresh(script, *args):
+    """Run script in a new interpreter that finds this package; its result."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'simplexkite')), file=sys.stderr)"
+
+# `python -m simplexkite ARGS`, then the package's modules on stderr's last line
+RUN_CLI = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['simplexkite'] + sys.argv[1:]\n"
+    "try:\n"
+    "    runpy.run_module('simplexkite', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n" + LOADED + "\n"
+)
+
+CLI = {"simplexkite", "simplexkite.exact", "simplexkite.cli"}
+FLOATS = CLI | {"simplexkite.cayley", "simplexkite.geometry"}
+SCAN = FLOATS | {"simplexkite.prekite", "simplexkite.centers"}
+MATRIX = "@matrix"
+
+FOOTPRINTS = [
+    pytest.param(["prekite-eval", "4", "1", "1", "1", "1", "2"], CLI | {"simplexkite.prekite"}, id="prekite-eval"),
+    pytest.param(["prekite-feasible", "3", "1", "3"], CLI | {"simplexkite.prekite"}, id="prekite-feasible"),
+    pytest.param(["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,1"], CLI | {"simplexkite.relation"}, id="rel-solve"),
+    pytest.param(["rel", "verify", "--n", "2", "--t0", "1", "--t", "0,1,1"], CLI | {"simplexkite.relation"}, id="rel-verify"),
+    pytest.param(["pompeiu", "1", "0", "1", "1"], CLI | {"simplexkite.relation"}, id="pompeiu"),
+    pytest.param(["embed", MATRIX], FLOATS, id="embed"),
+    pytest.param(["centers", MATRIX], FLOATS, id="centers"),
+    pytest.param(["equiareal-scan", "4"], SCAN, id="equiareal-scan"),
+    pytest.param(["classify", MATRIX], SCAN | {"simplexkite.families"}, id="classify"),
+]
+
+
+@pytest.mark.parametrize(
+    "script, loaded",
+    [
+        ("import json, sys\nimport simplexkite\n" + LOADED, {"simplexkite"}),
+        ("import json, sys\nimport simplexkite.cli\n" + LOADED, CLI),
+    ],
+    ids=["package", "cli-module"],
+)
+def test_import_footprint(script, loaded):
+    proc = fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == loaded
+
+
+@pytest.mark.parametrize("argv, loaded", FOOTPRINTS)
+def test_command_footprint(tmp_path, argv, loaded):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(SquaredDistanceMatrix.regular(3).to_json()))
+    proc = fresh(RUN_CLI, *[str(path) if a == MATRIX else a for a in argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    found = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert found == loaded
+    assert "simplexkite.determinants" not in found
+
+
+def test_exports_are_the_defining_modules_objects():
+    assert len(EXPORTS) == 85
+    for name, module in EXPORTS.items():
+        assert getattr(simplexkite, name) is getattr(importlib.import_module("simplexkite." + module), name), name
+
+
+def test_dir_star_import_and_submodules_in_a_fresh_interpreter():
+    script = (
+        "import json, types\n"
+        "import simplexkite\n"
+        "listed = dir(simplexkite)\n"
+        "assert isinstance(simplexkite.geometry, types.ModuleType)\n"
+        "assert simplexkite.geometry.embed is simplexkite.embed\n"
+        "names = {}\n"
+        "exec('from simplexkite import *', names)\n"
+        "names.pop('__builtins__')\n"
+        "print(json.dumps([listed, sorted(names)]))\n"
+    )
+    proc = fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    listed, names = json.loads(proc.stdout)
+    assert set(EXPORTS) | set(API) <= set(listed)
+    assert len(names) == 93
+    assert set(names) == set(EXPORTS) | set(API)
+
+
+def test_submodules_are_the_imported_modules():
+    for module in API:
+        value = getattr(simplexkite, module)
+        assert isinstance(value, types.ModuleType)
+        assert value is sys.modules["simplexkite." + module]
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'volume_sq_from_cm_det'"):
+        simplexkite.volume_sq_from_cm_det
+    assert not hasattr(simplexkite, "nonsense")
+    with pytest.raises(ImportError):
+        from simplexkite import nonsense  # noqa: F401

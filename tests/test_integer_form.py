@@ -255,6 +255,13 @@ def test_embed_with_both_ends_of_the_float_range():
             embed(SquaredDistanceMatrix([[0, hi, hi], [hi, 0, lo], [hi, lo, 0]]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_embed_at_the_top_of_the_float_range(n):
+    # a float sum of squared coordinate differences near the largest float
+    # overflows unless the round trip is compared at a smaller scale
+    assert embed(SquaredDistanceMatrix.regular(n, HUGE)).max_rel_error <= 1e-9
+
+
 def test_range_check_follows_the_verdict():
     # a flat matrix outside the float range reports its verdict first
     flat = SquaredDistanceMatrix([[0, 1, 4], [1, 0, 1], [4, 1, 0]]).scaled(Fraction(10) ** 400)
