@@ -9,9 +9,9 @@ numerically.
 
 Importing the package loads none of its modules.  Each exported name,
 and each of the eight submodules, is imported on first access (PEP 562)
-and then kept in the package namespace, so a process pays only for the
-modules it uses: of the package, `python -m simplexkite prekite-eval ...`
-loads only `cli`, `exact` and `prekite`.
+by the one table below, which `cli` and `prekite` read names through too,
+and then kept on the package, so a process pays only for the modules it
+uses: `python -m simplexkite prekite-eval ...` loads `cli`, `exact` and `prekite`.
 """
 
 import importlib

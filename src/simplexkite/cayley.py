@@ -297,6 +297,14 @@ def _scaled_gram(dist: list[list[int]]) -> list[list[int]]:
     return [[top[i] + top[j] - row[j] for j in range(1, len(top))] for i, row in enumerate(dist) if i]
 
 
+def _top_exponent(d: SquaredDistanceMatrix) -> int:
+    """e with the largest squared distance in (2**(e - 1), 2**(e + 1)), from the
+    bit lengths of its reduced numerator and denominator; floats scale by it."""
+    top = max(map(max, d._dist))
+    g = math.gcd(top, d._den)
+    return (top // g).bit_length() - (d._den // g).bit_length()
+
+
 class _Gram(NamedTuple):
     """The integer symmetric elimination of A = s*G, kept on the matrix."""
 
@@ -449,7 +457,7 @@ def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
         dets = [total] + [-c for _, c in sweeps]
         volume_den = scale ** (n - 1) * math.factorial(n - 1) ** 2
         d._record = FacetRecord(
-            circumcenter=tuple(Fraction(w, 2 * det) for w in weights),
+            circumcenter=circumcenter_barycentrics(d),
             circumradius_sq=Fraction(-corner, 4 * scale * det),
             facet_volume_sq=tuple(Fraction(k, volume_den) for k in dets),
             facet_circumradius_sq=tuple(

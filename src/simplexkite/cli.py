@@ -6,7 +6,8 @@ table), byte-identical across repeated runs.  Exit codes: 0 success,
 1 bad input, 2 not realizable (or degenerate where nondegeneracy is
 required), 3 internal error.
 
-Each command imports the modules it runs when it runs, so a process
+Each command reads what it runs off the package (`sk.<name>`), whose
+export table imports the defining module on first access, so a process
 loads only what its subcommand needs.
 """
 
@@ -16,6 +17,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+
+import simplexkite as sk
 
 from .exact import parse_scalar, scalar_str
 
@@ -52,8 +55,6 @@ def _jsonable(value):
 
 
 def _load_sdm(path: str):
-    from .cayley import SquaredDistanceMatrix
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -62,30 +63,22 @@ def _load_sdm(path: str):
     except json.JSONDecodeError as exc:
         raise ValueError("malformed JSON in %s: %s" % (path, exc)) from exc
     try:
-        return SquaredDistanceMatrix.from_json(payload)
+        return sk.SquaredDistanceMatrix.from_json(payload)
     except (ValueError, TypeError) as exc:
         raise ValueError("invalid matrix in %s: %s" % (path, exc)) from exc
 
 
-def _prekite_from_args(args):
-    from .prekite import PreKite
-
-    u = parse_scalar(args.u)
-    v = [parse_scalar(x) for x in args.v]
-    if args.lengths:
-        u = u * u
-        v = [x * x for x in v]
-    return PreKite(args.n, u, v)
+def _squared(args, texts) -> list:
+    """The exact parameters in texts, squared when --lengths gives plain lengths."""
+    values = [parse_scalar(text) for text in texts]
+    return [x * x for x in values] if args.lengths else values
 
 
 def cmd_classify(args):
-    from .centers import coincidence_report
-    from .families import TOL_FAMILY, classify
-
     d = _load_sdm(args.matrix)
-    tol = args.tol if args.tol is not None else TOL_FAMILY
-    report = classify(d, tol=tol)
-    coin = coincidence_report(d, with_floats=not args.exact, tol_center=args.tol)
+    tol = args.tol if args.tol is not None else sk.families.TOL_FAMILY
+    report = sk.classify(d, tol=tol)
+    coin = sk.coincidence_report(d, with_floats=not args.exact, tol_center=args.tol)
     out = {"classification": report.to_json(), "coincidence": coin.to_json()}
     return _dumps(out), EXIT_OK
 
@@ -93,26 +86,23 @@ def cmd_classify(args):
 def _cm_fields(c, dd, n) -> dict:
     """Determinants, volume and circumradius of an n-simplex from its
     Cayley-Menger determinant c and inner determinant dd."""
-    from .prekite import volume_sq_from_cm_det
-
     degenerate = c == 0
     return {
         "cm_det": scalar_str(c),
         "inner_cm_det": scalar_str(dd),
-        "volume_sq": scalar_str(volume_sq_from_cm_det(c, n)),
+        "volume_sq": scalar_str(sk.prekite.volume_sq_from_cm_det(c, n)),
         "circumradius_sq": None if degenerate else scalar_str(-dd / (2 * c)),
         "degenerate": degenerate,
     }
 
 
 def cmd_prekite_eval(args):
-    from .prekite import pk_cm_det, pk_facet_cm, pk_facet_inner_cm, pk_inner_cm_det
-
-    pk = _prekite_from_args(args)
+    u, *v = _squared(args, [args.u, *args.v])
+    pk = sk.PreKite(args.n, u, v)
     n = pk.n
-    whole = _cm_fields(pk_cm_det(pk), pk_inner_cm_det(pk), n)
+    whole = _cm_fields(sk.pk_cm_det(pk), sk.pk_inner_cm_det(pk), n)
     facets = [
-        {"j": j, **_cm_fields(pk_facet_cm(pk, j), pk_facet_inner_cm(pk, j), n - 1)}
+        {"j": j, **_cm_fields(sk.pk_facet_cm(pk, j), sk.pk_facet_inner_cm(pk, j), n - 1)}
         for j in range(n + 1)
     ]
     out = {
@@ -127,22 +117,17 @@ def cmd_prekite_eval(args):
 
 
 def cmd_prekite_feasible(args):
-    from .prekite import apex_squared_ratio_window, two_apexed_feasible
-
-    u = parse_scalar(args.u)
-    v = parse_scalar(args.v)
-    if args.lengths:
-        u, v = u * u, v * v
+    u, v = _squared(args, [args.u, args.v])
     if args.n < 2 or u <= 0 or v <= 0:
         raise ValueError("need n >= 2 and positive parameters")
-    lo, hi = apex_squared_ratio_window(args.n)
+    lo, hi = sk.apex_squared_ratio_window(args.n)
     out = {
         "n": args.n,
         "u": scalar_str(u),
         "v": scalar_str(v),
         "squared_ratio": scalar_str(v / u),
         "window": {"lo": scalar_str(lo), "hi": scalar_str(hi), "open": True},
-        "feasible": two_apexed_feasible(args.n, u, v),
+        "feasible": sk.two_apexed_feasible(args.n, u, v),
     }
     return _dumps(out), EXIT_OK
 
@@ -163,9 +148,7 @@ _SCAN_COLUMNS = (
 
 
 def cmd_equiareal_scan(args):
-    from .centers import equiareal_scan
-
-    result = equiareal_scan(args.n)
+    result = sk.equiareal_scan(args.n)
     if args.format == "csv":
         lines = [",".join(_SCAN_COLUMNS)]
         for row in result["rows"]:
@@ -183,23 +166,14 @@ def _parse_known(text: str, n: int):
 
 
 def cmd_rel(args):
-    from .relation import (
-        DistanceTuple,
-        relation_residual,
-        solve_missing_distance,
-        solve_missing_distance_squares,
-    )
-
     t0 = _number(args.t0)
     if args.mode == "solve":
         if args.known is None:
             raise ValueError("rel solve needs --known")
         known = _parse_known(args.known, args.n)
-        solutions = solve_missing_distance(args.n, t0, known)
+        solutions = sk.solve_missing_distance(args.n, t0, known)
         flat = [v for v in known if v is not None]
-        squares = solve_missing_distance_squares(
-            args.n, t0 * t0, [v * v for v in flat]
-        )
+        squares = sk.solve_missing_distance_squares(args.n, t0 * t0, [v * v for v in flat])
         out = {
             "n": args.n,
             "t0": _jsonable(t0),
@@ -214,8 +188,8 @@ def cmd_rel(args):
     values = _parse_known(args.t, args.n)
     if any(v is None for v in values) or len(values) != args.n + 1:
         raise ValueError("rel verify needs all n+1 distances")
-    dt = DistanceTuple(args.n, t0, tuple(values))
-    residual = relation_residual(dt)
+    dt = sk.DistanceTuple(args.n, t0, tuple(values))
+    residual = sk.relation_residual(dt)
     tol = args.tol if args.tol is not None else 1e-9
     scale = max([float(t0)] + [float(v) for v in values]) ** 4
     out = {
@@ -229,12 +203,10 @@ def cmd_rel(args):
 
 
 def cmd_pompeiu(args):
-    from .relation import pompeiu_classify, pompeiu_invariants
-
     a, x, y, z = (_number(v) for v in (args.a, args.x, args.y, args.z))
     tol = args.tol if args.tol is not None else 1e-12
-    verdict = pompeiu_classify(a, x, y, z, tol=tol)
-    g, h = pompeiu_invariants(a, x, y, z)
+    verdict = sk.pompeiu_classify(a, x, y, z, tol=tol)
+    g, h = sk.relation.pompeiu_invariants(a, x, y, z)
     out = {
         "a": _jsonable(a),
         "x": _jsonable(x),
@@ -248,10 +220,8 @@ def cmd_pompeiu(args):
 
 
 def cmd_embed(args):
-    from .geometry import embed
-
     d = _load_sdm(args.matrix)
-    s = embed(d)
+    s = sk.embed(d)
     out = {
         "n": s.n,
         "vertices": [list(row) for row in s.vertices],
@@ -261,12 +231,10 @@ def cmd_embed(args):
 
 
 def cmd_centers(args):
-    from .geometry import FT_GRADIENT_TOL, center_set, embed
-
     d = _load_sdm(args.matrix)
-    s = embed(d)
-    tol = args.tol if args.tol is not None else FT_GRADIENT_TOL
-    cs = center_set(s, ft_tol=tol)
+    s = sk.embed(d)
+    tol = args.tol if args.tol is not None else sk.geometry.FT_GRADIENT_TOL
+    cs = sk.center_set(s, ft_tol=tol)
     out = {"n": s.n}
     out.update(cs.to_json())
     return _dumps(out), EXIT_OK
@@ -338,10 +306,9 @@ def main(argv=None) -> int:
             print(text)
         return code
     except (ValueError, OSError) as exc:
-        from .cayley import RealizabilityError  # only an error path loads cayley to name it
-
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NOT_REALIZABLE if isinstance(exc, RealizabilityError) else EXIT_BAD_INPUT
+        # only an error path loads cayley to name the class
+        return EXIT_NOT_REALIZABLE if isinstance(exc, sk.RealizabilityError) else EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL

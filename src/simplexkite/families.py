@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cayley import SquaredDistanceMatrix, require_nondegenerate
+from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
 from .exact import as_scalar, scalar_str
 from .prekite import ApexReport, find_apexes
 
@@ -97,9 +97,9 @@ def _accept(family, x, beta, defect, tol, k) -> BetaVector | None:
 
 
 def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
-    """(x, k): the matrix divided by 4**k as floats, with k chosen from the
-    bit lengths of the largest entry so that it lands in [1/2, 4).  Each
-    float is one correctly rounded division of cleared integers.
+    """(x, k): the matrix divided by 4**k as floats, with k = e // 2 for the
+    exponent e of the largest entry (`_top_exponent`), so that it lands in
+    (1/2, 4).  Each float is one correctly rounded division of cleared integers.
 
     Every family weight scales as the square root of the entries, so the
     weights of x times 2**k are those of d, and the residual, relative to
@@ -112,9 +112,7 @@ def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
     under- or overflow; they are out of scope.
     """
     dist, den = d._dist, d._den
-    top = max(map(max, dist))
-    g = math.gcd(top, den)
-    k = ((top // g).bit_length() - (den // g).bit_length()) // 2
+    k = _top_exponent(d) // 2
     up, down = max(-2 * k, 0), max(2 * k, 0)
     # int / int rounds correctly, as float(Fraction) does
     return [[(x << up) / (den << down) for x in row] for row in dist], k

@@ -22,12 +22,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from operator import mul, sub, truediv
+from operator import add, mul, sub, truediv
 
 from .cayley import (
     SquaredDistanceMatrix,
     _circumcenter_frame,
     _gram_elimination,
+    _top_exponent,
     facet_volumes_sq,
     require_nondegenerate,
     volume_sq,
@@ -45,22 +46,6 @@ class ConvergenceError(RuntimeError):
     """Iteration budget ran out before the convergence test was met."""
 
 
-def _round_trip_shift(d: SquaredDistanceMatrix) -> int:
-    """k >= 0 with the largest squared distance over 4**k below 2**1021,
-    read off the bit lengths of the reduced largest entry as
-    `families._floats` does; 0 unless that entry is at least 2**1020.
-
-    The round trip compares squared distances over 4**k, with the
-    coordinates over 2**k, so that a float sum of squared differences
-    cannot overflow near `sys.float_info.max`.  A power of two moves no
-    relative error in the normal range.
-    """
-    top = max(map(max, d._dist))
-    g = math.gcd(top, d._den)
-    e = (top // g).bit_length() - (d._den // g).bit_length()  # top / den < 2**(e + 1)
-    return max(0, (e - 1019) // 2)
-
-
 class EmbeddedSimplex:
     """Coordinates realizing a squared-distance matrix in the frame `embed`
     builds: vertex 0 at the origin and vertex i in the first i coordinates."""
@@ -74,7 +59,9 @@ class EmbeddedSimplex:
         if any(x != 0.0 for i, p in enumerate(pts) for x in p[i:]):
             raise ValueError("vertex i must lie in the first i coordinates")
         err = 0.0
-        k = _round_trip_shift(source)
+        # coordinates over 2**k and squared distances over 4**k put the largest below 2**1021,
+        # so no float sum of squares overflows; a power of two moves no relative error
+        k = max(0, (_top_exponent(source) - 1019) // 2)
         scaled = [[math.ldexp(x, -k) for x in p] for p in pts] if k else pts
         dist, den = source._dist, source._den << 2 * k
         for i in range(source.n + 1):
@@ -206,6 +193,10 @@ def fermat_torricelli(
     objective gradient norm drops to tol.  An iterate that lands on a
     (necessarily non-optimal) vertex is stepped off along the pull,
     whose norm the certificate has shown to exceed 1.
+
+    Next to a vertex the averaging has one slow mode, with steps shrinking by a
+    ratio near 1; after a step that shrank along the last one, the rest of their
+    geometric series is added when that lowers the summed distance, compared per vertex.
     """
     pts = s.vertices
     for k in range(len(pts)):
@@ -216,20 +207,36 @@ def fermat_torricelli(
     vertex_snap = 1e-12 * diameter
     x = centroid(s)
     cols = list(zip(*pts))
+    dists = [math.dist(p, x) for p in pts]
+    step = ()  # the last averaging step, () when there is none to extend
     for _ in range(max_iter):
-        dists = [math.dist(p, x) for p in pts]
         k = min(range(len(pts)), key=dists.__getitem__)
         if dists[k] <= vertex_snap:
             pull_norm, pull = _vertex_pull(s, k)
             inv = sum(1.0 / math.dist(p, pts[k]) for i, p in enumerate(pts) if i != k)
-            step = (pull_norm - 1.0) / inv
-            x = tuple(a + step * (c / pull_norm) for a, c in zip(pts[k], pull))
+            off = (pull_norm - 1.0) / inv
+            x = tuple(a + off * (c / pull_norm) for a, c in zip(pts[k], pull))
+            dists, step = [math.dist(p, x) for p in pts], ()
             continue
         if math.hypot(*_pull(x, cols, dists)) <= tol:  # the objective's gradient, negated
             return x
         weights = [1.0 / r for r in dists]
         total = sum(weights)
-        x = tuple(c / total for c in _combine(weights, cols))
+        new = tuple(c / total for c in _combine(weights, cols))
+        last, step = step, tuple(map(sub, new, x))
+        x, dists = new, [math.dist(p, new) for p in pts]
+        along, norm = sum(map(mul, step, last)), sum(map(mul, last, last))
+        if 0.0 < along < norm:
+            # steps that keep shrinking by the ratio along / norm sum to this jump more
+            jump = [b * (along / (norm - along)) for b in step]
+            y = tuple(map(add, new, jump))
+            ydists = [math.dist(p, y) for p in pts]
+            # f(y) - f(new), term by term as (|p - y|**2 - |p - new|**2) / (|p - y| + |p - new|)
+            mid = list(map(add, y, new))
+            change = sum(sum(map(mul, jump, map(sub, mid, map(add, p, p)))) / (r + q)
+                         for p, r, q in zip(pts, ydists, dists))
+            if change < 0.0:
+                x, dists, step = y, ydists, ()
     raise ConvergenceError(
         "Fermat-Torricelli iteration did not reach gradient norm %.1e in %d steps"
         % (tol, max_iter)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import simplexkite as sk
+
 from .exact import as_scalar, scalar_str
 
 
@@ -56,17 +58,15 @@ class PreKite:
         """Second power sum: u**2 + v1**2 + ... + vn**2."""
         return self.u**2 + sum(x**2 for x in self.v)
 
-    def to_sdm(self) -> SquaredDistanceMatrix:
+    def to_sdm(self) -> sk.SquaredDistanceMatrix:
         """Squared-distance matrix: a[0][i] = v_i, a[i][j] = u for 1 <= i < j."""
-        from .cayley import SquaredDistanceMatrix
-
         size = self.n + 1
         rows = [[Fraction(0)] * size for _ in range(size)]
         for i in range(1, size):
             rows[0][i] = rows[i][0] = self.v[i - 1]
             for j in range(i + 1, size):
                 rows[i][j] = rows[j][i] = self.u
-        return SquaredDistanceMatrix(rows)
+        return sk.SquaredDistanceMatrix(rows)
 
     @classmethod
     def from_json(cls, payload) -> "PreKite":
@@ -173,7 +173,7 @@ class ApexReport:
         }
 
 
-def find_apexes(d: SquaredDistanceMatrix) -> ApexReport:
+def find_apexes(d: sk.SquaredDistanceMatrix) -> ApexReport:
     """Enumerate apexes: vertices whose opposite facet has all edges equal.
 
     The kite flag is set when some apex has all of its own edges equal

@@ -31,6 +31,13 @@ def _is_exact(value) -> bool:
     return isinstance(value, Rational)
 
 
+def _finite(value):
+    """A degree-4 quantity, refused when a NaN, infinite or overflowing float input left it non-finite."""
+    if not (_is_exact(value) or math.isfinite(value)):
+        raise ValueError("float inputs and their fourth powers must be finite")
+    return value
+
+
 @dataclass(frozen=True)
 class DistanceTuple:
     """Edge length t0 of a regular n-simplex and distances to its n+1 vertices."""
@@ -67,7 +74,7 @@ def relation_residual_from_squares(n: int, squares) -> object:
         squares = [Fraction(q) for q in squares]
     quartic = sum(q * q for q in squares)
     total = sum(squares)
-    return (n + 1) * quartic - total * total
+    return _finite((n + 1) * quartic - total * total)
 
 
 def relation_residual(dt: DistanceTuple):
@@ -98,7 +105,7 @@ def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
     s1 = sum(values)
     s2 = sum(v * v for v in values)
     # (n+1)(s2 + q**2) = (s1 + q)**2  <=>  n q**2 - 2 s1 q + ((n+1) s2 - s1**2) = 0
-    disc = (n + 1) * (s1 * s1 - n * s2)
+    disc = _finite((n + 1) * (s1 * s1 - n * s2))
     if disc < 0:
         return []
     if exact:
@@ -129,7 +136,7 @@ def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
         if len(holes) != 1:
             raise ValueError("exactly one slot must be open")
         known = [v for v in known if v is not None]
-    elif len(known) != n:
+    elif len(known) != n or None in known:
         raise ValueError("expected n known distances or n+1 with one None")
     if t0 <= 0 or any(v < 0 for v in known):
         raise ValueError("lengths must be positive (known distances nonnegative)")
@@ -165,9 +172,12 @@ def pompeiu_invariants(a, x, y, z):
     if all(_is_exact(v) for v in values):
         a, x, y, z = (Fraction(v) for v in values)
     a2, x2, y2, z2 = a * a, x * x, y * y, z * z
-    g = 3 * (a2**2 + x2**2 + y2**2 + z2**2) - (a2 + x2 + y2 + z2) ** 2
-    h = 2 * (x2 * y2 + y2 * z2 + z2 * x2) - (x2**2 + y2**2 + z2**2)
-    return g, h
+    try:
+        g = 3 * (a2**2 + x2**2 + y2**2 + z2**2) - (a2 + x2 + y2 + z2) ** 2
+        h = 2 * (x2 * y2 + y2 * z2 + z2 * x2) - (x2**2 + y2**2 + z2**2)
+    except OverflowError:  # a float ** that overflows raises, where * gives inf
+        g = h = math.inf
+    return _finite(g), _finite(h)
 
 
 def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:

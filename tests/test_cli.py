@@ -397,3 +397,29 @@ def test_bad_matrix_file_messages(capsys, tmp_path):
     ):
         assert main(["classify", str(path)]) == 1
         assert capsys.readouterr().err == "error: %s\n" % (message % path)
+
+
+@pytest.mark.parametrize("command", ["centers", "classify"])
+def test_float_commands_next_to_an_almost_120_degree_vertex(run, tmp_path, command):
+    d = SquaredDistanceMatrix([[0, 1, 1], [1, 0, 3 - Fraction(1, 10**6)], [1, 3 - Fraction(1, 10**6), 0]])
+    code, out = run([command, write_matrix(tmp_path, d)])
+    assert code == 0
+    assert json.loads(out)
+
+
+HOSTILE_NUMBERS = [
+    (["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,?"], "expected n known distances or n+1 with one None"),
+    (["rel", "verify", "--n", "2", "--t0", "1e100", "--t", "1e100,1,1"], "float inputs and their fourth powers must be finite"),
+    (["rel", "solve", "--n", "2", "--t0", "inf", "--known", "0,1"], "float inputs and their fourth powers must be finite"),
+    (["pompeiu", "1e308", "1e308", "1e308", "1e308"], "float inputs and their fourth powers must be finite"),
+    (["pompeiu", "1e100", "1e100", "1e100", "1e100"], "float inputs and their fourth powers must be finite"),
+    (["pompeiu", "nan", "0", "1", "1"], "float inputs and their fourth powers must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, message", HOSTILE_NUMBERS)
+def test_hostile_numbers_are_bad_input(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message

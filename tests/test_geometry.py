@@ -208,6 +208,54 @@ class TestFermatTorricelli:
                 assert best <= sum_distances(s, p) + 1e-9
 
 
+def gradient_norm(s, x):
+    """Norm of the summed-distance gradient at a point off the vertices."""
+    pts = np.asarray(s.vertices)
+    diffs = np.asarray(x) - pts
+    return float(np.linalg.norm((diffs / np.linalg.norm(diffs, axis=1)[:, None]).sum(axis=0)))
+
+
+# A tetra-isogonic 6-simplex whose Fermat point sits next to vertex 5: the
+# combined unit pull there is about 1.000074, just over the vertex certificate.
+NEAR_VERTEX_6 = [
+    ["0", "1161/256", "631/256", "7681/2304", "5179/2304", "301/256", "1291/256"],
+    ["1161/256", "0", "277/64", "193/36", "2341/576", "43/16", "469/64"],
+    ["631/256", "277/64", "0", "1813/576", "1201/576", "67/64", "309/64"],
+    ["7681/2304", "193/36", "1813/576", "0", "559/192", "247/144", "3397/576"],
+    ["5179/2304", "2341/576", "1201/576", "559/192", "0", "511/576", "2623/576"],
+    ["301/256", "43/16", "67/64", "247/144", "511/576", "0", "199/64"],
+    ["1291/256", "469/64", "309/64", "3397/576", "2623/576", "199/64", "0"],
+]
+
+
+class TestFermatNextToAVertex:
+    """Weiszfeld's slow mode: the minimizer a distance delta from a vertex,
+    with delta much smaller than the diameter."""
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_triangle_just_under_120_degrees(self, k):
+        # the angle at vertex 0 falls short of 120 degrees by about 10**-k
+        s = embed(sdm_triangle(1, 1, 3 - Fraction(1, 10**k)))
+        f = fermat_torricelli(s)
+        assert 0.0 < math.dist(f, s.vertices[0]) < 10.0 ** (1 - k)
+        assert gradient_norm(s, f) <= 1e-10
+
+    def test_a_jump_that_raises_the_summed_distance_is_refused(self):
+        # Accepting every extrapolated jump here runs out of steps.
+        s = embed(SquaredDistanceMatrix([
+            [0, Fraction(720868290159583, 4503599627370496), Fraction(47396738530183, 8796093022208)],
+            [Fraction(720868290159583, 4503599627370496), 0, Fraction(7292627388696577, 1125899906842624)],
+            [Fraction(47396738530183, 8796093022208), Fraction(7292627388696577, 1125899906842624), 0],
+        ]))
+        assert gradient_norm(s, fermat_torricelli(s)) <= 1e-10
+
+    def test_six_simplex_next_to_a_vertex(self):
+        s = embed(SquaredDistanceMatrix(NEAR_VERTEX_6))
+        f = fermat_torricelli(s)
+        assert 0.0 < math.dist(f, s.vertices[5]) < 1e-3
+        assert gradient_norm(s, f) <= 1e-10
+
+
 class TestSumSquares:
     def test_center_value(self):
         for n in (2, 3, 5):
