@@ -9,14 +9,20 @@ required), 3 internal error.
 Each command reads what it runs off the package (`sk.<name>`), whose
 export table imports the defining module on first access, so a process
 loads only what its subcommand needs.
+
+This layer only parses, calls and prints.  Every number and verdict it
+prints comes from a library call: exact scalars reach JSON through one
+hook that writes their wire form, and --tol (finite and positive) is
+passed on only when it is given, so each default tolerance lives with
+the function it tunes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 
 import simplexkite as sk
 
@@ -34,7 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    # json calls the hook only for what it cannot write, and an exact scalar is the one such value
+    return json.dumps(obj, indent=2, sort_keys=True, default=scalar_str)
+
+
+def _tol(args, name="tol") -> dict:
+    """The --tol keyword for a library call: none unless --tol was given."""
+    return {} if args.tol is None else {name: args.tol}
 
 
 def _number(text: str):
@@ -46,12 +58,6 @@ def _number(text: str):
             return float(text)
         except ValueError:
             raise ValueError("not a number: %r" % text) from None
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return scalar_str(value)
-    return float(value)
 
 
 def _load_sdm(path: str):
@@ -71,14 +77,28 @@ def _load_sdm(path: str):
 def _squared(args, texts) -> list:
     """The exact parameters in texts, squared when --lengths gives plain lengths."""
     values = [parse_scalar(text) for text in texts]
-    return [x * x for x in values] if args.lengths else values
+    if not args.lengths:
+        return values
+    if any(x <= 0 for x in values):
+        raise ValueError("plain lengths must be positive")
+    return [x * x for x in values]
+
+
+def _finite_positive(text: str) -> float:
+    """The type of --tol: a float, finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be finite and positive: %r" % text)
+    return value
 
 
 def cmd_classify(args):
     d = _load_sdm(args.matrix)
-    tol = args.tol if args.tol is not None else sk.families.TOL_FAMILY
-    report = sk.classify(d, tol=tol)
-    coin = sk.coincidence_report(d, with_floats=not args.exact, tol_center=args.tol)
+    report = sk.classify(d, **_tol(args))
+    coin = sk.coincidence_report(d, with_floats=not args.exact, **_tol(args, "tol_center"))
     out = {"classification": report.to_json(), "coincidence": coin.to_json()}
     return _dumps(out), EXIT_OK
 
@@ -88,10 +108,10 @@ def _cm_fields(c, dd, n) -> dict:
     Cayley-Menger determinant c and inner determinant dd."""
     degenerate = c == 0
     return {
-        "cm_det": scalar_str(c),
-        "inner_cm_det": scalar_str(dd),
-        "volume_sq": scalar_str(sk.prekite.volume_sq_from_cm_det(c, n)),
-        "circumradius_sq": None if degenerate else scalar_str(-dd / (2 * c)),
+        "cm_det": c,
+        "inner_cm_det": dd,
+        "volume_sq": sk.prekite.volume_sq_from_cm_det(c, n),
+        "circumradius_sq": None if degenerate else -dd / (2 * c),
         "degenerate": degenerate,
     }
 
@@ -106,9 +126,7 @@ def cmd_prekite_eval(args):
         for j in range(n + 1)
     ]
     out = {
-        "n": n,
-        "u": scalar_str(pk.u),
-        "v": [scalar_str(x) for x in pk.v],
+        **pk.to_json(),
         **whole,
         "equiareal": len({row["cm_det"] for row in facets}) == 1,
         "facets": facets,
@@ -123,10 +141,10 @@ def cmd_prekite_feasible(args):
     lo, hi = sk.apex_squared_ratio_window(args.n)
     out = {
         "n": args.n,
-        "u": scalar_str(u),
-        "v": scalar_str(v),
-        "squared_ratio": scalar_str(v / u),
-        "window": {"lo": scalar_str(lo), "hi": scalar_str(hi), "open": True},
+        "u": u,
+        "v": v,
+        "squared_ratio": v / u,
+        "window": {"lo": lo, "hi": hi, "open": True},
         "feasible": sk.two_apexed_feasible(args.n, u, v),
     }
     return _dumps(out), EXIT_OK
@@ -176,10 +194,10 @@ def cmd_rel(args):
         squares = sk.solve_missing_distance_squares(args.n, t0 * t0, [v * v for v in flat])
         out = {
             "n": args.n,
-            "t0": _jsonable(t0),
-            "known": [_jsonable(v) for v in flat],
-            "solutions": [float(v) for v in solutions],
-            "solution_squares": [_jsonable(q) for q in squares],
+            "t0": t0,
+            "known": flat,
+            "solutions": solutions,
+            "solution_squares": squares,
             "count": len(solutions),
         }
         return _dumps(out), EXIT_OK
@@ -190,32 +208,21 @@ def cmd_rel(args):
         raise ValueError("rel verify needs all n+1 distances")
     dt = sk.DistanceTuple(args.n, t0, tuple(values))
     residual = sk.relation_residual(dt)
-    tol = args.tol if args.tol is not None else 1e-9
-    scale = max([float(t0)] + [float(v) for v in values]) ** 4
     out = {
         "n": args.n,
-        "t0": _jsonable(t0),
-        "t": [_jsonable(v) for v in values],
-        "residual": _jsonable(residual),
-        "zero_within_tol": abs(float(residual)) <= tol * max(scale, 1e-300),
+        "t0": t0,
+        "t": values,
+        "residual": residual,
+        "zero_within_tol": sk.relation.residual_is_zero(dt, residual, **_tol(args)),
     }
     return _dumps(out), EXIT_OK
 
 
 def cmd_pompeiu(args):
     a, x, y, z = (_number(v) for v in (args.a, args.x, args.y, args.z))
-    tol = args.tol if args.tol is not None else 1e-12
-    verdict = sk.pompeiu_classify(a, x, y, z, tol=tol)
+    verdict = sk.pompeiu_classify(a, x, y, z, **_tol(args))
     g, h = sk.relation.pompeiu_invariants(a, x, y, z)
-    out = {
-        "a": _jsonable(a),
-        "x": _jsonable(x),
-        "y": _jsonable(y),
-        "z": _jsonable(z),
-        "g": _jsonable(g),
-        "h": _jsonable(h),
-        "verdict": verdict,
-    }
+    out = {"a": a, "x": x, "y": y, "z": z, "g": g, "h": h, "verdict": verdict}
     return _dumps(out), EXIT_OK
 
 
@@ -233,8 +240,7 @@ def cmd_embed(args):
 def cmd_centers(args):
     d = _load_sdm(args.matrix)
     s = sk.embed(d)
-    tol = args.tol if args.tol is not None else sk.geometry.FT_GRADIENT_TOL
-    cs = sk.center_set(s, ft_tol=tol)
+    cs = sk.center_set(s, **_tol(args, "ft_tol"))
     out = {"n": s.n}
     out.update(cs.to_json())
     return _dumps(out), EXIT_OK
@@ -242,7 +248,7 @@ def cmd_centers(args):
 
 _FLAGS = {
     "--exact": {"action": "store_true", "help": "exact output only; skip float cross-checks"},
-    "--tol": {"type": float, "default": None, "help": "override the command's float tolerance"},
+    "--tol": {"type": _finite_positive, "default": None, "help": "override the command's float tolerance"},
     "--format": {"choices": ("json", "csv"), "default": "json", "help": "output format of the scan table"},
     "--lengths": {"action": "store_true", "help": "numeric edge inputs are plain lengths; square them on ingestion"},
 }

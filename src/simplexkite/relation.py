@@ -11,6 +11,10 @@ computation stays exact whenever the squares are rational.  The same
 relation, read as a quadratic in one unknown squared distance, powers
 the missing-distance solver, and its n = 2 case yields the Pompeiu
 triangle classifier.
+
+Verdicts decide exact input first, by comparing with zero: no
+tolerance and no float.  Only float input meets a tolerance, relative
+to the fourth power of the largest length; each default lives here.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from fractions import Fraction
 from numbers import Rational
 
 _POMPEIU_TOL = 1e-12
+_RELATION_TOL = 1e-9
+_BEYOND_FLOATS = "a root lies beyond the float range"
 
 VALID_TRIANGLE = "valid_triangle"
 DEGENERATE_ON_CIRCLE = "degenerate_on_circle"
@@ -36,6 +42,24 @@ def _finite(value):
     if not (_is_exact(value) or math.isfinite(value)):
         raise ValueError("float inputs and their fourth powers must be finite")
     return value
+
+
+def _float_sqrt(q) -> float:
+    """math.sqrt(float(q)) for q >= 0, also where an exact q lies beyond the float range.
+
+    An exact q is scaled by a power of four, from the bit lengths of its
+    numerator and denominator as `cayley._top_exponent` scales matrices,
+    and the root by the matching power of two: bit-identical wherever
+    float(q) is a normal float.  A root beyond the float range is refused.
+    """
+    e = 0
+    if _is_exact(q) and q:
+        e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+        q = Fraction(q) / Fraction(4) ** e
+    try:
+        return math.ldexp(math.sqrt(q), e)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOATS) from None
 
 
 @dataclass(frozen=True)
@@ -72,9 +96,13 @@ def relation_residual_from_squares(n: int, squares) -> object:
         raise ValueError("expected n+2 squared values (edge first)")
     if all(_is_exact(q) for q in squares):
         squares = [Fraction(q) for q in squares]
-    quartic = sum(q * q for q in squares)
-    total = sum(squares)
-    return _finite((n + 1) * quartic - total * total)
+    try:
+        quartic = sum(q * q for q in squares)
+        total = sum(squares)
+        residual = (n + 1) * quartic - total * total
+    except OverflowError:  # an exact value too large to join float arithmetic
+        residual = math.inf
+    return _finite(residual)
 
 
 def relation_residual(dt: DistanceTuple):
@@ -87,13 +115,29 @@ def relation_residual(dt: DistanceTuple):
     return relation_residual_from_squares(dt.n, squares)
 
 
+def residual_is_zero(dt: DistanceTuple, residual, tol: float = _RELATION_TOL) -> bool:
+    """Whether `residual`, the relation residual of dt, is zero.
+
+    An exact residual is compared with 0.  A float one counts as zero
+    within tol relative to the fourth power of dt's largest length, a
+    scale floored at 1e-300.
+    """
+    if _is_exact(residual):
+        return residual == 0
+    scale = max(float(v) for v in (dt.t0, *dt.t)) ** 4
+    return abs(residual) <= tol * max(scale, 1e-300)
+
+
 def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
     """All squared values closing the relation, given the edge square and
     the n known vertex squares.
 
     Returns 0, 1, or 2 nonnegative roots of the quadratic the relation
     becomes in the unknown square; exact when the inputs are rational.
+    An irrational root is a float, refused when beyond the float range.
     """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     values = [t0_sq] + list(known_sq)
     if len(values) != n + 1:
         raise ValueError("expected the edge square plus n known vertex squares")
@@ -102,20 +146,28 @@ def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
     exact = all(_is_exact(v) for v in values)
     if exact:
         values = [Fraction(v) for v in values]
-    s1 = sum(values)
-    s2 = sum(v * v for v in values)
-    # (n+1)(s2 + q**2) = (s1 + q)**2  <=>  n q**2 - 2 s1 q + ((n+1) s2 - s1**2) = 0
-    disc = _finite((n + 1) * (s1 * s1 - n * s2))
+    try:
+        s1 = sum(values)
+        s2 = sum(v * v for v in values)
+        # (n+1)(s2 + q**2) = (s1 + q)**2  <=>  n q**2 - 2 s1 q + ((n+1) s2 - s1**2) = 0
+        disc = (n + 1) * (s1 * s1 - n * s2)
+    except OverflowError:  # an exact value too large to join float arithmetic
+        disc = math.inf
+    disc = _finite(disc)
     if disc < 0:
         return []
     if exact:
         root = Fraction(math.isqrt(disc.numerator)) / math.isqrt(disc.denominator)
         if root * root != disc:
-            root = math.sqrt(float(disc))
+            root = _float_sqrt(disc)
     else:
         root = math.sqrt(disc)
-    q_lo = (s1 - root) / n
-    q_hi = (s1 + root) / n
+    try:
+        q_lo, q_hi = (s1 - root) / n, (s1 + root) / n
+    except OverflowError:  # an exact s1 beyond the float range, beside an irrational root
+        q_hi = math.inf
+    if q_hi == math.inf:
+        raise ValueError(_BEYOND_FLOATS)
     out = []
     for q in (q_lo, q_hi):
         if q >= 0 and (not out or q != out[-1]):
@@ -143,7 +195,7 @@ def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
     squares = solve_missing_distance_squares(
         n, t0 * t0, [v * v for v in known]
     )
-    return tuple(sorted(math.sqrt(float(q)) for q in squares))
+    return tuple(sorted(_float_sqrt(q) for q in squares))
 
 
 def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
@@ -186,18 +238,18 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
     Returns "inconsistent" when the four numbers cannot come from a
     planar point at all, "degenerate_on_circle" when the point sits on
     the circumcircle (the distances only close up flat), and
-    "valid_triangle" otherwise.  Tolerances are relative to the fourth
-    power of the largest input, matching the degree of the invariants.
+    "valid_triangle" otherwise.  Exact input is decided exactly.  For
+    float input tol is relative to the fourth power of the largest
+    input, matching the degree of the invariants.
     """
     if a <= 0 or min(x, y, z) < 0:
         raise ValueError("side must be positive and distances nonnegative")
     g, h = pompeiu_invariants(a, x, y, z)
-    exact = _is_exact(g)
-    scale = max(float(v) for v in (a, x, y, z)) ** 4
-    if exact:
+    if _is_exact(g):
         if g != 0:
             return INCONSISTENT
         return DEGENERATE_ON_CIRCLE if h == 0 else VALID_TRIANGLE
+    scale = max(float(v) for v in (a, x, y, z)) ** 4
     if abs(float(g)) > tol * scale:
         return INCONSISTENT
     return DEGENERATE_ON_CIRCLE if abs(float(h)) <= tol * scale else VALID_TRIANGLE

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from simplexkite import PreKite, SquaredDistanceMatrix, facet_volumes_sq, scalar_str, volume_sq
+from simplexkite import (
+    DistanceTuple,
+    PreKite,
+    SquaredDistanceMatrix,
+    facet_volumes_sq,
+    relation_residual,
+    scalar_str,
+    volume_sq,
+)
 from simplexkite.cli import build_parser, main
 
 
@@ -27,6 +35,7 @@ def write_matrix(tmp_path, d, name="matrix.json"):
 
 REGULAR3 = SquaredDistanceMatrix.regular(3)
 TWO_APEXED = PreKite(3, 1, (1, 1, 2)).to_sdm()
+BIG = "1" + "0" * 400  # an exact integer beyond the float range
 
 
 class TestClassify:
@@ -245,6 +254,21 @@ class TestRel:
         assert payload["residual"] == "-4"
         assert not payload["zero_within_tol"]
 
+    def test_verify_exact_beyond_the_float_range(self, run):
+        code, out = run(["rel", "verify", "--n", "2", "--t0", BIG, "--t", BIG + ",1,1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residual"] == scalar_str(relation_residual(DistanceTuple(2, 10**400, (10**400, 1, 1))))
+        assert payload["zero_within_tol"] is False
+
+    def test_solve_exact_squares_beyond_the_float_range(self, run):
+        big = "1" + "0" * 200
+        code, out = run(["rel", "solve", "--n", "2", "--t0", big, "--known", big + "," + big])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["solution_squares"] == ["0", str(3 * 10**400)]
+        assert payload["solutions"] == pytest.approx([0.0, 3**0.5 * 1e200], rel=1e-15)
+
     def test_missing_args(self, run):
         code, _ = run(["rel", "solve", "--n", "2", "--t0", "1"])
         assert code == 1
@@ -261,6 +285,11 @@ class TestPompeiu:
     def test_vertex(self, run):
         code, out = run(["pompeiu", "1", "0", "1", "1"])
         assert json.loads(out)["verdict"] == "degenerate_on_circle"
+
+    def test_exact_beyond_the_float_range(self, run):
+        code, out = run(["pompeiu", BIG, "0", "1", "1"])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "inconsistent"
 
 
 @pytest.mark.parametrize("side_sq", ["1" + "0" * 160, "1" + "0" * 320, "1/1" + "0" * 330], ids=["1e160", "1e320", "1e-330"])
@@ -414,6 +443,15 @@ HOSTILE_NUMBERS = [
     (["pompeiu", "1e308", "1e308", "1e308", "1e308"], "float inputs and their fourth powers must be finite"),
     (["pompeiu", "1e100", "1e100", "1e100", "1e100"], "float inputs and their fourth powers must be finite"),
     (["pompeiu", "nan", "0", "1", "1"], "float inputs and their fourth powers must be finite"),
+    (["pompeiu", "--tol", "nan", "1", "0.5", "0.5", "0.5"], "argument --tol: must be finite and positive: 'nan'"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--t", "0,1,1", "--tol", "nan"], "argument --tol: must be finite and positive: 'nan'"),
+    (["rel", "solve", "--n", "0", "--t0", "1", "--known", "?"], "dimension must be at least 1"),
+    (["rel", "solve", "--n", "2", "--t0", BIG, "--known", BIG + "," + BIG], "a root lies beyond the float range"),
+    (["rel", "solve", "--n", "2", "--t0", BIG[:201], "--known", BIG[:201] + ",2"], "a root lies beyond the float range"),
+    (["rel", "verify", "--n", "2", "--t0", BIG, "--t", "1.0,1,1"], "float inputs and their fourth powers must be finite"),
+    (["rel", "solve", "--n", "2", "--t0", "1.5", "--known", BIG + ",1"], "float inputs and their fourth powers must be finite"),
+    (["prekite-eval", "3", "--lengths", "1", "1", "1", "-2"], "plain lengths must be positive"),
+    (["prekite-feasible", "3", "--lengths", "1", "-3"], "plain lengths must be positive"),
 ]
 
 
@@ -423,3 +461,12 @@ def test_hostile_numbers_are_bad_input(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", ["centers", "classify"])
+def test_tol_must_be_finite_and_positive(capsys, tmp_path, command, tol):
+    assert main([command, "--tol", tol, write_matrix(tmp_path, REGULAR3)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --tol: must be finite and positive: %r\n" % tol

@@ -21,6 +21,7 @@ from simplexkite import (
     solve_missing_distance,
     solve_missing_distance_squares,
 )
+from simplexkite.relation import _float_sqrt, residual_is_zero
 
 SQRT3 = math.sqrt(3.0)
 
@@ -77,6 +78,30 @@ class TestResidual:
             DistanceTuple(2, 1, (-1, 1, 1))
 
 
+class TestResidualIsZero:
+    def test_exact_residual_is_compared_with_zero(self):
+        dt = DistanceTuple(2, 10**6, (0, 10**6, 10**6))
+        assert residual_is_zero(dt, relation_residual(dt))
+        # 1 is far below 1e-9 * (10**6)**4, and still not zero; tol plays no part
+        assert not residual_is_zero(dt, Fraction(1), tol=1e30)
+
+    def test_exact_lengths_beyond_the_float_range(self):
+        big = 10**400
+        assert residual_is_zero(DistanceTuple(2, big, (0, big, big)), Fraction(0))
+        assert not residual_is_zero(DistanceTuple(2, big, (big, 1, 1)), Fraction(-1))
+
+    def test_float_residual_within_tol(self):
+        dt = DistanceTuple(2, 1.0, (1.0, 2.0, 1.0))  # scale 2**4
+        assert residual_is_zero(dt, 15e-9)
+        assert not residual_is_zero(dt, -17e-9)
+        assert residual_is_zero(dt, -17e-9, tol=2e-9)
+
+    def test_float_scale_floor(self):
+        dt = DistanceTuple(2, 1e-80, (0.0, 1e-80, 1e-80))  # scale 1e-320, floored at 1e-300
+        assert residual_is_zero(dt, 1e-310)
+        assert not residual_is_zero(dt, 1e-308)
+
+
 class TestMissingDistance:
     def test_vertex_case_double_root(self):
         assert solve_missing_distance(2, 1, [0, 1, None]) == (1.0,)
@@ -93,6 +118,30 @@ class TestMissingDistance:
         for t in solve_missing_distance(2, 1, [10, 10, None]):
             residual = relation_residual(DistanceTuple(2, 1.0, (10.0, 10.0, t)))
             assert abs(residual) <= 1e-9 * max(10.0, t) ** 4
+
+    def test_dimension_zero_refused(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            solve_missing_distance_squares(0, 1, [])
+
+    def test_exact_squares_beyond_the_float_range(self):
+        big = 10**200
+        assert solve_missing_distance_squares(2, big**2, [big**2, big**2]) == [0, 3 * big**2]
+        assert solve_missing_distance(2, big, [big, big]) == pytest.approx((0.0, SQRT3 * 1e200), rel=1e-15)
+
+    def test_roots_beyond_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="a root lies beyond the float range"):
+            solve_missing_distance(2, 10**400, [10**400, 10**400])
+        with pytest.raises(ValueError, match="a root lies beyond the float range"):
+            solve_missing_distance_squares(2, 10**400, [10**400, 4])  # irrational roots, as floats
+        with pytest.raises(ValueError, match="a root lies beyond the float range"):
+            solve_missing_distance_squares(1, 10**308, [2 * 10**307])  # the larger float root overflows
+
+    def test_float_sqrt_is_math_sqrt_in_the_normal_range(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            q = Fraction(rng.getrandbits(rng.randint(1, 200)) + 1, rng.getrandbits(rng.randint(1, 200)) + 1)
+            q *= Fraction(2) ** rng.randint(-800, 800)
+            assert _float_sqrt(q) == math.sqrt(float(q))
 
     def test_incompatible_distances_empty(self):
         assert solve_missing_distance(2, 1, [10, 0.1, None]) == ()
