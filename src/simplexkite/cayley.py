@@ -29,13 +29,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .exact import (
     ExactMatrix,
+    Record,
     _back_substitute,
     _bareiss,
     _cleared,
@@ -68,8 +68,11 @@ class NonEuclideanError(RealizabilityError):
     pass
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
+class RealizabilityVerdict(Record):
+    """How a squared-distance matrix is realized, with the inertia of its Gram matrix."""
+
+    __slots__ = ("status", "gram_inertia")
+
     status: Realizability
     gram_inertia: tuple[int, int, int]
 
@@ -415,10 +418,11 @@ def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
     return d._facets[j]
 
 
-@dataclass(frozen=True)
-class FacetRecord:
+class FacetRecord(Record):
     """The circumsphere and every facet's invariants of a nondegenerate
     simplex; entry j of a facet tuple belongs to the facet opposite vertex j."""
+
+    __slots__ = ("circumcenter", "circumradius_sq", "facet_volume_sq", "facet_circumradius_sq")
 
     circumcenter: tuple[Fraction, ...]  # barycentrics, as `circumcenter_barycentrics`
     circumradius_sq: Fraction

@@ -11,7 +11,6 @@ characterization here and are reported only as float experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import (
@@ -24,7 +23,7 @@ from .cayley import (
     is_realizable,
     require_nondegenerate,
 )
-from .exact import scalar_str
+from .exact import Record, scalar_str
 from .geometry import TOL_CENTER, center_set, embed
 from .prekite import PreKite
 
@@ -96,9 +95,13 @@ def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
     return all(w > 0 for w in circumcenter_barycentrics(d))
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
+class CoincidenceReport(Record, defaults=(None, None)):
     """Exact coincidence verdicts, with optional float cross-checks attached."""
+
+    __slots__ = (
+        "well_distributed", "equiradial", "equiareal", "circumcenter_interior",
+        "qg_coincide", "qi_coincide", "ig_coincide", "fermat_coincidences", "center_distances",
+    )
 
     well_distributed: bool
     equiradial: bool
@@ -107,8 +110,8 @@ class CoincidenceReport:
     qg_coincide: bool
     qi_coincide: bool
     ig_coincide: bool
-    fermat_coincidences: dict | None = None
-    center_distances: dict | None = None
+    fermat_coincidences: dict | None
+    center_distances: dict | None
 
     def to_json(self) -> dict:
         out = {
@@ -173,8 +176,7 @@ def coincidence_report(
     )
 
 
-@dataclass(frozen=True)
-class EquiarealCandidate:
+class EquiarealCandidate(Record):
     """A pre-kite PK[n; u; x*t, y*s] solving the equal-facet-volume conditions.
 
     t of the apex edges carry squared value x and the remaining s carry
@@ -182,6 +184,8 @@ class EquiarealCandidate:
     realizability verdict and an independent facet-volume check are
     recorded alongside.
     """
+
+    __slots__ = ("n", "t", "s", "x", "y", "u", "realizable", "degenerate", "equiareal_verified", "regular")
 
     n: int
     t: int

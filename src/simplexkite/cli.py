@@ -189,13 +189,11 @@ def cmd_rel(args):
         if args.known is None:
             raise ValueError("rel solve needs --known")
         known = _parse_known(args.known, args.n)
-        solutions = sk.solve_missing_distance(args.n, t0, known)
-        flat = [v for v in known if v is not None]
-        squares = sk.solve_missing_distance_squares(args.n, t0 * t0, [v * v for v in flat])
+        squares, solutions = sk.relation.solve_open_slot(args.n, t0, known)
         out = {
             "n": args.n,
             "t0": t0,
-            "known": flat,
+            "known": [v for v in known if v is not None],
             "solutions": solutions,
             "solution_squares": squares,
             "count": len(solutions),
@@ -213,7 +211,7 @@ def cmd_rel(args):
         "t0": t0,
         "t": values,
         "residual": residual,
-        "zero_within_tol": sk.relation.residual_is_zero(dt, residual, **_tol(args)),
+        "zero_within_tol": sk.relation.relation_holds(dt, **_tol(args)),
     }
     return _dumps(out), EXIT_OK
 

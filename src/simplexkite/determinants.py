@@ -10,10 +10,9 @@ package possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, as_scalar
+from .exact import ExactMatrix, Record, as_scalar
 
 
 def uniform_det(n: int, off, diag) -> Fraction:
@@ -37,14 +36,15 @@ def uniform_matrix(n: int, off, diag) -> ExactMatrix:
     return ExactMatrix([[b if i == j else a for j in range(n)] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class BorderedUniform:
+class BorderedUniform(Record):
     """An (n+1) x (n+1) uniform matrix with replaced first row and column.
 
     corner sits at position (0,0), `left` fills the rest of column 0,
     `top` the rest of row 0, and the trailing n x n block is uniform with
     `off` off the diagonal and `diag` on it.
     """
+
+    __slots__ = ("n", "corner", "left", "top", "off", "diag")
 
     n: int
     corner: Fraction

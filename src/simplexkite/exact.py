@@ -6,6 +6,9 @@ solves and the Gram LDL^T factors: rational input is cleared of
 denominators and eliminated by Bareiss's fraction-free method, whose
 every division is an exact integer `//`.  The cofactor determinant is
 kept as an independent oracle for it and for every closed form.
+
+`Record`, the frozen base of the package's result classes, lives here
+too, since every module that defines one imports this module.
 """
 
 from __future__ import annotations
@@ -18,6 +21,64 @@ from typing import Iterable, Sequence
 Scalar = Fraction
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+class Record:
+    """Frozen record whose fields are the names in the subclass's `__slots__`.
+
+    A subclass gets an `__init__` taking its fields in order, generated
+    once when the class is made; `defaults` in the class statement gives
+    the last fields defaults, as `collections.namedtuple` does.  A subclass
+    may write its own `__init__`, which sets the fields with
+    `object.__setattr__`.  Records compare equal, and hash, by type and
+    fields, repr as `Name(field=value, ...)`, refuse assignment, and
+    pickle and copy: what `dataclass(frozen=True)` gives, without
+    importing `dataclasses`, whose import of `inspect` and its
+    dependencies would slow the start of every process.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, defaults=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
+        cls.__match_args__ = fields
+        if "__init__" not in cls.__dict__:
+            body = "".join("\n    _set(self, %r, %s)" % (name, name) for name in fields)
+            scope = {"_set": object.__setattr__}
+            exec("def __init__(self, %s):%s" % (", ".join(fields), body), scope)
+            init = scope["__init__"]
+            init.__defaults__ = tuple(defaults) or None
+            init.__qualname__ = cls.__qualname__ + ".__init__"
+            cls.__init__ = init
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a frozen record" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of a frozen record" % name)
+
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 class SingularMatrixError(ValueError):

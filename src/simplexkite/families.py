@@ -21,11 +21,10 @@ within the float range is handled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
-from .exact import as_scalar, scalar_str
+from .exact import Record, as_scalar, scalar_str
 from .prekite import ApexReport, find_apexes
 
 TOL_FAMILY = 1e-9
@@ -40,9 +39,10 @@ _FORMS = {
 FAMILY_NAMES = tuple(_FORMS)
 
 
-@dataclass(frozen=True)
-class BetaVector:
+class BetaVector(Record):
     """Recovered weights for one family, with the worst pair defect."""
+
+    __slots__ = ("family", "beta", "residual")
 
     family: str
     beta: tuple
@@ -238,9 +238,10 @@ def matrix_from_beta(family: str, beta) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix(rows)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Apex census plus the four family verdicts for one simplex."""
+
+    __slots__ = ("realizable", "apex_report", "families", "kite_consistent")
 
     realizable: str
     apex_report: ApexReport

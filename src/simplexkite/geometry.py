@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import add, mul, sub, truediv
 
 from .cayley import (
@@ -33,6 +32,7 @@ from .cayley import (
     require_nondegenerate,
     volume_sq,
 )
+from .exact import Record
 
 TOL_EMBED = 1e-9
 TOL_CENTER = 1e-8
@@ -171,10 +171,10 @@ def _pull(x, cols, dists) -> list[float]:
     return [sum(map(truediv, map(sub, col, repeat(a)), dists)) for a, col in zip(x, cols)]
 
 
-def _vertex_pull(s: EmbeddedSimplex, k: int) -> tuple[float, list[float]]:
-    """Norm and direction of the combined unit pulls of the other vertices."""
-    vk, others = s.vertices[k], s.vertices[:k] + s.vertices[k + 1:]
-    pull = _pull(vk, zip(*others), [math.dist(v, vk) for v in others])
+def _vertex_pull(pts, k: int, row) -> tuple[float, list[float]]:
+    """Norm and direction of the combined unit pulls on vertex k of the
+    other vertices, given row[i] = |pts[i] - pts[k]|."""
+    pull = _pull(pts[k], zip(*(pts[:k] + pts[k + 1:])), row[:k] + row[k + 1:])
     return math.hypot(*pull), pull
 
 
@@ -187,7 +187,12 @@ def fermat_torricelli(
 
     The objective is convex, and a vertex is the global minimizer
     exactly when the combined unit pull of the other vertices has norm
-    at most 1; that certificate is checked for every vertex first.
+    at most 1; that certificate is checked for every vertex first.  A
+    vertex that passes it, with norm at most 1 + eps, has a summed distance
+    within eps * diameter <= eps * f* of the minimum f*, so not above the
+    centroid's by more than that; a vertex whose summed distance exceeds
+    the centroid's by a factor 1 + 1e-9 cannot pass, and its certificate
+    is not computed.
     Otherwise the minimizer is interior and is found by iteratively
     re-weighted averaging started at the centroid, accepted once the
     objective gradient norm drops to tol.  An iterate that lands on a
@@ -199,21 +204,21 @@ def fermat_torricelli(
     geometric series is added when that lowers the summed distance, compared per vertex.
     """
     pts = s.vertices
-    for k in range(len(pts)):
-        pull_norm, _ = _vertex_pull(s, k)
-        if pull_norm <= 1.0 + 1e-12:
-            return pts[k]
-    diameter = max(math.dist(p, q) for p, q in combinations(pts, 2))
-    vertex_snap = 1e-12 * diameter
+    table = [[math.dist(p, q) for q in pts] for p in pts]
     x = centroid(s)
-    cols = list(zip(*pts))
     dists = [math.dist(p, x) for p in pts]
+    bound = (1.0 + 1e-9) * sum(dists)
+    for k, row in enumerate(table):
+        if sum(row) <= bound and _vertex_pull(pts, k, row)[0] <= 1.0 + 1e-12:
+            return pts[k]
+    vertex_snap = 1e-12 * max(map(max, table))
+    cols = list(zip(*pts))
     step = ()  # the last averaging step, () when there is none to extend
     for _ in range(max_iter):
         k = min(range(len(pts)), key=dists.__getitem__)
         if dists[k] <= vertex_snap:
-            pull_norm, pull = _vertex_pull(s, k)
-            inv = sum(1.0 / math.dist(p, pts[k]) for i, p in enumerate(pts) if i != k)
+            pull_norm, pull = _vertex_pull(pts, k, table[k])
+            inv = sum(1.0 / r for i, r in enumerate(table[k]) if i != k)
             off = (pull_norm - 1.0) / inv
             x = tuple(a + off * (c / pull_norm) for a, c in zip(pts[k], pull))
             dists, step = [math.dist(p, x) for p in pts], ()
@@ -243,9 +248,10 @@ def fermat_torricelli(
     )
 
 
-@dataclass(frozen=True)
-class SumSquaresReport:
+class SumSquaresReport(Record):
     """Observed sum of squared vertex distances and its closed-form prediction."""
+
+    __slots__ = ("total", "predicted")
 
     total: float
     predicted: float
@@ -268,9 +274,10 @@ def sum_sq_to_vertices(s: EmbeddedSimplex, point) -> SumSquaresReport:
     return SumSquaresReport(total=total, predicted=predicted)
 
 
-@dataclass(frozen=True)
-class CenterSet:
+class CenterSet(Record):
     """The four classical centers of an embedded simplex, with both radii."""
+
+    __slots__ = ("centroid", "circumcenter", "incenter", "fermat", "circumradius", "inradius")
 
     centroid: Point
     circumcenter: Point

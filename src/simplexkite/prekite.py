@@ -17,18 +17,18 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import simplexkite as sk
 
-from .exact import as_scalar, scalar_str
+from .exact import Record, as_scalar, scalar_str
 
 
-@dataclass(frozen=True)
-class PreKite:
+class PreKite(Record):
     """Parameter bundle PK[n; u; v1..vn] (squared lengths)."""
+
+    __slots__ = ("n", "u", "v")
 
     n: int
     u: Fraction
@@ -157,9 +157,10 @@ def volume_sq_from_cm_det(c, n: int) -> Fraction:
     return (-1) ** (n + 1) * c / (2**n * Fraction(math.factorial(n)) ** 2)
 
 
-@dataclass(frozen=True)
-class ApexReport:
+class ApexReport(Record):
     """Which vertices face a regular facet, plus kite/regular flags."""
+
+    __slots__ = ("apexes", "is_kite", "is_regular")
 
     apexes: tuple[int, ...]
     is_kite: bool

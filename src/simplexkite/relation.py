@@ -14,15 +14,18 @@ triangle classifier.
 
 Verdicts decide exact input first, by comparing with zero: no
 tolerance and no float.  Only float input meets a tolerance, relative
-to the fourth power of the largest length; each default lives here.
+to the fourth power of the largest length, and is decided at a
+power-of-two scale of the inputs, so the verdict does not depend on
+their magnitude; each default lives here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+from .exact import Record
 
 _POMPEIU_TOL = 1e-12
 _RELATION_TOL = 1e-9
@@ -44,6 +47,19 @@ def _finite(value):
     return value
 
 
+def _unit_scaled(values) -> list:
+    """The values over the power of two that puts the largest float in
+    [1/2, 1), as `families._floats` scales a matrix; exact values stay exact.
+
+    A power of two commutes with the rounding of +, -, * and / in the
+    normal range, so a float verdict taken on these values computes what
+    it would on the inputs, up to that power, and depends on the inputs
+    only up to scale; the fourth power of the largest cannot underflow.
+    """
+    e = math.frexp(max(float(v) for v in values))[1]
+    return [Fraction(v) / Fraction(2) ** e if _is_exact(v) else math.ldexp(v, -e) for v in values]
+
+
 def _float_sqrt(q) -> float:
     """math.sqrt(float(q)) for q >= 0, also where an exact q lies beyond the float range.
 
@@ -62,9 +78,10 @@ def _float_sqrt(q) -> float:
         raise ValueError(_BEYOND_FLOATS) from None
 
 
-@dataclass(frozen=True)
-class DistanceTuple:
+class DistanceTuple(Record):
     """Edge length t0 of a regular n-simplex and distances to its n+1 vertices."""
+
+    __slots__ = ("n", "t0", "t")
 
     n: int
     t0: object
@@ -128,6 +145,22 @@ def residual_is_zero(dt: DistanceTuple, residual, tol: float = _RELATION_TOL) ->
     return abs(residual) <= tol * max(scale, 1e-300)
 
 
+def relation_holds(dt: DistanceTuple, tol: float = _RELATION_TOL) -> bool:
+    """Whether dt's lengths satisfy the distance relation.
+
+    Exact lengths are decided by `relation_residual(dt) == 0`.  Float
+    ones by `residual_is_zero` at a power-of-two scale of the lengths
+    (`_unit_scaled`), so the verdict is the same at every magnitude,
+    where the residual itself may underflow.
+    """
+    residual = relation_residual(dt)
+    if _is_exact(residual):
+        return residual == 0
+    t0, *t = _unit_scaled((dt.t0, *dt.t))
+    unit = DistanceTuple(dt.n, t0, t)
+    return residual_is_zero(unit, relation_residual(unit), tol)
+
+
 def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
     """All squared values closing the relation, given the edge square and
     the n known vertex squares.
@@ -175,12 +208,10 @@ def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
     return out
 
 
-def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
-    """All nonnegative distances filling the one open slot of the relation.
-
-    `known` lists the vertex distances with exactly one None (or may
-    simply omit the open slot and have length n).  Returns a sorted
-    tuple of 0, 1, or 2 distances.
+def solve_open_slot(n: int, t0, known) -> tuple[list, tuple[float, ...]]:
+    """The squared values and the distances filling the one open slot of
+    the relation: (`solve_missing_distance_squares` of the squared
+    inputs, `solve_missing_distance`), from one solve.
     """
     known = list(known)
     if len(known) == n + 1:
@@ -195,7 +226,17 @@ def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
     squares = solve_missing_distance_squares(
         n, t0 * t0, [v * v for v in known]
     )
-    return tuple(sorted(_float_sqrt(q) for q in squares))
+    return squares, tuple(sorted(_float_sqrt(q) for q in squares))
+
+
+def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
+    """All nonnegative distances filling the one open slot of the relation.
+
+    `known` lists the vertex distances with exactly one None (or may
+    simply omit the open slot and have length n).  Returns a sorted
+    tuple of 0, 1, or 2 distances.
+    """
+    return solve_open_slot(n, t0, known)[1]
 
 
 def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
@@ -240,7 +281,9 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
     the circumcircle (the distances only close up flat), and
     "valid_triangle" otherwise.  Exact input is decided exactly.  For
     float input tol is relative to the fourth power of the largest
-    input, matching the degree of the invariants.
+    input, matching the degree of the invariants, and the invariants
+    are taken again at a power-of-two scale of the inputs
+    (`_unit_scaled`), so the verdict is the same at every magnitude.
     """
     if a <= 0 or min(x, y, z) < 0:
         raise ValueError("side must be positive and distances nonnegative")
@@ -249,7 +292,9 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
         if g != 0:
             return INCONSISTENT
         return DEGENERATE_ON_CIRCLE if h == 0 else VALID_TRIANGLE
-    scale = max(float(v) for v in (a, x, y, z)) ** 4
+    unit = _unit_scaled((a, x, y, z))
+    g, h = pompeiu_invariants(*unit)
+    scale = max(float(v) for v in unit) ** 4
     if abs(float(g)) > tol * scale:
         return INCONSISTENT
     return DEGENERATE_ON_CIRCLE if abs(float(h)) <= tol * scale else VALID_TRIANGLE

@@ -273,8 +273,22 @@ class TestRel:
         code, _ = run(["rel", "solve", "--n", "2", "--t0", "1"])
         assert code == 1
 
+    def test_verify_float_verdict_at_tiny_magnitudes(self, run):
+        code, out = run(["rel", "verify", "--n", "2", "--t0", "1e-80", "--t", "1e-80,1e-80,1e-80"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residual"] < 0  # underflowed, yet the lengths at 1 give residual -4
+        assert payload["zero_within_tol"] is False
+
 
 class TestPompeiu:
+    def test_float_verdict_at_tiny_magnitudes(self, run):
+        code, out = run(["pompeiu", "1e-100", "1e-100", "1e-100", "1e-100"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["g"] == payload["h"] == 0.0  # underflowed, yet the verdict is that of 1 1 1 1
+        assert payload["verdict"] == "inconsistent"
+
     def test_inconsistent(self, run):
         code, out = run(["pompeiu", "1", "1", "1", "1"])
         assert code == 0

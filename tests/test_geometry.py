@@ -10,6 +10,7 @@ from simplexkite import (
     EmbeddedSimplex,
     NonEuclideanError,
     PreKite,
+    Realizability,
     SquaredDistanceMatrix,
     center_set,
     centroid,
@@ -18,9 +19,11 @@ from simplexkite import (
     embed,
     fermat_torricelli,
     incenter,
+    is_realizable,
     sum_distances,
     sum_sq_to_vertices,
 )
+from simplexkite.geometry import _pull
 from conftest import random_point_sdm
 
 
@@ -309,3 +312,47 @@ def test_center_set_bundle():
     assert set(payload) == {
         "centroid", "circumcenter", "incenter", "fermat", "circumradius", "inradius",
     }
+
+
+def unscreened_vertex(s):
+    """The first vertex passing the certificate, every vertex tried: None
+    when the unit pulls on each have norm above 1 + 1e-12."""
+    pts = s.vertices
+    for k, vk in enumerate(pts):
+        others = pts[:k] + pts[k + 1:]
+        pull = _pull(vk, zip(*others), [math.dist(v, vk) for v in others])
+        if math.hypot(*pull) <= 1.0 + 1e-12:
+            return vk
+    return None
+
+
+def hub_simplex(rng, n):
+    """n random points and a hub near their centroid, off their hyperplane
+    by a random small amount: the Fermat point is the hub when it sits low."""
+    others = [[Fraction(rng.randint(-20, 20), 4) for _ in range(n)] for _ in range(n)]
+    hub = [sum(col) / n + Fraction(rng.randint(-8, 8), rng.choice((4, 64, 1024))) for col in zip(*others)]
+    pts = [hub] + others
+    d = SquaredDistanceMatrix([[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts])
+    return embed(d) if is_realizable(d).status is Realizability.NONDEGENERATE else None
+
+
+class TestFermatVertexScreen:
+    """Vertices whose summed distance exceeds the centroid's are skipped
+    before their certificate; the answer must not change by a bit."""
+
+    def test_same_point_as_the_unscreened_certificate(self):
+        rng = random.Random(1212)
+        sims = [embed(sdm_triangle(1, 1, 3 + sign * Fraction(1, 10**k))) for k in range(1, 17) for sign in (-1, 1)]
+        while len(sims) < 200:
+            s = hub_simplex(rng, rng.randint(2, 6))
+            if s is not None:
+                sims.append(s)
+        at_vertex = 0
+        for s in sims:
+            want, got = unscreened_vertex(s), fermat_torricelli(s)
+            if want is None:
+                assert got not in s.vertices
+            else:
+                assert got == want
+                at_vertex += 1
+        assert at_vertex >= 40 and len(sims) - at_vertex >= 40

@@ -146,3 +146,25 @@ def test_unknown_attribute_raises():
     assert not hasattr(simplexkite, "nonsense")
     with pytest.raises(ImportError):
         from simplexkite import nonsense  # noqa: F401
+
+
+
+# `dataclasses` imports `inspect`, which pulls in `ast`, `dis` and `tokenize`: start-up no command needs
+HEAVY = ("dataclasses", "inspect")
+ABSENT = "print(json.dumps([m for m in %r if m in sys.modules]), file=sys.stderr)" % (HEAVY,)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(["import simplexkite"], id="package"), pytest.param(["import simplexkite.cli"], id="cli-module")]
+    + [pytest.param(p.values[0], id=p.id) for p in FOOTPRINTS],
+)
+def test_no_process_loads_dataclasses_or_inspect(tmp_path, argv):
+    if argv[0].startswith("import "):
+        proc = fresh("import json, sys\n%s\n%s" % (argv[0], ABSENT))
+    else:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(SquaredDistanceMatrix.regular(3).to_json()))
+        proc = fresh(RUN_CLI.replace(LOADED, ABSENT), *[str(path) if a == MATRIX else a for a in argv])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == []

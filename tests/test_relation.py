@@ -21,7 +21,7 @@ from simplexkite import (
     solve_missing_distance,
     solve_missing_distance_squares,
 )
-from simplexkite.relation import _float_sqrt, residual_is_zero
+from simplexkite.relation import _float_sqrt, relation_holds, residual_is_zero, solve_open_slot
 
 SQRT3 = math.sqrt(3.0)
 
@@ -239,3 +239,59 @@ class TestPompeiuFromPoint:
             for j in range(i + 1, 3):
                 assert np.linalg.norm(verts[i] - verts[j]) == pytest.approx(2.0)
         assert np.linalg.norm(verts.mean(axis=0)) < 1e-15
+
+
+class TestSolveOpenSlot:
+    @pytest.mark.parametrize(
+        "n, t0, known",
+        [(2, 1, [0, 1, None]), (2, 1, [0, 1]), (2, 1.5, [None, 1, 0.5]), (2, 1, [10, 0.1, None]),
+         (3, Fraction(1, 2), [Fraction(1, 3), 1, Fraction(1, 2)]), (2, 10**200, [10**200, 10**200])],
+    )
+    def test_both_results_from_one_solve(self, n, t0, known):
+        flat = [v for v in known if v is not None]
+        squares = solve_missing_distance_squares(n, t0 * t0, [v * v for v in flat])
+        assert solve_open_slot(n, t0, known) == (squares, solve_missing_distance(n, t0, known))
+
+    @pytest.mark.parametrize(
+        "known, message",
+        [([None, None, 1], "exactly one slot"), ([1, None], "expected n known"), ([1, -1], "lengths must be positive")],
+    )
+    def test_input_checks(self, known, message):
+        with pytest.raises(ValueError, match=message):
+            solve_open_slot(2, 1, known)
+        with pytest.raises(ValueError, match="lengths must be positive"):
+            solve_open_slot(2, 0, [1, 1])
+
+
+class TestScaleInvariantFloatVerdicts:
+    """A float verdict is taken at a power-of-two scale of its inputs, so
+    2**k times the inputs gets the verdict of k = 0, also where fourth
+    powers underflow or the scale drops below 1e-300."""
+
+    @staticmethod
+    def scaled(v, k):
+        return v * Fraction(2) ** k if isinstance(v, Fraction) else math.ldexp(v, k)
+
+    def test_pompeiu_classify(self):
+        point = pompeiu_from_point(1.0, (0.3, 0.1))[0]
+        cases = [(1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0), (1.0, *point), (1.0, 0.5, 0.5, 0.5),
+                 (Fraction(1), 0.0, 1.0, 1.0), (1.0, 1 / SQRT3, 1 / SQRT3, 1 / SQRT3)]
+        verdicts = [pompeiu_classify(*case) for case in cases]
+        assert set(verdicts) == {INCONSISTENT, DEGENERATE_ON_CIRCLE, VALID_TRIANGLE}
+        for case, want in zip(cases, verdicts):
+            for k in range(-250, 251):
+                assert pompeiu_classify(*(self.scaled(v, k) for v in case)) == want, (case, k)
+
+    def test_relation_holds(self):
+        cases = [(2, 1.0, (1.0, 1.0, 1.0)), (2, 1.0, (0.0, 1.0, 1.0)), (2, 1.0, (1 / SQRT3,) * 3),
+                 (3, 1.0, (0.0, 1.0, 1.0, 1.0)), (3, 1.0, (0.5, 1.0, 1.0, 1.0)), (2, Fraction(1), (0.0, 1.0, 1.0))]
+        verdicts = [relation_holds(DistanceTuple(*case)) for case in cases]
+        assert verdicts == [False, True, True, True, False, True]
+        for (n, t0, t), want in zip(cases, verdicts):
+            for k in range(-250, 251):
+                dt = DistanceTuple(n, self.scaled(t0, k), [self.scaled(v, k) for v in t])
+                assert relation_holds(dt) is want, (n, t0, t, k)
+
+    def test_relation_holds_decides_exact_lengths_exactly(self):
+        assert relation_holds(DistanceTuple(2, 10**400, (0, 10**400, 10**400)))
+        assert not relation_holds(DistanceTuple(2, 10**6, (0, 10**6, 10**6 + 1)), tol=1e30)
