@@ -40,9 +40,9 @@ from .exact import (
     _bareiss,
     _cleared,
     _signature,
+    _wire,
     as_scalar,
     exact_determinant,
-    scalar_str,
 )
 
 
@@ -75,9 +75,6 @@ class RealizabilityVerdict(Record):
 
     status: Realizability
     gram_inertia: tuple[int, int, int]
-
-    def to_json(self) -> dict:
-        return {"status": self.status.value, "gram_inertia": list(self.gram_inertia)}
 
 
 class SquaredDistanceMatrix:
@@ -143,10 +140,7 @@ class SquaredDistanceMatrix:
             raise ValueError("invalid matrix entry: %s" % exc) from exc
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": [[scalar_str(x) for x in row] for row in self.a],
-        }
+        return {"n": self.n, "a": _wire(self.a)}
 
     def __eq__(self, other):
         return isinstance(other, SquaredDistanceMatrix) and self.a == other.a

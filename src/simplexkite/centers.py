@@ -23,7 +23,7 @@ from .cayley import (
     is_realizable,
     require_nondegenerate,
 )
-from .exact import Record, scalar_str
+from .exact import Record
 from .geometry import TOL_CENTER, center_set, embed
 from .prekite import PreKite
 
@@ -114,20 +114,10 @@ class CoincidenceReport(Record, defaults=(None, None)):
     center_distances: dict | None
 
     def to_json(self) -> dict:
-        out = {
-            "well_distributed": self.well_distributed,
-            "equiradial": self.equiradial,
-            "equiareal": self.equiareal,
-            "circumcenter_interior": self.circumcenter_interior,
-            "qg_coincide": self.qg_coincide,
-            "qi_coincide": self.qi_coincide,
-            "ig_coincide": self.ig_coincide,
-        }
+        """The fields, without the float cross-checks that were not taken."""
+        out = {name: value for name, value in super().to_json().items() if value is not None}
         if self.fermat_coincidences is not None:
-            out["fermat_coincidences"] = dict(self.fermat_coincidences)
             out["fermat_note"] = "float-based, experimental"
-        if self.center_distances is not None:
-            out["center_distances"] = dict(self.center_distances)
         return out
 
 
@@ -200,20 +190,6 @@ class EquiarealCandidate(Record):
 
     def prekite(self) -> PreKite:
         return PreKite(self.n, self.u, (self.x,) * self.t + (self.y,) * self.s)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "s": self.s,
-            "x": scalar_str(self.x),
-            "y": scalar_str(self.y),
-            "u": scalar_str(self.u),
-            "realizable": self.realizable,
-            "degenerate": self.degenerate,
-            "equiareal_verified": self.equiareal_verified,
-            "regular": self.regular,
-        }
 
 
 def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:

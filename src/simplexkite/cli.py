@@ -111,7 +111,7 @@ def _cm_fields(c, dd, n) -> dict:
         "cm_det": c,
         "inner_cm_det": dd,
         "volume_sq": sk.prekite.volume_sq_from_cm_det(c, n),
-        "circumradius_sq": None if degenerate else -dd / (2 * c),
+        "circumradius_sq": None if degenerate else sk.prekite.circumradius_sq_from_cm_dets(c, dd),
         "degenerate": degenerate,
     }
 
@@ -128,7 +128,7 @@ def cmd_prekite_eval(args):
     out = {
         **pk.to_json(),
         **whole,
-        "equiareal": len({row["cm_det"] for row in facets}) == 1,
+        "equiareal": sk.prekite.pk_facets_equiareal(pk),
         "facets": facets,
     }
     return _dumps(out), EXIT_NOT_REALIZABLE if whole["degenerate"] else EXIT_OK
@@ -176,7 +176,9 @@ def cmd_equiareal_scan(args):
 
 
 def _parse_known(text: str, n: int):
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise ValueError("empty field in comma-separated distances: %r" % text)
     values = [None if p == "?" else _number(p) for p in parts]
     if len(values) not in (n, n + 1):
         raise ValueError("expected n or n+1 comma-separated distances")
@@ -186,6 +188,8 @@ def _parse_known(text: str, n: int):
 def cmd_rel(args):
     t0 = _number(args.t0)
     if args.mode == "solve":
+        if args.tol is not None:
+            raise ValueError("rel solve does not read --tol")
         if args.known is None:
             raise ValueError("rel solve needs --known")
         known = _parse_known(args.known, args.n)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,7 +35,8 @@ class Record:
     fields, repr as `Name(field=value, ...)`, refuse assignment, and
     pickle and copy: what `dataclass(frozen=True)` gives, without
     importing `dataclasses`, whose import of `inspect` and its
-    dependencies would slow the start of every process.
+    dependencies would slow the start of every process.  `to_json`
+    writes each field under its name, in the wire form of `_wire`.
     """
 
     __slots__ = ()
@@ -79,6 +81,32 @@ class Record:
     def __setstate__(self, state):
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
+
+    def to_json(self) -> dict:
+        return {name: _wire(getattr(self, name)) for name in self.__slots__}
+
+
+_PLAIN = (int, float, str)
+
+
+def _wire(value):
+    """JSON-ready form of a field value: an exact scalar as its "p/q" text,
+    tuples and lists as lists and dicts as dicts of wire forms, a record
+    as its `to_json()` and an enum member as its value; anything else as is.
+    """
+    if isinstance(value, _PLAIN):  # first, as the ABC check for Fraction is slow on other values
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_wire(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _wire(x) for key, x in value.items()}
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, Enum):
+        return value.value
+    return value
 
 
 class SingularMatrixError(ValueError):

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
-from .exact import Record, as_scalar, scalar_str
+from .exact import Record, as_scalar
 from .prekite import ApexReport, find_apexes
 
 TOL_FAMILY = 1e-9
@@ -36,8 +36,6 @@ _FORMS = {
     "tetra_isogonic": lambda bi, bj: bi**2 + bi * bj + bj**2,
 }
 
-FAMILY_NAMES = tuple(_FORMS)
-
 
 class BetaVector(Record):
     """Recovered weights for one family, with the worst pair defect."""
@@ -47,15 +45,6 @@ class BetaVector(Record):
     family: str
     beta: tuple
     residual: object  # Fraction for the exact family, float otherwise
-
-    def to_json(self) -> dict:
-        if self.family == "orthocentric":
-            beta = [scalar_str(b) for b in self.beta]
-            residual = scalar_str(self.residual)
-        else:
-            beta = [float(b) for b in self.beta]
-            residual = float(self.residual)
-        return {"family": self.family, "beta": beta, "residual": residual}
 
 
 def _check_size(d: SquaredDistanceMatrix):
@@ -250,16 +239,13 @@ class ClassificationReport(Record):
 
     def to_json(self) -> dict:
         fams = {}
-        for name in FAMILY_NAMES:
-            vec = self.families[name]
+        for name, vec in self.families.items():
             entry = {"beta": None, "residual": None} if vec is None else vec.to_json()
             entry.pop("family", None)
             fams[name] = {"member": vec is not None, **entry}
         return {
             "realizable": self.realizable,
-            "apexes": list(self.apex_report.apexes),
-            "kite": self.apex_report.is_kite,
-            "regular": self.apex_report.is_regular,
+            **self.apex_report.to_json(),
             "families": fams,
             "kite_consistent": self.kite_consistent,
         }

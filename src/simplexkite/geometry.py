@@ -286,16 +286,6 @@ class CenterSet(Record):
     circumradius: float
     inradius: float
 
-    def to_json(self) -> dict:
-        return {
-            "centroid": list(self.centroid),
-            "circumcenter": list(self.circumcenter),
-            "incenter": list(self.incenter),
-            "fermat": list(self.fermat),
-            "circumradius": self.circumradius,
-            "inradius": self.inradius,
-        }
-
 
 def center_set(s: EmbeddedSimplex, ft_tol: float = FT_GRADIENT_TOL) -> CenterSet:
     """Compute all four centers in one go."""

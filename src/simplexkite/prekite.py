@@ -5,10 +5,12 @@ edge among vertices 1..n has squared length u, and edge (0, i) has
 squared length v_i.  All parameters are SQUARED lengths throughout;
 callers holding plain lengths must square them first.
 
-The closed forms below evaluate the Cayley-Menger determinants of a
-pre-kite and of all its facets without building any matrix, and are
-validated against the generic determinants in tests;
-`volume_sq_from_cm_det` turns such a determinant into a squared volume.
+Every facet of a pre-kite is a pre-kite one dimension down, so two
+closed forms, the Cayley-Menger determinant and the inner one of
+PK[n; u; v], evaluate those of a pre-kite and of all its facets without
+building any matrix; they are validated against the generic determinants
+in tests.  `volume_sq_from_cm_det` and `circumradius_sq_from_cm_dets`
+turn such determinants into a squared volume and circumradius.
 Nothing here loads `cayley` until `PreKite.to_sdm` builds a matrix.
 """
 
@@ -22,7 +24,7 @@ from itertools import combinations
 
 import simplexkite as sk
 
-from .exact import Record, as_scalar, scalar_str
+from .exact import Record, as_scalar
 
 
 class PreKite(Record):
@@ -77,13 +79,6 @@ class PreKite(Record):
             raise ValueError('expected an object with fields "n", "u", "v"')
         return cls(payload["n"], payload["u"], payload["v"])
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "u": scalar_str(self.u),
-            "v": [scalar_str(x) for x in self.v],
-        }
-
 
 def two_apexed(n: int, u, v) -> PreKite:
     """PK[n; u; u,...,u, v]: all edges u except the single odd edge v."""
@@ -91,60 +86,62 @@ def two_apexed(n: int, u, v) -> PreKite:
     return PreKite(n, u, (u,) * (n - 1) + (as_scalar(v),))
 
 
-def pk_cm_det(pk: PreKite) -> Fraction:
-    """Cayley-Menger determinant of PK[n;u;v]:
+def _cm_form(n: int, u, v) -> Fraction:
+    """Cayley-Menger determinant of PK[n; u; v], for n >= 1:
 
         (-u)**(n-2) * [ n*(u**2 + sum v_i**2) - (u + sum v_i)**2 ]
+
+    At n = 1, a segment of squared length v_1, it is 2*v_1 for every u.
     """
-    return (-pk.u) ** (pk.n - 2) * (pk.n * pk.sum2 - pk.sum1**2)
+    s1 = u + sum(v)
+    s2 = u**2 + sum(x**2 for x in v)
+    return (-u) ** (n - 2) * (n * s2 - s1**2)
+
+
+def _inner_form(n: int, u, v) -> Fraction:
+    """Inner Cayley-Menger determinant of PK[n; u; v], for n >= 1:
+
+        (-u)**(n-1) * [ (n-1)*(sum v_i**2) - (sum v_i)**2 ]
+
+    At n = 1 it is -v_1**2.
+    """
+    return (-u) ** (n - 1) * ((n - 1) * sum(x**2 for x in v) - sum(v) ** 2)
+
+
+def _facet(pk: PreKite, j: int) -> tuple:
+    """(n-1, u, apex edges) of facet j of PK[n;u;v], itself a pre-kite:
+    facet 0 is the regular base PK[n-1; u; u..u], and facet j >= 1 is the
+    pre-kite without apex edge j."""
+    if not 0 <= j <= pk.n:
+        raise IndexError("facet index out of range")
+    v = (pk.u,) * (pk.n - 1) if j == 0 else pk.v[: j - 1] + pk.v[j:]
+    return pk.n - 1, pk.u, v
+
+
+def pk_cm_det(pk: PreKite) -> Fraction:
+    """Cayley-Menger determinant of PK[n;u;v] (`_cm_form`)."""
+    return _cm_form(pk.n, pk.u, pk.v)
 
 
 def pk_inner_cm_det(pk: PreKite) -> Fraction:
-    """Inner Cayley-Menger determinant of PK[n;u;v]:
-
-        (-u)**(n-1) * [ (n-1)*(sum v_i**2) - (sum v_i)**2 ]
-    """
-    vsum = sum(pk.v)
-    vsq = sum(x**2 for x in pk.v)
-    return (-pk.u) ** (pk.n - 1) * ((pk.n - 1) * vsq - vsum**2)
-
-
-def _check_facet_index(pk: PreKite, j: int):
-    if not 0 <= j <= pk.n:
-        raise IndexError("facet index out of range")
+    """Inner Cayley-Menger determinant of PK[n;u;v] (`_inner_form`)."""
+    return _inner_form(pk.n, pk.u, pk.v)
 
 
 def pk_facet_cm(pk: PreKite, j: int) -> Fraction:
-    """Cayley-Menger determinant of the j-th facet of PK[n;u;v].
-
-    Facet 0 is the regular base, giving (-1)**n * n * u**(n-1); facet
-    j >= 1 drops apex edge j and stays a pre-kite one dimension down.
-    """
-    _check_facet_index(pk, j)
-    n, u = pk.n, pk.u
-    if j == 0:
-        return (-1) ** n * n * u ** (n - 1)
-    s1, s2, vj = pk.sum1, pk.sum2, pk.v[j - 1]
-    return (-u) ** (n - 3) * (-(s1**2) + (n - 1) * s2 - n * vj**2 + 2 * s1 * vj)
+    """Cayley-Menger determinant of the j-th facet of PK[n;u;v] (`_facet`)."""
+    return _cm_form(*_facet(pk, j))
 
 
 def pk_facet_inner_cm(pk: PreKite, j: int) -> Fraction:
     """Inner Cayley-Menger determinant of the j-th facet of PK[n;u;v]."""
-    _check_facet_index(pk, j)
-    n, u = pk.n, pk.u
-    if j == 0:
-        return (-1) ** (n + 1) * u**n * (n - 1)
-    s1, s2, vj = pk.sum1, pk.sum2, pk.v[j - 1]
-    core = (
-        (n - 2) * s2
-        - s1**2
-        + 2 * s1 * u
-        - (n - 1) * u**2
-        - (n - 1) * vj**2
-        + 2 * s1 * vj
-        - 2 * u * vj
-    )
-    return (-u) ** (n - 2) * core
+    return _inner_form(*_facet(pk, j))
+
+
+def pk_facets_equiareal(pk: PreKite) -> bool:
+    """Whether all n+1 facets of PK[n;u;v] have one volume: facets of one
+    dimension do exactly when their Cayley-Menger determinants are equal."""
+    return len({pk_facet_cm(pk, j) for j in range(pk.n + 1)}) == 1
 
 
 def volume_sq_from_cm_det(c, n: int) -> Fraction:
@@ -155,6 +152,12 @@ def volume_sq_from_cm_det(c, n: int) -> Fraction:
     means the determinant did not come from Euclidean data.
     """
     return (-1) ** (n + 1) * c / (2**n * Fraction(math.factorial(n)) ** 2)
+
+
+def circumradius_sq_from_cm_dets(c, dd) -> Fraction:
+    """Squared circumradius from a nonzero Cayley-Menger determinant c and
+    the inner determinant dd of the same simplex: -dd / (2*c)."""
+    return -dd / (2 * c)
 
 
 class ApexReport(Record):

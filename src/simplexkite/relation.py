@@ -244,14 +244,19 @@ def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
 
     For a regular n-simplex of edge length u the circumsphere is exactly
     the locus where the sum of squared vertex distances equals n*u**2.
-    Exact comparison when both inputs are rational.
+    Exact comparison when both inputs are rational.  Otherwise the exact
+    values of the inputs are compared within tol relative to n*u**2, so
+    the verdict at (2**k * u, 4**k * sum_sq) is that at k = 0; NaN and
+    infinity are refused.
     """
+    if not all(_is_exact(x) or math.isfinite(x) for x in (u, sum_sq)):
+        raise ValueError("edge length and sum must be finite")
     if u <= 0:
         raise ValueError("edge length must be positive")
-    target = n * u * u
+    target = n * Fraction(u) ** 2
     if _is_exact(u) and _is_exact(sum_sq):
-        return Fraction(sum_sq) == Fraction(target)
-    return abs(float(sum_sq) - float(target)) <= tol * max(1.0, abs(float(target)))
+        return Fraction(sum_sq) == target
+    return abs(Fraction(sum_sq) - target) <= Fraction(tol) * target
 
 
 def pompeiu_invariants(a, x, y, z):

@@ -418,6 +418,9 @@ BAD_INPUT = [
     (["equiareal-scan", "13"], "scan supports 3 <= n <= 12"),
     (["pompeiu", "1", "0", "1"], "the following arguments are required: z"),
     (["classify", "m.json", "--lengths"], "unrecognized arguments: --lengths"),
+    (["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,1,?", "--tol", "5"], "rel solve does not read --tol"),
+    (["rel", "solve", "--n", "1", "--t0", "1", "--known", "1,,?"], "empty field in comma-separated distances: '1,,?'"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--t", ",0,1,1,"], "empty field in comma-separated distances: ',0,1,1,'"),
 ]
 
 

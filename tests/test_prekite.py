@@ -100,6 +100,19 @@ class TestClosedForms:
         assert pk_facet_inner_cm(pk, 4) == -3
         assert pk_facet_inner_cm(pk, 1) == inner_cm_det(facet_sdm(pk.to_sdm(), 1))
 
+    def test_every_facet_is_a_prekite(self):
+        # the identity the facet forms rest on: facet j >= 1 drops apex edge j,
+        # and the base is the regular pre-kite one dimension down
+        rng = random.Random(47)
+        for n in range(3, 7):
+            for _ in range(5):
+                pk = random_prekite(rng, n)
+                facets = [PreKite(n - 1, pk.u, (pk.u,) * (n - 1))]
+                facets += [PreKite(n - 1, pk.u, pk.v[: j - 1] + pk.v[j:]) for j in range(1, n + 1)]
+                for j, facet in enumerate(facets):
+                    assert pk_facet_cm(pk, j) == pk_cm_det(facet)
+                    assert pk_facet_inner_cm(pk, j) == pk_inner_cm_det(facet)
+
     def test_facet_index_checked(self):
         pk = PreKite(3, 1, (1, 1, 2))
         with pytest.raises(IndexError):

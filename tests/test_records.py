@@ -1,10 +1,12 @@
 """The value semantics every record class keeps: construction by position
 and keyword, equality and hash by type and fields, the `Name(field=value)`
-repr, refused assignment, pickle and copy round trips, and construction
-no dearer than a frozen dataclass of the same fields.
+repr, refused assignment, pickle and copy round trips, a JSON form that
+needs no hook, and construction no dearer than a frozen dataclass of the
+same fields.
 """
 
 import copy
+import json
 import pickle
 import timeit
 from dataclasses import dataclass
@@ -109,6 +111,34 @@ def test_pickle_and_copy(cls, names, values, other):
         assert tuple(getattr(twin, name) for name in names) == values
         with pytest.raises(AttributeError):
             setattr(twin, names[0], values[0])
+
+
+@pytest.mark.parametrize("cls, names, values, other", RECORDS, ids=IDS)
+def test_to_json_needs_no_hook(cls, names, values, other):
+    payload = cls(*values).to_json()
+    assert json.loads(json.dumps(payload)) == payload
+
+
+@pytest.mark.parametrize(
+    "record, expected",
+    [
+        (RealizabilityVerdict(Realizability.NONDEGENERATE, (3, 0, 1)),
+         {"status": "nondegenerate", "gram_inertia": [3, 0, 1]}),
+        (EquiarealCandidate(4, 3, 1, F(3, 2), F(1, 4), F(1), True, False, True, False),
+         {"n": 4, "t": 3, "s": 1, "x": "3/2", "y": "1/4", "u": "1",
+          "realizable": True, "degenerate": False, "equiareal_verified": True, "regular": False}),
+        (BetaVector("orthocentric", (F(1), F(1, 2), F(-3)), F(0)),
+         {"family": "orthocentric", "beta": ["1", "1/2", "-3"], "residual": "0"}),
+        (BetaVector("isodynamic", (1.0, 0.5, 2.25), 1e-17),
+         {"family": "isodynamic", "beta": [1.0, 0.5, 2.25], "residual": 1e-17}),
+        (CenterSet((0.0, 0.5), (0.25, 0.5), (0.125, 0.0), (0.0, 1.0), 1.5, 0.25),
+         {"centroid": [0.0, 0.5], "circumcenter": [0.25, 0.5], "incenter": [0.125, 0.0],
+          "fermat": [0.0, 1.0], "circumradius": 1.5, "inradius": 0.25}),
+    ],
+    ids=["RealizabilityVerdict", "EquiarealCandidate", "BetaVector-exact", "BetaVector-float", "CenterSet"],
+)
+def test_to_json_wire_form(record, expected):
+    assert record.to_json() == expected
 
 
 def test_coincidence_report_defaults():

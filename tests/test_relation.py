@@ -292,6 +292,24 @@ class TestScaleInvariantFloatVerdicts:
                 dt = DistanceTuple(n, self.scaled(t0, k), [self.scaled(v, k) for v in t])
                 assert relation_holds(dt) is want, (n, t0, t, k)
 
+    def test_on_circumsphere_by_sums(self):
+        # the edge length scales by 2**k and the sum of squares by 4**k
+        cases = [(2, 1.0, 0.0), (2, 1.0, 2.0), (2, 1.0, 2.0 + 1e-12), (2, 1.0, 2.01), (3, 1.0, 1.5),
+                 (3, 0.75, 1.6875), (2, Fraction(1), 2.0), (2, 1.0, Fraction(3, 2))]
+        verdicts = [on_circumsphere_by_sums(*case) for case in cases]
+        assert verdicts == [False, True, True, False, False, True, True, False]
+        for (n, u, total), want in zip(cases, verdicts):
+            for k in range(-250, 251):
+                assert on_circumsphere_by_sums(n, self.scaled(u, k), self.scaled(total, 2 * k)) is want, (n, u, total, k)
+
+    def test_on_circumsphere_by_sums_mixed_and_non_finite(self):
+        assert not on_circumsphere_by_sums(2, 10**200, 1.0)
+        assert on_circumsphere_by_sums(2, 10**150, 2e300)
+        assert on_circumsphere_by_sums(2, 1.0, 2)
+        for args in ((2, math.nan, 2.0), (2, 1.0, math.nan), (2, math.inf, 2.0), (2, 1.0, math.inf), (2, 1.0, -math.inf)):
+            with pytest.raises(ValueError):
+                on_circumsphere_by_sums(*args)
+
     def test_relation_holds_decides_exact_lengths_exactly(self):
         assert relation_holds(DistanceTuple(2, 10**400, (0, 10**400, 10**400)))
         assert not relation_holds(DistanceTuple(2, 10**6, (0, 10**6, 10**6 + 1)), tol=1e30)
