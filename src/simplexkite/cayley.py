@@ -86,7 +86,7 @@ class SquaredDistanceMatrix:
     integer form c*D, which it keeps with c for every exact step.
     """
 
-    __slots__ = ("n", "a", "_dist", "_den", "_gram", "_sphere", "_facets", "_record")
+    __slots__ = ("n", "a", "_dist", "_den", "_gram", "_sphere", "_facets", "_record", "_dets", "_floats")
 
     def __init__(self, entries: Iterable[Iterable]):
         table = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -110,6 +110,8 @@ class SquaredDistanceMatrix:
         self._sphere = None  # the `_circumsphere` result, filled on first use
         self._facets = None  # the `facet_sdm` results, filled on first use
         self._record = None  # the `facet_record` result, filled on first use
+        self._dets = None  # the `_facet_dets` result, filled on first use
+        self._floats = None  # the `families._floats` result, filled on first use
 
     @classmethod
     def regular(cls, n: int, side_sq=1) -> "SquaredDistanceMatrix":
@@ -266,19 +268,6 @@ def _circumsphere(d: SquaredDistanceMatrix) -> _Sphere:
     return d._sphere
 
 
-def _circumcenter_frame(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
-    """y with the circumcenter at sum_k y_k sqrt(D_k) e_k when vertex i+1 is
-    at sum_k L[i][k] sqrt(D_k) e_k (`gram_ldl`, the frame `embed` builds).
-
-    2 G x = g and G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and the sweep
-    of A's diagonal holds L^-1 (s g) times the leading minors, so y_k =
-    swept_k / (2 minors[k]).  A far circumcenter has huge barycentrics x,
-    whose float image through the vertices would cancel; y does not.
-    """
-    minors = _gram_elimination(d).minors
-    return tuple(Fraction(b, 2 * m) for b, m in zip(_circumsphere(d).swept, minors))
-
-
 def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
     """Gram matrix of edge vectors out of vertex 0.
 
@@ -428,31 +417,21 @@ def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
     """Circumsphere, facet volumes and facet circumradii, read off the one
     Gram elimination and kept on d.
 
-    The facet Gram determinants, scaled like A = s*G, are det_k =
-    adj(A)[k-1][k-1] for k >= 1 and det_0 = 1^T adj(A) 1, so V_k**2 =
-    det_k / (s**(n-1) ((n-1)!)**2).  The circumcenter lies at signed
-    distance w_k h_k from facet k's hyperplane and projects onto the
+    The facet Gram determinants det_k (`_facet_dets`), scaled like A = s*G,
+    give V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  The circumcenter lies at
+    signed distance w_k h_k from facet k's hyperplane and projects onto the
     facet's circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 =
-    R**2 - w_k**2 det(A) / (s det_k).  The summed adjugate column is
-    certified, A adj(A) 1 = det(A) 1, in O(n**2) integers.  Degenerate or
-    non-Euclidean input raises with the verdict attached: it has no
-    circumsphere, and its facets are `facet_sdm`'s to eliminate.
+    R**2 - w_k**2 det(A) / (s det_k).  Degenerate or non-Euclidean input
+    raises with the verdict attached: it has no circumsphere, and its
+    facets are `facet_sdm`'s to eliminate.
     """
     if d.n < 2:
         raise ValueError("facets of a 1-simplex are single points")
     if d._record is None:
         weights, corner, _ = _circumsphere(d)
+        dets = _facet_dets(d)
         g = _gram_elimination(d)
         det, scale, n = g.minors[-1], g.scale, d.n
-        sweeps = [_sweep(d, [int(i == j) for i in range(n)]) for j in range(n)]
-        y = _back_substitute(g.rows, det, [sum(col) for col in zip(*(b for b, _ in sweeps))])  # adj(A) 1
-        # A = s*G has entries t_i + t_j - (c D)_ij, with t the cleared distances from vertex 0
-        top, total = d._dist[0], sum(y)
-        cross = sum(t * x for t, x in zip(top[1:], y))
-        if any(t * total + cross - sum(x * v for x, v in zip(row[1:], y)) != det
-               for t, row in zip(top[1:], d._dist[1:])):
-            raise RuntimeError("facet determinants fail the adjugate certificate")
-        dets = [total] + [-c for _, c in sweeps]
         volume_den = scale ** (n - 1) * math.factorial(n - 1) ** 2
         d._record = FacetRecord(
             circumcenter=circumcenter_barycentrics(d),
@@ -463,6 +442,31 @@ def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
             ),
         )
     return d._record
+
+
+def _facet_dets(d: SquaredDistanceMatrix) -> tuple[int, ...]:
+    """The facet Gram determinants, scaled like A = s*G, computed once and
+    kept on d: det_k = adj(A)[k-1][k-1] for k >= 1 and det_0 = 1^T adj(A) 1.
+
+    They are the integers every facet invariant is read from, so the
+    predicates on a nondegenerate simplex compare them, and `facet_record`
+    builds its Fractions from them.  The summed adjugate column is
+    certified, A adj(A) 1 = det(A) 1, in O(n**2) integers.  Anything but
+    nondegenerate input raises with the verdict attached.
+    """
+    if d._dets is None:
+        g = _gram_elimination(d)
+        det, n = g.minors[-1], d.n
+        sweeps = [_sweep(d, [int(i == j) for i in range(n)]) for j in range(n)]
+        y = _back_substitute(g.rows, det, [sum(col) for col in zip(*(b for b, _ in sweeps))])  # adj(A) 1
+        # A = s*G has entries t_i + t_j - (c D)_ij, with t the cleared distances from vertex 0
+        top, total = d._dist[0], sum(y)
+        cross = sum(t * x for t, x in zip(top[1:], y))
+        if any(t * total + cross - sum(x * v for x, v in zip(row[1:], y)) != det
+               for t, row in zip(top[1:], d._dist[1:])):
+            raise RuntimeError("facet determinants fail the adjugate certificate")
+        d._dets = (total, *(-c for _, c in sweeps))
+    return d._dets
 
 
 def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:

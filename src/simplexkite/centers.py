@@ -17,26 +17,30 @@ from .cayley import (
     NonEuclideanError,
     Realizability,
     SquaredDistanceMatrix,
-    circumcenter_barycentrics,
+    _circumsphere,
+    _facet_dets,
     facet_circumradii_sq,
     facet_volumes_sq,
     is_realizable,
     require_nondegenerate,
 )
-from .exact import Record
+from .exact import Record, _positive_tol
 from .geometry import TOL_CENTER, center_set, embed
 from .prekite import PreKite
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
 
 
-def _check_predicate_input(d: SquaredDistanceMatrix) -> None:
-    """Refuse n < 2, and non-Euclidean distances with the verdict; flat input passes."""
+def _check_predicate_input(d: SquaredDistanceMatrix) -> bool:
+    """Refuse n < 2, and non-Euclidean distances with the verdict; flat input
+    passes.  Whether d is nondegenerate, so its facets' integers
+    (`_facet_dets`, `_circumsphere`) exist."""
     if d.n < 2:
         raise ValueError("predicate needs n >= 2")
     verdict = is_realizable(d)
     if verdict.status is Realizability.NON_EUCLIDEAN:
         raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
+    return verdict.status is Realizability.NONDEGENERATE
 
 
 def is_well_distributed(d: SquaredDistanceMatrix) -> bool:
@@ -52,23 +56,32 @@ def is_well_distributed(d: SquaredDistanceMatrix) -> bool:
 
 
 def is_equiareal(d: SquaredDistanceMatrix) -> bool:
-    """Whether all facets have equal volume (exact, via squared volumes)."""
-    _check_predicate_input(d)
-    vols = facet_volumes_sq(d)
+    """Whether all facets have equal volume (exact, via squared volumes).
+
+    A nondegenerate simplex compares its facet determinants det_k, which
+    share one denominator; flat input compares `facet_volumes_sq`.
+    """
+    vols = _facet_dets(d) if _check_predicate_input(d) else facet_volumes_sq(d)
     return all(v == vols[0] for v in vols)
 
 
 def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have equal circumradius (exact).
 
-    A nondegenerate simplex reads its facet radii off `facet_record`, and
-    its facets are never degenerate.  So a degenerate facet can only occur
-    on flat input, whose facets are eliminated one by one; such a facet has
-    no circumradius and raises DegenerateSimplexError.
+    A nondegenerate simplex has R_k**2 = (-corner det_k - w_k**2) / (4 s
+    det(A) det_k) (`facet_record`), so R_k = R_0 is (-corner det_k - w_k**2)
+    det_0 == (-corner det_0 - w_0**2) det_k on its integers, and its facets
+    are never degenerate.  So a degenerate facet can only occur on flat
+    input, whose facets are eliminated one by one; such a facet has no
+    circumradius and raises DegenerateSimplexError.
     """
-    _check_predicate_input(d)
-    radii = facet_circumradii_sq(d)
-    return all(r == radii[0] for r in radii)
+    if not _check_predicate_input(d):
+        radii = facet_circumradii_sq(d)
+        return all(r == radii[0] for r in radii)
+    weights, corner, _ = _circumsphere(d)
+    dets = _facet_dets(d)
+    first = -corner * dets[0] - weights[0] ** 2
+    return all((-corner * k - w * w) * dets[0] == first * k for w, k in zip(weights, dets))
 
 
 def prekite_equiradial_residual(pk: PreKite, j: int) -> Fraction:
@@ -91,8 +104,11 @@ def prekite_equiradial_residual(pk: PreKite, j: int) -> Fraction:
 
 
 def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
-    """Whether the circumcenter lies strictly inside the simplex."""
-    return all(w > 0 for w in circumcenter_barycentrics(d))
+    """Whether the circumcenter lies strictly inside the simplex: whether
+    its barycentrics times 2 det(A) > 0, as `_circumsphere` keeps them,
+    are all positive.  Degenerate or non-Euclidean input raises with the
+    verdict attached."""
+    return all(w > 0 for w in _circumsphere(d).weights)
 
 
 class CoincidenceReport(Record, defaults=(None, None)):
@@ -130,9 +146,12 @@ def coincidence_report(
 
     When with_floats is set, the simplex is embedded and the pairwise
     center distances are attached, including the experimental
-    Fermat-Torricelli coincidence flags.  Degenerate or non-Euclidean
-    input raises first, with the verdict attached.
+    Fermat-Torricelli coincidence flags.  A tol_center that is not
+    finite and > 0 raises ValueError; degenerate or non-Euclidean input
+    raises next, with the verdict attached.
     """
+    if tol_center is not None:
+        _positive_tol(tol_center, "tol_center")
     require_nondegenerate(d)
     well = is_well_distributed(d)
     radial = is_equiradial(d)

@@ -190,6 +190,8 @@ def cmd_rel(args):
     if args.mode == "solve":
         if args.tol is not None:
             raise ValueError("rel solve does not read --tol")
+        if args.t is not None:
+            raise ValueError("rel solve does not read --t")
         if args.known is None:
             raise ValueError("rel solve needs --known")
         known = _parse_known(args.known, args.n)
@@ -203,6 +205,8 @@ def cmd_rel(args):
             "count": len(solutions),
         }
         return _dumps(out), EXIT_OK
+    if args.known is not None:
+        raise ValueError("rel verify does not read --known")
     if args.t is None:
         raise ValueError("rel verify needs --t")
     values = _parse_known(args.t, args.n)

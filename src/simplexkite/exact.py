@@ -8,7 +8,8 @@ every division is an exact integer `//`.  The cofactor determinant is
 kept as an independent oracle for it and for every closed form.
 
 `Record`, the frozen base of the package's result classes, lives here
-too, since every module that defines one imports this module.
+too, since every module that defines one imports this module, and so
+does `_positive_tol`, the one check of a float tolerance.
 """
 
 from __future__ import annotations
@@ -127,6 +128,15 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError("expected an exact scalar, got %s" % type(value).__name__)
+
+
+def _positive_tol(tol, name: str = "tol") -> None:
+    """Refuse a tolerance that is not finite and > 0 with ValueError.  Each
+    function that takes one calls this before any work: a NaN, zero or
+    negative tolerance fails every comparison, and an infinite one passes
+    every comparison."""
+    if not 0 < tol < math.inf:
+        raise ValueError("%s must be finite and positive, got %r" % (name, tol))
 
 
 def parse_scalar(text: str) -> Fraction:

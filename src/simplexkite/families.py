@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
-from .exact import Record, as_scalar
+from .exact import Record, _positive_tol, as_scalar
 from .prekite import ApexReport, find_apexes
 
 TOL_FAMILY = 1e-9
@@ -88,7 +88,9 @@ def _accept(family, x, beta, defect, tol, k) -> BetaVector | None:
 def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
     """(x, k): the matrix divided by 4**k as floats, with k = e // 2 for the
     exponent e of the largest entry (`_top_exponent`), so that it lands in
-    (1/2, 4).  Each float is one correctly rounded division of cleared integers.
+    (1/2, 4).  Each float is one correctly rounded division of cleared
+    integers, and the result is kept on d, so the three recoveries share it;
+    they only read it.
 
     Every family weight scales as the square root of the entries, so the
     weights of x times 2**k are those of d, and the residual, relative to
@@ -100,11 +102,12 @@ def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
     than the float range within one matrix, or weights beyond it, still
     under- or overflow; they are out of scope.
     """
-    dist, den = d._dist, d._den
-    k = _top_exponent(d) // 2
-    up, down = max(-2 * k, 0), max(2 * k, 0)
-    # int / int rounds correctly, as float(Fraction) does
-    return [[(x << up) / (den << down) for x in row] for row in dist], k
+    if d._floats is None:
+        k = _top_exponent(d) // 2
+        up, down = max(-2 * k, 0), max(2 * k, 0)
+        # int / int rounds correctly, as float(Fraction) does
+        d._floats = [[(x << up) / (d._den << down) for x in row] for row in d._dist], k
+    return d._floats
 
 
 def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
@@ -124,6 +127,7 @@ def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
 
 def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with edge length = beta_i + beta_j."""
+    _positive_tol(tol)
     _check_size(d)
     a, k = _floats(d)
     ell = [[math.sqrt(x) for x in row] for row in a]
@@ -142,6 +146,7 @@ def _ratio_root(x_ij, x_ik, x_jk):
 
 def recover_isodynamic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with squared edge = beta_i * beta_j."""
+    _positive_tol(tol)
     _check_size(d)
     a, k = _floats(d)
     beta = _per_vertex(a, _ratio_root)
@@ -186,6 +191,7 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
     reduction above; the remaining weights follow one by one from the
     edges at vertex 0, and every pair is verified at the end.
     """
+    _positive_tol(tol)
     _check_size(d)
     a, k = _floats(d)
     for triple in _tetra_candidates(a):
@@ -256,8 +262,10 @@ def classify(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> Classificatio
 
     Requires a genuine (nondegenerate) simplex.  The report also records
     whether the expected containment held: for n >= 3, a pre-kite that
-    belongs to any family must be a kite.
+    belongs to any family must be a kite.  A tolerance that is not finite
+    and > 0 raises ValueError.
     """
+    _positive_tol(tol)
     verdict = require_nondegenerate(d)
     apex_report = find_apexes(d)
     families = {

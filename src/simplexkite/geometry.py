@@ -3,7 +3,9 @@
 This is the only module that leaves exact arithmetic, and it needs only
 `math`; points are tuples of floats.  A matrix is embedded by factoring
 its exact Gram matrix (exact LDL^T, converted to floats only at the very
-end).  The circumcenter and incenter are read off the Gram elimination
+end).  Every float leaves the exact data as one correctly rounded
+division of the integers the Gram elimination holds, and no Fraction is
+built.  The circumcenter and incenter are read off the Gram elimination
 that certified the simplex, not solved for in floats: the incenter's
 barycentrics are the facet volumes over their sum, and the
 circumcenter's coordinates in the embedding frame are exact rationals
@@ -12,27 +14,26 @@ Fermat-Torricelli point is found by re-weighted averaging.
 
 Default tolerances are generous for double precision at desk scale:
 embedding round-trip 1e-9 relative, center checks 1e-8, and a 1e-10
-gradient norm for the Fermat-Torricelli iteration.
+gradient norm for the Fermat-Torricelli iteration.  A tolerance that is
+not finite and > 0 raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
 from .cayley import (
     SquaredDistanceMatrix,
-    _circumcenter_frame,
+    _circumsphere,
+    _facet_dets,
     _gram_elimination,
     _top_exponent,
-    facet_volumes_sq,
     require_nondegenerate,
-    volume_sq,
 )
-from .exact import Record
+from .exact import Record, _positive_tol
 
 TOL_EMBED = 1e-9
 TOL_CENTER = 1e-8
@@ -53,6 +54,7 @@ class EmbeddedSimplex:
     __slots__ = ("n", "vertices", "source", "max_rel_error")
 
     def __init__(self, vertices, source: SquaredDistanceMatrix, tol: float = TOL_EMBED):
+        _positive_tol(tol)
         pts = tuple(tuple(float(x) for x in row) for row in vertices)
         if len(pts) != source.n + 1 or any(len(p) != source.n for p in pts):
             raise ValueError("expected n+1 vertices of dimension n")
@@ -66,7 +68,8 @@ class EmbeddedSimplex:
         dist, den = source._dist, source._den << 2 * k
         for i in range(source.n + 1):
             for j in range(i + 1, source.n + 1):
-                have = sum((a - b) * (a - b) for a, b in zip(scaled[i], scaled[j]))
+                diff = list(map(sub, scaled[i], scaled[j]))
+                have = sum(map(mul, diff, diff))
                 want = dist[i][j] / den
                 err = max(err, abs(have - want) / want)
         if err > tol:
@@ -88,20 +91,21 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
 
     Degenerate or non-Euclidean input raises with the realizability
     verdict attached.  Then, unless the smallest squared distance is at
-    least `sys.float_info.min` and the largest at most
-    `sys.float_info.max` (compared exactly), it raises ValueError.  The
-    exact LDL^T factors of the Gram matrix (`gram_ldl`) are read off its
-    kept elimination, each rounded to a float once, and floats enter only
-    when the factors are multiplied out.  The round-trip check runs at a
-    power-of-two scale, so its sums of squares cannot overflow at the top
-    of the range.
+    least `sys.float_info.min` = 2**-1022 and the largest at most
+    `sys.float_info.max` (compared exactly, on the cleared integers), it
+    raises ValueError.  The exact LDL^T factors of the Gram matrix
+    (`gram_ldl`) are read off its kept elimination, each rounded to a
+    float once, and floats enter only when the factors are multiplied out.
+    The round-trip check runs at a power-of-two scale, so its sums of
+    squares cannot overflow at the top of the range.  A tolerance that is
+    not finite and > 0 raises ValueError first.
     """
+    _positive_tol(tol)
     require_nondegenerate(d)
     g = _gram_elimination(d)
     dist, den = d._dist, d._den
-    lo = Fraction(min(min(row[i + 1:]) for i, row in enumerate(dist[:-1])), den)
-    hi = Fraction(max(map(max, dist)), den)
-    if not (sys.float_info.min <= lo and hi <= sys.float_info.max):
+    lo = min(min(row[i + 1:]) for i, row in enumerate(dist[:-1]))
+    if not (den <= lo << 1022 and max(map(max, dist)) <= int(sys.float_info.max) * den):
         raise ValueError(
             "squared distances leave the float range; the exact results "
             "(classify --exact) do not need floats"
@@ -115,11 +119,6 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
     return EmbeddedSimplex(rows, d, tol=tol)
 
 
-def _combine(weights, cols) -> Point:
-    """The point sum_i weights[i] * points[i], given the points' coordinate columns."""
-    return tuple(sum(map(mul, weights, col)) for col in cols)
-
-
 def centroid(s: EmbeddedSimplex) -> Point:
     """Arithmetic mean of the vertices."""
     return tuple(sum(col) / len(s.vertices) for col in zip(*s.vertices))
@@ -130,10 +129,15 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
 
     Coordinate k is y_k times coordinate k of vertex k+1, which is
     sqrt(D_k) of the Gram LDL^T, with y the exact circumcenter in that
-    frame (`_circumcenter_frame`).
+    frame.  2 G x = g and G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and
+    the sweep of A's diagonal (`_circumsphere`) holds L^-1 (s g) times the
+    leading minors, so y_k = swept_k / (2 minors[k]), one correctly rounded
+    division.  A far circumcenter has huge barycentrics x, whose float
+    image through the vertices would cancel; y does not.
     """
-    ys = _circumcenter_frame(s.source)
-    center = tuple(float(y) * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
+    minors = _gram_elimination(s.source).minors
+    ys = map(truediv, _circumsphere(s.source).swept, [2 * m for m in minors])
+    center = tuple(y * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
     return center, math.dist(center, s.vertices[0])
 
 
@@ -141,23 +145,26 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Facet-volume-weighted vertex average and the inradius n V / sum F_j.
 
     The weights F_j / sum F leave exact arithmetic as square roots of the
-    ratios F_j**2 / max F**2, so the facet volumes themselves never need
-    to fit a float.  The insphere touches facet j inside it exactly when
-    the weight of vertex j is positive, at distance n V / sum F from the
-    incenter for every j; a weight that is not a positive finite float
-    raises RuntimeError.
+    ratios F_j**2 / max F**2 = det_k / max det (`_facet_dets`), each one
+    correctly rounded division of integers, so the facet volumes
+    themselves never need to fit a float.  So is (V / max F)**2 =
+    det(A) / (s n**2 max det), A = s*G the scaled Gram matrix.  The
+    insphere touches facet j inside it exactly when the weight of vertex j
+    is positive, at distance n V / sum F from the incenter for every j; a
+    weight that is not a positive finite float raises RuntimeError.
     """
     if s.n == 1:
         return centroid(s), math.dist(*s.vertices) / 2.0
-    volumes = facet_volumes_sq(s.source)
-    largest = max(volumes)
-    roots = [math.sqrt(float(v / largest)) for v in volumes]
+    dets = _facet_dets(s.source)
+    largest = max(dets)
+    roots = [math.sqrt(k / largest) for k in dets]
     total = sum(roots)
     weights = [r / total for r in roots]
     if not all(0.0 < w < math.inf for w in weights):
         raise RuntimeError("incenter weights are not all positive finite floats")
-    radius = s.n * math.sqrt(float(volume_sq(s.source) / largest)) / total
-    return _combine(weights, zip(*s.vertices)), radius
+    g = _gram_elimination(s.source)
+    radius = s.n * math.sqrt(g.minors[-1] / (g.scale * s.n**2 * largest)) / total
+    return tuple(sum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
 
 
 def sum_distances(s: EmbeddedSimplex, point) -> float:
@@ -165,10 +172,27 @@ def sum_distances(s: EmbeddedSimplex, point) -> float:
     return sum(math.dist(v, point) for v in s.vertices)
 
 
+def _units(x, cols, dists) -> list[list[float]]:
+    """The unit vectors from x towards the points, as coordinate columns,
+    given the points' coordinate columns, with dists[i] = |points[i] - x|."""
+    return [list(map(truediv, map(sub, col, repeat(a)), dists)) for a, col in zip(x, cols)]
+
+
 def _pull(x, cols, dists) -> list[float]:
-    """Sum of the unit vectors from x towards the points, given the points'
-    coordinate columns, with dists[i] = |points[i] - x|."""
-    return [sum(map(truediv, map(sub, col, repeat(a)), dists)) for a, col in zip(x, cols)]
+    """Sum of the unit vectors from x towards the points (`_units`)."""
+    return [sum(u) for u in _units(x, cols, dists)]
+
+
+def _jump_change(jump, step, units, dists, ydists, newdists) -> float:
+    """f(y) - f(new), f the summed vertex distance, for new = x + step and
+    y = new + jump, given the unit columns at x (`_units`) and the distances
+    from the vertices p to x, y and new.  It is summed term by term as
+    (|p - y|**2 - |p - new|**2) / (|p - y| + |p - new|), whose numerator is
+    jump.(jump + 2 step) - 2 |p - x| jump.u_p, as p - new = |p - x| u_p - step,
+    so it does not cancel next to a vertex."""
+    lead = sum(map(mul, jump, map(add, jump, map(add, step, step))))
+    return sum((lead - 2.0 * r * sum(map(mul, jump, u))) / (q + t)
+               for r, u, q, t in zip(dists, zip(*units), ydists, newdists))
 
 
 def _vertex_pull(pts, k: int, row) -> tuple[float, list[float]]:
@@ -193,16 +217,20 @@ def fermat_torricelli(
     centroid's by more than that; a vertex whose summed distance exceeds
     the centroid's by a factor 1 + 1e-9 cannot pass, and its certificate
     is not computed.
-    Otherwise the minimizer is interior and is found by iteratively
+    Otherwise the minimizer is interior and is found by Weiszfeld's
     re-weighted averaging started at the centroid, accepted once the
-    objective gradient norm drops to tol.  An iterate that lands on a
-    (necessarily non-optimal) vertex is stepped off along the pull,
-    whose norm the certificate has shown to exceed 1.
+    objective gradient norm drops to tol.  Each step is taken from x, as
+    the summed unit pull towards the vertices over sum 1 / |p - x|, so next
+    to a vertex it is not lost to the rounding of the vertex coordinates.
+    An iterate that lands on a (necessarily non-optimal) vertex is stepped
+    off along the pull, whose norm the certificate has shown to exceed 1.
 
     Next to a vertex the averaging has one slow mode, with steps shrinking by a
     ratio near 1; after a step that shrank along the last one, the rest of their
     geometric series is added when that lowers the summed distance, compared per vertex.
+    A tolerance that is not finite and > 0 raises ValueError.
     """
+    _positive_tol(tol)
     pts = s.vertices
     table = [[math.dist(p, q) for q in pts] for p in pts]
     x = centroid(s)
@@ -215,33 +243,33 @@ def fermat_torricelli(
     cols = list(zip(*pts))
     step = ()  # the last averaging step, () when there is none to extend
     for _ in range(max_iter):
-        k = min(range(len(pts)), key=dists.__getitem__)
-        if dists[k] <= vertex_snap:
+        near = min(dists)
+        if near <= vertex_snap:
+            k = dists.index(near)
             pull_norm, pull = _vertex_pull(pts, k, table[k])
             inv = sum(1.0 / r for i, r in enumerate(table[k]) if i != k)
             off = (pull_norm - 1.0) / inv
             x = tuple(a + off * (c / pull_norm) for a, c in zip(pts[k], pull))
             dists, step = [math.dist(p, x) for p in pts], ()
             continue
-        if math.hypot(*_pull(x, cols, dists)) <= tol:  # the objective's gradient, negated
+        units = _units(x, cols, dists)
+        pull = [sum(u) for u in units]  # the objective's gradient, negated
+        if math.hypot(*pull) <= tol:
             return x
-        weights = [1.0 / r for r in dists]
-        total = sum(weights)
-        new = tuple(c / total for c in _combine(weights, cols))
-        last, step = step, tuple(map(sub, new, x))
-        x, dists = new, [math.dist(p, new) for p in pts]
+        total = sum(1.0 / r for r in dists)
+        last, step = step, [c / total for c in pull]
+        new = tuple(map(add, x, step))
+        newdists = [math.dist(p, new) for p in pts]
         along, norm = sum(map(mul, step, last)), sum(map(mul, last, last))
         if 0.0 < along < norm:
             # steps that keep shrinking by the ratio along / norm sum to this jump more
             jump = [b * (along / (norm - along)) for b in step]
             y = tuple(map(add, new, jump))
             ydists = [math.dist(p, y) for p in pts]
-            # f(y) - f(new), term by term as (|p - y|**2 - |p - new|**2) / (|p - y| + |p - new|)
-            mid = list(map(add, y, new))
-            change = sum(sum(map(mul, jump, map(sub, mid, map(add, p, p)))) / (r + q)
-                         for p, r, q in zip(pts, ydists, dists))
-            if change < 0.0:
+            if _jump_change(jump, step, units, dists, ydists, newdists) < 0.0:
                 x, dists, step = y, ydists, ()
+                continue
+        x, dists = new, newdists
     raise ConvergenceError(
         "Fermat-Torricelli iteration did not reach gradient norm %.1e in %d steps"
         % (tol, max_iter)
@@ -289,6 +317,7 @@ class CenterSet(Record):
 
 def center_set(s: EmbeddedSimplex, ft_tol: float = FT_GRADIENT_TOL) -> CenterSet:
     """Compute all four centers in one go."""
+    _positive_tol(ft_tol, "ft_tol")
     g = centroid(s)
     q, radius = circumcenter(s)
     i, inradius = incenter(s)

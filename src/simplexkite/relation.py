@@ -16,7 +16,8 @@ Verdicts decide exact input first, by comparing with zero: no
 tolerance and no float.  Only float input meets a tolerance, relative
 to the fourth power of the largest length, and is decided at a
 power-of-two scale of the inputs, so the verdict does not depend on
-their magnitude; each default lives here.
+their magnitude; each default lives here.  A tolerance that is not
+finite and > 0 raises ValueError, for exact input too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-from .exact import Record
+from .exact import Record, _positive_tol
 
 _POMPEIU_TOL = 1e-12
 _RELATION_TOL = 1e-9
@@ -139,6 +140,7 @@ def residual_is_zero(dt: DistanceTuple, residual, tol: float = _RELATION_TOL) ->
     within tol relative to the fourth power of dt's largest length, a
     scale floored at 1e-300.
     """
+    _positive_tol(tol)
     if _is_exact(residual):
         return residual == 0
     scale = max(float(v) for v in (dt.t0, *dt.t)) ** 4
@@ -153,6 +155,7 @@ def relation_holds(dt: DistanceTuple, tol: float = _RELATION_TOL) -> bool:
     (`_unit_scaled`), so the verdict is the same at every magnitude,
     where the residual itself may underflow.
     """
+    _positive_tol(tol)
     residual = relation_residual(dt)
     if _is_exact(residual):
         return residual == 0
@@ -249,6 +252,7 @@ def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
     the verdict at (2**k * u, 4**k * sum_sq) is that at k = 0; NaN and
     infinity are refused.
     """
+    _positive_tol(tol)
     if not all(_is_exact(x) or math.isfinite(x) for x in (u, sum_sq)):
         raise ValueError("edge length and sum must be finite")
     if u <= 0:
@@ -290,6 +294,7 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
     are taken again at a power-of-two scale of the inputs
     (`_unit_scaled`), so the verdict is the same at every magnitude.
     """
+    _positive_tol(tol)
     if a <= 0 or min(x, y, z) < 0:
         raise ValueError("side must be positive and distances nonnegative")
     g, h = pompeiu_invariants(a, x, y, z)

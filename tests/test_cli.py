@@ -421,6 +421,8 @@ BAD_INPUT = [
     (["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,1,?", "--tol", "5"], "rel solve does not read --tol"),
     (["rel", "solve", "--n", "1", "--t0", "1", "--known", "1,,?"], "empty field in comma-separated distances: '1,,?'"),
     (["rel", "verify", "--n", "2", "--t0", "1", "--t", ",0,1,1,"], "empty field in comma-separated distances: ',0,1,1,'"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--t", "0,1,1", "--known", "5"], "rel verify does not read --known"),
+    (["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,1", "--t", "9,9,9"], "rel solve does not read --t"),
 ]
 
 

@@ -4,7 +4,10 @@ The package reads the circumcenter and incenter off the exact Gram
 elimination; the oracle solves for them in coordinates.  They must agree
 within 1e-9 of the simplex's diameter, and the oracle's incenter checks
 must hold, on clouds, exterior circumcenters, vertex Fermat points,
-family members and equiareal pre-kites, n = 1..12.
+family members and equiareal pre-kites, n = 1..12.  On the same cases
+the circumcenter, the incenter and inradius and the embedding error must
+equal, bit for bit, `float()` of the exact rationals they come from,
+taken through the public Fraction API.
 """
 
 import math
@@ -24,10 +27,13 @@ from simplexkite import (
     circumcenter_barycentrics,
     embed,
     equiareal_prekite_solve,
+    facet_volumes_sq,
     fermat_torricelli,
+    gram_ldl,
     incenter,
     is_realizable,
     matrix_from_beta,
+    volume_sq,
 )
 
 F = Fraction
@@ -95,15 +101,19 @@ def equiareal_prekites():
     return out
 
 
-def test_centers_match_the_oracle():
+def corpus():
     rng = random.Random(97)
-    cases = (
+    return (
         clouds(rng, 300)
         + near_vertex_clouds(rng, 120)
         + family_members(rng)
         + equiareal_prekites()
         + [SquaredDistanceMatrix.regular(n) for n in range(1, 13)]
     )
+
+
+def test_centers_match_the_oracle():
+    cases = corpus()
     assert len(cases) >= 500
     exterior = vertex_fermat = 0
     for d in cases:
@@ -120,3 +130,46 @@ def test_centers_match_the_oracle():
         exterior += min(circumcenter_barycentrics(d)) < 0
         vertex_fermat += any(got[-1] == v for v in s.vertices)
     assert exterior >= 100 and vertex_fermat >= 30
+
+
+def reference_circumcenter(s):
+    """Coordinate k is float(y_k) times coordinate k of vertex k+1, with y = L^T x
+    the exact circumcenter in the frame of the Gram LDL^T, x its barycentrics
+    past vertex 0."""
+    lower, _ = gram_ldl(s.source)
+    x = circumcenter_barycentrics(s.source)[1:]
+    ys = [sum(row[k] * w for row, w in zip(lower, x)) for k in range(s.n)]
+    center = tuple(float(y) * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
+    return center, math.dist(center, s.vertices[0])
+
+
+def reference_incenter(s):
+    """The weights sqrt(float(F_j**2 / max F**2)) over their sum, and the
+    inradius n sqrt(float(V**2 / max F**2)) over the same sum."""
+    volumes = facet_volumes_sq(s.source)
+    largest = max(volumes)
+    roots = [math.sqrt(float(v / largest)) for v in volumes]
+    total = sum(roots)
+    weights = [r / total for r in roots]
+    point = tuple(sum(w * c for w, c in zip(weights, col)) for col in zip(*s.vertices))
+    return point, s.n * math.sqrt(float(volume_sq(s.source) / largest)) / total
+
+
+def reference_error(s):
+    """Largest relative error of the float squared distances against float(Fraction)
+    of the exact ones (desk-scale input, so no power-of-two scaling)."""
+    err = 0.0
+    for i, j in combinations(range(s.n + 1), 2):
+        have = sum((a - b) * (a - b) for a, b in zip(s.vertices[i], s.vertices[j]))
+        want = float(s.source.a[i][j])
+        err = max(err, abs(have - want) / want)
+    return err
+
+
+def test_floats_are_bit_identical_to_float_of_the_exact_values():
+    for d in corpus():
+        s = embed(d)
+        assert circumcenter(s) == reference_circumcenter(s)
+        if d.n > 1:
+            assert incenter(s) == reference_incenter(s)
+        assert s.max_rel_error == reference_error(s)

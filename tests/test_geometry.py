@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from simplexkite import (
     sum_distances,
     sum_sq_to_vertices,
 )
-from simplexkite.geometry import _pull
+from simplexkite.geometry import _jump_change, _pull, _units
 from conftest import random_point_sdm
 
 
@@ -72,6 +73,14 @@ class TestEmbed:
         for rows in ([[0, 0], [0, 1], [1, 0]], [[1, 1], [2, 1], [1, 2]]):
             with pytest.raises(ValueError, match="first i coordinates"):
                 EmbeddedSimplex(rows, d)
+
+    def test_centers_of_flat_coordinates_raise(self):
+        # a collinear triangle fits the frame, but it has no circumsphere and no insphere
+        d = sdm_triangle(1, 4, 1)
+        s = EmbeddedSimplex([[0, 0], [1, 0], [2, 0]], d)
+        for center in (circumcenter, incenter):
+            with pytest.raises(DegenerateSimplexError):
+                center(s)
 
     def test_rejections_carry_verdict(self):
         with pytest.raises(DegenerateSimplexError) as exc:
@@ -243,6 +252,13 @@ class TestFermatNextToAVertex:
         assert 0.0 < math.dist(f, s.vertices[0]) < 10.0 ** (1 - k)
         assert gradient_norm(s, f) <= 1e-10
 
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_triangle_just_under_120_degrees_in_10000_steps(self, k):
+        # each step is taken from x, so it is not lost to the rounding of the vertex next to x
+        s = embed(sdm_triangle(1, 1, 3 - Fraction(1, 10**k)))
+        f = fermat_torricelli(s, max_iter=10_000)
+        assert gradient_norm(s, f) <= 1e-10
+
     def test_a_jump_that_raises_the_summed_distance_is_refused(self):
         # Accepting every extrapolated jump here runs out of steps.
         s = embed(SquaredDistanceMatrix([
@@ -356,3 +372,28 @@ class TestFermatVertexScreen:
                 assert got == want
                 at_vertex += 1
         assert at_vertex >= 40 and len(sims) - at_vertex >= 40
+
+
+def test_jump_change_is_the_change_in_summed_distance():
+    # against the summed distances of the same float points, in 60-digit decimals
+    rng = random.Random(1413)
+
+    def summed(pts, point):
+        return sum(sum((Decimal(a) - Decimal(b)) ** 2 for a, b in zip(p, point)).sqrt() for p in pts)
+
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        pts = [tuple(rng.uniform(-1, 1) for _ in range(n)) for _ in range(n + 1)]
+        x = tuple(rng.uniform(-0.5, 0.5) for _ in range(n))
+        step = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-4, -1) for _ in range(n)]
+        jump = [b * rng.uniform(0.5, 20) for b in step]
+        new = tuple(a + b for a, b in zip(x, step))
+        y = tuple(a + b for a, b in zip(new, jump))
+        dists = [math.dist(p, x) for p in pts]
+        ydists, newdists = [math.dist(p, y) for p in pts], [math.dist(p, new) for p in pts]
+        got = _jump_change(jump, step, _units(x, list(zip(*pts)), dists), dists, ydists, newdists)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            error = abs(Decimal(got) - (summed(pts, y) - summed(pts, new)))
+        # the rounding of new = x + step and y = new + jump moves each term by a few 1e-16
+        assert error <= Decimal(2e-15 * (n + 1))
