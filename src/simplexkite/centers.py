@@ -26,7 +26,7 @@ from .cayley import (
 )
 from .exact import Record, _positive_tol
 from .geometry import TOL_CENTER, center_set, embed
-from .prekite import PreKite
+from .prekite import PreKite, pk_cm_det, pk_facets_equiareal
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
 
@@ -190,8 +190,8 @@ class EquiarealCandidate(Record):
 
     t of the apex edges carry squared value x and the remaining s carry
     y; u is normalized to 1 (the conditions are homogeneous).  The
-    realizability verdict and an independent facet-volume check are
-    recorded alongside.
+    realizability verdict and an independent facet-volume check, both
+    read off the pre-kite closed forms, are recorded alongside.
     """
 
     __slots__ = ("n", "t", "s", "x", "y", "u", "realizable", "degenerate", "equiareal_verified", "regular")
@@ -218,12 +218,13 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
     and (ii) (t-s)*(y-x) = 2*u.  Substituting (ii) into (i) cancels the
     quadratic term, so there is exactly one candidate (x, y) per (t, s)
     with t != s; t = s would force u = 0 and is rejected.  Candidates
-    with a nonpositive parameter are dropped; the rest are checked for
-    realizability and re-verified as equiareal by `is_equiareal` on the
-    candidate's distance matrix, independent of the two conditions.  A
-    realizable candidate reads its facet volumes off its facet record,
-    the adjugate of the same Gram elimination that gave the verdict; a
-    degenerate one eliminates each facet on its own.
+    with a nonpositive parameter are dropped.  The rest are decided on
+    the pre-kite closed forms, with no matrix: the regular base facet is
+    a nondegenerate simplex, so the Gram matrix has at most one
+    eigenvalue <= 0, and the sign of (-1)**(n+1) times the Cayley-Menger
+    determinant, that of the Gram determinant, is the realizability
+    verdict; the candidate is re-verified as equiareal by comparing its
+    facets' Cayley-Menger determinants, independent of the two conditions.
     """
     if n < 3:
         raise ValueError("solver needs n >= 3")
@@ -240,12 +241,7 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
     if x <= 0 or y <= 0:
         return []
     pk = PreKite(n, u, (x,) * t + (y,) * s)
-    sdm = pk.to_sdm()
-    verdict = is_realizable(sdm)
-    realizable = verdict.status is Realizability.NONDEGENERATE
-    degenerate = verdict.gram_inertia[2] > 0
-    verified = is_equiareal(sdm)
-    regular = sdm.is_regular()
+    gram_det_sign = (-1) ** (n + 1) * pk_cm_det(pk)
     candidate = EquiarealCandidate(
         n=n,
         t=t,
@@ -253,10 +249,10 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
         x=x,
         y=y,
         u=u,
-        realizable=realizable,
-        degenerate=degenerate,
-        equiareal_verified=verified,
-        regular=regular,
+        realizable=gram_det_sign > 0,
+        degenerate=gram_det_sign == 0,
+        equiareal_verified=pk_facets_equiareal(pk),
+        regular=x == y == u,
     )
     return [candidate]
 

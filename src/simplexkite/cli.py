@@ -219,15 +219,15 @@ def cmd_rel(args):
         "t0": t0,
         "t": values,
         "residual": residual,
-        "zero_within_tol": sk.relation.relation_holds(dt, **_tol(args)),
+        "zero_within_tol": sk.relation.residual_within_tol(residual, **_tol(args)),
     }
     return _dumps(out), EXIT_OK
 
 
 def cmd_pompeiu(args):
     a, x, y, z = (_number(v) for v in (args.a, args.x, args.y, args.z))
-    verdict = sk.pompeiu_classify(a, x, y, z, **_tol(args))
     g, h = sk.relation.pompeiu_invariants(a, x, y, z)
+    verdict = sk.relation.pompeiu_verdict(g, h, **_tol(args))
     out = {"a": a, "x": x, "y": y, "z": z, "g": g, "h": h, "verdict": verdict}
     return _dumps(out), EXIT_OK
 

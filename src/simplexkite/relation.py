@@ -6,23 +6,27 @@ distances) satisfy
 
     (n+1) * sum(t_j**4)  ==  (sum(t_j**2))**2.
 
-Everything here works on the squared quantities internally, so the
-computation stays exact whenever the squares are rational.  The same
+Everything here works on the squared quantities internally.  The same
 relation, read as a quadratic in one unknown squared distance, powers
 the missing-distance solver, and its n = 2 case yields the Pompeiu
 triangle classifier.
 
-Verdicts decide exact input first, by comparing with zero: no
-tolerance and no float.  Only float input meets a tolerance, relative
-to the fourth power of the largest length, and is decided at a
-power-of-two scale of the inputs, so the verdict does not depend on
-their magnitude; each default lives here.  A tolerance that is not
-finite and > 0 raises ValueError, for exact input too.
+Every entry point reads its inputs through `_read`, which refuses NaN
+and infinity and takes each int, Fraction or float at its exact value,
+so the residual, the Pompeiu invariants and the solver's discriminant
+are always computed exactly.  Exact input gets them exact, and a
+verdict compares them with zero: no tolerance and no float.  Float
+input gets each as one float relative to the fourth power of the
+largest length (`_relative`), the number a tolerance bounds, so a
+verdict compares the value the function returns, and does not depend
+on the magnitude of the input; each default lives here.  A tolerance
+that is not finite and > 0 raises ValueError, for exact input too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -37,46 +41,65 @@ DEGENERATE_ON_CIRCLE = "degenerate_on_circle"
 INCONSISTENT = "inconsistent"
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)
-
-
-def _finite(value):
-    """A degree-4 quantity, refused when a NaN, infinite or overflowing float input left it non-finite."""
-    if not (_is_exact(value) or math.isfinite(value)):
-        raise ValueError("float inputs and their fourth powers must be finite")
+def _checked(value):
+    """value when exact, else float(value), refused when NaN or infinite."""
+    if isinstance(value, Rational):
+        return value
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("float inputs must be finite")
     return value
 
 
-def _unit_scaled(values) -> list:
-    """The values over the power of two that puts the largest float in
-    [1/2, 1), as `families._floats` scales a matrix; exact values stay exact.
+def _read(values) -> tuple[list, bool]:
+    """The exact values of ints, Fractions and floats, and whether every one
+    was exact.  A float is taken at its exact binary value; NaN and infinity
+    are refused."""
+    values = list(values)
+    return [Fraction(_checked(v)) for v in values], all(isinstance(v, Rational) for v in values)
 
-    A power of two commutes with the rounding of +, -, * and / in the
-    normal range, so a float verdict taken on these values computes what
-    it would on the inputs, up to that power, and depends on the inputs
-    only up to scale; the fourth power of the largest cannot underflow.
+
+def _relative(value, squares, exact):
+    """A quartic of the lengths whose squares are given: as it is for exact
+    input, else one float relative to the fourth power of the largest length."""
+    if exact:
+        return value
+    top = max(squares) or 1  # every length 0: the quartic is 0 too
+    return float(value / (top * top))
+
+
+def _is_zero(value, tol) -> bool:
+    """Whether a value of `_relative` is zero: exactly when it is exact, within tol when a float."""
+    return value == 0 if isinstance(value, Rational) else abs(value) <= tol
+
+
+def _float(q) -> float:
+    """float(q), refused when q != 0 lies outside the normal float range,
+    where it would round to infinity, to 0 or to a subnormal float that
+    has lost digits."""
+    if q and not sys.float_info.min <= abs(q) <= sys.float_info.max:
+        raise ValueError(_BEYOND_FLOATS)
+    return float(q)
+
+
+def _sqrt(q) -> Fraction:
+    """The square root of q >= 0 to float precision, at any magnitude.
+
+    q is scaled by a power of four, from the bit lengths of its exact
+    numerator and denominator as `cayley._top_exponent` scales matrices,
+    and its float root by the matching power of two, so nothing rounds
+    to 0 or to infinity; float(_sqrt(q)) is math.sqrt(float(q)) wherever
+    float(q) is a normal float.
     """
-    e = math.frexp(max(float(v) for v in values))[1]
-    return [Fraction(v) / Fraction(2) ** e if _is_exact(v) else math.ldexp(v, -e) for v in values]
+    q = Fraction(q)
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return Fraction(math.sqrt(q / Fraction(4) ** e)) * Fraction(2) ** e
 
 
 def _float_sqrt(q) -> float:
-    """math.sqrt(float(q)) for q >= 0, also where an exact q lies beyond the float range.
-
-    An exact q is scaled by a power of four, from the bit lengths of its
-    numerator and denominator as `cayley._top_exponent` scales matrices,
-    and the root by the matching power of two: bit-identical wherever
-    float(q) is a normal float.  A root beyond the float range is refused.
-    """
-    e = 0
-    if _is_exact(q) and q:
-        e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-        q = Fraction(q) / Fraction(4) ** e
-    try:
-        return math.ldexp(math.sqrt(q), e)
-    except OverflowError:
-        raise ValueError(_BEYOND_FLOATS) from None
+    """math.sqrt(float(q)) for q >= 0, also where q lies beyond the float
+    range; a root outside the normal float range is refused."""
+    return _float(_sqrt(q))
 
 
 class DistanceTuple(Record):
@@ -95,6 +118,7 @@ class DistanceTuple(Record):
         t = tuple(t)
         if len(t) != n + 1:
             raise ValueError("expected n+1 vertex distances")
+        tuple(map(_checked, (t0, *t)))  # NaN and infinity refused, no Fraction built
         if t0 <= 0:
             raise ValueError("edge length must be positive")
         if any(x < 0 for x in t):
@@ -104,64 +128,77 @@ class DistanceTuple(Record):
         object.__setattr__(self, "t", t)
 
 
-def relation_residual_from_squares(n: int, squares) -> object:
-    """Residual (n+1)*sum(q**2) - (sum q)**2 over the n+2 squared values.
+def _residual(n: int, squares, exact):
+    total = sum(squares)
+    return _relative((n + 1) * sum(q * q for q in squares) - total * total, squares, exact)
 
-    Exact (Fraction) when every input is rational, float otherwise.
+
+def relation_residual_from_squares(n: int, squares) -> object:
+    """Residual (n+1)*sum(q**2) - (sum q)**2 over the n+2 squared values, each >= 0.
+
+    Exact (Fraction) when every input is rational, else one float
+    relative to the square of the largest squared value.
     """
-    squares = list(squares)
+    squares, exact = _read(squares)
     if len(squares) != n + 2:
         raise ValueError("expected n+2 squared values (edge first)")
-    if all(_is_exact(q) for q in squares):
-        squares = [Fraction(q) for q in squares]
-    try:
-        quartic = sum(q * q for q in squares)
-        total = sum(squares)
-        residual = (n + 1) * quartic - total * total
-    except OverflowError:  # an exact value too large to join float arithmetic
-        residual = math.inf
-    return _finite(residual)
+    if min(squares) < 0:
+        raise ValueError("squared values must be nonnegative")
+    return _residual(n, squares, exact)
 
 
 def relation_residual(dt: DistanceTuple):
     """Residual of the distance relation for lengths; zero on the affine hull.
 
-    Exact when all the lengths are rational; for a point genuinely off
+    Exact when all the lengths are rational, else one float relative to
+    the fourth power of the largest length; for a point genuinely off
     the affine hull the residual is strictly negative.
     """
-    squares = [dt.t0 * dt.t0] + [x * x for x in dt.t]
-    return relation_residual_from_squares(dt.n, squares)
+    lengths, exact = _read((dt.t0, *dt.t))
+    return _residual(dt.n, [v * v for v in lengths], exact)
 
 
-def residual_is_zero(dt: DistanceTuple, residual, tol: float = _RELATION_TOL) -> bool:
-    """Whether `residual`, the relation residual of dt, is zero.
-
-    An exact residual is compared with 0.  A float one counts as zero
-    within tol relative to the fourth power of dt's largest length, a
-    scale floored at 1e-300.
-    """
+def residual_within_tol(residual, tol: float = _RELATION_TOL) -> bool:
+    """Whether a residual `relation_residual` returned is zero: exactly when
+    it is exact, within tol when it is a float (relative to the fourth
+    power of the largest length)."""
     _positive_tol(tol)
-    if _is_exact(residual):
-        return residual == 0
-    scale = max(float(v) for v in (dt.t0, *dt.t)) ** 4
-    return abs(residual) <= tol * max(scale, 1e-300)
+    return _is_zero(residual, tol)
 
 
 def relation_holds(dt: DistanceTuple, tol: float = _RELATION_TOL) -> bool:
     """Whether dt's lengths satisfy the distance relation.
 
-    Exact lengths are decided by `relation_residual(dt) == 0`.  Float
-    ones by `residual_is_zero` at a power-of-two scale of the lengths
-    (`_unit_scaled`), so the verdict is the same at every magnitude,
-    where the residual itself may underflow.
+    Exact lengths are decided by `relation_residual(dt) == 0`, float ones
+    by that relative residual being within tol, so the verdict is the
+    same at every magnitude.
     """
-    _positive_tol(tol)
-    residual = relation_residual(dt)
-    if _is_exact(residual):
-        return residual == 0
-    t0, *t = _unit_scaled((dt.t0, *dt.t))
-    unit = DistanceTuple(dt.n, t0, t)
-    return residual_is_zero(unit, relation_residual(unit), tol)
+    return residual_within_tol(relation_residual(dt), tol)
+
+
+def _roots(n: int, values, exact) -> tuple[list, bool]:
+    """The nonnegative roots q of the relation over the exact squares
+    `values` (edge first) and q, ascending, and whether they are exact:
+    the input exact and the discriminant a rational square.  Otherwise
+    they are Fractions to float precision."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if len(values) != n + 1:
+        raise ValueError("expected the edge square plus n known vertex squares")
+    if min(values) < 0 or values[0] <= 0:
+        raise ValueError("squared inputs must be nonnegative (edge positive)")
+    s1 = sum(values)
+    # (n+1)(s2 + q**2) = (s1 + q)**2  <=>  n q**2 - 2 s1 q + c = 0
+    c = (n + 1) * sum(v * v for v in values) - s1 * s1
+    disc = s1 * s1 - n * c
+    if disc < 0:
+        return [], exact
+    root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+    if root * root != disc:
+        root, exact = _sqrt(disc), False
+    hi = (s1 + root) / n
+    # the smaller root from the product c/n of the two, free of the cancellation in s1 - root
+    return sorted(q for q in {c / n / hi, hi} if q >= 0), exact
 
 
 def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
@@ -169,67 +206,37 @@ def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
     the n known vertex squares.
 
     Returns 0, 1, or 2 nonnegative roots of the quadratic the relation
-    becomes in the unknown square; exact when the inputs are rational.
-    An irrational root is a float, refused when beyond the float range.
+    becomes in the unknown square, ascending; exact when the inputs and
+    the roots are rational, floats otherwise.  A float root outside the
+    normal float range is refused.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    values = [t0_sq] + list(known_sq)
-    if len(values) != n + 1:
-        raise ValueError("expected the edge square plus n known vertex squares")
-    if any(v < 0 for v in values) or values[0] <= 0:
-        raise ValueError("squared inputs must be nonnegative (edge positive)")
-    exact = all(_is_exact(v) for v in values)
-    if exact:
-        values = [Fraction(v) for v in values]
-    try:
-        s1 = sum(values)
-        s2 = sum(v * v for v in values)
-        # (n+1)(s2 + q**2) = (s1 + q)**2  <=>  n q**2 - 2 s1 q + ((n+1) s2 - s1**2) = 0
-        disc = (n + 1) * (s1 * s1 - n * s2)
-    except OverflowError:  # an exact value too large to join float arithmetic
-        disc = math.inf
-    disc = _finite(disc)
-    if disc < 0:
-        return []
-    if exact:
-        root = Fraction(math.isqrt(disc.numerator)) / math.isqrt(disc.denominator)
-        if root * root != disc:
-            root = _float_sqrt(disc)
-    else:
-        root = math.sqrt(disc)
-    try:
-        q_lo, q_hi = (s1 - root) / n, (s1 + root) / n
-    except OverflowError:  # an exact s1 beyond the float range, beside an irrational root
-        q_hi = math.inf
-    if q_hi == math.inf:
-        raise ValueError(_BEYOND_FLOATS)
-    out = []
-    for q in (q_lo, q_hi):
-        if q >= 0 and (not out or q != out[-1]):
-            out.append(q)
-    return out
+    roots, exact = _roots(n, *_read([t0_sq, *known_sq]))
+    return roots if exact else [_float(q) for q in roots]
+
+
+def _open_slot(n: int, t0, known) -> tuple[list, bool]:
+    """`_roots` of the squares of t0 and the known distances."""
+    known = list(known)
+    if len(known) == n + 1:
+        if known.count(None) != 1:
+            raise ValueError("exactly one slot must be open")
+        known = [v for v in known if v is not None]
+    elif len(known) != n or None in known:
+        raise ValueError("expected n known distances or n+1 with one None")
+    lengths, exact = _read([t0, *known])
+    if lengths[0] <= 0 or min(lengths) < 0:
+        raise ValueError("lengths must be positive (known distances nonnegative)")
+    return _roots(n, [v * v for v in lengths], exact)
 
 
 def solve_open_slot(n: int, t0, known) -> tuple[list, tuple[float, ...]]:
     """The squared values and the distances filling the one open slot of
     the relation: (`solve_missing_distance_squares` of the squared
-    inputs, `solve_missing_distance`), from one solve.
+    inputs, `solve_missing_distance`), from one solve.  A square outside
+    the normal float range is refused, also where its distance is not.
     """
-    known = list(known)
-    if len(known) == n + 1:
-        holes = [i for i, v in enumerate(known) if v is None]
-        if len(holes) != 1:
-            raise ValueError("exactly one slot must be open")
-        known = [v for v in known if v is not None]
-    elif len(known) != n or None in known:
-        raise ValueError("expected n known distances or n+1 with one None")
-    if t0 <= 0 or any(v < 0 for v in known):
-        raise ValueError("lengths must be positive (known distances nonnegative)")
-    squares = solve_missing_distance_squares(
-        n, t0 * t0, [v * v for v in known]
-    )
-    return squares, tuple(sorted(_float_sqrt(q) for q in squares))
+    roots, exact = _open_slot(n, t0, known)
+    return roots if exact else [_float(q) for q in roots], tuple(_float_sqrt(q) for q in roots)
 
 
 def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
@@ -237,9 +244,11 @@ def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
 
     `known` lists the vertex distances with exactly one None (or may
     simply omit the open slot and have length n).  Returns a sorted
-    tuple of 0, 1, or 2 distances.
+    tuple of 0, 1, or 2 distances, each the correctly rounded root of
+    its square, which is computed exactly or to float precision at any
+    magnitude; a distance outside the normal float range is refused.
     """
-    return solve_open_slot(n, t0, known)[1]
+    return tuple(_float_sqrt(q) for q in _open_slot(n, t0, known)[0])
 
 
 def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
@@ -253,14 +262,13 @@ def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
     infinity are refused.
     """
     _positive_tol(tol)
-    if not all(_is_exact(x) or math.isfinite(x) for x in (u, sum_sq)):
-        raise ValueError("edge length and sum must be finite")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    (u, total), exact = _read((u, sum_sq))
     if u <= 0:
         raise ValueError("edge length must be positive")
-    target = n * Fraction(u) ** 2
-    if _is_exact(u) and _is_exact(sum_sq):
-        return Fraction(sum_sq) == target
-    return abs(Fraction(sum_sq) - target) <= Fraction(tol) * target
+    target = n * u * u
+    return total == target if exact else abs(total - target) <= Fraction(tol) * target
 
 
 def pompeiu_invariants(a, x, y, z):
@@ -268,18 +276,28 @@ def pompeiu_invariants(a, x, y, z):
 
     g vanishes exactly when the four numbers can come from a planar
     point and an equilateral triangle of side a; given that, h is
-    nonnegative, and vanishes exactly on the circumcircle.
+    nonnegative, and vanishes exactly on the circumcircle.  Both are
+    exact for exact input, else floats relative to the fourth power of
+    the largest input.  The side must be positive and the distances
+    nonnegative.
     """
-    values = [a, x, y, z]
-    if all(_is_exact(v) for v in values):
-        a, x, y, z = (Fraction(v) for v in values)
-    a2, x2, y2, z2 = a * a, x * x, y * y, z * z
-    try:
-        g = 3 * (a2**2 + x2**2 + y2**2 + z2**2) - (a2 + x2 + y2 + z2) ** 2
-        h = 2 * (x2 * y2 + y2 * z2 + z2 * x2) - (x2**2 + y2**2 + z2**2)
-    except OverflowError:  # a float ** that overflows raises, where * gives inf
-        g = h = math.inf
-    return _finite(g), _finite(h)
+    lengths, exact = _read((a, x, y, z))
+    if lengths[0] <= 0 or min(lengths) < 0:
+        raise ValueError("side must be positive and distances nonnegative")
+    squares = [v * v for v in lengths]
+    x2, y2, z2 = squares[1:]
+    h = 2 * (x2 * y2 + y2 * z2 + z2 * x2) - (x2 * x2 + y2 * y2 + z2 * z2)
+    return _residual(2, squares, exact), _relative(h, squares, exact)  # g is the residual at n = 2
+
+
+def pompeiu_verdict(g, h, tol: float = _POMPEIU_TOL) -> str:
+    """The Pompeiu verdict on the invariants `pompeiu_invariants` returned:
+    exact ones are compared with 0, float ones (relative to the fourth
+    power of the largest input) with tol."""
+    _positive_tol(tol)
+    if not _is_zero(g, tol):
+        return INCONSISTENT
+    return DEGENERATE_ON_CIRCLE if _is_zero(h, tol) else VALID_TRIANGLE
 
 
 def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
@@ -288,26 +306,12 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
     Returns "inconsistent" when the four numbers cannot come from a
     planar point at all, "degenerate_on_circle" when the point sits on
     the circumcircle (the distances only close up flat), and
-    "valid_triangle" otherwise.  Exact input is decided exactly.  For
-    float input tol is relative to the fourth power of the largest
-    input, matching the degree of the invariants, and the invariants
-    are taken again at a power-of-two scale of the inputs
-    (`_unit_scaled`), so the verdict is the same at every magnitude.
+    "valid_triangle" otherwise: `pompeiu_verdict` of `pompeiu_invariants`.
+    Exact input is decided exactly.  For float input tol bounds the
+    invariants relative to the fourth power of the largest input, so
+    the verdict is the same at every magnitude.
     """
-    _positive_tol(tol)
-    if a <= 0 or min(x, y, z) < 0:
-        raise ValueError("side must be positive and distances nonnegative")
-    g, h = pompeiu_invariants(a, x, y, z)
-    if _is_exact(g):
-        if g != 0:
-            return INCONSISTENT
-        return DEGENERATE_ON_CIRCLE if h == 0 else VALID_TRIANGLE
-    unit = _unit_scaled((a, x, y, z))
-    g, h = pompeiu_invariants(*unit)
-    scale = max(float(v) for v in unit) ** 4
-    if abs(float(g)) > tol * scale:
-        return INCONSISTENT
-    return DEGENERATE_ON_CIRCLE if abs(float(h)) <= tol * scale else VALID_TRIANGLE
+    return pompeiu_verdict(*pompeiu_invariants(a, x, y, z), tol)
 
 
 def equilateral_vertices(a) -> tuple[tuple[float, float], ...]:

@@ -29,6 +29,7 @@ from simplexkite import (
     is_equiradial,
     is_realizable,
     is_well_distributed,
+    pk_cm_det,
     prekite_equiradial_residual,
     solve_linear,
     volume_sq,
@@ -379,6 +380,31 @@ class TestEquiarealSolver:
                     assert cand.degenerate == (cm_det(cand.prekite().to_sdm()) == 0)
                     seen.add(cand.degenerate)
         assert seen == {False, True}
+
+    def test_closed_form_verdicts_match_the_generic_oracle(self):
+        for n in range(3, 13):
+            for s in range(1, (n - 1) // 2 + 1):
+                for cand in equiareal_prekite_solve(n, n - s, s):
+                    d = cand.prekite().to_sdm()
+                    verdict = is_realizable(d)
+                    assert cand.realizable is (verdict.status is Realizability.NONDEGENERATE)
+                    assert cand.degenerate is (verdict.gram_inertia[2] > 0)
+                    assert cand.equiareal_verified is is_equiareal(d)
+                    assert cand.regular is d.is_regular()
+
+    def test_cm_sign_is_the_gram_verdict_of_a_prekite(self):
+        # the solver's realizability verdict: the regular base facet leaves one Gram eigenvalue to decide
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            pk = rng.choice([random_prekite(rng, n), PreKite(n, 1, (1,) * (n - 1) + (Fraction(2 * n, n - 1),))])
+            sign = (-1) ** (n + 1) * pk_cm_det(pk)
+            status = is_realizable(pk.to_sdm()).status
+            want = Realizability.NONDEGENERATE if sign > 0 else Realizability.DEGENERATE if sign == 0 else Realizability.NON_EUCLIDEAN
+            assert status is want
+            seen.add(status)
+        assert seen == set(Realizability)
 
     def test_scan_shapes(self):
         result = equiareal_scan(6)

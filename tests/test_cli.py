@@ -277,17 +277,54 @@ class TestRel:
         code, out = run(["rel", "verify", "--n", "2", "--t0", "1e-80", "--t", "1e-80,1e-80,1e-80"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["residual"] < 0  # underflowed, yet the lengths at 1 give residual -4
+        assert payload["residual"] == -4.0  # relative to the fourth power of 1e-80: what the lengths at 1 give
         assert payload["zero_within_tol"] is False
+
+    @pytest.mark.parametrize(
+        "t0, t, residual",
+        [("1e100", "1e100,1,1", 2.0), (BIG, "1.0,1,1", 2.0), ("1", "0,1,1.0", 0.0)],
+        ids=["1e100", "exact-1e400-beside-a-float", "vertex"],
+    )
+    def test_verify_prints_the_relative_residual_it_decides(self, run, t0, t, residual):
+        code, out = run(["rel", "verify", "--n", "2", "--t0", t0, "--t", t])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residual"] == residual
+        assert payload["zero_within_tol"] is (residual == 0)
+
+    def test_solve_exact_distance_beyond_the_float_range_beside_a_float(self, run):
+        code, out = run(["rel", "solve", "--n", "2", "--t0", "1.5", "--known", BIG + ",1"])
+        assert code == 0
+        assert json.loads(out)["solutions"] == []
+
+    @pytest.mark.parametrize("side", ["1e-200", "1e-160", "1e160"])
+    def test_solve_refuses_a_square_outside_the_normal_float_range(self, run, side):
+        # the larger square, 3 side**2, would print as 0.0, as a subnormal float or as infinity
+        code, out = run(["rel", "solve", "--n", "2", "--t0", side, "--known", side + "," + side])
+        assert (code, out) == (1, "")
+
+    def test_solve_float_roots_at_a_small_magnitude(self, run):
+        code, out = run(["rel", "solve", "--n", "2", "--t0", "1e-150", "--known", "1e-150,1e-150"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["solution_squares"] == pytest.approx([0.0, 3e-300], rel=1e-15)
+        assert payload["solutions"] == pytest.approx([0.0, 3**0.5 * 1e-150], rel=1e-15)
 
 
 class TestPompeiu:
-    def test_float_verdict_at_tiny_magnitudes(self, run):
-        code, out = run(["pompeiu", "1e-100", "1e-100", "1e-100", "1e-100"])
+    @pytest.mark.parametrize("side", ["1e-100", "1.0", "1e100", "1e308"])
+    def test_float_verdict_at_every_magnitude(self, run, side):
+        # the invariants print relative to the fourth power of the side, as the verdict reads them
+        code, out = run(["pompeiu"] + [side] * 4)
         assert code == 0
         payload = json.loads(out)
-        assert payload["g"] == payload["h"] == 0.0  # underflowed, yet the verdict is that of 1 1 1 1
-        assert payload["verdict"] == "inconsistent"
+        assert (payload["g"], payload["h"], payload["verdict"]) == (-4.0, 3.0, "inconsistent")
+
+    def test_float_input_prints_both_invariants_as_floats(self, run):
+        code, out = run(["pompeiu", "2.0", "1", "1", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["g"], payload["h"]) == (0.5, 0.1875)  # 8 and 3 over 2**4
 
     def test_inconsistent(self, run):
         code, out = run(["pompeiu", "1", "1", "1", "1"])
@@ -457,18 +494,15 @@ def test_float_commands_next_to_an_almost_120_degree_vertex(run, tmp_path, comma
 
 HOSTILE_NUMBERS = [
     (["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,?"], "expected n known distances or n+1 with one None"),
-    (["rel", "verify", "--n", "2", "--t0", "1e100", "--t", "1e100,1,1"], "float inputs and their fourth powers must be finite"),
-    (["rel", "solve", "--n", "2", "--t0", "inf", "--known", "0,1"], "float inputs and their fourth powers must be finite"),
-    (["pompeiu", "1e308", "1e308", "1e308", "1e308"], "float inputs and their fourth powers must be finite"),
-    (["pompeiu", "1e100", "1e100", "1e100", "1e100"], "float inputs and their fourth powers must be finite"),
-    (["pompeiu", "nan", "0", "1", "1"], "float inputs and their fourth powers must be finite"),
+    (["rel", "solve", "--n", "2", "--t0", "inf", "--known", "0,1"], "float inputs must be finite"),
+    (["pompeiu", "nan", "0", "1", "1"], "float inputs must be finite"),
+    (["pompeiu", "1", "0", "inf", "1"], "float inputs must be finite"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--t", "0,nan,1"], "float inputs must be finite"),
     (["pompeiu", "--tol", "nan", "1", "0.5", "0.5", "0.5"], "argument --tol: must be finite and positive: 'nan'"),
     (["rel", "verify", "--n", "2", "--t0", "1", "--t", "0,1,1", "--tol", "nan"], "argument --tol: must be finite and positive: 'nan'"),
     (["rel", "solve", "--n", "0", "--t0", "1", "--known", "?"], "dimension must be at least 1"),
     (["rel", "solve", "--n", "2", "--t0", BIG, "--known", BIG + "," + BIG], "a root lies beyond the float range"),
     (["rel", "solve", "--n", "2", "--t0", BIG[:201], "--known", BIG[:201] + ",2"], "a root lies beyond the float range"),
-    (["rel", "verify", "--n", "2", "--t0", BIG, "--t", "1.0,1,1"], "float inputs and their fourth powers must be finite"),
-    (["rel", "solve", "--n", "2", "--t0", "1.5", "--known", BIG + ",1"], "float inputs and their fourth powers must be finite"),
     (["prekite-eval", "3", "--lengths", "1", "1", "1", "-2"], "plain lengths must be positive"),
     (["prekite-feasible", "3", "--lengths", "1", "-3"], "plain lengths must be positive"),
 ]

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,14 @@ from simplexkite import (
     solve_missing_distance,
     solve_missing_distance_squares,
 )
-from simplexkite.relation import _float_sqrt, relation_holds, residual_is_zero, solve_open_slot
+from simplexkite.relation import (
+    _float_sqrt,
+    pompeiu_invariants,
+    pompeiu_verdict,
+    relation_holds,
+    residual_within_tol,
+    solve_open_slot,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -77,29 +86,57 @@ class TestResidual:
         with pytest.raises(ValueError):
             DistanceTuple(2, 1, (-1, 1, 1))
 
+    @pytest.mark.parametrize("t0, t", [(math.nan, (1, 1, 1)), (math.inf, (1, 1, 1)), (1, (1, math.nan, 1)), (1, (1, 1, -math.inf))])
+    def test_nan_and_infinity_refused(self, t0, t):
+        with pytest.raises(ValueError, match="float inputs must be finite"):
+            DistanceTuple(2, t0, t)
 
-class TestResidualIsZero:
-    def test_exact_residual_is_compared_with_zero(self):
-        dt = DistanceTuple(2, 10**6, (0, 10**6, 10**6))
-        assert residual_is_zero(dt, relation_residual(dt))
-        # 1 is far below 1e-9 * (10**6)**4, and still not zero; tol plays no part
-        assert not residual_is_zero(dt, Fraction(1), tol=1e30)
+    def test_negative_squares_refused(self):
+        with pytest.raises(ValueError, match="squared values must be nonnegative"):
+            relation_residual_from_squares(1, [1, -1, 0])
 
-    def test_exact_lengths_beyond_the_float_range(self):
-        big = 10**400
-        assert residual_is_zero(DistanceTuple(2, big, (0, big, big)), Fraction(0))
-        assert not residual_is_zero(DistanceTuple(2, big, (big, 1, 1)), Fraction(-1))
 
-    def test_float_residual_within_tol(self):
-        dt = DistanceTuple(2, 1.0, (1.0, 2.0, 1.0))  # scale 2**4
-        assert residual_is_zero(dt, 15e-9)
-        assert not residual_is_zero(dt, -17e-9)
-        assert residual_is_zero(dt, -17e-9, tol=2e-9)
+class TestExactReading:
+    """Float input is read at its exact value; each quartic comes back as one
+    float relative to the fourth power of the largest length, the number a
+    verdict compares with its tolerance."""
 
-    def test_float_scale_floor(self):
-        dt = DistanceTuple(2, 1e-80, (0.0, 1e-80, 1e-80))  # scale 1e-320, floored at 1e-300
-        assert residual_is_zero(dt, 1e-310)
-        assert not residual_is_zero(dt, 1e-308)
+    def test_float_residual_is_relative_to_the_largest_length(self):
+        assert relation_residual(DistanceTuple(2, 1.0, (1.0, 2.0, 1.0))) == 0.5  # 8 / 2**4
+        assert relation_residual_from_squares(2, iter([1.0, 1.0, 4.0, 1.0])) == 0.5
+        assert relation_residual_from_squares(2, [0.0] * 4) == 0.0
+        for side in (1e-80, 1.0, 1e100, 1e200):
+            assert relation_residual(DistanceTuple(2, side, (side,) * 3)) == -4.0
+
+    def test_exact_input_stays_exact(self):
+        residual = relation_residual(DistanceTuple(2, 2, (1, 1, 1)))
+        assert residual == 8 and isinstance(residual, Fraction)
+        assert residual_within_tol(Fraction(1, 10**400), 1e-3) is False  # exact: compared with 0, whatever tol
+        assert pompeiu_verdict(Fraction(0), Fraction(1, 10**400), 1e-3) == VALID_TRIANGLE
+        assert pompeiu_invariants(2, 1, 1, 1) == (8, 3)
+        assert all(isinstance(v, Fraction) for v in pompeiu_invariants(2, 1, 1, 1))
+
+    @pytest.mark.parametrize("side", [1e-100, 1.0, 1e100, 1e308])
+    def test_pompeiu_invariants_at_every_magnitude(self, side):
+        assert pompeiu_invariants(side, side, side, side) == (-4.0, 3.0)
+
+    def test_mixed_input_is_float_throughout(self):
+        assert pompeiu_invariants(2.0, 1, 1, 1) == (0.5, 0.1875)
+
+    def test_verdicts_compare_the_returned_value(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            t0, *t = (rng.uniform(0.5, 1.5) for _ in range(4))
+            dt = DistanceTuple(2, t0, t)
+            g, h = pompeiu_invariants(t0, *t)
+            for tol in (1e-3, 0.05, 0.5):
+                assert relation_holds(dt, tol) is (abs(relation_residual(dt)) <= tol)
+                assert residual_within_tol(relation_residual(dt), tol) is relation_holds(dt, tol)
+                verdict = pompeiu_classify(t0, *t, tol=tol)
+                assert pompeiu_verdict(g, h, tol) == verdict
+                assert (verdict == INCONSISTENT) is (abs(g) > tol)
+                if verdict != INCONSISTENT:
+                    assert (verdict == DEGENERATE_ON_CIRCLE) is (abs(h) <= tol)
 
 
 class TestMissingDistance:
@@ -128,6 +165,22 @@ class TestMissingDistance:
         assert solve_missing_distance_squares(2, big**2, [big**2, big**2]) == [0, 3 * big**2]
         assert solve_missing_distance(2, big, [big, big]) == pytest.approx((0.0, SQRT3 * 1e200), rel=1e-15)
 
+    @pytest.mark.parametrize("side", [1e-300, 1e-200, 1e-160, 1e-150, 1e150, 1e200])
+    def test_float_distances_at_every_magnitude(self, side):
+        # the squares 0 and 3 side**2 are exact, whether or not a float can hold them
+        assert solve_missing_distance(2, side, [side, side]) == pytest.approx((0.0, SQRT3 * side), rel=1e-15)
+
+    @pytest.mark.parametrize("side", [1e-200, 1e-160, 1e160])
+    def test_float_squares_outside_the_normal_range_refused(self, side):
+        # 3 side**2 would be 0.0, a subnormal float or infinity
+        with pytest.raises(ValueError, match="a root lies beyond the float range"):
+            solve_open_slot(2, side, [side, side])
+
+    @pytest.mark.parametrize("square", [1e-320, 1e308])
+    def test_float_square_roots_outside_the_normal_range_refused(self, square):
+        with pytest.raises(ValueError, match="a root lies beyond the float range"):
+            solve_missing_distance_squares(2, square, [square, square])
+
     def test_roots_beyond_the_float_range_refused(self):
         with pytest.raises(ValueError, match="a root lies beyond the float range"):
             solve_missing_distance(2, 10**400, [10**400, 10**400])
@@ -142,6 +195,45 @@ class TestMissingDistance:
             q = Fraction(rng.getrandbits(rng.randint(1, 200)) + 1, rng.getrandbits(rng.randint(1, 200)) + 1)
             q *= Fraction(2) ** rng.randint(-800, 800)
             assert _float_sqrt(q) == math.sqrt(float(q))
+
+    def test_against_a_60_digit_reference(self):
+        """The roots of float and exact input, to within 1e-15 of the roots of
+        their exact values taken to 60 digits, also where the smaller root is
+        far below the larger one, and for float lengths from 1e-300 to 1e300,
+        whose squares leave the float range."""
+
+        def reference(n, t0, known):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                values = [Fraction(v) ** 2 for v in (t0, *known)]
+                s1 = sum(values)
+                c = (n + 1) * sum(v * v for v in values) - s1 * s1
+                disc = s1 * s1 - n * c
+                if disc < 0:
+                    return []
+                dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+                hi = (dec(s1) + dec(disc).sqrt()) / n
+                lo = [dec(c) / n / hi] if c > 0 else [Decimal(0)] if c == 0 else []
+                return [q.sqrt() for q in sorted(set(lo + [hi]))]
+
+        rng = random.Random(29)
+        simplices = {n: embed(SquaredDistanceMatrix.regular(n)) for n in range(2, 8)}
+        worst = {True: 0.0, False: 0.0}
+        for i in range(2000):
+            n = rng.randint(2, 7)
+            dists = [float(np.linalg.norm(p - v)) for p in hull_samples(rng, simplices[n], 1) for v in simplices[n].vertices]
+            exact = i % 2 == 1
+            if exact:
+                t0, known = Fraction(1), [Fraction(x).limit_denominator(10**6) for x in dists[:-1]]
+            else:
+                scale = 10 ** rng.uniform(-300, 300)
+                t0, known = scale, [x * scale for x in dists[:-1]]
+            got, want = solve_missing_distance(n, t0, known), reference(n, t0, known)
+            assert len(got) == len(want), (n, t0, known)
+            for g, w in zip(got, want):
+                error = float(abs(Decimal(g) - w) / w) if w else float(g)
+                worst[exact] = max(worst[exact], error)
+        assert max(worst.values()) <= 1e-15, worst
 
     def test_incompatible_distances_empty(self):
         assert solve_missing_distance(2, 1, [10, 0.1, None]) == ()
@@ -167,6 +259,10 @@ class TestCircumsphereBySums:
     def test_unit_triangle(self):
         assert on_circumsphere_by_sums(2, 1, 2)
 
+    def test_dimension_zero_refused(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            on_circumsphere_by_sums(0, 1, 0)
+
     def test_vertex_is_on_sphere(self):
         for n in (2, 3, 5):
             # distances from a vertex: one zero and n edges
@@ -185,6 +281,12 @@ class TestCircumsphereBySums:
 class TestPompeiuClassify:
     def test_vertex_degenerate(self):
         assert pompeiu_classify(1, 0, 1, 1) == DEGENERATE_ON_CIRCLE
+
+    @pytest.mark.parametrize("args", [(0, 1, 1, 1), (1, -1, 1, 1), (-2.0, 1, 1, 1), (1, 1, 1, -0.5)])
+    def test_side_and_distances_checked_by_the_invariants(self, args):
+        for call in (pompeiu_invariants, pompeiu_classify):
+            with pytest.raises(ValueError, match="side must be positive and distances nonnegative"):
+                call(*args)
 
     def test_center_valid(self):
         assert pompeiu_classify(1, 1 / SQRT3, 1 / SQRT3, 1 / SQRT3) == VALID_TRIANGLE

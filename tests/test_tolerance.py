@@ -23,7 +23,7 @@ from simplexkite import (
     recover_isodynamic,
     recover_tetra_isogonic,
 )
-from simplexkite.relation import relation_holds, residual_is_zero
+from simplexkite.relation import pompeiu_verdict, relation_holds, residual_within_tol
 
 BAD = [math.nan, 0.0, -1.0, math.inf, -math.inf, 0]
 REGULAR = SquaredDistanceMatrix.regular(3)
@@ -42,8 +42,9 @@ CALLS = {
     "EmbeddedSimplex": lambda tol: EmbeddedSimplex([[0, 0], [1, 0], [0, 1]], TRIANGLE, tol=tol),
     "pompeiu_classify": lambda tol: pompeiu_classify(1.0, 0.5, 0.5, 0.5, tol=tol),
     "pompeiu_from_point": lambda tol: pompeiu_from_point(1.0, (0.1, 0.2), tol=tol),
+    "pompeiu_verdict": lambda tol: pompeiu_verdict(0.0, 0.5, tol=tol),
     "relation_holds": lambda tol: relation_holds(DT, tol=tol),
-    "residual_is_zero": lambda tol: residual_is_zero(DT, 0.0, tol=tol),
+    "residual_within_tol": lambda tol: residual_within_tol(0.0, tol=tol),
     "on_circumsphere_by_sums": lambda tol: on_circumsphere_by_sums(2, 1.0, 2.0, tol=tol),
 }
 
