@@ -8,9 +8,11 @@ A matrix clears its distances of their common denominator c once, at
 construction, and keeps the integer form c*D; every exact step reads
 it.  Volume, circumradius, circumcenter, verdict and every facet's
 volume and circumradius all come from one integer symmetric elimination
-of the Gram matrix G of edge vectors (`_gram_elimination`), run on
-first use and kept on the matrix, as are the facets.  Its pivot signs
-give the inertia of G, and its last leading minor gives
+of the Gram matrix G of edge vectors (`_gram_elimination`).  A matrix
+keeps that elimination and the integers read off it for the
+circumsphere and the facets (`_facet_integers`), each filled on first
+use; it keeps no facet matrix and builds no Fraction to keep.  The
+elimination's pivot signs give the inertia of G, and its last leading minor gives
 det(G) = (n!)**2 * V**2.  Any vector b swept
 through the kept pivots (`_sweep`) gives -b^T adj(A) b, A = s*G the
 scaled integer Gram matrix.  With b the diagonal of A that is R**2, and
@@ -86,7 +88,7 @@ class SquaredDistanceMatrix:
     integer form c*D, which it keeps with c for every exact step.
     """
 
-    __slots__ = ("n", "a", "_dist", "_den", "_gram", "_sphere", "_facets", "_record", "_dets", "_floats")
+    __slots__ = ("n", "a", "_dist", "_den", "_gram", "_integers", "_floats")
 
     def __init__(self, entries: Iterable[Iterable]):
         table = tuple(tuple(as_scalar(x) for x in row) for row in entries)
@@ -107,10 +109,7 @@ class SquaredDistanceMatrix:
         self._dist = dist  # c*D, the distances cleared of their common denominator c
         self._den = scales[0]  # c
         self._gram = None  # the `_gram_elimination` result, filled on first use
-        self._sphere = None  # the `_circumsphere` result, filled on first use
-        self._facets = None  # the `facet_sdm` results, filled on first use
-        self._record = None  # the `facet_record` result, filled on first use
-        self._dets = None  # the `_facet_dets` result, filled on first use
+        self._integers = None  # the `_facet_integers` result, filled on first use
         self._floats = None  # the `families._floats` result, filled on first use
 
     @classmethod
@@ -222,7 +221,7 @@ def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
     Degenerate or non-Euclidean input raises with the verdict attached.
     """
     g = _gram_elimination(d)
-    _, corner = _sweep(d, g.diag)
+    _, corner = _sweep(d, [2 * t for t in d._dist[0][1:]])
     return Fraction(-corner, 4 * g.scale * g.minors[-1])
 
 
@@ -235,37 +234,7 @@ def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     Degenerate or non-Euclidean input raises with the verdict attached.
     """
     det = _gram_elimination(d).minors[-1]
-    return tuple(Fraction(w, 2 * det) for w in _circumsphere(d).weights)
-
-
-class _Sphere(NamedTuple):
-    """The circumsphere read off the kept Gram elimination, kept on the matrix."""
-
-    weights: tuple[int, ...]  # 2 det(A) w, w the circumcenter's barycentrics
-    corner: int  # -4 s det(A) R**2
-    swept: list[int]  # the right-hand side `_sweep` carries A's diagonal to
-
-
-def _circumsphere(d: SquaredDistanceMatrix) -> _Sphere:
-    """The circumcenter's barycentrics as integers and the sweep of A's
-    diagonal, computed once and kept on d.
-
-    Back substitution on the echelon rows of A = s*G, with the right-hand
-    side the sweep carries s*g to, gives the integers det(A) G^-1 g =
-    2 det(A) x.  w is certified against the Cayley-Menger system: sum w = 1
-    holds by construction, and every entry of D w must equal 2 R**2.
-    """
-    if d._sphere is None:
-        g = _gram_elimination(d)
-        swept, corner = _sweep(d, g.diag)
-        det = g.minors[-1]
-        y = _back_substitute(g.rows, det, swept)
-        weights = (2 * det - sum(y), *y)
-        # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
-        if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in d._dist):
-            raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
-        d._sphere = _Sphere(weights, corner, swept)
-    return d._sphere
+    return tuple(Fraction(w, 2 * det) for w in _facet_integers(d).weights)
 
 
 def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
@@ -298,7 +267,6 @@ class _Gram(NamedTuple):
     minors: list[int]  # the pivots, A's leading principal minors
     scale: int  # s
     verdict: RealizabilityVerdict
-    diag: list[int]  # A's diagonal from before the elimination
 
 
 def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
@@ -307,13 +275,12 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
     """
     if d._gram is None:
         rows = _scaled_gram(d._dist)
-        diag = [row[i] for i, row in enumerate(rows)]
         minors, _ = _bareiss(rows, symmetric=True)
         sig = _signature(minors, d.n)
         status = Realizability.NON_EUCLIDEAN if sig[1] else (
             Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)
         verdict = RealizabilityVerdict(status=status, gram_inertia=sig)
-        d._gram = _Gram(rows, minors, 2 * d._den, verdict, diag)
+        d._gram = _Gram(rows, minors, 2 * d._den, verdict)
     return d._gram
 
 
@@ -389,16 +356,14 @@ def gram_ldl(d: SquaredDistanceMatrix):
 def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
     """The facet opposite vertex j: delete row and column j.
 
-    All facets are built once and kept on d, so every caller gets the same
-    object and with it the facet's kept elimination."""
+    Each call builds a new matrix for facet j alone, with its own
+    elimination to come; d keeps no facet matrix."""
     if d.n < 2:
         raise ValueError("facets of a 1-simplex are single points")
     if not 0 <= j <= d.n:
         raise IndexError("vertex index out of range")
-    if d._facets is None:
-        keeps = [[i for i in range(d.n + 1) if i != k] for k in range(d.n + 1)]
-        d._facets = tuple(SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep]) for keep in keeps)
-    return d._facets[j]
+    keep = [i for i in range(d.n + 1) if i != j]
+    return SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep])
 
 
 class FacetRecord(Record):
@@ -414,11 +379,11 @@ class FacetRecord(Record):
 
 
 def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
-    """Circumsphere, facet volumes and facet circumradii, read off the one
-    Gram elimination and kept on d.
+    """Circumsphere, facet volumes and facet circumradii, built on each call
+    from the integers d keeps (`_facet_integers`).
 
-    The facet Gram determinants det_k (`_facet_dets`), scaled like A = s*G,
-    give V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  The circumcenter lies at
+    The facet Gram determinants det_k, scaled like A = s*G, give
+    V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  The circumcenter lies at
     signed distance w_k h_k from facet k's hyperplane and projects onto the
     facet's circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 =
     R**2 - w_k**2 det(A) / (s det_k).  Degenerate or non-Euclidean input
@@ -427,46 +392,64 @@ def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
     """
     if d.n < 2:
         raise ValueError("facets of a 1-simplex are single points")
-    if d._record is None:
-        weights, corner, _ = _circumsphere(d)
-        dets = _facet_dets(d)
-        g = _gram_elimination(d)
-        det, scale, n = g.minors[-1], g.scale, d.n
-        volume_den = scale ** (n - 1) * math.factorial(n - 1) ** 2
-        d._record = FacetRecord(
-            circumcenter=circumcenter_barycentrics(d),
-            circumradius_sq=Fraction(-corner, 4 * scale * det),
-            facet_volume_sq=tuple(Fraction(k, volume_den) for k in dets),
-            facet_circumradius_sq=tuple(
-                Fraction(-corner * k - w * w, 4 * scale * det * k) for w, k in zip(weights, dets)
-            ),
-        )
-    return d._record
+    weights, corner, _, dets = _facet_integers(d)
+    g = _gram_elimination(d)
+    det, scale, n = g.minors[-1], g.scale, d.n
+    volume_den = scale ** (n - 1) * math.factorial(n - 1) ** 2
+    return FacetRecord(
+        circumcenter=circumcenter_barycentrics(d),
+        circumradius_sq=Fraction(-corner, 4 * scale * det),
+        facet_volume_sq=tuple(Fraction(k, volume_den) for k in dets),
+        facet_circumradius_sq=tuple(
+            Fraction(-corner * k - w * w, 4 * scale * det * k) for w, k in zip(weights, dets)
+        ),
+    )
 
 
-def _facet_dets(d: SquaredDistanceMatrix) -> tuple[int, ...]:
-    """The facet Gram determinants, scaled like A = s*G, computed once and
-    kept on d: det_k = adj(A)[k-1][k-1] for k >= 1 and det_0 = 1^T adj(A) 1.
+class _Integers(NamedTuple):
+    """The circumsphere and the facets as integers, kept on the matrix."""
 
-    They are the integers every facet invariant is read from, so the
-    predicates on a nondegenerate simplex compare them, and `facet_record`
-    builds its Fractions from them.  The summed adjugate column is
-    certified, A adj(A) 1 = det(A) 1, in O(n**2) integers.  Anything but
-    nondegenerate input raises with the verdict attached.
+    weights: tuple[int, ...]  # 2 det(A) w, w the circumcenter's barycentrics
+    corner: int  # -4 s det(A) R**2
+    swept: list[int]  # the right-hand side `_sweep` carries A's diagonal to
+    dets: tuple[int, ...]  # det_k, facet k's Gram determinant scaled like A = s*G
+
+
+def _facet_integers(d: SquaredDistanceMatrix) -> _Integers:
+    """The integers every circumsphere and facet invariant is read from,
+    computed once and kept on d.
+
+    A's diagonal is 2 (c D)[0][i], i >= 1, and its sweep gives the corner
+    -b^T adj(A) b.  Back substitution on the echelon rows of A with the
+    swept right-hand side gives the integers det(A) G^-1 g = 2 det(A) x,
+    and with them w = (1 - sum x, x), certified against the Cayley-Menger
+    system: sum w = 1 holds by construction, and every entry of D w must
+    equal 2 R**2.  The facet determinants are det_k = adj(A)[k-1][k-1] for
+    k >= 1, by sweeping e_(k-1), and det_0 = 1^T adj(A) 1; the summed
+    adjugate column is certified, A adj(A) 1 = det(A) 1, in O(n**2)
+    integers.  Anything but nondegenerate input raises with the verdict
+    attached.
     """
-    if d._dets is None:
+    if d._integers is None:
+        top, n = d._dist[0], d.n
+        swept, corner = _sweep(d, [2 * t for t in top[1:]])
         g = _gram_elimination(d)
-        det, n = g.minors[-1], d.n
+        det = g.minors[-1]
+        y = _back_substitute(g.rows, det, swept)
+        weights = (2 * det - sum(y), *y)
+        # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
+        if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in d._dist):
+            raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
         sweeps = [_sweep(d, [int(i == j) for i in range(n)]) for j in range(n)]
         y = _back_substitute(g.rows, det, [sum(col) for col in zip(*(b for b, _ in sweeps))])  # adj(A) 1
         # A = s*G has entries t_i + t_j - (c D)_ij, with t the cleared distances from vertex 0
-        top, total = d._dist[0], sum(y)
+        total = sum(y)
         cross = sum(t * x for t, x in zip(top[1:], y))
         if any(t * total + cross - sum(x * v for x, v in zip(row[1:], y)) != det
                for t, row in zip(top[1:], d._dist[1:])):
             raise RuntimeError("facet determinants fail the adjugate certificate")
-        d._dets = (total, *(-c for _, c in sweeps))
-    return d._dets
+        d._integers = _Integers(weights, corner, swept, (total, *(-c for _, c in sweeps)))
+    return d._integers
 
 
 def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:

@@ -17,8 +17,7 @@ from .cayley import (
     NonEuclideanError,
     Realizability,
     SquaredDistanceMatrix,
-    _circumsphere,
-    _facet_dets,
+    _facet_integers,
     facet_circumradii_sq,
     facet_volumes_sq,
     is_realizable,
@@ -34,7 +33,7 @@ _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
 def _check_predicate_input(d: SquaredDistanceMatrix) -> bool:
     """Refuse n < 2, and non-Euclidean distances with the verdict; flat input
     passes.  Whether d is nondegenerate, so its facets' integers
-    (`_facet_dets`, `_circumsphere`) exist."""
+    (`_facet_integers`) exist."""
     if d.n < 2:
         raise ValueError("predicate needs n >= 2")
     verdict = is_realizable(d)
@@ -61,7 +60,7 @@ def is_equiareal(d: SquaredDistanceMatrix) -> bool:
     A nondegenerate simplex compares its facet determinants det_k, which
     share one denominator; flat input compares `facet_volumes_sq`.
     """
-    vols = _facet_dets(d) if _check_predicate_input(d) else facet_volumes_sq(d)
+    vols = _facet_integers(d).dets if _check_predicate_input(d) else facet_volumes_sq(d)
     return all(v == vols[0] for v in vols)
 
 
@@ -78,8 +77,7 @@ def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     if not _check_predicate_input(d):
         radii = facet_circumradii_sq(d)
         return all(r == radii[0] for r in radii)
-    weights, corner, _ = _circumsphere(d)
-    dets = _facet_dets(d)
+    weights, corner, _, dets = _facet_integers(d)
     first = -corner * dets[0] - weights[0] ** 2
     return all((-corner * k - w * w) * dets[0] == first * k for w, k in zip(weights, dets))
 
@@ -105,10 +103,10 @@ def prekite_equiradial_residual(pk: PreKite, j: int) -> Fraction:
 
 def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
     """Whether the circumcenter lies strictly inside the simplex: whether
-    its barycentrics times 2 det(A) > 0, as `_circumsphere` keeps them,
+    its barycentrics times 2 det(A) > 0, as `_facet_integers` keeps them,
     are all positive.  Degenerate or non-Euclidean input raises with the
     verdict attached."""
-    return all(w > 0 for w in _circumsphere(d).weights)
+    return all(w > 0 for w in _facet_integers(d).weights)
 
 
 class CoincidenceReport(Record, defaults=(None, None)):
@@ -217,8 +215,11 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
     The conditions are (i) n*u**2 - s1**2 + (n-1)*s2 - n*x**2 + 2*s1*x = 0
     and (ii) (t-s)*(y-x) = 2*u.  Substituting (ii) into (i) cancels the
     quadratic term, so there is exactly one candidate (x, y) per (t, s)
-    with t != s; t = s would force u = 0 and is rejected.  Candidates
-    with a nonpositive parameter are dropped.  The rest are decided on
+    with t != s; t = s would force u = 0 and is rejected.  Both parameters
+    are positive: with u = 1 and delta = 2/(t-s), 2(n-1)x = 2(n-1) -
+    2s*delta + (t-1)s*delta**2, which is at least 2(t-1) when t - s >= 2
+    and equals 4s(t-1) when t - s = 1, so x > 0 and y = x + delta > 0.
+    The list holds that one candidate.  It is decided on
     the pre-kite closed forms, with no matrix: the regular base facet is
     a nondegenerate simplex, so the Gram matrix has at most one
     eigenvalue <= 0, and the sign of (-1)**(n+1) times the Cayley-Menger
@@ -238,8 +239,6 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
         2 * (n - 1) * u
     )
     y = x + delta
-    if x <= 0 or y <= 0:
-        return []
     pk = PreKite(n, u, (x,) * t + (y,) * s)
     gram_det_sign = (-1) ** (n + 1) * pk_cm_det(pk)
     candidate = EquiarealCandidate(
@@ -281,11 +280,7 @@ def equiareal_scan(n: int) -> dict:
                 }
             )
             continue
-        candidates = equiareal_prekite_solve(n, t, s)
-        if not candidates:
-            rows.append({"t": t, "s": s, "status": "no-solution", "reason": "nonpositive parameter"})
-            continue
-        cand = candidates[0]
+        (cand,) = equiareal_prekite_solve(n, t, s)
         status = "realizable" if cand.realizable else ("degenerate" if cand.degenerate else "non-euclidean")
         rows.append({"t": t, "s": s, "status": status, **cand.to_json()})
         if cand.realizable and cand.equiareal_verified and not cand.regular:

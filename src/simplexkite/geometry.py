@@ -27,8 +27,7 @@ from operator import add, mul, sub, truediv
 
 from .cayley import (
     SquaredDistanceMatrix,
-    _circumsphere,
-    _facet_dets,
+    _facet_integers,
     _gram_elimination,
     _top_exponent,
     require_nondegenerate,
@@ -130,13 +129,13 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     Coordinate k is y_k times coordinate k of vertex k+1, which is
     sqrt(D_k) of the Gram LDL^T, with y the exact circumcenter in that
     frame.  2 G x = g and G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and
-    the sweep of A's diagonal (`_circumsphere`) holds L^-1 (s g) times the
+    the sweep of A's diagonal (`_facet_integers`) holds L^-1 (s g) times the
     leading minors, so y_k = swept_k / (2 minors[k]), one correctly rounded
     division.  A far circumcenter has huge barycentrics x, whose float
     image through the vertices would cancel; y does not.
     """
     minors = _gram_elimination(s.source).minors
-    ys = map(truediv, _circumsphere(s.source).swept, [2 * m for m in minors])
+    ys = map(truediv, _facet_integers(s.source).swept, [2 * m for m in minors])
     center = tuple(y * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
     return center, math.dist(center, s.vertices[0])
 
@@ -145,7 +144,7 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Facet-volume-weighted vertex average and the inradius n V / sum F_j.
 
     The weights F_j / sum F leave exact arithmetic as square roots of the
-    ratios F_j**2 / max F**2 = det_k / max det (`_facet_dets`), each one
+    ratios F_j**2 / max F**2 = det_k / max det (`_facet_integers`), each one
     correctly rounded division of integers, so the facet volumes
     themselves never need to fit a float.  So is (V / max F)**2 =
     det(A) / (s n**2 max det), A = s*G the scaled Gram matrix.  The
@@ -155,7 +154,7 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """
     if s.n == 1:
         return centroid(s), math.dist(*s.vertices) / 2.0
-    dets = _facet_dets(s.source)
+    dets = _facet_integers(s.source).dets
     largest = max(dets)
     roots = [math.sqrt(k / largest) for k in dets]
     total = sum(roots)
@@ -202,11 +201,7 @@ def _vertex_pull(pts, k: int, row) -> tuple[float, list[float]]:
     return math.hypot(*pull), pull
 
 
-def fermat_torricelli(
-    s: EmbeddedSimplex,
-    tol: float = FT_GRADIENT_TOL,
-    max_iter: int = FT_MAX_ITER,
-) -> Point:
+def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point:
     """Minimizer of the summed vertex distances.
 
     The objective is convex, and a vertex is the global minimizer
@@ -242,7 +237,7 @@ def fermat_torricelli(
     vertex_snap = 1e-12 * max(map(max, table))
     cols = list(zip(*pts))
     step = ()  # the last averaging step, () when there is none to extend
-    for _ in range(max_iter):
+    for _ in range(FT_MAX_ITER):
         near = min(dists)
         if near <= vertex_snap:
             k = dists.index(near)
@@ -272,7 +267,7 @@ def fermat_torricelli(
         x, dists = new, newdists
     raise ConvergenceError(
         "Fermat-Torricelli iteration did not reach gradient norm %.1e in %d steps"
-        % (tol, max_iter)
+        % (tol, FT_MAX_ITER)
     )
 
 

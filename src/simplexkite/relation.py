@@ -315,20 +315,26 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
 
 
 def equilateral_vertices(a) -> tuple[tuple[float, float], ...]:
-    """Vertices of the side-a equilateral triangle centered at the origin."""
-    r = float(a) / math.sqrt(3.0)
-    return ((0.0, r), (-float(a) / 2.0, -r / 2.0), (float(a) / 2.0, -r / 2.0))
+    """Vertices of the side-a equilateral triangle centered at the origin.
+
+    The side is read as one float (`_checked`, `_float`): NaN, infinity and
+    a nonzero side outside the normal float range raise ValueError."""
+    side = _float(_checked(a))
+    r = side / math.sqrt(3.0)
+    return ((0.0, r), (-side / 2.0, -r / 2.0), (side / 2.0, -r / 2.0))
 
 
 def pompeiu_from_point(a, point, tol: float = _POMPEIU_TOL):
     """Distances and Pompeiu verdict for a planar point given relative to the center.
 
     The point is on the circumcircle exactly when its distance from the
-    origin is a/sqrt(3), which is when the verdict degenerates.
+    origin is a/sqrt(3), which is when the verdict degenerates.  The side
+    is read as `equilateral_vertices` reads it.
     """
+    side = _float(_checked(a))
     p = tuple(float(x) for x in point)
     if len(p) != 2:
         raise ValueError("expected a planar point")
-    x, y, z = (math.dist(p, v) for v in equilateral_vertices(a))
-    verdict = pompeiu_classify(float(a), x, y, z, tol=tol)
+    x, y, z = (math.dist(p, v) for v in equilateral_vertices(side))
+    verdict = pompeiu_classify(side, x, y, z, tol=tol)
     return (x, y, z), verdict

@@ -392,13 +392,14 @@ class TestEliminationMemo:
                     assert _outcome(_INVARIANTS[i], shared) == expected[i]
 
     def test_facets_built_once(self, monkeypatch):
+        # d keeps no facet matrix, but a facet's volume and radius share its one elimination
         d = random_point_sdm(random.Random(43), 5)
         facets = [facet_sdm(d, j) for j in range(6)]
-        assert all(facet_sdm(d, j) is f for j, f in enumerate(facets))
+        assert all(facet_sdm(d, j) == f and facet_sdm(d, j) is not f for j, f in enumerate(facets))
         calls = count_kernel_calls(monkeypatch)
         for f in facets:
             volume_sq(f)
         assert len(calls) == 6
-        for j in range(6):
-            circumradius_sq(facet_sdm(d, j))
+        for f in facets:
+            circumradius_sq(f)
         assert len(calls) == 6

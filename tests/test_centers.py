@@ -352,6 +352,12 @@ class TestEquiarealSolver:
         with pytest.raises(ValueError):
             equiareal_prekite_solve(6, 3, 3)
 
+    def test_every_split_has_one_positive_candidate(self):
+        for n in range(3, 41):
+            for s in range(1, (n - 1) // 2 + 1):
+                (cand,) = equiareal_prekite_solve(n, n - s, s)
+                assert cand.x > 0 and cand.y > 0, (n, s)
+
     def test_candidates_verified_by_oracle(self):
         for n in range(3, 9):
             for s in range(1, (n - 1) // 2 + 1):

@@ -25,6 +25,8 @@ from simplexkite import (
     facet_record,
     facet_sdm,
     facet_volumes_sq,
+    is_equiareal,
+    is_equiradial,
     is_realizable,
     matrix_from_beta,
     volume_sq,
@@ -111,6 +113,7 @@ def test_record_matches_per_facet_oracle():
     for d in cases:
         record = facet_record(SquaredDistanceMatrix(d.a))
         assert as_tuple(record) == oracle(d)
+        assert facet_circumradii_sq(d) == record.facet_circumradius_sq
         exterior += min(record.circumcenter) < 0
     assert exterior >= 100
 
@@ -159,12 +162,11 @@ def test_record_is_kept_and_leaves_the_elimination_alone(monkeypatch):
         d = SquaredDistanceMatrix(rows.a)
         calls.clear()
         record = facet_record(d)
-        assert facet_record(d) is record
+        assert facet_record(d) == record
         assert len(calls) == 1
         fresh = SquaredDistanceMatrix(rows.a)
         assert (circumcenter_barycentrics(d), circumradius_sq(d)) == (
             circumcenter_barycentrics(fresh), circumradius_sq(fresh))
-        assert d._facets is None
 
 
 def test_report_builds_no_facet_matrix(monkeypatch):
@@ -186,7 +188,6 @@ def test_report_builds_no_facet_matrix(monkeypatch):
         coincidence_report(d, with_floats=True)
         monkeypatch.setattr(SquaredDistanceMatrix, "__init__", real)
         assert built == []
-        assert d._facets is None
 
 
 def test_unrealizable_input_raises_like_the_verdict():
@@ -213,6 +214,13 @@ def test_flat_input_keeps_the_per_facet_path():
     assert is_realizable(d).status is Realizability.DEGENERATE
     assert facet_volumes_sq(d) == tuple(volume_sq(facet_sdm(d, k)) for k in range(4)) == (F(1, 4),) * 4
     assert facet_circumradii_sq(d) == tuple(circumradius_sq(facet_sdm(d, k)) for k in range(4)) == (F(1, 2),) * 4
+    assert is_equiareal(d) and is_equiradial(d)
+    # a planar quadrilateral that is not cyclic, and one that is: both flat, no three points collinear
+    for pts, radial in (((0, 0), (3, 0), (0, 1), (1, 3)), False), (((0, 0), (3, 0), (0, 1), (1, 2)), True):
+        quad = SquaredDistanceMatrix([[(a - c) ** 2 + (b - e) ** 2 for c, e in pts] for a, b in pts])
+        assert is_realizable(quad).status is Realizability.DEGENERATE
+        assert not is_equiareal(quad)
+        assert is_equiradial(quad) is radial
     flat = SquaredDistanceMatrix([[0, 1, 4, 1], [1, 0, 1, 2], [4, 1, 0, 5], [1, 2, 5, 0]])
     assert facet_volumes_sq(flat)[3] == 0
     with pytest.raises(DegenerateSimplexError):
@@ -231,4 +239,19 @@ def test_certificate_catches_a_wrong_adjugate_column(monkeypatch):
     monkeypatch.setattr(cayley, "_sweep", off_by_one)
     d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
     with pytest.raises(RuntimeError, match="adjugate certificate"):
+        facet_record(d)
+
+
+def test_certificate_catches_a_wrong_circumcenter(monkeypatch):
+    real = cayley._sweep
+
+    def off_by_one(d, b):
+        swept, corner = real(d, b)
+        if sorted(b)[-2:] != [0, 1]:  # A's diagonal, not a unit vector e_j
+            swept[-1] += 1
+        return swept, corner
+
+    monkeypatch.setattr(cayley, "_sweep", off_by_one)
+    d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
+    with pytest.raises(RuntimeError, match="Cayley-Menger certificate"):
         facet_record(d)

@@ -24,6 +24,7 @@ from simplexkite import (
     sum_distances,
     sum_sq_to_vertices,
 )
+import simplexkite.geometry as geometry
 from simplexkite.geometry import _jump_change, _pull, _units
 from conftest import random_point_sdm
 
@@ -253,11 +254,15 @@ class TestFermatNextToAVertex:
         assert gradient_norm(s, f) <= 1e-10
 
     @pytest.mark.parametrize("k", range(3, 12))
-    def test_triangle_just_under_120_degrees_in_10000_steps(self, k):
-        # each step is taken from x, so it is not lost to the rounding of the vertex next to x
+    def test_triangle_just_under_120_degrees_in_10000_steps(self, k, monkeypatch):
+        # each step is taken from x, so it is not lost to the rounding of the vertex next to x;
+        # every step reads the unit vectors once, so counting `_units` calls bounds the steps
+        steps = []
+        monkeypatch.setattr(geometry, "_units", lambda *args: steps.append(1) or _units(*args))
         s = embed(sdm_triangle(1, 1, 3 - Fraction(1, 10**k)))
-        f = fermat_torricelli(s, max_iter=10_000)
+        f = fermat_torricelli(s)
         assert gradient_norm(s, f) <= 1e-10
+        assert len(steps) <= 10_000
 
     def test_a_jump_that_raises_the_summed_distance_is_refused(self):
         # Accepting every extrapolated jump here runs out of steps.

@@ -342,6 +342,19 @@ class TestPompeiuFromPoint:
                 assert np.linalg.norm(verts[i] - verts[j]) == pytest.approx(2.0)
         assert np.linalg.norm(verts.mean(axis=0)) < 1e-15
 
+    def test_side_beyond_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="float range"):
+            pompeiu_from_point(10**400, (0.0, 0.0))
+        with pytest.raises(ValueError, match="float range"):
+            equilateral_vertices(10**400)
+
+    @pytest.mark.parametrize("side", [math.nan, math.inf, -math.inf])
+    def test_non_finite_side_refused(self, side):
+        with pytest.raises(ValueError, match="finite"):
+            equilateral_vertices(side)
+        with pytest.raises(ValueError, match="finite"):
+            pompeiu_from_point(side, (0.0, 0.0))
+
 
 class TestSolveOpenSlot:
     @pytest.mark.parametrize(
