@@ -17,12 +17,14 @@ from fractions import Fraction
 from simplexkite import (
     PreKite,
     Realizability,
+    circumcenter_barycentrics,
     circumradius_sq,
     coincidence_report,
     equiareal_prekite_solve,
     equiareal_scan,
-    facet_record,
+    facet_circumradii_sq,
     facet_sdm,
+    facet_volumes_sq,
     is_equiradial,
     is_realizable,
     is_well_distributed,
@@ -41,15 +43,16 @@ print("  (the incenter really does land on the centroid, to float precision,")
 print("   while the circumcenter sits 0.245 away)")
 
 print()
-print("Its facet record, read off the one Gram elimination of the whole simplex,")
-print("beside the per-facet oracle that builds and eliminates each facet:")
+print("Its circumsphere and facets, read off the one Gram elimination of the whole")
+print("simplex, beside the per-facet oracle that builds and eliminates each facet:")
 witness = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
-record = facet_record(witness)
-print("  circumcenter barycentrics w =", tuple(str(w) for w in record.circumcenter), " R^2 =", record.circumradius_sq)
-print("  facet  V^2 (record)  V^2 (oracle)  R^2 (record)  R^2 (oracle)")
+volumes, radii = facet_volumes_sq(witness), facet_circumradii_sq(witness)
+print("  circumcenter barycentrics w =", tuple(str(w) for w in circumcenter_barycentrics(witness)),
+      " R^2 =", circumradius_sq(witness))
+print("  facet   V^2 (whole)  V^2 (oracle)   R^2 (whole)  R^2 (oracle)")
 for k in range(witness.n + 1):
     facet = facet_sdm(witness, k)
-    row = (record.facet_volume_sq[k], volume_sq(facet), record.facet_circumradius_sq[k], circumradius_sq(facet))
+    row = (volumes[k], volume_sq(facet), radii[k], circumradius_sq(facet))
     assert row[0] == row[1] and row[2] == row[3]
     print("  %5d  %12s  %12s  %12s  %12s" % ((k,) + tuple(str(x) for x in row)))
 print("  (all five facets have V^2 = 1/72; w vanishes at vertices 1 to 3, so the")

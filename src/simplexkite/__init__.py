@@ -35,7 +35,6 @@ _EXPORTS = {
     "determinants": ("BorderedUniform", "bordered_uniform_det", "uniform_det", "uniform_matrix"),
     "cayley": (
         "DegenerateSimplexError",
-        "FacetRecord",
         "NonEuclideanError",
         "Realizability",
         "RealizabilityError",
@@ -46,7 +45,6 @@ _EXPORTS = {
         "circumcenter_barycentrics",
         "circumradius_sq",
         "facet_circumradii_sq",
-        "facet_record",
         "facet_sdm",
         "facet_volumes_sq",
         "gram_ldl",

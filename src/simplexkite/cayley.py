@@ -11,7 +11,8 @@ volume and circumradius all come from one integer symmetric elimination
 of the Gram matrix G of edge vectors (`_gram_elimination`).  A matrix
 keeps that elimination and the integers read off it for the
 circumsphere and the facets (`_facet_integers`), each filled on first
-use; it keeps no facet matrix and builds no Fraction to keep.  The
+use; it keeps no facet matrix and builds no Fraction to keep: each
+function builds only the Fractions of the value it returns.  The
 elimination's pivot signs give the inertia of G, and its last leading minor gives
 det(G) = (n!)**2 * V**2.  Any vector b swept
 through the kept pivots (`_sweep`) gives -b^T adj(A) b, A = s*G the
@@ -366,46 +367,6 @@ def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep])
 
 
-class FacetRecord(Record):
-    """The circumsphere and every facet's invariants of a nondegenerate
-    simplex; entry j of a facet tuple belongs to the facet opposite vertex j."""
-
-    __slots__ = ("circumcenter", "circumradius_sq", "facet_volume_sq", "facet_circumradius_sq")
-
-    circumcenter: tuple[Fraction, ...]  # barycentrics, as `circumcenter_barycentrics`
-    circumradius_sq: Fraction
-    facet_volume_sq: tuple[Fraction, ...]
-    facet_circumradius_sq: tuple[Fraction, ...]
-
-
-def facet_record(d: SquaredDistanceMatrix) -> FacetRecord:
-    """Circumsphere, facet volumes and facet circumradii, built on each call
-    from the integers d keeps (`_facet_integers`).
-
-    The facet Gram determinants det_k, scaled like A = s*G, give
-    V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  The circumcenter lies at
-    signed distance w_k h_k from facet k's hyperplane and projects onto the
-    facet's circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 =
-    R**2 - w_k**2 det(A) / (s det_k).  Degenerate or non-Euclidean input
-    raises with the verdict attached: it has no circumsphere, and its
-    facets are `facet_sdm`'s to eliminate.
-    """
-    if d.n < 2:
-        raise ValueError("facets of a 1-simplex are single points")
-    weights, corner, _, dets = _facet_integers(d)
-    g = _gram_elimination(d)
-    det, scale, n = g.minors[-1], g.scale, d.n
-    volume_den = scale ** (n - 1) * math.factorial(n - 1) ** 2
-    return FacetRecord(
-        circumcenter=circumcenter_barycentrics(d),
-        circumradius_sq=Fraction(-corner, 4 * scale * det),
-        facet_volume_sq=tuple(Fraction(k, volume_den) for k in dets),
-        facet_circumradius_sq=tuple(
-            Fraction(-corner * k - w * w, 4 * scale * det * k) for w, k in zip(weights, dets)
-        ),
-    )
-
-
 class _Integers(NamedTuple):
     """The circumsphere and the facets as integers, kept on the matrix."""
 
@@ -455,22 +416,34 @@ def _facet_integers(d: SquaredDistanceMatrix) -> _Integers:
 def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     """Squared volumes of the facets, entry j opposite vertex j.
 
-    Read off `facet_record` for a nondegenerate simplex.  Flat input has a
-    singular Gram matrix, so each facet is eliminated on its own
-    (`facet_sdm`, `volume_sq`).
+    For a nondegenerate simplex of dimension n >= 2 each is read off the
+    kept facet Gram determinant det_k, scaled like A = s*G
+    (`_facet_integers`): V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  Flat
+    input has a singular Gram matrix, so each facet is eliminated on its
+    own (`facet_sdm`, `volume_sq`); `facet_sdm` refuses a segment.
     """
-    if is_realizable(d).status is Realizability.NONDEGENERATE:
-        return facet_record(d).facet_volume_sq
-    return tuple(volume_sq(facet_sdm(d, j)) for j in range(d.n + 1))
+    if d.n < 2 or is_realizable(d).status is not Realizability.NONDEGENERATE:
+        return tuple(volume_sq(facet_sdm(d, j)) for j in range(d.n + 1))
+    den = _gram_elimination(d).scale ** (d.n - 1) * math.factorial(d.n - 1) ** 2
+    return tuple(Fraction(k, den) for k in _facet_integers(d).dets)
 
 
 def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     """Squared circumradii of the facets, entry j opposite vertex j.
 
-    Read off `facet_record` for a nondegenerate simplex.  Flat input has no
-    circumsphere, so each facet is eliminated on its own (`facet_sdm`,
-    `circumradius_sq`), and a degenerate facet raises.
+    For a nondegenerate simplex of dimension n >= 2 each follows from the
+    circumsphere by Pythagoras.  The circumcenter lies at signed distance
+    w_k h_k from facet k's hyperplane and projects onto the facet's
+    circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 = R**2 -
+    w_k**2 det(A) / (s det_k), read off the kept integers
+    (`_facet_integers`) as (-corner det_k - W_k**2) / (4 s det(A) det_k),
+    W = 2 det(A) w.  Flat input has no circumsphere, so each facet is
+    eliminated on its own (`facet_sdm`, `circumradius_sq`), and a
+    degenerate facet raises; `facet_sdm` refuses a segment.
     """
-    if is_realizable(d).status is Realizability.NONDEGENERATE:
-        return facet_record(d).facet_circumradius_sq
-    return tuple(circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1))
+    if d.n < 2 or is_realizable(d).status is not Realizability.NONDEGENERATE:
+        return tuple(circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1))
+    weights, corner, _, dets = _facet_integers(d)
+    g = _gram_elimination(d)
+    den = 4 * g.scale * g.minors[-1]  # 4 s det(A)
+    return tuple(Fraction(-corner * k - w * w, den * k) for w, k in zip(weights, dets))

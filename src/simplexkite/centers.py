@@ -68,7 +68,7 @@ def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have equal circumradius (exact).
 
     A nondegenerate simplex has R_k**2 = (-corner det_k - w_k**2) / (4 s
-    det(A) det_k) (`facet_record`), so R_k = R_0 is (-corner det_k - w_k**2)
+    det(A) det_k) (`facet_circumradii_sq`), so R_k = R_0 is (-corner det_k - w_k**2)
     det_0 == (-corner det_0 - w_0**2) det_k on its integers, and its facets
     are never degenerate.  So a degenerate facet can only occur on flat
     input, whose facets are eliminated one by one; such a facet has no

@@ -12,15 +12,18 @@ the missing-distance solver, and its n = 2 case yields the Pompeiu
 triangle classifier.
 
 Every entry point reads its inputs through `_read`, which refuses NaN
-and infinity and takes each int, Fraction or float at its exact value,
-so the residual, the Pompeiu invariants and the solver's discriminant
-are always computed exactly.  Exact input gets them exact, and a
-verdict compares them with zero: no tolerance and no float.  Float
-input gets each as one float relative to the fourth power of the
-largest length (`_relative`), the number a tolerance bounds, so a
-verdict compares the value the function returns, and does not depend
-on the magnitude of the input; each default lives here.  A tolerance
-that is not finite and > 0 raises ValueError, for exact input too.
+and infinity, takes each int, Fraction or float at its exact value and
+clears them of one common denominator (`exact._cleared`), so the
+residual, the Pompeiu invariants, the solver's discriminant and the
+circumsphere comparison are integer expressions, always exact; a
+Fraction is built only for a value that is returned and for the
+solver's root.  Exact input gets them exact, and a verdict compares
+them with zero: no tolerance and no float.  Float input gets each as
+one float relative to the fourth power of the largest length
+(`_relative`), the number a tolerance bounds, so a verdict compares the
+value the function returns, and does not depend on the magnitude of
+the input; each default lives here.  A tolerance that is not finite
+and > 0 raises ValueError, for exact input too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .exact import Record, _positive_tol
+from .exact import Record, _cleared, _positive_tol
 
 _POMPEIU_TOL = 1e-12
 _RELATION_TOL = 1e-9
@@ -51,26 +54,24 @@ def _checked(value):
     return value
 
 
-def _read(values) -> tuple[list, bool]:
-    """The exact values of ints, Fractions and floats, and whether every one
-    was exact.  A float is taken at its exact binary value; NaN and infinity
-    are refused."""
+def _read(values) -> tuple[list[int], int, bool]:
+    """(ints, den, exact): ints, Fractions and floats as integers over their
+    one common denominator den, and whether every one was exact.  A float is
+    taken at its exact binary value; NaN and infinity are refused."""
     values = list(values)
-    return [Fraction(_checked(v)) for v in values], all(isinstance(v, Rational) for v in values)
+    (ints,), (den,) = _cleared([[Fraction(_checked(v)) for v in values]], common=True)
+    return ints, den, all(isinstance(v, Rational) for v in values)
 
 
-def _relative(value, squares, exact):
-    """A quartic of the lengths whose squares are given: as it is for exact
-    input, else one float relative to the fourth power of the largest length."""
+def _relative(value: int, squares, den: int, exact):
+    """A quartic of the lengths whose squares are the integers `squares` over
+    den, given as the integer value over den**2: a Fraction for exact input,
+    else one float relative to the fourth power of the largest length, which
+    is one int / int division, correctly rounded."""
     if exact:
-        return value
+        return Fraction(value, den * den)
     top = max(squares) or 1  # every length 0: the quartic is 0 too
-    return float(value / (top * top))
-
-
-def _is_zero(value, tol) -> bool:
-    """Whether a value of `_relative` is zero: exactly when it is exact, within tol when a float."""
-    return value == 0 if isinstance(value, Rational) else abs(value) <= tol
+    return value / (top * top)
 
 
 def _float(q) -> float:
@@ -128,9 +129,9 @@ class DistanceTuple(Record):
         object.__setattr__(self, "t", t)
 
 
-def _residual(n: int, squares, exact):
+def _residual(n: int, squares, den, exact):
     total = sum(squares)
-    return _relative((n + 1) * sum(q * q for q in squares) - total * total, squares, exact)
+    return _relative((n + 1) * sum(q * q for q in squares) - total * total, squares, den, exact)
 
 
 def relation_residual_from_squares(n: int, squares) -> object:
@@ -139,12 +140,12 @@ def relation_residual_from_squares(n: int, squares) -> object:
     Exact (Fraction) when every input is rational, else one float
     relative to the square of the largest squared value.
     """
-    squares, exact = _read(squares)
+    squares, den, exact = _read(squares)
     if len(squares) != n + 2:
         raise ValueError("expected n+2 squared values (edge first)")
     if min(squares) < 0:
         raise ValueError("squared values must be nonnegative")
-    return _residual(n, squares, exact)
+    return _residual(n, squares, den, exact)
 
 
 def relation_residual(dt: DistanceTuple):
@@ -154,16 +155,16 @@ def relation_residual(dt: DistanceTuple):
     the fourth power of the largest length; for a point genuinely off
     the affine hull the residual is strictly negative.
     """
-    lengths, exact = _read((dt.t0, *dt.t))
-    return _residual(dt.n, [v * v for v in lengths], exact)
+    lengths, den, exact = _read((dt.t0, *dt.t))
+    return _residual(dt.n, [v * v for v in lengths], den * den, exact)
 
 
 def residual_within_tol(residual, tol: float = _RELATION_TOL) -> bool:
-    """Whether a residual `relation_residual` returned is zero: exactly when
-    it is exact, within tol when it is a float (relative to the fourth
-    power of the largest length)."""
+    """Whether a residual `relation_residual` returned, or a Pompeiu
+    invariant, is zero: exactly when it is exact, within tol when it is a
+    float (relative to the fourth power of the largest length)."""
     _positive_tol(tol)
-    return _is_zero(residual, tol)
+    return residual == 0 if isinstance(residual, Rational) else abs(residual) <= tol
 
 
 def relation_holds(dt: DistanceTuple, tol: float = _RELATION_TOL) -> bool:
@@ -176,11 +177,11 @@ def relation_holds(dt: DistanceTuple, tol: float = _RELATION_TOL) -> bool:
     return residual_within_tol(relation_residual(dt), tol)
 
 
-def _roots(n: int, values, exact) -> tuple[list, bool]:
-    """The nonnegative roots q of the relation over the exact squares
-    `values` (edge first) and q, ascending, and whether they are exact:
-    the input exact and the discriminant a rational square.  Otherwise
-    they are Fractions to float precision."""
+def _roots(n: int, values, den, exact) -> tuple[list, bool]:
+    """The nonnegative roots q of the relation over the squares `values`
+    (edge first), integers over den, and q, ascending, and whether they
+    are exact: the input exact and the discriminant a rational square.
+    Otherwise they are Fractions to float precision."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if len(values) != n + 1:
@@ -190,15 +191,15 @@ def _roots(n: int, values, exact) -> tuple[list, bool]:
     s1 = sum(values)
     # (n+1)(s2 + q**2) = (s1 + q)**2  <=>  n q**2 - 2 s1 q + c = 0
     c = (n + 1) * sum(v * v for v in values) - s1 * s1
-    disc = s1 * s1 - n * c
-    if disc < 0:
+    if s1 * s1 < n * c:
         return [], exact
+    disc = Fraction(s1 * s1 - n * c, den * den)
     root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
     if root * root != disc:
         root, exact = _sqrt(disc), False
-    hi = (s1 + root) / n
+    hi = (Fraction(s1, den) + root) / n
     # the smaller root from the product c/n of the two, free of the cancellation in s1 - root
-    return sorted(q for q in {c / n / hi, hi} if q >= 0), exact
+    return sorted(q for q in {Fraction(c, n * den * den) / hi, hi} if q >= 0), exact
 
 
 def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
@@ -223,10 +224,10 @@ def _open_slot(n: int, t0, known) -> tuple[list, bool]:
         known = [v for v in known if v is not None]
     elif len(known) != n or None in known:
         raise ValueError("expected n known distances or n+1 with one None")
-    lengths, exact = _read([t0, *known])
+    lengths, den, exact = _read([t0, *known])
     if lengths[0] <= 0 or min(lengths) < 0:
         raise ValueError("lengths must be positive (known distances nonnegative)")
-    return _roots(n, [v * v for v in lengths], exact)
+    return _roots(n, [v * v for v in lengths], den * den, exact)
 
 
 def solve_open_slot(n: int, t0, known) -> tuple[list, tuple[float, ...]]:
@@ -258,17 +259,20 @@ def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
     the locus where the sum of squared vertex distances equals n*u**2.
     Exact comparison when both inputs are rational.  Otherwise the exact
     values of the inputs are compared within tol relative to n*u**2, so
-    the verdict at (2**k * u, 4**k * sum_sq) is that at k = 0; NaN and
-    infinity are refused.
+    the verdict at (2**k * u, 4**k * sum_sq) is that at k = 0; NaN,
+    infinity and a negative sum are refused.
     """
     _positive_tol(tol)
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    (u, total), exact = _read((u, sum_sq))
+    (u, total), den, exact = _read((u, sum_sq))
     if u <= 0:
         raise ValueError("edge length must be positive")
-    target = n * u * u
-    return total == target if exact else abs(total - target) <= Fraction(tol) * target
+    if total < 0:
+        raise ValueError("squared values must be nonnegative")
+    total, target = total * den, n * u * u  # sum_sq and n u**2, as integers over den**2
+    p, q = Fraction(tol).as_integer_ratio()
+    return total == target if exact else abs(total - target) * q <= p * target
 
 
 def pompeiu_invariants(a, x, y, z):
@@ -281,23 +285,23 @@ def pompeiu_invariants(a, x, y, z):
     the largest input.  The side must be positive and the distances
     nonnegative.
     """
-    lengths, exact = _read((a, x, y, z))
+    lengths, den, exact = _read((a, x, y, z))
     if lengths[0] <= 0 or min(lengths) < 0:
         raise ValueError("side must be positive and distances nonnegative")
     squares = [v * v for v in lengths]
     x2, y2, z2 = squares[1:]
     h = 2 * (x2 * y2 + y2 * z2 + z2 * x2) - (x2 * x2 + y2 * y2 + z2 * z2)
-    return _residual(2, squares, exact), _relative(h, squares, exact)  # g is the residual at n = 2
+    # g is the residual at n = 2; the squares are integers over den**2
+    return _residual(2, squares, den * den, exact), _relative(h, squares, den * den, exact)
 
 
 def pompeiu_verdict(g, h, tol: float = _POMPEIU_TOL) -> str:
     """The Pompeiu verdict on the invariants `pompeiu_invariants` returned:
     exact ones are compared with 0, float ones (relative to the fourth
     power of the largest input) with tol."""
-    _positive_tol(tol)
-    if not _is_zero(g, tol):
+    if not residual_within_tol(g, tol):
         return INCONSISTENT
-    return DEGENERATE_ON_CIRCLE if _is_zero(h, tol) else VALID_TRIANGLE
+    return DEGENERATE_ON_CIRCLE if residual_within_tol(h, tol) else VALID_TRIANGLE
 
 
 def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:

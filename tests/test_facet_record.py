@@ -1,6 +1,7 @@
-"""The facet record: every facet's volume and circumradius read off the
-simplex's one Gram elimination, checked against the per-facet path
-(`facet_sdm` -> `volume_sq` / `circumradius_sq`), which stays the oracle."""
+"""The circumsphere and every facet's volume and circumradius read off the
+simplex's one Gram elimination and the integers it keeps, checked against
+the per-facet path (`facet_sdm` -> `volume_sq` / `circumradius_sq`), which
+stays the oracle."""
 
 import random
 from fractions import Fraction
@@ -22,7 +23,6 @@ from simplexkite import (
     coincidence_report,
     equiareal_prekite_solve,
     facet_circumradii_sq,
-    facet_record,
     facet_sdm,
     facet_volumes_sq,
     is_equiareal,
@@ -62,8 +62,9 @@ def oracle(d):
     )
 
 
-def as_tuple(record):
-    return record.circumcenter, record.circumradius_sq, record.facet_volume_sq, record.facet_circumradius_sq
+def read_off(d):
+    """(circumcenter, R**2, facet volumes, facet radii) from d's one elimination."""
+    return circumcenter_barycentrics(d), circumradius_sq(d), facet_volumes_sq(d), facet_circumradii_sq(d)
 
 
 def family_members(rng):
@@ -111,10 +112,9 @@ def test_record_matches_per_facet_oracle():
     assert len(cases) >= 1000
     exterior = 0
     for d in cases:
-        record = facet_record(SquaredDistanceMatrix(d.a))
-        assert as_tuple(record) == oracle(d)
-        assert facet_circumradii_sq(d) == record.facet_circumradius_sq
-        exterior += min(record.circumcenter) < 0
+        values = read_off(SquaredDistanceMatrix(d.a))
+        assert values == oracle(d)
+        exterior += min(values[0]) < 0
     assert exterior >= 100
 
 
@@ -136,20 +136,20 @@ def test_record_property(pts):
     d = SquaredDistanceMatrix(rows)
     if is_realizable(d).status is not Realizability.NONDEGENERATE:
         with pytest.raises(DegenerateSimplexError):
-            facet_record(d)
+            circumcenter_barycentrics(d)
         assert facet_volumes_sq(d) == tuple(volume_sq(facet_sdm(d, k)) for k in range(d.n + 1))
         return
-    assert as_tuple(facet_record(SquaredDistanceMatrix(rows))) == oracle(d)
+    assert read_off(SquaredDistanceMatrix(rows)) == oracle(d)
 
 
 def test_equiareal_witness():
     # PK[4; 1; 1,1,1,2]: not a kite, yet all five facets have V**2 = 1/72;
     # w = (1/2, 0, 0, 0, 1/2) puts the circumcenter on facets 1 to 3
-    record = facet_record(PreKite(4, 1, (1, 1, 1, 2)).to_sdm())
-    assert record.circumcenter == (F(1, 2), 0, 0, 0, F(1, 2))
-    assert record.circumradius_sq == F(1, 2)
-    assert record.facet_volume_sq == (F(1, 72),) * 5
-    assert record.facet_circumradius_sq == (F(3, 8), F(1, 2), F(1, 2), F(1, 2), F(3, 8))
+    d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
+    assert circumcenter_barycentrics(d) == (F(1, 2), 0, 0, 0, F(1, 2))
+    assert circumradius_sq(d) == F(1, 2)
+    assert facet_volumes_sq(d) == (F(1, 72),) * 5
+    assert facet_circumradii_sq(d) == (F(3, 8), F(1, 2), F(1, 2), F(1, 2), F(3, 8))
 
 
 def test_record_is_kept_and_leaves_the_elimination_alone(monkeypatch):
@@ -161,8 +161,8 @@ def test_record_is_kept_and_leaves_the_elimination_alone(monkeypatch):
             rows = mixed_points(rng, n)
         d = SquaredDistanceMatrix(rows.a)
         calls.clear()
-        record = facet_record(d)
-        assert facet_record(d) == record
+        values = read_off(d)
+        assert read_off(d) == values
         assert len(calls) == 1
         fresh = SquaredDistanceMatrix(rows.a)
         assert (circumcenter_barycentrics(d), circumradius_sq(d)) == (
@@ -202,10 +202,12 @@ def test_unrealizable_input_raises_like_the_verdict():
         with pytest.raises((DegenerateSimplexError, NonEuclideanError)) as expected:
             require_nondegenerate(d)
         with pytest.raises(type(expected.value)) as got:
-            facet_record(d)
+            circumcenter_barycentrics(d)
         assert got.value.verdict == expected.value.verdict
-    with pytest.raises(ValueError):
-        facet_record(SquaredDistanceMatrix([[0, 1], [1, 0]]))
+    segment = SquaredDistanceMatrix([[0, 1], [1, 0]])
+    for facets in (facet_volumes_sq, facet_circumradii_sq):
+        with pytest.raises(ValueError, match="facets of a 1-simplex are single points"):
+            facets(segment)
 
 
 def test_flat_input_keeps_the_per_facet_path():
@@ -239,7 +241,7 @@ def test_certificate_catches_a_wrong_adjugate_column(monkeypatch):
     monkeypatch.setattr(cayley, "_sweep", off_by_one)
     d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
     with pytest.raises(RuntimeError, match="adjugate certificate"):
-        facet_record(d)
+        facet_volumes_sq(d)
 
 
 def test_certificate_catches_a_wrong_circumcenter(monkeypatch):
@@ -254,4 +256,4 @@ def test_certificate_catches_a_wrong_circumcenter(monkeypatch):
     monkeypatch.setattr(cayley, "_sweep", off_by_one)
     d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
     with pytest.raises(RuntimeError, match="Cayley-Menger certificate"):
-        facet_record(d)
+        circumcenter_barycentrics(d)

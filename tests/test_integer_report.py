@@ -3,7 +3,8 @@
 `classify` plus a float `coincidence_report` (what `simplexkite classify`
 prints) builds no Fraction once the matrix exists, and the three
 facet predicates decided on the cleared integers agree with the
-Fractions of `facet_record`, on cases where they hold and where they
+Fractions of `facet_volumes_sq`, `facet_circumradii_sq` and
+`circumcenter_barycentrics`, on cases where they hold and where they
 fail.
 """
 
@@ -18,8 +19,10 @@ from simplexkite import (
     SquaredDistanceMatrix,
     classify,
     coincidence_report,
+    circumcenter_barycentrics,
     equiareal_prekite_solve,
-    facet_record,
+    facet_circumradii_sq,
+    facet_volumes_sq,
     is_circumcenter_interior,
     is_equiareal,
     is_equiradial,
@@ -97,11 +100,10 @@ def predicate_cases():
 def test_integer_predicates_agree_with_the_facet_record():
     seen = {"areal": set(), "radial": set(), "interior": set()}
     for d in predicate_cases():
-        record = facet_record(d)
         want = {
-            "areal": len(set(record.facet_volume_sq)) == 1,
-            "radial": len(set(record.facet_circumradius_sq)) == 1,
-            "interior": all(w > 0 for w in record.circumcenter),
+            "areal": len(set(facet_volumes_sq(d))) == 1,
+            "radial": len(set(facet_circumradii_sq(d))) == 1,
+            "interior": all(w > 0 for w in circumcenter_barycentrics(d)),
         }
         got = {"areal": is_equiareal(d), "radial": is_equiradial(d), "interior": is_circumcenter_interior(d)}
         assert got == want

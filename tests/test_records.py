@@ -23,7 +23,6 @@ from simplexkite import (
     CoincidenceReport,
     DistanceTuple,
     EquiarealCandidate,
-    FacetRecord,
     PreKite,
     Realizability,
     RealizabilityVerdict,
@@ -37,8 +36,6 @@ APEX = ApexReport((0, 3), True, False)
 RECORDS = [
     (RealizabilityVerdict, ("status", "gram_inertia"),
      (Realizability.NONDEGENERATE, (3, 0, 1)), (Realizability.DEGENERATE, (3, 0, 1))),
-    (FacetRecord, ("circumcenter", "circumradius_sq", "facet_volume_sq", "facet_circumradius_sq"),
-     ((F(1, 3),) * 3, F(1, 3), (F(1, 4),) * 3, (F(1, 4),) * 3), ((F(1, 3),) * 3, F(1, 2), (F(1, 4),) * 3, (F(1, 4),) * 3)),
     (CoincidenceReport, ("well_distributed", "equiradial", "equiareal", "circumcenter_interior", "qg_coincide",
                          "qi_coincide", "ig_coincide", "fermat_coincidences", "center_distances"),
      (True,) * 7 + (None, None), (True,) * 6 + (False, None, None)),

@@ -1,0 +1,191 @@
+"""Every public refusal raises its exception type with its exact message.
+
+One table per module.  Each row names the refusal, calls it, and gives
+the exception type and message it must raise.  The two family
+recoveries at the end return None instead of raising: their weights do
+not exist, so no family is reported.
+"""
+
+import json
+
+import pytest
+
+from simplexkite import (
+    DistanceTuple,
+    EmbeddedSimplex,
+    ExactMatrix,
+    PreKite,
+    SquaredDistanceMatrix,
+    apex_squared_ratio_window,
+    equiareal_prekite_solve,
+    facet_circumradii_sq,
+    facet_sdm,
+    facet_volumes_sq,
+    find_apexes,
+    is_equiareal,
+    is_equiradial,
+    is_well_distributed,
+    matrix_from_beta,
+    on_circumsphere_by_sums,
+    parse_scalar,
+    pompeiu_from_point,
+    prekite_equiradial_residual,
+    recover_circumscriptible,
+    recover_tetra_isogonic,
+    relation_residual_from_squares,
+    solve_linear,
+    solve_missing_distance_squares,
+    two_apexed_feasible,
+    uniform_matrix,
+)
+from simplexkite.cli import main
+
+SEGMENT = SquaredDistanceMatrix([[0, 1], [1, 0]])
+TRIANGLE = SquaredDistanceMatrix.regular(2)
+TETRA = SquaredDistanceMatrix.regular(3)
+PREKITE = PreKite(4, 1, (1, 1, 1, 2))
+NO_FIELDS = 'expected an object with fields "n" and "a"'
+
+
+def refusal(name, call, error, message):
+    return pytest.param(call, error, message, id=name)
+
+
+CAYLEY = [
+    refusal("from_json JSON text without n", lambda: SquaredDistanceMatrix.from_json('{"a": [[0, 1], [1, 0]]}'),
+            ValueError, NO_FIELDS),
+    refusal("from_json object without a", lambda: SquaredDistanceMatrix.from_json({"n": 1}), ValueError, NO_FIELDS),
+    refusal("from_json malformed JSON text", lambda: SquaredDistanceMatrix.from_json("{not json"),
+            json.JSONDecodeError, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    refusal("permuted non-permutation", lambda: TETRA.permuted([0, 0, 1, 2]), ValueError,
+            "not a permutation of the vertices"),
+    refusal("facet_sdm segment", lambda: facet_sdm(SEGMENT, 0), ValueError, "facets of a 1-simplex are single points"),
+    refusal("facet_volumes_sq segment", lambda: facet_volumes_sq(SEGMENT), ValueError,
+            "facets of a 1-simplex are single points"),
+    refusal("facet_circumradii_sq segment", lambda: facet_circumradii_sq(SEGMENT), ValueError,
+            "facets of a 1-simplex are single points"),
+]
+
+GEOMETRY = [
+    refusal("EmbeddedSimplex vertex count", lambda: EmbeddedSimplex([(0.0, 0.0), (1.0, 0.0)], TRIANGLE), ValueError,
+            "expected n+1 vertices of dimension n"),
+    refusal("EmbeddedSimplex vertex frame", lambda: EmbeddedSimplex([(0.0, 0.0), (1.0, 0.5), (0.5, 0.75)], TRIANGLE),
+            ValueError, "vertex i must lie in the first i coordinates"),
+    refusal("EmbeddedSimplex round trip", lambda: EmbeddedSimplex([(0.0, 0.0), (1.0, 0.0), (0.5, 0.9)], TRIANGLE),
+            ValueError, "coordinates do not reproduce the distance matrix (relative error 6.000e-02 exceeds 1.0e-09)"),
+]
+
+FAMILIES = [
+    refusal("matrix_from_beta two weights", lambda: matrix_from_beta("isodynamic", [1, 2]), ValueError,
+            "need at least three weights"),
+]
+
+PREKITES = [
+    refusal("PreKite.from_json JSON text without v", lambda: PreKite.from_json('{"n": 2, "u": "1"}'), ValueError,
+            'expected an object with fields "n", "u", "v"'),
+    refusal("PreKite.from_json object without u", lambda: PreKite.from_json({"n": 2, "v": ["1", "1"]}), ValueError,
+            'expected an object with fields "n", "u", "v"'),
+    refusal("find_apexes segment", lambda: find_apexes(SEGMENT), ValueError, "apex enumeration needs n >= 2"),
+    refusal("apex_squared_ratio_window n = 1", lambda: apex_squared_ratio_window(1), ValueError,
+            "dimension must be at least 2"),
+    refusal("two_apexed_feasible u = 0", lambda: two_apexed_feasible(3, 0, 1), ValueError,
+            "squared edge parameters must be positive"),
+    refusal("two_apexed_feasible v < 0", lambda: two_apexed_feasible(3, 1, -1), ValueError,
+            "squared edge parameters must be positive"),
+]
+
+CENTERS = [
+    *(refusal(f.__name__ + " segment", lambda f=f: f(SEGMENT), ValueError, "predicate needs n >= 2")
+      for f in (is_well_distributed, is_equiareal, is_equiradial)),
+    refusal("prekite_equiradial_residual n = 2", lambda: prekite_equiradial_residual(PreKite(2, 1, (1, 1)), 1),
+            ValueError, "residual needs n >= 3"),
+    refusal("prekite_equiradial_residual j = 0", lambda: prekite_equiradial_residual(PREKITE, 0), IndexError,
+            "apex edge index out of range"),
+    refusal("prekite_equiradial_residual j = n + 1", lambda: prekite_equiradial_residual(PREKITE, 5), IndexError,
+            "apex edge index out of range"),
+    refusal("equiareal_prekite_solve n = 2", lambda: equiareal_prekite_solve(2, 1, 1), ValueError,
+            "solver needs n >= 3"),
+    refusal("equiareal_prekite_solve t + s != n", lambda: equiareal_prekite_solve(5, 3, 1), ValueError,
+            "need t + s = n with t >= s >= 1"),
+    refusal("equiareal_prekite_solve s = 0", lambda: equiareal_prekite_solve(4, 4, 0), ValueError,
+            "need t + s = n with t >= s >= 1"),
+]
+
+EXACT = [
+    refusal("parse_scalar non-string", lambda: parse_scalar(3), ValueError, "scalar text must be a string, got 3"),
+    refusal("solve_linear short right-hand side", lambda: solve_linear(ExactMatrix([[1, 0], [0, 1]]), [1]), ValueError,
+            "right-hand side length does not match matrix order"),
+]
+
+DETERMINANTS = [
+    refusal("uniform_matrix order 0", lambda: uniform_matrix(0, 1, 2), ValueError, "order must be at least 1"),
+]
+
+RELATION = [
+    refusal("relation_residual_from_squares count", lambda: relation_residual_from_squares(2, [1, 1, 1]), ValueError,
+            "expected n+2 squared values (edge first)"),
+    refusal("relation_residual_from_squares sign", lambda: relation_residual_from_squares(2, [1, 1, 1, -1]),
+            ValueError, "squared values must be nonnegative"),
+    refusal("relation_residual_from_squares float sign", lambda: relation_residual_from_squares(2, [1.0, 1, 1, -0.5]),
+            ValueError, "squared values must be nonnegative"),
+    refusal("solve_missing_distance_squares n = 0", lambda: solve_missing_distance_squares(0, 1, []), ValueError,
+            "dimension must be at least 1"),
+    refusal("solve_missing_distance_squares count", lambda: solve_missing_distance_squares(2, 1, [1]), ValueError,
+            "expected the edge square plus n known vertex squares"),
+    refusal("solve_missing_distance_squares sign", lambda: solve_missing_distance_squares(2, 1, [1, -1]), ValueError,
+            "squared inputs must be nonnegative (edge positive)"),
+    refusal("solve_missing_distance_squares edge 0", lambda: solve_missing_distance_squares(2, 0.0, [1, 1]),
+            ValueError, "squared inputs must be nonnegative (edge positive)"),
+    refusal("on_circumsphere_by_sums n = 0", lambda: on_circumsphere_by_sums(0, 1, 0), ValueError,
+            "dimension must be at least 1"),
+    refusal("on_circumsphere_by_sums edge 0", lambda: on_circumsphere_by_sums(2, 0, 2), ValueError,
+            "edge length must be positive"),
+    refusal("on_circumsphere_by_sums exact negative sum", lambda: on_circumsphere_by_sums(2, 1, -2), ValueError,
+            "squared values must be nonnegative"),
+    refusal("on_circumsphere_by_sums float negative sum", lambda: on_circumsphere_by_sums(2, 1.0, -2.0), ValueError,
+            "squared values must be nonnegative"),
+    refusal("pompeiu_from_point three coordinates", lambda: pompeiu_from_point(1, (0.0, 0.0, 0.0)), ValueError,
+            "expected a planar point"),
+    refusal("pompeiu_from_point negative side", lambda: pompeiu_from_point(-1, (0.0, 0.0)), ValueError,
+            "side must be positive and distances nonnegative"),
+    refusal("DistanceTuple negative distance", lambda: DistanceTuple(2, 1, (1, -1, 1)), ValueError,
+            "distances must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", CAYLEY + GEOMETRY + FAMILIES + PREKITES + CENTERS + EXACT + DETERMINANTS + RELATION
+)
+def test_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+CLI = [
+    pytest.param(["pompeiu", "--tol", "abc", "1", "0", "1", "1"], "argument --tol: invalid float value: 'abc'",
+                 id="--tol abc"),
+    pytest.param(["rel", "verify", "--n", "2", "--t0", "1"], "rel verify needs --t", id="rel verify without --t"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI)
+def test_cli_refusal(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_from_json_reads_json_text():
+    assert SquaredDistanceMatrix.from_json(json.dumps(TETRA.to_json())) == TETRA
+    assert PreKite.from_json(json.dumps(PREKITE.to_json())) == PREKITE
+
+
+def test_circumscriptible_weight_not_positive_is_no_member():
+    # lengths 1, 4, 1: beta_1 = (1 + 1 - 4) / 2 = -1, so no positive weights exist
+    assert recover_circumscriptible(SquaredDistanceMatrix([[0, 1, 16], [1, 0, 1], [16, 1, 0]])) is None
+
+
+def test_tetra_isogonic_negative_discriminant_is_no_member():
+    # squared edges 11, 1, 1: the candidate quadratic in s**2 has discriminant -2079
+    assert recover_tetra_isogonic(SquaredDistanceMatrix([[0, 11, 1], [11, 0, 1], [1, 1, 0]])) is None
