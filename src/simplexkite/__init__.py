@@ -18,7 +18,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The public names, by the module that defines them.
+# The public names, by the module that defines them; `exact` also hands out
+# the elimination kernel's, which live in `linalg`, so that only a command
+# that eliminates loads it.
 _EXPORTS = {
     "exact": (
         "ExactMatrix",

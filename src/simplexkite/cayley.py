@@ -36,17 +36,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .exact import (
-    ExactMatrix,
-    Record,
-    _back_substitute,
-    _bareiss,
-    _cleared,
-    _signature,
-    _wire,
-    as_scalar,
-    exact_determinant,
-)
+from .exact import Record, _cleared, _wire, as_scalar
+from .linalg import ExactMatrix, _back_substitute, _bareiss, _signature, exact_determinant
 
 
 class Realizability(enum.Enum):

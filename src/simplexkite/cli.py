@@ -8,7 +8,11 @@ required), 3 internal error.
 
 Each command reads what it runs off the package (`sk.<name>`), whose
 export table imports the defining module on first access, so a process
-loads only what its subcommand needs.
+loads only what its subcommand needs.  Its argv is read from one table,
+`_COMMANDS`, rather than by argparse, whose import (with `gettext`, and
+`locale` once it parses) and nine parsers no command needs: `_parse`
+walks argv once and refuses bad input in argparse's words.  An option
+may stand anywhere after the subcommand, but only spelled in full.
 
 This layer only parses, calls and prints.  Every number and verdict it
 prints comes from a library call: exact scalars reach JSON through one
@@ -19,10 +23,11 @@ the function it tunes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 import simplexkite as sk
 
@@ -32,11 +37,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_NOT_REALIZABLE = 2
 EXIT_INTERNAL = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ValueError(message)
 
 
 def _dumps(obj) -> str:
@@ -82,17 +82,6 @@ def _squared(args, texts) -> list:
     if any(x <= 0 for x in values):
         raise ValueError("plain lengths must be positive")
     return [x * x for x in values]
-
-
-def _finite_positive(text: str) -> float:
-    """The type of --tol: a float, finite and > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be finite and positive: %r" % text)
-    return value
 
 
 def cmd_classify(args):
@@ -150,19 +139,7 @@ def cmd_prekite_feasible(args):
     return _dumps(out), EXIT_OK
 
 
-_SCAN_COLUMNS = (
-    "t",
-    "s",
-    "status",
-    "x",
-    "y",
-    "u",
-    "realizable",
-    "degenerate",
-    "equiareal_verified",
-    "regular",
-    "reason",
-)
+_SCAN_COLUMNS = ("t", "s", "status", "x", "y", "u", "realizable", "degenerate", "equiareal_verified", "regular", "reason")
 
 
 def cmd_equiareal_scan(args):
@@ -252,67 +229,123 @@ def cmd_centers(args):
     return _dumps(out), EXIT_OK
 
 
+# flag: (converter, help); None marks a flag that takes no value, a tuple the choices
 _FLAGS = {
-    "--exact": {"action": "store_true", "help": "exact output only; skip float cross-checks"},
-    "--tol": {"type": _finite_positive, "default": None, "help": "override the command's float tolerance"},
-    "--format": {"choices": ("json", "csv"), "default": "json", "help": "output format of the scan table"},
-    "--lengths": {"action": "store_true", "help": "numeric edge inputs are plain lengths; square them on ingestion"},
+    "--exact": (None, "exact output only; skip float cross-checks"),
+    "--tol": (float, "override the command's float tolerance (finite, > 0)"),
+    "--format": (("json", "csv"), "output format of the scan table: json (the default) or csv"),
+    "--lengths": (None, "numeric edge inputs are plain lengths; square them on ingestion"),
+    "--n": (int, "dimension of the regular simplex (required)"),
+    "--t0": (str, "edge length of the regular simplex (required)"),
+    "--known": (str, "solve: comma-separated known distances, '?' for the open slot"),
+    "--t": (str, "verify: comma-separated distances to all n+1 vertices"),
 }
+_REQUIRED = ("--n", "--t0")
+_HELP = ("-h", "--help")
+
+# subcommand: (function, help, positionals, the flags it reads); a positional is
+# (name, converter), and the converter `list` marks v, which takes one or more values
+_COMMANDS = {
+    "classify": (cmd_classify, "apex census, family membership, and center coincidences for a matrix file", (("matrix", str),), ("--exact", "--tol")),
+    "prekite-eval": (cmd_prekite_eval, "exact determinants, volume, and circumradius of PK[n;u;v], with per-facet values", (("n", int), ("u", str), ("v", list)), ("--lengths",)),
+    "prekite-feasible": (cmd_prekite_feasible, "feasibility window test for the single-odd-edge pre-kite", (("n", int), ("u", str), ("v", str)), ("--lengths",)),
+    "equiareal-scan": (cmd_equiareal_scan, "equal-facet-volume candidates over all (t, s) splits at dimension n", (("n", int),), ("--format",)),
+    "rel": (cmd_rel, "solve or verify the regular-simplex distance relation", (("mode", ("solve", "verify")),), ("--tol", "--n", "--t0", "--known", "--t")),
+    "pompeiu": (cmd_pompeiu, "classify three distances against an equilateral triangle", (("a", str), ("x", str), ("y", str), ("z", str)), ("--tol",)),
+    "embed": (cmd_embed, "coordinates realizing a matrix file", (("matrix", str),), ()),
+    "centers": (cmd_centers, "the four centers of the simplex in a matrix file", (("matrix", str),), ("--tol",)),
+}
+# the program itself: one positional, the subcommand, whose own argv follows it
+_PROGRAM = (None, None, (("command", tuple(_COMMANDS)),), ())
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="simplexkite", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(arg: str, flags):
+    """(flag, the value given after '=' or None) for an option, None for a
+    positional.  argparse's rule: a word that starts with '-' is an option
+    unless it is '-' or '--', or names no flag and is a negative number or
+    holds a space; an unknown option comes back whole."""
+    name, eq, value = arg.partition("=")
+    if arg in flags or not eq or name not in flags:
+        name, value = arg, None
+    if arg in ("-", "--") or not arg.startswith("-") or name not in flags and (_NEGATIVE.match(arg) or " " in arg):
+        return None
+    return name, value
 
-    def command(name, func, help, flags=()):
-        p = sub.add_parser(name, help=help)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=func)
-        return p
 
-    p = command("classify", cmd_classify, "apex census, family membership, and center coincidences for a matrix file", ("--exact", "--tol"))
-    p.add_argument("matrix", help="path to a squared-distance matrix JSON file")
+def _convert(name: str, convert, text: str):
+    """Argument `name` read from text by its converter (a tuple: its choices).
+    The one float option, --tol, must also be finite and > 0."""
+    try:
+        if isinstance(convert, tuple) and text not in convert:
+            raise ValueError("invalid choice: %r (choose from %s)" % (text, ", ".join(map(repr, convert))))
+        value = text if isinstance(convert, tuple) else convert(text)
+    except ValueError as exc:
+        raise ValueError("argument %s: %s" % (name, exc if isinstance(convert, tuple) else "invalid %s value: %r" % (convert.__name__, text))) from None
+    if convert is float and not 0 < value < math.inf:
+        raise ValueError("argument %s: must be finite and positive: %r" % (name, text))
+    return value
 
-    p = command("prekite-eval", cmd_prekite_eval, "exact determinants, volume, and circumradius of PK[n;u;v], with per-facet values", ("--lengths",))
-    p.add_argument("n", type=int)
-    p.add_argument("u")
-    p.add_argument("v", nargs="+")
 
-    p = command("prekite-feasible", cmd_prekite_feasible, "feasibility window test for the single-odd-edge pre-kite", ("--lengths",))
-    p.add_argument("n", type=int)
-    p.add_argument("u")
-    p.add_argument("v")
+def _usage(name) -> str:
+    """The -h text of the program (name None) or of one subcommand, from the table."""
+    if name is None:
+        rows = ["  %-17s %s" % (command, spec[1]) for command, spec in _COMMANDS.items()]
+        return "usage: simplexkite <command> [options]\n\ncommands:\n%s\n\nRun 'simplexkite <command> -h' for its options." % "\n".join(rows)
+    _, text, positionals, own = _COMMANDS[name]
+    words = ["{%s}" % ",".join(c) if isinstance(c, tuple) else "%s [%s ...]" % (p, p) if c is list else p for p, c in positionals]
+    rows = ["  %-16s %s" % (f if _FLAGS[f][0] is None else "%s %s" % (f, f[2:].upper()), _FLAGS[f][1]) for f in own]
+    rows.append("  -h, --help       show this help")
+    return "usage: simplexkite %s [options] %s\n\n%s\n\noptions:\n%s" % (name, " ".join(words), text, "\n".join(rows))
 
-    p = command("equiareal-scan", cmd_equiareal_scan, "equal-facet-volume candidates over all (t, s) splits at dimension n", ("--format",))
-    p.add_argument("n", type=int)
 
-    p = command("rel", cmd_rel, "solve or verify the regular-simplex distance relation", ("--tol",))
-    p.add_argument("mode", choices=("solve", "verify"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t0", required=True)
-    p.add_argument("--known", help="solve: comma-separated known distances, '?' for the open slot")
-    p.add_argument("--t", help="verify: comma-separated distances to all n+1 vertices")
-
-    p = command("pompeiu", cmd_pompeiu, "classify three distances against an equilateral triangle", ("--tol",))
-    p.add_argument("a")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("z")
-
-    p = command("embed", cmd_embed, "coordinates realizing a matrix file")
-    p.add_argument("matrix")
-
-    p = command("centers", cmd_centers, "the four centers of the simplex in a matrix file", ("--tol",))
-    p.add_argument("matrix")
-
-    return parser
+def _parse(argv, name=None, extras=()) -> SimpleNamespace:
+    """The arguments in argv as argparse read them, but that an option may
+    stand anywhere after the subcommand, inside v's list too, and must be
+    spelled in full.  Without `name`, argv starts with the program's own
+    options.  `func` is the command's function, or for -h one that gives
+    the help text.  ValueError in argparse's words for bad input."""
+    func, _, positionals, own = _COMMANDS[name] if name else _PROGRAM
+    flags, extras, filled, last_fill, ended, i = own + _HELP, list(extras), 0, -1, False, 0
+    args = SimpleNamespace(func=func, **{f[2:]: None if _FLAGS[f][0] else False for f in own})
+    while i < len(argv):
+        arg, i = argv[i], i + 1
+        option = None if ended else _option(arg, flags)
+        if arg == "--" and not ended:
+            ended = True  # unrecognized, as argparse had it, unless it follows a positional or one is open
+            if filled == len(positionals) and last_fill != i - 1:
+                extras.append(arg)
+        elif option is None and filled < len(positionals):
+            key, convert = positionals[filled]
+            setattr(args, key, [*getattr(args, key, []), arg] if convert is list else _convert(key, convert, arg))
+            filled, last_fill = filled + (convert is not list), i
+            if name is None:
+                return _parse(argv[i:], arg, extras)
+        elif option is None or option[0] not in flags:
+            extras.append(arg)
+        elif option[0] in _HELP or _FLAGS[option[0]][0] is None:
+            if option[1] is not None:
+                raise ValueError("argument %s: ignored explicit argument %r" % ("-h/--help" if option[0] in _HELP else option[0], option[1]))
+            if option[0] in _HELP:
+                return SimpleNamespace(func=lambda args: (_usage(name), EXIT_OK))
+            setattr(args, option[0][2:], True)
+        else:
+            flag, value = option
+            if value is None and (i == len(argv) or argv[i] == "--" or _option(argv[i], flags)):
+                raise ValueError("argument %s: expected one argument" % flag)
+            if value is None:
+                value, i = argv[i], i + 1
+            setattr(args, flag[2:], _convert(flag, _FLAGS[flag][0], value))
+    missing = [key for key, _ in positionals if not hasattr(args, key)] + [f for f in _REQUIRED if f in own and getattr(args, f[2:]) is None]
+    if missing or extras:
+        raise ValueError("the following arguments are required: " + ", ".join(missing) if missing else "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         text, code = args.func(args)
         if text:
             print(text)

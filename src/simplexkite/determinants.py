@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ExactMatrix, Record, as_scalar
+from .exact import Record, as_scalar
+from .linalg import ExactMatrix
 
 
 def uniform_det(n: int, off, diag) -> Fraction:

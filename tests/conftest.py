@@ -56,17 +56,19 @@ def random_point_sdm(rng: random.Random, n: int, max_tries=200) -> SquaredDistan
 
 def count_kernel_calls(monkeypatch, name="_bareiss"):
     """Patch the kernel function `name` (the integer elimination by default)
-    where the library calls it; return the call log."""
+    in every module that calls it; return the call log."""
     import simplexkite.cayley as cayley
     import simplexkite.exact as exact
+    import simplexkite.linalg as linalg
 
+    holders = [module for module in (exact, linalg, cayley) if name in vars(module)]
     calls = []
-    real = getattr(exact, name)
+    real = getattr(holders[0], name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(exact, name, spy)
-    monkeypatch.setattr(cayley, name, spy)
+    for module in holders:
+        monkeypatch.setattr(module, name, spy)
     return calls

@@ -14,7 +14,7 @@ from simplexkite import (
     scalar_str,
     volume_sq,
 )
-from simplexkite.cli import build_parser, main
+from simplexkite.cli import _COMMANDS, main
 
 
 @pytest.fixture
@@ -119,6 +119,11 @@ class TestPrekiteEval:
         payload = json.loads(out)
         assert payload["v"] == ["1", "1", "4"]
 
+    def test_an_option_may_stand_inside_the_apex_list(self, run):
+        interleaved = run(["prekite-eval", "3", "1", "1", "--lengths", "1", "2"])
+        assert interleaved == run(["prekite-eval", "--lengths", "3", "1", "1", "1", "2"])
+        assert interleaved[0] == 0
+
     def test_volumes_match_the_generic_determinants(self, run):
         code, out = run(["prekite-eval", "4", "1", "1", "2", "3", "5/2"])
         assert code == 0
@@ -200,12 +205,8 @@ class TestEquiarealScan:
 
 class TestFlagScope:
     def test_each_flag_only_where_read(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
         flags = {"--exact", "--tol", "--format", "--lengths"}
-        attached = {
-            name: sorted({o for a in p._actions for o in a.option_strings} & flags)
-            for name, p in sub.choices.items()
-        }
+        attached = {name: sorted(set(spec[3]) & flags) for name, spec in _COMMANDS.items()}
         assert attached == {
             "classify": ["--exact", "--tol"],
             "prekite-eval": ["--lengths"],
@@ -425,6 +426,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cm_det"] == "4"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_is_written_from_the_command_table(run, command, flag):
+    code, out = run([flag] if command is None else [command, flag])
+    assert code == 0
+    assert out.startswith("usage: simplexkite %s " % (command or "<command>"))
+    for word in _COMMANDS if command is None else _COMMANDS[command][3]:
+        assert word in out
+
+
+def test_help_is_given_where_it_is_read():
+    # as argparse did: an error before -h wins, -h before an error exits 0
+    assert main(["pompeiu", "-h", "--tol", "x"]) == 0
+    assert main(["pompeiu", "--tol", "x", "-h"]) == 1
+    assert main(["frobnicate", "-h"]) == 1
+    assert main(["-x", "-h", "frobnicate"]) == 0
 
 
 def test_unknown_command_is_bad_input():

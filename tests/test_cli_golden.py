@@ -6,8 +6,10 @@ negative positionals, a repeated option) and every parse error: no or
 an unknown command, missing positionals and options, unrecognized
 arguments, an option without its value, an invalid int, choice or
 tolerance, and a store-true flag given a value.  Each case has its exit
-code, stdout and stderr.  `@matrix` stands for a file holding the
-regular tetrahedron.
+code, stdout and stderr, recorded when argparse read argv.  A case with
+a `changed` note records a deliberate change since, the note saying
+what argparse did.  `@matrix` stands for a file holding the regular
+tetrahedron.
 """
 
 import json

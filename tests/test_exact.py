@@ -265,16 +265,16 @@ class TestInertiaTwoByTwoPath:
         return ExactMatrix(rows), det
 
     def test_signature_determinant_and_path(self, monkeypatch):
-        import simplexkite.exact as exact
+        import simplexkite.linalg as linalg
 
         steps = []
-        real = exact._symmetric_pivot
+        real = linalg._symmetric_pivot
 
         def spy(a, k):
             steps.append(k)
             return real(a, k)
 
-        monkeypatch.setattr(exact, "_symmetric_pivot", spy)
+        monkeypatch.setattr(linalg, "_symmetric_pivot", spy)
         rng = random.Random(25)
         for _ in range(30):
             p = _mixed(rng, 0)

@@ -64,7 +64,9 @@ RUN_CLI = (
 )
 
 CLI = {"simplexkite", "simplexkite.exact", "simplexkite.cli"}
-FLOATS = CLI | {"simplexkite.cayley", "simplexkite.geometry"}
+# the elimination kernel comes with cayley; the cheap commands, whose footprints
+# below are exact sets, neither import nor compile it
+FLOATS = CLI | {"simplexkite.cayley", "simplexkite.linalg", "simplexkite.geometry"}
 SCAN = FLOATS | {"simplexkite.prekite", "simplexkite.centers"}
 MATRIX = "@matrix"
 
@@ -113,6 +115,17 @@ def test_exports_are_the_defining_modules_objects():
         assert getattr(simplexkite, name) is getattr(importlib.import_module("simplexkite." + module), name), name
 
 
+def test_exact_hands_out_the_kernel_names_of_linalg():
+    import simplexkite.exact as exact
+    import simplexkite.linalg as linalg
+
+    moved = "ExactMatrix SingularMatrixError determinant_by_cofactors exact_determinant inertia solve_linear"
+    for name in moved.split():
+        assert getattr(exact, name) is getattr(linalg, name) is getattr(simplexkite, name), name
+    with pytest.raises(AttributeError, match="no attribute '_bareiss'"):
+        exact._bareiss
+
+
 def test_dir_star_import_and_submodules_in_a_fresh_interpreter():
     script = (
         "import json, types\n"
@@ -149,8 +162,9 @@ def test_unknown_attribute_raises():
 
 
 
-# `dataclasses` imports `inspect`, which pulls in `ast`, `dis` and `tokenize`: start-up no command needs
-HEAVY = ("dataclasses", "inspect")
+# `dataclasses` imports `inspect`, which pulls in `ast`, `dis` and `tokenize`, and `argparse`
+# imports `gettext`, and `locale` once it parses: start-up no command needs
+HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 ABSENT = "print(json.dumps([m for m in %r if m in sys.modules]), file=sys.stderr)" % (HEAVY,)
 
 
@@ -168,3 +182,17 @@ def test_no_process_loads_dataclasses_or_inspect(tmp_path, argv):
         proc = fresh(RUN_CLI.replace(LOADED, ABSENT), *[str(path) if a == MATRIX else a for a in argv])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == []
+
+
+CHEAP = [p for p in FOOTPRINTS if "simplexkite.cayley" not in p.values[1]]
+
+
+@pytest.mark.parametrize("argv", [p.values[0] for p in CHEAP], ids=[p.id for p in CHEAP])
+def test_cheap_commands_load_no_typing_without_the_site_hooks(argv):
+    # a site-packages hook may import `typing` into every process, so -S leaves only what the command loads
+    script = RUN_CLI.replace(LOADED, "print(json.dumps('typing' in sys.modules), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert json.loads(proc.stderr.splitlines()[-1]) is False
