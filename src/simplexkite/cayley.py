@@ -19,7 +19,9 @@ through the kept pivots (`_sweep`) gives -b^T adj(A) b, A = s*G the
 scaled integer Gram matrix.  With b the diagonal of A that is R**2, and
 back substitution gives the circumcenter.  With b = e_j it is the
 principal minor adj(A)[j][j], the scaled Gram determinant of the facet
-opposite vertex j+1.  The facet opposite vertex 0 has 1^T adj(A) 1, by
+opposite vertex j+1; all unit vectors go through one batched pass over
+the kept pivot rows (`_unit_sweeps`), the rows of [A | I] with column j
+entering at step j.  The facet opposite vertex 0 has 1^T adj(A) 1, by
 the unimodular change of base to vertex 1.  Each facet's circumradius
 then follows from Pythagoras: R_k**2 = R**2 - (w_k * h_k)**2, with w
 the circumcenter's barycentrics and h_k = n V / F_k the height over
@@ -34,6 +36,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul, neg
 from typing import Iterable, NamedTuple
 
 from .exact import Record, _cleared, _wire, as_scalar
@@ -83,7 +86,9 @@ class SquaredDistanceMatrix:
     __slots__ = ("n", "a", "_dist", "_den", "_gram", "_integers", "_floats")
 
     def __init__(self, entries: Iterable[Iterable]):
-        table = tuple(tuple(as_scalar(x) for x in row) for row in entries)
+        # a row of plain Fractions is kept as it is; only other rows go through as_scalar
+        table = tuple(row if set(map(type, row)) <= {Fraction} else tuple(map(as_scalar, row))
+                      for row in map(tuple, entries))
         m = len(table)
         if m < 2 or any(len(row) != m for row in table):
             raise ValueError("expected a square matrix with at least two vertices")
@@ -302,6 +307,33 @@ def _sweep(d: SquaredDistanceMatrix, b: list[int]) -> tuple[list[int], int]:
     return b, corner
 
 
+def _unit_sweeps(d: SquaredDistanceMatrix) -> tuple[list[list[int]], list[int]]:
+    """(rows, corners): `_sweep` of every unit vector e_j in one pass.  The
+    swept e_j are the right-hand sides of the echelon rows of [A | I], where
+    column j enters at step j, as its sweep starts there, with the leading
+    minor before it; so rows[i] holds row i's entries for columns 0..i, the
+    sweep of e_j is [0] * j + [rows[i][j] for i >= j], and corners[j] =
+    -adj(A)[j][j] is its corner.  Each step makes `_sweep`'s updates for all
+    columns entered so far, one comprehension per row; anything but
+    nondegenerate input raises."""
+    require_nondegenerate(d)
+    g = _gram_elimination(d)
+    rows = [[] for _ in range(d.n)]
+    corners = []
+    prev = 1
+    for k, (pivot, top) in enumerate(zip(g.minors, g.rows)):
+        head = rows[k]
+        head.append(prev)
+        corners.append(0)
+        corners = [(pivot * c - y * y) // prev for c, y in zip(corners, head)]
+        for i in range(k + 1, d.n):
+            f = top[i]
+            rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], head)]
+            rows[i].append(-f)  # column k, zero in row i before this step
+        prev = pivot
+    return rows, corners
+
+
 def _gram_det(minors, scale: int, n: int) -> Fraction:
     """det(G) from the leading minors of the scaled Gram elimination."""
     return Fraction(minors[-1], scale**n) if len(minors) == n else Fraction(0)
@@ -377,30 +409,29 @@ def _facet_integers(d: SquaredDistanceMatrix) -> _Integers:
     and with them w = (1 - sum x, x), certified against the Cayley-Menger
     system: sum w = 1 holds by construction, and every entry of D w must
     equal 2 R**2.  The facet determinants are det_k = adj(A)[k-1][k-1] for
-    k >= 1, by sweeping e_(k-1), and det_0 = 1^T adj(A) 1; the summed
-    adjugate column is certified, A adj(A) 1 = det(A) 1, in O(n**2)
-    integers.  Anything but nondegenerate input raises with the verdict
-    attached.
+    k >= 1, the corners of all unit vectors e_(k-1) swept in one batched
+    pass (`_unit_sweeps`), and det_0 = 1^T adj(A) 1; the summed adjugate
+    column is certified, A adj(A) 1 = det(A) 1, in O(n**2) integers.
+    Anything but nondegenerate input raises with the verdict attached.
     """
     if d._integers is None:
-        top, n = d._dist[0], d.n
+        top = d._dist[0]
         swept, corner = _sweep(d, [2 * t for t in top[1:]])
         g = _gram_elimination(d)
         det = g.minors[-1]
         y = _back_substitute(g.rows, det, swept)
         weights = (2 * det - sum(y), *y)
         # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
-        if any(2 * sum(x * w for x, w in zip(row, weights)) != -corner for row in d._dist):
+        if any(2 * sum(map(mul, row, weights)) != -corner for row in d._dist):
             raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
-        sweeps = [_sweep(d, [int(i == j) for i in range(n)]) for j in range(n)]
-        y = _back_substitute(g.rows, det, [sum(col) for col in zip(*(b for b, _ in sweeps))])  # adj(A) 1
+        units, corners = _unit_sweeps(d)
+        y = _back_substitute(g.rows, det, list(map(sum, units)))  # adj(A) 1
         # A = s*G has entries t_i + t_j - (c D)_ij, with t the cleared distances from vertex 0
         total = sum(y)
-        cross = sum(t * x for t, x in zip(top[1:], y))
-        if any(t * total + cross - sum(x * v for x, v in zip(row[1:], y)) != det
-               for t, row in zip(top[1:], d._dist[1:])):
+        cross = sum(map(mul, top[1:], y))
+        if any(t * total + cross - sum(map(mul, row[1:], y)) != det for t, row in zip(top[1:], d._dist[1:])):
             raise RuntimeError("facet determinants fail the adjugate certificate")
-        d._integers = _Integers(weights, corner, swept, (total, *(-c for _, c in sweeps)))
+        d._integers = _Integers(weights, corner, swept, (total, *map(neg, corners)))
     return d._integers
 
 

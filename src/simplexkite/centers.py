@@ -50,8 +50,8 @@ def is_well_distributed(d: SquaredDistanceMatrix) -> bool:
     as the row sums of the cleared integer distances.
     """
     _check_predicate_input(d)
-    sums = [sum(row) for row in d._dist]
-    return all(s == sums[0] for s in sums)
+    sums = list(map(sum, d._dist))
+    return sums.count(sums[0]) == len(sums)
 
 
 def is_equiareal(d: SquaredDistanceMatrix) -> bool:
@@ -61,7 +61,7 @@ def is_equiareal(d: SquaredDistanceMatrix) -> bool:
     share one denominator; flat input compares `facet_volumes_sq`.
     """
     vols = _facet_integers(d).dets if _check_predicate_input(d) else facet_volumes_sq(d)
-    return all(v == vols[0] for v in vols)
+    return vols.count(vols[0]) == len(vols)
 
 
 def is_equiradial(d: SquaredDistanceMatrix) -> bool:
@@ -106,7 +106,7 @@ def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
     its barycentrics times 2 det(A) > 0, as `_facet_integers` keeps them,
     are all positive.  Degenerate or non-Euclidean input raises with the
     verdict attached."""
-    return all(w > 0 for w in _facet_integers(d).weights)
+    return min(_facet_integers(d).weights) > 0
 
 
 class CoincidenceReport(Record, defaults=(None, None)):

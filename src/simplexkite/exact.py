@@ -163,11 +163,12 @@ def scalar_str(value) -> str:
 def _cleared(rows, common: bool = False):
     """Integer rows, each rational row times the lcm of its denominators
     (with `common`, one lcm for all rows).  Returns (rows, scales)."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]  # both parts in one call
     if common:
-        scales = [math.lcm(*(x.denominator for row in rows for x in row))] * len(rows)
+        scales = [math.lcm(*[q for row in ratios for _, q in row])] * len(rows)
     else:
-        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)], scales
+        scales = [math.lcm(*[q for _, q in row]) for row in ratios]
+    return [[p * (s // q) for p, q in row] for row, s in zip(ratios, scales)], scales
 
 
 _KERNEL = ("ExactMatrix", "SingularMatrixError", "determinant_by_cofactors", "exact_determinant", "inertia", "solve_linear")

@@ -11,11 +11,11 @@ squared edge through one two-argument form, held in the table `_FORMS`:
 `matrix_from_beta` builds from the table.  The weights are unique when
 they exist, so each recovery takes a candidate from a few entries and
 verifies every pair against the same form (the circumscriptible one on
-edge lengths, l_ij = beta_i + beta_j).  The orthocentric recovery is
-exact, on the matrix's cleared integer distances; the other three take
-square roots and run in floating point with a relative tolerance, on the
-matrix scaled by a power of four (`_floats`) so that any magnitude
-within the float range is handled.
+edge lengths, l_ij = beta_i + beta_j), refusing at the first pair that
+fails.  The orthocentric recovery is exact, on the matrix's cleared
+integer distances; the other three take square roots and run in floating
+point with a relative tolerance, on the matrix scaled by a power of four
+(`_floats`) so that any magnitude within the float range is handled.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _check_size(d: SquaredDistanceMatrix):
 
 def _per_vertex(x, rule) -> list:
     """rule(x_ij, x_ik, x_jk) for each vertex i, j and k its first two other vertices."""
-    others = [[m for m in range(len(x)) if m != i][:2] for i in range(len(x))]
+    others = [(1, 2), (0, 2)] + [(0, 1)] * (len(x) - 2)
     return [rule(x[i][j], x[i][k], x[j][k]) for i, (j, k) in enumerate(others)]
 
 
@@ -70,18 +70,21 @@ def _off_form(family):
     return lambda x, bi, bj: x - form(bi, bj)
 
 
-def _worst(x, beta, defect):
-    """Largest |defect(x_ij, beta_i, beta_j)| over the pairs i < j."""
-    size = len(beta)
-    return max(abs(defect(x[i][j], beta[i], beta[j])) for i in range(size) for j in range(i + 1, size))
-
-
 def _accept(family, x, beta, defect, tol, k) -> BetaVector | None:
-    """The weights, times 2**k, when the worst pair defect, relative to the
-    largest entry of x, is at most tol (a NaN residual never is); else None."""
-    residual = _worst(x, beta, defect) / max(max(row) for row in x)
-    if not residual <= tol:
-        return None
+    """The weights, times 2**k, when every pair defect |defect(x_ij, beta_i,
+    beta_j)|, i < j, relative to the largest entry of x, is at most tol; else
+    None, at the first pair that is not (a NaN never is).  The residual is
+    the largest relative defect: dividing by the positive top entry keeps
+    the order, so it is the worst defect over the top entry."""
+    top = max(map(max, x))
+    residual = 0.0
+    for i, (row, b_i) in enumerate(zip(x, beta)):
+        for x_ij, b_j in zip(row[i + 1:], beta[i + 1:]):
+            r = abs(defect(x_ij, b_i, b_j)) / top
+            if not r <= tol:
+                return None
+            if r > residual:
+                residual = r
     return BetaVector(family=family, beta=tuple(math.ldexp(b, k) for b in beta), residual=residual)
 
 
@@ -104,9 +107,9 @@ def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
     """
     if d._floats is None:
         k = _top_exponent(d) // 2
-        up, down = max(-2 * k, 0), max(2 * k, 0)
+        num, den = 1 << max(-2 * k, 0), d._den << max(2 * k, 0)
         # int / int rounds correctly, as float(Fraction) does
-        d._floats = [[(x << up) / (d._den << down) for x in row] for row in d._dist], k
+        d._floats = [[x * num / den for x in row] for row in d._dist], k
     return d._floats
 
 
@@ -130,7 +133,7 @@ def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) 
     _positive_tol(tol)
     _check_size(d)
     a, k = _floats(d)
-    ell = [[math.sqrt(x) for x in row] for row in a]
+    ell = [list(map(math.sqrt, row)) for row in a]
     beta = _per_vertex(ell, _half_sum)
     if any(b <= 0 for b in beta):
         return None

@@ -54,10 +54,10 @@ class EmbeddedSimplex:
 
     def __init__(self, vertices, source: SquaredDistanceMatrix, tol: float = TOL_EMBED):
         _positive_tol(tol)
-        pts = tuple(tuple(float(x) for x in row) for row in vertices)
+        pts = tuple(tuple(map(float, row)) for row in vertices)
         if len(pts) != source.n + 1 or any(len(p) != source.n for p in pts):
             raise ValueError("expected n+1 vertices of dimension n")
-        if any(x != 0.0 for i, p in enumerate(pts) for x in p[i:]):
+        if any(any(p[i:]) for i, p in enumerate(pts)):  # a float is true when != 0.0
             raise ValueError("vertex i must lie in the first i coordinates")
         err = 0.0
         # coordinates over 2**k and squared distances over 4**k put the largest below 2**1021,
@@ -65,12 +65,14 @@ class EmbeddedSimplex:
         k = max(0, (_top_exponent(source) - 1019) // 2)
         scaled = [[math.ldexp(x, -k) for x in p] for p in pts] if k else pts
         dist, den = source._dist, source._den << 2 * k
-        for i in range(source.n + 1):
-            for j in range(i + 1, source.n + 1):
-                diff = list(map(sub, scaled[i], scaled[j]))
-                have = sum(map(mul, diff, diff))
-                want = dist[i][j] / den
-                err = max(err, abs(have - want) / want)
+        # for i < j only the first j coordinates can differ; the rest would add 0.0
+        heads = [p[:j] for j, p in enumerate(scaled)]
+        for i, p in enumerate(scaled):
+            for q, want in zip(heads[i + 1:], map(truediv, dist[i][i + 1:], repeat(den))):
+                diff = list(map(sub, p, q))
+                rel = abs(sum(map(mul, diff, diff)) - want) / want
+                if rel > err:
+                    err = rel
         if err > tol:
             raise ValueError(
                 "coordinates do not reproduce the distance matrix "
@@ -120,7 +122,7 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
 
 def centroid(s: EmbeddedSimplex) -> Point:
     """Arithmetic mean of the vertices."""
-    return tuple(sum(col) / len(s.vertices) for col in zip(*s.vertices))
+    return tuple(map(truediv, map(sum, zip(*s.vertices)), repeat(len(s.vertices))))
 
 
 def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
@@ -174,12 +176,12 @@ def sum_distances(s: EmbeddedSimplex, point) -> float:
 def _units(x, cols, dists) -> list[list[float]]:
     """The unit vectors from x towards the points, as coordinate columns,
     given the points' coordinate columns, with dists[i] = |points[i] - x|."""
-    return [list(map(truediv, map(sub, col, repeat(a)), dists)) for a, col in zip(x, cols)]
+    return [[(c - a) / r for c, r in zip(col, dists)] for a, col in zip(x, cols)]
 
 
 def _pull(x, cols, dists) -> list[float]:
     """Sum of the unit vectors from x towards the points (`_units`)."""
-    return [sum(u) for u in _units(x, cols, dists)]
+    return list(map(sum, _units(x, cols, dists)))
 
 
 def _jump_change(jump, step, units, dists, ydists, newdists) -> float:
@@ -248,7 +250,7 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
             dists, step = [math.dist(p, x) for p in pts], ()
             continue
         units = _units(x, cols, dists)
-        pull = [sum(u) for u in units]  # the objective's gradient, negated
+        pull = list(map(sum, units))  # the objective's gradient, negated
         if math.hypot(*pull) <= tol:
             return x
         total = sum(1.0 / r for r in dists)

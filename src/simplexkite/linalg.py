@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import _cleared, as_scalar
@@ -204,5 +205,5 @@ def _back_substitute(a: list[list[int]], det: int, rhs: list[int]) -> list[int]:
     y = [0] * n
     for i in reversed(range(n)):
         row = a[i]
-        y[i] = (det * rhs[i] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+        y[i] = (det * rhs[i] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
     return y

@@ -280,18 +280,22 @@ class TestCoincidenceReport:
             assert len(calls) == 1
 
     def test_classify_and_report_sweeps(self, monkeypatch):
-        # the circumsphere is swept once and kept, and each facet k >= 1
-        # costs one more sweep; the float circumcenter reads the kept sweep
+        # the circumsphere is swept once and kept, and the facets k >= 1 cost
+        # one batched pass over all unit vectors; the float circumcenter reads
+        # the kept sweep
         rng = random.Random(35)
-        sweeps = []
-        real = cayley._sweep
-        monkeypatch.setattr(cayley, "_sweep", lambda d, b: sweeps.append(b) or real(d, b))
+        sweeps, passes = [], []
+        real_sweep, real_pass = cayley._sweep, cayley._unit_sweeps
+        monkeypatch.setattr(cayley, "_sweep", lambda d, b: sweeps.append(b) or real_sweep(d, b))
+        monkeypatch.setattr(cayley, "_unit_sweeps", lambda d: passes.append(d) or real_pass(d))
         for n in range(2, 13):
             d = SquaredDistanceMatrix(mixed_point_sdm(rng, n).a)
             sweeps.clear()
+            passes.clear()
             classify(d)
             coincidence_report(d, with_floats=True)
-            assert len(sweeps) == n + 1
+            assert sweeps == [[2 * t for t in d._dist[0][1:]]]
+            assert passes == [d]
 
     def test_float_cross_check(self):
         for d in (

@@ -229,16 +229,34 @@ def test_flat_input_keeps_the_per_facet_path():
         facet_circumradii_sq(flat)
 
 
+def test_unit_sweeps_match_one_sweep_per_unit_vector():
+    # the batched pass over [A | I] against `_sweep(d, e_j)`, column by column
+    rng = random.Random(73)
+    cases = list(equiareal_prekites())
+    for n in range(2, 13):
+        cases += [mixed_points(rng, n) for _ in range(3)]
+        cases.append(random_realizable_prekite(rng, n).to_sdm())
+        for family in ("orthocentric", "circumscriptible", "isodynamic", "tetra_isogonic"):
+            cases += [matrix_from_beta(family, [F(rng.randint(4, 20), rng.randint(1, 3)) for _ in range(n + 1)])
+                      for _ in range(2)]
+    cases = [d for d in cases if nondegenerate(d)]
+    assert len(cases) >= 100 and {d.n for d in cases} == set(range(2, 13))
+    for d in cases:
+        rows, corners = cayley._unit_sweeps(d)
+        for j in range(d.n):
+            swept = [0] * j + [row[j] for row in rows[j:]]
+            assert (swept, corners[j]) == cayley._sweep(d, [int(i == j) for i in range(d.n)])
+
+
 def test_certificate_catches_a_wrong_adjugate_column(monkeypatch):
-    real = cayley._sweep
+    real = cayley._unit_sweeps
 
-    def off_by_one(d, b):
-        swept, corner = real(d, b)
-        if sorted(b)[-2:] == [0, 1]:  # a unit vector e_j
-            swept[-1] += 1
-        return swept, corner
+    def off_by_one(d):
+        rows, corners = real(d)
+        rows[-1] = [x + 1 for x in rows[-1]]  # the last entry of every swept e_j
+        return rows, corners
 
-    monkeypatch.setattr(cayley, "_sweep", off_by_one)
+    monkeypatch.setattr(cayley, "_unit_sweeps", off_by_one)
     d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
     with pytest.raises(RuntimeError, match="adjugate certificate"):
         facet_volumes_sq(d)

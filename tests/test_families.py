@@ -18,6 +18,7 @@ from simplexkite import (
     recover_orthocentric,
     recover_tetra_isogonic,
 )
+from simplexkite.families import TOL_FAMILY, _accept, _off_form
 
 FAMILIES = {
     "orthocentric": recover_orthocentric,
@@ -246,6 +247,14 @@ def test_nan_residual_is_not_membership():
     tiny, huge = F(1, 10**300), F(10**300)
     d = SquaredDistanceMatrix([[0, 1, tiny], [1, 0, huge], [tiny, huge, 0]])
     assert recover_isodynamic(d) is None
+
+
+@pytest.mark.parametrize("beta", [[1.0, 1.0, math.nan], [math.nan, 1.0, 1.0]])
+def test_a_nan_weight_is_refused_wherever_it_stands(beta):
+    # max() keeps a NaN defect only when it comes first, so a NaN weight
+    # after the first pair once passed with residual 0.0
+    unit = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    assert _accept("isodynamic", unit, beta, _off_form("isodynamic"), TOL_FAMILY, 0) is None
 
 
 # a regular tetrahedron far outside the float range of its squares, with
