@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul, sub, truediv
 
 from .cayley import (
@@ -48,7 +48,9 @@ class ConvergenceError(RuntimeError):
 
 class EmbeddedSimplex:
     """Coordinates realizing a squared-distance matrix in the frame `embed`
-    builds: vertex 0 at the origin and vertex i in the first i coordinates."""
+    builds: vertex 0 at the origin and vertex i in the first i coordinates.
+    A NaN or infinite coordinate is refused before the round-trip check,
+    which a NaN would pass, since no comparison is true for it."""
 
     __slots__ = ("n", "vertices", "source", "max_rel_error")
 
@@ -59,6 +61,8 @@ class EmbeddedSimplex:
             raise ValueError("expected n+1 vertices of dimension n")
         if any(any(p[i:]) for i, p in enumerate(pts)):  # a float is true when != 0.0
             raise ValueError("vertex i must lie in the first i coordinates")
+        if not all(map(math.isfinite, chain.from_iterable(pts))):
+            raise ValueError("vertex coordinates must be finite")
         err = 0.0
         # coordinates over 2**k and squared distances over 4**k put the largest below 2**1021,
         # so no float sum of squares overflows; a power of two moves no relative error

@@ -5,8 +5,13 @@ integer elimination, `_bareiss`, serves determinants, inertia, linear
 solves and the Gram LDL^T factors: rational input is cleared of
 denominators (`exact._cleared`) and eliminated by Bareiss's
 fraction-free method, whose every division is an exact integer `//`.
-The cofactor determinant is kept as an independent oracle for it and
-for every closed form.
+Each pass takes two pivots, k and k+1, from Sylvester's identity on the
+3x3 bordered minor over rows k, k+1, i and columns k, k+1, j, so every
+entry below is visited once per two steps; a pass takes one pivot when
+fewer than three rows remain or pivot k+1 would be zero.  The minors,
+the sign and the echelon rows left behind (on and right of the
+diagonal) are those of one pivot per step.  The cofactor determinant is
+kept as an independent oracle for it and for every closed form.
 
 Only `cayley` and `determinants` import this module; `exact` hands out
 its public names on first access, so a process whose command needs no
@@ -76,12 +81,26 @@ def _bareiss(a: list[list[int]], symmetric: bool = False):
     `symmetric`, which keeps the matrix congruent to the input, updates
     only the upper triangle and leaves the LDL^T multipliers as
     L[i][k] = a[k][i] / minors[k].
+
+    A pass takes pivots k and k+1 together.  With prev the pivot before
+    them, c2 = row k+1 after step k (its lead c0 is pivot k+1) and c1 the
+    2x2 minors of rows k, k+1 on columns j, k+1 over prev, Sylvester's
+    identity gives entry (i, j) two steps on as the 3x3 bordered minor on
+    rows k, k+1, i and columns k, k+1, j over prev**2, that is
+    (a[i][j]*c0 - a[i][k]*c1[j] - a[i][k+1]*c2[j]) // prev, with a[i][k]
+    and a[i][k+1] read as a[k][i] and a[k+1][i] when `symmetric`: 3
+    products and 1 exact division per entry instead of 4 and 2.
+    When c0 is 0, or fewer than three rows remain, the pass takes one
+    step, so pivots move at the same k as with one pivot per step and the
+    minors, the sign and the echelon rows on and right of the diagonal are
+    the same; only entries left of it, which no caller reads, differ.
     """
     rows = len(a)
     minors = []
     sign = 1
     prev = 1
-    for k in range(rows):
+    k = 0
+    while k < rows:
         if symmetric:
             if a[k][k] == 0 and not _symmetric_pivot(a, k):
                 break
@@ -94,12 +113,33 @@ def _bareiss(a: list[list[int]], symmetric: bool = False):
                 sign = -sign
         top = a[k]
         pivot = top[k]
-        for i in range(k + 1, rows):
-            row = a[i]
-            f, lo = (top[i], i) if symmetric else (row[k], k + 1)
-            row[lo:] = [(pivot * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
         minors.append(pivot)
-        prev = pivot
+        c0 = 0
+        if k + 2 < rows:
+            nxt = a[k + 1]
+            f = top[k + 1] if symmetric else nxt[k]
+            c2 = [(pivot * x - f * y) // prev for x, y in zip(nxt[k + 1:], top[k + 1:])]
+            c0 = c2[0]
+        if c0:
+            g, h = nxt[k + 1], top[k + 1]
+            c1 = [(y * g - h * x) // prev for x, y in zip(nxt[k + 2:], top[k + 2:])]
+            for i in range(k + 2, rows):
+                row = a[i]
+                u, v, lo = (top[i], nxt[i], i) if symmetric else (row[k], row[k + 1], k + 2)
+                s = lo - k - 2
+                row[lo:] = [(x * c0 - u * y - v * z) // prev
+                            for x, y, z in zip(row[lo:], c1[s:], c2[s + 1:])]
+            nxt[k + 1:] = c2
+            minors.append(c0)
+            prev = c0
+            k += 2
+        else:
+            for i in range(k + 1, rows):
+                row = a[i]
+                f, lo = (top[i], i) if symmetric else (row[k], k + 1)
+                row[lo:] = [(pivot * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+            prev = pivot
+            k += 1
     return minors, sign
 
 

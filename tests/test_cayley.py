@@ -123,6 +123,51 @@ class TestCircumradius:
             circumradius_sq(sdm_triangle(1, 4, 1))
 
 
+def _fraction_solve(rows, rhs):
+    """(det, x) with rows * x = rhs, by plain Gaussian elimination over
+    Fractions with row swaps; an oracle that never calls the integer kernel."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next(r for r in range(k, n) if a[r][k])
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        top = a[k]
+        det *= top[k]
+        for row in a[k + 1:]:
+            if row[k]:
+                f = row[k] / top[k]
+                row[k:] = [x - f * y for x, y in zip(row[k:], top[k:])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) / a[i][i]
+    return det, x
+
+
+class TestLargeOrders:
+    """The orders the benchmark runs (20, 30) and the top of the scope (40)
+    on rational point clouds, against a Fraction oracle on the edge vectors
+    E (rows p_i - p_0): volume**2 = det(E)**2 / (n!)**2, and the
+    circumcenter p_0 + c solves 2 E c = (|p_i - p_0|**2)_i, so R**2 = |c|**2."""
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_against_a_fraction_oracle(self, n):
+        rng = random.Random(4000 + n)
+        den = 12  # every coordinate is an integer over den
+        pts = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n + 1)]
+        d = SquaredDistanceMatrix(
+            [[Fraction(sum((x - y) ** 2 for x, y in zip(p, q)), den * den) for q in pts] for p in pts])
+        edges = [[Fraction(x - y, den) for x, y in zip(p, pts[0])] for p in pts[1:]]
+        det, c = _fraction_solve(edges, [sum(x * x for x in e) / 2 for e in edges])
+        assert det != 0
+        verdict = is_realizable(d)
+        assert verdict.status is Realizability.NONDEGENERATE and verdict.gram_inertia == (n, 0, 0)
+        assert volume_sq(d) == det**2 / math.factorial(n) ** 2
+        assert circumradius_sq(d) == sum(x * x for x in c)
+
+
 class TestRealizability:
     def test_regular_nondegenerate(self):
         for n in range(1, 7):

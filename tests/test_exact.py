@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from simplexkite import (
@@ -19,6 +20,7 @@ from simplexkite import (
     solve_linear,
     uniform_det,
 )
+import simplexkite.linalg as linalg
 from conftest import random_point_sdm
 
 
@@ -300,3 +302,163 @@ def test_gram_ldl_reproduces_gram_exactly():
             assert lower[i][i] == 1 and all(x == 0 for x in lower[i][i + 1:])
             for j in range(n):
                 assert sum(lower[i][k] * pivots[k] * lower[j][k] for k in range(n)) == g[i][j]
+
+
+def _one_step_bareiss(a, symmetric, pivot_move, diag):
+    """The oracle: Bareiss elimination with one pivot per step, whose
+    minors, sign, echelon rows and pivot moves `linalg._bareiss` must match.
+
+    `pivot_move` stands for `linalg._symmetric_pivot`; `diag` collects
+    a[k+1][k+1] after each step k that leaves a row below, the entry the
+    two-pivot pass tests before it takes pivot k+1 as well.
+    """
+    rows = len(a)
+    minors = []
+    sign = 1
+    prev = 1
+    for k in range(rows):
+        if symmetric:
+            if a[k][k] == 0 and not pivot_move(a, k):
+                break
+        else:
+            p = next((r for r in range(k, rows) if a[r][k]), None)
+            if p is None:
+                break
+            if p != k:
+                a[k], a[p] = a[p], a[k]
+                sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, rows):
+            row = a[i]
+            f, lo = (top[i], i) if symmetric else (row[k], k + 1)
+            row[lo:] = [(pivot * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+        if k + 1 < rows:
+            diag.append(a[k + 1][k + 1])
+        minors.append(pivot)
+        prev = pivot
+    return minors, sign
+
+
+def _oracle(rows, symmetric):
+    """(rows after the oracle, its (minors, sign), its `_symmetric_pivot`
+    calls, the kernel paths the input takes)."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    calls, diag, paths = [], [], set()
+
+    def move(a, k):
+        calls.append(k)
+        zero_diagonal = not any(a[i][i] for i in range(k, n))
+        moved = linalg._symmetric_pivot(a, k)
+        if zero_diagonal and moved:
+            paths.add("2x2 congruence")
+        return moved
+
+    minors, sign = _one_step_bareiss(a, symmetric, move, diag)
+    if rows[0][0] == 0:
+        paths.add("zero first pivot")
+    if len(minors) < n:
+        paths.add("singular")
+    if len(rows[0]) > n:
+        paths.add("right-hand side")
+    k = 0
+    while k < len(minors):  # where the two-pivot passes start
+        two = k + 2 < n and diag[k] != 0
+        if k + 2 < n and not two:
+            paths.add("zero second pivot at %s k" % ("odd" if k % 2 else "even"))
+        k += 2 if two else 1
+    return a, (minors, sign), calls, {(path, symmetric) for path in paths}
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """An integer matrix of order 1..10 with 0..2 right-hand-side columns,
+    symmetric or not, with the structure that steers the kernel's paths:
+    a zero tail of the diagonal cut off from the rows above (the 2x2
+    congruence in symmetric mode), rows copied into a leading block (a
+    zero next pivot) and a copied row (a singular matrix)."""
+    n = draw(st.integers(1, 10))
+    symmetric = draw(st.booleans())
+    width = n + draw(st.integers(0, 2))
+    entries = draw(st.lists(st.sampled_from(range(-9, 10)), min_size=n * width, max_size=n * width))
+    a = [entries[i * width:(i + 1) * width] for i in range(n)]
+    if symmetric:
+        for i in range(n):
+            for j in range(i):
+                a[i][j] = a[j][i]
+    if draw(st.booleans()):
+        z = draw(st.integers(0, n - 1))
+        for i in range(z, n):
+            a[i][i] = 0
+            for k in range(z):
+                a[i][k] = 0
+                if symmetric:
+                    a[k][i] = 0
+    for k in draw(st.sets(st.integers(0, max(0, n - 3)), max_size=3)) if n > 2 else ():
+        r = draw(st.integers(0, k))  # rows r and k+1 agree on the leading k+2 columns
+        for j in range(k + 1):
+            a[k + 1][j] = a[r][j]
+            if symmetric:
+                a[j][k + 1] = a[r][j]
+        a[k + 1][k + 1] = a[r][r] if symmetric else a[r][k + 1]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[j] = a[i][:]
+        if symmetric:
+            for row in a:
+                row[j] = row[i]
+    return a, symmetric
+
+
+ORACLE_EXAMPLES = [
+    ([[4, 1, 3, -4, 1], [0, 0, 0, -4, 2], [2, -4, 0, 0, -3], [0, 0, 3, 0, 5]], False),
+    ([[-4, 0, -1, -1, 1], [0, 0, 0, 1, 3], [-1, 0, 0, -4, -4], [-1, 1, -4, -3, 0], [1, 3, -4, 0, 0]], True),
+    ([[-4, 0, 0, 0], [0, 0, -2, 0], [0, -2, 0, 0], [0, 0, 0, 3]], True),
+    ([[0, 2, -1, 3, 1], [2, 0, 1, 0, -2], [-1, 1, 0, 2, 0], [3, 0, 2, 0, 4]], True),
+    ([[0, 2, 1, 7], [3, 1, 0, -2], [1, 1, 1, 1]], False),
+    ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], False),
+    ([[1, 2, 1], [2, 4, 2], [1, 2, 1]], True),
+    ([[5]], True),
+    ([[0, 3]], False),
+    ([[(i + 1) * (j + 2) % 7 - 3 for j in range(11)] for i in range(10)], False),
+]
+
+
+def _with_oracle_examples(test):
+    for case in ORACLE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@_with_oracle_examples
+@given(_kernel_inputs())
+def test_two_pivot_passes_match_one_pivot_steps(case):
+    rows, symmetric = case
+    want, result, want_calls, paths = _oracle(rows, symmetric)
+    for path in paths:
+        event("%s (%s)" % (path[0], "symmetric" if path[1] else "general"))
+    a = [row[:] for row in rows]
+    calls = []
+    real = linalg._symmetric_pivot
+
+    def spy(a, k):
+        calls.append(k)
+        return real(a, k)
+
+    with mock.patch.object(linalg, "_symmetric_pivot", spy):
+        assert linalg._bareiss(a, symmetric) == result
+    assert calls == want_calls
+    for k in range(len(result[0])):  # the echelon rows, on and right of the diagonal
+        assert a[k][k:] == want[k][k:]
+
+
+def test_oracle_examples_reach_every_kernel_path():
+    reached = set().union(*(_oracle(rows, symmetric)[3] for rows, symmetric in ORACLE_EXAMPLES))
+    for symmetric in (False, True):
+        for path in ("zero first pivot", "zero second pivot at even k", "zero second pivot at odd k",
+                     "singular", "right-hand side"):
+            assert (path, symmetric) in reached
+    assert ("2x2 congruence", True) in reached
+    assert {len(rows) for rows, _ in ORACLE_EXAMPLES} >= {1, 10}

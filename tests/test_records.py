@@ -6,6 +6,7 @@ same fields.
 """
 
 import copy
+import gc
 import json
 import pickle
 import sys
@@ -199,11 +200,15 @@ def _opcodes(make) -> int:
         return trace
 
     previous = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.disable()  # a collection inside make() would count the finalizers and weakref callbacks it runs
     sys.settrace(trace)
     try:
         make()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count
 
 

@@ -7,6 +7,7 @@ not exist, so no family is reported.
 """
 
 import json
+import math
 
 import pytest
 
@@ -73,6 +74,12 @@ GEOMETRY = [
             ValueError, "vertex i must lie in the first i coordinates"),
     refusal("EmbeddedSimplex round trip", lambda: EmbeddedSimplex([(0.0, 0.0), (1.0, 0.0), (0.5, 0.9)], TRIANGLE),
             ValueError, "coordinates do not reproduce the distance matrix (relative error 6.000e-02 exceeds 1.0e-09)"),
+    refusal("EmbeddedSimplex NaN coordinate",
+            lambda: EmbeddedSimplex([(0.0, 0.0), (math.nan, 0.0), (0.5, 0.8660254037844386)], TRIANGLE),
+            ValueError, "vertex coordinates must be finite"),
+    refusal("EmbeddedSimplex infinite coordinate",
+            lambda: EmbeddedSimplex([(0.0, 0.0), (1.0, 0.0), (0.5, math.inf)], TRIANGLE),
+            ValueError, "vertex coordinates must be finite"),
 ]
 
 FAMILIES = [
