@@ -56,14 +56,16 @@ _EXPORTS = {
         "volume_sq",
     ),
     "prekite": (
-        "ApexReport",
+        "EquiarealCandidate",
         "PreKite",
         "apex_squared_ratio_window",
-        "find_apexes",
+        "equiareal_prekite_solve",
+        "equiareal_scan",
         "pk_cm_det",
         "pk_facet_cm",
         "pk_facet_inner_cm",
         "pk_inner_cm_det",
+        "prekite_equiradial_residual",
         "two_apexed",
         "two_apexed_feasible",
     ),
@@ -82,20 +84,18 @@ _EXPORTS = {
     ),
     "centers": (
         "CoincidenceReport",
-        "EquiarealCandidate",
         "coincidence_report",
-        "equiareal_prekite_solve",
-        "equiareal_scan",
         "is_circumcenter_interior",
         "is_equiareal",
         "is_equiradial",
         "is_well_distributed",
-        "prekite_equiradial_residual",
     ),
     "families": (
+        "ApexReport",
         "BetaVector",
         "ClassificationReport",
         "classify",
+        "find_apexes",
         "matrix_from_beta",
         "recover_circumscriptible",
         "recover_isodynamic",

@@ -1,40 +1,47 @@
-"""Closed forms for uniform and border-augmented uniform determinants.
+"""Uniform and border-augmented uniform determinants, by one closed form.
 
 A *uniform* matrix has one value on the diagonal and another everywhere
 else.  A *bordered uniform* matrix additionally replaces the first row
-and column by arbitrary vectors (with a free corner entry).  Both
-determinants collapse to short polynomial expressions in the entry sums,
-which is what makes the distance-matrix formulas elsewhere in this
-package possible.
+and column by arbitrary vectors (with a free corner entry).  Both are
+instances of the package's one closed form (`prekite._bordered_uniform`):
+an m x m uniform block U with k border rows T, k border columns L and a
+k x k corner C has
+
+    det [[C, T], [L^T, U]] = lambda**(m-k-1) * det [[lambda*C - T L^T, -T 1],
+                                                    [off * (L 1)^T,    mu  ]]
+
+with lambda = diag - off and mu = diag + (m-1)*off.  The uniform
+determinant is its k = 0 instance, mu * lambda**(m-1); the bordered one
+is k = 1, which needs only the sums of the two borders and of their
+products.  The pre-kite Cayley-Menger determinants are k = 1 and 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Record, as_scalar
+from .exact import Record, _integer, as_scalar
 from .linalg import ExactMatrix
+from .prekite import _bordered_rows, _bordered_uniform
+
+
+def _order(n) -> int:
+    if _integer(n, "order") < 1:
+        raise ValueError("order must be at least 1")
+    return n
 
 
 def uniform_det(n: int, off, diag) -> Fraction:
     """Determinant of the n x n matrix with `diag` on the diagonal and `off` elsewhere.
 
-    Equals ((n-1)*off + diag) * (diag - off)**(n-1).
+    Equals ((n-1)*off + diag) * (diag - off)**(n-1), the k = 0 form.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    a = as_scalar(off)
-    b = as_scalar(diag)
-    return ((n - 1) * a + b) * (b - a) ** (n - 1)
+    return _bordered_uniform((), (), (), (), _order(n), as_scalar(off), as_scalar(diag))
 
 
 def uniform_matrix(n: int, off, diag) -> ExactMatrix:
     """The n x n uniform matrix itself, for oracle checks."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    a = as_scalar(off)
-    b = as_scalar(diag)
-    return ExactMatrix([[b if i == j else a for j in range(n)] for i in range(n)])
+    return ExactMatrix(_bordered_rows((), (), (), _order(n), as_scalar(off), as_scalar(diag)))
 
 
 class BorderedUniform(Record):
@@ -55,13 +62,13 @@ class BorderedUniform(Record):
     diag: Fraction
 
     def __init__(self, n, corner, left, top, off, diag):
-        if n < 1:
+        if _integer(n, "order parameter") < 1:
             raise ValueError("order parameter must be at least 1")
         left = tuple(as_scalar(x) for x in left)
         top = tuple(as_scalar(y) for y in top)
         if len(left) != n or len(top) != n:
             raise ValueError("border vectors must have exactly n entries")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "corner", as_scalar(corner))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "top", top)
@@ -70,33 +77,21 @@ class BorderedUniform(Record):
 
     def matrix(self) -> ExactMatrix:
         """Assemble the full (n+1) x (n+1) matrix."""
-        rows = [[self.corner] + list(self.top)]
-        for i in range(self.n):
-            row = [self.left[i]]
-            row += [self.diag if i == j else self.off for j in range(self.n)]
-            rows.append(row)
-        return ExactMatrix(rows)
+        return ExactMatrix(_bordered_rows(((self.corner,),), (self.top,), (self.left,), self.n, self.off, self.diag))
 
 
 def bordered_uniform_det(spec: BorderedUniform) -> Fraction:
-    """Closed-form determinant of a bordered uniform matrix.
+    """Closed-form determinant of a bordered uniform matrix, the k = 1 form.
 
-    With sums L = sum(left), T = sum(top), P = sum(left[j]*top[j]):
+    With sums L = sum(left), T = sum(top), P = sum(left[j]*top[j]) it is
 
         (diag-off)**(n-2) * [ ((n-1)off + diag) * (corner*(diag-off) - P)
                               + off * L * T ]
 
     The n = 1 matrix is 2 x 2 and is handled directly as
-    corner*diag - left[0]*top[0], which is also the induction base the
-    general form collapses to.
+    corner*diag - left[0]*top[0], which also holds where diag = off.
     """
-    n = spec.n
-    a = spec.off
-    b = spec.diag
-    if n == 1:
-        return spec.corner * b - spec.left[0] * spec.top[0]
-    sum_left = sum(spec.left)
-    sum_top = sum(spec.top)
-    sum_pair = sum(x * y for x, y in zip(spec.left, spec.top))
-    core = ((n - 1) * a + b) * (spec.corner * (b - a) - sum_pair) + a * sum_left * sum_top
-    return (b - a) ** (n - 2) * core
+    if spec.n == 1:
+        return spec.corner * spec.diag - spec.left[0] * spec.top[0]
+    cross = sum(x * y for x, y in zip(spec.left, spec.top))
+    return _bordered_uniform(((spec.corner,),), ((cross,),), (sum(spec.top),), (sum(spec.left),), spec.n, spec.off, spec.diag)

@@ -8,7 +8,8 @@ of the package works on.
 
 `Record`, the frozen base of the package's result classes, lives here
 too, since every module that defines one imports this module, and so
-does `_positive_tol`, the one check of a float tolerance.
+do `_positive_tol`, the one check of a float tolerance, and `_integer`,
+the one check of an order or dimension.
 
 The elimination kernel (`ExactMatrix`, the determinants, `inertia`,
 `solve_linear`) lives in `linalg`, which only the modules that
@@ -138,6 +139,15 @@ def _positive_tol(tol, name: str = "tol") -> None:
     every comparison."""
     if not 0 < tol < math.inf:
         raise ValueError("%s must be finite and positive, got %r" % (name, tol))
+
+
+def _integer(value, name: str) -> int:
+    """value when it is an int; ValueError naming it otherwise.  Orders and
+    dimensions are read with this, so a bool, a float or text is refused
+    rather than truncated or compared as a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
 
 
 def parse_scalar(text: str) -> Fraction:

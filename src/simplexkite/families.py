@@ -16,16 +16,26 @@ fails.  The orthocentric recovery is exact, on the matrix's cleared
 integer distances; the other three take square roots and run in floating
 point with a relative tolerance, on the matrix scaled by a power of four
 (`_floats`) so that any magnitude within the float range is handled.
+
+`classify` also takes the apex census (`find_apexes`): which vertices
+face a regular facet, that is, which vertices make the simplex a
+pre-kite.  It compares integers only and needs no determinant; the
+pre-kite closed forms, lambda**(m-k-1) * det [[lambda*C - T L^T, -T 1],
+[off * (L 1)^T, mu]] for an m x m uniform block with k border rows and
+columns (k = 0 the uniform determinant, k = 1 the inner Cayley-Menger
+determinant, k = 2 the Cayley-Menger determinant), stay in `prekite`,
+which this module does not import.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
 from .exact import Record, _positive_tol, as_scalar
-from .prekite import ApexReport, find_apexes
 
 TOL_FAMILY = 1e-9
 
@@ -234,6 +244,60 @@ def matrix_from_beta(family: str, beta) -> SquaredDistanceMatrix:
         for j in range(i + 1, size):
             rows[i][j] = rows[j][i] = _FORMS[family](weights[i], weights[j])
     return SquaredDistanceMatrix(rows)
+
+
+class ApexReport(Record):
+    """Which vertices face a regular facet, plus kite/regular flags."""
+
+    __slots__ = ("apexes", "is_kite", "is_regular")
+
+    apexes: tuple[int, ...]
+    is_kite: bool
+    is_regular: bool
+
+    def to_json(self) -> dict:
+        return {
+            "apexes": list(self.apexes),
+            "kite": self.is_kite,
+            "regular": self.is_regular,
+        }
+
+
+def find_apexes(d: sk.SquaredDistanceMatrix) -> ApexReport:
+    """Enumerate apexes: vertices whose opposite facet has all edges equal.
+
+    The kite flag is set when some apex has all of its own edges equal
+    as well; the regular flag when every entry of the matrix is equal.
+    For n = 2 every vertex is trivially an apex (facets are segments).
+
+    A regular facet has C(n, 2) edges of one value, so only a value that
+    occurs that often can be a regular facet's, and its apexes are the
+    vertices on every edge of another value.  At most two values qualify
+    for n >= 3, and both are tried (at n = 3 a kite's base and star tie at
+    three edges each), so the census is O(n**2).  At n = 2 every value
+    qualifies, and the rule marks every vertex.
+    """
+    if d.n < 2:
+        raise ValueError("apex enumeration needs n >= 2")
+    size, dist = d.n + 1, d._dist  # the cleared integers compare as the entries do
+    edges = [(i, j, dist[i][j]) for i, j in combinations(range(size), 2)]
+    counts = Counter(x for _, _, x in edges)
+    apexes = set()
+    for value, count in counts.items():
+        if count >= d.n * (d.n - 1) // 2:
+            common = set(range(size))
+            for i, j, x in edges:
+                if x != value:
+                    common &= {i, j}
+            apexes |= common
+    is_kite = any(
+        len({dist[j][i] for i in range(size) if i != j}) == 1 for j in apexes
+    )
+    return ApexReport(
+        apexes=tuple(sorted(apexes)),
+        is_kite=is_kite,
+        is_regular=len(counts) == 1,
+    )
 
 
 class ClassificationReport(Record):

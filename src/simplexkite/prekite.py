@@ -5,26 +5,86 @@ edge among vertices 1..n has squared length u, and edge (0, i) has
 squared length v_i.  All parameters are SQUARED lengths throughout;
 callers holding plain lengths must square them first.
 
-Every facet of a pre-kite is a pre-kite one dimension down, so two
-closed forms, the Cayley-Menger determinant and the inner one of
-PK[n; u; v], evaluate those of a pre-kite and of all its facets without
-building any matrix; they are validated against the generic determinants
-in tests.  `volume_sq_from_cm_det` and `circumradius_sq_from_cm_dets`
-turn such determinants into a squared volume and circumradius.
-Nothing here loads `cayley` until `PreKite.to_sdm` builds a matrix.
+The package's closed forms for structured determinants are one
+identity, `_bordered_uniform`: an m x m uniform block U (`diag` on its
+diagonal, `off` elsewhere) under k border rows T and beside k border
+columns L, with a k x k corner C, has
+
+    det [[C, T], [L^T, U]] = lambda**(m-k-1) * det [[lambda*C - T L^T, -T 1],
+                                                    [off * (L 1)^T,    mu  ]]
+
+with lambda = diag - off and mu = diag + (m-1)*off, which needs only
+the corner, the products T L^T and the sums T 1 and L 1.  At k = 0 it is
+the uniform determinant mu * lambda**(m-1); k = 1 is the bordered
+uniform determinant and the inner Cayley-Menger determinant of
+PK[n; u; v] (corner 0, border v, off = u, diag = 0); k = 2 is its
+Cayley-Menger determinant (the ones border and v).  Every facet of a
+pre-kite is a pre-kite one dimension down, so the two pre-kite forms,
+fed the power sums n, sum v_i and sum v_i**2, evaluate those of a
+pre-kite and of all its facets without building any matrix.  They run
+on the parameters cleared of their common denominator q, in integers,
+and divide by the power of q the determinant is homogeneous of once;
+they are validated against the generic determinants in tests.
+`volume_sq_from_cm_det` and `circumradius_sq_from_cm_dets` turn such
+determinants into a squared volume and circumradius, and the
+equal-facet-volume solver and scan run on the same forms.  The module
+imports only `exact`, and nothing here loads `cayley` until
+`PreKite.to_sdm` builds a matrix (with `_bordered_rows`, the one
+assembler of the form's matrix).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import simplexkite as sk
 
-from .exact import Record, as_scalar
+from .exact import Record, _cleared, _integer, as_scalar
+
+_EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
+
+
+def _det(rows):
+    """Determinant of a small square matrix, by expansion along its first
+    row: N of `_bordered_uniform` is (k+1) x (k+1), and `linalg`'s kernel
+    would load the elimination into every pre-kite command."""
+    if len(rows) == 1:
+        return rows[0][0]
+    terms = [x * _det([row[:j] + row[j + 1:] for row in rows[1:]]) for j, x in enumerate(rows[0])]
+    return sum(terms[2::2], terms[0]) - sum(terms[3::2], terms[1])
+
+
+def _bordered_uniform(corner, cross, top, left, m: int, off, diag) -> Fraction:
+    """det [[C, T], [L^T, U]] for the m x m uniform block U (`diag` on the
+    diagonal, `off` elsewhere) with k border rows T and k border columns L
+    (the rows of L), from the k x k `corner` C, `cross` = T L^T, `top` = T 1
+    and `left` = L 1: lambda**(m-k-1) * det N, N = [[lambda C - cross, -top],
+    [off left^T, mu]], with lambda = diag - off and mu = diag + (m-1) off.
+
+    It is det(U) det(C - T U^-1 L^T) with U^-1 = (I - off/mu J) / lambda,
+    written so that neither lambda nor mu divides: it holds whenever
+    lambda != 0 or m > k.  Scalars are ints or Fractions; the result is
+    exact either way.
+    """
+    lam, mu = diag - off, diag + (m - 1) * off
+    rows = [[lam * c - x for c, x in zip(c_row, x_row)] + [-t] for c_row, x_row, t in zip(corner, cross, top)]
+    rows.append([off * x for x in left] + [mu])
+    power = m - len(top) - 1
+    return lam**power * _det(rows) if power >= 0 else Fraction(_det(rows), lam**-power)
+
+
+def _bordered_rows(corner, top, left, m: int, off, diag) -> list:
+    """The rows of [[C, T], [L^T, U]], the matrix `_bordered_uniform` evaluates:
+    the k rows of C beside the k border rows T, then the m rows of U, each
+    after its entries of the k border columns L."""
+    rows = [[*c, *t] for c, t in zip(corner, top)]
+    for i in range(m):
+        row = [col[i] for col in left] + [off] * m
+        row[len(left) + i] = diag
+        rows.append(row)
+    return rows
 
 
 class PreKite(Record):
@@ -37,8 +97,7 @@ class PreKite(Record):
     v: tuple[Fraction, ...]
 
     def __init__(self, n, u, v):
-        n = int(n)
-        if n < 2:
+        if _integer(n, "dimension") < 2:
             raise ValueError("a pre-kite needs dimension n >= 2")
         u = as_scalar(u)
         v = tuple(as_scalar(x) for x in v)
@@ -62,13 +121,8 @@ class PreKite(Record):
 
     def to_sdm(self) -> sk.SquaredDistanceMatrix:
         """Squared-distance matrix: a[0][i] = v_i, a[i][j] = u for 1 <= i < j."""
-        size = self.n + 1
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(1, size):
-            rows[0][i] = rows[i][0] = self.v[i - 1]
-            for j in range(i + 1, size):
-                rows[i][j] = rows[j][i] = self.u
-        return sk.SquaredDistanceMatrix(rows)
+        zero = Fraction(0)
+        return sk.SquaredDistanceMatrix(_bordered_rows(((zero,),), (self.v,), (self.v,), self.n, self.u, zero))
 
     @classmethod
     def from_json(cls, payload) -> "PreKite":
@@ -86,46 +140,46 @@ def two_apexed(n: int, u, v) -> PreKite:
     return PreKite(n, u, (u,) * (n - 1) + (as_scalar(v),))
 
 
-def _cm_form(n: int, u, v) -> Fraction:
-    """Cayley-Menger determinant of PK[n; u; v], for n >= 1:
-
-        (-u)**(n-2) * [ n*(u**2 + sum v_i**2) - (u + sum v_i)**2 ]
-
-    At n = 1, a segment of squared length v_1, it is 2*v_1 for every u.
-    """
-    s1 = u + sum(v)
-    s2 = u**2 + sum(x**2 for x in v)
-    return (-u) ** (n - 2) * (n * s2 - s1**2)
+def _sums(n: int, u, v) -> tuple:
+    """(n, u, sum v_i, sum v_i**2, q): PK[n; u; v] cleared of the common
+    denominator q of its parameters, all ints, as the two forms take it."""
+    ((u, *v),), (q,) = _cleared([(u, *v)])
+    return n, u, sum(v), sum(x * x for x in v), q
 
 
-def _inner_form(n: int, u, v) -> Fraction:
-    """Inner Cayley-Menger determinant of PK[n; u; v], for n >= 1:
+def _cm_form(n: int, u: int, s1: int, s2: int, q: int) -> Fraction:
+    """Cayley-Menger determinant of PK[n; u; v], for n >= 1, from `_sums`:
+    the k = 2 form, corner [[0, 1], [1, 0]] and the ones border and v
+    beside the base block, on the cleared parameters, of which it is q**n
+    times.  At n = 1, a segment of squared length v_1, it is 2*v_1."""
+    return Fraction(_bordered_uniform(((0, 1), (1, 0)), ((n, s1), (s1, s2)), (n, s1), (n, s1), n, u, 0), q**n)
 
-        (-u)**(n-1) * [ (n-1)*(sum v_i**2) - (sum v_i)**2 ]
 
-    At n = 1 it is -v_1**2.
-    """
-    return (-u) ** (n - 1) * ((n - 1) * sum(x**2 for x in v) - sum(v) ** 2)
+def _inner_form(n: int, u: int, s1: int, s2: int, q: int) -> Fraction:
+    """Inner Cayley-Menger determinant of PK[n; u; v], for n >= 1, from
+    `_sums`: the k = 1 form, corner 0 and v beside the base block, on the
+    cleared parameters, of which it is q**(n+1) times.  At n = 1 it is
+    -v_1**2."""
+    return Fraction(_bordered_uniform(((0,),), ((s2,),), (s1,), (s1,), n, u, 0), q ** (n + 1))
 
 
 def _facet(pk: PreKite, j: int) -> tuple:
-    """(n-1, u, apex edges) of facet j of PK[n;u;v], itself a pre-kite:
-    facet 0 is the regular base PK[n-1; u; u..u], and facet j >= 1 is the
-    pre-kite without apex edge j."""
+    """`_sums` of facet j of PK[n;u;v], itself a pre-kite: facet 0 is the
+    regular base PK[n-1; u; u..u], and facet j >= 1 is the pre-kite without
+    apex edge j."""
     if not 0 <= j <= pk.n:
         raise IndexError("facet index out of range")
-    v = (pk.u,) * (pk.n - 1) if j == 0 else pk.v[: j - 1] + pk.v[j:]
-    return pk.n - 1, pk.u, v
+    return _sums(pk.n - 1, pk.u, (pk.u,) * (pk.n - 1) if j == 0 else pk.v[: j - 1] + pk.v[j:])
 
 
 def pk_cm_det(pk: PreKite) -> Fraction:
     """Cayley-Menger determinant of PK[n;u;v] (`_cm_form`)."""
-    return _cm_form(pk.n, pk.u, pk.v)
+    return _cm_form(*_sums(pk.n, pk.u, pk.v))
 
 
 def pk_inner_cm_det(pk: PreKite) -> Fraction:
     """Inner Cayley-Menger determinant of PK[n;u;v] (`_inner_form`)."""
-    return _inner_form(pk.n, pk.u, pk.v)
+    return _inner_form(*_sums(pk.n, pk.u, pk.v))
 
 
 def pk_facet_cm(pk: PreKite, j: int) -> Fraction:
@@ -156,62 +210,11 @@ def volume_sq_from_cm_det(c, n: int) -> Fraction:
 
 def circumradius_sq_from_cm_dets(c, dd) -> Fraction:
     """Squared circumradius from a nonzero Cayley-Menger determinant c and
-    the inner determinant dd of the same simplex: -dd / (2*c)."""
+    the inner determinant dd of the same simplex: -dd / (2*c).  A zero c, a
+    degenerate simplex, has none and raises ValueError."""
+    if c == 0:
+        raise ValueError("zero Cayley-Menger determinant: a degenerate simplex has no circumradius")
     return -dd / (2 * c)
-
-
-class ApexReport(Record):
-    """Which vertices face a regular facet, plus kite/regular flags."""
-
-    __slots__ = ("apexes", "is_kite", "is_regular")
-
-    apexes: tuple[int, ...]
-    is_kite: bool
-    is_regular: bool
-
-    def to_json(self) -> dict:
-        return {
-            "apexes": list(self.apexes),
-            "kite": self.is_kite,
-            "regular": self.is_regular,
-        }
-
-
-def find_apexes(d: sk.SquaredDistanceMatrix) -> ApexReport:
-    """Enumerate apexes: vertices whose opposite facet has all edges equal.
-
-    The kite flag is set when some apex has all of its own edges equal
-    as well; the regular flag when every entry of the matrix is equal.
-    For n = 2 every vertex is trivially an apex (facets are segments).
-
-    A regular facet has C(n, 2) edges of one value, so only a value that
-    occurs that often can be a regular facet's, and its apexes are the
-    vertices on every edge of another value.  At most two values qualify
-    for n >= 3, and both are tried (at n = 3 a kite's base and star tie at
-    three edges each), so the census is O(n**2).  At n = 2 every value
-    qualifies, and the rule marks every vertex.
-    """
-    if d.n < 2:
-        raise ValueError("apex enumeration needs n >= 2")
-    size, dist = d.n + 1, d._dist  # the cleared integers compare as the entries do
-    edges = [(i, j, dist[i][j]) for i, j in combinations(range(size), 2)]
-    counts = Counter(x for _, _, x in edges)
-    apexes = set()
-    for value, count in counts.items():
-        if count >= d.n * (d.n - 1) // 2:
-            common = set(range(size))
-            for i, j, x in edges:
-                if x != value:
-                    common &= {i, j}
-            apexes |= common
-    is_kite = any(
-        len({dist[j][i] for i in range(size) if i != j}) == 1 for j in apexes
-    )
-    return ApexReport(
-        apexes=tuple(sorted(apexes)),
-        is_kite=is_kite,
-        is_regular=len(counts) == 1,
-    )
 
 
 def apex_squared_ratio_window(n: int) -> tuple[Fraction, Fraction]:
@@ -235,3 +238,149 @@ def two_apexed_feasible(n: int, u, v) -> bool:
         raise ValueError("squared edge parameters must be positive")
     lo, hi = apex_squared_ratio_window(n)
     return lo < v / u < hi
+
+
+def prekite_equiradial_residual(pk: PreKite, j: int) -> Fraction:
+    """Residual whose vanishing makes facet j coradial with the base facet.
+
+    With s1 = u + sum(v) and s2 = u**2 + sum(v**2):
+
+        2*(s1 - n*u)*v_j - (s1**2 + s2 - 2*n*s1*u + n*(n-1)*u**2)
+
+    This is the cross-multiplied equality of the two facet circumradii,
+    cleared of the common sign and power-of-u factors.
+    """
+    if pk.n < 3:
+        raise ValueError("residual needs n >= 3")
+    if not 1 <= j <= pk.n:
+        raise IndexError("apex edge index out of range")
+    n, u, s1, s2 = pk.n, pk.u, pk.sum1, pk.sum2
+    vj = pk.v[j - 1]
+    return 2 * (s1 - n * u) * vj - (s1**2 + s2 - 2 * n * s1 * u + n * (n - 1) * u**2)
+
+
+class EquiarealCandidate(Record):
+    """A pre-kite PK[n; u; x*t, y*s] solving the equal-facet-volume conditions.
+
+    t of the apex edges carry squared value x and the remaining s carry
+    y; u is normalized to 1 (the conditions are homogeneous).  The
+    realizability verdict and an independent facet-volume check, both
+    read off the pre-kite closed forms, are recorded alongside.
+    """
+
+    __slots__ = ("n", "t", "s", "x", "y", "u", "realizable", "degenerate", "equiareal_verified", "regular")
+
+    n: int
+    t: int
+    s: int
+    x: Fraction
+    y: Fraction
+    u: Fraction
+    realizable: bool
+    degenerate: bool
+    equiareal_verified: bool
+    regular: bool
+
+    def prekite(self) -> PreKite:
+        return PreKite(self.n, self.u, (self.x,) * self.t + (self.y,) * self.s)
+
+
+def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
+    """Solve the two equal-facet-volume conditions for PK[n; 1; x*t, y*s].
+
+    The conditions are (i) n*u**2 - s1**2 + (n-1)*s2 - n*x**2 + 2*s1*x = 0
+    and (ii) (t-s)*(y-x) = 2*u.  Substituting (ii) into (i) cancels the
+    quadratic term, so there is exactly one candidate (x, y) per (t, s)
+    with t != s; t = s would force u = 0 and is rejected.  Both parameters
+    are positive: with u = 1 and delta = 2/(t-s), 2(n-1)x = 2(n-1) -
+    2s*delta + (t-1)s*delta**2, which is at least 2(t-1) when t - s >= 2
+    and equals 4s(t-1) when t - s = 1, so x > 0 and y = x + delta > 0.
+    The list holds that one candidate.  It is decided on
+    the pre-kite closed forms, with no matrix: the regular base facet is
+    a nondegenerate simplex, so the Gram matrix has at most one
+    eigenvalue <= 0, and the sign of (-1)**(n+1) times the Cayley-Menger
+    determinant, that of the Gram determinant, is the realizability
+    verdict; the candidate is re-verified as equiareal by comparing its
+    facets' Cayley-Menger determinants, independent of the two conditions.
+    """
+    if n < 3:
+        raise ValueError("solver needs n >= 3")
+    if t + s != n or s < 1 or t < s:
+        raise ValueError("need t + s = n with t >= s >= 1")
+    if t == s:
+        raise ValueError("t = s admits no solution: condition (ii) would force u = 0")
+    u = Fraction(1)
+    delta = 2 * u / (t - s)
+    x = (n * u**2 - (u + s * delta) ** 2 + (n - 1) * u**2 + (n - 1) * s * delta**2) / (
+        2 * (n - 1) * u
+    )
+    y = x + delta
+    pk = PreKite(n, u, (x,) * t + (y,) * s)
+    gram_det_sign = (-1) ** (n + 1) * pk_cm_det(pk)
+    candidate = EquiarealCandidate(
+        n=n,
+        t=t,
+        s=s,
+        x=x,
+        y=y,
+        u=u,
+        realizable=gram_det_sign > 0,
+        degenerate=gram_det_sign == 0,
+        equiareal_verified=pk_facets_equiareal(pk),
+        regular=x == y == u,
+    )
+    return [candidate]
+
+
+def equiareal_scan(n: int) -> dict:
+    """Scan all (t, s) splits at dimension n and compare with the classical claim.
+
+    The classical statement is that non-regular equiareal pre-kites
+    exist only from dimension 6 up.  The scan reports what the exact
+    facet-volume computation certifies; when the two disagree the
+    disagreement is recorded as a note, never silently dropped.
+    """
+    if not 3 <= n <= 12:
+        raise ValueError("scan supports 3 <= n <= 12")
+    rows = []
+    found_nonregular = False
+    for s in range(1, n // 2 + 1):
+        t = n - s
+        if t == s:
+            rows.append(
+                {
+                    "t": t,
+                    "s": s,
+                    "status": "no-solution",
+                    "reason": "t = s forces u = 0",
+                }
+            )
+            continue
+        (cand,) = equiareal_prekite_solve(n, t, s)
+        status = "realizable" if cand.realizable else ("degenerate" if cand.degenerate else "non-euclidean")
+        rows.append({"t": t, "s": s, "status": status, **cand.to_json()})
+        if cand.realizable and cand.equiareal_verified and not cand.regular:
+            found_nonregular = True
+    claim_expects_found = n >= 6
+    agrees = found_nonregular == claim_expects_found
+    notes = []
+    if not agrees:
+        if found_nonregular:
+            notes.append(
+                "exact facet-volume check certifies a non-regular equiareal "
+                "pre-kite at n=%d, although the classical threshold says none "
+                "exist below dimension 6 (squared-length parameters)" % n
+            )
+        else:
+            notes.append(
+                "no non-regular equiareal pre-kite found at n=%d although the "
+                "classical threshold expects one" % n
+            )
+    return {
+        "n": n,
+        "rows": rows,
+        "any_nonregular_equiareal": found_nonregular,
+        "threshold_claim": _EQUIAREAL_CLAIM,
+        "claim_agrees": agrees,
+        "notes": notes,
+    }

@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .exact import Record, _cleared, _positive_tol
+from .exact import Record, _cleared, _integer, _positive_tol
 
 _POMPEIU_TOL = 1e-12
 _RELATION_TOL = 1e-9
@@ -113,8 +113,7 @@ class DistanceTuple(Record):
     t: tuple
 
     def __init__(self, n, t0, t):
-        n = int(n)
-        if n < 1:
+        if _integer(n, "dimension") < 1:
             raise ValueError("dimension must be at least 1")
         t = tuple(t)
         if len(t) != n + 1:

@@ -1,19 +1,52 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplexkite import (
     BorderedUniform,
+    ExactMatrix,
     bordered_uniform_det,
     exact_determinant,
     uniform_det,
     uniform_matrix,
 )
+from simplexkite.prekite import _bordered_uniform
 
+F = Fraction
 small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@st.composite
+def bordered_cases(draw):
+    """(corner, top, left, m, off, diag): k = 0..2 border rows T (`top`) and
+    columns L (`left`, one tuple per column), drawn apart, beside an m x m
+    uniform block; corner entries are often 0."""
+    k, m = draw(st.integers(0, 2)), draw(st.integers(1, 12))
+    corner_entry = st.just(F(0)) | small
+    corner = tuple(tuple(draw(corner_entry) for _ in range(k)) for _ in range(k))
+    top, left = (tuple(tuple(draw(small) for _ in range(m)) for _ in range(k)) for _ in range(2))
+    return corner, top, left, m, draw(small), draw(small)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bordered_cases())
+@example(case=(((F(0),),), ((F(1), F(2), F(-1)),), ((F(3), F(0), F(1, 2)),), 3, F(1), F(-2)))  # mu = 0
+@example(case=(((F(0), F(1)), (F(1), F(0))), ((F(1),), (F(2),)), ((F(1),), (F(-3),)), 1, F(2), F(5)))  # m = 1, lambda != 0
+@example(case=(((F(2), F(0)), (F(0), F(0))), ((F(1), F(1), F(1)), (F(1), F(2), F(3))),
+               ((F(1), F(-1), F(1)), (F(0), F(4), F(1, 3))), 3, F(2), F(2)))  # lambda = 0, m > k
+def test_bordered_uniform_matches_the_assembled_matrix(case):
+    # det [[C, T], [L^T, U]] from the corner, T L^T, T 1 and L 1 alone, wherever lambda != 0 or m > k
+    corner, top, left, m, off, diag = case
+    assume(diag != off or m > len(corner))
+    rows = [list(c) + list(t) for c, t in zip(corner, top)]
+    rows += [[col[i] for col in left] + [diag if i == j else off for j in range(m)] for i in range(m)]
+    cross = [[sum(map(mul, t, col)) for col in left] for t in top]
+    value = _bordered_uniform(corner, cross, [sum(t) for t in top], [sum(col) for col in left], m, off, diag)
+    assert value == exact_determinant(ExactMatrix(rows))
 
 
 def test_uniform_examples():

@@ -29,15 +29,15 @@ API = {
     "RealizabilityVerdict SquaredDistanceMatrix cm_det cm_matrix circumcenter_barycentrics circumradius_sq "
     "facet_circumradii_sq facet_sdm facet_volumes_sq gram_ldl gram_matrix inner_cm_det "
     "is_realizable volume_sq",
-    "prekite": "ApexReport PreKite apex_squared_ratio_window find_apexes pk_cm_det pk_facet_cm "
-    "pk_facet_inner_cm pk_inner_cm_det two_apexed two_apexed_feasible",
+    "prekite": "EquiarealCandidate PreKite apex_squared_ratio_window equiareal_prekite_solve equiareal_scan "
+    "pk_cm_det pk_facet_cm pk_facet_inner_cm pk_inner_cm_det prekite_equiradial_residual two_apexed "
+    "two_apexed_feasible",
     "geometry": "CenterSet ConvergenceError EmbeddedSimplex center_set centroid circumcenter embed "
     "fermat_torricelli incenter sum_distances sum_sq_to_vertices",
-    "centers": "CoincidenceReport EquiarealCandidate coincidence_report equiareal_prekite_solve "
-    "equiareal_scan is_circumcenter_interior is_equiareal is_equiradial is_well_distributed "
-    "prekite_equiradial_residual",
-    "families": "BetaVector ClassificationReport classify matrix_from_beta recover_circumscriptible "
-    "recover_isodynamic recover_orthocentric recover_tetra_isogonic",
+    "centers": "CoincidenceReport coincidence_report is_circumcenter_interior is_equiareal is_equiradial "
+    "is_well_distributed",
+    "families": "ApexReport BetaVector ClassificationReport classify find_apexes matrix_from_beta "
+    "recover_circumscriptible recover_isodynamic recover_orthocentric recover_tetra_isogonic",
     "relation": "DEGENERATE_ON_CIRCLE INCONSISTENT VALID_TRIANGLE DistanceTuple equilateral_vertices "
     "on_circumsphere_by_sums pompeiu_classify pompeiu_from_point relation_residual "
     "relation_residual_from_squares solve_missing_distance solve_missing_distance_squares",
@@ -67,19 +67,20 @@ CLI = {"simplexkite", "simplexkite.exact", "simplexkite.cli"}
 # the elimination kernel comes with cayley; the cheap commands, whose footprints
 # below are exact sets, neither import nor compile it
 FLOATS = CLI | {"simplexkite.cayley", "simplexkite.linalg", "simplexkite.geometry"}
-SCAN = FLOATS | {"simplexkite.prekite", "simplexkite.centers"}
 MATRIX = "@matrix"
 
 FOOTPRINTS = [
     pytest.param(["prekite-eval", "4", "1", "1", "1", "1", "2"], CLI | {"simplexkite.prekite"}, id="prekite-eval"),
+    # every facet at n = 2 is a segment: m = 1 and mu = 0 in the bordered form, still with no kernel
+    pytest.param(["prekite-eval", "2", "1", "1", "1"], CLI | {"simplexkite.prekite"}, id="prekite-eval-n2"),
     pytest.param(["prekite-feasible", "3", "1", "3"], CLI | {"simplexkite.prekite"}, id="prekite-feasible"),
     pytest.param(["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,1"], CLI | {"simplexkite.relation"}, id="rel-solve"),
     pytest.param(["rel", "verify", "--n", "2", "--t0", "1", "--t", "0,1,1"], CLI | {"simplexkite.relation"}, id="rel-verify"),
     pytest.param(["pompeiu", "1", "0", "1", "1"], CLI | {"simplexkite.relation"}, id="pompeiu"),
     pytest.param(["embed", MATRIX], FLOATS, id="embed"),
     pytest.param(["centers", MATRIX], FLOATS, id="centers"),
-    pytest.param(["equiareal-scan", "4"], SCAN, id="equiareal-scan"),
-    pytest.param(["classify", MATRIX], SCAN | {"simplexkite.families"}, id="classify"),
+    pytest.param(["equiareal-scan", "4"], CLI | {"simplexkite.prekite"}, id="equiareal-scan"),
+    pytest.param(["classify", MATRIX], FLOATS | {"simplexkite.centers", "simplexkite.families"}, id="classify"),
 ]
 
 

@@ -165,7 +165,7 @@ def test_custom_constructors_keep_their_checks(cls, values, message):
 
 
 def test_custom_constructors_normalize():
-    assert PreKite(2.0, "1/2", [1, "3"]).v == (F(1), F(3))
+    assert PreKite(2, "1/2", [1, "3"]).v == (F(1), F(3))
     assert BorderedUniform(1, "2", [1], ["1/2"], 0, 1).top == (F(1, 2),)
     assert DistanceTuple(1, 1, [0, 1]).t == (0, 1)
 

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from simplexkite import (
+    BorderedUniform,
     DistanceTuple,
     EmbeddedSimplex,
     ExactMatrix,
@@ -37,9 +38,11 @@ from simplexkite import (
     solve_linear,
     solve_missing_distance_squares,
     two_apexed_feasible,
+    uniform_det,
     uniform_matrix,
 )
 from simplexkite.cli import main
+from simplexkite.prekite import circumradius_sq_from_cm_dets
 
 SEGMENT = SquaredDistanceMatrix([[0, 1], [1, 0]])
 TRIANGLE = SquaredDistanceMatrix.regular(2)
@@ -85,6 +88,7 @@ GEOMETRY = [
 FAMILIES = [
     refusal("matrix_from_beta two weights", lambda: matrix_from_beta("isodynamic", [1, 2]), ValueError,
             "need at least three weights"),
+    refusal("find_apexes segment", lambda: find_apexes(SEGMENT), ValueError, "apex enumeration needs n >= 2"),
 ]
 
 PREKITES = [
@@ -92,18 +96,12 @@ PREKITES = [
             'expected an object with fields "n", "u", "v"'),
     refusal("PreKite.from_json object without u", lambda: PreKite.from_json({"n": 2, "v": ["1", "1"]}), ValueError,
             'expected an object with fields "n", "u", "v"'),
-    refusal("find_apexes segment", lambda: find_apexes(SEGMENT), ValueError, "apex enumeration needs n >= 2"),
     refusal("apex_squared_ratio_window n = 1", lambda: apex_squared_ratio_window(1), ValueError,
             "dimension must be at least 2"),
     refusal("two_apexed_feasible u = 0", lambda: two_apexed_feasible(3, 0, 1), ValueError,
             "squared edge parameters must be positive"),
     refusal("two_apexed_feasible v < 0", lambda: two_apexed_feasible(3, 1, -1), ValueError,
             "squared edge parameters must be positive"),
-]
-
-CENTERS = [
-    *(refusal(f.__name__ + " segment", lambda f=f: f(SEGMENT), ValueError, "predicate needs n >= 2")
-      for f in (is_well_distributed, is_equiareal, is_equiradial)),
     refusal("prekite_equiradial_residual n = 2", lambda: prekite_equiradial_residual(PreKite(2, 1, (1, 1)), 1),
             ValueError, "residual needs n >= 3"),
     refusal("prekite_equiradial_residual j = 0", lambda: prekite_equiradial_residual(PREKITE, 0), IndexError,
@@ -116,6 +114,19 @@ CENTERS = [
             "need t + s = n with t >= s >= 1"),
     refusal("equiareal_prekite_solve s = 0", lambda: equiareal_prekite_solve(4, 4, 0), ValueError,
             "need t + s = n with t >= s >= 1"),
+    refusal("PreKite float dimension", lambda: PreKite(3.7, 1, (1, 1, 1)), ValueError,
+            "dimension must be an integer, got 3.7"),
+    refusal("PreKite bool dimension", lambda: PreKite(True, 1, (1,)), ValueError,
+            "dimension must be an integer, got True"),
+    refusal("PreKite.from_json text dimension", lambda: PreKite.from_json({"n": "3", "u": "1", "v": ["1", "1", "1"]}),
+            ValueError, "dimension must be an integer, got '3'"),
+    refusal("circumradius_sq_from_cm_dets zero determinant", lambda: circumradius_sq_from_cm_dets(0, 1), ValueError,
+            "zero Cayley-Menger determinant: a degenerate simplex has no circumradius"),
+]
+
+CENTERS = [
+    *(refusal(f.__name__ + " segment", lambda f=f: f(SEGMENT), ValueError, "predicate needs n >= 2")
+      for f in (is_well_distributed, is_equiareal, is_equiradial)),
 ]
 
 EXACT = [
@@ -126,6 +137,12 @@ EXACT = [
 
 DETERMINANTS = [
     refusal("uniform_matrix order 0", lambda: uniform_matrix(0, 1, 2), ValueError, "order must be at least 1"),
+    refusal("uniform_det float order", lambda: uniform_det(2.5, 1, 2), ValueError, "order must be an integer, got 2.5"),
+    refusal("uniform_det bool order", lambda: uniform_det(True, 1, 2), ValueError, "order must be an integer, got True"),
+    refusal("uniform_matrix text order", lambda: uniform_matrix("3", 1, 2), ValueError,
+            "order must be an integer, got '3'"),
+    refusal("BorderedUniform float order", lambda: BorderedUniform(1.0, 0, (1,), (1,), 1, 2), ValueError,
+            "order parameter must be an integer, got 1.0"),
 ]
 
 RELATION = [
@@ -157,6 +174,10 @@ RELATION = [
             "side must be positive and distances nonnegative"),
     refusal("DistanceTuple negative distance", lambda: DistanceTuple(2, 1, (1, -1, 1)), ValueError,
             "distances must be nonnegative"),
+    refusal("DistanceTuple float dimension", lambda: DistanceTuple(2.5, 1, (1, 1, 1)), ValueError,
+            "dimension must be an integer, got 2.5"),
+    refusal("DistanceTuple bool dimension", lambda: DistanceTuple(True, 1, (1, 1)), ValueError,
+            "dimension must be an integer, got True"),
 ]
 
 
