@@ -13,20 +13,24 @@ keeps that elimination and the integers read off it for the
 circumsphere and the facets (`_facet_integers`), each filled on first
 use; it keeps no facet matrix and builds no Fraction to keep: each
 function builds only the Fractions of the value it returns.  The
-elimination's pivot signs give the inertia of G, and its last leading minor gives
-det(G) = (n!)**2 * V**2.  Any vector b swept
-through the kept pivots (`_sweep`) gives -b^T adj(A) b, A = s*G the
-scaled integer Gram matrix.  With b the diagonal of A that is R**2, and
-back substitution gives the circumcenter.  With b = e_j it is the
-principal minor adj(A)[j][j], the scaled Gram determinant of the facet
-opposite vertex j+1; all unit vectors go through one batched pass over
-the kept pivot rows (`_unit_sweeps`), the rows of [A | I] with column j
-entering at step j.  The facet opposite vertex 0 has 1^T adj(A) 1, by
-the unimodular change of base to vertex 1.  Each facet's circumradius
-then follows from Pythagoras: R_k**2 = R**2 - (w_k * h_k)**2, with w
-the circumcenter's barycentrics and h_k = n V / F_k the height over
-facet k.  So a number is returned only for data the same pass has
-certified, and a report builds and eliminates no facet matrices.
+elimination runs on [A | b], A = s*G the scaled integer Gram matrix and
+b its diagonal carried as one more column, which the symmetric kernel
+eliminates alongside and never pivots on.  Its pivot signs give the
+inertia of G, and its last leading minor gives det(G) = (n!)**2 * V**2.
+The carried column b' and the kept minors m_k give the corner
+-b^T adj(A) b of the bordered [[A, b], [b^T, 0]] by the O(n) fold
+corner = (m_k corner - b'_k**2) // m_(k-1), which is -4 s det(A) R**2,
+and back substitution with b' gives the circumcenter.  With b = e_j the
+corner is the principal minor adj(A)[j][j], the scaled Gram determinant
+of the facet opposite vertex j+1; all unit vectors go through one
+batched pass over the kept pivot rows (`_unit_sweeps`), the rows of
+[A | I] with column j entering at step j.  The facet opposite vertex 0
+has 1^T adj(A) 1, by the unimodular change of base to vertex 1.  Each
+facet's circumradius then follows from Pythagoras: R_k**2 = R**2 -
+(w_k * h_k)**2, with w the circumcenter's barycentrics and h_k = n V /
+F_k the height over facet k.  So a number is returned only for data
+the same pass has certified, and a report builds and eliminates no
+facet matrices.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import combinations
 from operator import mul, neg
 from typing import Iterable, NamedTuple
 
-from .exact import Record, _cleared, _wire, as_scalar
+from .exact import Record, _cleared, _integer, _wire, as_scalar
 from .linalg import ExactMatrix, _back_substitute, _bareiss, _signature, exact_determinant
 
 
@@ -113,7 +117,8 @@ class SquaredDistanceMatrix:
     def regular(cls, n: int, side_sq=1) -> "SquaredDistanceMatrix":
         """The regular n-simplex with all squared edges equal to side_sq."""
         u = as_scalar(side_sq)
-        return cls([[0 if i == j else u for j in range(n + 1)] for i in range(n + 1)])
+        m = _integer(n, "dimension") + 1
+        return cls([[0 if i == j else u for j in range(m)] for i in range(m)])
 
     @classmethod
     def from_json(cls, payload) -> "SquaredDistanceMatrix":
@@ -157,6 +162,7 @@ class SquaredDistanceMatrix:
 
     def permuted(self, perm) -> "SquaredDistanceMatrix":
         """Relabel vertices by the permutation perm (perm[i] = old index)."""
+        perm = [_integer(p, "vertex index") for p in perm]
         if sorted(perm) != list(range(self.n + 1)):
             raise ValueError("not a permutation of the vertices")
         return SquaredDistanceMatrix(
@@ -214,12 +220,12 @@ def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
     """Exact squared circumradius g^T G^-1 g / 4, with g the diagonal of G.
 
     The bordered matrix B = [[G, g], [g^T, 0]] has det(B) =
-    -det(G) * g^T G^-1 g, which `_sweep` reads off the Gram elimination.
+    -det(G) * g^T G^-1 g, the corner the Gram elimination keeps.
     Degenerate or non-Euclidean input raises with the verdict attached.
     """
+    require_nondegenerate(d)
     g = _gram_elimination(d)
-    _, corner = _sweep(d, [2 * t for t in d._dist[0][1:]])
-    return Fraction(-corner, 4 * g.scale * g.minors[-1])
+    return Fraction(-g.corner, 4 * g.scale * g.minors[-1])
 
 
 def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
@@ -258,64 +264,53 @@ def _top_exponent(d: SquaredDistanceMatrix) -> int:
 
 
 class _Gram(NamedTuple):
-    """The integer symmetric elimination of A = s*G, kept on the matrix."""
+    """The integer symmetric elimination of [A | b], A = s*G and b its
+    diagonal, kept on the matrix."""
 
-    rows: list[list[int]]  # A after `_bareiss`: the echelon rows in the upper triangle
+    rows: list[list[int]]  # [A | b] after `_bareiss`: the echelon rows in the upper triangle, b' in column n
     minors: list[int]  # the pivots, A's leading principal minors
     scale: int  # s
     verdict: RealizabilityVerdict
+    corner: int  # -b^T adj(A) b = -4 s det(A) R**2, folded from b'; read only when nondegenerate
 
 
 def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
-    """The integer symmetric elimination of the scaled Gram matrix A = s*G,
-    run once and kept on d; callers only read it.  A has the inertia of G.
+    """The integer symmetric elimination of the scaled Gram matrix A = s*G
+    with its diagonal b = 2 (c D)[0][1:] as column n, run once and kept on
+    d; callers only read it.  A has the inertia of G.  The corner
+    -b^T adj(A) b = det [[A, b], [b^T, 0]] is the entry an elimination of
+    that bordered matrix would leave last; its border row is b^T, so by
+    symmetry step k updates it with the kept b'_k alone: corner = (m_k
+    corner - b'_k**2) // m_(k-1).  That is exact only without pivot moves,
+    so the corner is read only for nondegenerate d.
     """
     if d._gram is None:
         rows = _scaled_gram(d._dist)
+        for i, row in enumerate(rows):
+            row.append(row[i])
         minors, _ = _bareiss(rows, symmetric=True)
         sig = _signature(minors, d.n)
         status = Realizability.NON_EUCLIDEAN if sig[1] else (
             Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)
         verdict = RealizabilityVerdict(status=status, gram_inertia=sig)
-        d._gram = _Gram(rows, minors, 2 * d._den, verdict)
+        corner, prev = 0, 1
+        for pivot, row in zip(minors, rows):
+            corner = (pivot * corner - row[-1] ** 2) // prev
+            prev = pivot
+        d._gram = _Gram(rows, minors, 2 * d._den, verdict, corner)
     return d._gram
 
 
-def _sweep(d: SquaredDistanceMatrix, b: list[int]) -> tuple[list[int], int]:
-    """(b', corner): the last column the elimination would leave on the
-    bordered [[A, b], [b^T, 0]]: b' = the right-hand side of the echelon rows
-    of [A | b], corner = -b^T adj(A) b.  It replays the border's Bareiss
-    updates through the kept pivot rows in O(n**2), exact only without pivot
-    moves, so anything but nondegenerate input raises.  Leading zeros of b
-    stay zero, and the steps over them only carry the rest to the leading
-    minor there, so the replay starts at the first nonzero entry."""
-    require_nondegenerate(d)
-    g = _gram_elimination(d)
-    rows, minors, n = g.rows, g.minors, d.n
-    start = 0
-    while start < n and not b[start]:
-        start += 1
-    prev = minors[start - 1] if start else 1
-    b = [0] * start + [x * prev for x in b[start:]]
-    corner = 0
-    for k in range(start, n):
-        pivot, top, bk = minors[k], rows[k], b[k]
-        for i in range(k + 1, n):
-            b[i] = (pivot * b[i] - top[i] * bk) // prev
-        corner = (pivot * corner - bk * bk) // prev
-        prev = pivot
-    return b, corner
-
-
 def _unit_sweeps(d: SquaredDistanceMatrix) -> tuple[list[list[int]], list[int]]:
-    """(rows, corners): `_sweep` of every unit vector e_j in one pass.  The
-    swept e_j are the right-hand sides of the echelon rows of [A | I], where
-    column j enters at step j, as its sweep starts there, with the leading
-    minor before it; so rows[i] holds row i's entries for columns 0..i, the
-    sweep of e_j is [0] * j + [rows[i][j] for i >= j], and corners[j] =
-    -adj(A)[j][j] is its corner.  Each step makes `_sweep`'s updates for all
-    columns entered so far, one comprehension per row; anything but
-    nondegenerate input raises."""
+    """(rows, corners): the columns of I an elimination of [A | I] would
+    leave, rebuilt from the kept pivot rows in one pass, each with the
+    corner fold `_gram_elimination` applies to A's diagonal.  Column j is
+    zero above row j, and the steps before j only scale its 1 to the
+    leading minor there, so it enters at step j as that minor; rows[i]
+    holds row i's entries for columns 0..i, e_j's column is [0] * j +
+    [rows[i][j] for i >= j], and corners[j] = -adj(A)[j][j] is its corner.
+    Each step updates all columns entered so far, one comprehension per
+    row; anything but nondegenerate input raises."""
     require_nondegenerate(d)
     g = _gram_elimination(d)
     rows = [[] for _ in range(d.n)]
@@ -384,45 +379,44 @@ def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
     elimination to come; d keeps no facet matrix."""
     if d.n < 2:
         raise ValueError("facets of a 1-simplex are single points")
-    if not 0 <= j <= d.n:
+    if not 0 <= _integer(j, "vertex index") <= d.n:
         raise IndexError("vertex index out of range")
     keep = [i for i in range(d.n + 1) if i != j]
     return SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep])
 
 
 class _Integers(NamedTuple):
-    """The circumsphere and the facets as integers, kept on the matrix."""
+    """The circumcenter and the facets as integers, kept on the matrix; the
+    corner and the carried diagonal they come from stay on the elimination."""
 
     weights: tuple[int, ...]  # 2 det(A) w, w the circumcenter's barycentrics
-    corner: int  # -4 s det(A) R**2
-    swept: list[int]  # the right-hand side `_sweep` carries A's diagonal to
     dets: tuple[int, ...]  # det_k, facet k's Gram determinant scaled like A = s*G
 
 
 def _facet_integers(d: SquaredDistanceMatrix) -> _Integers:
     """The integers every circumsphere and facet invariant is read from,
-    computed once and kept on d.
+    beside the corner the elimination keeps, computed once and kept on d.
 
-    A's diagonal is 2 (c D)[0][i], i >= 1, and its sweep gives the corner
-    -b^T adj(A) b.  Back substitution on the echelon rows of A with the
-    swept right-hand side gives the integers det(A) G^-1 g = 2 det(A) x,
+    Back substitution on the echelon rows of A with the carried diagonal b'
+    (`_gram_elimination`) gives the integers det(A) G^-1 g = 2 det(A) x,
     and with them w = (1 - sum x, x), certified against the Cayley-Menger
     system: sum w = 1 holds by construction, and every entry of D w must
-    equal 2 R**2.  The facet determinants are det_k = adj(A)[k-1][k-1] for
-    k >= 1, the corners of all unit vectors e_(k-1) swept in one batched
-    pass (`_unit_sweeps`), and det_0 = 1^T adj(A) 1; the summed adjugate
-    column is certified, A adj(A) 1 = det(A) 1, in O(n**2) integers.
-    Anything but nondegenerate input raises with the verdict attached.
+    equal 2 R**2, read off the kept corner.  The facet determinants are
+    det_k = adj(A)[k-1][k-1] for k >= 1, the corners of all unit vectors
+    e_(k-1) in one batched pass (`_unit_sweeps`), and det_0 = 1^T adj(A) 1;
+    the summed adjugate column is certified, A adj(A) 1 = det(A) 1, in
+    O(n**2) integers.  Anything but nondegenerate input raises with the
+    verdict attached.
     """
     if d._integers is None:
+        require_nondegenerate(d)
         top = d._dist[0]
-        swept, corner = _sweep(d, [2 * t for t in top[1:]])
         g = _gram_elimination(d)
         det = g.minors[-1]
-        y = _back_substitute(g.rows, det, swept)
+        y = _back_substitute(g.rows, det, [row[-1] for row in g.rows])
         weights = (2 * det - sum(y), *y)
         # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
-        if any(2 * sum(map(mul, row, weights)) != -corner for row in d._dist):
+        if any(2 * sum(map(mul, row, weights)) != -g.corner for row in d._dist):
             raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
         units, corners = _unit_sweeps(d)
         y = _back_substitute(g.rows, det, list(map(sum, units)))  # adj(A) 1
@@ -431,7 +425,7 @@ def _facet_integers(d: SquaredDistanceMatrix) -> _Integers:
         cross = sum(map(mul, top[1:], y))
         if any(t * total + cross - sum(map(mul, row[1:], y)) != det for t, row in zip(top[1:], d._dist[1:])):
             raise RuntimeError("facet determinants fail the adjugate certificate")
-        d._integers = _Integers(weights, corner, swept, (total, *map(neg, corners)))
+        d._integers = _Integers(weights, (total, *map(neg, corners)))
     return d._integers
 
 
@@ -458,14 +452,14 @@ def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     w_k h_k from facet k's hyperplane and projects onto the facet's
     circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 = R**2 -
     w_k**2 det(A) / (s det_k), read off the kept integers
-    (`_facet_integers`) as (-corner det_k - W_k**2) / (4 s det(A) det_k),
-    W = 2 det(A) w.  Flat input has no circumsphere, so each facet is
+    (`_facet_integers`) and the kept corner as (-corner det_k - W_k**2) /
+    (4 s det(A) det_k), W = 2 det(A) w.  Flat input has no circumsphere, so each facet is
     eliminated on its own (`facet_sdm`, `circumradius_sq`), and a
     degenerate facet raises; `facet_sdm` refuses a segment.
     """
     if d.n < 2 or is_realizable(d).status is not Realizability.NONDEGENERATE:
         return tuple(circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1))
-    weights, corner, _, dets = _facet_integers(d)
+    weights, dets = _facet_integers(d)
     g = _gram_elimination(d)
     den = 4 * g.scale * g.minors[-1]  # 4 s det(A)
-    return tuple(Fraction(-corner * k - w * w, den * k) for w, k in zip(weights, dets))
+    return tuple(Fraction(-g.corner * k - w * w, den * k) for w, k in zip(weights, dets))

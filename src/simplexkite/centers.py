@@ -27,6 +27,7 @@ from .cayley import (
     Realizability,
     SquaredDistanceMatrix,
     _facet_integers,
+    _gram_elimination,
     facet_circumradii_sq,
     facet_volumes_sq,
     is_realizable,
@@ -83,7 +84,8 @@ def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     if not _check_predicate_input(d):
         radii = facet_circumradii_sq(d)
         return all(r == radii[0] for r in radii)
-    weights, corner, _, dets = _facet_integers(d)
+    weights, dets = _facet_integers(d)
+    corner = _gram_elimination(d).corner
     first = -corner * dets[0] - weights[0] ** 2
     return all((-corner * k - w * w) * dets[0] == first * k for w, k in zip(weights, dets))
 

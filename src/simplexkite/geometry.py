@@ -135,13 +135,16 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     Coordinate k is y_k times coordinate k of vertex k+1, which is
     sqrt(D_k) of the Gram LDL^T, with y the exact circumcenter in that
     frame.  2 G x = g and G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and
-    the sweep of A's diagonal (`_facet_integers`) holds L^-1 (s g) times the
-    leading minors, so y_k = swept_k / (2 minors[k]), one correctly rounded
-    division.  A far circumcenter has huge barycentrics x, whose float
-    image through the vertices would cancel; y does not.
+    the Gram elimination carries s g, A's diagonal, as its last column, to
+    L^-1 (s g) times the leading minors, so y_k = b'_k / (2 minors[k]),
+    one correctly rounded division, once the circumcenter has passed its
+    Cayley-Menger certificate (`_facet_integers`).  A far circumcenter has
+    huge barycentrics x, whose float image through the vertices would
+    cancel; y does not.
     """
-    minors = _gram_elimination(s.source).minors
-    ys = map(truediv, _facet_integers(s.source).swept, [2 * m for m in minors])
+    _facet_integers(s.source)
+    g = _gram_elimination(s.source)
+    ys = [row[-1] / (2 * m) for row, m in zip(g.rows, g.minors)]
     center = tuple(y * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
     return center, math.dist(center, s.vertices[0])
 

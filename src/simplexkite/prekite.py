@@ -137,7 +137,7 @@ class PreKite(Record):
 def two_apexed(n: int, u, v) -> PreKite:
     """PK[n; u; u,...,u, v]: all edges u except the single odd edge v."""
     u = as_scalar(u)
-    return PreKite(n, u, (u,) * (n - 1) + (as_scalar(v),))
+    return PreKite(n, u, (u,) * (_integer(n, "dimension") - 1) + (as_scalar(v),))
 
 
 def _sums(n: int, u, v) -> tuple:
@@ -167,7 +167,7 @@ def _facet(pk: PreKite, j: int) -> tuple:
     """`_sums` of facet j of PK[n;u;v], itself a pre-kite: facet 0 is the
     regular base PK[n-1; u; u..u], and facet j >= 1 is the pre-kite without
     apex edge j."""
-    if not 0 <= j <= pk.n:
+    if not 0 <= _integer(j, "facet index") <= pk.n:
         raise IndexError("facet index out of range")
     return _sums(pk.n - 1, pk.u, (pk.u,) * (pk.n - 1) if j == 0 else pk.v[: j - 1] + pk.v[j:])
 
@@ -225,7 +225,7 @@ def apex_squared_ratio_window(n: int) -> tuple[Fraction, Fraction]:
     strictly inside this window; at the upper endpoint the configuration
     flattens (its Cayley-Menger determinant vanishes).
     """
-    if n < 2:
+    if _integer(n, "dimension") < 2:
         raise ValueError("dimension must be at least 2")
     return Fraction(0), Fraction(2 * n, n - 1)
 
@@ -252,7 +252,7 @@ def prekite_equiradial_residual(pk: PreKite, j: int) -> Fraction:
     """
     if pk.n < 3:
         raise ValueError("residual needs n >= 3")
-    if not 1 <= j <= pk.n:
+    if not 1 <= _integer(j, "apex edge index") <= pk.n:
         raise IndexError("apex edge index out of range")
     n, u, s1, s2 = pk.n, pk.u, pk.sum1, pk.sum2
     vj = pk.v[j - 1]
@@ -303,9 +303,9 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
     verdict; the candidate is re-verified as equiareal by comparing its
     facets' Cayley-Menger determinants, independent of the two conditions.
     """
-    if n < 3:
+    if _integer(n, "dimension") < 3:
         raise ValueError("solver needs n >= 3")
-    if t + s != n or s < 1 or t < s:
+    if _integer(t, "t") + _integer(s, "s") != n or s < 1 or t < s:
         raise ValueError("need t + s = n with t >= s >= 1")
     if t == s:
         raise ValueError("t = s admits no solution: condition (ii) would force u = 0")
@@ -340,7 +340,7 @@ def equiareal_scan(n: int) -> dict:
     facet-volume computation certifies; when the two disagree the
     disagreement is recorded as a note, never silently dropped.
     """
-    if not 3 <= n <= 12:
+    if not 3 <= _integer(n, "dimension") <= 12:
         raise ValueError("scan supports 3 <= n <= 12")
     rows = []
     found_nonregular = False

@@ -140,7 +140,7 @@ def relation_residual_from_squares(n: int, squares) -> object:
     relative to the square of the largest squared value.
     """
     squares, den, exact = _read(squares)
-    if len(squares) != n + 2:
+    if len(squares) != _integer(n, "dimension") + 2:
         raise ValueError("expected n+2 squared values (edge first)")
     if min(squares) < 0:
         raise ValueError("squared values must be nonnegative")
@@ -181,7 +181,7 @@ def _roots(n: int, values, den, exact) -> tuple[list, bool]:
     (edge first), integers over den, and q, ascending, and whether they
     are exact: the input exact and the discriminant a rational square.
     Otherwise they are Fractions to float precision."""
-    if n < 1:
+    if _integer(n, "dimension") < 1:
         raise ValueError("dimension must be at least 1")
     if len(values) != n + 1:
         raise ValueError("expected the edge square plus n known vertex squares")
@@ -217,7 +217,7 @@ def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
 def _open_slot(n: int, t0, known) -> tuple[list, bool]:
     """`_roots` of the squares of t0 and the known distances."""
     known = list(known)
-    if len(known) == n + 1:
+    if len(known) == _integer(n, "dimension") + 1:
         if known.count(None) != 1:
             raise ValueError("exactly one slot must be open")
         known = [v for v in known if v is not None]
@@ -262,7 +262,7 @@ def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
     infinity and a negative sum are refused.
     """
     _positive_tol(tol)
-    if n < 1:
+    if _integer(n, "dimension") < 1:
         raise ValueError("dimension must be at least 1")
     (u, total), den, exact = _read((u, sum_sq))
     if u <= 0:

@@ -280,21 +280,27 @@ class TestCoincidenceReport:
             assert len(calls) == 1
 
     def test_classify_and_report_sweeps(self, monkeypatch):
-        # the circumsphere is swept once and kept, and the facets k >= 1 cost
+        # the circumsphere is computed once, as A's diagonal carried through
+        # the one kernel call as column n, and kept; the facets k >= 1 cost
         # one batched pass over all unit vectors; the float circumcenter reads
-        # the kept sweep
+        # the kept column
         rng = random.Random(35)
-        sweeps, passes = [], []
-        real_sweep, real_pass = cayley._sweep, cayley._unit_sweeps
-        monkeypatch.setattr(cayley, "_sweep", lambda d, b: sweeps.append(b) or real_sweep(d, b))
+        columns, passes = [], []
+        real_kernel, real_pass = cayley._bareiss, cayley._unit_sweeps
+
+        def kernel(rows, **kwargs):
+            columns.append([row[len(rows):] for row in rows])
+            return real_kernel(rows, **kwargs)
+
+        monkeypatch.setattr(cayley, "_bareiss", kernel)
         monkeypatch.setattr(cayley, "_unit_sweeps", lambda d: passes.append(d) or real_pass(d))
         for n in range(2, 13):
             d = SquaredDistanceMatrix(mixed_point_sdm(rng, n).a)
-            sweeps.clear()
+            columns.clear()
             passes.clear()
             classify(d)
             coincidence_report(d, with_floats=True)
-            assert sweeps == [[2 * t for t in d._dist[0][1:]]]
+            assert columns == [[[2 * t] for t in d._dist[0][1:]]]
             assert passes == [d]
 
     def test_float_cross_check(self):

@@ -5,12 +5,14 @@ stays the oracle."""
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexkite.cayley as cayley
+import simplexkite.linalg as linalg
 from simplexkite import (
     DegenerateSimplexError,
     NonEuclideanError,
@@ -25,14 +27,18 @@ from simplexkite import (
     facet_circumradii_sq,
     facet_sdm,
     facet_volumes_sq,
+    gram_matrix,
+    inertia,
     is_equiareal,
     is_equiradial,
     is_realizable,
     matrix_from_beta,
+    solve_linear,
     volume_sq,
 )
 from simplexkite.cayley import require_nondegenerate
-from conftest import count_kernel_calls, random_realizable_prekite
+from conftest import count_kernel_calls, random_prekite, random_realizable_prekite
+from test_exact import _one_step_bareiss
 
 F = Fraction
 
@@ -60,6 +66,19 @@ def oracle(d):
         tuple(volume_sq(f) for f in facets),
         tuple(circumradius_sq(f) for f in facets),
     )
+
+
+def carried_column(d, b):
+    """(b', corner): the one-step elimination (`_one_step_bareiss`) of
+    [A | b], A = s*G the scaled Gram matrix, and the corner -b^T adj(A) b
+    folded from its last column b' over the minors."""
+    rows = [row + [x] for row, x in zip(cayley._scaled_gram(d._dist), b)]
+    minors, _ = _one_step_bareiss(rows, True, linalg._symmetric_pivot, [])
+    corner, prev = 0, 1
+    for pivot, row in zip(minors, rows):
+        corner = (pivot * corner - row[-1] ** 2) // prev
+        prev = pivot
+    return [row[-1] for row in rows], corner
 
 
 def read_off(d):
@@ -230,7 +249,8 @@ def test_flat_input_keeps_the_per_facet_path():
 
 
 def test_unit_sweeps_match_one_sweep_per_unit_vector():
-    # the batched pass over [A | I] against `_sweep(d, e_j)`, column by column
+    # the batched pass over [A | I] against the one-step elimination of
+    # [A | e_j] and the corner fold over its carried column, column by column
     rng = random.Random(73)
     cases = list(equiareal_prekites())
     for n in range(2, 13):
@@ -245,7 +265,56 @@ def test_unit_sweeps_match_one_sweep_per_unit_vector():
         rows, corners = cayley._unit_sweeps(d)
         for j in range(d.n):
             swept = [0] * j + [row[j] for row in rows[j:]]
-            assert (swept, corners[j]) == cayley._sweep(d, [int(i == j) for i in range(d.n)])
+            assert (swept, corners[j]) == carried_column(d, [int(i == j) for i in range(d.n)])
+
+
+# the collinear and the non-Euclidean triangle, a flat tetrahedron, and a non-Euclidean one whose Gram
+# block is [[0, 30], [30, 0]] after the first pivot, so the kernel takes the 2x2 congruence there
+UNREALIZABLE = (
+    [[0, 1, 4], [1, 0, 1], [4, 1, 0]],
+    [[0, 1, 9], [1, 0, 1], [9, 1, 0]],
+    [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+    [[0, 1, 4, 4], [1, 0, 1, 9], [4, 1, 0, 1], [4, 9, 1, 0]],
+)
+
+
+def test_carried_column_leaves_the_gram_elimination_as_it_was(monkeypatch):
+    # the diagonal carried as column n changes no minor, verdict or square
+    # echelon entry; on nondegenerate input the column and its corner are
+    # the one-step elimination of [A | b], and the corner gives g^T G^-1 g / 4
+    rng = random.Random(75)
+    cases = list(equiareal_prekites())[:6] + [SquaredDistanceMatrix(rows) for rows in UNREALIZABLE]
+    for n in range(2, 11):
+        cases += [mixed_points(rng, n) for _ in range(3)]
+        cases += [random_prekite(rng, n).to_sdm() for _ in range(3)]
+        for family in ("orthocentric", "circumscriptible", "isodynamic", "tetra_isogonic"):
+            cases.append(matrix_from_beta(family, [F(rng.randint(4, 20), rng.randint(1, 3)) for _ in range(n + 1)]))
+    moves = []
+    real = linalg._symmetric_pivot
+
+    def spy(a, k):
+        moves.append(not any(a[i][i] for i in range(k, len(a))))  # an all-zero live diagonal: the congruence
+        return real(a, k)
+
+    monkeypatch.setattr(linalg, "_symmetric_pivot", spy)
+    seen = set()
+    for d in filter(None, cases):
+        g = cayley._gram_elimination(d)
+        a = cayley._scaled_gram(d._dist)
+        assert g.minors == linalg._bareiss(a, symmetric=True)[0]
+        assert g.verdict.gram_inertia == inertia(gram_matrix(d))
+        assert all(g.rows[k][k:d.n] == a[k][k:] for k in range(len(g.minors)))
+        seen.add(g.verdict.status)
+        if g.verdict.status is not Realizability.NONDEGENERATE:
+            with pytest.raises((DegenerateSimplexError, NonEuclideanError)):
+                circumradius_sq(d)
+            continue
+        diagonal = [2 * t for t in d._dist[0][1:]]
+        assert ([row[-1] for row in g.rows], g.corner) == carried_column(d, diagonal)
+        gram = gram_matrix(d)
+        g_diag = [gram[i][i] for i in range(d.n)]
+        assert circumradius_sq(d) == sum(map(mul, g_diag, solve_linear(gram, g_diag))) / 4
+    assert seen == set(Realizability) and any(moves)
 
 
 def test_certificate_catches_a_wrong_adjugate_column(monkeypatch):
@@ -262,16 +331,8 @@ def test_certificate_catches_a_wrong_adjugate_column(monkeypatch):
         facet_volumes_sq(d)
 
 
-def test_certificate_catches_a_wrong_circumcenter(monkeypatch):
-    real = cayley._sweep
-
-    def off_by_one(d, b):
-        swept, corner = real(d, b)
-        if sorted(b)[-2:] != [0, 1]:  # A's diagonal, not a unit vector e_j
-            swept[-1] += 1
-        return swept, corner
-
-    monkeypatch.setattr(cayley, "_sweep", off_by_one)
+def test_certificate_catches_a_wrong_circumcenter():
     d = PreKite(4, 1, (1, 1, 1, 2)).to_sdm()
+    cayley._gram_elimination(d).rows[-1][-1] += 1  # the last entry of the carried diagonal, after its corner
     with pytest.raises(RuntimeError, match="Cayley-Menger certificate"):
         circumcenter_barycentrics(d)

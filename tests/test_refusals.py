@@ -20,6 +20,7 @@ from simplexkite import (
     SquaredDistanceMatrix,
     apex_squared_ratio_window,
     equiareal_prekite_solve,
+    equiareal_scan,
     facet_circumradii_sq,
     facet_sdm,
     facet_volumes_sq,
@@ -30,13 +31,16 @@ from simplexkite import (
     matrix_from_beta,
     on_circumsphere_by_sums,
     parse_scalar,
+    pk_facet_cm,
     pompeiu_from_point,
     prekite_equiradial_residual,
     recover_circumscriptible,
     recover_tetra_isogonic,
     relation_residual_from_squares,
     solve_linear,
+    solve_missing_distance,
     solve_missing_distance_squares,
+    two_apexed,
     two_apexed_feasible,
     uniform_det,
     uniform_matrix,
@@ -68,6 +72,16 @@ CAYLEY = [
             "facets of a 1-simplex are single points"),
     refusal("facet_circumradii_sq segment", lambda: facet_circumradii_sq(SEGMENT), ValueError,
             "facets of a 1-simplex are single points"),
+    refusal("regular bool dimension", lambda: SquaredDistanceMatrix.regular(True), ValueError,
+            "dimension must be an integer, got True"),
+    refusal("regular float dimension", lambda: SquaredDistanceMatrix.regular(2.5), ValueError,
+            "dimension must be an integer, got 2.5"),
+    refusal("facet_sdm float index", lambda: facet_sdm(TRIANGLE, 1.0), ValueError,
+            "vertex index must be an integer, got 1.0"),
+    refusal("facet_sdm bool index", lambda: facet_sdm(TRIANGLE, True), ValueError,
+            "vertex index must be an integer, got True"),
+    refusal("permuted bool indices", lambda: TRIANGLE.permuted([True, False, 2]), ValueError,
+            "vertex index must be an integer, got True"),
 ]
 
 GEOMETRY = [
@@ -120,6 +134,20 @@ PREKITES = [
             "dimension must be an integer, got True"),
     refusal("PreKite.from_json text dimension", lambda: PreKite.from_json({"n": "3", "u": "1", "v": ["1", "1", "1"]}),
             ValueError, "dimension must be an integer, got '3'"),
+    refusal("apex_squared_ratio_window float dimension", lambda: apex_squared_ratio_window(2.5), ValueError,
+            "dimension must be an integer, got 2.5"),
+    refusal("two_apexed float dimension", lambda: two_apexed(3.0, 1, 2), ValueError,
+            "dimension must be an integer, got 3.0"),
+    refusal("two_apexed_feasible float dimension", lambda: two_apexed_feasible(3.0, 1, 2), ValueError,
+            "dimension must be an integer, got 3.0"),
+    refusal("equiareal_scan float dimension", lambda: equiareal_scan(6.0), ValueError,
+            "dimension must be an integer, got 6.0"),
+    refusal("equiareal_prekite_solve float split", lambda: equiareal_prekite_solve(6, 4.0, 2.0), ValueError,
+            "t must be an integer, got 4.0"),
+    refusal("pk_facet_cm float index", lambda: pk_facet_cm(PREKITE, 1.0), ValueError,
+            "facet index must be an integer, got 1.0"),
+    refusal("prekite_equiradial_residual float index", lambda: prekite_equiradial_residual(PREKITE, 1.0), ValueError,
+            "apex edge index must be an integer, got 1.0"),
     refusal("circumradius_sq_from_cm_dets zero determinant", lambda: circumradius_sq_from_cm_dets(0, 1), ValueError,
             "zero Cayley-Menger determinant: a degenerate simplex has no circumradius"),
 ]
@@ -168,6 +196,17 @@ RELATION = [
             "squared values must be nonnegative"),
     refusal("on_circumsphere_by_sums float negative sum", lambda: on_circumsphere_by_sums(2, 1.0, -2.0), ValueError,
             "squared values must be nonnegative"),
+    refusal("on_circumsphere_by_sums float dimension", lambda: on_circumsphere_by_sums(2.0, 1, 2), ValueError,
+            "dimension must be an integer, got 2.0"),
+    refusal("on_circumsphere_by_sums bool dimension", lambda: on_circumsphere_by_sums(True, 1, 2), ValueError,
+            "dimension must be an integer, got True"),
+    refusal("solve_missing_distance_squares bool dimension", lambda: solve_missing_distance_squares(True, 1, [1]),
+            ValueError, "dimension must be an integer, got True"),
+    refusal("relation_residual_from_squares float dimension",
+            lambda: relation_residual_from_squares(2.0, [1, 1, 1, 1]), ValueError,
+            "dimension must be an integer, got 2.0"),
+    refusal("solve_missing_distance float dimension", lambda: solve_missing_distance(2.0, 1, [1, 1]), ValueError,
+            "dimension must be an integer, got 2.0"),
     refusal("pompeiu_from_point three coordinates", lambda: pompeiu_from_point(1, (0.0, 0.0, 0.0)), ValueError,
             "expected a planar point"),
     refusal("pompeiu_from_point negative side", lambda: pompeiu_from_point(-1, (0.0, 0.0)), ValueError,
