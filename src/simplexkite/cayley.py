@@ -10,9 +10,11 @@ it.  Volume, circumradius, circumcenter, verdict and every facet's
 volume and circumradius all come from one integer symmetric elimination
 of the Gram matrix G of edge vectors (`_gram_elimination`).  A matrix
 keeps that elimination and the integers read off it for the
-circumsphere and the facets (`_facet_integers`), each filled on first
-use; it keeps no facet matrix and builds no Fraction to keep: each
-function builds only the Fractions of the value it returns.  The
+circumcenter (`_circumcenter_weights`) and for the facets
+(`_facet_dets`), each in its own slot filled on first use, so a caller
+of the circumcenter alone never pays for the facets; it keeps no facet
+matrix and builds no Fraction to keep: each function builds only the
+Fractions of the value it returns.  The
 elimination runs on [A | b], A = s*G the scaled integer Gram matrix and
 b its diagonal carried as one more column, which the symmetric kernel
 eliminates alongside and never pivots on.  Its pivot signs give the
@@ -38,10 +40,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, neg
-from typing import Iterable, NamedTuple
 
 from .exact import Record, _cleared, _integer, _wire, as_scalar
 from .linalg import ExactMatrix, _back_substitute, _bareiss, _signature, exact_determinant
@@ -87,7 +89,7 @@ class SquaredDistanceMatrix:
     integer form c*D, which it keeps with c for every exact step.
     """
 
-    __slots__ = ("n", "a", "_dist", "_den", "_gram", "_integers", "_floats")
+    __slots__ = ("n", "a", "_dist", "_den", "_gram", "_weights", "_dets", "_floats")
 
     def __init__(self, entries: Iterable[Iterable]):
         # a row of plain Fractions is kept as it is; only other rows go through as_scalar
@@ -110,7 +112,8 @@ class SquaredDistanceMatrix:
         self._dist = dist  # c*D, the distances cleared of their common denominator c
         self._den = scales[0]  # c
         self._gram = None  # the `_gram_elimination` result, filled on first use
-        self._integers = None  # the `_facet_integers` result, filled on first use
+        self._weights = None  # the `_circumcenter_weights` result, filled on first use
+        self._dets = None  # the `_facet_dets` result, filled on first use
         self._floats = None  # the `families._floats` result, filled on first use
 
     @classmethod
@@ -237,7 +240,7 @@ def circumcenter_barycentrics(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     Degenerate or non-Euclidean input raises with the verdict attached.
     """
     det = _gram_elimination(d).minors[-1]
-    return tuple(Fraction(w, 2 * det) for w in _facet_integers(d).weights)
+    return tuple(Fraction(w, 2 * det) for w in _circumcenter_weights(d))
 
 
 def gram_matrix(d: SquaredDistanceMatrix) -> ExactMatrix:
@@ -263,9 +266,11 @@ def _top_exponent(d: SquaredDistanceMatrix) -> int:
     return (top // g).bit_length() - (d._den // g).bit_length()
 
 
-class _Gram(NamedTuple):
+class _Gram(Record):
     """The integer symmetric elimination of [A | b], A = s*G and b its
     diagonal, kept on the matrix."""
+
+    __slots__ = ("rows", "minors", "scale", "verdict", "corner")
 
     rows: list[list[int]]  # [A | b] after `_bareiss`: the echelon rows in the upper triangle, b' in column n
     minors: list[int]  # the pivots, A's leading principal minors
@@ -385,32 +390,19 @@ def facet_sdm(d: SquaredDistanceMatrix, j: int) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix([[d.a[p][q] for q in keep] for p in keep])
 
 
-class _Integers(NamedTuple):
-    """The circumcenter and the facets as integers, kept on the matrix; the
-    corner and the carried diagonal they come from stay on the elimination."""
-
-    weights: tuple[int, ...]  # 2 det(A) w, w the circumcenter's barycentrics
-    dets: tuple[int, ...]  # det_k, facet k's Gram determinant scaled like A = s*G
-
-
-def _facet_integers(d: SquaredDistanceMatrix) -> _Integers:
-    """The integers every circumsphere and facet invariant is read from,
-    beside the corner the elimination keeps, computed once and kept on d.
+def _circumcenter_weights(d: SquaredDistanceMatrix) -> tuple[int, ...]:
+    """W = 2 det(A) w, w the circumcenter's barycentrics, computed once and
+    kept on d.
 
     Back substitution on the echelon rows of A with the carried diagonal b'
     (`_gram_elimination`) gives the integers det(A) G^-1 g = 2 det(A) x,
     and with them w = (1 - sum x, x), certified against the Cayley-Menger
     system: sum w = 1 holds by construction, and every entry of D w must
-    equal 2 R**2, read off the kept corner.  The facet determinants are
-    det_k = adj(A)[k-1][k-1] for k >= 1, the corners of all unit vectors
-    e_(k-1) in one batched pass (`_unit_sweeps`), and det_0 = 1^T adj(A) 1;
-    the summed adjugate column is certified, A adj(A) 1 = det(A) 1, in
-    O(n**2) integers.  Anything but nondegenerate input raises with the
-    verdict attached.
+    equal 2 R**2, read off the kept corner.  No facet is touched.  Anything
+    but nondegenerate input raises with the verdict attached.
     """
-    if d._integers is None:
+    if d._weights is None:
         require_nondegenerate(d)
-        top = d._dist[0]
         g = _gram_elimination(d)
         det = g.minors[-1]
         y = _back_substitute(g.rows, det, [row[-1] for row in g.rows])
@@ -418,15 +410,33 @@ def _facet_integers(d: SquaredDistanceMatrix) -> _Integers:
         # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
         if any(2 * sum(map(mul, row, weights)) != -g.corner for row in d._dist):
             raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
+        d._weights = weights
+    return d._weights
+
+
+def _facet_dets(d: SquaredDistanceMatrix) -> tuple[int, ...]:
+    """det_k, facet k's Gram determinant scaled like A = s*G, for k = 0..n,
+    computed once and kept on d.
+
+    det_k = adj(A)[k-1][k-1] for k >= 1, the corners of all unit vectors
+    e_(k-1) in one batched pass (`_unit_sweeps`), and det_0 = 1^T adj(A) 1;
+    the summed adjugate column is certified, A adj(A) 1 = det(A) 1, in
+    O(n**2) integers.  Anything but nondegenerate input raises with the
+    verdict attached.
+    """
+    if d._dets is None:
         units, corners = _unit_sweeps(d)
+        top = d._dist[0]
+        g = _gram_elimination(d)
+        det = g.minors[-1]
         y = _back_substitute(g.rows, det, list(map(sum, units)))  # adj(A) 1
         # A = s*G has entries t_i + t_j - (c D)_ij, with t the cleared distances from vertex 0
         total = sum(y)
         cross = sum(map(mul, top[1:], y))
         if any(t * total + cross - sum(map(mul, row[1:], y)) != det for t, row in zip(top[1:], d._dist[1:])):
             raise RuntimeError("facet determinants fail the adjugate certificate")
-        d._integers = _Integers(weights, (total, *map(neg, corners)))
-    return d._integers
+        d._dets = (total, *map(neg, corners))
+    return d._dets
 
 
 def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
@@ -434,14 +444,14 @@ def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
 
     For a nondegenerate simplex of dimension n >= 2 each is read off the
     kept facet Gram determinant det_k, scaled like A = s*G
-    (`_facet_integers`): V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  Flat
+    (`_facet_dets`): V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  Flat
     input has a singular Gram matrix, so each facet is eliminated on its
     own (`facet_sdm`, `volume_sq`); `facet_sdm` refuses a segment.
     """
     if d.n < 2 or is_realizable(d).status is not Realizability.NONDEGENERATE:
         return tuple(volume_sq(facet_sdm(d, j)) for j in range(d.n + 1))
     den = _gram_elimination(d).scale ** (d.n - 1) * math.factorial(d.n - 1) ** 2
-    return tuple(Fraction(k, den) for k in _facet_integers(d).dets)
+    return tuple(Fraction(k, den) for k in _facet_dets(d))
 
 
 def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
@@ -452,14 +462,15 @@ def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     w_k h_k from facet k's hyperplane and projects onto the facet's
     circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 = R**2 -
     w_k**2 det(A) / (s det_k), read off the kept integers
-    (`_facet_integers`) and the kept corner as (-corner det_k - W_k**2) /
-    (4 s det(A) det_k), W = 2 det(A) w.  Flat input has no circumsphere, so each facet is
-    eliminated on its own (`facet_sdm`, `circumradius_sq`), and a
-    degenerate facet raises; `facet_sdm` refuses a segment.
+    (`_circumcenter_weights`, `_facet_dets`) and the kept corner as
+    (-corner det_k - W_k**2) / (4 s det(A) det_k), W = 2 det(A) w.  Flat
+    input has no circumsphere, so each facet is eliminated on its own
+    (`facet_sdm`, `circumradius_sq`), and a degenerate facet raises;
+    `facet_sdm` refuses a segment.
     """
     if d.n < 2 or is_realizable(d).status is not Realizability.NONDEGENERATE:
         return tuple(circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1))
-    weights, dets = _facet_integers(d)
+    weights, dets = _circumcenter_weights(d), _facet_dets(d)
     g = _gram_elimination(d)
     den = 4 * g.scale * g.minors[-1]  # 4 s det(A)
     return tuple(Fraction(-g.corner * k - w * w, den * k) for w, k in zip(weights, dets))

@@ -7,15 +7,11 @@ circumcenter = incenter to equal facet circumradii together with an
 interior circumcenter.  Fermat-Torricelli coincidences have no exact
 characterization here and are reported only as float experiments.
 
-A general simplex's facet determinants come from its Gram elimination
-(`cayley._facet_integers`).  A pre-kite's need no matrix: with lambda =
-diag - off and mu = diag + (m-1)*off, det [[C, T], [L^T, U]] of an m x m
-uniform block U with k border rows and columns is lambda**(m-k-1) *
-det [[lambda*C - T L^T, -T 1], [off * (L 1)^T, mu]], whose k = 0, 1 and
-2 instances are the uniform, the inner Cayley-Menger and the
-Cayley-Menger determinant.  So the equal-facet-volume pre-kite solver,
-`equiareal_scan` and `prekite_equiradial_residual` live in `prekite`,
-with that form, and this module does not import it.
+A general simplex's facet determinants and circumcenter weights come
+from its Gram elimination (`cayley._facet_dets`,
+`cayley._circumcenter_weights`).  The pre-kite solver, `equiareal_scan`
+and `prekite_equiradial_residual` live in `prekite`, with its closed
+forms, and this module does not import it.
 """
 
 from __future__ import annotations
@@ -26,7 +22,8 @@ from .cayley import (
     NonEuclideanError,
     Realizability,
     SquaredDistanceMatrix,
-    _facet_integers,
+    _circumcenter_weights,
+    _facet_dets,
     _gram_elimination,
     facet_circumradii_sq,
     facet_volumes_sq,
@@ -40,7 +37,7 @@ from .geometry import TOL_CENTER, center_set, embed
 def _check_predicate_input(d: SquaredDistanceMatrix) -> bool:
     """Refuse n < 2, and non-Euclidean distances with the verdict; flat input
     passes.  Whether d is nondegenerate, so its facets' integers
-    (`_facet_integers`) exist."""
+    (`_facet_dets`, `_circumcenter_weights`) exist."""
     if d.n < 2:
         raise ValueError("predicate needs n >= 2")
     verdict = is_realizable(d)
@@ -67,7 +64,7 @@ def is_equiareal(d: SquaredDistanceMatrix) -> bool:
     A nondegenerate simplex compares its facet determinants det_k, which
     share one denominator; flat input compares `facet_volumes_sq`.
     """
-    vols = _facet_integers(d).dets if _check_predicate_input(d) else facet_volumes_sq(d)
+    vols = _facet_dets(d) if _check_predicate_input(d) else facet_volumes_sq(d)
     return vols.count(vols[0]) == len(vols)
 
 
@@ -84,7 +81,7 @@ def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     if not _check_predicate_input(d):
         radii = facet_circumradii_sq(d)
         return all(r == radii[0] for r in radii)
-    weights, dets = _facet_integers(d)
+    weights, dets = _circumcenter_weights(d), _facet_dets(d)
     corner = _gram_elimination(d).corner
     first = -corner * dets[0] - weights[0] ** 2
     return all((-corner * k - w * w) * dets[0] == first * k for w, k in zip(weights, dets))
@@ -92,10 +89,10 @@ def is_equiradial(d: SquaredDistanceMatrix) -> bool:
 
 def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
     """Whether the circumcenter lies strictly inside the simplex: whether
-    its barycentrics times 2 det(A) > 0, as `_facet_integers` keeps them,
+    its barycentrics times 2 det(A) > 0, as `_circumcenter_weights` keeps them,
     are all positive.  Degenerate or non-Euclidean input raises with the
     verdict attached."""
-    return min(_facet_integers(d).weights) > 0
+    return min(_circumcenter_weights(d)) > 0
 
 
 class CoincidenceReport(Record, defaults=(None, None)):

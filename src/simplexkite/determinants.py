@@ -68,12 +68,7 @@ class BorderedUniform(Record):
         top = tuple(as_scalar(y) for y in top)
         if len(left) != n or len(top) != n:
             raise ValueError("border vectors must have exactly n entries")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "corner", as_scalar(corner))
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "off", as_scalar(off))
-        object.__setattr__(self, "diag", as_scalar(diag))
+        self._fill(n, as_scalar(corner), left, top, as_scalar(off), as_scalar(diag))
 
     def matrix(self) -> ExactMatrix:
         """Assemble the full (n+1) x (n+1) matrix."""

@@ -1,4 +1,4 @@
-"""Exact rational scalars, the frozen record and the wire form.
+"""Exact rational scalars, the frozen record, the wire form and the cofactor expansion.
 
 Everything here is exact; no floating point is ever involved.  A scalar
 is a `Fraction`, read from and written as the wire text "p/q"
@@ -6,10 +6,14 @@ is a `Fraction`, read from and written as the wire text "p/q"
 integer rows over their denominators, the form every exact computation
 of the package works on.
 
-`Record`, the frozen base of the package's result classes, lives here
-too, since every module that defines one imports this module, and so
-do `_positive_tol`, the one check of a float tolerance, and `_integer`,
-the one check of an order or dimension.
+Every module of the package imports this one, so each job that several
+of them share has its one owner here: `Record`, the frozen base of the
+result classes, whose `_fill` sets the fields wherever a class writes
+its own `__init__`; `_positive_tol`, the one check of a float
+tolerance; `_integer`, the one check of an order or dimension; and
+`_det`, the one cofactor expansion, which evaluates the small corner
+determinant of `prekite`'s closed forms and is, on a matrix's rows,
+`linalg.determinant_by_cofactors`, the oracle of the elimination.
 
 The elimination kernel (`ExactMatrix`, the determinants, `inertia`,
 `solve_linear`) lives in `linalg`, which only the modules that
@@ -37,10 +41,11 @@ class Record:
     A subclass gets an `__init__` taking its fields in order, generated
     once when the class is made; `defaults` in the class statement gives
     the last fields defaults, as `collections.namedtuple` does.  A subclass
-    may write its own `__init__`, which sets the fields with
-    `object.__setattr__`.  Records compare equal, and hash, by type and
-    fields, repr as `Name(field=value, ...)`, refuse assignment, and
-    pickle and copy: what `dataclass(frozen=True)` gives, without
+    may write its own `__init__`, which checks its arguments and passes
+    the fields in order to `_fill`, the one loop that sets them with
+    `object.__setattr__`, as unpickling does.  Records compare equal, and
+    hash, by type and fields, repr as `Name(field=value, ...)`, refuse
+    assignment, and pickle and copy: what `dataclass(frozen=True)` gives, without
     importing `dataclasses`, whose import of `inspect` and its
     dependencies would slow the start of every process.  `to_json`
     writes each field under its name, in the wire form of `_wire`.
@@ -60,6 +65,10 @@ class Record:
             init.__defaults__ = tuple(defaults) or None
             init.__qualname__ = cls.__qualname__ + ".__init__"
             cls.__init__ = init
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -86,8 +95,7 @@ class Record:
         return self._values()
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        self._fill(*state)
 
     def to_json(self) -> dict:
         return {name: _wire(getattr(self, name)) for name in self.__slots__}
@@ -179,6 +187,19 @@ def _cleared(rows, common: bool = False):
     else:
         scales = [math.lcm(*[q for _, q in row]) for row in ratios]
     return [[p * (s // q) for p, q in row] for row, s in zip(ratios, scales)], scales
+
+
+def _det(rows):
+    """Determinant of a small square matrix of ints or Fractions, by
+    expansion along its first row, skipping its zero entries; 1 for the
+    empty matrix.  Exponential in the order: it serves the (k+1) x (k+1)
+    corner of `prekite._bordered_uniform`, which would otherwise load the
+    elimination into every pre-kite command, and the brute-force oracle
+    `linalg.determinant_by_cofactors`."""
+    if len(rows) <= 1:
+        return rows[0][0] if rows else 1
+    return sum((-x if j % 2 else x) * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
 
 
 _KERNEL = ("ExactMatrix", "SingularMatrixError", "determinant_by_cofactors", "exact_determinant", "inertia", "solve_linear")

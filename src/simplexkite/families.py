@@ -20,11 +20,8 @@ point with a relative tolerance, on the matrix scaled by a power of four
 `classify` also takes the apex census (`find_apexes`): which vertices
 face a regular facet, that is, which vertices make the simplex a
 pre-kite.  It compares integers only and needs no determinant; the
-pre-kite closed forms, lambda**(m-k-1) * det [[lambda*C - T L^T, -T 1],
-[off * (L 1)^T, mu]] for an m x m uniform block with k border rows and
-columns (k = 0 the uniform determinant, k = 1 the inner Cayley-Menger
-determinant, k = 2 the Cayley-Menger determinant), stay in `prekite`,
-which this module does not import.
+pre-kite closed forms stay in `prekite`, which this module does not
+import.
 """
 
 from __future__ import annotations

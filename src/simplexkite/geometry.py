@@ -27,7 +27,8 @@ from operator import add, mul, sub, truediv
 
 from .cayley import (
     SquaredDistanceMatrix,
-    _facet_integers,
+    _circumcenter_weights,
+    _facet_dets,
     _gram_elimination,
     _top_exponent,
     require_nondegenerate,
@@ -138,11 +139,11 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     the Gram elimination carries s g, A's diagonal, as its last column, to
     L^-1 (s g) times the leading minors, so y_k = b'_k / (2 minors[k]),
     one correctly rounded division, once the circumcenter has passed its
-    Cayley-Menger certificate (`_facet_integers`).  A far circumcenter has
+    Cayley-Menger certificate (`_circumcenter_weights`).  A far circumcenter has
     huge barycentrics x, whose float image through the vertices would
     cancel; y does not.
     """
-    _facet_integers(s.source)
+    _circumcenter_weights(s.source)
     g = _gram_elimination(s.source)
     ys = [row[-1] / (2 * m) for row, m in zip(g.rows, g.minors)]
     center = tuple(y * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
@@ -153,7 +154,7 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Facet-volume-weighted vertex average and the inradius n V / sum F_j.
 
     The weights F_j / sum F leave exact arithmetic as square roots of the
-    ratios F_j**2 / max F**2 = det_k / max det (`_facet_integers`), each one
+    ratios F_j**2 / max F**2 = det_k / max det (`_facet_dets`), each one
     correctly rounded division of integers, so the facet volumes
     themselves never need to fit a float.  So is (V / max F)**2 =
     det(A) / (s n**2 max det), A = s*G the scaled Gram matrix.  The
@@ -163,7 +164,7 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """
     if s.n == 1:
         return centroid(s), math.dist(*s.vertices) / 2.0
-    dets = _facet_integers(s.source).dets
+    dets = _facet_dets(s.source)
     largest = max(dets)
     roots = [math.sqrt(k / largest) for k in dets]
     total = sum(roots)

@@ -10,8 +10,10 @@ Each pass takes two pivots, k and k+1, from Sylvester's identity on the
 entry below is visited once per two steps; a pass takes one pivot when
 fewer than three rows remain or pivot k+1 would be zero.  The minors,
 the sign and the echelon rows left behind (on and right of the
-diagonal) are those of one pivot per step.  The cofactor determinant is
-kept as an independent oracle for it and for every closed form.
+diagonal) are those of one pivot per step.  The cofactor determinant,
+`exact._det` on the matrix's rows (the package's one cofactor
+expansion), is kept as an independent oracle for it and for every
+closed form.
 
 Only `cayley` and `determinants` import this module; `exact` hands out
 its public names on first access, so a process whose command needs no
@@ -21,11 +23,11 @@ elimination neither imports nor compiles it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
 
-from .exact import _cleared, as_scalar
+from .exact import _cleared, _det, _integer, as_scalar
 
 
 class SingularMatrixError(ValueError):
@@ -47,6 +49,8 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, order: int) -> "ExactMatrix":
+        if _integer(order, "order") < 0:
+            raise ValueError("order must be nonnegative, got %r" % order)
         return cls([[1 if i == j else 0 for j in range(order)] for i in range(order)])
 
     def __getitem__(self, i: int):
@@ -184,30 +188,12 @@ def exact_determinant(m: ExactMatrix) -> Fraction:
 
 
 def determinant_by_cofactors(m: ExactMatrix) -> Fraction:
-    """Exact determinant by first-row cofactor expansion.
+    """Exact determinant by first-row cofactor expansion (`exact._det`).
 
     Exponential in the order; meant as an independent brute-force oracle
     for small matrices, not for production-size work.
     """
-    return _cofactor(m.rows)
-
-
-def _cofactor(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    for j, entry in enumerate(rows[0]):
-        if entry == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-        term = entry * _cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    return Fraction(_det(m.rows))
 
 
 def inertia(m: ExactMatrix) -> tuple[int, int, int]:

@@ -14,7 +14,10 @@ columns L, with a k x k corner C, has
                                                     [off * (L 1)^T,    mu  ]]
 
 with lambda = diag - off and mu = diag + (m-1)*off, which needs only
-the corner, the products T L^T and the sums T 1 and L 1.  At k = 0 it is
+the corner, the products T L^T and the sums T 1 and L 1; the (k+1) x
+(k+1) determinant on the right is expanded by cofactors with
+`exact._det`, the package's one expansion, so no pre-kite command loads
+the elimination kernel of `linalg`.  At k = 0 it is
 the uniform determinant mu * lambda**(m-1); k = 1 is the bordered
 uniform determinant and the inner Cayley-Menger determinant of
 PK[n; u; v] (corner 0, border v, off = u, diag = 0); k = 2 is its
@@ -41,19 +44,9 @@ from fractions import Fraction
 
 import simplexkite as sk
 
-from .exact import Record, _cleared, _integer, as_scalar
+from .exact import Record, _cleared, _det, _integer, as_scalar
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
-
-
-def _det(rows):
-    """Determinant of a small square matrix, by expansion along its first
-    row: N of `_bordered_uniform` is (k+1) x (k+1), and `linalg`'s kernel
-    would load the elimination into every pre-kite command."""
-    if len(rows) == 1:
-        return rows[0][0]
-    terms = [x * _det([row[:j] + row[j + 1:] for row in rows[1:]]) for j, x in enumerate(rows[0])]
-    return sum(terms[2::2], terms[0]) - sum(terms[3::2], terms[1])
 
 
 def _bordered_uniform(corner, cross, top, left, m: int, off, diag) -> Fraction:
@@ -105,9 +98,7 @@ class PreKite(Record):
             raise ValueError("squared edge parameters must be positive")
         if len(v) != n:
             raise ValueError("expected exactly n apex edge parameters")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        self._fill(n, u, v)
 
     @property
     def sum1(self) -> Fraction:

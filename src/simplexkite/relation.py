@@ -123,9 +123,7 @@ class DistanceTuple(Record):
             raise ValueError("edge length must be positive")
         if any(x < 0 for x in t):
             raise ValueError("distances must be nonnegative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "t", t)
+        self._fill(n, t0, t)
 
 
 def _residual(n: int, squares, den, exact):

@@ -19,16 +19,19 @@ from simplexkite import (
     PreKite,
     Realizability,
     SquaredDistanceMatrix,
+    circumcenter,
     circumcenter_barycentrics,
     circumradius_sq,
     classify,
     coincidence_report,
+    embed,
     equiareal_prekite_solve,
     facet_circumradii_sq,
     facet_sdm,
     facet_volumes_sq,
     gram_matrix,
     inertia,
+    is_circumcenter_interior,
     is_equiareal,
     is_equiradial,
     is_realizable,
@@ -336,3 +339,23 @@ def test_certificate_catches_a_wrong_circumcenter():
     cayley._gram_elimination(d).rows[-1][-1] += 1  # the last entry of the carried diagonal, after its corner
     with pytest.raises(RuntimeError, match="Cayley-Menger certificate"):
         circumcenter_barycentrics(d)
+
+
+def test_circumcenter_readers_run_no_facet_pass(monkeypatch):
+    # the circumcenter's weights are kept apart from the facet determinants,
+    # so a caller of the circumcenter alone never sweeps the unit vectors
+    passes = []
+    real = cayley._unit_sweeps
+    monkeypatch.setattr(cayley, "_unit_sweeps", lambda d: passes.append(d) or real(d))
+    rng = random.Random(76)
+    for n in range(2, 9):
+        for d in (random_realizable_prekite(rng, n).to_sdm(), mixed_points(rng, n)):
+            if not nondegenerate(d):
+                continue
+            w = circumcenter_barycentrics(d)
+            assert is_circumcenter_interior(d) == (min(w) > 0)
+            circumcenter(embed(d))
+            assert passes == []
+            facet_volumes_sq(d)
+            assert passes == [d]
+            passes.clear()

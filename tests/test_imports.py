@@ -69,6 +69,14 @@ CLI = {"simplexkite", "simplexkite.exact", "simplexkite.cli"}
 FLOATS = CLI | {"simplexkite.cayley", "simplexkite.linalg", "simplexkite.geometry"}
 MATRIX = "@matrix"
 
+
+def with_matrix(tmp_path, argv):
+    """argv with each MATRIX placeholder replaced by a file holding the regular tetrahedron."""
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(SquaredDistanceMatrix.regular(3).to_json()))
+    return [str(path) if a == MATRIX else a for a in argv]
+
+
 FOOTPRINTS = [
     pytest.param(["prekite-eval", "4", "1", "1", "1", "1", "2"], CLI | {"simplexkite.prekite"}, id="prekite-eval"),
     # every facet at n = 2 is a segment: m = 1 and mu = 0 in the bordered form, still with no kernel
@@ -100,9 +108,7 @@ def test_import_footprint(script, loaded):
 
 @pytest.mark.parametrize("argv, loaded", FOOTPRINTS)
 def test_command_footprint(tmp_path, argv, loaded):
-    path = tmp_path / "matrix.json"
-    path.write_text(json.dumps(SquaredDistanceMatrix.regular(3).to_json()))
-    proc = fresh(RUN_CLI, *[str(path) if a == MATRIX else a for a in argv])
+    proc = fresh(RUN_CLI, *with_matrix(tmp_path, argv))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     found = set(json.loads(proc.stderr.splitlines()[-1]))
@@ -178,22 +184,17 @@ def test_no_process_loads_dataclasses_or_inspect(tmp_path, argv):
     if argv[0].startswith("import "):
         proc = fresh("import json, sys\n%s\n%s" % (argv[0], ABSENT))
     else:
-        path = tmp_path / "matrix.json"
-        path.write_text(json.dumps(SquaredDistanceMatrix.regular(3).to_json()))
-        proc = fresh(RUN_CLI.replace(LOADED, ABSENT), *[str(path) if a == MATRIX else a for a in argv])
+        proc = fresh(RUN_CLI.replace(LOADED, ABSENT), *with_matrix(tmp_path, argv))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == []
 
 
-CHEAP = [p for p in FOOTPRINTS if "simplexkite.cayley" not in p.values[1]]
-
-
-@pytest.mark.parametrize("argv", [p.values[0] for p in CHEAP], ids=[p.id for p in CHEAP])
-def test_cheap_commands_load_no_typing_without_the_site_hooks(argv):
+@pytest.mark.parametrize("argv", [p.values[0] for p in FOOTPRINTS], ids=[p.id for p in FOOTPRINTS])
+def test_no_command_loads_typing_without_the_site_hooks(tmp_path, argv):
     # a site-packages hook may import `typing` into every process, so -S leaves only what the command loads
     script = RUN_CLI.replace(LOADED, "print(json.dumps('typing' in sys.modules), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *with_matrix(tmp_path, argv)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert json.loads(proc.stderr.splitlines()[-1]) is False

@@ -161,6 +161,9 @@ EXACT = [
     refusal("parse_scalar non-string", lambda: parse_scalar(3), ValueError, "scalar text must be a string, got 3"),
     refusal("solve_linear short right-hand side", lambda: solve_linear(ExactMatrix([[1, 0], [0, 1]]), [1]), ValueError,
             "right-hand side length does not match matrix order"),
+    refusal("identity bool order", lambda: ExactMatrix.identity(True), ValueError, "order must be an integer, got True"),
+    refusal("identity float order", lambda: ExactMatrix.identity(2.0), ValueError, "order must be an integer, got 2.0"),
+    refusal("identity negative order", lambda: ExactMatrix.identity(-2), ValueError, "order must be nonnegative, got -2"),
 ]
 
 DETERMINANTS = [
