@@ -80,7 +80,6 @@ _EXPORTS = {
         "fermat_torricelli",
         "incenter",
         "sum_distances",
-        "sum_sq_to_vertices",
     ),
     "centers": (
         "CoincidenceReport",

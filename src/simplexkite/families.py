@@ -260,7 +260,7 @@ class ApexReport(Record):
         }
 
 
-def find_apexes(d: sk.SquaredDistanceMatrix) -> ApexReport:
+def find_apexes(d: SquaredDistanceMatrix) -> ApexReport:
     """Enumerate apexes: vertices whose opposite facet has all edges equal.
 
     The kite flag is set when some apex has all of its own edges equal

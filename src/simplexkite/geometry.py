@@ -12,6 +12,10 @@ circumcenter's coordinates in the embedding frame are exact rationals
 times the frame's scales.  The centroid is the vertex mean, and the
 Fermat-Torricelli point is found by re-weighted averaging.
 
+Every float sum is `math.fsum`, which is correctly rounded, so each
+float output is the same on every supported Python; the builtin `sum`,
+compensated only from Python 3.12 on, is not used here.
+
 Default tolerances are generous for double precision at desk scale:
 embedding round-trip 1e-9 relative, center checks 1e-8, and a 1e-10
 gradient norm for the Fermat-Torricelli iteration.  A tolerance that is
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import chain, repeat
+from math import fsum
 from operator import add, mul, sub, truediv
 
 from .cayley import (
@@ -75,7 +80,7 @@ class EmbeddedSimplex:
         for i, p in enumerate(scaled):
             for q, want in zip(heads[i + 1:], map(truediv, dist[i][i + 1:], repeat(den))):
                 diff = list(map(sub, p, q))
-                rel = abs(sum(map(mul, diff, diff)) - want) / want
+                rel = abs(fsum(map(mul, diff, diff)) - want) / want
                 if rel > err:
                     err = rel
         if err > tol:
@@ -127,7 +132,7 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
 
 def centroid(s: EmbeddedSimplex) -> Point:
     """Arithmetic mean of the vertices."""
-    return tuple(map(truediv, map(sum, zip(*s.vertices)), repeat(len(s.vertices))))
+    return tuple(map(truediv, map(fsum, zip(*s.vertices)), repeat(len(s.vertices))))
 
 
 def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
@@ -167,18 +172,18 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     dets = _facet_dets(s.source)
     largest = max(dets)
     roots = [math.sqrt(k / largest) for k in dets]
-    total = sum(roots)
+    total = fsum(roots)
     weights = [r / total for r in roots]
     if not all(0.0 < w < math.inf for w in weights):
         raise RuntimeError("incenter weights are not all positive finite floats")
     g = _gram_elimination(s.source)
     radius = s.n * math.sqrt(g.minors[-1] / (g.scale * s.n**2 * largest)) / total
-    return tuple(sum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
+    return tuple(fsum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
 
 
 def sum_distances(s: EmbeddedSimplex, point) -> float:
     """Sum of distances from a point to all vertices."""
-    return sum(math.dist(v, point) for v in s.vertices)
+    return fsum(math.dist(v, point) for v in s.vertices)
 
 
 def _units(x, cols, dists) -> list[list[float]]:
@@ -189,7 +194,7 @@ def _units(x, cols, dists) -> list[list[float]]:
 
 def _pull(x, cols, dists) -> list[float]:
     """Sum of the unit vectors from x towards the points (`_units`)."""
-    return list(map(sum, _units(x, cols, dists)))
+    return list(map(fsum, _units(x, cols, dists)))
 
 
 def _jump_change(jump, step, units, dists, ydists, newdists) -> float:
@@ -199,8 +204,8 @@ def _jump_change(jump, step, units, dists, ydists, newdists) -> float:
     (|p - y|**2 - |p - new|**2) / (|p - y| + |p - new|), whose numerator is
     jump.(jump + 2 step) - 2 |p - x| jump.u_p, as p - new = |p - x| u_p - step,
     so it does not cancel next to a vertex."""
-    lead = sum(map(mul, jump, map(add, jump, map(add, step, step))))
-    return sum((lead - 2.0 * r * sum(map(mul, jump, u))) / (q + t)
+    lead = fsum(map(mul, jump, map(add, jump, map(add, step, step))))
+    return fsum((lead - 2.0 * r * fsum(map(mul, jump, u))) / (q + t)
                for r, u, q, t in zip(dists, zip(*units), ydists, newdists))
 
 
@@ -240,9 +245,9 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
     table = [[math.dist(p, q) for q in pts] for p in pts]
     x = centroid(s)
     dists = [math.dist(p, x) for p in pts]
-    bound = (1.0 + 1e-9) * sum(dists)
+    bound = (1.0 + 1e-9) * fsum(dists)
     for k, row in enumerate(table):
-        if sum(row) <= bound and _vertex_pull(pts, k, row)[0] <= 1.0 + 1e-12:
+        if fsum(row) <= bound and _vertex_pull(pts, k, row)[0] <= 1.0 + 1e-12:
             return pts[k]
     vertex_snap = 1e-12 * max(map(max, table))
     cols = list(zip(*pts))
@@ -252,20 +257,20 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
         if near <= vertex_snap:
             k = dists.index(near)
             pull_norm, pull = _vertex_pull(pts, k, table[k])
-            inv = sum(1.0 / r for i, r in enumerate(table[k]) if i != k)
+            inv = fsum(1.0 / r for i, r in enumerate(table[k]) if i != k)
             off = (pull_norm - 1.0) / inv
             x = tuple(a + off * (c / pull_norm) for a, c in zip(pts[k], pull))
             dists, step = [math.dist(p, x) for p in pts], ()
             continue
         units = _units(x, cols, dists)
-        pull = list(map(sum, units))  # the objective's gradient, negated
+        pull = list(map(fsum, units))  # the objective's gradient, negated
         if math.hypot(*pull) <= tol:
             return x
-        total = sum(1.0 / r for r in dists)
+        total = fsum(1.0 / r for r in dists)
         last, step = step, [c / total for c in pull]
         new = tuple(map(add, x, step))
         newdists = [math.dist(p, new) for p in pts]
-        along, norm = sum(map(mul, step, last)), sum(map(mul, last, last))
+        along, norm = fsum(map(mul, step, last)), fsum(map(mul, last, last))
         if 0.0 < along < norm:
             # steps that keep shrinking by the ratio along / norm sum to this jump more
             jump = [b * (along / (norm - along)) for b in step]
@@ -279,32 +284,6 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
         "Fermat-Torricelli iteration did not reach gradient norm %.1e in %d steps"
         % (tol, FT_MAX_ITER)
     )
-
-
-class SumSquaresReport(Record):
-    """Observed sum of squared vertex distances and its closed-form prediction."""
-
-    __slots__ = ("total", "predicted")
-
-    total: float
-    predicted: float
-
-
-def sum_sq_to_vertices(s: EmbeddedSimplex, point) -> SumSquaresReport:
-    """Sum of squared distances from a point to the vertices of a REGULAR simplex.
-
-    Also reports the prediction (n+1)*(rho**2 + R**2), where rho is the
-    distance from the point to the center; the two agree for any point
-    in the affine hull.  Non-regular input is rejected.
-    """
-    if not s.source.is_regular():
-        raise ValueError("sum-of-squares prediction only holds for regular simplices")
-    p = tuple(float(x) for x in point)
-    total = sum((a - b) * (a - b) for v in s.vertices for a, b in zip(v, p))
-    center, radius = circumcenter(s)
-    rho = math.dist(p, center)
-    predicted = (s.n + 1) * (rho**2 + radius**2)
-    return SumSquaresReport(total=total, predicted=predicted)
 
 
 class CenterSet(Record):

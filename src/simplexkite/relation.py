@@ -318,9 +318,12 @@ def pompeiu_classify(a, x, y, z, tol: float = _POMPEIU_TOL) -> str:
 def equilateral_vertices(a) -> tuple[tuple[float, float], ...]:
     """Vertices of the side-a equilateral triangle centered at the origin.
 
-    The side is read as one float (`_checked`, `_float`): NaN, infinity and
-    a nonzero side outside the normal float range raise ValueError."""
+    The side is read as one float (`_checked`, `_float`): NaN, infinity, a
+    nonzero side outside the normal float range and a side that is not
+    positive raise ValueError."""
     side = _float(_checked(a))
+    if side <= 0.0:
+        raise ValueError("side must be positive")
     r = side / math.sqrt(3.0)
     return ((0.0, r), (-side / 2.0, -r / 2.0), (side / 2.0, -r / 2.0))
 

@@ -7,21 +7,26 @@ must hold, on clouds, exterior circumcenters, vertex Fermat points,
 family members and equiareal pre-kites, n = 1..12.  On the same cases
 the circumcenter, the incenter and inradius and the embedding error must
 equal, bit for bit, `float()` of the exact rationals they come from,
-taken through the public Fraction API.
+taken through the public Fraction API.  Every float sum in the package
+is `math.fsum`, so the same holds on every supported Python.
 """
 
+import ast
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 import float_oracle
+import simplexkite.geometry as geometry
 from simplexkite import (
     PreKite,
     Realizability,
     SquaredDistanceMatrix,
+    center_set,
     centroid,
     circumcenter,
     circumcenter_barycentrics,
@@ -33,6 +38,7 @@ from simplexkite import (
     incenter,
     is_realizable,
     matrix_from_beta,
+    sum_distances,
     volume_sq,
 )
 
@@ -144,23 +150,24 @@ def reference_circumcenter(s):
 
 
 def reference_incenter(s):
-    """The weights sqrt(float(F_j**2 / max F**2)) over their sum, and the
-    inradius n sqrt(float(V**2 / max F**2)) over the same sum."""
+    """The weights sqrt(float(F_j**2 / max F**2)) over their correctly rounded
+    sum, and the inradius n sqrt(float(V**2 / max F**2)) over the same sum."""
     volumes = facet_volumes_sq(s.source)
     largest = max(volumes)
     roots = [math.sqrt(float(v / largest)) for v in volumes]
-    total = sum(roots)
+    total = math.fsum(roots)
     weights = [r / total for r in roots]
-    point = tuple(sum(w * c for w, c in zip(weights, col)) for col in zip(*s.vertices))
+    point = tuple(math.fsum(w * c for w, c in zip(weights, col)) for col in zip(*s.vertices))
     return point, s.n * math.sqrt(float(volume_sq(s.source) / largest)) / total
 
 
 def reference_error(s):
-    """Largest relative error of the float squared distances against float(Fraction)
-    of the exact ones (desk-scale input, so no power-of-two scaling)."""
+    """Largest relative error of the float squared distances, each a correctly
+    rounded sum, against float(Fraction) of the exact ones (desk-scale input,
+    so no power-of-two scaling)."""
     err = 0.0
     for i, j in combinations(range(s.n + 1), 2):
-        have = sum((a - b) * (a - b) for a, b in zip(s.vertices[i], s.vertices[j]))
+        have = math.fsum((a - b) * (a - b) for a, b in zip(s.vertices[i], s.vertices[j]))
         want = float(s.source.a[i][j])
         err = max(err, abs(have - want) / want)
     return err
@@ -173,3 +180,31 @@ def test_floats_are_bit_identical_to_float_of_the_exact_values():
         if d.n > 1:
             assert incenter(s) == reference_incenter(s)
         assert s.max_rel_error == reference_error(s)
+
+
+def test_no_float_sum_is_the_builtin(monkeypatch):
+    # the builtin `sum` is compensated only from Python 3.12 on, so one call of it would
+    # give a float output that depends on the version; a module global shadows the builtin
+    def refuse(*args):
+        raise AssertionError("builtin sum called in the float layer")
+
+    jumps = []
+    jump_change = geometry._jump_change
+
+    def counted_jump_change(*args):
+        jumps.append(args)
+        return jump_change(*args)
+
+    monkeypatch.setattr(geometry, "sum", refuse, raising=False)
+    monkeypatch.setattr(geometry, "_jump_change", counted_jump_change)
+    # next to vertex 0, where the averaging extends its steps by their geometric series
+    near = SquaredDistanceMatrix([[0, 1, 1], [1, 0, 3 - F(1, 10**9)], [1, 3 - F(1, 10**9), 0]])
+    for d in corpus() + [near]:
+        s = embed(d)
+        center_set(s)
+        incenter(s)
+        sum_distances(s, fermat_torricelli(s))
+    assert jumps
+    # and in the source, for the vertex step-off, which none of these inputs reaches
+    tree = ast.parse(Path(geometry.__file__).read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "sum"]

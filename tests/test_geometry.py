@@ -22,7 +22,6 @@ from simplexkite import (
     incenter,
     is_realizable,
     sum_distances,
-    sum_sq_to_vertices,
 )
 import simplexkite.geometry as geometry
 from simplexkite.geometry import _jump_change, _pull, _units
@@ -31,13 +30,6 @@ from conftest import random_point_sdm
 
 def sdm_triangle(x, y, z):
     return SquaredDistanceMatrix([[0, x, y], [x, 0, z], [y, z, 0]])
-
-
-def hull_point(rng, s):
-    """Random affine combination of the vertices (possibly outside the hull)."""
-    w = np.array([rng.uniform(-1.0, 2.0) for _ in range(s.n + 1)])
-    w /= w.sum()
-    return (w[:, None] * s.vertices).sum(axis=0)
 
 
 class TestEmbed:
@@ -280,47 +272,12 @@ class TestFermatNextToAVertex:
         assert gradient_norm(s, f) <= 1e-10
 
 
-class TestSumSquares:
-    def test_center_value(self):
-        for n in (2, 3, 5):
-            s = embed(SquaredDistanceMatrix.regular(n))
-            c, r = circumcenter(s)
-            rep = sum_sq_to_vertices(s, c)
-            assert rep.total == pytest.approx((n + 1) * r * r, rel=1e-10)
-            assert rep.total == pytest.approx(rep.predicted, rel=1e-10)
-
-    def test_circumsphere_value_and_vertex(self):
-        rng = random.Random(71)
-        for n in (2, 3, 4):
-            s = embed(SquaredDistanceMatrix.regular(n))
-            c, r = circumcenter(s)
-            direction = np.array([rng.gauss(0, 1) for _ in range(n)])
-            direction /= np.linalg.norm(direction)
-            p = c + r * direction
-            rep = sum_sq_to_vertices(s, p)
-            assert rep.total == pytest.approx(n * 1.0, rel=1e-9)  # n * u**2 with u = 1
-            rep_vertex = sum_sq_to_vertices(s, s.vertices[0])
-            assert rep_vertex.total == pytest.approx(n * 1.0, rel=1e-9)
-
-    def test_prediction_on_random_hull_points(self):
-        rng = random.Random(73)
-        s = embed(SquaredDistanceMatrix.regular(4))
-        for _ in range(50):
-            p = hull_point(rng, s)
-            rep = sum_sq_to_vertices(s, p)
-            assert rep.total == pytest.approx(rep.predicted, rel=1e-9)
-
-    def test_vertex_to_facet_centroid_distance(self):
-        for n in range(2, 9):
-            vertices = np.asarray(embed(SquaredDistanceMatrix.regular(n)).vertices)
-            g = vertices[1:].mean(axis=0)
-            dist_sq = float(((vertices[0] - g) ** 2).sum())
-            assert dist_sq == pytest.approx((n + 1) / (2 * n), rel=1e-9)
-
-    def test_rejects_non_regular(self):
-        s = embed(PreKite(3, 1, (1, 1, 2)).to_sdm())
-        with pytest.raises(ValueError):
-            sum_sq_to_vertices(s, np.zeros(3))
+def test_vertex_to_facet_centroid_distance():
+    for n in range(2, 9):
+        vertices = np.asarray(embed(SquaredDistanceMatrix.regular(n)).vertices)
+        g = vertices[1:].mean(axis=0)
+        dist_sq = float(((vertices[0] - g) ** 2).sum())
+        assert dist_sq == pytest.approx((n + 1) / (2 * n), rel=1e-9)
 
 
 def test_center_set_bundle():

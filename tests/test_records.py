@@ -28,7 +28,6 @@ from simplexkite import (
     Realizability,
     RealizabilityVerdict,
 )
-from simplexkite.geometry import SumSquaresReport
 
 F = Fraction
 APEX = ApexReport((0, 3), True, False)
@@ -48,7 +47,6 @@ RECORDS = [
      ("orthocentric", (F(1), F(2), F(3)), F(0)), ("orthocentric", (F(1), F(2), F(4)), F(0))),
     (ClassificationReport, ("realizable", "apex_report", "families", "kite_consistent"),
      ("nondegenerate", APEX, {"orthocentric": None}, True), ("nondegenerate", APEX, {"orthocentric": None}, False)),
-    (SumSquaresReport, ("total", "predicted"), (6.0, 6.0), (6.0, 6.5)),
     (CenterSet, ("centroid", "circumcenter", "incenter", "fermat", "circumradius", "inradius"),
      ((0.0, 0.0),) * 4 + (1.0, 0.5), ((0.0, 0.0),) * 4 + (1.0, 0.25)),
     (PreKite, ("n", "u", "v"), (2, F(1), (F(1), F(2))), (2, F(1), (F(1), F(3)))),

@@ -21,6 +21,7 @@ from simplexkite import (
     apex_squared_ratio_window,
     equiareal_prekite_solve,
     equiareal_scan,
+    equilateral_vertices,
     facet_circumradii_sq,
     facet_sdm,
     facet_volumes_sq,
@@ -213,7 +214,9 @@ RELATION = [
     refusal("pompeiu_from_point three coordinates", lambda: pompeiu_from_point(1, (0.0, 0.0, 0.0)), ValueError,
             "expected a planar point"),
     refusal("pompeiu_from_point negative side", lambda: pompeiu_from_point(-1, (0.0, 0.0)), ValueError,
-            "side must be positive and distances nonnegative"),
+            "side must be positive"),
+    refusal("equilateral_vertices side 0", lambda: equilateral_vertices(0), ValueError, "side must be positive"),
+    refusal("equilateral_vertices side -1", lambda: equilateral_vertices(-1), ValueError, "side must be positive"),
     refusal("DistanceTuple negative distance", lambda: DistanceTuple(2, 1, (1, -1, 1)), ValueError,
             "distances must be nonnegative"),
     refusal("DistanceTuple float dimension", lambda: DistanceTuple(2.5, 1, (1, 1, 1)), ValueError,
