@@ -182,6 +182,24 @@ def test_floats_are_bit_identical_to_float_of_the_exact_values():
         assert s.max_rel_error == reference_error(s)
 
 
+# `math.fsum` rounds the exact sum of its floats once, which the builtin `sum`
+# does only from Python 3.12 on; the exact sums below are of Fractions
+
+
+def test_centroid_rounds_each_coordinate_sum_once():
+    for d in corpus():
+        s = embed(d)
+        want = tuple(float(sum(map(Fraction, col))) / (s.n + 1) for col in zip(*s.vertices))
+        assert centroid(s) == want
+
+
+def test_summed_distance_rounds_once():
+    for d in corpus():
+        s = embed(d)
+        point = centroid(s)
+        assert sum_distances(s, point) == float(sum(Fraction(math.dist(v, point)) for v in s.vertices))
+
+
 def test_no_float_sum_is_the_builtin(monkeypatch):
     # the builtin `sum` is compensated only from Python 3.12 on, so one call of it would
     # give a float output that depends on the version; a module global shadows the builtin

@@ -272,6 +272,46 @@ class TestFermatNextToAVertex:
         assert gradient_norm(s, f) <= 1e-10
 
 
+class TestFermatStepOff:
+    """An iterate on a vertex that is not the minimizer is stepped off along
+    the other vertices' pull.  No averaging step from the centroid lands
+    there, so each case starts the iteration on vertex k instead, with
+    `centroid` patched; the builtin `sum` is patched to raise, as in
+    `test_float_oracle.test_no_float_sum_is_the_builtin`."""
+
+    @pytest.mark.parametrize("matrix, k", [
+        (SquaredDistanceMatrix.regular(3), 0),
+        (SquaredDistanceMatrix.regular(4), 4),
+        (sdm_triangle(4, 5, 6), 2),
+        (sdm_triangle(1, 1, 3 - Fraction(1, 10**6)), 0),
+        (sdm_triangle(1, 1, 3 - Fraction(1, 10**6)), 1),
+        (SquaredDistanceMatrix(NEAR_VERTEX_6), 5),
+    ], ids=["regular 3, vertex 0", "regular 4, vertex 4", "triangle 4 5 6, vertex 2",
+            "just under 120 degrees, vertex 0", "just under 120 degrees, vertex 1", "near-vertex 6, vertex 5"])
+    def test_from_a_vertex(self, monkeypatch, matrix, k):
+        s = embed(matrix)
+        want = fermat_torricelli(s)
+        pulled = []
+        vertex_pull = geometry._vertex_pull
+
+        def counted_vertex_pull(pts, j, row):
+            pulled.append(j)
+            return vertex_pull(pts, j, row)
+
+        def refuse(*args):
+            raise AssertionError("builtin sum called in the float layer")
+
+        monkeypatch.setattr(geometry, "centroid", lambda s: s.vertices[k])
+        monkeypatch.setattr(geometry, "_vertex_pull", counted_vertex_pull)
+        monkeypatch.setattr(geometry, "sum", refuse, raising=False)
+        f = fermat_torricelli(s)
+        # vertex k is certified once by the screen and pulled once more by the step-off
+        assert pulled.count(k) == 2
+        assert f not in s.vertices
+        assert gradient_norm(s, f) <= 1e-10
+        assert math.dist(f, want) <= 1e-8 * max(math.dist(p, q) for p in s.vertices for q in s.vertices)
+
+
 def test_vertex_to_facet_centroid_distance():
     for n in range(2, 9):
         vertices = np.asarray(embed(SquaredDistanceMatrix.regular(n)).vertices)
