@@ -4,6 +4,9 @@ Three classical coincidences are decidable exactly from the distance
 matrix: circumcenter = centroid holds exactly for well-distributed edge
 lengths, incenter = centroid for equal facet volumes, and circumcenter
 = incenter for equal facet circumradii with an interior circumcenter.
+The Fermat-Torricelli flags follow from these: off the vertices, X is
+the Fermat point F exactly when the unit vectors from X to the vertices
+sum to 0, so F = G and F = Q each hold exactly when Q = G.
 For pre-kites the first two coincidences force regularity, and this
 script fuzzes that.  The incenter = centroid story is the interesting
 one: solving the equal-facet-volume conditions exactly produces
@@ -17,6 +20,7 @@ from fractions import Fraction
 from simplexkite import (
     PreKite,
     Realizability,
+    SquaredDistanceMatrix,
     circumcenter_barycentrics,
     circumradius_sq,
     coincidence_report,
@@ -41,6 +45,18 @@ print("  equiradial + interior (circumcenter = incenter):", rep.qi_coincide)
 print("  embedded center distances:", {k: round(v, 12) for k, v in rep.center_distances.items()})
 print("  (the incenter really does land on the centroid, to float precision,")
 print("   while the circumcenter sits 0.245 away)")
+print("  Fermat flags (F = G and F = Q exactly when Q = G):", rep.fermat_coincidences)
+print("  (G = I without Q, so F = I would force F = G, hence Q = G: false)")
+
+print()
+print("The regular 8-simplex with squared edge (0, 1) scaled by 1 + 10**-6:")
+near = [list(row) for row in SquaredDistanceMatrix.regular(8).a]
+near[0][1] = near[1][0] = 1 + Fraction(1, 10**6)
+rep = coincidence_report(SquaredDistanceMatrix(near), with_floats=True)
+print("  Q = G:", rep.qg_coincide, " Fermat flags:", rep.fermat_coincidences)
+print("  (F = G needs G equidistant from the vertices, that is Q = G, so fg and")
+print("   fq are false however small the perturbation; with no two centers")
+print("   coinciding, fi is the Fermat gradient test at the float incenter)")
 
 print()
 print("Its circumsphere and facets, read off the one Gram elimination of the whole")

@@ -4,8 +4,19 @@ The three classical coincidences are decided exactly from the distance
 matrix alone: circumcenter = centroid is equivalent to well-distributed
 edge lengths, incenter = centroid to equal facet volumes, and
 circumcenter = incenter to equal facet circumradii together with an
-interior circumcenter.  Fermat-Torricelli coincidences have no exact
-characterization here and are reported only as float experiments.
+interior circumcenter.
+
+The Fermat-Torricelli point F follows from these.  At a point X that is
+not a vertex, X = F exactly when the unit vectors from X to the vertices
+sum to 0, that is, when X's barycentrics are proportional to
+1/|p_j - X| (Edmonds, Hajja and Martini, "Coincidences of simplex
+centers and related facial structures", 2005).  The centroid,
+circumcenter and incenter are never vertices, so F = G exactly when G
+is equidistant from the vertices, and F = Q exactly when Q's
+barycentrics are equal: each holds exactly when Q = G.  F = I holds
+exactly when G, Q and I all coincide, once any two of them do; otherwise
+it is read off the float incenter by the gradient test that
+`fermat_torricelli` accepts its own answer by.
 
 A general simplex's facet determinants and circumcenter weights come
 from its Gram elimination (`cayley._facet_dets`,
@@ -30,8 +41,8 @@ from .cayley import (
     is_realizable,
     require_nondegenerate,
 )
-from .exact import Record, _positive_tol
-from .geometry import TOL_CENTER, center_set, embed
+from .exact import Record
+from .geometry import FT_GRADIENT_TOL, _pull, centroid, circumcenter, embed, incenter
 
 
 def _check_predicate_input(d: SquaredDistanceMatrix) -> bool:
@@ -96,7 +107,14 @@ def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
 
 
 class CoincidenceReport(Record, defaults=(None, None)):
-    """Exact coincidence verdicts, with optional float cross-checks attached."""
+    """Exact coincidence verdicts, with optional float parts attached.
+
+    With floats, `fermat_coincidences` holds the Fermat flags fg, fq and
+    fi: fg and fq are `qg_coincide`, exact; fi is exact when any of the
+    three exact coincidences holds, and otherwise the Fermat gradient
+    test at the float incenter.  `center_distances` holds the float
+    distances qg, qi and ig between the embedded centers.
+    """
 
     __slots__ = (
         "well_distributed", "equiradial", "equiareal", "circumcenter_interior",
@@ -114,56 +132,49 @@ class CoincidenceReport(Record, defaults=(None, None)):
     center_distances: dict | None
 
     def to_json(self) -> dict:
-        """The fields, without the float cross-checks that were not taken."""
-        out = {name: value for name, value in super().to_json().items() if value is not None}
-        if self.fermat_coincidences is not None:
-            out["fermat_note"] = "float-based, experimental"
-        return out
+        """The fields, without the float parts that were not taken."""
+        return {name: value for name, value in super().to_json().items() if value is not None}
 
 
-def coincidence_report(
-    d: SquaredDistanceMatrix,
-    with_floats: bool = False,
-    tol_center: float | None = None,
-) -> CoincidenceReport:
+def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> CoincidenceReport:
     """Exact coincidence report for a nondegenerate simplex.
 
-    When with_floats is set, the simplex is embedded and the pairwise
-    center distances are attached, including the experimental
-    Fermat-Torricelli coincidence flags.  A tol_center that is not
-    finite and > 0 raises ValueError; degenerate or non-Euclidean input
-    raises next, with the verdict attached.
+    When with_floats is set, the simplex is embedded, and the pairwise
+    distances of its centroid, circumcenter and incenter and the Fermat
+    flags are attached.  F = I is decided without the Fermat point: by
+    the exact verdicts when any two of G, Q and I coincide, and otherwise
+    by whether the summed unit vectors from the float incenter to the
+    vertices have norm at most `FT_GRADIENT_TOL`.  Degenerate or
+    non-Euclidean input raises with the verdict attached.
     """
-    if tol_center is not None:
-        _positive_tol(tol_center, "tol_center")
     require_nondegenerate(d)
     well = is_well_distributed(d)
     radial = is_equiradial(d)
     areal = is_equiareal(d)
     interior = is_circumcenter_interior(d)
+    qg, qi, ig = well, radial and interior, areal
     fermat = None
     distances = None
     if with_floats:
-        tol = TOL_CENTER if tol_center is None else tol_center
-        cs = center_set(embed(d))
-        pairs = {
-            "qg": (cs.circumcenter, cs.centroid),
-            "qi": (cs.circumcenter, cs.incenter),
-            "ig": (cs.incenter, cs.centroid),
-            "fg": (cs.fermat, cs.centroid),
-            "fq": (cs.fermat, cs.circumcenter),
-            "fi": (cs.fermat, cs.incenter),
-        }
-        distances = {key: math.dist(p, q) for key, (p, q) in pairs.items()}
-        fermat = {key: distances[key] <= tol * (1.0 + cs.circumradius) for key in ("fg", "fq", "fi")}
+        s = embed(d)
+        g = centroid(s)
+        q, _ = circumcenter(s)
+        i, _ = incenter(s)
+        distances = {"qg": math.dist(q, g), "qi": math.dist(q, i), "ig": math.dist(i, g)}
+        if qg or qi or ig:
+            fi = qg and qi and ig
+        else:
+            pts = s.vertices
+            fi = math.hypot(*_pull(i, zip(*pts), [math.dist(p, i) for p in pts])) <= FT_GRADIENT_TOL
+        fermat = {"fg": qg, "fq": qg, "fi": fi}
     return CoincidenceReport(
         well_distributed=well,
         equiradial=radial,
         equiareal=areal,
         circumcenter_interior=interior,
-        qg_coincide=well,
-        qi_coincide=radial and interior,
-        ig_coincide=areal,
+        qg_coincide=qg,
+        qi_coincide=qi,
+        ig_coincide=ig,
         fermat_coincidences=fermat,
         center_distances=distances,
     )

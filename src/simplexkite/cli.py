@@ -87,7 +87,7 @@ def _squared(args, texts) -> list:
 def cmd_classify(args):
     d = _load_sdm(args.matrix)
     report = sk.classify(d, **_tol(args))
-    coin = sk.coincidence_report(d, with_floats=not args.exact, **_tol(args, "tol_center"))
+    coin = sk.coincidence_report(d, with_floats=not args.exact)
     out = {"classification": report.to_json(), "coincidence": coin.to_json()}
     return _dumps(out), EXIT_OK
 

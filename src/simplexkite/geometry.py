@@ -17,9 +17,9 @@ float output is the same on every supported Python; the builtin `sum`,
 compensated only from Python 3.12 on, is not used here.
 
 Default tolerances are generous for double precision at desk scale:
-embedding round-trip 1e-9 relative, center checks 1e-8, and a 1e-10
-gradient norm for the Fermat-Torricelli iteration.  A tolerance that is
-not finite and > 0 raises ValueError.
+embedding round-trip 1e-9 relative, and a 1e-10 gradient norm for the
+Fermat-Torricelli iteration.  A tolerance that is not finite and > 0
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .cayley import (
 from .exact import Record, _positive_tol
 
 TOL_EMBED = 1e-9
-TOL_CENTER = 1e-8
 FT_GRADIENT_TOL = 1e-10
 FT_MAX_ITER = 100_000
 

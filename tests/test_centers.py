@@ -1,10 +1,16 @@
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import simplexkite.cayley as cayley
+import simplexkite.geometry as geometry
 from simplexkite import (
     DegenerateSimplexError,
     NonEuclideanError,
@@ -23,6 +29,7 @@ from simplexkite import (
     centroid,
     circumcenter,
     facet_sdm,
+    fermat_torricelli,
     incenter,
     is_circumcenter_interior,
     is_equiareal,
@@ -321,8 +328,86 @@ class TestCoincidenceReport:
     def test_json_shape(self):
         rep = coincidence_report(SquaredDistanceMatrix.regular(2), with_floats=True)
         payload = rep.to_json()
-        assert payload["fermat_note"] == "float-based, experimental"
-        assert set(payload["fermat_coincidences"]) == {"fg", "fq", "fi"}
+        assert "fermat_note" not in payload
+        assert payload["fermat_coincidences"] == {"fg": True, "fq": True, "fi": True}
+        assert set(payload["center_distances"]) == {"qg", "qi", "ig"}
+
+
+def _cloud(pts):
+    """The distance matrix of the points, or None when two coincide."""
+    rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
+    return SquaredDistanceMatrix(rows) if all(rows[i][j] for i in range(len(pts)) for j in range(i)) else None
+
+
+def _near_regular(n, eps):
+    """The regular n-simplex with squared edge (0, 1) scaled by 1 + eps."""
+    d = [list(row) for row in SquaredDistanceMatrix.regular(n).a]
+    d[0][1] = d[1][0] = 1 + eps
+    return SquaredDistanceMatrix(d)
+
+
+_RATIOS = st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(1), Fraction(5, 4), Fraction(2)])
+_SIMPLICES = st.integers(2, 8).flatmap(lambda n: st.one_of(
+    st.lists(st.lists(st.fractions(-6, 6, max_denominator=6), min_size=n, max_size=n),
+             min_size=n + 1, max_size=n + 1).map(_cloud),
+    st.lists(_RATIOS, min_size=n, max_size=n).map(lambda v: PreKite(n, 1, tuple(v)).to_sdm()),
+))
+_NEAR_REGULAR = [_near_regular(n, eps) for n in range(2, 9) for eps in (0, Fraction(1, 10**6), Fraction(1, 10**12))]
+_GOLDEN = {c["name"]: SquaredDistanceMatrix.from_json({"n": len(c["a"]) - 1, "a": c["a"]})
+           for c in json.loads(Path(__file__).with_name("report_golden.json").read_text(encoding="utf-8"))}
+_KITES = {"kite n=%d v=%s" % (n, v): PreKite(n, 1, (v,) * n).to_sdm() for n in range(3, 8) for v in (Fraction(1, 2), 2, 5)}
+
+
+# G = I without Q (the equiareal pre-kite), and all three at once off the
+# regular simplex (the disphenoid, with opposite edges equal)
+_COINCIDENT = [PreKite(4, 1, (1, 1, 1, 2)).to_sdm(),
+               SquaredDistanceMatrix([[0, 2, 3, 4], [2, 0, 4, 3], [3, 4, 0, 2], [4, 3, 2, 0]])]
+
+
+def _with_examples(test):
+    for d in _NEAR_REGULAR + _COINCIDENT:
+        test = example(d)(test)
+    return test
+
+
+class TestFermatFlags:
+    """Off the vertices, X is the Fermat point F exactly when the unit vectors
+    from X to the vertices sum to 0, so F = G and F = Q each hold exactly when
+    Q = G, and F = I, once two of G, Q and I coincide, exactly when all three do."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_SIMPLICES)
+    @_with_examples
+    def test_flags_follow_the_theorem(self, d):
+        assume(d is not None and is_realizable(d).status is Realizability.NONDEGENERATE)
+        rep = coincidence_report(d, with_floats=True)
+        qg, qi, ig = rep.qg_coincide, rep.qi_coincide, rep.ig_coincide
+        flags = rep.fermat_coincidences
+        assert flags["fg"] == flags["fq"] == qg
+        if qg or qi or ig:
+            assert flags["fi"] == (qg and qi and ig)
+
+    def test_the_report_does_not_iterate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report ran the Fermat iteration")
+
+        monkeypatch.setattr(geometry, "fermat_torricelli", refuse)
+        for d in (_near_regular(8, Fraction(1, 10**6)), PreKite(4, 1, (1, 1, 1, 2)).to_sdm(), _GOLDEN["cloud n=5"]):
+            assert set(coincidence_report(d, with_floats=True).fermat_coincidences) == {"fg", "fq", "fi"}
+
+    @pytest.mark.parametrize("d", [*_GOLDEN.values(), *_KITES.values()], ids=[*_GOLDEN, *_KITES])
+    def test_generic_fi_matches_the_fermat_point(self, d):
+        # the gradient test at the float incenter against the distance from
+        # it of the Weiszfeld point, compared at 1e-8 (1 + R)
+        s = embed(d)
+        i, _ = incenter(s)
+        _, radius = circumcenter(s)
+        pts = s.vertices
+        generic = math.hypot(*geometry._pull(i, zip(*pts), [math.dist(p, i) for p in pts])) <= geometry.FT_GRADIENT_TOL
+        assert generic == (math.dist(fermat_torricelli(s), i) <= 1e-8 * (1.0 + radius))
+        rep = coincidence_report(d, with_floats=True)
+        if not (rep.qg_coincide or rep.qi_coincide or rep.ig_coincide):
+            assert rep.fermat_coincidences["fi"] == generic
 
 
 class TestRegularityTheorems:

@@ -13,7 +13,6 @@ from simplexkite import (
     SquaredDistanceMatrix,
     center_set,
     classify,
-    coincidence_report,
     embed,
     fermat_torricelli,
     on_circumsphere_by_sums,
@@ -37,7 +36,6 @@ CALLS = {
     "recover_circumscriptible": lambda tol: recover_circumscriptible(REGULAR, tol=tol),
     "recover_isodynamic": lambda tol: recover_isodynamic(REGULAR, tol=tol),
     "recover_tetra_isogonic": lambda tol: recover_tetra_isogonic(REGULAR, tol=tol),
-    "coincidence_report": lambda tol: coincidence_report(REGULAR, with_floats=True, tol_center=tol),
     "embed": lambda tol: embed(REGULAR, tol=tol),
     "EmbeddedSimplex": lambda tol: EmbeddedSimplex([[0, 0], [1, 0], [0, 1]], TRIANGLE, tol=tol),
     "pompeiu_classify": lambda tol: pompeiu_classify(1.0, 0.5, 0.5, 0.5, tol=tol),
