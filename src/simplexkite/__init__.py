@@ -8,7 +8,7 @@ matrices as coordinates and computes the four classical centers
 numerically.
 
 Importing the package loads none of its modules.  Each exported name,
-and each of the eight submodules, is imported on first access (PEP 562)
+and each of the seven submodules, is imported on first access (PEP 562)
 by the one table below, which `cli` and `prekite` read names through too,
 and then kept on the package, so a process pays only for the modules it
 uses: `python -m simplexkite prekite-eval ...` loads `cli`, `exact` and `prekite`.
@@ -34,7 +34,6 @@ _EXPORTS = {
         "scalar_str",
         "solve_linear",
     ),
-    "determinants": ("BorderedUniform", "bordered_uniform_det", "uniform_det", "uniform_matrix"),
     "cayley": (
         "DegenerateSimplexError",
         "NonEuclideanError",
@@ -56,9 +55,11 @@ _EXPORTS = {
         "volume_sq",
     ),
     "prekite": (
+        "BorderedUniform",
         "EquiarealCandidate",
         "PreKite",
         "apex_squared_ratio_window",
+        "bordered_uniform_det",
         "equiareal_prekite_solve",
         "equiareal_scan",
         "pk_cm_det",
@@ -68,6 +69,8 @@ _EXPORTS = {
         "prekite_equiradial_residual",
         "two_apexed",
         "two_apexed_feasible",
+        "uniform_det",
+        "uniform_matrix",
     ),
     "geometry": (
         "CenterSet",

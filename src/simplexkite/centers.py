@@ -14,8 +14,10 @@ centers and related facial structures", 2005).  The centroid,
 circumcenter and incenter are never vertices, so F = G exactly when G
 is equidistant from the vertices, and F = Q exactly when Q's
 barycentrics are equal: each holds exactly when Q = G.  F = I holds
-exactly when G, Q and I all coincide, once any two of them do; otherwise
-it is read off the float incenter by the gradient test that
+exactly when G, Q and I all coincide, once any two of them do, and in a
+triangle, whose incenter sees a side at 90 degrees plus half the
+opposite angle and F sees each at 120, only when it is equilateral;
+otherwise it is read off the float incenter by the gradient test that
 `fermat_torricelli` accepts its own answer by.
 
 A general simplex's facet determinants and circumcenter weights come
@@ -110,10 +112,10 @@ class CoincidenceReport(Record, defaults=(None, None)):
     """Exact coincidence verdicts, with optional float parts attached.
 
     With floats, `fermat_coincidences` holds the Fermat flags fg, fq and
-    fi: fg and fq are `qg_coincide`, exact; fi is exact when any of the
-    three exact coincidences holds, and otherwise the Fermat gradient
-    test at the float incenter.  `center_distances` holds the float
-    distances qg, qi and ig between the embedded centers.
+    fi: fg and fq are `qg_coincide`, exact; fi is exact in a triangle and
+    when any of the three exact coincidences holds, and otherwise the
+    Fermat gradient test at the float incenter.  `center_distances` holds
+    the float distances qg, qi and ig between the embedded centers.
     """
 
     __slots__ = (
@@ -142,10 +144,10 @@ def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> C
     When with_floats is set, the simplex is embedded, and the pairwise
     distances of its centroid, circumcenter and incenter and the Fermat
     flags are attached.  F = I is decided without the Fermat point: by
-    the exact verdicts when any two of G, Q and I coincide, and otherwise
-    by whether the summed unit vectors from the float incenter to the
-    vertices have norm at most `FT_GRADIENT_TOL`.  Degenerate or
-    non-Euclidean input raises with the verdict attached.
+    the exact verdicts in a triangle and when any two of G, Q and I
+    coincide, and otherwise by whether the summed unit vectors from the
+    float incenter to the vertices have norm at most `FT_GRADIENT_TOL`.
+    Degenerate or non-Euclidean input raises with the verdict attached.
     """
     require_nondegenerate(d)
     well = is_well_distributed(d)
@@ -161,7 +163,7 @@ def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> C
         q, _ = circumcenter(s)
         i, _ = incenter(s)
         distances = {"qg": math.dist(q, g), "qi": math.dist(q, i), "ig": math.dist(i, g)}
-        if qg or qi or ig:
+        if qg or qi or ig or d.n == 2:
             fi = qg and qi and ig
         else:
             pts = s.vertices

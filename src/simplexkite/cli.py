@@ -162,15 +162,19 @@ def _parse_known(text: str, n: int):
     return values
 
 
+# the flags each mode of rel reads, the one it needs first; the others are refused
+_REL_FLAGS = {"solve": ("known",), "verify": ("t", "tol")}
+
+
 def cmd_rel(args):
     t0 = _number(args.t0)
+    reads = _REL_FLAGS[args.mode]
+    for flag in ("tol", "t", "known"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError("rel %s does not read --%s" % (args.mode, flag))
+    if getattr(args, reads[0]) is None:
+        raise ValueError("rel %s needs --%s" % (args.mode, reads[0]))
     if args.mode == "solve":
-        if args.tol is not None:
-            raise ValueError("rel solve does not read --tol")
-        if args.t is not None:
-            raise ValueError("rel solve does not read --t")
-        if args.known is None:
-            raise ValueError("rel solve needs --known")
         known = _parse_known(args.known, args.n)
         squares, solutions = sk.relation.solve_open_slot(args.n, t0, known)
         out = {
@@ -182,10 +186,6 @@ def cmd_rel(args):
             "count": len(solutions),
         }
         return _dumps(out), EXIT_OK
-    if args.known is not None:
-        raise ValueError("rel verify does not read --known")
-    if args.t is None:
-        raise ValueError("rel verify needs --t")
     values = _parse_known(args.t, args.n)
     if any(v is None for v in values) or len(values) != args.n + 1:
         raise ValueError("rel verify needs all n+1 distances")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
 from .exact import Record, _positive_tol, as_scalar
@@ -267,31 +266,24 @@ def find_apexes(d: SquaredDistanceMatrix) -> ApexReport:
     as well; the regular flag when every entry of the matrix is equal.
     For n = 2 every vertex is trivially an apex (facets are segments).
 
-    A regular facet has C(n, 2) edges of one value, so only a value that
-    occurs that often can be a regular facet's, and its apexes are the
-    vertices on every edge of another value.  At most two values qualify
-    for n >= 3, and both are tried (at n = 3 a kite's base and star tie at
-    three edges each), so the census is O(n**2).  At n = 2 every value
-    qualifies, and the rule marks every vertex.
+    The facet opposite vertex k is regular exactly when its C(n, 2) edges
+    all take the value v of one of them, edge ((k+1) % size, (k+2) % size):
+    when counts[v] - dist[k].count(v), the edges of value v less those at
+    k, is C(n, 2) (v > 0, so row k's diagonal 0 is never counted).  One
+    count of each value decides every vertex, so the census is O(n**2).
+    At n = 2 the facet is that one edge, and every vertex is marked.
     """
     if d.n < 2:
         raise ValueError("apex enumeration needs n >= 2")
     size, dist = d.n + 1, d._dist  # the cleared integers compare as the entries do
-    edges = [(i, j, dist[i][j]) for i, j in combinations(range(size), 2)]
-    counts = Counter(x for _, _, x in edges)
-    apexes = set()
-    for value, count in counts.items():
-        if count >= d.n * (d.n - 1) // 2:
-            common = set(range(size))
-            for i, j, x in edges:
-                if x != value:
-                    common &= {i, j}
-            apexes |= common
+    counts = Counter(x for i, row in enumerate(dist) for x in row[i + 1:])
+    values = [dist[(k + 1) % size][(k + 2) % size] for k in range(size)]  # of an edge of the facet opposite k
+    apexes = [k for k, v in enumerate(values) if counts[v] - dist[k].count(v) == d.n * (d.n - 1) // 2]
     is_kite = any(
         len({dist[j][i] for i in range(size) if i != j}) == 1 for j in apexes
     )
     return ApexReport(
-        apexes=tuple(sorted(apexes)),
+        apexes=tuple(apexes),
         is_kite=is_kite,
         is_regular=len(counts) == 1,
     )

@@ -164,10 +164,10 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     det(A) / (s n**2 max det), A = s*G the scaled Gram matrix.  The
     insphere touches facet j inside it exactly when the weight of vertex j
     is positive, at distance n V / sum F from the incenter for every j; a
-    weight that is not a positive finite float raises RuntimeError.
+    weight that is not a positive finite float raises RuntimeError.  A
+    segment's two facets are points, det 1 each, so its incenter is its
+    midpoint and its inradius half its length.
     """
-    if s.n == 1:
-        return centroid(s), math.dist(*s.vertices) / 2.0
     dets = _facet_dets(s.source)
     largest = max(dets)
     roots = [math.sqrt(k / largest) for k in dets]

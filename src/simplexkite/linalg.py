@@ -15,9 +15,9 @@ diagonal) are those of one pivot per step.  The cofactor determinant,
 expansion), is kept as an independent oracle for it and for every
 closed form.
 
-Only `cayley` and `determinants` import this module; `exact` hands out
-its public names on first access, so a process whose command needs no
-elimination neither imports nor compiles it.
+Only `cayley` imports this module; `exact` hands out its public names
+on first access, so a process whose command needs no elimination
+neither imports nor compiles it.
 """
 
 from __future__ import annotations

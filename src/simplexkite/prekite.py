@@ -17,9 +17,10 @@ with lambda = diag - off and mu = diag + (m-1)*off, which needs only
 the corner, the products T L^T and the sums T 1 and L 1; the (k+1) x
 (k+1) determinant on the right is expanded by cofactors with
 `exact._det`, the package's one expansion, so no pre-kite command loads
-the elimination kernel of `linalg`.  At k = 0 it is
-the uniform determinant mu * lambda**(m-1); k = 1 is the bordered
-uniform determinant and the inner Cayley-Menger determinant of
+the elimination kernel of `linalg`.  At k = 0 it is `uniform_det`, the
+uniform determinant mu * lambda**(m-1); k = 1 is `bordered_uniform_det`,
+the determinant of a `BorderedUniform` matrix (one free row and column
+beside the block), and the inner Cayley-Menger determinant of
 PK[n; u; v] (corner 0, border v, off = u, diag = 0); k = 2 is its
 Cayley-Menger determinant (the ones border and v).  Every facet of a
 pre-kite is a pre-kite one dimension down, so the two pre-kite forms,
@@ -31,9 +32,10 @@ they are validated against the generic determinants in tests.
 `volume_sq_from_cm_det` and `circumradius_sq_from_cm_dets` turn such
 determinants into a squared volume and circumradius, and the
 equal-facet-volume solver and scan run on the same forms.  The module
-imports only `exact`, and nothing here loads `cayley` until
-`PreKite.to_sdm` builds a matrix (with `_bordered_rows`, the one
-assembler of the form's matrix).
+imports only `exact`: nothing here loads `cayley` until `PreKite.to_sdm`
+builds a matrix, nor `linalg` until `uniform_matrix` or
+`BorderedUniform.matrix` builds an oracle, each with `_bordered_rows`,
+the one assembler of the form's matrix.
 """
 
 from __future__ import annotations
@@ -78,6 +80,73 @@ def _bordered_rows(corner, top, left, m: int, off, diag) -> list:
         row[len(left) + i] = diag
         rows.append(row)
     return rows
+
+
+def _order(n) -> int:
+    if _integer(n, "order") < 1:
+        raise ValueError("order must be at least 1")
+    return n
+
+
+def uniform_det(n: int, off, diag) -> Fraction:
+    """Determinant of the n x n matrix with `diag` on the diagonal and `off` elsewhere.
+
+    Equals ((n-1)*off + diag) * (diag - off)**(n-1), the k = 0 form.
+    """
+    return _bordered_uniform((), (), (), (), _order(n), as_scalar(off), as_scalar(diag))
+
+
+def uniform_matrix(n: int, off, diag) -> sk.ExactMatrix:
+    """The n x n uniform matrix itself, for oracle checks."""
+    return sk.ExactMatrix(_bordered_rows((), (), (), _order(n), as_scalar(off), as_scalar(diag)))
+
+
+class BorderedUniform(Record):
+    """An (n+1) x (n+1) uniform matrix with replaced first row and column.
+
+    corner sits at position (0,0), `left` fills the rest of column 0,
+    `top` the rest of row 0, and the trailing n x n block is uniform with
+    `off` off the diagonal and `diag` on it.
+    """
+
+    __slots__ = ("n", "corner", "left", "top", "off", "diag")
+
+    n: int
+    corner: Fraction
+    left: tuple[Fraction, ...]
+    top: tuple[Fraction, ...]
+    off: Fraction
+    diag: Fraction
+
+    def __init__(self, n, corner, left, top, off, diag):
+        if _integer(n, "order parameter") < 1:
+            raise ValueError("order parameter must be at least 1")
+        left = tuple(as_scalar(x) for x in left)
+        top = tuple(as_scalar(y) for y in top)
+        if len(left) != n or len(top) != n:
+            raise ValueError("border vectors must have exactly n entries")
+        self._fill(n, as_scalar(corner), left, top, as_scalar(off), as_scalar(diag))
+
+    def matrix(self) -> sk.ExactMatrix:
+        """Assemble the full (n+1) x (n+1) matrix."""
+        return sk.ExactMatrix(_bordered_rows(((self.corner,),), (self.top,), (self.left,), self.n, self.off, self.diag))
+
+
+def bordered_uniform_det(spec: BorderedUniform) -> Fraction:
+    """Closed-form determinant of a bordered uniform matrix, the k = 1 form.
+
+    With sums L = sum(left), T = sum(top), P = sum(left[j]*top[j]) it is
+
+        (diag-off)**(n-2) * [ ((n-1)off + diag) * (corner*(diag-off) - P)
+                              + off * L * T ]
+
+    The n = 1 matrix is 2 x 2 and is handled directly as
+    corner*diag - left[0]*top[0], which also holds where diag = off.
+    """
+    if spec.n == 1:
+        return spec.corner * spec.diag - spec.left[0] * spec.top[0]
+    cross = sum(x * y for x, y in zip(spec.left, spec.top))
+    return _bordered_uniform(((spec.corner,),), ((cross,),), (sum(spec.top),), (sum(spec.left),), spec.n, spec.off, spec.diag)
 
 
 class PreKite(Record):

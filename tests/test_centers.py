@@ -384,8 +384,18 @@ class TestFermatFlags:
         qg, qi, ig = rep.qg_coincide, rep.qi_coincide, rep.ig_coincide
         flags = rep.fermat_coincidences
         assert flags["fg"] == flags["fq"] == qg
-        if qg or qi or ig:
+        if qg or qi or ig or d.n == 2:
             assert flags["fi"] == (qg and qi and ig)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**12), Fraction(1, 10**6)])
+    def test_only_the_equilateral_triangle_has_f_at_i(self, eps):
+        # F sees each side at 120 degrees and I sees side a at 90 + A/2, so at n = 2
+        # F = I only for the equilateral triangle, however near to it; the float
+        # gradient test at I passes the edge scaled by 1 + 10**-12
+        rep = coincidence_report(_near_regular(2, eps), with_floats=True)
+        assert not (rep.qg_coincide or rep.qi_coincide or rep.ig_coincide)
+        assert rep.fermat_coincidences == {"fg": False, "fq": False, "fi": False}
+        assert coincidence_report(_near_regular(2, 0), with_floats=True).fermat_coincidences == {"fg": True, "fq": True, "fi": True}
 
     def test_the_report_does_not_iterate(self, monkeypatch):
         def refuse(*args, **kwargs):

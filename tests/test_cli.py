@@ -479,6 +479,9 @@ BAD_INPUT = [
     (["rel", "verify", "--n", "2", "--t0", "1", "--t", ",0,1,1,"], "empty field in comma-separated distances: ',0,1,1,'"),
     (["rel", "verify", "--n", "2", "--t0", "1", "--t", "0,1,1", "--known", "5"], "rel verify does not read --known"),
     (["rel", "solve", "--n", "2", "--t0", "1", "--known", "0,1", "--t", "9,9,9"], "rel solve does not read --t"),
+    # refusals come in one order whatever the flags' order: --tol, --t, --known, then the flag the mode needs
+    (["rel", "solve", "--n", "2", "--t0", "1", "--t", "9,9,9", "--tol", "5"], "rel solve does not read --tol"),
+    (["rel", "verify", "--n", "2", "--t0", "1", "--known", "5", "--tol", "5"], "rel verify does not read --known"),
 ]
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexkite import (
     DegenerateSimplexError,
@@ -158,6 +160,20 @@ class TestIncenter:
         s = embed(PreKite(4, 1, (1, 1, 1, 2)).to_sdm())
         center, _ = incenter(s)
         assert np.linalg.norm(np.asarray(center) - centroid(s)) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(lambda num, den, e: Fraction(num, den) * Fraction(10) ** e,
+                     st.integers(1, 10**30), st.integers(1, 10**30), st.integers(-270, 270)))
+    @example(Fraction(1))
+    @example(Fraction(3, 7))
+    @example(Fraction(10**300))
+    @example(Fraction(1, 10**300))
+    @example(Fraction(10**300 + 1))
+    def test_segment_is_midpoint_and_half_length(self, side_sq):
+        # n = 1 takes the facet-weight path of every n: two point facets, weights 1/2 each
+        s = embed(SquaredDistanceMatrix.regular(1, side_sq))
+        p, q = s.vertices
+        assert incenter(s) == (tuple((a + b) / 2 for a, b in zip(p, q)), math.dist(p, q) / 2)
 
     def test_inradius_equals_volume_ratio(self):
         # r = n * V / (sum of facet volumes)

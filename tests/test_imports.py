@@ -25,14 +25,13 @@ SRC = os.path.dirname(os.path.dirname(simplexkite.__file__))
 API = {
     "exact": "ExactMatrix Scalar SingularMatrixError as_scalar determinant_by_cofactors exact_determinant "
     "inertia parse_scalar scalar_str solve_linear",
-    "determinants": "BorderedUniform bordered_uniform_det uniform_det uniform_matrix",
     "cayley": "DegenerateSimplexError NonEuclideanError Realizability RealizabilityError "
     "RealizabilityVerdict SquaredDistanceMatrix cm_det cm_matrix circumcenter_barycentrics circumradius_sq "
     "facet_circumradii_sq facet_sdm facet_volumes_sq gram_ldl gram_matrix inner_cm_det "
     "is_realizable volume_sq",
-    "prekite": "EquiarealCandidate PreKite apex_squared_ratio_window equiareal_prekite_solve equiareal_scan "
-    "pk_cm_det pk_facet_cm pk_facet_inner_cm pk_inner_cm_det prekite_equiradial_residual two_apexed "
-    "two_apexed_feasible",
+    "prekite": "BorderedUniform EquiarealCandidate PreKite apex_squared_ratio_window bordered_uniform_det "
+    "equiareal_prekite_solve equiareal_scan pk_cm_det pk_facet_cm pk_facet_inner_cm pk_inner_cm_det "
+    "prekite_equiradial_residual two_apexed two_apexed_feasible uniform_det uniform_matrix",
     "geometry": "CenterSet ConvergenceError EmbeddedSimplex center_set centroid circumcenter embed "
     "fermat_torricelli incenter sum_distances",
     "centers": "CoincidenceReport coincidence_report is_circumcenter_interior is_equiareal is_equiradial "
@@ -114,7 +113,27 @@ def test_command_footprint(tmp_path, argv, loaded):
     assert proc.stdout
     found = set(json.loads(proc.stderr.splitlines()[-1]))
     assert found == loaded
-    assert "simplexkite.determinants" not in found
+
+
+def test_prekite_and_its_closed_forms_load_no_elimination():
+    # the uniform forms run on `exact._det`; only the oracle matrix reaches `linalg`, through the package
+    script = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "import simplexkite.prekite as pk\n"
+        "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'simplexkite')]\n"
+        "assert pk.uniform_det(4, 1, 3) == 48\n"
+        "assert pk.bordered_uniform_det(pk.BorderedUniform(2, 5, (1, 2), (3, 4), 7, 9)) == 131\n"
+        "loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'simplexkite'))\n"
+        "m = pk.uniform_matrix(3, 1, 2)\n"
+        "loaded.append([type(m).__module__, type(m).__name__, [[str(x) for x in r] for r in m.rows]])\n"
+        "print(json.dumps(loaded), file=sys.stderr)\n"
+    )
+    proc = fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    on_import, after_forms, oracle = json.loads(proc.stderr.splitlines()[-1])
+    assert on_import == after_forms == ["simplexkite", "simplexkite.exact", "simplexkite.prekite"]
+    assert oracle == ["simplexkite.linalg", "ExactMatrix", [["2", "1", "1"], ["1", "2", "1"], ["1", "1", "2"]]]
 
 
 def test_exports_are_the_defining_modules_objects():
@@ -178,7 +197,7 @@ def test_dir_star_import_and_submodules_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
     listed, names = json.loads(proc.stdout)
     assert set(EXPORTS) | set(API) <= set(listed)
-    assert len(names) == 90
+    assert len(names) == 89
     assert set(names) == set(EXPORTS) | set(API)
 
 

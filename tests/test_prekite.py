@@ -184,6 +184,37 @@ class TestApexes:
             report = find_apexes(d)
             assert (report.apexes, report.is_kite, report.is_regular) == apex_census(d)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_matches_the_per_facet_census(self, data):
+        # few-valued matrices tie edge counts often; regular simplices, kites and
+        # two-apexed pre-kites have several apexes or an apex with equal edges
+        n = data.draw(st.integers(2, 9), label="n")
+        kind = data.draw(st.sampled_from(["few-valued", "regular", "kite", "two-apexed"]), label="kind")
+        value = st.integers(1, 3)
+        if kind == "few-valued":
+            top = st.integers(1, 3).flatmap(lambda k: st.integers(1, k))
+            upper = data.draw(st.lists(top, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2), label="upper")
+            rows = [[0] * (n + 1) for _ in range(n + 1)]
+            cells = iter(upper)
+            for i in range(n + 1):
+                for j in range(i + 1, n + 1):
+                    rows[i][j] = rows[j][i] = next(cells)
+            d = SquaredDistanceMatrix(rows)
+        elif kind == "regular":
+            d = SquaredDistanceMatrix.regular(n, data.draw(value))
+        elif kind == "kite":
+            d = PreKite(n, data.draw(value), (data.draw(value),) * n).to_sdm()
+        else:
+            d = two_apexed(n, data.draw(value), data.draw(value)).to_sdm()
+        d = d.permuted(data.draw(st.permutations(range(n + 1)), label="perm"))
+        report = find_apexes(d)
+        assert (report.apexes, report.is_kite, report.is_regular) == apex_census(d)
+        if kind == "regular":
+            assert report.apexes == tuple(range(n + 1)) and report.is_kite and report.is_regular
+        elif kind == "kite":
+            assert report.is_kite
+
     def test_tied_values_both_tried(self):
         # facet {0, 1, 2} is regular at value 1, and the three edges to
         # vertex 3 carry value 2: both values have three edges
