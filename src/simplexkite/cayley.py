@@ -30,9 +30,18 @@ batched pass over the kept pivot rows (`_unit_sweeps`), the rows of
 has 1^T adj(A) 1, by the unimodular change of base to vertex 1.  Each
 facet's circumradius then follows from Pythagoras: R_k**2 = R**2 -
 (w_k * h_k)**2, with w the circumcenter's barycentrics and h_k = n V /
-F_k the height over facet k.  So a number is returned only for data
-the same pass has certified, and a report builds and eliminates no
-facet matrices.
+F_k the height over facet k.  A report builds and eliminates no facet
+matrices.
+
+The same pass decides realizability, and one gate (`_euclidean`) reads
+its verdict: every volume, radius, center and facet value, and every
+coincidence verdict of `centers`, refuses non-Euclidean input with
+NonEuclideanError, the verdict attached, so a number is returned only
+for data that pass has certified.  Flat input passes the gate; a value
+that needs a nondegenerate simplex then raises DegenerateSimplexError
+(`require_nondegenerate`), and the facet values take each facet on its
+own.  `cm_det`, `inner_cm_det`, `cm_matrix`, `gram_matrix`,
+`is_realizable` and `facet_sdm` answer for any matrix.
 """
 
 from __future__ import annotations
@@ -136,8 +145,9 @@ class SquaredDistanceMatrix:
             raise ValueError('expected an object with fields "n" and "a"')
         n = payload["n"]
         rows = payload["a"]
-        if isinstance(n, bool) or not isinstance(n, int) or not isinstance(rows, list):
-            raise ValueError('"n" must be an integer and "a" a matrix')
+        arrays = isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+        if isinstance(n, bool) or not isinstance(n, int) or not arrays:
+            raise ValueError('"n" must be an integer and "a" an array of arrays')
         if len(rows) != n + 1:
             raise ValueError('"a" must have n+1 rows')
         try:
@@ -210,12 +220,12 @@ def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
 
     Zero for degenerate (flat) configurations.  Distances that are not
     Euclidean raise NonEuclideanError carrying the realizability
-    verdict, read from the same elimination as the determinant, so an
-    even number of negative Gram eigenvalues cannot pass as a volume.
+    verdict (`_euclidean`), read from the same elimination as the
+    determinant, so an even number of negative Gram eigenvalues cannot
+    pass as a volume.
     """
+    _euclidean(d)
     g = _gram_elimination(d)
-    if g.verdict.status is Realizability.NON_EUCLIDEAN:
-        raise NonEuclideanError("distances are not Euclidean; no volume", verdict=g.verdict)
     return _gram_det(g.minors, g.scale, d.n) / math.factorial(d.n) ** 2
 
 
@@ -351,13 +361,22 @@ def is_realizable(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
     return _gram_elimination(d).verdict
 
 
+def _euclidean(d: SquaredDistanceMatrix) -> bool:
+    """Whether d is nondegenerate; non-Euclidean d raises NonEuclideanError
+    with the verdict attached.  The one realizability gate: every function
+    that reads a number or a verdict off the Gram elimination calls it,
+    directly or through `require_nondegenerate`, and flat input passes."""
+    verdict = is_realizable(d)
+    if verdict.status is Realizability.NON_EUCLIDEAN:
+        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
+    return verdict.status is Realizability.NONDEGENERATE
+
+
 def require_nondegenerate(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
     """Return the verdict, raising the matching error unless nondegenerate."""
     verdict = is_realizable(d)
-    if verdict.status is Realizability.DEGENERATE:
+    if not _euclidean(d):
         raise DegenerateSimplexError("simplex is degenerate (zero volume)", verdict=verdict)
-    if verdict.status is Realizability.NON_EUCLIDEAN:
-        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
     return verdict
 
 
@@ -442,13 +461,15 @@ def _facet_dets(d: SquaredDistanceMatrix) -> tuple[int, ...]:
 def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     """Squared volumes of the facets, entry j opposite vertex j.
 
-    For a nondegenerate simplex of dimension n >= 2 each is read off the
-    kept facet Gram determinant det_k, scaled like A = s*G
-    (`_facet_dets`): V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  Flat
-    input has a singular Gram matrix, so each facet is eliminated on its
-    own (`facet_sdm`, `volume_sq`); `facet_sdm` refuses a segment.
+    Non-Euclidean input raises NonEuclideanError with the verdict
+    attached (`_euclidean`), although its facets may be Euclidean.  For a
+    nondegenerate simplex of dimension n >= 2 each is read off the kept
+    facet Gram determinant det_k, scaled like A = s*G (`_facet_dets`):
+    V_k**2 = det_k / (s**(n-1) ((n-1)!)**2).  Flat input has a singular
+    Gram matrix, so each facet is eliminated on its own (`facet_sdm`,
+    `volume_sq`); `facet_sdm` refuses a segment.
     """
-    if d.n < 2 or is_realizable(d).status is not Realizability.NONDEGENERATE:
+    if not _euclidean(d) or d.n < 2:
         return tuple(volume_sq(facet_sdm(d, j)) for j in range(d.n + 1))
     den = _gram_elimination(d).scale ** (d.n - 1) * math.factorial(d.n - 1) ** 2
     return tuple(Fraction(k, den) for k in _facet_dets(d))
@@ -457,7 +478,9 @@ def facet_volumes_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
 def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     """Squared circumradii of the facets, entry j opposite vertex j.
 
-    For a nondegenerate simplex of dimension n >= 2 each follows from the
+    Non-Euclidean input raises NonEuclideanError with the verdict
+    attached (`_euclidean`), although its facets may be Euclidean.  For a
+    nondegenerate simplex of dimension n >= 2 each follows from the
     circumsphere by Pythagoras.  The circumcenter lies at signed distance
     w_k h_k from facet k's hyperplane and projects onto the facet's
     circumcenter, and h_k**2 = det(A) / (s det_k), so R_k**2 = R**2 -
@@ -468,7 +491,7 @@ def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     (`facet_sdm`, `circumradius_sq`), and a degenerate facet raises;
     `facet_sdm` refuses a segment.
     """
-    if d.n < 2 or is_realizable(d).status is not Realizability.NONDEGENERATE:
+    if not _euclidean(d) or d.n < 2:
         return tuple(circumradius_sq(facet_sdm(d, j)) for j in range(d.n + 1))
     weights, dets = _circumcenter_weights(d), _facet_dets(d)
     g = _gram_elimination(d)

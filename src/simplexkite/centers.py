@@ -22,9 +22,12 @@ otherwise it is read off the float incenter by the gradient test that
 
 A general simplex's facet determinants and circumcenter weights come
 from its Gram elimination (`cayley._facet_dets`,
-`cayley._circumcenter_weights`).  The pre-kite solver, `equiareal_scan`
-and `prekite_equiradial_residual` live in `prekite`, with its closed
-forms, and this module does not import it.
+`cayley._circumcenter_weights`).  Non-Euclidean input is refused by the
+one realizability gate there (`cayley._euclidean`), which every
+predicate calls; this module checks only that a predicate has facets to
+compare, n >= 2.  The pre-kite solver, `equiareal_scan` and
+`prekite_equiradial_residual` live in `prekite`, with its closed forms,
+and this module does not import it.
 """
 
 from __future__ import annotations
@@ -32,31 +35,24 @@ from __future__ import annotations
 import math
 
 from .cayley import (
-    NonEuclideanError,
-    Realizability,
     SquaredDistanceMatrix,
     _circumcenter_weights,
+    _euclidean,
     _facet_dets,
-    _gram_elimination,
     facet_circumradii_sq,
     facet_volumes_sq,
-    is_realizable,
     require_nondegenerate,
 )
-from .exact import Record
+from .exact import Record, _at_least
 from .geometry import FT_GRADIENT_TOL, _pull, centroid, circumcenter, embed, incenter
 
 
 def _check_predicate_input(d: SquaredDistanceMatrix) -> bool:
-    """Refuse n < 2, and non-Euclidean distances with the verdict; flat input
-    passes.  Whether d is nondegenerate, so its facets' integers
-    (`_facet_dets`, `_circumcenter_weights`) exist."""
-    if d.n < 2:
-        raise ValueError("predicate needs n >= 2")
-    verdict = is_realizable(d)
-    if verdict.status is Realizability.NON_EUCLIDEAN:
-        raise NonEuclideanError("distances are not Euclidean", verdict=verdict)
-    return verdict.status is Realizability.NONDEGENERATE
+    """Refuse n < 2; then the realizability gate (`cayley._euclidean`):
+    whether d is nondegenerate, so its facets' integers (`_facet_dets`,
+    `_circumcenter_weights`) exist."""
+    _at_least(d.n, 2, "predicate")
+    return _euclidean(d)
 
 
 def is_well_distributed(d: SquaredDistanceMatrix) -> bool:
@@ -84,20 +80,21 @@ def is_equiareal(d: SquaredDistanceMatrix) -> bool:
 def is_equiradial(d: SquaredDistanceMatrix) -> bool:
     """Whether all facets have equal circumradius (exact).
 
-    A nondegenerate simplex has R_k**2 = (-corner det_k - w_k**2) / (4 s
-    det(A) det_k) (`facet_circumradii_sq`), so R_k = R_0 is (-corner det_k - w_k**2)
-    det_0 == (-corner det_0 - w_0**2) det_k on its integers, and its facets
-    are never degenerate.  So a degenerate facet can only occur on flat
-    input, whose facets are eliminated one by one; such a facet has no
-    circumradius and raises DegenerateSimplexError.
+    A nondegenerate simplex has R_k**2 = R**2 - (w_k h_k)**2, with w the
+    circumcenter's barycentrics and h_k**2 = det(A) / (s det_k) the squared
+    height over facet k (`facet_circumradii_sq`).  R**2 and det(A) / s are
+    shared by every facet, so R_k = R_0 is W_k**2 det_0 == W_0**2 det_k on
+    the kept integers W = 2 det(A) w (`_circumcenter_weights`) and det_k
+    (`_facet_dets`), and its facets are never degenerate.  So a degenerate
+    facet can only occur on flat input, whose facets are eliminated one by
+    one; such a facet has no circumradius and raises DegenerateSimplexError.
     """
     if not _check_predicate_input(d):
         radii = facet_circumradii_sq(d)
-        return all(r == radii[0] for r in radii)
+        return radii.count(radii[0]) == len(radii)
     weights, dets = _circumcenter_weights(d), _facet_dets(d)
-    corner = _gram_elimination(d).corner
-    first = -corner * dets[0] - weights[0] ** 2
-    return all((-corner * k - w * w) * dets[0] == first * k for w, k in zip(weights, dets))
+    first = weights[0] ** 2
+    return all(w * w * dets[0] == first * k for w, k in zip(weights, dets))
 
 
 def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:

@@ -10,8 +10,9 @@ Every module of the package imports this one, so each job that several
 of them share has its one owner here: `Record`, the frozen base of the
 result classes, whose `_fill` sets the fields wherever a class writes
 its own `__init__`; `_positive_tol`, the one check of a float
-tolerance; `_integer`, the one check of an order or dimension; and
-`_det`, the one cofactor expansion, which evaluates the small corner
+tolerance; `_integer`, the one check of an order or dimension;
+`_at_least`, the one refusal of a dimension below what a function needs;
+and `_det`, the one cofactor expansion, which evaluates the small corner
 determinant of `prekite`'s closed forms and is, on a matrix's rows,
 `linalg.determinant_by_cofactors`, the oracle of the elimination.
 
@@ -106,8 +107,9 @@ _PLAIN = (int, float, str)
 
 def _wire(value):
     """JSON-ready form of a field value: an exact scalar as its "p/q" text,
-    tuples and lists as lists and dicts as dicts of wire forms, a record
-    as its `to_json()` and an enum member as its value; anything else as is.
+    tuples and lists as lists and dicts as dicts of wire forms, and an enum
+    member as its value; anything else as is.  A record whose field holds a
+    record (`families.ClassificationReport`) writes its own `to_json`.
     """
     if isinstance(value, _PLAIN):  # first, as the ABC check for Fraction is slow on other values
         return value
@@ -117,8 +119,6 @@ def _wire(value):
         return [_wire(x) for x in value]
     if isinstance(value, dict):
         return {key: _wire(x) for key, x in value.items()}
-    if isinstance(value, Record):
-        return value.to_json()
     if isinstance(value, Enum):
         return value.value
     return value
@@ -156,6 +156,12 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("%s must be an integer, got %r" % (name, value))
     return value
+
+
+def _at_least(n: int, least: int, what: str) -> None:
+    """Refuse a dimension n below `least` with ValueError "<what> needs n >= <least>"."""
+    if n < least:
+        raise ValueError("%s needs n >= %d" % (what, least))
 
 
 def parse_scalar(text: str) -> Fraction:

@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
-from .exact import Record, _positive_tol, as_scalar
+from .exact import Record, _at_least, _positive_tol, as_scalar
 
 TOL_FAMILY = 1e-9
 
@@ -51,12 +51,6 @@ class BetaVector(Record):
     family: str
     beta: tuple
     residual: object  # Fraction for the exact family, float otherwise
-
-
-def _check_size(d: SquaredDistanceMatrix):
-    """Each recovery reads a triangle of edges, so a segment has none."""
-    if d.n < 2:
-        raise ValueError("family recovery needs n >= 2")
 
 
 def _per_vertex(x, rule) -> list:
@@ -125,7 +119,7 @@ def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
     On the cleared integers x = c*D the doubled weights b_i = 2c beta_i
     are integers, and every pair must satisfy 2 x_ij = b_i + b_j.
     """
-    _check_size(d)
+    _at_least(d.n, 2, "family recovery")  # each reads a triangle of edges
     x, size = d._dist, d.n + 1
     b = _per_vertex(x, lambda x_ij, x_ik, x_jk: x_ij + x_ik - x_jk)
     if any(2 * x[i][j] != b[i] + b[j] for i in range(size) for j in range(i + 1, size)):
@@ -137,7 +131,7 @@ def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
 def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with edge length = beta_i + beta_j."""
     _positive_tol(tol)
-    _check_size(d)
+    _at_least(d.n, 2, "family recovery")
     a, k = _floats(d)
     ell = [list(map(math.sqrt, row)) for row in a]
     beta = _per_vertex(ell, _half_sum)
@@ -156,7 +150,7 @@ def _ratio_root(x_ij, x_ik, x_jk):
 def recover_isodynamic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
     """Recovery of positive weights with squared edge = beta_i * beta_j."""
     _positive_tol(tol)
-    _check_size(d)
+    _at_least(d.n, 2, "family recovery")
     a, k = _floats(d)
     beta = _per_vertex(a, _ratio_root)
     return _accept("isodynamic", a, beta, _off_form("isodynamic"), tol, k)
@@ -201,7 +195,7 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
     edges at vertex 0, and every pair is verified at the end.
     """
     _positive_tol(tol)
-    _check_size(d)
+    _at_least(d.n, 2, "family recovery")
     a, k = _floats(d)
     for triple in _tetra_candidates(a):
         if any(b <= 0 for b in triple):
@@ -273,8 +267,7 @@ def find_apexes(d: SquaredDistanceMatrix) -> ApexReport:
     count of each value decides every vertex, so the census is O(n**2).
     At n = 2 the facet is that one edge, and every vertex is marked.
     """
-    if d.n < 2:
-        raise ValueError("apex enumeration needs n >= 2")
+    _at_least(d.n, 2, "apex enumeration")
     size, dist = d.n + 1, d._dist  # the cleared integers compare as the entries do
     counts = Counter(x for i, row in enumerate(dist) for x in row[i + 1:])
     values = [dist[(k + 1) % size][(k + 2) % size] for k in range(size)]  # of an edge of the facet opposite k

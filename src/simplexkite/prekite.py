@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import simplexkite as sk
 
-from .exact import Record, _cleared, _det, _integer, as_scalar
+from .exact import Record, _at_least, _cleared, _det, _integer, as_scalar
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
 
@@ -186,12 +186,20 @@ class PreKite(Record):
 
     @classmethod
     def from_json(cls, payload) -> "PreKite":
-        """Parse {"n": int, "u": scalar-text, "v": [scalar-text]}."""
+        """Parse {"n": int, "u": scalar-text, "v": [scalar-text]}.
+
+        Every malformed payload raises ValueError.
+        """
         if isinstance(payload, str):
             payload = json.loads(payload)
         if not isinstance(payload, dict) or not {"n", "u", "v"} <= set(payload):
             raise ValueError('expected an object with fields "n", "u", "v"')
-        return cls(payload["n"], payload["u"], payload["v"])
+        if not isinstance(payload["v"], list):
+            raise ValueError('"v" must be an array')
+        try:
+            return cls(payload["n"], payload["u"], payload["v"])
+        except TypeError as exc:
+            raise ValueError("invalid pre-kite parameter: %s" % exc) from exc
 
 
 def two_apexed(n: int, u, v) -> PreKite:
@@ -310,8 +318,7 @@ def prekite_equiradial_residual(pk: PreKite, j: int) -> Fraction:
     This is the cross-multiplied equality of the two facet circumradii,
     cleared of the common sign and power-of-u factors.
     """
-    if pk.n < 3:
-        raise ValueError("residual needs n >= 3")
+    _at_least(pk.n, 3, "residual")
     if not 1 <= _integer(j, "apex edge index") <= pk.n:
         raise IndexError("apex edge index out of range")
     n, u, s1, s2 = pk.n, pk.u, pk.sum1, pk.sum2
@@ -363,8 +370,7 @@ def equiareal_prekite_solve(n: int, t: int, s: int) -> list[EquiarealCandidate]:
     verdict; the candidate is re-verified as equiareal by comparing its
     facets' Cayley-Menger determinants, independent of the two conditions.
     """
-    if _integer(n, "dimension") < 3:
-        raise ValueError("solver needs n >= 3")
+    _at_least(_integer(n, "dimension"), 3, "solver")
     if _integer(t, "t") + _integer(s, "s") != n or s < 1 or t < s:
         raise ValueError("need t + s = n with t >= s >= 1")
     if t == s:

@@ -11,8 +11,8 @@ relation, read as a quadratic in one unknown squared distance, powers
 the missing-distance solver, and its n = 2 case yields the Pompeiu
 triangle classifier.
 
-Every entry point reads its inputs through `_read`, which refuses NaN
-and infinity, takes each int, Fraction or float at its exact value and
+Every entry point reads its inputs through `_read`, which refuses NaN,
+infinity and text, takes each int, Fraction or float at its exact value and
 clears them of one common denominator (`exact._cleared`), so the
 residual, the Pompeiu invariants, the solver's discriminant and the
 circumsphere comparison are integer expressions, always exact; a
@@ -45,9 +45,12 @@ INCONSISTENT = "inconsistent"
 
 
 def _checked(value):
-    """value when exact, else float(value), refused when NaN or infinite."""
+    """value when exact, else float(value), refused when NaN or infinite.
+    Text is refused rather than read as a number."""
     if isinstance(value, Rational):
         return value
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ValueError("expected a number, got %r" % (value,))
     value = float(value)
     if not math.isfinite(value):
         raise ValueError("float inputs must be finite")

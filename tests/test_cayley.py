@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simplexkite
+import simplexkite.centers as centers
 from simplexkite import (
     DegenerateSimplexError,
     ExactMatrix,
@@ -448,3 +451,45 @@ class TestEliminationMemo:
         for f in facets:
             circumradius_sq(f)
         assert len(calls) == 6
+
+
+# the regular unit triangle with an apex at squared distance 3/10 from each base vertex: every facet is
+# Euclidean, but the Gram matrix has inertia (2, 1, 0)
+APEX_AT_3_10 = [[0, 1, 1, Fraction(3, 10)], [1, 0, 1, Fraction(3, 10)], [1, 1, 0, Fraction(3, 10)],
+                [Fraction(3, 10)] * 3 + [0]]
+# the exported functions of a matrix that answer for any matrix; each other one refuses non-Euclidean input
+ANSWER_ANY_MATRIX = {
+    "cm_det", "cm_matrix", "gram_matrix", "inner_cm_det", "is_realizable", "facet_sdm", "find_apexes",
+    "recover_circumscriptible", "recover_isodynamic", "recover_orthocentric", "recover_tetra_isogonic",
+}
+
+
+def test_every_function_of_a_matrix_refuses_non_euclidean_input_or_answers_for_any():
+    functions = {}
+    for name in simplexkite.__all__:
+        value = getattr(simplexkite, name)
+        if inspect.isfunction(value) and next(iter(inspect.signature(value).parameters)) == "d":
+            functions[name] = value
+    assert ANSWER_ANY_MATRIX < set(functions) and len(functions) >= 22
+    answered = set()
+    for name, function in sorted(functions.items()):
+        d = SquaredDistanceMatrix(APEX_AT_3_10)  # fresh, so no kept result decides the outcome
+        try:
+            function(d, 0) if name == "facet_sdm" else function(d)
+        except NonEuclideanError as exc:
+            assert exc.verdict.status is Realizability.NON_EUCLIDEAN
+            assert exc.verdict.gram_inertia == (2, 1, 0)
+        else:
+            answered.add(name)
+    assert answered == ANSWER_ANY_MATRIX
+
+
+def test_centers_reads_realizability_through_the_cayley_gate():
+    assert not {"NonEuclideanError", "Realizability", "is_realizable", "_gram_elimination"} & set(vars(centers))
+
+
+def test_matrix_hash_follows_equality():
+    d = SquaredDistanceMatrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    same = SquaredDistanceMatrix([["0", "1", "2"], ["1", "0", "3"], ["2", "3", "0"]])
+    assert d == same and d is not same and hash(d) == hash(same)
+    assert len({d, same, d.permuted([1, 0, 2])}) == 2

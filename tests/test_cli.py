@@ -458,6 +458,20 @@ def test_boolean_matrix_entry_is_bad_input(run, tmp_path):
     assert run(["embed", str(path)])[0] == 1
 
 
+
+@pytest.mark.parametrize("payload", [
+    {"n": 2, "a": ["011", "101", "110"]},  # would read character by character
+    {"n": 1, "a": [{"0": 1, "1": 2}, [1, 0]]},  # would read by its keys, as the unit segment
+])
+def test_matrix_rows_must_be_arrays(capsys, tmp_path, payload):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(payload))
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: invalid matrix in %s: "n" must be an integer and "a" an array of arrays\n' % path
+
+
 BAD_INPUT = [
     (["prekite-eval", "3", "1/0", "1", "1", "1"], "zero denominator in scalar: '1/0'"),
     (["prekite-feasible", "3", "abc", "2"], "not a valid scalar: 'abc'"),

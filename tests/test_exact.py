@@ -614,3 +614,12 @@ class TestDeepFallback:
             assert inertia(m) == _fraction_inertia(rows)
         else:
             assert result == (minors, sign)
+
+
+def test_exact_matrix_equality_hash_and_repr():
+    m = ExactMatrix([[1, Fraction(1, 2)], [0, -3]])
+    same = ExactMatrix([[Fraction(1), Fraction(1, 2)], [0, -3]])
+    assert m == same and hash(m) == hash(same)
+    assert m != ExactMatrix([[1, Fraction(1, 2)], [0, 3]])
+    assert m != m.rows and len({m, same}) == 1
+    assert repr(m) == "ExactMatrix[1 1/2; 0 -3]"

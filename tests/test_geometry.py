@@ -415,3 +415,14 @@ def test_jump_change_is_the_change_in_summed_distance():
             error = abs(Decimal(got) - (summed(pts, y) - summed(pts, new)))
         # the rounding of new = x + step and y = new + jump moves each term by a few 1e-16
         assert error <= Decimal(2e-15 * (n + 1))
+
+
+def test_fermat_raises_at_its_step_cap(monkeypatch):
+    # next to an almost-120-degree vertex the iteration needs more than five steps
+    e = 3 - Fraction(1, 10**6)
+    s = embed(sdm_triangle(1, 1, e))
+    fermat_torricelli(s)
+    monkeypatch.setattr(geometry, "FT_MAX_ITER", 5)
+    with pytest.raises(geometry.ConvergenceError) as info:
+        fermat_torricelli(s)
+    assert str(info.value) == "Fermat-Torricelli iteration did not reach gradient norm 1.0e-10 in 5 steps"

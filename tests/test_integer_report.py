@@ -8,11 +8,14 @@ Fractions of `facet_volumes_sq`, `facet_circumradii_sq` and
 fail.
 """
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import simplexkite
+import simplexkite.cayley as cayley
 from simplexkite import (
     PreKite,
     Realizability,
@@ -128,3 +131,37 @@ def test_the_float_recoveries_share_one_float_matrix(monkeypatch):
     classify(d)
     classify(d)
     assert calls == [d]
+
+
+def _corner_equiradial(d):
+    """The equiradial verdict on R_k**2 = (-corner det_k - W_k**2) / (4 s det(A) det_k), corner included."""
+    weights, dets = cayley._circumcenter_weights(d), cayley._facet_dets(d)
+    corner = cayley._gram_elimination(d).corner
+    first = -corner * dets[0] - weights[0] ** 2
+    return all((-corner * k - w * w) * dets[0] == first * k for w, k in zip(weights, dets))
+
+
+def test_equiradial_verdict_needs_no_corner(monkeypatch):
+    # the benchmark's report inputs of seeds 1-3, then pre-kites, kites, disphenoids and regular simplices,
+    # the last 60 also scaled and relabelled; the kites PK[n; 1; (n-2)/n, ...] are equiradial without being regular
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "perfbench"))
+    from inputs import reports
+
+    rows = []
+    for seed in (1, 2, 3):
+        warm, items = reports(seed, 30, simplexkite)
+        rows += [item["a"] for item in (warm, *items)]
+    cases = [SquaredDistanceMatrix(a) for a in rows] + predicate_cases()
+    rng = random.Random(1415)
+    for n in range(3, 13):
+        for _ in range(3):
+            pk = PreKite(n, 1, tuple(F(rng.randint(4, 12), rng.randint(4, 6)) for _ in range(n)))
+            if is_realizable(pk.to_sdm()).status is Realizability.NONDEGENERATE:
+                cases.append(pk.to_sdm())
+    cases += [PreKite(n, 1, (F(n - 2, n),) * n).to_sdm() for n in range(4, 13)]
+    cases += [d.scaled(F(7, 3)).permuted(list(range(d.n, -1, -1))) for d in cases[-60:]]
+    radial = 0
+    for d in cases:
+        assert is_equiradial(d) == _corner_equiradial(d) == (len(set(facet_circumradii_sq(d))) == 1)
+        radial += is_equiradial(d)
+    assert len(cases) >= 1900 and radial >= 10

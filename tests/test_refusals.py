@@ -8,11 +8,13 @@ not exist, so no family is reported.
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from simplexkite import (
     BorderedUniform,
+    NonEuclideanError,
     DistanceTuple,
     EmbeddedSimplex,
     ExactMatrix,
@@ -54,6 +56,11 @@ TRIANGLE = SquaredDistanceMatrix.regular(2)
 TETRA = SquaredDistanceMatrix.regular(3)
 PREKITE = PreKite(4, 1, (1, 1, 1, 2))
 NO_FIELDS = 'expected an object with fields "n" and "a"'
+NOT_ARRAYS = '"n" must be an integer and "a" an array of arrays'
+# the regular unit triangle with an apex at squared distance 3/10 from each base vertex: Gram inertia (2, 1, 0),
+# while each facet alone is Euclidean
+APEX = SquaredDistanceMatrix([[0, 1, 1, Fraction(3, 10)], [1, 0, 1, Fraction(3, 10)], [1, 1, 0, Fraction(3, 10)],
+                              [Fraction(3, 10)] * 3 + [0]])
 
 
 def refusal(name, call, error, message):
@@ -83,6 +90,17 @@ CAYLEY = [
             "vertex index must be an integer, got True"),
     refusal("permuted bool indices", lambda: TRIANGLE.permuted([True, False, 2]), ValueError,
             "vertex index must be an integer, got True"),
+    refusal("from_json string rows", lambda: SquaredDistanceMatrix.from_json({"n": 2, "a": ["011", "101", "110"]}),
+            ValueError, NOT_ARRAYS),
+    refusal("from_json object row", lambda: SquaredDistanceMatrix.from_json({"n": 1, "a": [{"0": 1, "1": 2}, [1, 0]]}),
+            ValueError, NOT_ARRAYS),
+    refusal("from_json string a", lambda: SquaredDistanceMatrix.from_json({"n": 1, "a": "0110"}), ValueError, NOT_ARRAYS),
+    refusal("from_json float entry", lambda: SquaredDistanceMatrix.from_json({"n": 1, "a": [[0, 1.5], [1.5, 0]]}),
+            ValueError, "invalid matrix entry: expected an exact scalar, got float"),
+    refusal("facet_volumes_sq non-Euclidean", lambda: facet_volumes_sq(APEX), NonEuclideanError,
+            "distances are not Euclidean"),
+    refusal("facet_circumradii_sq non-Euclidean", lambda: facet_circumradii_sq(APEX), NonEuclideanError,
+            "distances are not Euclidean"),
 ]
 
 GEOMETRY = [
@@ -111,6 +129,14 @@ PREKITES = [
             'expected an object with fields "n", "u", "v"'),
     refusal("PreKite.from_json object without u", lambda: PreKite.from_json({"n": 2, "v": ["1", "1"]}), ValueError,
             'expected an object with fields "n", "u", "v"'),
+    refusal("PreKite.from_json string v", lambda: PreKite.from_json({"n": 2, "u": "1", "v": "12"}), ValueError,
+            '"v" must be an array'),
+    refusal("PreKite.from_json integer v", lambda: PreKite.from_json({"n": 1, "u": "1", "v": 1}), ValueError,
+            '"v" must be an array'),
+    refusal("PreKite.from_json list u", lambda: PreKite.from_json({"n": 2, "u": ["1"], "v": ["1", "1"]}), ValueError,
+            "invalid pre-kite parameter: expected an exact scalar, got list"),
+    refusal("PreKite.from_json object entry of v", lambda: PreKite.from_json({"n": 2, "u": "1", "v": ["1", {}]}),
+            ValueError, "invalid pre-kite parameter: expected an exact scalar, got dict"),
     refusal("apex_squared_ratio_window n = 1", lambda: apex_squared_ratio_window(1), ValueError,
             "dimension must be at least 2"),
     refusal("two_apexed_feasible u = 0", lambda: two_apexed_feasible(3, 0, 1), ValueError,
@@ -223,6 +249,20 @@ RELATION = [
             "dimension must be an integer, got 2.5"),
     refusal("DistanceTuple bool dimension", lambda: DistanceTuple(True, 1, (1, 1)), ValueError,
             "dimension must be an integer, got True"),
+    refusal("relation_residual_from_squares numeric text", lambda: relation_residual_from_squares(1, ["1", "2", "3"]),
+            ValueError, "expected a number, got '1'"),
+    refusal("relation_residual_from_squares one string", lambda: relation_residual_from_squares(1, "123"),
+            ValueError, "expected a number, got '1'"),
+    refusal("relation_residual_from_squares bytes", lambda: relation_residual_from_squares(1, [1, 2, b"3"]),
+            ValueError, "expected a number, got b'3'"),
+    refusal("DistanceTuple string distances", lambda: DistanceTuple(2, 1, "011"), ValueError,
+            "expected a number, got '0'"),
+    refusal("DistanceTuple text edge", lambda: DistanceTuple(1, "1", (0, 1)), ValueError,
+            "expected a number, got '1'"),
+    refusal("solve_missing_distance_squares text edge", lambda: solve_missing_distance_squares(2, "1", [1, 1]),
+            ValueError, "expected a number, got '1'"),
+    refusal("pompeiu_from_point text side", lambda: pompeiu_from_point("1", (0.0, 0.0)), ValueError,
+            "expected a number, got '1'"),
 ]
 
 
@@ -240,6 +280,8 @@ CLI = [
     pytest.param(["pompeiu", "--tol", "abc", "1", "0", "1", "1"], "argument --tol: invalid float value: 'abc'",
                  id="--tol abc"),
     pytest.param(["rel", "verify", "--n", "2", "--t0", "1"], "rel verify needs --t", id="rel verify without --t"),
+    pytest.param(["pompeiu", "1", "0", "1", "1", "x", "--"], "unrecognized arguments: x --",
+                 id="-- after an extra positional"),
 ]
 
 
