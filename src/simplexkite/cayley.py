@@ -9,15 +9,17 @@ construction, and keeps the integer form c*D; every exact step reads
 it.  Volume, circumradius, circumcenter, verdict and every facet's
 volume and circumradius all come from one integer symmetric elimination
 of the Gram matrix G of edge vectors (`_gram_elimination`).  A matrix
+is a frozen record (`exact.Record`) whose fields are `n` and `a`; it
 keeps that elimination and the integers read off it for the
 circumcenter (`_circumcenter_weights`) and for the facets
-(`_facet_dets`), each in its own slot filled on first use, so a caller
-of the circumcenter alone never pays for the facets; it keeps no facet
-matrix and builds no Fraction to keep: each function builds only the
-Fractions of the value it returns.  The
-elimination runs on [A | b], A = s*G the scaled integer Gram matrix and
-b its diagonal carried as one more column, which the symmetric kernel
-eliminates alongside and never pivots on.  Its pivot signs give the
+(`_facet_dets`), each in its own private slot, filled once on first use
+with `object.__setattr__`, so a caller of the circumcenter alone never
+pays for the facets, and no assignment can change the entries a kept
+result was read from; it keeps no facet matrix and builds no Fraction to
+keep: each function builds only the Fractions of the value it returns.
+The elimination runs on [A | b], A = s*G the scaled integer Gram matrix
+and b its diagonal carried as one more column, which the symmetric
+kernel eliminates alongside and never pivots on.  Its pivot signs give the
 inertia of G, and its last leading minor gives det(G) = (n!)**2 * V**2.
 The carried column b' and the kept minors m_k give the corner
 -b^T adj(A) b of the bordered [[A, b], [b^T, 0]] by the O(n) fold
@@ -54,7 +56,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul, neg
 
-from .exact import Record, _cleared, _integer, _wire, as_scalar
+from .exact import Record, _cleared, _integer, _scalars, as_scalar
 from .linalg import ExactMatrix, _back_substitute, _bareiss, _signature, exact_determinant
 
 
@@ -89,21 +91,23 @@ class RealizabilityVerdict(Record):
     gram_inertia: tuple[int, int, int]
 
 
-class SquaredDistanceMatrix:
+class SquaredDistanceMatrix(Record):
     """Symmetric matrix of squared vertex distances of an n-simplex.
 
     The diagonal is zero and every off-diagonal entry is a positive
     exact rational.  `n` is the simplex dimension, so the matrix is
     (n+1) x (n+1).  The constructor checks the entries on their cleared
-    integer form c*D, which it keeps with c for every exact step.
+    integer form c*D, which it keeps with c for every exact step.  The
+    fields are `n` and `a`; the rest are private slots (`exact.Record`),
+    the kept integers and four results kept on first use, each written
+    once, so the matrix compares, hashes and writes its JSON by its
+    entries alone.
     """
 
     __slots__ = ("n", "a", "_dist", "_den", "_gram", "_weights", "_dets", "_floats")
 
     def __init__(self, entries: Iterable[Iterable]):
-        # a row of plain Fractions is kept as it is; only other rows go through as_scalar
-        table = tuple(row if set(map(type, row)) <= {Fraction} else tuple(map(as_scalar, row))
-                      for row in map(tuple, entries))
+        table = tuple(map(_scalars, entries))
         m = len(table)
         if m < 2 or any(len(row) != m for row in table):
             raise ValueError("expected a square matrix with at least two vertices")
@@ -116,14 +120,9 @@ class SquaredDistanceMatrix:
                     raise ValueError("matrix must be symmetric")
                 if row[j] <= 0:
                     raise ValueError("off-diagonal entries must be positive")
-        self.n = m - 1
-        self.a = table
-        self._dist = dist  # c*D, the distances cleared of their common denominator c
-        self._den = scales[0]  # c
-        self._gram = None  # the `_gram_elimination` result, filled on first use
-        self._weights = None  # the `_circumcenter_weights` result, filled on first use
-        self._dets = None  # the `_facet_dets` result, filled on first use
-        self._floats = None  # the `families._floats` result, filled on first use
+        # c*D, the distances cleared of their common denominator c, and c; then the results of
+        # `_gram_elimination`, `_circumcenter_weights`, `_facet_dets` and `families._floats`
+        self._fill(m - 1, table, dist, scales[0], None, None, None, None)
 
     @classmethod
     def regular(cls, n: int, side_sq=1) -> "SquaredDistanceMatrix":
@@ -154,15 +153,6 @@ class SquaredDistanceMatrix:
             return cls(rows)
         except TypeError as exc:
             raise ValueError("invalid matrix entry: %s" % exc) from exc
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "a": _wire(self.a)}
-
-    def __eq__(self, other):
-        return isinstance(other, SquaredDistanceMatrix) and self.a == other.a
-
-    def __hash__(self):
-        return hash(self.a)
 
     def __repr__(self):
         return "SquaredDistanceMatrix(n=%d)" % self.n
@@ -312,7 +302,7 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
         for pivot, row in zip(minors, rows):
             corner = (pivot * corner - row[-1] ** 2) // prev
             prev = pivot
-        d._gram = _Gram(rows, minors, 2 * d._den, verdict, corner)
+        object.__setattr__(d, "_gram", _Gram(rows, minors, 2 * d._den, verdict, corner))
     return d._gram
 
 
@@ -429,7 +419,7 @@ def _circumcenter_weights(d: SquaredDistanceMatrix) -> tuple[int, ...]:
         # c D is integral and s = 2c, so (c D)(2 det(A) w) = 4c det(A) R**2 = -corner / 2.
         if any(2 * sum(map(mul, row, weights)) != -g.corner for row in d._dist):
             raise RuntimeError("circumcenter fails the Cayley-Menger certificate")
-        d._weights = weights
+        object.__setattr__(d, "_weights", weights)
     return d._weights
 
 
@@ -454,7 +444,7 @@ def _facet_dets(d: SquaredDistanceMatrix) -> tuple[int, ...]:
         cross = sum(map(mul, top[1:], y))
         if any(t * total + cross - sum(map(mul, row[1:], y)) != det for t, row in zip(top[1:], d._dist[1:])):
             raise RuntimeError("facet determinants fail the adjugate certificate")
-        d._dets = (total, *map(neg, corners))
+        object.__setattr__(d, "_dets", (total, *map(neg, corners)))
     return d._dets
 
 

@@ -211,13 +211,7 @@ def cmd_pompeiu(args):
 
 def cmd_embed(args):
     d = _load_sdm(args.matrix)
-    s = sk.embed(d)
-    out = {
-        "n": s.n,
-        "vertices": [list(row) for row in s.vertices],
-        "max_rel_error": s.max_rel_error,
-    }
-    return _dumps(out), EXIT_OK
+    return _dumps(sk.embed(d).to_json()), EXIT_OK
 
 
 def cmd_centers(args):

@@ -8,9 +8,10 @@ of the package works on.
 
 Every module of the package imports this one, so each job that several
 of them share has its one owner here: `Record`, the frozen base of the
-result classes, whose `_fill` sets the fields wherever a class writes
-its own `__init__`; `_positive_tol`, the one check of a float
-tolerance; `_integer`, the one check of an order or dimension;
+result and value classes, whose `_fill` sets the fields wherever a class
+writes its own `__init__`; `_scalars`, the one reader of a sequence of
+scalars; `_positive_tol`, the one check of a float tolerance;
+`_integer`, the one check of an order or dimension;
 `_at_least`, the one refusal of a dimension below what a function needs;
 and `_det`, the one cofactor expansion, which evaluates the small corner
 determinant of `prekite`'s closed forms and is, on a matrix's rows,
@@ -39,17 +40,24 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 class Record:
     """Frozen record whose fields are the names in the subclass's `__slots__`.
 
-    A subclass gets an `__init__` taking its fields in order, generated
+    A subclass gets an `__init__` taking its slots in order, generated
     once when the class is made; `defaults` in the class statement gives
-    the last fields defaults, as `collections.namedtuple` does.  A subclass
+    the last ones defaults, as `collections.namedtuple` does.  A subclass
     may write its own `__init__`, which checks its arguments and passes
-    the fields in order to `_fill`, the one loop that sets them with
-    `object.__setattr__`, as unpickling does.  Records compare equal, and
-    hash, by type and fields, repr as `Name(field=value, ...)`, refuse
-    assignment, and pickle and copy: what `dataclass(frozen=True)` gives, without
-    importing `dataclasses`, whose import of `inspect` and its
-    dependencies would slow the start of every process.  `to_json`
-    writes each field under its name, in the wire form of `_wire`.
+    every slot in order to `_fill`, generated with the same body: the one
+    setter of the slots, each set with `object.__setattr__`, as unpickling
+    does.  Records compare equal, and hash, by type and fields, repr as
+    `Name(field=value, ...)`, refuse assignment and deletion, and pickle
+    and copy: what `dataclass(frozen=True)` gives, without importing
+    `dataclasses`, whose import of `inspect` and its dependencies would
+    slow the start of every process.  `to_json` writes each field under
+    its name, in the wire form of `_wire`.
+
+    A slot whose name starts with `_` is private state, not a field: `_fill`
+    sets it and pickle and copy keep it, but `__match_args__`, equality,
+    hash, repr and `to_json` leave it out.  A value kept on first use (the
+    Gram elimination of a `cayley.SquaredDistanceMatrix`) is such a slot,
+    written once with `object.__setattr__`.
     """
 
     __slots__ = ()
@@ -57,22 +65,20 @@ class Record:
     def __init_subclass__(cls, defaults=(), **kwargs):
         super().__init_subclass__(**kwargs)
         fields = cls.__slots__
-        cls.__match_args__ = fields
+        cls.__match_args__ = tuple(name for name in fields if name[0] != "_")
+        # one call per slot, unrolled: a loop over the slots took a matrix's _fill three times as long
+        code = "(self, %s):" % ", ".join(fields) + "".join("\n    _set(self, %r, %s)" % (name, name) for name in fields)
+        scope = {"_set": object.__setattr__}
+        exec("def _fill%s\ndef __init__%s" % (code, code), scope)
+        cls._fill = scope["_fill"]
         if "__init__" not in cls.__dict__:
-            body = "".join("\n    _set(self, %r, %s)" % (name, name) for name in fields)
-            scope = {"_set": object.__setattr__}
-            exec("def __init__(self, %s):%s" % (", ".join(fields), body), scope)
             init = scope["__init__"]
             init.__defaults__ = tuple(defaults) or None
             init.__qualname__ = cls.__qualname__ + ".__init__"
             cls.__init__ = init
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -83,7 +89,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__match_args__)
         return "%s(%s)" % (type(self).__qualname__, fields)
 
     def __setattr__(self, name, value):
@@ -93,13 +99,13 @@ class Record:
         raise AttributeError("cannot delete field %r of a frozen record" % name)
 
     def __getstate__(self):
-        return self._values()
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setstate__(self, state):
         self._fill(*state)
 
     def to_json(self) -> dict:
-        return {name: _wire(getattr(self, name)) for name in self.__slots__}
+        return {name: _wire(getattr(self, name)) for name in self.__match_args__}
 
 
 _PLAIN = (int, float, str)
@@ -109,7 +115,8 @@ def _wire(value):
     """JSON-ready form of a field value: an exact scalar as its "p/q" text,
     tuples and lists as lists and dicts as dicts of wire forms, and an enum
     member as its value; anything else as is.  A record whose field holds a
-    record (`families.ClassificationReport`) writes its own `to_json`.
+    record (`families.ClassificationReport`, `geometry.EmbeddedSimplex`)
+    writes its own `to_json`.
     """
     if isinstance(value, _PLAIN):  # first, as the ABC check for Fraction is slow on other values
         return value
@@ -138,6 +145,21 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError("expected an exact scalar, got %s" % type(value).__name__)
+
+
+def _scalars(values) -> tuple:
+    """The entries of a sequence as a tuple of exact scalars (`as_scalar`).
+
+    Text, bytes and bytearray are refused with TypeError rather than read
+    one character or one byte at a time.  A tuple of plain Fractions is
+    returned as it is.  Every sequence of scalars is read with this: the
+    rows of `SquaredDistanceMatrix` and `ExactMatrix`, a pre-kite's apex
+    parameters, a bordered uniform's border and a family's weights.
+    """
+    if isinstance(values, (str, bytes, bytearray)):
+        raise TypeError("expected a sequence of exact scalars, got %s" % type(values).__name__)
+    values = tuple(values)
+    return values if set(map(type, values)) <= {Fraction} else tuple(map(as_scalar, values))
 
 
 def _positive_tol(tol, name: str = "tol") -> None:

@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
-from .exact import Record, _at_least, _positive_tol, as_scalar
+from .exact import Record, _at_least, _positive_tol, _scalars
 
 TOL_FAMILY = 1e-9
 
@@ -109,7 +109,7 @@ def _floats(d: SquaredDistanceMatrix) -> tuple[list[list[float]], int]:
         k = _top_exponent(d) // 2
         num, den = 1 << max(-2 * k, 0), d._den << max(2 * k, 0)
         # int / int rounds correctly, as float(Fraction) does
-        d._floats = [[x * num / den for x in row] for row in d._dist], k
+        object.__setattr__(d, "_floats", ([[x * num / den for x in row] for row in d._dist], k))
     return d._floats
 
 
@@ -223,7 +223,7 @@ def matrix_from_beta(family: str, beta) -> SquaredDistanceMatrix:
     """
     if family not in _FORMS:
         raise ValueError("unknown family %r" % family)
-    weights = [as_scalar(b) for b in beta]
+    weights = _scalars(beta)
     if len(weights) < 3:
         raise ValueError("need at least three weights")
     if family != "orthocentric" and any(b <= 0 for b in weights):

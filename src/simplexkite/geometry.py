@@ -1,11 +1,17 @@
 """Floating-point realization of distance matrices and the four centers.
 
-This is the only module that leaves exact arithmetic, and it needs only
-`math`; points are tuples of floats.  A matrix is embedded by factoring
-its exact Gram matrix (exact LDL^T, converted to floats only at the very
+This module and the float family recoveries of `families` are where
+the package leaves exact arithmetic; this one needs only `math`, and
+points are tuples of floats.  A matrix is embedded by factoring its
+exact Gram matrix (exact LDL^T, converted to floats only at the very
 end).  Every float leaves the exact data as one correctly rounded
 division of the integers the Gram elimination holds, and no Fraction is
-built.  The circumcenter and incenter are read off the Gram elimination
+built.  Where the float is a square root (`embed`'s frame scales,
+`incenter`'s weights and inradius), the root of the integer ratio is
+taken by `_root`, which scales the ratio by a power of four first, so
+these exits keep their digits at any scale: a ratio whose float would
+underflow or overflow still gives its root, where that root is a float.
+The circumcenter and incenter are read off the Gram elimination
 that certified the simplex, not solved for in floats: the incenter's
 barycentrics are the facet volumes over their sum, and the
 circumcenter's coordinates in the embedding frame are exact rationals
@@ -47,13 +53,29 @@ FT_MAX_ITER = 100_000
 Point = tuple[float, ...]
 
 
+def _root(p: int, q: int) -> float:
+    """sqrt(p / q) for positive integers p and q, at any magnitude.
+
+    The ratio is first moved into [1/4, 4) by a power of four, from the
+    bit lengths of p and q, as `relation._sqrt` moves its input, and its
+    root moved back by the matching power of two, so no ratio that leaves
+    the normal floats rounds to 0, to a subnormal or to infinity before its
+    root is taken.  The bits equal math.sqrt(p / q) wherever p / q is a
+    normal float: int / int rounds correctly, and a power of two moves no
+    bit of a normal float.
+    """
+    e = (p.bit_length() - q.bit_length()) // 2
+    return math.ldexp(math.sqrt((p << -2 * e) / q if e < 0 else p / (q << 2 * e)), e)
+
+
 class ConvergenceError(RuntimeError):
     """Iteration budget ran out before the convergence test was met."""
 
 
-class EmbeddedSimplex:
+class EmbeddedSimplex(Record):
     """Coordinates realizing a squared-distance matrix in the frame `embed`
-    builds: vertex 0 at the origin and vertex i in the first i coordinates.
+    builds: vertex 0 at the origin and vertex i in the first i coordinates,
+    a frozen record (`exact.Record`).
     A NaN or infinite coordinate is refused before the round-trip check,
     which a NaN would pass, since no comparison is true for it."""
 
@@ -87,13 +109,12 @@ class EmbeddedSimplex:
                 "coordinates do not reproduce the distance matrix "
                 "(relative error %.3e exceeds %.1e)" % (err, tol)
             )
-        self.n = source.n
-        self.vertices = pts
-        self.source = source
-        self.max_rel_error = err
+        self._fill(source.n, pts, source, err)
 
-    def __repr__(self):
-        return "EmbeddedSimplex(n=%d, max_rel_error=%.2e)" % (self.n, self.max_rel_error)
+    def to_json(self) -> dict:
+        """What the `embed` command prints: the dimension, the vertices and
+        the round-trip error; the source matrix is the command's input."""
+        return {"n": self.n, "vertices": [list(row) for row in self.vertices], "max_rel_error": self.max_rel_error}
 
 
 def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
@@ -120,8 +141,7 @@ def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
             "squared distances leave the float range; the exact results "
             "(classify --exact) do not need floats"
         )
-    # int / int rounds correctly, as float(Fraction) does
-    scale = [math.sqrt(cur / (prev * g.scale)) for prev, cur in zip([1] + g.minors, g.minors)]
+    scale = [_root(cur, prev * g.scale) for prev, cur in zip([1] + g.minors, g.minors)]
     rows = [(0.0,) * d.n]
     for i in range(d.n):
         below = [g.rows[k][i] / g.minors[k] * scale[k] for k in range(i)]
@@ -170,13 +190,13 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """
     dets = _facet_dets(s.source)
     largest = max(dets)
-    roots = [math.sqrt(k / largest) for k in dets]
+    roots = [_root(k, largest) for k in dets]
     total = fsum(roots)
     weights = [r / total for r in roots]
     if not all(0.0 < w < math.inf for w in weights):
         raise RuntimeError("incenter weights are not all positive finite floats")
     g = _gram_elimination(s.source)
-    radius = s.n * math.sqrt(g.minors[-1] / (g.scale * s.n**2 * largest)) / total
+    radius = s.n * _root(g.minors[-1], g.scale * s.n**2 * largest) / total
     return tuple(fsum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
 
 

@@ -30,25 +30,24 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
-from .exact import _cleared, _det, _integer, as_scalar
+from .exact import Record, _cleared, _det, _integer, _scalars
 
 
 class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a singular matrix."""
 
 
-class ExactMatrix:
-    """Immutable square matrix of exact rationals."""
+class ExactMatrix(Record):
+    """Immutable square matrix of exact rationals, a frozen record (`exact.Record`)."""
 
     __slots__ = ("order", "rows")
 
     def __init__(self, rows: Iterable[Iterable]):
-        table = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        table = tuple(map(_scalars, rows))
         order = len(table)
         if any(len(row) != order for row in table):
             raise ValueError("matrix must be square")
-        self.order = order
-        self.rows = table
+        self._fill(order, table)
 
     @classmethod
     def identity(cls, order: int) -> "ExactMatrix":
@@ -58,12 +57,6 @@ class ExactMatrix:
 
     def __getitem__(self, i: int):
         return self.rows[i]
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -234,7 +227,7 @@ def inertia(m: ExactMatrix) -> tuple[int, int, int]:
 def solve_linear(m: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     """Solve m x = rhs exactly; raises SingularMatrixError when singular."""
     n = m.order
-    b = [as_scalar(v) for v in rhs]
+    b = _scalars(rhs)
     if len(b) != n:
         raise ValueError("right-hand side length does not match matrix order")
     a, _ = _cleared([row + (x,) for row, x in zip(m.rows, b)])

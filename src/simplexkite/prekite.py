@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import simplexkite as sk
 
-from .exact import Record, _at_least, _cleared, _det, _integer, as_scalar
+from .exact import Record, _at_least, _cleared, _det, _integer, _scalars, as_scalar
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
 
@@ -121,8 +121,7 @@ class BorderedUniform(Record):
     def __init__(self, n, corner, left, top, off, diag):
         if _integer(n, "order parameter") < 1:
             raise ValueError("order parameter must be at least 1")
-        left = tuple(as_scalar(x) for x in left)
-        top = tuple(as_scalar(y) for y in top)
+        left, top = _scalars(left), _scalars(top)
         if len(left) != n or len(top) != n:
             raise ValueError("border vectors must have exactly n entries")
         self._fill(n, as_scalar(corner), left, top, as_scalar(off), as_scalar(diag))
@@ -162,7 +161,7 @@ class PreKite(Record):
         if _integer(n, "dimension") < 2:
             raise ValueError("a pre-kite needs dimension n >= 2")
         u = as_scalar(u)
-        v = tuple(as_scalar(x) for x in v)
+        v = _scalars(v)
         if u <= 0 or any(x <= 0 for x in v):
             raise ValueError("squared edge parameters must be positive")
         if len(v) != n:

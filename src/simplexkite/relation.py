@@ -12,8 +12,8 @@ the missing-distance solver, and its n = 2 case yields the Pompeiu
 triangle classifier.
 
 Every entry point reads its inputs through `_read`, which refuses NaN,
-infinity and text, takes each int, Fraction or float at its exact value and
-clears them of one common denominator (`exact._cleared`), so the
+infinity, text and bytes, takes each int, Fraction or float at its exact
+value and clears them of one common denominator (`exact._cleared`), so the
 residual, the Pompeiu invariants, the solver's discriminant and the
 circumsphere comparison are integer expressions, always exact; a
 Fraction is built only for a value that is returned and for the
@@ -57,11 +57,19 @@ def _checked(value):
     return value
 
 
+def _numbers(values) -> list:
+    """values as a list; bytes and bytearray are refused rather than read as
+    their byte values, and text is refused entry by entry (`_checked`)."""
+    if isinstance(values, (bytes, bytearray)):
+        raise ValueError("expected a sequence of numbers, got %r" % (values,))
+    return list(values)
+
+
 def _read(values) -> tuple[list[int], int, bool]:
     """(ints, den, exact): ints, Fractions and floats as integers over their
     one common denominator den, and whether every one was exact.  A float is
     taken at its exact binary value; NaN and infinity are refused."""
-    values = list(values)
+    values = _numbers(values)
     (ints,), (den,) = _cleared([[Fraction(_checked(v)) for v in values]], common=True)
     return ints, den, all(isinstance(v, Rational) for v in values)
 
@@ -118,7 +126,7 @@ class DistanceTuple(Record):
     def __init__(self, n, t0, t):
         if _integer(n, "dimension") < 1:
             raise ValueError("dimension must be at least 1")
-        t = tuple(t)
+        t = tuple(_numbers(t))
         if len(t) != n + 1:
             raise ValueError("expected n+1 vertex distances")
         tuple(map(_checked, (t0, *t)))  # NaN and infinity refused, no Fraction built
@@ -211,13 +219,13 @@ def solve_missing_distance_squares(n: int, t0_sq, known_sq) -> list:
     the roots are rational, floats otherwise.  A float root outside the
     normal float range is refused.
     """
-    roots, exact = _roots(n, *_read([t0_sq, *known_sq]))
+    roots, exact = _roots(n, *_read([t0_sq, *_numbers(known_sq)]))
     return roots if exact else [_float(q) for q in roots]
 
 
 def _open_slot(n: int, t0, known) -> tuple[list, bool]:
     """`_roots` of the squares of t0 and the known distances."""
-    known = list(known)
+    known = _numbers(known)
     if len(known) == _integer(n, "dimension") + 1:
         if known.count(None) != 1:
             raise ValueError("exactly one slot must be open")
@@ -339,7 +347,7 @@ def pompeiu_from_point(a, point, tol: float = _POMPEIU_TOL):
     is read as `equilateral_vertices` reads it.
     """
     side = _float(_checked(a))
-    p = tuple(float(x) for x in point)
+    p = tuple(float(_checked(x)) for x in _numbers(point))
     if len(p) != 2:
         raise ValueError("expected a planar point")
     x, y, z = (math.dist(p, v) for v in equilateral_vertices(side))

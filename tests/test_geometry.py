@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -426,3 +428,53 @@ def test_fermat_raises_at_its_step_cap(monkeypatch):
     with pytest.raises(geometry.ConvergenceError) as info:
         fermat_torricelli(s)
     assert str(info.value) == "Fermat-Torricelli iteration did not reach gradient norm 1.0e-10 in 5 steps"
+
+
+# two long sides 2**500 over a base 2**-500: the base facet's determinant over the largest is 2**-2000
+THIN = sdm_triangle(2**1000, 2**1000, Fraction(1, 2**1000))
+# squared sides 1, 1 + 10**-400 and 4 + 10**-400: vertex 2 at height 10**-200 over the line of the first side
+LOW = sdm_triangle(1, 4 + Fraction(1, 10**400), 1 + Fraction(1, 10**400))
+
+
+def test_thin_triangle_has_positive_incenter_weights(tmp_path, capsys):
+    from simplexkite.cayley import _facet_dets
+    from simplexkite.cli import main
+
+    dets = _facet_dets(THIN)
+    weights = [geometry._root(k, max(dets)) for k in dets]
+    assert weights[0] == 2.0**-1000 and weights[1:] == [1.0, 1.0]  # each as exact as its root
+    point, radius = incenter(embed(THIN))
+    # r = 2 area / perimeter = b sqrt(L**2 - b**2 / 4) / (2 L + b), L = 2**500 and b = 2**-500
+    assert math.isclose(radius, 2.0**-501, rel_tol=1e-15)
+    assert point[1] == radius
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(THIN.to_json()))
+    assert main(["classify", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_low_triangle_keeps_its_height_and_inradius():
+    s = embed(LOW)
+    assert s.vertices == ((0.0, 0.0), (1.0, 0.0), (2.0, 1e-200))
+    point, radius = incenter(s)
+    # the area is 10**-200 / 2 and the perimeter 4 to within 10**-400
+    assert radius == 2.5e-201 and point[1] == radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**3000), st.integers(1, 2**3000), st.integers(-1100, 1100))
+def test_root_matches_math_sqrt_on_normal_ratios(p, q, shift):
+    p, q = (p << shift, q) if shift >= 0 else (p, q << -shift)
+    ratio = Fraction(p, q)
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        assert geometry._root(p, q) == math.sqrt(p / q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2**60, 2**61), st.integers(2**60, 2**61), st.integers(1023, 2000))
+def test_root_of_a_subnormal_ratio_is_within_one_ulp(p, q, shift):
+    q <<= shift + 1  # p / q in (2**-2002, 2**-1022): below the normal floats, its root a normal float
+    assert Fraction(p, q) < Fraction(sys.float_info.min)
+    root = geometry._root(p, q)
+    ulp = Fraction(math.ulp(root))
+    assert (Fraction(root) - ulp) ** 2 < Fraction(p, q) < (Fraction(root) + ulp) ** 2

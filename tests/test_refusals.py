@@ -50,6 +50,7 @@ from simplexkite import (
 )
 from simplexkite.cli import main
 from simplexkite.prekite import circumradius_sq_from_cm_dets
+from simplexkite.relation import solve_open_slot
 
 SEGMENT = SquaredDistanceMatrix([[0, 1], [1, 0]])
 TRIANGLE = SquaredDistanceMatrix.regular(2)
@@ -57,6 +58,8 @@ TETRA = SquaredDistanceMatrix.regular(3)
 PREKITE = PreKite(4, 1, (1, 1, 1, 2))
 NO_FIELDS = 'expected an object with fields "n" and "a"'
 NOT_ARRAYS = '"n" must be an integer and "a" an array of arrays'
+SEQUENCE = "expected a sequence of exact scalars, got %s"
+NUMBERS = "expected a sequence of numbers, got %r"
 # the regular unit triangle with an apex at squared distance 3/10 from each base vertex: Gram inertia (2, 1, 0),
 # while each facet alone is Euclidean
 APEX = SquaredDistanceMatrix([[0, 1, 1, Fraction(3, 10)], [1, 0, 1, Fraction(3, 10)], [1, 1, 0, Fraction(3, 10)],
@@ -101,6 +104,12 @@ CAYLEY = [
             "distances are not Euclidean"),
     refusal("facet_circumradii_sq non-Euclidean", lambda: facet_circumradii_sq(APEX), NonEuclideanError,
             "distances are not Euclidean"),
+    refusal("SquaredDistanceMatrix text rows", lambda: SquaredDistanceMatrix(["01", "10"]), TypeError,
+            SEQUENCE % "str"),
+    refusal("SquaredDistanceMatrix bytes rows", lambda: SquaredDistanceMatrix([b"\x00\x01", b"\x01\x00"]), TypeError,
+            SEQUENCE % "bytes"),
+    refusal("SquaredDistanceMatrix bytearray row",
+            lambda: SquaredDistanceMatrix([[0, 1], bytearray(b"\x01\x00")]), TypeError, SEQUENCE % "bytearray"),
 ]
 
 GEOMETRY = [
@@ -122,6 +131,9 @@ FAMILIES = [
     refusal("matrix_from_beta two weights", lambda: matrix_from_beta("isodynamic", [1, 2]), ValueError,
             "need at least three weights"),
     refusal("find_apexes segment", lambda: find_apexes(SEGMENT), ValueError, "apex enumeration needs n >= 2"),
+    refusal("matrix_from_beta bytes weights", lambda: matrix_from_beta("orthocentric", bytes([1, 2, 3])), TypeError,
+            SEQUENCE % "bytes"),
+    refusal("matrix_from_beta text weights", lambda: matrix_from_beta("isodynamic", "123"), TypeError, SEQUENCE % "str"),
 ]
 
 PREKITES = [
@@ -177,6 +189,11 @@ PREKITES = [
             "apex edge index must be an integer, got 1.0"),
     refusal("circumradius_sq_from_cm_dets zero determinant", lambda: circumradius_sq_from_cm_dets(0, 1), ValueError,
             "zero Cayley-Menger determinant: a degenerate simplex has no circumradius"),
+    refusal("PreKite text v", lambda: PreKite(2, 1, "12"), TypeError, SEQUENCE % "str"),
+    refusal("PreKite bytes v", lambda: PreKite(2, 1, bytes([1, 2])), TypeError, SEQUENCE % "bytes"),
+    refusal("BorderedUniform text left", lambda: BorderedUniform(1, 0, "1", (1,), 1, 2), TypeError, SEQUENCE % "str"),
+    refusal("BorderedUniform bytearray top", lambda: BorderedUniform(1, 0, (1,), bytearray(b"\x01"), 1, 2),
+            TypeError, SEQUENCE % "bytearray"),
 ]
 
 CENTERS = [
@@ -191,6 +208,10 @@ EXACT = [
     refusal("identity bool order", lambda: ExactMatrix.identity(True), ValueError, "order must be an integer, got True"),
     refusal("identity float order", lambda: ExactMatrix.identity(2.0), ValueError, "order must be an integer, got 2.0"),
     refusal("identity negative order", lambda: ExactMatrix.identity(-2), ValueError, "order must be nonnegative, got -2"),
+    refusal("ExactMatrix text rows", lambda: ExactMatrix(["12", "34"]), TypeError, SEQUENCE % "str"),
+    refusal("ExactMatrix bytes rows", lambda: ExactMatrix([b"\x01\x02", b"\x03\x04"]), TypeError, SEQUENCE % "bytes"),
+    refusal("solve_linear text right-hand side", lambda: solve_linear(ExactMatrix([[1, 0], [0, 1]]), "12"), TypeError,
+            SEQUENCE % "str"),
 ]
 
 DETERMINANTS = [
@@ -263,6 +284,21 @@ RELATION = [
             ValueError, "expected a number, got '1'"),
     refusal("pompeiu_from_point text side", lambda: pompeiu_from_point("1", (0.0, 0.0)), ValueError,
             "expected a number, got '1'"),
+    refusal("relation_residual_from_squares bytes sequence", lambda: relation_residual_from_squares(1, b"123"),
+            ValueError, NUMBERS % b"123"),
+    refusal("relation_residual_from_squares bytearray sequence",
+            lambda: relation_residual_from_squares(1, bytearray(b"123")), ValueError, NUMBERS % bytearray(b"123")),
+    refusal("DistanceTuple bytes distances", lambda: DistanceTuple(1, 1, b"01"), ValueError, NUMBERS % b"01"),
+    refusal("solve_missing_distance bytes known", lambda: solve_missing_distance(1, 1, b"1"), ValueError,
+            NUMBERS % b"1"),
+    refusal("solve_open_slot bytearray known", lambda: solve_open_slot(1, 1, bytearray(b"1")), ValueError,
+            NUMBERS % bytearray(b"1")),
+    refusal("solve_missing_distance_squares bytes known", lambda: solve_missing_distance_squares(1, 1, b"1"),
+            ValueError, NUMBERS % b"1"),
+    refusal("pompeiu_from_point bytes point", lambda: pompeiu_from_point(1, b"\x00\x00"), ValueError,
+            NUMBERS % b"\x00\x00"),
+    refusal("pompeiu_from_point text point", lambda: pompeiu_from_point(1, "00"), ValueError,
+            "expected a number, got '0'"),
 ]
 
 
