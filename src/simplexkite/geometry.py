@@ -2,15 +2,15 @@
 
 This module and the float family recoveries of `families` are where
 the package leaves exact arithmetic; this one needs only `math`, and
-points are tuples of floats.  A matrix is embedded by factoring its
-exact Gram matrix (exact LDL^T, converted to floats only at the very
-end).  Every float leaves the exact data as one correctly rounded
-division of the integers the Gram elimination holds, and no Fraction is
-built.  Where the float is a square root (`embed`'s frame scales,
-`incenter`'s weights and inradius), the root of the integer ratio is
-taken by `_root`, which scales the ratio by a power of four first, so
-these exits keep their digits at any scale: a ratio whose float would
-underflow or overflow still gives its root, where that root is a float.
+points are tuples of floats.  A matrix is embedded by reading its exact
+Gram LDL^T off the kept Gram elimination, and no Fraction is built.
+Every float read off that elimination leaves it through one exit,
+`_root(a, b, p, q)` = p / q * sqrt(a / b) of its integers: `embed`'s
+coordinates, the circumcenter's, and `incenter`'s weights and inradius.
+`_root` takes each factor at a power-of-two scale first, so these exits
+keep their digits at any scale: a ratio whose float would underflow or
+overflow still gives its share of the product, where that product is a
+float, and a product above the largest float raises ValueError.
 The circumcenter and incenter are read off the Gram elimination
 that certified the simplex, not solved for in floats: the incenter's
 barycentrics are the facet volumes over their sum, and the
@@ -22,10 +22,10 @@ Every float sum is `math.fsum`, which is correctly rounded, so each
 float output is the same on every supported Python; the builtin `sum`,
 compensated only from Python 3.12 on, is not used here.
 
-Default tolerances are generous for double precision at desk scale:
-embedding round-trip 1e-9 relative, and a 1e-10 gradient norm for the
-Fermat-Torricelli iteration.  A tolerance that is not finite and > 0
-raises ValueError.
+The embedding round trip is held to a fixed 1e-9 relative error
+(`TOL_EMBED`), and the Fermat-Torricelli iteration to a default 1e-10
+gradient norm, generous for double precision at desk scale.  A
+tolerance that is not finite and > 0 raises ValueError.
 """
 
 from __future__ import annotations
@@ -49,23 +49,31 @@ from .exact import Record, _positive_tol
 TOL_EMBED = 1e-9
 FT_GRADIENT_TOL = 1e-10
 FT_MAX_ITER = 100_000
+_BEYOND_FLOATS = "%s the float range; the exact results (classify --exact) do not need floats"
 
 Point = tuple[float, ...]
 
 
-def _root(p: int, q: int) -> float:
-    """sqrt(p / q) for positive integers p and q, at any magnitude.
+def _root(a: int, b: int, p: int = 1, q: int = 1) -> float:
+    """p / q * sqrt(a / b) for integers p and a, b, q > 0, at any magnitude.
 
-    The ratio is first moved into [1/4, 4) by a power of four, from the
-    bit lengths of p and q, as `relation._sqrt` moves its input, and its
-    root moved back by the matching power of two, so no ratio that leaves
-    the normal floats rounds to 0, to a subnormal or to infinity before its
-    root is taken.  The bits equal math.sqrt(p / q) wherever p / q is a
-    normal float: int / int rounds correctly, and a power of two moves no
-    bit of a normal float.
+    Each factor is taken at a power-of-two scale read from the bit lengths
+    of its integers, as `relation._sqrt` scales its input: a / b is moved
+    into [1/4, 4) by a power of four and p / q into (1/2, 2) by a power of
+    two, and the product of the two floats is moved back by the matching
+    power of two, so no factor rounds to 0, to a subnormal or to infinity
+    before the product is formed.  The bits equal p / q * math.sqrt(a / b)
+    wherever p / q, a / b and the result are normal floats: int / int
+    rounds correctly, and a power of two moves no bit of a normal float.
+    A result above the largest float raises ValueError.
     """
-    e = (p.bit_length() - q.bit_length()) // 2
-    return math.ldexp(math.sqrt((p << -2 * e) / q if e < 0 else p / (q << 2 * e)), e)
+    e = (a.bit_length() - b.bit_length()) // 2
+    f = p.bit_length() - q.bit_length()
+    root = math.sqrt((a << -2 * e) / b if e < 0 else a / (b << 2 * e))
+    try:
+        return math.ldexp(((p << -f) / q if f < 0 else p / (q << f)) * root, e + f)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOATS % "a coordinate leaves") from None
 
 
 class ConvergenceError(RuntimeError):
@@ -77,12 +85,14 @@ class EmbeddedSimplex(Record):
     builds: vertex 0 at the origin and vertex i in the first i coordinates,
     a frozen record (`exact.Record`).
     A NaN or infinite coordinate is refused before the round-trip check,
-    which a NaN would pass, since no comparison is true for it."""
+    which a NaN would pass, since no comparison is true for it.  The
+    coordinates must reproduce every squared distance to a relative error
+    of at most `TOL_EMBED`, a fixed 1e-9; the largest is kept as
+    `max_rel_error`."""
 
     __slots__ = ("n", "vertices", "source", "max_rel_error")
 
-    def __init__(self, vertices, source: SquaredDistanceMatrix, tol: float = TOL_EMBED):
-        _positive_tol(tol)
+    def __init__(self, vertices, source: SquaredDistanceMatrix):
         pts = tuple(tuple(map(float, row)) for row in vertices)
         if len(pts) != source.n + 1 or any(len(p) != source.n for p in pts):
             raise ValueError("expected n+1 vertices of dimension n")
@@ -104,10 +114,10 @@ class EmbeddedSimplex(Record):
                 rel = abs(fsum(map(mul, diff, diff)) - want) / want
                 if rel > err:
                     err = rel
-        if err > tol:
+        if err > TOL_EMBED:
             raise ValueError(
                 "coordinates do not reproduce the distance matrix "
-                "(relative error %.3e exceeds %.1e)" % (err, tol)
+                "(relative error %.3e exceeds %.1e)" % (err, TOL_EMBED)
             )
         self._fill(source.n, pts, source, err)
 
@@ -117,36 +127,30 @@ class EmbeddedSimplex(Record):
         return {"n": self.n, "vertices": [list(row) for row in self.vertices], "max_rel_error": self.max_rel_error}
 
 
-def embed(d: SquaredDistanceMatrix, tol: float = TOL_EMBED) -> EmbeddedSimplex:
+def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
     """Realize a nondegenerate matrix as coordinates in R^n.
 
     Degenerate or non-Euclidean input raises with the realizability
     verdict attached.  Then, unless the smallest squared distance is at
     least `sys.float_info.min` = 2**-1022 and the largest at most
     `sys.float_info.max` (compared exactly, on the cleared integers), it
-    raises ValueError.  The exact LDL^T factors of the Gram matrix
-    (`gram_ldl`) are read off its kept elimination, each rounded to a
-    float once, and floats enter only when the factors are multiplied out.
-    The round-trip check runs at a power-of-two scale, so its sums of
-    squares cannot overflow at the top of the range.  A tolerance that is
-    not finite and > 0 raises ValueError first.
+    raises ValueError.  Coordinate k of vertex i+1 is L_ik sqrt(D_k) of
+    the Gram LDL^T, read off the kept elimination as the one float
+    `_root(m_k, m_(k-1) s, rows[k][i], m_k)`, m the leading minors and s
+    the Gram scale; on the diagonal rows[k][k] is m_k, so L_kk = 1.  The
+    round-trip check runs at a power-of-two scale, so its sums of squares
+    cannot overflow at the top of the range.
     """
-    _positive_tol(tol)
     require_nondegenerate(d)
     g = _gram_elimination(d)
     dist, den = d._dist, d._den
     lo = min(min(row[i + 1:]) for i, row in enumerate(dist[:-1]))
     if not (den <= lo << 1022 and max(map(max, dist)) <= int(sys.float_info.max) * den):
-        raise ValueError(
-            "squared distances leave the float range; the exact results "
-            "(classify --exact) do not need floats"
-        )
-    scale = [_root(cur, prev * g.scale) for prev, cur in zip([1] + g.minors, g.minors)]
-    rows = [(0.0,) * d.n]
-    for i in range(d.n):
-        below = [g.rows[k][i] / g.minors[k] * scale[k] for k in range(i)]
-        rows.append(below + [scale[i]] + [0.0] * (d.n - 1 - i))
-    return EmbeddedSimplex(rows, d, tol=tol)
+        raise ValueError(_BEYOND_FLOATS % "squared distances leave")
+    # coordinate k, from pivot row k: 0 on vertices 0..k, then L_ik sqrt(D_k) on vertex i+1 for i = k..n-1
+    cols = [[0.0] * (k + 1) + [_root(m, prev * g.scale, x, m) for x in top[k:d.n]]
+            for k, (prev, m, top) in enumerate(zip([1] + g.minors, g.minors, g.rows))]
+    return EmbeddedSimplex(list(zip(*cols)), d)
 
 
 def centroid(s: EmbeddedSimplex) -> Point:
@@ -157,20 +161,21 @@ def centroid(s: EmbeddedSimplex) -> Point:
 def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Equidistant point and its radius (the float distance to vertex 0).
 
-    Coordinate k is y_k times coordinate k of vertex k+1, which is
-    sqrt(D_k) of the Gram LDL^T, with y the exact circumcenter in that
-    frame.  2 G x = g and G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and
-    the Gram elimination carries s g, A's diagonal, as its last column, to
-    L^-1 (s g) times the leading minors, so y_k = b'_k / (2 minors[k]),
-    one correctly rounded division, once the circumcenter has passed its
-    Cayley-Menger certificate (`_circumcenter_weights`).  A far circumcenter has
-    huge barycentrics x, whose float image through the vertices would
-    cancel; y does not.
+    Coordinate k is y_k sqrt(D_k), with G = L D L^T the Gram LDL^T and y
+    the exact circumcenter in the frame `embed` builds.  2 G x = g and
+    G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and the Gram elimination
+    carries s g, A's diagonal, as its last column, to L^-1 (s g) times the
+    leading minors, so y_k = b'_k / (2 m_k), and coordinate k is the one
+    float `_root(m_k, m_(k-1) s, b'_k, 2 m_k)`, once the circumcenter has
+    passed its Cayley-Menger certificate (`_circumcenter_weights`).  A
+    far circumcenter has huge barycentrics x, whose float image through
+    the vertices would cancel; y does not.  A coordinate above the
+    largest float raises ValueError.
     """
     _circumcenter_weights(s.source)
     g = _gram_elimination(s.source)
-    ys = [row[-1] / (2 * m) for row, m in zip(g.rows, g.minors)]
-    center = tuple(y * v[k] for k, (y, v) in enumerate(zip(ys, s.vertices[1:])))
+    frame = zip([1] + g.minors, g.minors, g.rows)
+    center = tuple(_root(m, prev * g.scale, top[-1], 2 * m) for prev, m, top in frame)
     return center, math.dist(center, s.vertices[0])
 
 
@@ -179,8 +184,8 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
 
     The weights F_j / sum F leave exact arithmetic as square roots of the
     ratios F_j**2 / max F**2 = det_k / max det (`_facet_dets`), each one
-    correctly rounded division of integers, so the facet volumes
-    themselves never need to fit a float.  So is (V / max F)**2 =
+    `_root` of integers, so the facet volumes themselves never need to
+    fit a float.  So is (V / max F)**2 =
     det(A) / (s n**2 max det), A = s*G the scaled Gram matrix.  The
     insphere touches facet j inside it exactly when the weight of vertex j
     is positive, at distance n V / sum F from the incenter for every j; a

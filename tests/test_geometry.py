@@ -1,7 +1,9 @@
 import json
 import math
+import pathlib
 import random
 import sys
+import tempfile
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -478,3 +480,131 @@ def test_root_of_a_subnormal_ratio_is_within_one_ulp(p, q, shift):
     root = geometry._root(p, q)
     ulp = Fraction(math.ulp(root))
     assert (Fraction(root) - ulp) ** 2 < Fraction(p, q) < (Fraction(root) + ulp) ** 2
+
+
+def _old_root(p, q):
+    """`geometry._root(p, q)` as it was before it took the factor p / q."""
+    e = (p.bit_length() - q.bit_length()) // 2
+    return math.ldexp(math.sqrt((p << -2 * e) / q if e < 0 else p / (q << 2 * e)), e)
+
+
+def _is_normal_or_zero(x) -> bool:
+    return x == 0 or sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
+BIG = st.integers(1, 2**3000)
+SIGNED = st.one_of(st.just(0), BIG, BIG.map(lambda x: -x))
+SHIFT = st.integers(-1100, 1100)
+
+
+def _shifted(top, bottom, shift):
+    return (top << shift, bottom) if shift >= 0 else (top, bottom << -shift)
+
+
+@settings(max_examples=400, deadline=None)
+@given(BIG, BIG, SHIFT, SIGNED, BIG, SHIFT)
+@example(3, 1, 0, -2, 7, 0)
+@example(1, 3, 0, 0, 5, 0)
+def test_root_is_the_float_expression_on_normal_factors(a, b, s, p, q, t):
+    (a, b), (p, q) = _shifted(a, b, s), _shifted(p, q, t)
+    if _is_normal_or_zero(Fraction(p, q)) and _is_normal_or_zero(Fraction(a, b)):
+        expected = p / q * math.sqrt(a / b)
+        if _is_normal_or_zero(expected):
+            assert geometry._root(a, b, p, q).hex() == expected.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**1000), st.integers(1, 2**1000), st.integers(-1000, 1000))
+def test_root_of_one_factor_is_the_old_square_root(a, b, shift):
+    a, b = _shifted(a, b, shift)  # a / b within 2**±2000, normal or not, so its root is a normal float
+    assert geometry._root(a, b) == geometry._root(a, b, 1, 1) == _old_root(a, b)
+
+
+MID = st.integers(1, 2**200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MID, MID, st.one_of(st.just(0), MID, MID.map(lambda x: -x)), MID, st.integers(1100, 2000),
+       st.integers(-60, 60), st.booleans())
+def test_root_of_factors_outside_the_floats_keeps_their_digits(a, b, p, q, j, tilt, flip):
+    # p / q and a / b lie within 2**±200, so p / q * math.sqrt(a / b) is a normal float; moving one
+    # ratio out of the floats by 2**j and the other the opposite way by 4**i, i = j + tilt, moves
+    # the product by 2**±tilt alone, and _root gives the moved bits
+    i = j + tilt
+    expected = math.ldexp(p / q * math.sqrt(a / b), -tilt if flip else tilt)
+    moved = (a, b << 2 * i, p << j, q) if flip else (a << 2 * i, b, p, q << j)
+    assert not _is_normal_or_zero(Fraction(moved[0], moved[1]))
+    root = geometry._root(*moved)
+    assert root.hex() == expected.hex()
+    # four correctly rounded steps, p / q, a / b, the root and the product, each within 2**-53
+    # relative, so the result is within 3.5 * 2**-53 of p / q * sqrt(a / b) (to first order)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(moved[2]) / Decimal(moved[3]) * (Decimal(moved[0]) / Decimal(moved[1])).sqrt()
+        assert abs(Decimal(root) - exact) <= Decimal(3.6) * Decimal(2) ** -53 * abs(exact)
+
+
+@pytest.mark.parametrize("args", [(1, 1, 2**1024, 1), (2**2100, 1, 1, 1), (2**1000, 1, 2**600, 1),
+                                  (1, 2**100, -(2**1100), 1), (2**2, 1, 2**1023, 1)])
+def test_root_above_the_largest_float_is_refused(args):
+    a, b, p, q = args
+    assert Fraction(p, q) ** 2 * Fraction(a, b) > Fraction(sys.float_info.max) ** 2
+    with pytest.raises(ValueError, match=r"leaves the float range; the exact results \(classify --exact\)"):
+        geometry._root(a, b, p, q)
+
+
+def points_sdm(points):
+    return SquaredDistanceMatrix([[sum((x - y) ** 2 for x, y in zip(p, q)) for q in points] for p in points])
+
+
+def slanted_tetrahedron(h):
+    """(0, 0, 0), (1, 0, 0), (2, h, 0) and (0, 1, 1): the first three nearly on a line."""
+    return points_sdm([(0, 0, 0), (1, 0, 0), (2, h, 0), (0, 1, 1)])
+
+
+# squared sides 1, 1 + 10**-400 and 4 + 10**-400: vertex 2 at (-1, 10**-200), the circumcenter at height 10**200
+BACK = sdm_triangle(1, 1 + Fraction(1, 10**400), 4 + Fraction(1, 10**400))
+# four shapes of height h: two triangles, a tetrahedron over a near-line and one over a near-face
+NEAR_FLAT = {
+    "back": lambda h: points_sdm([(0, 0), (1, 0), (-1, h)]),
+    "forward": lambda h: points_sdm([(0, 0), (1, 0), (2, h)]),
+    "slanted": slanted_tetrahedron,
+    "low apex": lambda h: points_sdm([(0, 0, 0), (1, 0, 0), (0, 1, 0), (Fraction(1, 3), Fraction(1, 3), h)]),
+}
+
+
+def run_cli(command, d, directory):
+    from simplexkite.cli import main
+
+    path = directory / "matrix.json"
+    path.write_text(json.dumps(d.to_json()))
+    return main([command, str(path)])
+
+
+def test_far_circumcenter_of_a_low_triangle(tmp_path, capsys):
+    s = embed(BACK)
+    assert s.vertices == ((0.0, 0.0), (1.0, 0.0), (-1.0, 1e-200))
+    assert circumcenter(s) == ((0.5, 1e200), 1e200)
+    assert [run_cli(command, BACK, tmp_path) for command in ("classify", "centers")] == [0, 0]
+    capsys.readouterr()
+
+
+def test_far_circumcenter_of_a_slanted_tetrahedron(tmp_path, capsys):
+    d = slanted_tetrahedron(Fraction(1, 10**200))
+    assert [run_cli(command, d, tmp_path) for command in ("classify", "centers")] == [0, 0]
+    capsys.readouterr()
+    d = slanted_tetrahedron(Fraction(1, 10**350))
+    assert embed(d).vertices[2] == (2.0, 0.0, 0.0)  # the height rounds to 0.0 below the subnormals
+    assert run_cli("embed", d, tmp_path) == 0
+    capsys.readouterr()
+    assert run_cli("classify", d, tmp_path) == 1  # its circumcenter, about 10**350 out, is no float
+    assert "leaves the float range; the exact results (classify --exact)" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NEAR_FLAT)), st.integers(1, 400))
+def test_near_flat_simplices_are_answered_or_refused(shape, k):
+    d = NEAR_FLAT[shape](Fraction(1, 10**k))
+    with tempfile.TemporaryDirectory() as directory:
+        for command in ("classify", "embed"):
+            assert run_cli(command, d, pathlib.Path(directory)) in (0, 1)

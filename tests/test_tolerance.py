@@ -9,7 +9,6 @@ import pytest
 
 from simplexkite import (
     DistanceTuple,
-    EmbeddedSimplex,
     SquaredDistanceMatrix,
     center_set,
     classify,
@@ -26,7 +25,6 @@ from simplexkite.relation import pompeiu_verdict, relation_holds, residual_withi
 
 BAD = [math.nan, 0.0, -1.0, math.inf, -math.inf, 0]
 REGULAR = SquaredDistanceMatrix.regular(3)
-TRIANGLE = SquaredDistanceMatrix([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
 DT = DistanceTuple(2, 1.0, (0.0, 1.0, 1.0))
 
 CALLS = {
@@ -36,8 +34,6 @@ CALLS = {
     "recover_circumscriptible": lambda tol: recover_circumscriptible(REGULAR, tol=tol),
     "recover_isodynamic": lambda tol: recover_isodynamic(REGULAR, tol=tol),
     "recover_tetra_isogonic": lambda tol: recover_tetra_isogonic(REGULAR, tol=tol),
-    "embed": lambda tol: embed(REGULAR, tol=tol),
-    "EmbeddedSimplex": lambda tol: EmbeddedSimplex([[0, 0], [1, 0], [0, 1]], TRIANGLE, tol=tol),
     "pompeiu_classify": lambda tol: pompeiu_classify(1.0, 0.5, 0.5, 0.5, tol=tol),
     "pompeiu_from_point": lambda tol: pompeiu_from_point(1.0, (0.1, 0.2), tol=tol),
     "pompeiu_verdict": lambda tol: pompeiu_verdict(0.0, 0.5, tol=tol),
