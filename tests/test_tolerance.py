@@ -9,6 +9,7 @@ import pytest
 
 from simplexkite import (
     DistanceTuple,
+    EmbeddedSimplex,
     SquaredDistanceMatrix,
     center_set,
     classify,
@@ -21,10 +22,12 @@ from simplexkite import (
     recover_isodynamic,
     recover_tetra_isogonic,
 )
+from simplexkite.geometry import TOL_EMBED
 from simplexkite.relation import pompeiu_verdict, relation_holds, residual_within_tol
 
 BAD = [math.nan, 0.0, -1.0, math.inf, -math.inf, 0]
 REGULAR = SquaredDistanceMatrix.regular(3)
+TRIANGLE = SquaredDistanceMatrix([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
 DT = DistanceTuple(2, 1.0, (0.0, 1.0, 1.0))
 
 CALLS = {
@@ -55,3 +58,25 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_refused(name, tol):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_a_finite_positive_tolerance_is_taken(name):
     CALLS[name](1e-6)
+
+
+@pytest.mark.parametrize("name", ["embed", "EmbeddedSimplex"])
+def test_the_embedding_takes_no_tolerance(name):
+    # its round trip is held to the fixed TOL_EMBED, so a tolerance argument is an error, not ignored
+    call = {"embed": lambda: embed(TRIANGLE, tol=1e-6),
+            "EmbeddedSimplex": lambda: EmbeddedSimplex([[0, 0], [1, 0], [0, 1]], TRIANGLE, tol=1e-6)}
+    with pytest.raises(TypeError, match="tol"):
+        call[name]()
+
+
+@pytest.mark.parametrize("delta, taken", [(0.45e-9, True), (0.55e-9, False)])
+def test_the_round_trip_is_held_to_tol_embed(delta, taken):
+    # vertex 1 moved to (1 + delta, 0) puts squared side 01 at (1 + delta)**2, a relative error of
+    # about 2 delta, just under TOL_EMBED = 1e-9 for the first case and just over it for the second
+    assert TOL_EMBED == 1e-9
+    vertices = [[0, 0], [1 + delta, 0], [0, 1]]
+    if taken:
+        assert EmbeddedSimplex(vertices, TRIANGLE).max_rel_error == pytest.approx(2 * delta, rel=1e-6)
+    else:
+        with pytest.raises(ValueError, match=r"relative error 1\.100e-09 exceeds 1\.0e-09"):
+            EmbeddedSimplex(vertices, TRIANGLE)
