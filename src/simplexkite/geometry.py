@@ -7,10 +7,12 @@ Gram LDL^T off the kept Gram elimination, and no Fraction is built.
 Every float read off that elimination leaves it through one exit,
 `_root(a, b, p, q)` = p / q * sqrt(a / b) of its integers: `embed`'s
 coordinates, the circumcenter's, and `incenter`'s weights and inradius.
-`_root` takes each factor at a power-of-two scale first, so these exits
-keep their digits at any scale: a ratio whose float would underflow or
-overflow still gives its share of the product, where that product is a
-float, and a product above the largest float raises ValueError.
+It takes each factor at a power-of-two scale first, the root by
+`_scaled_sqrt` and p / q by `_times`, so these exits keep their digits
+at any scale: a ratio whose float would underflow or overflow still
+gives its share of the product, where that product is a float, and a
+product above the largest float raises ValueError.  `embed` makes the
+same two steps, with one root per column of coordinates.
 The circumcenter and incenter are read off the Gram elimination
 that certified the simplex, not solved for in floats: the incenter's
 barycentrics are the facet volumes over their sum, and the
@@ -54,26 +56,41 @@ _BEYOND_FLOATS = "%s the float range; the exact results (classify --exact) do no
 Point = tuple[float, ...]
 
 
+def _scaled_sqrt(a: int, b: int) -> tuple[float, int]:
+    """sqrt(a / b) for integers a, b > 0 as (r, e), the root r * 2**e.
+
+    a / b is moved into [1/4, 4) by a power of four read from the bit
+    lengths of a and b, as `relation._sqrt` scales its input, so r lies in
+    [1/2, 2) and no ratio rounds to 0, to a subnormal or to infinity
+    before its root is taken.
+    """
+    e = (a.bit_length() - b.bit_length()) // 2
+    return math.sqrt((a << -2 * e) / b if e < 0 else a / (b << 2 * e)), e
+
+
+def _times(p: int, q: int, root: tuple[float, int]) -> float:
+    """p / q * r * 2**e for integers p and q > 0 and root = (r, e) from
+    `_scaled_sqrt`: p / q is moved into (1/2, 2) by a power of two read
+    from the bit lengths, and the product is moved back by the matching
+    power of two.  A result above the largest float raises ValueError."""
+    f = p.bit_length() - q.bit_length()
+    try:
+        return math.ldexp(((p << -f) / q if f < 0 else p / (q << f)) * root[0], root[1] + f)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOATS % "a coordinate leaves") from None
+
+
 def _root(a: int, b: int, p: int = 1, q: int = 1) -> float:
     """p / q * sqrt(a / b) for integers p and a, b, q > 0, at any magnitude.
 
-    Each factor is taken at a power-of-two scale read from the bit lengths
-    of its integers, as `relation._sqrt` scales its input: a / b is moved
-    into [1/4, 4) by a power of four and p / q into (1/2, 2) by a power of
-    two, and the product of the two floats is moved back by the matching
-    power of two, so no factor rounds to 0, to a subnormal or to infinity
+    Each factor is taken at a power-of-two scale (`_scaled_sqrt`,
+    `_times`), so no factor rounds to 0, to a subnormal or to infinity
     before the product is formed.  The bits equal p / q * math.sqrt(a / b)
     wherever p / q, a / b and the result are normal floats: int / int
     rounds correctly, and a power of two moves no bit of a normal float.
     A result above the largest float raises ValueError.
     """
-    e = (a.bit_length() - b.bit_length()) // 2
-    f = p.bit_length() - q.bit_length()
-    root = math.sqrt((a << -2 * e) / b if e < 0 else a / (b << 2 * e))
-    try:
-        return math.ldexp(((p << -f) / q if f < 0 else p / (q << f)) * root, e + f)
-    except OverflowError:
-        raise ValueError(_BEYOND_FLOATS % "a coordinate leaves") from None
+    return _times(p, q, _scaled_sqrt(a, b))
 
 
 class ConvergenceError(RuntimeError):
@@ -82,8 +99,8 @@ class ConvergenceError(RuntimeError):
 
 class EmbeddedSimplex(Record):
     """Coordinates realizing a squared-distance matrix in the frame `embed`
-    builds: vertex 0 at the origin and vertex i in the first i coordinates,
-    a frozen record (`exact.Record`).
+    builds, or in one that reverses some of its axes: vertex 0 at the origin
+    and vertex i in the first i coordinates, a frozen record (`exact.Record`).
     A NaN or infinite coordinate is refused before the round-trip check,
     which a NaN would pass, since no comparison is true for it.  The
     coordinates must reproduce every squared distance to a relative error
@@ -135,9 +152,12 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
     least `sys.float_info.min` = 2**-1022 and the largest at most
     `sys.float_info.max` (compared exactly, on the cleared integers), it
     raises ValueError.  Coordinate k of vertex i+1 is L_ik sqrt(D_k) of
-    the Gram LDL^T, read off the kept elimination as the one float
-    `_root(m_k, m_(k-1) s, rows[k][i], m_k)`, m the leading minors and s
-    the Gram scale; on the diagonal rows[k][k] is m_k, so L_kk = 1.  The
+    the Gram LDL^T, read off the kept elimination as p / q * sqrt(a / b)
+    with p = rows[k][i], q = m_k, a = m_k and b = m_(k-1) s, m the leading
+    minors and s the Gram scale; on the diagonal rows[k][k] is m_k, so
+    L_kk = 1 and the coordinate is sqrt(D_k) > 0.  It is `_root`'s two
+    steps, with the root of D_k (`_scaled_sqrt`) taken once per column and
+    `_times` per coordinate, so the bits are `_root`'s.  The
     round-trip check runs at a power-of-two scale, so its sums of squares
     cannot overflow at the top of the range.
     """
@@ -148,8 +168,9 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
     if not (den <= lo << 1022 and max(map(max, dist)) <= int(sys.float_info.max) * den):
         raise ValueError(_BEYOND_FLOATS % "squared distances leave")
     # coordinate k, from pivot row k: 0 on vertices 0..k, then L_ik sqrt(D_k) on vertex i+1 for i = k..n-1
-    cols = [[0.0] * (k + 1) + [_root(m, prev * g.scale, x, m) for x in top[k:d.n]]
-            for k, (prev, m, top) in enumerate(zip([1] + g.minors, g.minors, g.rows))]
+    roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + g.minors, g.minors)]
+    cols = [[0.0] * (k + 1) + [_times(x, m, root) for x in top[k:d.n]]
+            for k, (root, m, top) in enumerate(zip(roots, g.minors, g.rows))]
     return EmbeddedSimplex(list(zip(*cols)), d)
 
 
@@ -170,13 +191,24 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     passed its Cayley-Menger certificate (`_circumcenter_weights`).  A
     far circumcenter has huge barycentrics x, whose float image through
     the vertices would cancel; y does not.  A coordinate above the
-    largest float raises ValueError.
+    largest float raises ValueError.  The vertices may reverse axes of
+    that frame: axis k is read as reversed, and coordinate k negated,
+    when vertex k+1 has a negative coordinate k, where L_kk sqrt(D_k) is
+    positive.  Where that coordinate rounds to 0.0, the vertex i+1
+    farthest along axis k is read instead, against the sign of its exact
+    L_ik, rows[k][i]; where every vertex has 0.0 there, either side is
+    equidistant.
     """
     _circumcenter_weights(s.source)
     g = _gram_elimination(s.source)
-    frame = zip([1] + g.minors, g.minors, g.rows)
-    center = tuple(_root(m, prev * g.scale, top[-1], 2 * m) for prev, m, top in frame)
-    return center, math.dist(center, s.vertices[0])
+    center = []
+    for k, (prev, m, top) in enumerate(zip([1] + g.minors, g.minors, g.rows)):
+        # > 0 where axis k points as in embed's frame: vertex k+1's coordinate k, or, where that rounds
+        # to 0.0, the farthest vertex's, signed by its exact L_ik
+        rest = zip(s.vertices[k + 2:], top[k + 1:])
+        side = s.vertices[k + 1][k] or max((v[k] if x > 0 else -v[k] for v, x in rest), key=abs, default=0.0)
+        center.append(_root(m, prev * g.scale, -top[-1] if side < 0 else top[-1], 2 * m))
+    return tuple(center), math.dist(center, s.vertices[0])
 
 
 def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import pathlib
 import random
 import sys
@@ -608,3 +609,33 @@ def test_near_flat_simplices_are_answered_or_refused(shape, k):
     with tempfile.TemporaryDirectory() as directory:
         for command in ("classify", "embed"):
             assert run_cli(command, d, pathlib.Path(directory)) in (0, 1)
+
+
+def test_circumcenter_of_a_frame_with_a_reversed_axis():
+    # vertex 2 below the first axis: the frame embed builds, its second axis reversed
+    s = EmbeddedSimplex([[0, 0], [1, 0], [0, -1]], sdm_triangle(1, 1, 2))
+    center, radius = circumcenter(s)
+    assert center == (0.5, -0.5)
+    assert [math.dist(center, v) for v in s.vertices] == [radius] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7), st.data())
+def test_circumcenter_follows_reversed_axes(seed, n, data):
+    s = embed(random_point_sdm(random.Random(seed), n))
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    turned = EmbeddedSimplex([list(map(operator.mul, v, signs)) for v in s.vertices], s.source)
+    center, radius = circumcenter(s)
+    assert circumcenter(turned) == (tuple(map(operator.mul, center, signs)), radius)
+
+
+def test_circumcenter_reads_a_reversed_axis_whose_diagonal_rounds_to_zero():
+    # vertex 2 at height 2**-1100 over the first axis rounds onto it, so only vertex 3, on the other
+    # side, shows which way the second axis points; the circumcenter is about 2**100 out along it
+    d = points_sdm([(0, 0, 0), (Fraction(1, 2**500), 0, 0), (Fraction(1, 2**499), Fraction(1, 2**1100), 0), (0, -1, 1)])
+    s = embed(d)
+    assert s.vertices[2:] == ((2.0**-499, 0.0, 0.0), (0.0, -1.0, 1.0))
+    (x, y, z), radius = circumcenter(s)
+    assert math.isclose(y, 2.0**100, rel_tol=1e-12)
+    turned = EmbeddedSimplex(s.vertices[:3] + ((0.0, 1.0, 1.0),), d)  # vertex 2 keeps its +0.0
+    assert circumcenter(turned) == ((x, -y, z), radius)
