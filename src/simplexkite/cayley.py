@@ -21,15 +21,18 @@ The elimination runs on [A | b], A = s*G the scaled integer Gram matrix
 and b its diagonal carried as one more column, which the symmetric
 kernel eliminates alongside and never pivots on.  Its pivot signs give the
 inertia of G, and its last leading minor gives det(G) = (n!)**2 * V**2.
-The carried column b' and the kept minors m_k give the corner
--b^T adj(A) b of the bordered [[A, b], [b^T, 0]] by the O(n) fold
-corner = (m_k corner - b'_k**2) // m_(k-1), which is -4 s det(A) R**2,
-and back substitution with b' gives the circumcenter.  With b = e_j the
-corner is the principal minor adj(A)[j][j], the scaled Gram determinant
-of the facet opposite vertex j+1; all unit vectors go through one
-batched pass over the kept pivot rows (`_unit_sweeps`), the rows of
-[A | I] with column j entering at step j.  The facet opposite vertex 0
-has 1^T adj(A) 1, by the unimodular change of base to vertex 1.  Each
+The carried column b' and the kept minors give the corner -b^T adj(A) b
+of the bordered [[A, b], [b^T, 0]] by the O(n) fold `linalg._corners`,
+which is -4 s det(A) R**2, and back substitution with b' gives the
+circumcenter.  With b = e_j the corner is the principal minor
+adj(A)[j][j], the scaled Gram determinant of the facet opposite vertex
+j+1; all unit vectors are carried through the kept elimination at once
+(`_unit_sweeps`) by `linalg._resume`, in the kernel's own three-pivot
+passes, each e_j entering at the pass that reaches its 1, and folded by
+the same `_corners`.  So this module keeps no elimination arithmetic:
+the kernel, every replay of what it kept and the corner fold are
+`linalg`'s.  The facet opposite vertex 0 has 1^T adj(A) 1, by the
+unimodular change of base to vertex 1.  Each
 facet's circumradius then follows from Pythagoras: R_k**2 = R**2 -
 (w_k * h_k)**2, with w the circumcenter's barycentrics and h_k = n V /
 F_k the height over facet k.  A report builds and eliminates no facet
@@ -49,7 +52,6 @@ own.  `cm_det`, `inner_cm_det`, `cm_matrix`, `gram_matrix`,
 from __future__ import annotations
 
 import enum
-import json
 import math
 from collections.abc import Iterable
 from fractions import Fraction
@@ -57,7 +59,7 @@ from itertools import combinations
 from operator import mul, neg
 
 from .exact import Record, _cleared, _integer, _scalars, as_scalar
-from .linalg import ExactMatrix, _back_substitute, _bareiss, _signature, exact_determinant
+from .linalg import ExactMatrix, _back_substitute, _bareiss, _corners, _resume, _signature, exact_determinant
 
 
 class Realizability(enum.Enum):
@@ -139,6 +141,8 @@ class SquaredDistanceMatrix(Record):
         malformed payload raises ValueError.
         """
         if isinstance(payload, str):
+            import json  # only a JSON payload needs it, so no other caller loads it
+
             payload = json.loads(payload)
         if not isinstance(payload, dict) or "n" not in payload or "a" not in payload:
             raise ValueError('expected an object with fields "n" and "a"')
@@ -197,7 +201,7 @@ def cm_det(d: SquaredDistanceMatrix) -> Fraction:
     Read off the Gram elimination: det(CM) = (-1)**(n+1) * 2**n * det(G).
     """
     g = _gram_elimination(d)
-    return (-1) ** (d.n + 1) * 2**d.n * _gram_det(g.minors, g.scale, d.n)
+    return Fraction((-1) ** (d.n + 1) * 2**d.n * g.minors[-1], g.scale**d.n) if len(g.minors) == d.n else Fraction(0)
 
 
 def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
@@ -206,7 +210,8 @@ def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
 
 
 def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
-    """Exact squared volume det(G) / (n!)**2.
+    """Exact squared volume det(G) / (n!)**2, built once as det(A) /
+    (s**n (n!)**2) from the scaled Gram elimination A = s*G.
 
     Zero for degenerate (flat) configurations.  Distances that are not
     Euclidean raise NonEuclideanError carrying the realizability
@@ -214,9 +219,8 @@ def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
     determinant, so an even number of negative Gram eigenvalues cannot
     pass as a volume.
     """
-    _euclidean(d)
     g = _gram_elimination(d)
-    return _gram_det(g.minors, g.scale, d.n) / math.factorial(d.n) ** 2
+    return Fraction(g.minors[-1], g.scale**d.n * math.factorial(d.n) ** 2) if _euclidean(d) else Fraction(0)
 
 
 def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
@@ -283,11 +287,9 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
     """The integer symmetric elimination of the scaled Gram matrix A = s*G
     with its diagonal b = 2 (c D)[0][1:] as column n, run once and kept on
     d; callers only read it.  A has the inertia of G.  The corner
-    -b^T adj(A) b = det [[A, b], [b^T, 0]] is the entry an elimination of
-    that bordered matrix would leave last; its border row is b^T, so by
-    symmetry step k updates it with the kept b'_k alone: corner = (m_k
-    corner - b'_k**2) // m_(k-1).  That is exact only without pivot moves,
-    so the corner is read only for nondegenerate d.
+    -b^T adj(A) b = det [[A, b], [b^T, 0]] is folded from the carried b'
+    over the minors (`linalg._corners`).  That is exact only without pivot
+    moves, so the corner is read only for nondegenerate d.
     """
     if d._gram is None:
         rows = _scaled_gram(d._dist)
@@ -298,45 +300,21 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
         status = Realizability.NON_EUCLIDEAN if sig[1] else (
             Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)
         verdict = RealizabilityVerdict(status=status, gram_inertia=sig)
-        corner, prev = 0, 1
-        for pivot, row in zip(minors, rows):
-            corner = (pivot * corner - row[-1] ** 2) // prev
-            prev = pivot
+        corner = _corners(minors, [row[d.n:] for row in rows])[0]
         object.__setattr__(d, "_gram", _Gram(rows, minors, 2 * d._den, verdict, corner))
     return d._gram
 
 
 def _unit_sweeps(d: SquaredDistanceMatrix) -> tuple[list[list[int]], list[int]]:
     """(rows, corners): the columns of I an elimination of [A | I] would
-    leave, rebuilt from the kept pivot rows in one pass, each with the
-    corner fold `_gram_elimination` applies to A's diagonal.  Column j is
-    zero above row j, and the steps before j only scale its 1 to the
-    leading minor there, so it enters at step j as that minor; rows[i]
-    holds row i's entries for columns 0..i, e_j's column is [0] * j +
-    [rows[i][j] for i >= j], and corners[j] = -adj(A)[j][j] is its corner.
-    Each step updates all columns entered so far, one comprehension per
-    row; anything but nondegenerate input raises."""
+    leave, carried through the kept elimination by `linalg._resume`, and
+    their corners -e_j^T adj(A) e_j = -adj(A)[j][j].  The identity goes in
+    as rows [0] * i + [1], so rows[i] holds row i's entries for columns
+    0..i at least, the rest being 0: e_j's column is [0] * j + [rows[i][j]
+    for i >= j].  Anything but nondegenerate input raises."""
     require_nondegenerate(d)
     g = _gram_elimination(d)
-    rows = [[] for _ in range(d.n)]
-    corners = []
-    prev = 1
-    for k, (pivot, top) in enumerate(zip(g.minors, g.rows)):
-        head = rows[k]
-        head.append(prev)
-        corners.append(0)
-        corners = [(pivot * c - y * y) // prev for c, y in zip(corners, head)]
-        for i in range(k + 1, d.n):
-            f = top[i]
-            rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], head)]
-            rows[i].append(-f)  # column k, zero in row i before this step
-        prev = pivot
-    return rows, corners
-
-
-def _gram_det(minors, scale: int, n: int) -> Fraction:
-    """det(G) from the leading minors of the scaled Gram elimination."""
-    return Fraction(minors[-1], scale**n) if len(minors) == n else Fraction(0)
+    return _resume(g.rows, g.minors, [[0] * i + [1] for i in range(d.n)])
 
 
 def is_realizable(d: SquaredDistanceMatrix) -> RealizabilityVerdict:
@@ -428,10 +406,10 @@ def _facet_dets(d: SquaredDistanceMatrix) -> tuple[int, ...]:
     computed once and kept on d.
 
     det_k = adj(A)[k-1][k-1] for k >= 1, the corners of all unit vectors
-    e_(k-1) in one batched pass (`_unit_sweeps`), and det_0 = 1^T adj(A) 1;
-    the summed adjugate column is certified, A adj(A) 1 = det(A) 1, in
-    O(n**2) integers.  Anything but nondegenerate input raises with the
-    verdict attached.
+    e_(k-1) resumed through the kept elimination at once (`_unit_sweeps`),
+    and det_0 = 1^T adj(A) 1; the summed adjugate column is certified,
+    A adj(A) 1 = det(A) 1, in O(n**2) integers.  Anything but
+    nondegenerate input raises with the verdict attached.
     """
     if d._dets is None:
         units, corners = _unit_sweeps(d)

@@ -155,9 +155,11 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
     the Gram LDL^T, read off the kept elimination as p / q * sqrt(a / b)
     with p = rows[k][i], q = m_k, a = m_k and b = m_(k-1) s, m the leading
     minors and s the Gram scale; on the diagonal rows[k][k] is m_k, so
-    L_kk = 1 and the coordinate is sqrt(D_k) > 0.  It is `_root`'s two
-    steps, with the root of D_k (`_scaled_sqrt`) taken once per column and
-    `_times` per coordinate, so the bits are `_root`'s.  The
+    L_kk = 1 and the coordinate is sqrt(D_k) > 0, the column's root
+    itself.  It is `_root`'s two steps, with the root of D_k
+    (`_scaled_sqrt`) taken once per column and `_times` per coordinate
+    below the diagonal, so the bits are `_root`'s: on the diagonal
+    `_times` would multiply by m_k / m_k = 1.0.  The
     round-trip check runs at a power-of-two scale, so its sums of squares
     cannot overflow at the top of the range.
     """
@@ -169,7 +171,7 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
         raise ValueError(_BEYOND_FLOATS % "squared distances leave")
     # coordinate k, from pivot row k: 0 on vertices 0..k, then L_ik sqrt(D_k) on vertex i+1 for i = k..n-1
     roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + g.minors, g.minors)]
-    cols = [[0.0] * (k + 1) + [_times(x, m, root) for x in top[k:d.n]]
+    cols = [[0.0] * (k + 1) + [math.ldexp(*root)] + [_times(x, m, root) for x in top[k + 1:d.n]]
             for k, (root, m, top) in enumerate(zip(roots, g.minors, g.rows))]
     return EmbeddedSimplex(list(zip(*cols)), d)
 

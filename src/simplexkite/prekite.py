@@ -40,7 +40,6 @@ the one assembler of the form's matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -190,6 +189,8 @@ class PreKite(Record):
         Every malformed payload raises ValueError.
         """
         if isinstance(payload, str):
+            import json  # only a JSON payload needs it, so no other caller loads it
+
             payload = json.loads(payload)
         if not isinstance(payload, dict) or not {"n", "u", "v"} <= set(payload):
             raise ValueError('expected an object with fields "n", "u", "v"')

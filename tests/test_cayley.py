@@ -21,7 +21,9 @@ from simplexkite import (
     circumcenter_barycentrics,
     circumradius_sq,
     exact_determinant,
+    facet_circumradii_sq,
     facet_sdm,
+    facet_volumes_sq,
     gram_ldl,
     gram_matrix,
     inner_cm_det,
@@ -149,6 +151,13 @@ def _fraction_solve(rows, rhs):
     return det, x
 
 
+def _large_cloud(n):
+    """(points, d): n+1 integer points, read over the denominator 12, and their matrix."""
+    rng = random.Random(4000 + n)
+    pts = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n + 1)]
+    return pts, SquaredDistanceMatrix([[Fraction(sum((x - y) ** 2 for x, y in zip(p, q)), 144) for q in pts] for p in pts])
+
+
 class TestLargeOrders:
     """The orders the benchmark runs (20, 30) and the top of the scope (40)
     on rational point clouds, against a Fraction oracle on the edge vectors
@@ -157,11 +166,8 @@ class TestLargeOrders:
 
     @pytest.mark.parametrize("n", [20, 30, 40])
     def test_against_a_fraction_oracle(self, n):
-        rng = random.Random(4000 + n)
         den = 12  # every coordinate is an integer over den
-        pts = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n + 1)]
-        d = SquaredDistanceMatrix(
-            [[Fraction(sum((x - y) ** 2 for x, y in zip(p, q)), den * den) for q in pts] for p in pts])
+        pts, d = _large_cloud(n)
         edges = [[Fraction(x - y, den) for x, y in zip(p, pts[0])] for p in pts[1:]]
         det, c = _fraction_solve(edges, [sum(x * x for x in e) / 2 for e in edges])
         assert det != 0
@@ -169,6 +175,15 @@ class TestLargeOrders:
         assert verdict.status is Realizability.NONDEGENERATE and verdict.gram_inertia == (n, 0, 0)
         assert volume_sq(d) == det**2 / math.factorial(n) ** 2
         assert circumradius_sq(d) == sum(x * x for x in c)
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_facets_against_their_own_eliminations(self, n):
+        # the facet values come from the unit columns resumed through the kept
+        # elimination, whose chains of three-pivot passes are longest here
+        _, d = _large_cloud(n)
+        facets = [facet_sdm(d, j) for j in range(n + 1)]
+        assert facet_volumes_sq(d) == tuple(map(volume_sq, facets))
+        assert facet_circumradii_sq(d) == tuple(map(circumradius_sq, facets))
 
 
 class TestRealizability:

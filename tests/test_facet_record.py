@@ -271,6 +271,35 @@ def test_unit_sweeps_match_one_sweep_per_unit_vector():
             assert (swept, corners[j]) == carried_column(d, [int(i == j) for i in range(d.n)])
 
 
+def test_resume_matches_one_sweep_per_column():
+    # `linalg._resume` carries columns through the kept elimination in three-pivot
+    # passes; each must come out as the one-step elimination of [A | c] leaves it,
+    # with its corner: unit, dense and leading-zero columns, and a zero column
+    rng = random.Random(77)
+    cases = []
+    for n in range(1, 13):
+        cases += [mixed_points(rng, n) for _ in range(3)]
+    cases.append(mixed_points(rng, 40))
+    cases = [d for d in cases if nondegenerate(d)]
+    assert {d.n for d in cases} == set(range(1, 13)) | {40}
+    for d in cases:
+        n = d.n
+        g = cayley._gram_elimination(d)
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        leads = [rng.randrange(n) for _ in range(3)]
+        columns = units + [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)] + [
+            [0] * z + [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - z - 1)] for z in leads] + [[0] * n]
+        swept, corners = linalg._resume(g.rows, g.minors, [list(row) for row in zip(*columns)])
+        assert len(swept) == n and all(len(row) == len(columns) for row in swept)
+        for j, column in enumerate(columns):
+            assert ([row[j] for row in swept], corners[j]) == carried_column(d, column)
+        # rows may stop short where the rest is zero: the identity given as rows [0] * i + [1]
+        short, short_corners = linalg._resume(g.rows, g.minors, [[0] * i + [1] for i in range(n)])
+        assert short_corners == corners[:n]
+        assert [row + [0] * (n - len(row)) for row in short] == [row[:n] for row in swept]
+        assert linalg._corners(g.minors, [row[n:] for row in g.rows]) == [g.corner]
+
+
 # the collinear and the non-Euclidean triangle, a flat tetrahedron, and a non-Euclidean one whose Gram
 # block is [[0, 30], [30, 0]] after the first pivot, so the kernel takes the 2x2 congruence there
 UNREALIZABLE = (

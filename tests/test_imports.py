@@ -246,3 +246,27 @@ def test_no_command_loads_typing_without_the_site_hooks(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert json.loads(proc.stderr.splitlines()[-1]) is False
+
+
+def test_measuring_a_matrix_loads_no_json():
+    # `json` is imported by the `from_json` parsers alone, so an in-process caller that
+    # builds a matrix and reads its values never pays for it; -S keeps site hooks out
+    script = (
+        "import sys\n"
+        "from simplexkite import SquaredDistanceMatrix, classify, coincidence_report, volume_sq\n"
+        "d = SquaredDistanceMatrix([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]])\n"
+        "volume_sq(d)\n"
+        "classify(d)\n"
+        "coincidence_report(d, with_floats=True)\n"
+        "print(sorted(m for m in ('json', 'json.decoder') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    proc = fresh("import sys\nfrom simplexkite import PreKite, SquaredDistanceMatrix\n"
+                 "SquaredDistanceMatrix.from_json('{\"n\": 1, \"a\": [[0, 1], [1, 0]]}')\n"
+                 "PreKite.from_json('{\"n\": 3, \"u\": \"1\", \"v\": [\"1\", \"1\", \"1\"]}')\n"
+                 "print('json' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
