@@ -22,17 +22,16 @@ and b its diagonal carried as one more column, which the symmetric
 kernel eliminates alongside and never pivots on.  Its pivot signs give the
 inertia of G, and its last leading minor gives det(G) = (n!)**2 * V**2.
 The carried column b' and the kept minors give the corner -b^T adj(A) b
-of the bordered [[A, b], [b^T, 0]] by the O(n) fold `linalg._corners`,
+of the bordered [[A, b], [b^T, 0]] by the O(n) fold `linalg._fold`,
 which is -4 s det(A) R**2, and back substitution with b' gives the
 circumcenter.  With b = e_j the corner is the principal minor
 adj(A)[j][j], the scaled Gram determinant of the facet opposite vertex
 j+1; all unit vectors are carried through the kept elimination at once
-(`_unit_sweeps`) by `linalg._resume`, in the kernel's own three-pivot
-passes, each e_j entering at the pass that reaches its 1, and folded by
-the same `_corners`.  So this module keeps no elimination arithmetic:
-the kernel, every replay of what it kept and the corner fold are
-`linalg`'s.  The facet opposite vertex 0 has 1^T adj(A) 1, by the
-unimodular change of base to vertex 1.  Each
+(`_unit_sweeps`) by `linalg._resume`, one pivot per step with e_j
+entering at step j, and folded by `linalg._corners`.  So this module
+keeps no elimination arithmetic: the kernel, every replay of what it
+kept and the corner fold are `linalg`'s.  The facet opposite vertex 0
+has 1^T adj(A) 1, by the unimodular change of base to vertex 1.  Each
 facet's circumradius then follows from Pythagoras: R_k**2 = R**2 -
 (w_k * h_k)**2, with w the circumcenter's barycentrics and h_k = n V /
 F_k the height over facet k.  A report builds and eliminates no facet
@@ -59,7 +58,7 @@ from itertools import combinations
 from operator import mul, neg
 
 from .exact import Record, _cleared, _integer, _scalars, as_scalar
-from .linalg import ExactMatrix, _back_substitute, _bareiss, _corners, _resume, _signature, exact_determinant
+from .linalg import ExactMatrix, _back_substitute, _bareiss, _fold, _resume, _signature, exact_determinant
 
 
 class Realizability(enum.Enum):
@@ -200,8 +199,7 @@ def cm_det(d: SquaredDistanceMatrix) -> Fraction:
 
     Read off the Gram elimination: det(CM) = (-1)**(n+1) * 2**n * det(G).
     """
-    g = _gram_elimination(d)
-    return Fraction((-1) ** (d.n + 1) * 2**d.n * g.minors[-1], g.scale**d.n) if len(g.minors) == d.n else Fraction(0)
+    return (-1) ** (d.n + 1) * 2**d.n * _gram_det(d)
 
 
 def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
@@ -210,8 +208,8 @@ def inner_cm_det(d: SquaredDistanceMatrix) -> Fraction:
 
 
 def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
-    """Exact squared volume det(G) / (n!)**2, built once as det(A) /
-    (s**n (n!)**2) from the scaled Gram elimination A = s*G.
+    """Exact squared volume det(G) / (n!)**2, built once from the scaled
+    Gram elimination (`_gram_det`).
 
     Zero for degenerate (flat) configurations.  Distances that are not
     Euclidean raise NonEuclideanError carrying the realizability
@@ -219,8 +217,8 @@ def volume_sq(d: SquaredDistanceMatrix) -> Fraction:
     determinant, so an even number of negative Gram eigenvalues cannot
     pass as a volume.
     """
-    g = _gram_elimination(d)
-    return Fraction(g.minors[-1], g.scale**d.n * math.factorial(d.n) ** 2) if _euclidean(d) else Fraction(0)
+    _euclidean(d)
+    return _gram_det(d, math.factorial(d.n) ** 2)
 
 
 def circumradius_sq(d: SquaredDistanceMatrix) -> Fraction:
@@ -288,7 +286,7 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
     with its diagonal b = 2 (c D)[0][1:] as column n, run once and kept on
     d; callers only read it.  A has the inertia of G.  The corner
     -b^T adj(A) b = det [[A, b], [b^T, 0]] is folded from the carried b'
-    over the minors (`linalg._corners`).  That is exact only without pivot
+    over the minors (`linalg._fold`).  That is exact only without pivot
     moves, so the corner is read only for nondegenerate d.
     """
     if d._gram is None:
@@ -300,7 +298,7 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
         status = Realizability.NON_EUCLIDEAN if sig[1] else (
             Realizability.DEGENERATE if sig[2] else Realizability.NONDEGENERATE)
         verdict = RealizabilityVerdict(status=status, gram_inertia=sig)
-        corner = _corners(minors, [row[d.n:] for row in rows])[0]
+        corner = _fold(minors, [row[-1] for row in rows])
         object.__setattr__(d, "_gram", _Gram(rows, minors, 2 * d._den, verdict, corner))
     return d._gram
 
@@ -308,13 +306,19 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
 def _unit_sweeps(d: SquaredDistanceMatrix) -> tuple[list[list[int]], list[int]]:
     """(rows, corners): the columns of I an elimination of [A | I] would
     leave, carried through the kept elimination by `linalg._resume`, and
-    their corners -e_j^T adj(A) e_j = -adj(A)[j][j].  The identity goes in
-    as rows [0] * i + [1], so rows[i] holds row i's entries for columns
-    0..i at least, the rest being 0: e_j's column is [0] * j + [rows[i][j]
-    for i >= j].  Anything but nondegenerate input raises."""
+    their corners -adj(A)[j][j]: rows[i] holds row i's entries for
+    columns 0..i, and e_j's column is [0] * j + [rows[i][j] for i >= j].
+    Anything but nondegenerate input raises."""
     require_nondegenerate(d)
     g = _gram_elimination(d)
-    return _resume(g.rows, g.minors, [[0] * i + [1] for i in range(d.n)])
+    return _resume(g.rows, g.minors)
+
+
+def _gram_det(d: SquaredDistanceMatrix, den: int = 1) -> Fraction:
+    """det(G) / den from the leading minors of the scaled Gram elimination,
+    det(A) / (s**n den) as one Fraction, 0 when flat."""
+    g = _gram_elimination(d)
+    return Fraction(g.minors[-1], g.scale**d.n * den) if len(g.minors) == d.n else Fraction(0)
 
 
 def is_realizable(d: SquaredDistanceMatrix) -> RealizabilityVerdict:

@@ -18,13 +18,11 @@ determinant, `exact._det` on the matrix's rows (the package's one
 cofactor expansion), is kept as an independent oracle for it and for
 every closed form.
 
-Two more entries replay a kept symmetric elimination without redoing
-it, and nothing outside this module does: `_resume` carries further
-integer columns through it in the same passes, the level-k pivot rows
-it needs coming back exactly from the kept ones, and `_corners` folds
-swept columns c into their corners -c^T adj(A) c.  The arithmetic of a
-three-pivot pass is written once, in `_pass`, for `_bareiss` and
-`_resume` alike.
+A kept symmetric elimination is replayed here too, and nowhere else:
+`_resume` carries the columns of I through it one pivot per step, which
+carries any further columns too, as a product, and `_corners` folds
+swept columns c into their corners -c^T adj(A) c, one column at a time
+(`_fold`).
 
 Only `cayley` imports this module; `exact` hands out its public names
 on first access, so a process whose command needs no elimination
@@ -36,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 from .exact import Record, _cleared, _det, _integer, _scalars
@@ -90,14 +89,27 @@ def _bareiss(a: list[list[int]], symmetric: bool = False):
     only the upper triangle and leaves the LDL^T multipliers as
     L[i][k] = a[k][i] / minors[k].
 
-    A pass takes pivots k, k+1 and k+2 together (`_pass`), with the
-    coefficients u = a[i][k..k+2] of row i read as a[k..k+2][i] from the
-    pivot rows, before they are overwritten, when `symmetric`.  When
-    m_(k+1) or m_(k+2) is 0, or fewer than four rows remain, the pass
-    takes one step, so pivots move at the same k as with one pivot per
-    step and the minors, the sign and the echelon rows on and right of the
-    diagonal are the same; only entries left of it, which no caller reads,
-    differ.
+    A pass takes pivots k, k+1 and k+2 together, prev being the pivot
+    before them.  It first brings rows k+1 and k+2 to levels k+1 and k+2
+    as one pivot per step would: b1 = row k+1 and b2 = row k+2 after step
+    k, each (m_k row - row[k] a[k]) // prev, then c2 = (m_(k+1) b2 - b2[k+1]
+    b1) // m_k; b1 and c2 are the echelon rows k+1 and k+2, and their
+    leads are m_(k+1) and m_(k+2).  Back-substituting in that 3x3 echelon
+    block gives, for each column j, w2 = c2, w1 = (m_(k+2) b1 - b1[k+2]
+    w2) // m_(k+1) and w0 = (m_(k+2) a[k] - a[k][k+1] w1 - a[k][k+2] w2)
+    // m_k (the adjugate of the pivot block times column j, over prev**2).
+    Sylvester's identity then gives entry (i, j) three steps on as the
+    4x4 bordered minor on rows k..k+2, i and columns k..k+2, j over
+    prev**3, that is (m_(k+2) a[i][j] - u0 w0[j] - u1 w1[j] - u2 w2[j])
+    // prev with u = a[i][k..k+2], read as a[k..k+2][i] from the pivot
+    rows, before they are overwritten, when `symmetric`: 4 products and 1
+    exact division per entry per three steps, where one pivot per step
+    takes 6 and 3.
+    When m_(k+1) or m_(k+2) is 0, or fewer than four rows remain, the
+    pass takes one step, so pivots move at the same k as with one pivot
+    per step and the minors, the sign and the echelon rows on and right
+    of the diagonal are the same; only entries left of it, which no
+    caller reads, differ.
     """
     rows = len(a)
     minors = []
@@ -118,139 +130,45 @@ def _bareiss(a: list[list[int]], symmetric: bool = False):
         top = a[k]
         pivot = top[k]
         minors.append(pivot)
-        block = None
+        m2 = 0
         if k + 3 < rows:
             nxt, third = a[k + 1], a[k + 2]
-            if symmetric:
-                f1, f2, g = top[k + 1], top[k + 2], None
-                below = ((a[i], i, i - k - 3, top[i], nxt[i], third[i]) for i in range(k + 3, rows))
-            else:
-                f1, f2 = nxt[k], third[k]
-                g = (pivot * third[k + 1] - f2 * top[k + 1]) // prev
-                below = ((row, k + 3, 0, row[k], row[k + 1], row[k + 2]) for row in a[k + 3:])
-            block = _pass(prev, pivot, f1, f2, g, top[k + 1:], nxt[k + 1:], third[k + 1:], below)
-        if block:
-            nxt[k + 1:], third[k + 2:] = block
-            minors += (nxt[k + 1], third[k + 2])
-            prev, k = minors[-1], k + 3
+            f1, f2 = (top[k + 1], top[k + 2]) if symmetric else (nxt[k], third[k])
+            b1 = [(pivot * x - f1 * y) // prev for x, y in zip(nxt[k + 1:], top[k + 1:])]
+            m1 = b1[0]
+            if m1:
+                b2 = [(pivot * x - f2 * y) // prev for x, y in zip(third[k + 2:], top[k + 2:])]
+                g = b1[1] if symmetric else (pivot * third[k + 1] - f2 * top[k + 1]) // prev
+                c2 = [(m1 * x - g * y) // pivot for x, y in zip(b2, b1[1:])]
+                m2 = c2[0]
+        if m2:
+            w2 = c2[1:]
+            h = b1[1]
+            w1 = [(m2 * x - h * y) // m1 for x, y in zip(b1[2:], w2)]
+            h1, h2 = top[k + 1], top[k + 2]
+            w0 = [(m2 * x - h1 * y - h2 * z) // pivot for x, y, z in zip(top[k + 3:], w1, w2)]
+            for i in range(k + 3, rows):
+                row = a[i]
+                if symmetric:
+                    u0, u1, u2, lo = top[i], nxt[i], third[i], i
+                else:
+                    u0, u1, u2, lo = row[k], row[k + 1], row[k + 2], k + 3
+                s = lo - k - 3
+                row[lo:] = [(m2 * x - u0 * p - u1 * q - u2 * r) // prev
+                            for x, p, q, r in zip(row[lo:], w0[s:], w1[s:], w2[s:])]
+            nxt[k + 1:] = b1
+            third[k + 2:] = c2
+            minors += (m1, m2)
+            prev = m2
+            k += 3
         else:
             for i in range(k + 1, rows):
                 row = a[i]
                 f, lo = (top[i], i) if symmetric else (row[k], k + 1)
                 row[lo:] = [(pivot * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
-            prev, k = pivot, k + 1
+            prev = pivot
+            k += 1
     return minors, sign
-
-
-def _pass(prev: int, pivot: int, f1: int, f2: int, g, top, nxt, third, below):
-    """Steps k, k+1 and k+2 of a Bareiss elimination at once: the
-    arithmetic of every three-pivot pass, `_bareiss`'s and `_resume`'s.
-
-    `top`, `nxt` and `third` are pivot rows k, k+1 and k+2 at level k
-    (after k steps), from column k+1 on; pivot is m_k and prev is m_(k-1)
-    (1 at k = 0).  It first brings rows k+1 and k+2 to levels k+1 and k+2
-    as one pivot per step would: b1 = (m_k nxt - f1 top) // prev from
-    column k+1 on, b2 = (m_k third - f2 top) // prev from column k+2 on,
-    f1 and f2 being the multipliers of rows k+1 and k+2 at step k, and c2
-    = (m_(k+1) b2 - g b1) // m_k, g being that of row k+2 at step k+1
-    (b1[1] when None, as when symmetric), which is exact even when m_(k+1)
-    is 0; b1 and c2 are the echelon rows k+1 and k+2, and their leads are
-    m_(k+1) and m_(k+2).  Back-substituting in that 3x3 echelon block
-    gives, for each column j > k+2, w2 = c2, w1 = (m_(k+2) b1 - b1[1] w2)
-    // m_(k+1) and w0 = (m_(k+2) top - top[0] w1 - top[1] w2) // m_k (the
-    adjugate of the pivot block times column j, over prev**2).
-    Sylvester's identity then gives entry (i, j) three steps on as the 4x4
-    bordered minor on rows k..k+2, i and columns k..k+2, j over prev**3,
-    that is (m_(k+2) a[i][j] - u0 w0[j] - u1 w1[j] - u2 w2[j]) // prev
-    with u = a[i][k..k+2] at level k: 4 products and 1 exact division per
-    entry per three steps, where one pivot per step takes 6 and 3.  Each
-    (row, lo, s, u0, u1, u2) in `below` is so updated in place on row[lo:],
-    whose first column is column k+3+s.  Returns (b1, c2), or None, with
-    no row written, when m_(k+1) or m_(k+2) is 0.
-    """
-    b1 = [(pivot * x - f1 * y) // prev for x, y in zip(nxt, top)]
-    m1, h = b1[0], b1[1]
-    g = h if g is None else g
-    c2 = [(m1 * ((pivot * x - f2 * y) // prev) - g * z) // pivot for x, y, z in zip(third[1:], top[1:], b1[1:])]
-    m2 = c2[0]
-    if not (m1 and m2):
-        return None
-    w2 = c2[1:]
-    w1 = [(m2 * x - h * y) // m1 for x, y in zip(b1[2:], w2)]
-    w0 = [(m2 * x - top[0] * y - top[1] * z) // pivot for x, y, z in zip(top[2:], w1, w2)]
-    for row, lo, s, u0, u1, u2 in below:
-        row[lo:] = [(m2 * x - u0 * p - u1 * q - u2 * r) // prev
-                    for x, p, q, r in zip(row[lo:], w0[s:], w1[s:], w2[s:])]
-    return b1, c2
-
-
-def _resume(rows: list[list[int]], minors: list[int], columns: list[list[int]]):
-    """(swept, corners): integer columns c carried through a kept,
-    nondegenerate, symmetric `_bareiss` of an n x n matrix A, each as if
-    it had been a column of [A | c] there.
-
-    `rows` and `minors` are what that elimination left, n minors none of
-    them 0.  `columns` holds the columns as [A | C] would right of A, one
-    list per row of A, and `swept` comes back in the same form:
-    swept[i][j] is column j's entry in row i after i steps, as a
-    one-pivot-per-step elimination of [A | c] leaves it, and corners[j] =
-    -c^T adj(A) c (`_corners`).  A row may stop short, the entries it
-    leaves out being 0: a column enters at the first pass whose rows reach
-    it, the steps before only scaling it to m_(k-1) c, so the identity
-    given as rows [0] * i + [1] costs nothing above its diagonal.  The passes are `_bareiss`'s
-    (`_pass`): three pivots, then single steps once fewer than four rows
-    remain.  A pass at k reads rows k+1 and k+2 at level k, which the
-    kernel overwrote with levels k+1 and k+2; they come back exactly from
-    the kept rows r and minors m by undoing one step and two: row k+1's
-    entry in column i at level k is (m_(k-1) r_(k+1)[i] + r_k[k+1] r_k[i])
-    // m_k, and row k+2's at level k+1 is (m_k r_(k+2)[i] + r_(k+1)[k+2]
-    r_(k+1)[i]) // m_(k+1), taken back one more step the same way through
-    r_k[k+2].
-    """
-    n = len(minors)
-    x = [[] for _ in range(n)]
-    prev, k, width = 1, 0, 0
-    while k < n:
-        span = 3 if k + 3 < n else 1
-        width = max(width, *map(len, columns[k:k + span]))
-        for row, line in zip(x[k:], columns[k:]):
-            row += map(prev.__mul__, line[len(row):width])
-            row += [0] * (width - len(row))
-        top, pivot = rows[k], minors[k]
-        if span == 3:
-            nxt, third, m1 = rows[k + 1], rows[k + 2], minors[k + 1]
-            f1, f2, g = top[k + 1], top[k + 2], nxt[k + 2]
-            u1 = [(prev * y + f1 * t) // pivot for y, t in zip(nxt[k + 1:n], top[k + 1:n])]
-            u2 = [(prev * ((pivot * y + g * z) // m1) + f2 * t) // pivot
-                  for y, z, t in zip(third[k + 2:n], nxt[k + 2:n], top[k + 2:n])]
-            whole = [0] * (n - k - 3)  # lo = s = 0: each row of x is updated whole
-            below = zip(x[k + 3:], whole, whole, top[k + 3:n], u1[2:], u2[1:])
-            b1, c2 = _pass(prev, pivot, f1, f2, g, [f1, f2, *x[k]], [*u1[:2], *x[k + 1]], [u1[1], u2[0], *x[k + 2]], below)
-            x[k + 1], x[k + 2] = b1[2:], c2[1:]
-        else:
-            for i, f in enumerate(top[k + 1:n], k + 1):
-                x[i] = [(pivot * y - f * z) // prev for y, z in zip(x[i], x[k])]
-        prev, k = minors[k + span - 1], k + span
-    return x, _corners(minors, x)
-
-
-def _corners(minors: list[int], swept: list[list[int]]) -> list[int]:
-    """-c^T adj(A) c for each column c carried through a kept,
-    nondegenerate, symmetric elimination of A, from its minors m and the
-    swept columns, row k of `swept` holding each column's entry c'_k after
-    k steps.  A row may stop short, the entries it leaves out being 0, but
-    no row is shorter than the one above it.
-
-    It is the corner of the bordered [[A, c], [c^T, 0]], the entry an
-    elimination of that matrix would leave last.  Its border row is c^T,
-    so by symmetry step k updates the corner with c'_k alone: corner =
-    (m_k corner - c'_k**2) // m_(k-1), exact only without pivot moves.
-    """
-    corners = [0] * max(map(len, swept), default=0)
-    for prev, pivot, row in zip([1, *minors], minors, swept):
-        for j, y in enumerate(row):
-            corners[j] = (pivot * corners[j] - y * y) // prev
-    return corners
 
 
 def _symmetric_pivot(a, k: int) -> bool:
@@ -339,3 +257,48 @@ def _back_substitute(a: list[list[int]], det: int, rhs: list[int]) -> list[int]:
         row = a[i]
         y[i] = (det * rhs[i] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
     return y
+
+
+def _resume(rows: list[list[int]], minors: list[int]) -> tuple[list[list[int]], list[int]]:
+    """(swept, corners): the columns of I as one pivot per step on [A | I]
+    would leave them, carried through the kept rows and minors of a
+    nondegenerate `_bareiss(..., symmetric=True)` of A without redoing
+    it, and their corners -e_j^T adj(A) e_j = -adj(A)[j][j] (`_corners`).
+
+    Column j is zero above row j, and the steps before j only scale its 1
+    to the leading minor there, so it enters at step j as that minor;
+    swept[i] holds row i's entries for columns 0..i, and e_j's column is
+    [0] * j + [swept[i][j] for i >= j].  Each step updates all columns
+    entered so far, one comprehension per row.  Further integer columns C
+    need no sweep of their own: a step acts on the columns linearly, so
+    one pivot per step on [A | C] leaves swept[i] . C (the dot product of
+    swept[i] with each column, over its first i+1 entries) in row i, and
+    `_corners` of those rows are their corners.
+    """
+    swept = [[] for _ in minors]
+    for k, (prev, pivot, top) in enumerate(zip([1] + minors, minors, rows)):
+        swept[k].append(prev)  # column k enters, its 1 scaled to the pivot before
+        for i in range(k + 1, len(minors)):
+            f = top[i]
+            row = swept[i] = [(pivot * x - f * y) // prev for x, y in zip(swept[i], swept[k])]
+            row.append(-f)  # column k, zero in row i before this step
+    return swept, _corners(minors, swept)
+
+
+def _corners(minors: list[int], swept: list[list[int]]) -> list[int]:
+    """The corners -c^T adj(A) c of columns c swept through a
+    nondegenerate elimination of A, given row by row as `_resume` leaves
+    them (a short row's rest is 0), one `_fold` per column."""
+    return [_fold(minors, column) for column in zip_longest(*swept, fillvalue=0)]
+
+
+def _fold(minors: list[int], column: Iterable[int]) -> int:
+    """The corner -c^T adj(A) c = det [[A, c], [c^T, 0]] of one column c
+    from its swept entries c' and A's leading minors m_k: the bordered
+    matrix's border row is c^T, so by symmetry step k updates the corner
+    with c'_k alone, corner = (m_k corner - c'_k**2) // m_(k-1).  Exact
+    only without pivot moves, so only for nondegenerate A."""
+    corner = 0
+    for prev, pivot, y in zip([1] + minors, minors, column):
+        corner = (pivot * corner - y * y) // prev
+    return corner

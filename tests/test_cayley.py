@@ -178,8 +178,9 @@ class TestLargeOrders:
 
     @pytest.mark.parametrize("n", [20, 30, 40])
     def test_facets_against_their_own_eliminations(self, n):
-        # the facet values come from the unit columns resumed through the kept
-        # elimination, whose chains of three-pivot passes are longest here
+        # the facet values come from the unit columns resumed one pivot per step through
+        # the kept elimination; each facet's own elimination takes the kernel's three-pivot
+        # passes, whose chains are longest at these orders
         _, d = _large_cloud(n)
         facets = [facet_sdm(d, j) for j in range(n + 1)]
         assert facet_volumes_sq(d) == tuple(map(volume_sq, facets))

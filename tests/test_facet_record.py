@@ -271,10 +271,11 @@ def test_unit_sweeps_match_one_sweep_per_unit_vector():
             assert (swept, corners[j]) == carried_column(d, [int(i == j) for i in range(d.n)])
 
 
-def test_resume_matches_one_sweep_per_column():
-    # `linalg._resume` carries columns through the kept elimination in three-pivot
-    # passes; each must come out as the one-step elimination of [A | c] leaves it,
-    # with its corner: unit, dense and leading-zero columns, and a zero column
+def test_resume_carries_any_columns_as_a_product():
+    # `linalg._resume` sweeps the columns of I through the kept elimination; any further
+    # columns C then come out as the swept rows times C, with `_corners` of those rows as
+    # their corners, each as the one-step elimination of [A | c] leaves it: unit, dense,
+    # leading-zero and zero columns, n = 1..12 and one order-40 cloud
     rng = random.Random(77)
     cases = []
     for n in range(1, 13):
@@ -285,19 +286,20 @@ def test_resume_matches_one_sweep_per_column():
     for d in cases:
         n = d.n
         g = cayley._gram_elimination(d)
+        swept, corners = linalg._resume(g.rows, g.minors)
+        assert [len(row) for row in swept] == list(range(1, n + 1))
         units = [[int(i == j) for i in range(n)] for j in range(n)]
         leads = [rng.randrange(n) for _ in range(3)]
         columns = units + [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)] + [
             [0] * z + [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - z - 1)] for z in leads] + [[0] * n]
-        swept, corners = linalg._resume(g.rows, g.minors, [list(row) for row in zip(*columns)])
-        assert len(swept) == n and all(len(row) == len(columns) for row in swept)
+        rows = [[sum(map(mul, row, column)) for column in columns] for row in swept]
+        folded = linalg._corners(g.minors, rows)
         for j, column in enumerate(columns):
-            assert ([row[j] for row in swept], corners[j]) == carried_column(d, column)
-        # rows may stop short where the rest is zero: the identity given as rows [0] * i + [1]
-        short, short_corners = linalg._resume(g.rows, g.minors, [[0] * i + [1] for i in range(n)])
-        assert short_corners == corners[:n]
-        assert [row + [0] * (n - len(row)) for row in short] == [row[:n] for row in swept]
+            assert ([row[j] for row in rows], folded[j]) == carried_column(d, column)
+        assert corners == folded[:n]
+        # the carried diagonal folds to the kept corner, as one column and as rows of one entry
         assert linalg._corners(g.minors, [row[n:] for row in g.rows]) == [g.corner]
+        assert linalg._fold(g.minors, [row[-1] for row in g.rows]) == g.corner
 
 
 # the collinear and the non-Euclidean triangle, a flat tetrahedron, and a non-Euclidean one whose Gram
