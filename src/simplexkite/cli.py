@@ -16,9 +16,11 @@ may stand anywhere after the subcommand, but only spelled in full.
 
 This layer only parses, calls and prints.  Every number and verdict it
 prints comes from a library call: exact scalars reach JSON through one
-hook that writes their wire form, and --tol (finite and positive) is
-passed on only when it is given, so each default tolerance lives with
-the function it tunes.
+hook that writes their wire form.  A tolerance is an option only where
+float input arrives from outside, in `rel verify` and `pompeiu`; a
+matrix file is exact, so `classify` and `centers` take none.  --tol
+(finite and positive) is passed on only when it is given, so each
+default tolerance lives with the function it tunes.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=scalar_str)
 
 
-def _tol(args, name="tol") -> dict:
+def _tol(args) -> dict:
     """The --tol keyword for a library call: none unless --tol was given."""
-    return {} if args.tol is None else {name: args.tol}
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 def _number(text: str):
@@ -86,7 +88,7 @@ def _squared(args, texts) -> list:
 
 def cmd_classify(args):
     d = _load_sdm(args.matrix)
-    report = sk.classify(d, **_tol(args))
+    report = sk.classify(d)
     coin = sk.coincidence_report(d, with_floats=not args.exact)
     out = {"classification": report.to_json(), "coincidence": coin.to_json()}
     return _dumps(out), EXIT_OK
@@ -217,7 +219,7 @@ def cmd_embed(args):
 def cmd_centers(args):
     d = _load_sdm(args.matrix)
     s = sk.embed(d)
-    cs = sk.center_set(s, **_tol(args, "ft_tol"))
+    cs = sk.center_set(s)
     out = {"n": s.n}
     out.update(cs.to_json())
     return _dumps(out), EXIT_OK
@@ -226,7 +228,7 @@ def cmd_centers(args):
 # flag: (converter, help); None marks a flag that takes no value, a tuple the choices
 _FLAGS = {
     "--exact": (None, "exact output only; skip float cross-checks"),
-    "--tol": (float, "override the command's float tolerance (finite, > 0)"),
+    "--tol": (float, "override the tolerance of the command's float input (finite, > 0)"),
     "--format": (("json", "csv"), "output format of the scan table: json (the default) or csv"),
     "--lengths": (None, "numeric edge inputs are plain lengths; square them on ingestion"),
     "--n": (int, "dimension of the regular simplex (required)"),
@@ -240,14 +242,14 @@ _HELP = ("-h", "--help")
 # subcommand: (function, help, positionals, the flags it reads); a positional is
 # (name, converter), and the converter `list` marks v, which takes one or more values
 _COMMANDS = {
-    "classify": (cmd_classify, "apex census, family membership, and center coincidences for a matrix file", (("matrix", str),), ("--exact", "--tol")),
+    "classify": (cmd_classify, "apex census, family membership, and center coincidences for a matrix file", (("matrix", str),), ("--exact",)),
     "prekite-eval": (cmd_prekite_eval, "exact determinants, volume, and circumradius of PK[n;u;v], with per-facet values", (("n", int), ("u", str), ("v", list)), ("--lengths",)),
     "prekite-feasible": (cmd_prekite_feasible, "feasibility window test for the single-odd-edge pre-kite", (("n", int), ("u", str), ("v", str)), ("--lengths",)),
     "equiareal-scan": (cmd_equiareal_scan, "equal-facet-volume candidates over all (t, s) splits at dimension n", (("n", int),), ("--format",)),
     "rel": (cmd_rel, "solve or verify the regular-simplex distance relation", (("mode", ("solve", "verify")),), ("--tol", "--n", "--t0", "--known", "--t")),
     "pompeiu": (cmd_pompeiu, "classify three distances against an equilateral triangle", (("a", str), ("x", str), ("y", str), ("z", str)), ("--tol",)),
     "embed": (cmd_embed, "coordinates realizing a matrix file", (("matrix", str),), ()),
-    "centers": (cmd_centers, "the four centers of the simplex in a matrix file", (("matrix", str),), ("--tol",)),
+    "centers": (cmd_centers, "the four centers of the simplex in a matrix file", (("matrix", str),), ()),
 }
 # the program itself: one positional, the subcommand, whose own argv follows it
 _PROGRAM = (None, None, (("command", tuple(_COMMANDS)),), ())

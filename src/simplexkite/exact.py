@@ -10,7 +10,8 @@ Every module of the package imports this one, so each job that several
 of them share has its one owner here: `Record`, the frozen base of the
 result and value classes, whose `_fill` sets the fields wherever a class
 writes its own `__init__`; `_scalars`, the one reader of a sequence of
-scalars; `_positive_tol`, the one check of a float tolerance;
+scalars; `_positive_tol`, the one check of a float tolerance, which
+only functions of float input take (exact input is decided exactly);
 `_integer`, the one check of an order or dimension;
 `_at_least`, the one refusal of a dimension below what a function needs;
 and `_det`, the one cofactor expansion, which evaluates the small corner
@@ -162,13 +163,13 @@ def _scalars(values) -> tuple:
     return values if set(map(type, values)) <= {Fraction} else tuple(map(as_scalar, values))
 
 
-def _positive_tol(tol, name: str = "tol") -> None:
+def _positive_tol(tol) -> None:
     """Refuse a tolerance that is not finite and > 0 with ValueError.  Each
     function that takes one calls this before any work: a NaN, zero or
     negative tolerance fails every comparison, and an infinite one passes
     every comparison."""
     if not 0 < tol < math.inf:
-        raise ValueError("%s must be finite and positive, got %r" % (name, tol))
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
 
 
 def _integer(value, name: str) -> int:

@@ -14,8 +14,13 @@ verifies every pair against the same form (the circumscriptible one on
 edge lengths, l_ij = beta_i + beta_j), refusing at the first pair that
 fails.  The orthocentric recovery is exact, on the matrix's cleared
 integer distances; the other three take square roots and run in floating
-point with a relative tolerance, on the matrix scaled by a power of four
-(`_floats`) so that any magnitude within the float range is handled.
+point, on the matrix scaled by a power of four (`_floats`) so that any
+magnitude within the float range is handled.  Their pair defects are
+held to `TOL_FAMILY`, a fixed 1e-9 relative to the largest entry.  The
+input is exact, so no caller has float error of its own to allow for,
+and a relative defect means the same at every scale: a tolerance is an
+argument only where float input arrives from outside, and none does
+here.
 
 `classify` also takes the apex census (`find_apexes`): which vertices
 face a regular facet, that is, which vertices make the simplex a
@@ -31,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cayley import SquaredDistanceMatrix, _top_exponent, require_nondegenerate
-from .exact import Record, _at_least, _positive_tol, _scalars
+from .exact import Record, _at_least, _scalars
 
 TOL_FAMILY = 1e-9
 
@@ -70,18 +75,19 @@ def _off_form(family):
     return lambda x, bi, bj: x - form(bi, bj)
 
 
-def _accept(family, x, beta, defect, tol, k) -> BetaVector | None:
+def _accept(family, x, beta, defect, k) -> BetaVector | None:
     """The weights, times 2**k, when every pair defect |defect(x_ij, beta_i,
-    beta_j)|, i < j, relative to the largest entry of x, is at most tol; else
-    None, at the first pair that is not (a NaN never is).  The residual is
-    the largest relative defect: dividing by the positive top entry keeps
-    the order, so it is the worst defect over the top entry."""
+    beta_j)|, i < j, relative to the largest entry of x, is at most
+    `TOL_FAMILY`; else None, at the first pair that is not (a NaN never
+    is).  The residual is the largest relative defect: dividing by the
+    positive top entry keeps the order, so it is the worst defect over the
+    top entry."""
     top = max(map(max, x))
     residual = 0.0
     for i, (row, b_i) in enumerate(zip(x, beta)):
         for x_ij, b_j in zip(row[i + 1:], beta[i + 1:]):
             r = abs(defect(x_ij, b_i, b_j)) / top
-            if not r <= tol:
+            if not r <= TOL_FAMILY:
                 return None
             if r > residual:
                 residual = r
@@ -128,16 +134,16 @@ def recover_orthocentric(d: SquaredDistanceMatrix) -> BetaVector | None:
     return BetaVector(family="orthocentric", beta=beta, residual=Fraction(0))
 
 
-def recover_circumscriptible(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
-    """Recovery of positive weights with edge length = beta_i + beta_j."""
-    _positive_tol(tol)
+def recover_circumscriptible(d: SquaredDistanceMatrix) -> BetaVector | None:
+    """Recovery of positive weights with edge length = beta_i + beta_j,
+    each pair held to `TOL_FAMILY`."""
     _at_least(d.n, 2, "family recovery")
     a, k = _floats(d)
     ell = [list(map(math.sqrt, row)) for row in a]
     beta = _per_vertex(ell, _half_sum)
     if any(b <= 0 for b in beta):
         return None
-    return _accept("circumscriptible", ell, beta, lambda x, bi, bj: x - bi - bj, tol, k)
+    return _accept("circumscriptible", ell, beta, lambda x, bi, bj: x - bi - bj, k)
 
 
 def _ratio_root(x_ij, x_ik, x_jk):
@@ -147,13 +153,13 @@ def _ratio_root(x_ij, x_ik, x_jk):
     return math.sqrt(x_ij * x_ik / x_jk) if x_jk else math.inf
 
 
-def recover_isodynamic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
-    """Recovery of positive weights with squared edge = beta_i * beta_j."""
-    _positive_tol(tol)
+def recover_isodynamic(d: SquaredDistanceMatrix) -> BetaVector | None:
+    """Recovery of positive weights with squared edge = beta_i * beta_j,
+    each pair held to `TOL_FAMILY`."""
     _at_least(d.n, 2, "family recovery")
     a, k = _floats(d)
     beta = _per_vertex(a, _ratio_root)
-    return _accept("isodynamic", a, beta, _off_form("isodynamic"), tol, k)
+    return _accept("isodynamic", a, beta, _off_form("isodynamic"), k)
 
 
 def _tetra_candidates(a) -> list[list[float]]:
@@ -187,14 +193,14 @@ def _tetra_candidates(a) -> list[list[float]]:
     return out
 
 
-def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> BetaVector | None:
+def recover_tetra_isogonic(d: SquaredDistanceMatrix) -> BetaVector | None:
     """Recovery of positive weights with squared edge = b_i**2 + b_i*b_j + b_j**2.
 
     The triple (0, 1, 2) pins the candidate weights via the quadratic
     reduction above; the remaining weights follow one by one from the
-    edges at vertex 0, and every pair is verified at the end.
+    edges at vertex 0, and every pair is verified against `TOL_FAMILY`
+    at the end.
     """
-    _positive_tol(tol)
     _at_least(d.n, 2, "family recovery")
     a, k = _floats(d)
     for triple in _tetra_candidates(a):
@@ -210,7 +216,7 @@ def recover_tetra_isogonic(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) ->
                 break
             beta.append(bm)
         else:
-            if (vec := _accept("tetra_isogonic", a, beta, _off_form("tetra_isogonic"), tol, k)) is not None:
+            if (vec := _accept("tetra_isogonic", a, beta, _off_form("tetra_isogonic"), k)) is not None:
                 return vec
     return None
 
@@ -306,22 +312,21 @@ class ClassificationReport(Record):
         }
 
 
-def classify(d: SquaredDistanceMatrix, tol: float = TOL_FAMILY) -> ClassificationReport:
+def classify(d: SquaredDistanceMatrix) -> ClassificationReport:
     """Run apex enumeration and all four family recoveries.
 
     Requires a genuine (nondegenerate) simplex.  The report also records
     whether the expected containment held: for n >= 3, a pre-kite that
-    belongs to any family must be a kite.  A tolerance that is not finite
-    and > 0 raises ValueError.
+    belongs to any family must be a kite.  The input is exact, so it
+    takes no tolerance; the float recoveries hold to `TOL_FAMILY`.
     """
-    _positive_tol(tol)
     verdict = require_nondegenerate(d)
     apex_report = find_apexes(d)
     families = {
         "orthocentric": recover_orthocentric(d),
-        "circumscriptible": recover_circumscriptible(d, tol=tol),
-        "isodynamic": recover_isodynamic(d, tol=tol),
-        "tetra_isogonic": recover_tetra_isogonic(d, tol=tol),
+        "circumscriptible": recover_circumscriptible(d),
+        "isodynamic": recover_isodynamic(d),
+        "tetra_isogonic": recover_tetra_isogonic(d),
     }
     any_member = any(v is not None for v in families.values())
     is_prekite = bool(apex_report.apexes)

@@ -25,9 +25,11 @@ float output is the same on every supported Python; the builtin `sum`,
 compensated only from Python 3.12 on, is not used here.
 
 The embedding round trip is held to a fixed 1e-9 relative error
-(`TOL_EMBED`), and the Fermat-Torricelli iteration to a default 1e-10
-gradient norm, generous for double precision at desk scale.  A
-tolerance that is not finite and > 0 raises ValueError.
+(`TOL_EMBED`), and the Fermat-Torricelli iteration to a fixed 1e-10
+gradient norm (`FT_GRADIENT_TOL`), a sum of unit vectors and so the same
+at every scale.  The matrix is exact, so no function here takes a
+tolerance: a tolerance is an argument only where float input arrives
+from outside.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .cayley import (
     _top_exponent,
     require_nondegenerate,
 )
-from .exact import Record, _positive_tol
+from .exact import Record
 
 TOL_EMBED = 1e-9
 FT_GRADIENT_TOL = 1e-10
@@ -274,7 +276,7 @@ def _vertex_pull(pts, k: int, row) -> tuple[float, list[float]]:
     return math.hypot(*pull), pull
 
 
-def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point:
+def fermat_torricelli(s: EmbeddedSimplex) -> Point:
     """Minimizer of the summed vertex distances.
 
     The objective is convex, and a vertex is the global minimizer
@@ -287,7 +289,9 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
     is not computed.
     Otherwise the minimizer is interior and is found by Weiszfeld's
     re-weighted averaging started at the centroid, accepted once the
-    objective gradient norm drops to tol.  Each step is taken from x, as
+    objective gradient norm drops to `FT_GRADIENT_TOL`, a fixed bound on a
+    sum of unit vectors; the simplex comes from an exact matrix, so there
+    is no tolerance argument.  Each step is taken from x, as
     the summed unit pull towards the vertices over sum 1 / |p - x|, so next
     to a vertex it is not lost to the rounding of the vertex coordinates.
     An iterate that lands on a (necessarily non-optimal) vertex is stepped
@@ -296,9 +300,7 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
     Next to a vertex the averaging has one slow mode, with steps shrinking by a
     ratio near 1; after a step that shrank along the last one, the rest of their
     geometric series is added when that lowers the summed distance, compared per vertex.
-    A tolerance that is not finite and > 0 raises ValueError.
     """
-    _positive_tol(tol)
     pts = s.vertices
     table = [[math.dist(p, q) for q in pts] for p in pts]
     x = centroid(s)
@@ -322,7 +324,7 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
             continue
         units = _units(x, cols, dists)
         pull = list(map(fsum, units))  # the objective's gradient, negated
-        if math.hypot(*pull) <= tol:
+        if math.hypot(*pull) <= FT_GRADIENT_TOL:
             return x
         total = fsum(1.0 / r for r in dists)
         last, step = step, [c / total for c in pull]
@@ -340,7 +342,7 @@ def fermat_torricelli(s: EmbeddedSimplex, tol: float = FT_GRADIENT_TOL) -> Point
         x, dists = new, newdists
     raise ConvergenceError(
         "Fermat-Torricelli iteration did not reach gradient norm %.1e in %d steps"
-        % (tol, FT_MAX_ITER)
+        % (FT_GRADIENT_TOL, FT_MAX_ITER)
     )
 
 
@@ -357,13 +359,13 @@ class CenterSet(Record):
     inradius: float
 
 
-def center_set(s: EmbeddedSimplex, ft_tol: float = FT_GRADIENT_TOL) -> CenterSet:
-    """Compute all four centers in one go."""
-    _positive_tol(ft_tol, "ft_tol")
+def center_set(s: EmbeddedSimplex) -> CenterSet:
+    """Compute all four centers in one go; the Fermat-Torricelli point is
+    held to `FT_GRADIENT_TOL`."""
     g = centroid(s)
     q, radius = circumcenter(s)
     i, inradius = incenter(s)
-    f = fermat_torricelli(s, tol=ft_tol)
+    f = fermat_torricelli(s)
     return CenterSet(
         centroid=g,
         circumcenter=q,

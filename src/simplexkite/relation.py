@@ -260,7 +260,7 @@ def solve_missing_distance(n: int, t0, known) -> tuple[float, ...]:
     return tuple(_float_sqrt(q) for q in _open_slot(n, t0, known)[0])
 
 
-def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = 1e-9) -> bool:
+def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = _RELATION_TOL) -> bool:
     """Whether a point with squared-distance sum `sum_sq` lies on the circumsphere.
 
     For a regular n-simplex of edge length u the circumsphere is exactly

@@ -8,8 +8,8 @@ arguments, an option without its value, an invalid int, choice or
 tolerance, and a store-true flag given a value.  Each case has its exit
 code, stdout and stderr, recorded when argparse read argv.  A case with
 a `changed` note records a deliberate change since, the note saying
-what argparse did.  `@matrix` stands for a file holding the regular
-tetrahedron.
+what argparse did, or what the command printed before.  `@matrix` stands
+for a file holding the regular tetrahedron, in argv and in the output.
 """
 
 import json
@@ -28,5 +28,5 @@ def test_output_is_byte_identical(capsys, tmp_path, case):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps(SquaredDistanceMatrix.regular(3).to_json()))
     code = main([str(matrix) if a == "@matrix" else a for a in case["argv"]])
-    out, err = capsys.readouterr()
+    out, err = (text.replace(str(matrix), "@matrix") for text in capsys.readouterr())
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])

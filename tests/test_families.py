@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simplexkite import (
     DegenerateSimplexError,
@@ -18,7 +20,7 @@ from simplexkite import (
     recover_orthocentric,
     recover_tetra_isogonic,
 )
-from simplexkite.families import TOL_FAMILY, _accept, _off_form
+from simplexkite.families import _accept, _off_form
 
 FAMILIES = {
     "orthocentric": recover_orthocentric,
@@ -28,6 +30,18 @@ FAMILIES = {
 }
 
 NOT_A_MEMBER = PreKite(3, 1, (1, 1, 2)).to_sdm()
+
+# a squared edge parameter p/q with 1 <= p <= 12 and q <= 4
+_PARAM = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@st.composite
+def _prekites(draw) -> PreKite:
+    """PK[n; u; v], n = 3..8; its apex parameters are all equal (a kite) about half the time."""
+    n = draw(st.integers(3, 8))
+    u = draw(_PARAM)
+    v = draw(st.one_of(st.lists(_PARAM, min_size=n, max_size=n), _PARAM.map(lambda x: [x] * n)))
+    return PreKite(n, u, v)
 
 
 class TestOrthocentric:
@@ -181,6 +195,17 @@ class TestClassify:
         assert all(entry["member"] for entry in payload["families"].values())
         assert payload["kite"] and payload["regular"]
 
+    @settings(max_examples=150, deadline=None)
+    @given(_prekites())
+    def test_a_prekite_in_a_family_is_a_kite(self, pk):
+        # the paper's theorem, for n >= 3: the pre-kites in any of the four families are exactly the kites
+        d = pk.to_sdm()
+        assume(is_realizable(d).status is Realizability.NONDEGENERATE)
+        report = classify(d)
+        members = [name for name, vec in report.families.items() if vec is not None]
+        assert report.kite_consistent
+        assert members == (list(FAMILIES) if report.apex_report.is_kite else [])
+
     def test_rejects_degenerate(self):
         flat = SquaredDistanceMatrix([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
         with pytest.raises(DegenerateSimplexError):
@@ -254,7 +279,7 @@ def test_a_nan_weight_is_refused_wherever_it_stands(beta):
     # max() keeps a NaN defect only when it comes first, so a NaN weight
     # after the first pair once passed with residual 0.0
     unit = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-    assert _accept("isodynamic", unit, beta, _off_form("isodynamic"), TOL_FAMILY, 0) is None
+    assert _accept("isodynamic", unit, beta, _off_form("isodynamic"), 0) is None
 
 
 # a regular tetrahedron far outside the float range of its squares, with

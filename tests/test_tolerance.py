@@ -1,6 +1,10 @@
-"""Every library tolerance must be finite and > 0; any other value is
-refused with ValueError before any work, instead of spinning to an
-iteration cap or silently turning every comparison false."""
+"""A tolerance is an argument only where float input arrives from
+outside: the distance relation and the Pompeiu classifier.  There every
+tolerance must be finite and > 0; any other value is refused with
+ValueError before any work, instead of silently turning every comparison
+false.  A function of an exact matrix (the embedding, the family
+recoveries, `classify`, the Fermat-Torricelli point and `center_set`)
+holds to its module's fixed constant and takes no tolerance at all."""
 
 import math
 import time
@@ -31,12 +35,6 @@ TRIANGLE = SquaredDistanceMatrix([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
 DT = DistanceTuple(2, 1.0, (0.0, 1.0, 1.0))
 
 CALLS = {
-    "fermat_torricelli": lambda tol: fermat_torricelli(embed(REGULAR), tol=tol),
-    "center_set": lambda tol: center_set(embed(REGULAR), ft_tol=tol),
-    "classify": lambda tol: classify(REGULAR, tol=tol),
-    "recover_circumscriptible": lambda tol: recover_circumscriptible(REGULAR, tol=tol),
-    "recover_isodynamic": lambda tol: recover_isodynamic(REGULAR, tol=tol),
-    "recover_tetra_isogonic": lambda tol: recover_tetra_isogonic(REGULAR, tol=tol),
     "pompeiu_classify": lambda tol: pompeiu_classify(1.0, 0.5, 0.5, 0.5, tol=tol),
     "pompeiu_from_point": lambda tol: pompeiu_from_point(1.0, (0.1, 0.2), tol=tol),
     "pompeiu_verdict": lambda tol: pompeiu_verdict(0.0, 0.5, tol=tol),
@@ -60,13 +58,24 @@ def test_a_finite_positive_tolerance_is_taken(name):
     CALLS[name](1e-6)
 
 
-@pytest.mark.parametrize("name", ["embed", "EmbeddedSimplex"])
+# each holds to a fixed constant (TOL_EMBED, TOL_FAMILY or FT_GRADIENT_TOL) on exact input
+EXACT_INPUT = {
+    "embed": lambda: embed(TRIANGLE, tol=1e-6),
+    "EmbeddedSimplex": lambda: EmbeddedSimplex([[0, 0], [1, 0], [0, 1]], TRIANGLE, tol=1e-6),
+    "classify": lambda: classify(REGULAR, tol=1e-6),
+    "recover_circumscriptible": lambda: recover_circumscriptible(REGULAR, tol=1e-6),
+    "recover_isodynamic": lambda: recover_isodynamic(REGULAR, tol=1e-6),
+    "recover_tetra_isogonic": lambda: recover_tetra_isogonic(REGULAR, tol=1e-6),
+    "fermat_torricelli": lambda: fermat_torricelli(embed(REGULAR), tol=1e-6),
+    "center_set": lambda: center_set(embed(REGULAR), ft_tol=1e-6),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_INPUT))
 def test_the_embedding_takes_no_tolerance(name):
-    # its round trip is held to the fixed TOL_EMBED, so a tolerance argument is an error, not ignored
-    call = {"embed": lambda: embed(TRIANGLE, tol=1e-6),
-            "EmbeddedSimplex": lambda: EmbeddedSimplex([[0, 0], [1, 0], [0, 1]], TRIANGLE, tol=1e-6)}
+    # a tolerance argument is an error, not ignored
     with pytest.raises(TypeError, match="tol"):
-        call[name]()
+        EXACT_INPUT[name]()
 
 
 @pytest.mark.parametrize("delta, taken", [(0.45e-9, True), (0.55e-9, False)])
