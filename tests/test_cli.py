@@ -556,3 +556,13 @@ def test_hostile_numbers_are_bad_input(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", ["centers", "classify"])
+def test_a_command_that_reads_a_matrix_takes_no_tol(capsys, tmp_path, command, tol):
+    # a matrix file is exact input: any --tol, finite or not, is refused before the file is read
+    assert main([command, "--tol", tol, str(tmp_path / "absent.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized arguments: --tol")
