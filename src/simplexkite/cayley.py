@@ -26,13 +26,14 @@ of the bordered [[A, b], [b^T, 0]] by the O(n) fold `linalg._fold`,
 which is -4 s det(A) R**2, and back substitution with b' gives the
 circumcenter.  With b = e_j the corner is the principal minor
 adj(A)[j][j], the scaled Gram determinant of the facet opposite vertex
-j+1; all unit vectors are carried through the kept elimination at once
-(`_unit_sweeps`) by `linalg._resume`, one pivot per step with e_j
-entering at step j, and folded by `linalg._corners`.  So this module
-keeps no elimination arithmetic: the kernel, every replay of what it
-kept and the corner fold are `linalg`'s.  The facet opposite vertex 0
-has 1^T adj(A) 1, by the unimodular change of base to vertex 1.  Each
-facet's circumradius then follows from Pythagoras: R_k**2 = R**2 -
+j+1; all unit vectors are swept at once (`_unit_sweeps`) by
+`linalg._resume`, which reads row i of the swept identity, adj(A_i) e_i
+for the leading (i+1)-block A_i (Cramer's rule), off the kept echelon
+rows by back substitution, and are folded by `linalg._corners`.  So
+this module keeps no elimination arithmetic: the kernel, every replay
+of what it kept and the corner fold are `linalg`'s.  The facet opposite
+vertex 0 has 1^T adj(A) 1, by the unimodular change of base to vertex
+1.  Each facet's circumradius then follows from Pythagoras: R_k**2 = R**2 -
 (w_k * h_k)**2, with w the circumcenter's barycentrics and h_k = n V /
 F_k the height over facet k.  A report builds and eliminates no facet
 matrices.
@@ -305,8 +306,8 @@ def _gram_elimination(d: SquaredDistanceMatrix) -> _Gram:
 
 def _unit_sweeps(d: SquaredDistanceMatrix) -> tuple[list[list[int]], list[int]]:
     """(rows, corners): the columns of I an elimination of [A | I] would
-    leave, carried through the kept elimination by `linalg._resume`, and
-    their corners -adj(A)[j][j]: rows[i] holds row i's entries for
+    leave, read off the kept elimination by `linalg._resume`, and their
+    corners -adj(A)[j][j]: rows[i] holds row i's entries for
     columns 0..i, and e_j's column is [0] * j + [rows[i][j] for i >= j].
     Anything but nondegenerate input raises."""
     require_nondegenerate(d)
@@ -410,7 +411,8 @@ def _facet_dets(d: SquaredDistanceMatrix) -> tuple[int, ...]:
     computed once and kept on d.
 
     det_k = adj(A)[k-1][k-1] for k >= 1, the corners of all unit vectors
-    e_(k-1) resumed through the kept elimination at once (`_unit_sweeps`),
+    e_(k-1) read off the kept elimination at once (`_unit_sweeps`: row i
+    of the swept identity is adj(A_i) e_i, by back substitution),
     and det_0 = 1^T adj(A) 1; the summed adjugate column is certified,
     A adj(A) 1 = det(A) 1, in O(n**2) integers.  Anything but
     nondegenerate input raises with the verdict attached.

@@ -19,10 +19,12 @@ cofactor expansion), is kept as an independent oracle for it and for
 every closed form.
 
 A kept symmetric elimination is replayed here too, and nowhere else:
-`_resume` carries the columns of I through it one pivot per step, which
+`_resume` reads the columns of I, as an elimination of [A | I] would
+leave them, off its kept rows by back substitution (row i is
+adj(A_i) e_i by Cramer's rule, A_i the leading (i+1)-block), which
 carries any further columns too, as a product, and `_corners` folds
-swept columns c into their corners -c^T adj(A) c, one column at a time
-(`_fold`).
+swept columns c into their corners -c^T adj(A) c, a row at a time, as
+`_fold` folds one column.
 
 Only `cayley` imports this module; `exact` hands out its public names
 on first access, so a process whose command needs no elimination
@@ -260,36 +262,47 @@ def _back_substitute(a: list[list[int]], det: int, rhs: list[int]) -> list[int]:
 
 
 def _resume(rows: list[list[int]], minors: list[int]) -> tuple[list[list[int]], list[int]]:
-    """(swept, corners): the columns of I as one pivot per step on [A | I]
-    would leave them, carried through the kept rows and minors of a
+    """(swept, corners): the columns of I as an elimination of [A | I]
+    would leave them, read off the kept rows and minors of a
     nondegenerate `_bareiss(..., symmetric=True)` of A without redoing
     it, and their corners -e_j^T adj(A) e_j = -adj(A)[j][j] (`_corners`).
 
-    Column j is zero above row j, and the steps before j only scale its 1
-    to the leading minor there, so it enters at step j as that minor;
-    swept[i] holds row i's entries for columns 0..i, and e_j's column is
-    [0] * j + [swept[i][j] for i >= j].  Each step updates all columns
-    entered so far, one comprehension per row.  Further integer columns C
-    need no sweep of their own: a step acts on the columns linearly, so
-    one pivot per step on [A | C] leaves swept[i] . C (the dot product of
-    swept[i] with each column, over its first i+1 entries) in row i, and
-    `_corners` of those rows are their corners.
+    Entry j of row i of the swept identity is the determinant of the
+    leading (i+1)-block A_i with its last column replaced by e_j, so by
+    Cramer's rule and the symmetry of A the row is adj(A_i) e_i, the z
+    with A_i z = m_i e_i (m_k the leading minors).  Its last entry is
+    m_(i-1), and the kept echelon rows 0..i-1, cut at column i, are A_i's
+    first i rows eliminated, with right-hand sides 0, so back
+    substitution through them gives the rest, z_k = -(rows[k][k+1..i] .
+    z[k+1..i]) / m_k, each division exact because z is integral: n**2/2
+    dot products and exact divisions in all.  swept[i] holds row i's
+    entries for columns 0..i, and e_j's column is [0] * j + [swept[i][j]
+    for i >= j].
+    Further integer columns C need no sweep of their own: an elimination
+    acts on the columns linearly, so one of [A | C] leaves swept[i] . C
+    (the dot product of swept[i] with each column, over its first i+1
+    entries) in row i, and `_corners` of those rows are their corners.
     """
-    swept = [[] for _ in minors]
-    for k, (prev, pivot, top) in enumerate(zip([1] + minors, minors, rows)):
-        swept[k].append(prev)  # column k enters, its 1 scaled to the pivot before
-        for i in range(k + 1, len(minors)):
-            f = top[i]
-            row = swept[i] = [(pivot * x - f * y) // prev for x, y in zip(swept[i], swept[k])]
-            row.append(-f)  # column k, zero in row i before this step
+    tails = [row[k + 1:] for k, row in enumerate(rows)]
+    swept = []
+    for i, lead in zip(range(len(minors)), [1] + minors):
+        z = [lead]  # entries k+1..i of the row, so it meets each tail from its start
+        for k in reversed(range(i)):
+            z.insert(0, -(sum(map(mul, tails[k], z)) // minors[k]))
+        swept.append(z)
     return swept, _corners(minors, swept)
 
 
 def _corners(minors: list[int], swept: list[list[int]]) -> list[int]:
     """The corners -c^T adj(A) c of columns c swept through a
     nondegenerate elimination of A, given row by row as `_resume` leaves
-    them (a short row's rest is 0), one `_fold` per column."""
-    return [_fold(minors, column) for column in zip_longest(*swept, fillvalue=0)]
+    them (a short row's rest is 0), folded a row at a time as `_fold`
+    folds one column, so a column's fold starts at the first row that
+    holds it."""
+    corners = []
+    for prev, pivot, row in zip([1] + minors, minors, swept):
+        corners = [(pivot * c - y * y) // prev for c, y in zip_longest(corners, row, fillvalue=0)]
+    return corners
 
 
 def _fold(minors: list[int], column: Iterable[int]) -> int:

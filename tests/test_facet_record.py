@@ -40,7 +40,9 @@ from simplexkite import (
     volume_sq,
 )
 from simplexkite.cayley import require_nondegenerate
+from simplexkite.exact import _det
 from conftest import count_kernel_calls, random_prekite, random_realizable_prekite
+from test_cayley import _large_cloud
 from test_exact import _one_step_bareiss
 
 F = Fraction
@@ -300,6 +302,47 @@ def test_resume_carries_any_columns_as_a_product():
         # the carried diagonal folds to the kept corner, as one column and as rows of one entry
         assert linalg._corners(g.minors, [row[n:] for row in g.rows]) == [g.corner]
         assert linalg._fold(g.minors, [row[-1] for row in g.rows]) == g.corner
+
+
+def test_swept_rows_times_the_matrix_are_the_kept_rows():
+    # an oracle that runs no sweep: row i of the swept identity times [A | b] is the kept
+    # echelon row i on and right of the diagonal, the carried column b' included, and
+    # zero left of it, n = 1..12 and the clouds of orders 20, 30 and 40
+    rng = random.Random(78)
+    cases = list(equiareal_prekites())
+    for n in range(1, 13):
+        cases += [mixed_points(rng, n) for _ in range(3)]
+        if n >= 2:
+            cases.append(random_realizable_prekite(rng, n).to_sdm())
+            cases += [matrix_from_beta(family, [F(rng.randint(4, 20), rng.randint(1, 3)) for _ in range(n + 1)])
+                      for family in ("orthocentric", "circumscriptible", "isodynamic", "tetra_isogonic")]
+    cases += [_large_cloud(n)[1] for n in (20, 30, 40)]
+    cases = [d for d in cases if nondegenerate(d)]
+    assert {d.n for d in cases} == set(range(1, 13)) | {20, 30, 40}
+    for d in cases:
+        g = cayley._gram_elimination(d)
+        bordered = [row + [row[i]] for i, row in enumerate(cayley._scaled_gram(d._dist))]
+        swept, _ = linalg._resume(g.rows, g.minors)
+        for i, row in enumerate(swept):
+            product = [sum(map(mul, row, column)) for column in zip(*bordered)]
+            assert product == [0] * i + g.rows[i][i:], (d.n, i)
+
+
+_POSITIVE_DEFINITE = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(lambda m: [[sum(map(mul, p, q)) + (i == j) for j, q in enumerate(m)] for i, p in enumerate(m)])  # M M^T + I
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POSITIVE_DEFINITE)
+def test_resumed_corners_are_the_principal_minors(a):
+    # corner j is -adj(A)[j][j], minus A's principal minor without row and column j,
+    # against the cofactor expansion `exact._det`
+    rows = [row[:] for row in a]
+    minors, _ = linalg._bareiss(rows, symmetric=True)
+    assert len(minors) == len(a)
+    _, corners = linalg._resume(rows, minors)
+    assert corners == [-_det([r[:j] + r[j + 1:] for k, r in enumerate(a) if k != j]) for j in range(len(a))]
 
 
 # the collinear and the non-Euclidean triangle, a flat tetrahedron, and a non-Euclidean one whose Gram
