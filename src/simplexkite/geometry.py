@@ -17,8 +17,11 @@ The circumcenter and incenter are read off the Gram elimination
 that certified the simplex, not solved for in floats: the incenter's
 barycentrics are the facet volumes over their sum, and the
 circumcenter's coordinates in the embedding frame are exact rationals
-times the frame's scales.  The centroid is the vertex mean, and the
-Fermat-Torricelli point is found by re-weighted averaging.
+times the frame's scales.  The centroid is the vertex mean.  The
+Fermat-Torricelli point is the vertex of least summed distance when that
+vertex passes its certificate, the only one that can; otherwise it is
+found by re-weighted averaging in that vertex's frame, where the floats
+are densest next to the vertex.
 
 Every float sum is `math.fsum`, which is correctly rounded, so each
 float output is the same on every supported Python; the builtin `sum`,
@@ -281,41 +284,40 @@ def fermat_torricelli(s: EmbeddedSimplex) -> Point:
 
     The objective is convex, and a vertex is the global minimizer
     exactly when the combined unit pull of the other vertices has norm
-    at most 1; that certificate is checked for every vertex first.  A
-    vertex that passes it, with norm at most 1 + eps, has a summed distance
-    within eps * diameter <= eps * f* of the minimum f*, so not above the
-    centroid's by more than that; a vertex whose summed distance exceeds
-    the centroid's by a factor 1 + 1e-9 cannot pass, and its certificate
-    is not computed.
+    at most 1.  A vertex minimizer has the least summed distance of all
+    points, so only the vertex of least summed distance can be one, and
+    only its certificate is checked: it passes at norm at most 1 + 1e-12.
     Otherwise the minimizer is interior and is found by Weiszfeld's
     re-weighted averaging started at the centroid, accepted once the
     objective gradient norm drops to `FT_GRADIENT_TOL`, a fixed bound on a
     sum of unit vectors; the simplex comes from an exact matrix, so there
-    is no tolerance argument.  Each step is taken from x, as
+    is no tolerance argument.  The iteration runs in the frame of that
+    vertex: every vertex and the centroid are translated by it, and the
+    answer back.  A minimizer next to a vertex is next to that one, whose
+    summed distance is then nearly the least, and there the floats are
+    densest.  Each step is taken from x, as
     the summed unit pull towards the vertices over sum 1 / |p - x|, so next
     to a vertex it is not lost to the rounding of the vertex coordinates.
-    An iterate that lands on a (necessarily non-optimal) vertex is stepped
-    off along the pull, whose norm the certificate has shown to exceed 1.
+    An iterate that lands exactly on a (necessarily non-optimal) vertex is
+    stepped off along the pull, whose norm then exceeds 1.
 
     Next to a vertex the averaging has one slow mode, with steps shrinking by a
     ratio near 1; after a step that shrank along the last one, the rest of their
     geometric series is added when that lowers the summed distance, compared per vertex.
     """
-    pts = s.vertices
-    table = [[math.dist(p, q) for q in pts] for p in pts]
-    x = centroid(s)
+    table = [[math.dist(p, q) for q in s.vertices] for p in s.vertices]
+    k = min(range(len(table)), key=lambda i: fsum(table[i]))
+    base = s.vertices[k]
+    pts = [tuple(map(sub, p, base)) for p in s.vertices]
+    if _vertex_pull(pts, k, table[k])[0] <= 1.0 + 1e-12:
+        return base
+    x = tuple(map(sub, centroid(s), base))
     dists = [math.dist(p, x) for p in pts]
-    bound = (1.0 + 1e-9) * fsum(dists)
-    for k, row in enumerate(table):
-        if fsum(row) <= bound and _vertex_pull(pts, k, row)[0] <= 1.0 + 1e-12:
-            return pts[k]
-    vertex_snap = 1e-12 * max(map(max, table))
     cols = list(zip(*pts))
     step = ()  # the last averaging step, () when there is none to extend
     for _ in range(FT_MAX_ITER):
-        near = min(dists)
-        if near <= vertex_snap:
-            k = dists.index(near)
+        if 0.0 in dists:
+            k = dists.index(0.0)
             pull_norm, pull = _vertex_pull(pts, k, table[k])
             inv = fsum(1.0 / r for i, r in enumerate(table[k]) if i != k)
             off = (pull_norm - 1.0) / inv
@@ -325,7 +327,7 @@ def fermat_torricelli(s: EmbeddedSimplex) -> Point:
         units = _units(x, cols, dists)
         pull = list(map(fsum, units))  # the objective's gradient, negated
         if math.hypot(*pull) <= FT_GRADIENT_TOL:
-            return x
+            return tuple(map(add, x, base))
         total = fsum(1.0 / r for r in dists)
         last, step = step, [c / total for c in pull]
         new = tuple(map(add, x, step))
