@@ -18,10 +18,10 @@ that certified the simplex, not solved for in floats: the incenter's
 barycentrics are the facet volumes over their sum, and the
 circumcenter's coordinates in the embedding frame are exact rationals
 times the frame's scales.  The centroid is the vertex mean.  The
-Fermat-Torricelli point is the vertex of least summed distance when that
-vertex passes its certificate, the only one that can; otherwise it is
-found by re-weighted averaging in that vertex's frame, where the floats
-are densest next to the vertex.
+Fermat-Torricelli point is a vertex when one of least summed distance,
+up to rounding, passes its certificate; otherwise it is found by
+re-weighted averaging in the frame of the one whose certificate failed
+by least, where the floats are densest next to that vertex.
 
 Every float sum is `math.fsum`, which is correctly rounded, so each
 float output is the same on every supported Python; the builtin `sum`,
@@ -285,17 +285,17 @@ def fermat_torricelli(s: EmbeddedSimplex) -> Point:
     The objective is convex, and a vertex is the global minimizer
     exactly when the combined unit pull of the other vertices has norm
     at most 1.  A vertex minimizer has the least summed distance of all
-    points, so only the vertex of least summed distance can be one, and
-    only its certificate is checked: it passes at norm at most 1 + 1e-12.
+    points, so only a vertex whose float sum is within 1 + 1e-9 times the
+    least can be one, ties under rounding included; of these the one of
+    least norm is the answer when that norm is at most 1 + 1e-12.
     Otherwise the minimizer is interior and is found by Weiszfeld's
     re-weighted averaging started at the centroid, accepted once the
     objective gradient norm drops to `FT_GRADIENT_TOL`, a fixed bound on a
     sum of unit vectors; the simplex comes from an exact matrix, so there
     is no tolerance argument.  The iteration runs in the frame of that
-    vertex: every vertex and the centroid are translated by it, and the
-    answer back.  A minimizer next to a vertex is next to that one, whose
-    summed distance is then nearly the least, and there the floats are
-    densest.  Each step is taken from x, as
+    vertex of least norm: every vertex and the centroid are translated by
+    it, and the answer back.  A minimizer next to a vertex leaves its norm
+    just above 1, and there the floats are densest.  Each step is taken from x, as
     the summed unit pull towards the vertices over sum 1 / |p - x|, so next
     to a vertex it is not lost to the rounding of the vertex coordinates.
     An iterate that lands exactly on a (necessarily non-optimal) vertex is
@@ -306,11 +306,12 @@ def fermat_torricelli(s: EmbeddedSimplex) -> Point:
     geometric series is added when that lowers the summed distance, compared per vertex.
     """
     table = [[math.dist(p, q) for q in s.vertices] for p in s.vertices]
-    k = min(range(len(table)), key=lambda i: fsum(table[i]))
+    bound = (1.0 + 1e-9) * min(map(fsum, table))
+    norm, k = min((_vertex_pull(s.vertices, k, row)[0], k) for k, row in enumerate(table) if fsum(row) <= bound)
+    if norm <= 1.0 + 1e-12:
+        return s.vertices[k]
     base = s.vertices[k]
     pts = [tuple(map(sub, p, base)) for p in s.vertices]
-    if _vertex_pull(pts, k, table[k])[0] <= 1.0 + 1e-12:
-        return base
     x = tuple(map(sub, centroid(s), base))
     dists = [math.dist(p, x) for p in pts]
     cols = list(zip(*pts))

@@ -527,18 +527,18 @@ def test_bad_matrix_file_messages(capsys, tmp_path):
         assert capsys.readouterr().err == "error: %s\n" % (message % path)
 
 
-@pytest.mark.parametrize("command", ["centers", "classify"])
-def test_float_commands_next_to_an_almost_120_degree_vertex(run, tmp_path, command):
-    d = SquaredDistanceMatrix([[0, 1, 1], [1, 0, 3 - Fraction(1, 10**6)], [1, 3 - Fraction(1, 10**6), 0]])
+NEAR_120 = SquaredDistanceMatrix([[0, 1, 1], [1, 0, 3 - Fraction(1, 10**6)], [1, 3 - Fraction(1, 10**6), 0]])
+
+
+# the Fermat point also lies by the short edge of the thin triangle, and about 4.3e-10 from (1, 0, 0) on the tetrahedron
+@pytest.mark.parametrize("command, d", [
+    ("centers", NEAR_120),
+    ("classify", NEAR_120),
+    ("centers", THIN),
+    ("centers", slanted_tetrahedron(Fraction(1, 10**9))),
+], ids=["centers", "classify", "centers thin triangle", "centers near-line tetrahedron"])
+def test_float_commands_next_to_an_almost_120_degree_vertex(run, tmp_path, command, d):
     code, out = run([command, write_matrix(tmp_path, d)])
-    assert code == 0
-    assert json.loads(out)
-
-
-@pytest.mark.parametrize("d", [THIN, slanted_tetrahedron(Fraction(1, 10**9))], ids=["thin triangle", "near-line tetrahedron"])
-def test_centers_of_a_fermat_point_next_to_a_vertex(run, tmp_path, d):
-    # the Fermat point lies by the short edge of the thin triangle and about 4.3e-10 from (1, 0, 0) on the tetrahedron
-    code, out = run(["centers", write_matrix(tmp_path, d)])
     assert code == 0
     assert json.loads(out)
 
