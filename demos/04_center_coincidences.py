@@ -42,8 +42,8 @@ rep = coincidence_report(PreKite(4, 1, (1, 1, 1, 2)).to_sdm(), with_floats=True)
 print("  equiareal (incenter = centroid):        ", rep.ig_coincide)
 print("  well-distributed (circumcenter = centroid):", rep.qg_coincide)
 print("  equiradial + interior (circumcenter = incenter):", rep.qi_coincide)
-print("  embedded center distances:", {k: round(v, 12) for k, v in rep.center_distances.items()})
-print("  (the incenter really does land on the centroid, to float precision,")
+print("  center distances, read off the Gram elimination:", {k: round(v, 12) for k, v in rep.center_distances.items()})
+print("  (the incenter lands on the centroid exactly, so ig prints 0.0,")
 print("   while the circumcenter sits 0.245 away)")
 print("  Fermat flags (F = G and F = Q exactly when Q = G):", rep.fermat_coincidences)
 print("  (G = I without Q, so F = I would force F = G, hence Q = G: false)")

@@ -47,12 +47,25 @@ that needs a nondegenerate simplex then raises DegenerateSimplexError
 (`require_nondegenerate`), and the facet values take each facet on its
 own.  `cm_det`, `inner_cm_det`, `cm_matrix`, `gram_matrix`,
 `is_realizable` and `facet_sdm` answer for any matrix.
+
+This module also owns the exits by which a float leaves these integers,
+for `geometry` and for the float distances of `centers`, which does not
+import `geometry`: `_root(a, b, p, q)` = p / q * sqrt(a / b), taken in two
+steps at a power-of-two scale (`_scaled_sqrt`, then `_times`), so that
+each factor keeps its digits at any magnitude; `_rounded_root`, the
+correctly rounded root of a ratio, and with it |Q - G|
+(`_centroid_offset`); the incenter's float barycentrics
+(`_incenter_weights`); the vertices and the centroid, circumcenter and
+incenter in the Gram LDL^T frame, read with no coordinate round trip
+(`_frame`); and `FT_GRADIENT_TOL`, the fixed Fermat gradient bound both
+read.  A result above the largest float raises ValueError.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
@@ -60,6 +73,10 @@ from operator import mul, neg
 
 from .exact import Record, _cleared, _integer, _scalars, as_scalar
 from .linalg import ExactMatrix, _back_substitute, _bareiss, _fold, _resume, _signature, exact_determinant
+
+# the fixed bound on a sum of unit vectors at which a point is taken as the Fermat-Torricelli point
+FT_GRADIENT_TOL = 1e-10
+_BEYOND_FLOATS = "%s the float range; the exact results (classify --exact) do not need floats"
 
 
 class Realizability(enum.Enum):
@@ -269,6 +286,71 @@ def _top_exponent(d: SquaredDistanceMatrix) -> int:
     return (top // g).bit_length() - (d._den // g).bit_length()
 
 
+def _scaled_sqrt(a: int, b: int) -> tuple[float, int]:
+    """sqrt(a / b) for integers a, b > 0 as (r, e), the root r * 2**e.
+
+    a / b is moved into [1/4, 4) by a power of four read from the bit
+    lengths of a and b, as `relation._sqrt` scales its input, so r lies in
+    [1/2, 2) and no ratio rounds to 0, to a subnormal or to infinity
+    before its root is taken.
+    """
+    e = (a.bit_length() - b.bit_length()) // 2
+    return math.sqrt((a << -2 * e) / b if e < 0 else a / (b << 2 * e)), e
+
+
+def _scaled_ratio(p: int, q: int) -> tuple[float, int]:
+    """p / q for integers p and q > 0 as (x, f), the ratio x * 2**f: p / q
+    is moved into (1/2, 2) by a power of two read from the bit lengths, and
+    the division is correctly rounded."""
+    f = p.bit_length() - q.bit_length()
+    return ((p << -f) / q if f < 0 else p / (q << f)), f
+
+
+def _times(p: int, q: int, root: tuple[float, int]) -> float:
+    """p / q * r * 2**e for integers p and q > 0 and root = (r, e) from
+    `_scaled_sqrt`, with p / q taken at a power-of-two scale
+    (`_scaled_ratio`) and the product moved back by the matching power of
+    two.  A result above the largest float raises ValueError."""
+    x, f = _scaled_ratio(p, q)
+    try:
+        return math.ldexp(x * root[0], root[1] + f)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOATS % "a coordinate leaves") from None
+
+
+def _root(a: int, b: int, p: int = 1, q: int = 1) -> float:
+    """p / q * sqrt(a / b) for integers p and a, b, q > 0, at any magnitude.
+
+    Each factor is taken at a power-of-two scale (`_scaled_sqrt`,
+    `_times`), so no factor rounds to 0, to a subnormal or to infinity
+    before the product is formed.  The bits equal p / q * math.sqrt(a / b)
+    wherever p / q, a / b and the result are normal floats: int / int
+    rounds correctly, and a power of two moves no bit of a normal float.
+    A result above the largest float raises ValueError.
+    """
+    return _times(p, q, _scaled_sqrt(a, b))
+
+
+def _rounded_root(a: int, b: int) -> float:
+    """sqrt(a / b) for integers a >= 0 and b > 0, correctly rounded wherever
+    it is a normal float.
+
+    The integer root of a / b at a power-of-four scale has at least 55
+    bits; an inexact one gets its lowest bit set, which keeps it off every
+    rounding boundary, and int-to-float conversion rounds it once.  A
+    result above the largest float raises ValueError.
+    """
+    if not a:
+        return 0.0
+    e = (a.bit_length() - b.bit_length() - 112) // 2
+    q, rest = divmod(a << -2 * e, b) if e < 0 else divmod(a, b << 2 * e)
+    r = math.isqrt(q)
+    try:
+        return math.ldexp(float(r if not rest and r * r == q else r | 1), e)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOATS % "a distance leaves") from None
+
+
 class _Gram(Record):
     """The integer symmetric elimination of [A | b], A = s*G and b its
     diagonal, kept on the matrix."""
@@ -471,3 +553,71 @@ def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
     g = _gram_elimination(d)
     den = 4 * g.scale * g.minors[-1]  # 4 s det(A)
     return tuple(Fraction(-g.corner * k - w * w, den * k) for w, k in zip(weights, dets))
+
+
+def _incenter_weights(d: SquaredDistanceMatrix) -> tuple[list[float], float]:
+    """The incenter's barycentrics F_j / sum F as floats, and sum F / max F.
+
+    They leave exact arithmetic as square roots of the ratios
+    F_j**2 / max F**2 = det_k / max det (`_facet_dets`), each one `_root`
+    of integers, so the facet volumes themselves never need to fit a
+    float.  Anything but nondegenerate input raises with the verdict
+    attached."""
+    dets = _facet_dets(d)
+    largest = max(dets)
+    roots = [_root(k, largest) for k in dets]
+    total = math.fsum(roots)
+    return [r / total for r in roots], total
+
+
+def _centroid_offset(d: SquaredDistanceMatrix) -> float:
+    """|Q - G|, the distance from the circumcenter to the centroid, as the
+    correctly rounded root (`_rounded_root`) of the exact
+    R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz), so it is 0.0 exactly when the
+    simplex is well distributed.  R**2 is read off the kept corner,
+    -4 s det(A) R**2 with s = 2c, and 1^T D 1 is the sum of the cleared
+    c*D over c.  Anything but nondegenerate input raises with the verdict
+    attached; a distance above the largest float raises ValueError."""
+    require_nondegenerate(d)
+    g = _gram_elimination(d)
+    det, square = g.minors[-1], (d.n + 1) ** 2
+    return _rounded_root(-g.corner * square - 4 * det * sum(map(sum, d._dist)), 8 * d._den * det * square)
+
+
+def _frame(d: SquaredDistanceMatrix) -> tuple[float, list[list[float]], list[float], list[float], list[float]]:
+    """(diameter, columns, G, Q, I): the vertices and the centroid,
+    circumcenter and incenter in the frame of the Gram LDL^T, read off the
+    kept elimination, with no round trip and no vertex list.
+
+    Vertex i+1 lies at L_ik sqrt(D_k) on axis k, L_ik = rows[k][i] / m_k
+    and D_k = m_k / (m_(k-1) s) (`geometry.embed`'s frame), so barycentrics
+    w push through the echelon rows to sqrt(D_k) (L^T w)_k, O(n**2) per
+    point.  G's and Q's coordinates are exact rationals times sqrt(D_k),
+    each one `_times`: the row sums over (n+1) m_k, and b'_k / (2 m_k) as
+    `geometry.circumcenter` reads them.  Column k holds coordinate k of the
+    vertices k+1..n (the rest lie at 0 on axis k), each column taken at one
+    scale with its integers cut to 60 bits, so no factor leaves the floats
+    and each entry errs by at most 5 ulps of the column's largest; I is
+    its float barycentrics (`_incenter_weights`) pushed through them.
+    Anything but nondegenerate input raises with the verdict attached; a
+    largest squared distance that is no normal float, or a coordinate
+    above the largest float, raises ValueError.
+    """
+    require_nondegenerate(d)
+    g = _gram_elimination(d)
+    n, rows, minors = d.n, g.rows, g.minors
+    top = max(map(max, d._dist))
+    if not (d._den <= top << 1022 and top <= int(sys.float_info.max) * d._den):
+        raise ValueError(_BEYOND_FLOATS % "squared distances leave")
+    roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + minors, minors)]
+    zg = [_times(sum(row[k:n]), (n + 1) * m, root) for k, (row, m, root) in enumerate(zip(rows, minors, roots))]
+    zq = [_times(row[n], 2 * m, root) for row, m, root in zip(rows, minors, roots)]
+    cols = []
+    for k, (row, m, (r, e)) in enumerate(zip(rows, minors, roots)):
+        shift = max(0, max(map(abs, row[k:n])).bit_length() - 60)
+        x, f = _scaled_ratio(1 << shift, m)
+        scale, exp = x * r, e + f
+        cols.append([math.ldexp(float(t >> shift) * scale, exp) for t in row[k:n]])
+    weights, _ = _incenter_weights(d)
+    zi = [math.fsum(map(mul, col, weights[k + 1:])) for k, col in enumerate(cols)]
+    return _root(top, d._den), cols, zg, zq, zi

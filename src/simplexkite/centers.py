@@ -1,4 +1,4 @@
-"""Exact center-coincidence predicates.
+"""Exact center-coincidence predicates, and the float center distances.
 
 The three classical coincidences are decided exactly from the distance
 matrix alone: circumcenter = centroid is equivalent to well-distributed
@@ -20,6 +20,20 @@ opposite angle and F sees each at 120, only when it is equilateral;
 otherwise it is read off the float incenter by the gradient test that
 `fermat_torricelli` accepts its own answer by.
 
+The float distances between G, Q and I, and that gradient test, read no
+vertex coordinates and call nothing of `geometry`, which this module does
+not import.  Each center is read in the frame of the Gram LDL^T that the
+kept elimination holds (`cayley._frame`), axis k scaled by sqrt(D_k):
+G's and Q's coordinates there are exact rationals times that scale, I's
+are its float barycentrics pushed through the echelon rows, and |Q - G|
+is the correctly rounded root of the exact rational
+R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz).  Each distance carries a bound
+on its error, built from the same sums, and one whose bound exceeds
+`TOL_DISTANCE` of the diameter or of itself raises ValueError.  The
+gradient test carries none: next to a vertex, a unit vector from the
+float incenter is no better than the float differences it is read from,
+in this frame as in coordinates.
+
 A general simplex's facet determinants and circumcenter weights come
 from its Gram elimination (`cayley._facet_dets`,
 `cayley._circumcenter_weights`).  Non-Euclidean input is refused by the
@@ -33,18 +47,26 @@ and this module does not import it.
 from __future__ import annotations
 
 import math
+from math import fsum
+from operator import truediv
 
 from .cayley import (
+    FT_GRADIENT_TOL,
     SquaredDistanceMatrix,
+    _centroid_offset,
     _circumcenter_weights,
     _euclidean,
     _facet_dets,
+    _frame,
     facet_circumradii_sq,
     facet_volumes_sq,
     require_nondegenerate,
 )
 from .exact import Record, _at_least
-from .geometry import FT_GRADIENT_TOL, _pull, centroid, circumcenter, embed, incenter
+
+TOL_DISTANCE = 1e-9
+_U = 2.0**-53  # the unit roundoff: a correctly rounded operation moves a normal float by at most this share
+_TINY = 2.0**-1070  # more than any absolute error a subnormal result adds
 
 
 def _check_predicate_input(d: SquaredDistanceMatrix) -> bool:
@@ -105,6 +127,57 @@ def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
     return min(_circumcenter_weights(d)) > 0
 
 
+def _from_incenter(z: list[float], zi: list[float], spread: float) -> tuple[float, float]:
+    """|Z - I| and a bound on its error, for a center Z whose frame
+    coordinates z err by at most 3 ulps of their norm, and the incenter's
+    zi, which err by at most spread in norm (`_center_floats`)."""
+    value = math.dist(z, zi)
+    return value, spread + 3 * _U * math.hypot(*z) + 2 * _U * value
+
+
+def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tuple[dict, dict, float | None]:
+    """(distances, bounds, pull): the float distances qg, qi and ig between
+    the centroid G, circumcenter Q and incenter I of a nondegenerate d,
+    a bound on the error of each, and the norm of the summed unit vectors
+    from I to the vertices, None where the exact verdicts decide F = I (any
+    of qg, qi and ig, or a triangle).
+
+    The distances follow the exact coincidences (qg, qi, ig): a distance
+    is 0.0 exactly when its coincidence holds, and where one holds the
+    other two are one distance.  |Q - G| is the correctly rounded root of
+    an exact rational (`cayley._centroid_offset`); |I - G| and |Q - I| are
+    read off the centers' coordinates in the Gram LDL^T frame
+    (`cayley._frame`), and so is the pull, which carries no bound.  A
+    distinct pair that rounds to 0.0 gets the least positive float,
+    within its bound.  The bounds hold to first order in the unit
+    roundoff: a coordinate of I errs by at most 12 ulps of the largest
+    entry of its column, those of G and Q by 3 ulps of their norm, and a
+    distance by 2 more ulps of itself.  A bound above `TOL_DISTANCE` of the
+    larger of the diameter and the distance raises ValueError.
+    """
+    offset = _centroid_offset(d)
+    diam, cols, zg, zq, zi = _frame(d)
+    spread = 12 * _U * math.hypot(*[max(map(abs, col)) for col in cols]) + d.n * _TINY
+    pairs = {"qg": (offset, _U * offset)}
+    pairs["ig"] = (0.0, 0.0) if ig else pairs["qg"] if qi else _from_incenter(zg, zi, spread)
+    pairs["qi"] = (0.0, 0.0) if qi else pairs["qg"] if ig else pairs["ig"] if qg else _from_incenter(zq, zi, spread)
+    values, bounds = {}, {}
+    for name, coincide in (("qg", qg), ("qi", qi), ("ig", ig)):
+        value, bound = pairs[name]
+        if bound > TOL_DISTANCE * max(diam, value):
+            raise ValueError("the float distance %s = %r may be off by %.3e, more than %.1e of the diameter %r"
+                             % (name, value, bound, TOL_DISTANCE, diam))
+        values[name] = math.nextafter(0.0, 1.0) if value == 0.0 and not coincide else value
+        bounds[name] = bound
+    pull = None
+    if not (qg or qi or ig or d.n == 2):
+        # axis k over the vertices 0..n, less I's coordinate; vertices 0..k lie at 0 on it
+        away = [[-a] * (k + 1) + [c - a for c in col] for k, (a, col) in enumerate(zip(zi, cols))]
+        lengths = list(map(math.hypot, *away))
+        pull = math.hypot(*[fsum(map(truediv, axis, lengths)) for axis in away])
+    return values, bounds, pull
+
+
 class CoincidenceReport(Record, defaults=(None, None)):
     """Exact coincidence verdicts, with optional float parts attached.
 
@@ -112,7 +185,9 @@ class CoincidenceReport(Record, defaults=(None, None)):
     fi: fg and fq are `qg_coincide`, exact; fi is exact in a triangle and
     when any of the three exact coincidences holds, and otherwise the
     Fermat gradient test at the float incenter.  `center_distances` holds
-    the float distances qg, qi and ig between the embedded centers.
+    the float distances qg, qi and ig between the centers, read in the
+    Gram LDL^T frame without vertex coordinates (`_center_floats`); each
+    is 0.0 exactly when its exact coincidence holds.
     """
 
     __slots__ = (
@@ -138,13 +213,16 @@ class CoincidenceReport(Record, defaults=(None, None)):
 def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> CoincidenceReport:
     """Exact coincidence report for a nondegenerate simplex.
 
-    When with_floats is set, the simplex is embedded, and the pairwise
-    distances of its centroid, circumcenter and incenter and the Fermat
-    flags are attached.  F = I is decided without the Fermat point: by
-    the exact verdicts in a triangle and when any two of G, Q and I
-    coincide, and otherwise by whether the summed unit vectors from the
-    float incenter to the vertices have norm at most `FT_GRADIENT_TOL`.
-    Degenerate or non-Euclidean input raises with the verdict attached.
+    When with_floats is set, the pairwise distances of the centroid,
+    circumcenter and incenter and the Fermat flags are attached, read off
+    the kept Gram elimination without vertex coordinates
+    (`_center_floats`); a distance whose error bound is not small against
+    the diameter or itself, or that leaves the floats, raises ValueError.
+    F = I is decided without the Fermat point: by the exact verdicts in a
+    triangle and when any two of G, Q and I coincide, and otherwise by
+    whether the summed unit vectors from the float incenter to the
+    vertices have norm at most `FT_GRADIENT_TOL`.  Degenerate or
+    non-Euclidean input raises with the verdict attached.
     """
     require_nondegenerate(d)
     well = is_well_distributed(d)
@@ -155,16 +233,8 @@ def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> C
     fermat = None
     distances = None
     if with_floats:
-        s = embed(d)
-        g = centroid(s)
-        q, _ = circumcenter(s)
-        i, _ = incenter(s)
-        distances = {"qg": math.dist(q, g), "qi": math.dist(q, i), "ig": math.dist(i, g)}
-        if qg or qi or ig or d.n == 2:
-            fi = qg and qi and ig
-        else:
-            pts = s.vertices
-            fi = math.hypot(*_pull(i, zip(*pts), [math.dist(p, i) for p in pts])) <= FT_GRADIENT_TOL
+        distances, _, pull = _center_floats(d, qg, qi, ig)
+        fi = qg and qi and ig if pull is None else pull <= FT_GRADIENT_TOL
         fermat = {"fg": qg, "fq": qg, "fi": fi}
     return CoincidenceReport(
         well_distributed=well,

@@ -1,18 +1,18 @@
 """Floating-point realization of distance matrices and the four centers.
 
 This module and the float family recoveries of `families` are where
-the package leaves exact arithmetic; this one needs only `math`, and
-points are tuples of floats.  A matrix is embedded by reading its exact
-Gram LDL^T off the kept Gram elimination, and no Fraction is built.
-Every float read off that elimination leaves it through one exit,
-`_root(a, b, p, q)` = p / q * sqrt(a / b) of its integers: `embed`'s
-coordinates, the circumcenter's, and `incenter`'s weights and inradius.
-It takes each factor at a power-of-two scale first, the root by
-`_scaled_sqrt` and p / q by `_times`, so these exits keep their digits
-at any scale: a ratio whose float would underflow or overflow still
-gives its share of the product, where that product is a float, and a
-product above the largest float raises ValueError.  `embed` makes the
-same two steps, with one root per column of coordinates.
+the package leaves exact arithmetic for points; this one needs only
+`math`, and points are tuples of floats.  A matrix is embedded by reading
+its exact Gram LDL^T off the kept Gram elimination, and no Fraction is
+built.  Every float read off that elimination leaves it through the one
+exit that `cayley` owns, `_root(a, b, p, q)` = p / q * sqrt(a / b) of its
+integers: `embed`'s coordinates, the circumcenter's, and `incenter`'s
+weights and inradius.  It takes each factor at a power-of-two scale
+first, the root by `_scaled_sqrt` and p / q by `_times`, so these exits
+keep their digits at any scale: a ratio whose float would underflow or
+overflow still gives its share of the product, where that product is a
+float, and a product above the largest float raises ValueError.  `embed`
+makes the same two steps, with one root per column of coordinates.
 The circumcenter and incenter are read off the Gram elimination
 that certified the simplex, not solved for in floats: the incenter's
 barycentrics are the facet volumes over their sum, and the
@@ -44,58 +44,25 @@ from math import fsum
 from operator import add, mul, sub, truediv
 
 from .cayley import (
+    _BEYOND_FLOATS,
+    FT_GRADIENT_TOL,
     SquaredDistanceMatrix,
     _circumcenter_weights,
     _facet_dets,
     _gram_elimination,
+    _incenter_weights,
+    _root,
+    _scaled_sqrt,
+    _times,
     _top_exponent,
     require_nondegenerate,
 )
 from .exact import Record
 
 TOL_EMBED = 1e-9
-FT_GRADIENT_TOL = 1e-10
 FT_MAX_ITER = 100_000
-_BEYOND_FLOATS = "%s the float range; the exact results (classify --exact) do not need floats"
 
 Point = tuple[float, ...]
-
-
-def _scaled_sqrt(a: int, b: int) -> tuple[float, int]:
-    """sqrt(a / b) for integers a, b > 0 as (r, e), the root r * 2**e.
-
-    a / b is moved into [1/4, 4) by a power of four read from the bit
-    lengths of a and b, as `relation._sqrt` scales its input, so r lies in
-    [1/2, 2) and no ratio rounds to 0, to a subnormal or to infinity
-    before its root is taken.
-    """
-    e = (a.bit_length() - b.bit_length()) // 2
-    return math.sqrt((a << -2 * e) / b if e < 0 else a / (b << 2 * e)), e
-
-
-def _times(p: int, q: int, root: tuple[float, int]) -> float:
-    """p / q * r * 2**e for integers p and q > 0 and root = (r, e) from
-    `_scaled_sqrt`: p / q is moved into (1/2, 2) by a power of two read
-    from the bit lengths, and the product is moved back by the matching
-    power of two.  A result above the largest float raises ValueError."""
-    f = p.bit_length() - q.bit_length()
-    try:
-        return math.ldexp(((p << -f) / q if f < 0 else p / (q << f)) * root[0], root[1] + f)
-    except OverflowError:
-        raise ValueError(_BEYOND_FLOATS % "a coordinate leaves") from None
-
-
-def _root(a: int, b: int, p: int = 1, q: int = 1) -> float:
-    """p / q * sqrt(a / b) for integers p and a, b, q > 0, at any magnitude.
-
-    Each factor is taken at a power-of-two scale (`_scaled_sqrt`,
-    `_times`), so no factor rounds to 0, to a subnormal or to infinity
-    before the product is formed.  The bits equal p / q * math.sqrt(a / b)
-    wherever p / q, a / b and the result are normal floats: int / int
-    rounds correctly, and a power of two moves no bit of a normal float.
-    A result above the largest float raises ValueError.
-    """
-    return _times(p, q, _scaled_sqrt(a, b))
 
 
 class ConvergenceError(RuntimeError):
@@ -221,26 +188,22 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
 def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Facet-volume-weighted vertex average and the inradius n V / sum F_j.
 
-    The weights F_j / sum F leave exact arithmetic as square roots of the
-    ratios F_j**2 / max F**2 = det_k / max det (`_facet_dets`), each one
-    `_root` of integers, so the facet volumes themselves never need to
-    fit a float.  So is (V / max F)**2 =
-    det(A) / (s n**2 max det), A = s*G the scaled Gram matrix.  The
+    The weights F_j / sum F leave exact arithmetic as square roots of
+    ratios of facet determinants (`cayley._incenter_weights`), so the
+    facet volumes themselves never need to fit a float.  So does
+    (V / max F)**2 = det(A) / (s n**2 max det), A = s*G the scaled Gram
+    matrix, as one `_root`.  The
     insphere touches facet j inside it exactly when the weight of vertex j
     is positive, at distance n V / sum F from the incenter for every j; a
     weight that is not a positive finite float raises RuntimeError.  A
     segment's two facets are points, det 1 each, so its incenter is its
     midpoint and its inradius half its length.
     """
-    dets = _facet_dets(s.source)
-    largest = max(dets)
-    roots = [_root(k, largest) for k in dets]
-    total = fsum(roots)
-    weights = [r / total for r in roots]
+    weights, total = _incenter_weights(s.source)
     if not all(0.0 < w < math.inf for w in weights):
         raise RuntimeError("incenter weights are not all positive finite floats")
     g = _gram_elimination(s.source)
-    radius = s.n * _root(g.minors[-1], g.scale * s.n**2 * largest) / total
+    radius = s.n * _root(g.minors[-1], g.scale * s.n**2 * max(_facet_dets(s.source))) / total
     return tuple(fsum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
 
 

@@ -373,7 +373,10 @@ def hub_simplex(rng, n):
     others = [[Fraction(rng.randint(-20, 20), 4) for _ in range(n)] for _ in range(n)]
     hub = [sum(col) / n + Fraction(rng.randint(-8, 8), rng.choice((4, 64, 1024))) for col in zip(*others)]
     pts = [hub] + others
-    d = SquaredDistanceMatrix([[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts])
+    rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
+    if not all(rows[i][j] for i in range(n + 1) for j in range(i)):
+        return None  # two of the points coincide, so this is no simplex
+    d = SquaredDistanceMatrix(rows)
     return embed(d) if is_realizable(d).status is Realizability.NONDEGENERATE else None
 
 
