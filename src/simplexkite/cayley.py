@@ -57,8 +57,10 @@ correctly rounded root of a ratio, and with it |Q - G|
 (`_centroid_offset`); the incenter's float barycentrics
 (`_incenter_weights`); the vertices and the centroid, circumcenter and
 incenter in the Gram LDL^T frame, read with no coordinate round trip
-(`_frame`); and `FT_GRADIENT_TOL`, the fixed Fermat gradient bound both
-read.  A result above the largest float raises ValueError.
+(`_frame`); the diameter, whose reading is the one check that the squared
+distances fit the floats (`_diameter`); and `FT_GRADIENT_TOL`, the fixed
+Fermat gradient bound both read.  A result above the largest float
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -584,6 +586,17 @@ def _centroid_offset(d: SquaredDistanceMatrix) -> float:
     return _rounded_root(-g.corner * square - 4 * det * sum(map(sum, d._dist)), 8 * d._den * det * square)
 
 
+def _diameter(d: SquaredDistanceMatrix) -> float:
+    """The largest distance as a float, the one check that the squared
+    distances fit the floats: a largest squared distance that is no normal
+    float raises ValueError.  `_frame` and the frame-free center distances
+    of `centers` both read it, so each refuses the same matrices."""
+    top = max(map(max, d._dist))
+    if not (d._den <= top << 1022 and top <= int(sys.float_info.max) * d._den):
+        raise ValueError(_BEYOND_FLOATS % "squared distances leave")
+    return _root(top, d._den)
+
+
 def _frame(d: SquaredDistanceMatrix) -> tuple[float, list[list[float]], list[float], list[float], list[float]]:
     """(diameter, columns, G, Q, I): the vertices and the centroid,
     circumcenter and incenter in the frame of the Gram LDL^T, read off the
@@ -599,16 +612,15 @@ def _frame(d: SquaredDistanceMatrix) -> tuple[float, list[list[float]], list[flo
     scale with its integers cut to 60 bits, so no factor leaves the floats
     and each entry errs by at most 5 ulps of the column's largest; I is
     its float barycentrics (`_incenter_weights`) pushed through them.
-    Anything but nondegenerate input raises with the verdict attached; a
-    largest squared distance that is no normal float, or a coordinate
-    above the largest float, raises ValueError.
+    `centers` reads it only where no exact coincidence decides the
+    distances.  Anything but nondegenerate input raises with the verdict
+    attached; squared distances outside the floats raise ValueError
+    (`_diameter`), and so does a coordinate above the largest float.
     """
     require_nondegenerate(d)
+    diam = _diameter(d)
     g = _gram_elimination(d)
     n, rows, minors = d.n, g.rows, g.minors
-    top = max(map(max, d._dist))
-    if not (d._den <= top << 1022 and top <= int(sys.float_info.max) * d._den):
-        raise ValueError(_BEYOND_FLOATS % "squared distances leave")
     roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + minors, minors)]
     zg = [_times(sum(row[k:n]), (n + 1) * m, root) for k, (row, m, root) in enumerate(zip(rows, minors, roots))]
     zq = [_times(row[n], 2 * m, root) for row, m, root in zip(rows, minors, roots)]
@@ -620,4 +632,4 @@ def _frame(d: SquaredDistanceMatrix) -> tuple[float, list[list[float]], list[flo
         cols.append([math.ldexp(float(t >> shift) * scale, exp) for t in row[k:n]])
     weights, _ = _incenter_weights(d)
     zi = [math.fsum(map(mul, col, weights[k + 1:])) for k, col in enumerate(cols)]
-    return _root(top, d._den), cols, zg, zq, zi
+    return diam, cols, zg, zq, zi

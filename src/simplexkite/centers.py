@@ -27,7 +27,9 @@ kept elimination holds (`cayley._frame`), axis k scaled by sqrt(D_k):
 G's and Q's coordinates there are exact rationals times that scale, I's
 are its float barycentrics pushed through the echelon rows, and |Q - G|
 is the correctly rounded root of the exact rational
-R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz).  Each distance carries a bound
+R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz).  Where Q = I or I = G holds
+exactly, every distance is 0.0 or |Q - G|, so the frame is not read at
+all, only the diameter (`cayley._diameter`).  Each distance carries a bound
 on its error, built from the same sums, and one whose bound exceeds
 `TOL_DISTANCE` of the diameter or of itself raises ValueError.  The
 gradient test carries none: next to a vertex, a unit vector from the
@@ -55,6 +57,7 @@ from .cayley import (
     SquaredDistanceMatrix,
     _centroid_offset,
     _circumcenter_weights,
+    _diameter,
     _euclidean,
     _facet_dets,
     _frame,
@@ -145,22 +148,30 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
     The distances follow the exact coincidences (qg, qi, ig): a distance
     is 0.0 exactly when its coincidence holds, and where one holds the
     other two are one distance.  |Q - G| is the correctly rounded root of
-    an exact rational (`cayley._centroid_offset`); |I - G| and |Q - I| are
-    read off the centers' coordinates in the Gram LDL^T frame
-    (`cayley._frame`), and so is the pull, which carries no bound.  A
-    distinct pair that rounds to 0.0 gets the least positive float,
-    within its bound.  The bounds hold to first order in the unit
-    roundoff: a coordinate of I errs by at most 12 ulps of the largest
-    entry of its column, those of G and Q by 3 ulps of their norm, and a
-    distance by 2 more ulps of itself.  A bound above `TOL_DISTANCE` of the
-    larger of the diameter and the distance raises ValueError.
+    an exact rational (`cayley._centroid_offset`).  So where qi or ig
+    holds, every distance is 0.0 or |Q - G|, and only the diameter is
+    read (`cayley._diameter`, the one check that the squared distances
+    fit the floats).  Otherwise |I - G| and |Q - I| are read off the
+    centers' coordinates in the Gram LDL^T frame (`cayley._frame`), and
+    so is the pull, which carries no bound.  A distinct pair that rounds
+    to 0.0 gets the least positive float, within its bound.  The bounds
+    hold to first order in the unit roundoff: a coordinate of I errs by
+    at most 12 ulps of the largest entry of its column, those of G and Q
+    by 3 ulps of their norm, and a distance by 2 more ulps of itself.  A
+    bound above `TOL_DISTANCE` of the larger of the diameter and the
+    distance raises ValueError.
     """
     offset = _centroid_offset(d)
-    diam, cols, zg, zq, zi = _frame(d)
-    spread = 12 * _U * math.hypot(*[max(map(abs, col)) for col in cols]) + d.n * _TINY
     pairs = {"qg": (offset, _U * offset)}
-    pairs["ig"] = (0.0, 0.0) if ig else pairs["qg"] if qi else _from_incenter(zg, zi, spread)
-    pairs["qi"] = (0.0, 0.0) if qi else pairs["qg"] if ig else pairs["ig"] if qg else _from_incenter(zq, zi, spread)
+    if qi or ig:
+        diam = _diameter(d)
+        pairs["ig"] = (0.0, 0.0) if ig else pairs["qg"]
+        pairs["qi"] = (0.0, 0.0) if qi else pairs["qg"]
+    else:
+        diam, cols, zg, zq, zi = _frame(d)
+        spread = 12 * _U * math.hypot(*[max(map(abs, col)) for col in cols]) + d.n * _TINY
+        pairs["ig"] = _from_incenter(zg, zi, spread)
+        pairs["qi"] = pairs["ig"] if qg else _from_incenter(zq, zi, spread)
     values, bounds = {}, {}
     for name, coincide in (("qg", qg), ("qi", qi), ("ig", ig)):
         value, bound = pairs[name]
@@ -216,8 +227,13 @@ def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> C
     When with_floats is set, the pairwise distances of the centroid,
     circumcenter and incenter and the Fermat flags are attached, read off
     the kept Gram elimination without vertex coordinates
-    (`_center_floats`); a distance whose error bound is not small against
-    the diameter or itself, or that leaves the floats, raises ValueError.
+    (`_center_floats`).  The float frame (`cayley._frame`) is read only
+    when no exact coincidence decides the distances, that is, when
+    neither Q = I nor I = G holds; otherwise they are 0.0 or |Q - G|.
+    Squared distances outside the floats raise ValueError either way
+    (`cayley._diameter` owns that check), as does a distance whose error
+    bound is not small against the diameter or itself, or that leaves
+    the floats.
     F = I is decided without the Fermat point: by the exact verdicts in a
     triangle and when any two of G, Q and I coincide, and otherwise by
     whether the summed unit vectors from the float incenter to the

@@ -9,6 +9,7 @@ each must also lie within its own error bound.
 
 import json
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import float_oracle
+import simplexkite.cayley as cayley
 import simplexkite.centers as centers
 import simplexkite.geometry as geometry
 from simplexkite import (
@@ -31,8 +33,9 @@ from simplexkite import (
     facet_volumes_sq,
     gram_ldl,
     is_realizable,
+    two_apexed,
 )
-from simplexkite.cayley import _centroid_offset, _frame, _rounded_root
+from simplexkite.cayley import _centroid_offset, _diameter, _frame, _rounded_root
 from simplexkite.cli import main
 from test_centers import _GOLDEN, _NEAR_REGULAR, _SIMPLICES
 from test_geometry import BACK, THIN, points_sdm, slanted_tetrahedron
@@ -45,6 +48,21 @@ _EQUIAREAL = [cand.prekite().to_sdm() for n in range(3, 10) for s in range(1, n 
               for cand in equiareal_prekite_solve(n, n - s, s) if cand.realizable and cand.equiareal_verified]
 _PREKITES = st.tuples(st.sampled_from(_EQUIAREAL), st.fractions(Fraction(1, 9), 9), st.randoms()).map(
     lambda args: args[0].scaled(args[1]).permuted(args[2].sample(range(args[0].n + 1), args[0].n + 1)))
+
+
+def _relabelled(d, rng):
+    """d scaled by a rational in [1/6, 30] and its vertices permuted, as the reports benchmark builds its pre-kites."""
+    lam = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 4, 6)))
+    return d.scaled(lam).permuted(rng.sample(range(d.n + 1), d.n + 1))
+
+
+_RNG = random.Random(0)
+# the kite with one odd squared edge n / (n - 2) has all facets of one volume, so I = G there
+_KITES = {"kite n=%d" % n: two_apexed(n, 1, Fraction(n, n - 2)).to_sdm() for n in range(4, 9)}
+# inputs where Q = I or I = G holds exactly, so every distance is 0.0 or |Q - G|
+_DECIDED = {"equiareal prekite n=%d #%d" % (d.n, i): _relabelled(d, _RNG) for i, d in enumerate(_EQUIAREAL)}
+_DECIDED.update(_KITES)
+_DECIDED.update({"regular n=%d" % n: SquaredDistanceMatrix.regular(n) for n in (2, 3, 6)})
 
 
 def _with(*cases):
@@ -90,10 +108,6 @@ def decimal_distances(d) -> dict:
         return {"qg": dist(q, g), "qi": dist(q, i), "ig": dist(i, g)}
 
 
-def diameter(d) -> float:
-    return _frame(d)[0]
-
-
 @pytest.mark.parametrize("name", ["embed", "centroid", "circumcenter", "incenter", "_pull"])
 def test_the_report_reads_no_coordinates(monkeypatch, name):
     def refuse(*args, **kwargs):
@@ -107,9 +121,29 @@ def test_the_report_reads_no_coordinates(monkeypatch, name):
         assert set(coincidence_report(d, with_floats=True).center_distances) == {"qg", "qi", "ig"}
 
 
+@pytest.mark.parametrize("d, frames", [*((d, 0) for d in _DECIDED.values()), (_GOLDEN["cloud n=5"], 1)],
+                         ids=[*_DECIDED, "cloud n=5"])
+def test_the_frame_is_read_only_where_no_coincidence_decides(monkeypatch, d, frames):
+    calls = []
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(centers, "_frame")
+    count(cayley, "_incenter_weights")
+    rep = coincidence_report(d, with_floats=True)
+    assert (rep.qi_coincide or rep.ig_coincide) == (frames == 0)
+    assert calls == ["_frame", "_incenter_weights"] * frames
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_SIMPLICES, _PREKITES))
-@_with(SHORT, BACK, THIN)
+@_with(SHORT, BACK, THIN, *_KITES.values())
 def test_a_distance_is_zero_exactly_when_its_verdict_holds(d):
     if not _nondegenerate(d):
         return
@@ -140,7 +174,7 @@ def test_the_distances_agree_with_the_numpy_oracle(d):
     i, _ = float_oracle.incenter(pts, d)
     oracle = {"qg": np.linalg.norm(q - g), "qi": np.linalg.norm(q - i), "ig": np.linalg.norm(i - g)}
     distances = coincidence_report(d, with_floats=True).center_distances
-    diam = diameter(d)
+    diam = _diameter(d)
     for name, value in distances.items():
         assert abs(value - oracle[name]) <= 1e-12 * max(diam, value), name
 
@@ -157,7 +191,7 @@ def test_each_distance_lies_within_its_bound_of_60_digits(d):
     values, bounds, _ = centers._center_floats(d, rep.qg_coincide, rep.qi_coincide, rep.ig_coincide)
     assert values == rep.center_distances
     exact = decimal_distances(d)
-    diam = diameter(d)
+    diam = _diameter(d)
     for name, value in values.items():
         error = abs(Decimal(value) - exact[name])
         assert error <= Decimal(bounds[name]), name
@@ -232,4 +266,4 @@ def test_a_short_edge_far_out_is_answered(tmp_path, capsys, far, short):
     distances = json.loads(capsys.readouterr().out)["coincidence"]["center_distances"]
     exact = decimal_distances(d)
     for name, value in distances.items():
-        assert abs(Decimal(value) - exact[name]) <= Decimal(1e-12 * diameter(d)), name
+        assert abs(Decimal(value) - exact[name]) <= Decimal(1e-12 * _diameter(d)), name

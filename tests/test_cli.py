@@ -9,6 +9,7 @@ from simplexkite import (
     DistanceTuple,
     PreKite,
     SquaredDistanceMatrix,
+    equiareal_prekite_solve,
     facet_volumes_sq,
     relation_residual,
     scalar_str,
@@ -360,14 +361,23 @@ def test_classify_extreme_magnitudes(run, tmp_path, side_sq):
     assert all(f["member"] for f in families.values())
 
 
+# an equiareal pre-kite, where I = G and Q differs, so classify reads its center distances without the float frame
+EQUIAREAL = next(c.prekite().to_sdm() for c in equiareal_prekite_solve(4, 3, 1) if c.realizable and c.equiareal_verified)
+
+
 @pytest.mark.parametrize("command", ["classify", "centers", "embed"])
 @pytest.mark.parametrize(
-    "side_sq, code", [("1" + "0" * 160, 0), ("1" + "0" * 320, 1), ("1/1" + "0" * 330, 1)], ids=["1e160", "1e320", "1e-330"]
+    "d, code",
+    [(SquaredDistanceMatrix.regular(3, "1" + "0" * 160), 0), (SquaredDistanceMatrix.regular(3, "1" + "0" * 320), 1),
+     (SquaredDistanceMatrix.regular(3, "1/1" + "0" * 330), 1),
+     (EQUIAREAL.scaled(10**320), 1), (EQUIAREAL.scaled(Fraction(1, 10**330)), 1)],
+    ids=["1e160", "1e320", "1e-330", "equiareal 1e320", "equiareal 1e-330"],
 )
-def test_float_commands_at_extreme_magnitudes(capsys, tmp_path, command, side_sq, code):
-    # facet volumes of about 1e480 leave the float range, the centers do not;
-    # squared edges whose floats overflow or fall below the normal range are refused
-    assert main([command, write_matrix(tmp_path, SquaredDistanceMatrix.regular(3, side_sq))]) == code
+def test_float_commands_at_extreme_magnitudes(capsys, tmp_path, command, d, code):
+    # the regular tetrahedron's facet volumes of about 1e480 leave the float range, the centers do not;
+    # squared edges whose floats overflow or fall below the normal range are refused, whichever way the
+    # center distances are read
+    assert main([command, write_matrix(tmp_path, d)]) == code
     out, err = capsys.readouterr()
     if code:
         assert out == ""
