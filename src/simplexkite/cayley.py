@@ -48,19 +48,23 @@ that needs a nondegenerate simplex then raises DegenerateSimplexError
 own.  `cm_det`, `inner_cm_det`, `cm_matrix`, `gram_matrix`,
 `is_realizable` and `facet_sdm` answer for any matrix.
 
-This module also owns the exits by which a float leaves these integers,
-for `geometry` and for the float distances of `centers`, which does not
-import `geometry`: `_root(a, b, p, q)` = p / q * sqrt(a / b), taken in two
-steps at a power-of-two scale (`_scaled_sqrt`, then `_times`), so that
-each factor keeps its digits at any magnitude; `_rounded_root`, the
-correctly rounded root of a ratio, and with it |Q - G|
-(`_centroid_offset`); the incenter's float barycentrics
-(`_incenter_weights`); the vertices and the centroid, circumcenter and
-incenter in the Gram LDL^T frame, read with no coordinate round trip
-(`_frame`); the diameter, whose reading is the one check that the squared
-distances fit the floats (`_diameter`); and `FT_GRADIENT_TOL`, the fixed
-Fermat gradient bound both read.  A result above the largest float
-raises ValueError.
+This module also owns every exit by which a float leaves these
+integers, and is the one reader of the float frame, for `geometry` and
+for the float distances of `centers`, which does not import `geometry`:
+`_root(a, b, p, q)` = p / q * sqrt(a / b), taken in two steps at a
+power-of-two scale (`_scaled_sqrt`, then `_times`), so that each factor
+keeps its digits at any magnitude; `_rounded_root`, the correctly
+rounded root of a ratio, and with it |Q - G| (`_centroid_offset`); the
+columns of the Gram LDL^T frame, each coordinate one `_times` of its
+axis's root (`_axes`), from which `geometry.embed` builds its vertices;
+the circumcenter's coordinates in that frame (`_circumcenter_axes`),
+which `geometry.circumcenter` prints; the incenter's float barycentrics
+and the inradius (`_incenter_weights`); the centroid, circumcenter and
+incenter in the frame, read with no vertex list (`_frame`); the
+diameter, whose reading is the one check that the squared distances fit
+the floats (`_diameter`); and `FT_GRADIENT_TOL`, the fixed Fermat
+gradient bound both read.  A result above the largest float raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -300,20 +304,14 @@ def _scaled_sqrt(a: int, b: int) -> tuple[float, int]:
     return math.sqrt((a << -2 * e) / b if e < 0 else a / (b << 2 * e)), e
 
 
-def _scaled_ratio(p: int, q: int) -> tuple[float, int]:
-    """p / q for integers p and q > 0 as (x, f), the ratio x * 2**f: p / q
-    is moved into (1/2, 2) by a power of two read from the bit lengths, and
-    the division is correctly rounded."""
-    f = p.bit_length() - q.bit_length()
-    return ((p << -f) / q if f < 0 else p / (q << f)), f
-
-
 def _times(p: int, q: int, root: tuple[float, int]) -> float:
     """p / q * r * 2**e for integers p and q > 0 and root = (r, e) from
-    `_scaled_sqrt`, with p / q taken at a power-of-two scale
-    (`_scaled_ratio`) and the product moved back by the matching power of
-    two.  A result above the largest float raises ValueError."""
-    x, f = _scaled_ratio(p, q)
+    `_scaled_sqrt`: p / q is moved into (1/2, 2) by a power of two read from
+    the bit lengths, so the division is correctly rounded at any magnitude,
+    and the product is moved back by the matching power of two.  A result
+    above the largest float raises ValueError."""
+    f = p.bit_length() - q.bit_length()
+    x = (p << -f) / q if f < 0 else p / (q << f)
     try:
         return math.ldexp(x * root[0], root[1] + f)
     except OverflowError:
@@ -558,18 +556,21 @@ def facet_circumradii_sq(d: SquaredDistanceMatrix) -> tuple[Fraction, ...]:
 
 
 def _incenter_weights(d: SquaredDistanceMatrix) -> tuple[list[float], float]:
-    """The incenter's barycentrics F_j / sum F as floats, and sum F / max F.
+    """The incenter's barycentrics F_j / sum F as floats, and the inradius
+    n V / sum F.
 
     They leave exact arithmetic as square roots of the ratios
     F_j**2 / max F**2 = det_k / max det (`_facet_dets`), each one `_root`
     of integers, so the facet volumes themselves never need to fit a
-    float.  Anything but nondegenerate input raises with the verdict
-    attached."""
+    float.  So does (V / max F)**2 = det(A) / (s n**2 max det), A = s*G,
+    as one `_root`, and the inradius is n V / max F over sum F / max F.
+    Anything but nondegenerate input raises with the verdict attached."""
     dets = _facet_dets(d)
     largest = max(dets)
     roots = [_root(k, largest) for k in dets]
     total = math.fsum(roots)
-    return [r / total for r in roots], total
+    g = _gram_elimination(d)
+    return [r / total for r in roots], d.n * _root(g.minors[-1], g.scale * d.n**2 * largest) / total
 
 
 def _centroid_offset(d: SquaredDistanceMatrix) -> float:
@@ -589,47 +590,75 @@ def _centroid_offset(d: SquaredDistanceMatrix) -> float:
 def _diameter(d: SquaredDistanceMatrix) -> float:
     """The largest distance as a float, the one check that the squared
     distances fit the floats: a largest squared distance that is no normal
-    float raises ValueError.  `_frame` and the frame-free center distances
-    of `centers` both read it, so each refuses the same matrices."""
+    float raises ValueError.  `centers` reads it once for its center
+    distances, and `geometry.embed` for its vertices."""
     top = max(map(max, d._dist))
     if not (d._den <= top << 1022 and top <= int(sys.float_info.max) * d._den):
         raise ValueError(_BEYOND_FLOATS % "squared distances leave")
     return _root(top, d._den)
 
 
-def _frame(d: SquaredDistanceMatrix) -> tuple[float, list[list[float]], list[float], list[float], list[float]]:
-    """(diameter, columns, G, Q, I): the vertices and the centroid,
-    circumcenter and incenter in the frame of the Gram LDL^T, read off the
-    kept elimination, with no round trip and no vertex list.
+def _axes(d: SquaredDistanceMatrix) -> tuple[list[tuple[float, int]], list[list[float]]]:
+    """(roots, columns): the frame of the Gram LDL^T of a nondegenerate d,
+    read off the kept elimination, the one reader of its columns.
 
-    Vertex i+1 lies at L_ik sqrt(D_k) on axis k, L_ik = rows[k][i] / m_k
-    and D_k = m_k / (m_(k-1) s) (`geometry.embed`'s frame), so barycentrics
-    w push through the echelon rows to sqrt(D_k) (L^T w)_k, O(n**2) per
-    point.  G's and Q's coordinates are exact rationals times sqrt(D_k),
-    each one `_times`: the row sums over (n+1) m_k, and b'_k / (2 m_k) as
-    `geometry.circumcenter` reads them.  Column k holds coordinate k of the
-    vertices k+1..n (the rest lie at 0 on axis k), each column taken at one
-    scale with its integers cut to 60 bits, so no factor leaves the floats
-    and each entry errs by at most 5 ulps of the column's largest; I is
-    its float barycentrics (`_incenter_weights`) pushed through them.
-    `centers` reads it only where no exact coincidence decides the
-    distances.  Anything but nondegenerate input raises with the verdict
-    attached; squared distances outside the floats raise ValueError
-    (`_diameter`), and so does a coordinate above the largest float.
+    Vertex i+1 lies at L_ik sqrt(D_k) on axis k, with L_ik = rows[k][i] / m_k
+    and D_k = m_k / (m_(k-1) s), m the leading minors and s the Gram scale;
+    vertex 0 and the vertices 1..k lie at 0 on axis k.  Root k is
+    sqrt(D_k) as `_scaled_sqrt` gives it, taken once per axis, and column
+    k holds coordinate k of the vertices k+1..n, each one `_times` of the
+    root, so no factor leaves the floats; on the diagonal rows[k][k] = m_k,
+    so the coordinate is the root itself.  A normal entry errs by at most
+    3.5 u of itself to first order, u = 2**-53 the unit roundoff: the two
+    ratios, the root and the product each round once; a subnormal one
+    errs by at most 2**-1075 more.  A coordinate above the largest float
+    raises ValueError.
+    """
+    g = _gram_elimination(d)
+    roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + g.minors, g.minors)]
+    return roots, [[_times(t, m, root) for t in row[k:d.n]]
+                   for k, (row, m, root) in enumerate(zip(g.rows, g.minors, roots))]
+
+
+def _circumcenter_axes(d: SquaredDistanceMatrix, roots: list[tuple[float, int]]) -> list[float]:
+    """The circumcenter's coordinates in the frame of `_axes`, given its
+    roots, once the circumcenter has passed its Cayley-Menger certificate
+    (`_circumcenter_weights`).
+
+    2 G x = g and G = L D L^T give y = L^T x = D^-1 L^-1 g / 2 in that
+    frame, and the elimination carries s g, A's diagonal, as its last
+    column, to L^-1 (s g) times the leading minors, so coordinate k is
+    b'_k / (2 m_k) times root k, one `_times`.  A far circumcenter has huge
+    barycentrics x, whose float image through the vertices would cancel; y
+    does not.  A coordinate above the largest float raises ValueError.
+    """
+    _circumcenter_weights(d)
+    g = _gram_elimination(d)
+    return [_times(row[-1], 2 * m, root) for row, m, root in zip(g.rows, g.minors, roots)]
+
+
+def _frame(d: SquaredDistanceMatrix) -> tuple[list[list[float]], list[float], list[float], list[float]]:
+    """(columns, G, Q, I): the vertex columns of `_axes` and the centroid,
+    circumcenter and incenter in its frame, with no vertex list.
+
+    Barycentrics w push through the echelon rows to sqrt(D_k) (L^T w)_k,
+    O(n**2) per point.  G's coordinates are the exact row sums over
+    (n+1) m_k times root k, each one `_times`, and Q's are
+    `_circumcenter_axes`; I is its float barycentrics (`_incenter_weights`)
+    pushed through the columns, the same sums `geometry.incenter` takes
+    over the vertices that `embed` builds from the same columns.  So Q and
+    I here are the points `centers` prints.  `centers` reads it only where
+    no exact coincidence decides the distances, and checks the float range
+    first (`_diameter`).  Anything but nondegenerate input raises with the
+    verdict attached, and a coordinate above the largest float raises
+    ValueError.
     """
     require_nondegenerate(d)
-    diam = _diameter(d)
     g = _gram_elimination(d)
-    n, rows, minors = d.n, g.rows, g.minors
-    roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + minors, minors)]
-    zg = [_times(sum(row[k:n]), (n + 1) * m, root) for k, (row, m, root) in enumerate(zip(rows, minors, roots))]
-    zq = [_times(row[n], 2 * m, root) for row, m, root in zip(rows, minors, roots)]
-    cols = []
-    for k, (row, m, (r, e)) in enumerate(zip(rows, minors, roots)):
-        shift = max(0, max(map(abs, row[k:n])).bit_length() - 60)
-        x, f = _scaled_ratio(1 << shift, m)
-        scale, exp = x * r, e + f
-        cols.append([math.ldexp(float(t >> shift) * scale, exp) for t in row[k:n]])
+    n = d.n
+    roots, cols = _axes(d)
+    zg = [_times(sum(row[k:n]), (n + 1) * m, root) for k, (row, m, root) in enumerate(zip(g.rows, g.minors, roots))]
+    zq = _circumcenter_axes(d, roots)
     weights, _ = _incenter_weights(d)
     zi = [math.fsum(map(mul, col, weights[k + 1:])) for k, col in enumerate(cols)]
-    return diam, cols, zg, zq, zi
+    return cols, zg, zq, zi

@@ -25,11 +25,14 @@ vertex coordinates and call nothing of `geometry`, which this module does
 not import.  Each center is read in the frame of the Gram LDL^T that the
 kept elimination holds (`cayley._frame`), axis k scaled by sqrt(D_k):
 G's and Q's coordinates there are exact rationals times that scale, I's
-are its float barycentrics pushed through the echelon rows, and |Q - G|
-is the correctly rounded root of the exact rational
-R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz).  Where Q = I or I = G holds
-exactly, every distance is 0.0 or |Q - G|, so the frame is not read at
-all, only the diameter (`cayley._diameter`).  Each distance carries a bound
+are its float barycentrics pushed through the frame's columns, the
+columns `geometry.embed` builds its vertices from, so Q and I are the
+points the `centers` command prints.  |Q - G| is the correctly rounded
+root of the exact rational R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz).
+Where Q = I or I = G holds exactly, every distance is 0.0 or |Q - G|, so
+the frame is not read at all.  The diameter (`cayley._diameter`, the
+one check that the squared distances fit the floats) is read either
+way.  Each distance carries a bound
 on its error, built from the same sums, and one whose bound exceeds
 `TOL_DISTANCE` of the diameter or of itself raises ValueError.  The
 gradient test carries none: next to a vertex, a unit vector from the
@@ -148,27 +151,31 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
     The distances follow the exact coincidences (qg, qi, ig): a distance
     is 0.0 exactly when its coincidence holds, and where one holds the
     other two are one distance.  |Q - G| is the correctly rounded root of
-    an exact rational (`cayley._centroid_offset`).  So where qi or ig
-    holds, every distance is 0.0 or |Q - G|, and only the diameter is
-    read (`cayley._diameter`, the one check that the squared distances
-    fit the floats).  Otherwise |I - G| and |Q - I| are read off the
+    an exact rational (`cayley._centroid_offset`), and the diameter is
+    read once (`cayley._diameter`, the one check that the squared
+    distances fit the floats).  So where qi or ig holds, every distance
+    is 0.0 or |Q - G|.  Otherwise |I - G| and |Q - I| are read off the
     centers' coordinates in the Gram LDL^T frame (`cayley._frame`), and
-    so is the pull, which carries no bound.  A distinct pair that rounds
-    to 0.0 gets the least positive float, within its bound.  The bounds
-    hold to first order in the unit roundoff: a coordinate of I errs by
-    at most 12 ulps of the largest entry of its column, those of G and Q
-    by 3 ulps of their norm, and a distance by 2 more ulps of itself.  A
-    bound above `TOL_DISTANCE` of the larger of the diameter and the
-    distance raises ValueError.
+    so is the pull, which carries no bound; |Q - I| is then the distance
+    between the Q and I that `geometry.center_set` gives for `embed`'s
+    vertices, bit for bit.  A distinct pair that rounds to 0.0 gets the
+    least positive float, within its bound.  The bounds hold to first
+    order in the unit roundoff u: each column entry errs by at most 3.5 u
+    of itself (`cayley._axes`), so a coordinate of I errs by at most 12 u
+    of the largest entry of its column, those of G and Q by 3 u of their
+    norm, and a distance by 2 u more of itself.  A bound above
+    `TOL_DISTANCE` of the larger of the diameter and the distance raises
+    ValueError, and so does a float I that falls on a vertex, where no unit
+    vector points to that vertex.
     """
     offset = _centroid_offset(d)
+    diam = _diameter(d)
     pairs = {"qg": (offset, _U * offset)}
     if qi or ig:
-        diam = _diameter(d)
         pairs["ig"] = (0.0, 0.0) if ig else pairs["qg"]
         pairs["qi"] = (0.0, 0.0) if qi else pairs["qg"]
     else:
-        diam, cols, zg, zq, zi = _frame(d)
+        cols, zg, zq, zi = _frame(d)
         spread = 12 * _U * math.hypot(*[max(map(abs, col)) for col in cols]) + d.n * _TINY
         pairs["ig"] = _from_incenter(zg, zi, spread)
         pairs["qi"] = pairs["ig"] if qg else _from_incenter(zq, zi, spread)
@@ -185,6 +192,9 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
         # axis k over the vertices 0..n, less I's coordinate; vertices 0..k lie at 0 on it
         away = [[-a] * (k + 1) + [c - a for c in col] for k, (a, col) in enumerate(zip(zi, cols))]
         lengths = list(map(math.hypot, *away))
+        if 0.0 in lengths:
+            raise ValueError("the float incenter falls on vertex %d, where the Fermat gradient test has no float answer; "
+                             "the exact results (classify --exact) do not need floats" % lengths.index(0.0))
         pull = math.hypot(*[fsum(map(truediv, axis, lengths)) for axis in away])
     return values, bounds, pull
 
@@ -230,15 +240,18 @@ def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> C
     (`_center_floats`).  The float frame (`cayley._frame`) is read only
     when no exact coincidence decides the distances, that is, when
     neither Q = I nor I = G holds; otherwise they are 0.0 or |Q - G|.
-    Squared distances outside the floats raise ValueError either way
-    (`cayley._diameter` owns that check), as does a distance whose error
+    Where it is read, qi is the distance between the Q and I that the
+    `centers` command prints.  Squared distances outside the floats raise
+    ValueError either way (`cayley._diameter` owns that check), as does a
+    distance whose error
     bound is not small against the diameter or itself, or that leaves
     the floats.
     F = I is decided without the Fermat point: by the exact verdicts in a
     triangle and when any two of G, Q and I coincide, and otherwise by
     whether the summed unit vectors from the float incenter to the
-    vertices have norm at most `FT_GRADIENT_TOL`.  Degenerate or
-    non-Euclidean input raises with the verdict attached.
+    vertices have norm at most `FT_GRADIENT_TOL`; a float incenter that
+    falls on a vertex raises ValueError.  Degenerate or non-Euclidean
+    input raises with the verdict attached.
     """
     require_nondegenerate(d)
     well = is_well_distributed(d)

@@ -2,22 +2,20 @@
 
 This module and the float family recoveries of `families` are where
 the package leaves exact arithmetic for points; this one needs only
-`math`, and points are tuples of floats.  A matrix is embedded by reading
-its exact Gram LDL^T off the kept Gram elimination, and no Fraction is
-built.  Every float read off that elimination leaves it through the one
-exit that `cayley` owns, `_root(a, b, p, q)` = p / q * sqrt(a / b) of its
-integers: `embed`'s coordinates, the circumcenter's, and `incenter`'s
-weights and inradius.  It takes each factor at a power-of-two scale
-first, the root by `_scaled_sqrt` and p / q by `_times`, so these exits
-keep their digits at any scale: a ratio whose float would underflow or
-overflow still gives its share of the product, where that product is a
-float, and a product above the largest float raises ValueError.  `embed`
-makes the same two steps, with one root per column of coordinates.
-The circumcenter and incenter are read off the Gram elimination
-that certified the simplex, not solved for in floats: the incenter's
-barycentrics are the facet volumes over their sum, and the
-circumcenter's coordinates in the embedding frame are exact rationals
-times the frame's scales.  The centroid is the vertex mean.  The
+`math`, and points are tuples of floats.  It reads no field of the kept
+Gram elimination and builds no Fraction: `cayley`, the one reader of
+that elimination's float frame, hands it the frame's columns
+(`_axes`), each coordinate a scale-safe product of exact integers and
+its axis's root, from which `embed` builds its vertices; the
+circumcenter's coordinates in that frame (`_circumcenter_axes`); and the
+incenter's weights and inradius (`_incenter_weights`).  So the
+circumcenter and incenter are read off the Gram elimination that
+certified the simplex, not solved for in floats, and where no exact
+coincidence decides it, `classify`'s |Q - I| is the distance between the
+two points printed here.  A value whose float would
+underflow or overflow on the way still gives its share of a product
+that is a float, and a product above the largest float raises
+ValueError.  The centroid is the vertex mean.  The
 Fermat-Torricelli point is a vertex when one of least summed distance,
 up to rounding, passes its certificate; otherwise it is found by
 re-weighted averaging in the frame of the one whose certificate failed
@@ -38,7 +36,6 @@ from outside.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import chain, repeat
 from math import fsum
 from operator import add, mul, sub, truediv
@@ -47,13 +44,10 @@ from .cayley import (
     _BEYOND_FLOATS,
     FT_GRADIENT_TOL,
     SquaredDistanceMatrix,
-    _circumcenter_weights,
-    _facet_dets,
-    _gram_elimination,
+    _axes,
+    _circumcenter_axes,
+    _diameter,
     _incenter_weights,
-    _root,
-    _scaled_sqrt,
-    _times,
     _top_exponent,
     require_nondegenerate,
 )
@@ -120,32 +114,23 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
     """Realize a nondegenerate matrix as coordinates in R^n.
 
     Degenerate or non-Euclidean input raises with the realizability
-    verdict attached.  Then, unless the smallest squared distance is at
-    least `sys.float_info.min` = 2**-1022 and the largest at most
-    `sys.float_info.max` (compared exactly, on the cleared integers), it
-    raises ValueError.  Coordinate k of vertex i+1 is L_ik sqrt(D_k) of
-    the Gram LDL^T, read off the kept elimination as p / q * sqrt(a / b)
-    with p = rows[k][i], q = m_k, a = m_k and b = m_(k-1) s, m the leading
-    minors and s the Gram scale; on the diagonal rows[k][k] is m_k, so
-    L_kk = 1 and the coordinate is sqrt(D_k) > 0, the column's root
-    itself.  It is `_root`'s two steps, with the root of D_k
-    (`_scaled_sqrt`) taken once per column and `_times` per coordinate
-    below the diagonal, so the bits are `_root`'s: on the diagonal
-    `_times` would multiply by m_k / m_k = 1.0.  The
+    verdict attached.  Then, unless the largest squared distance fits the
+    floats (`cayley._diameter`, the one float-range check) and the
+    smallest is at least `sys.float_info.min` = 2**-1022 (compared
+    exactly, on the cleared integers), it raises ValueError.  The vertices
+    are the columns of the Gram LDL^T frame (`cayley._axes`): vertex 0 at
+    the origin, and coordinate k of vertex i+1 is L_ik sqrt(D_k), one
+    scale-safe product of exact integers and the column's root.  The
     round-trip check runs at a power-of-two scale, so its sums of squares
     cannot overflow at the top of the range.
     """
     require_nondegenerate(d)
-    g = _gram_elimination(d)
-    dist, den = d._dist, d._den
-    lo = min(min(row[i + 1:]) for i, row in enumerate(dist[:-1]))
-    if not (den <= lo << 1022 and max(map(max, dist)) <= int(sys.float_info.max) * den):
+    _diameter(d)
+    lo = min(min(row[i + 1:]) for i, row in enumerate(d._dist[:-1]))
+    if d._den > lo << 1022:
         raise ValueError(_BEYOND_FLOATS % "squared distances leave")
-    # coordinate k, from pivot row k: 0 on vertices 0..k, then L_ik sqrt(D_k) on vertex i+1 for i = k..n-1
-    roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + g.minors, g.minors)]
-    cols = [[0.0] * (k + 1) + [math.ldexp(*root)] + [_times(x, m, root) for x in top[k + 1:d.n]]
-            for k, (root, m, top) in enumerate(zip(roots, g.minors, g.rows))]
-    return EmbeddedSimplex(list(zip(*cols)), d)
+    _, cols = _axes(d)
+    return EmbeddedSimplex(list(zip(*([0.0] * (k + 1) + col for k, col in enumerate(cols)))), d)
 
 
 def centroid(s: EmbeddedSimplex) -> Point:
@@ -156,54 +141,38 @@ def centroid(s: EmbeddedSimplex) -> Point:
 def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Equidistant point and its radius (the float distance to vertex 0).
 
-    Coordinate k is y_k sqrt(D_k), with G = L D L^T the Gram LDL^T and y
-    the exact circumcenter in the frame `embed` builds.  2 G x = g and
-    G = L D L^T give y = L^T x = D^-1 L^-1 g / 2, and the Gram elimination
-    carries s g, A's diagonal, as its last column, to L^-1 (s g) times the
-    leading minors, so y_k = b'_k / (2 m_k), and coordinate k is the one
-    float `_root(m_k, m_(k-1) s, b'_k, 2 m_k)`, once the circumcenter has
-    passed its Cayley-Menger certificate (`_circumcenter_weights`).  A
-    far circumcenter has huge barycentrics x, whose float image through
-    the vertices would cancel; y does not.  A coordinate above the
-    largest float raises ValueError.  The vertices may reverse axes of
-    that frame: axis k is read as reversed, and coordinate k negated,
-    when vertex k+1 has a negative coordinate k, where L_kk sqrt(D_k) is
-    positive.  Where that coordinate rounds to 0.0, the vertex i+1
-    farthest along axis k is read instead, against the sign of its exact
-    L_ik, rows[k][i]; where every vertex has 0.0 there, either side is
+    The coordinates are the circumcenter's in the Gram LDL^T frame
+    (`cayley._circumcenter_axes`, exact rationals times the frame's
+    roots), read once the circumcenter has passed its Cayley-Menger
+    certificate.  The vertices may reverse axes of that frame: axis k is
+    read as reversed, and coordinate k negated, when the vertex farthest
+    along it in the frame's columns (`cayley._axes`) lies on the other
+    side of 0 in s; where every vertex has 0.0 there, either side is
     equidistant.
     """
-    _circumcenter_weights(s.source)
-    g = _gram_elimination(s.source)
+    roots, cols = _axes(s.source)
     center = []
-    for k, (prev, m, top) in enumerate(zip([1] + g.minors, g.minors, g.rows)):
-        # > 0 where axis k points as in embed's frame: vertex k+1's coordinate k, or, where that rounds
-        # to 0.0, the farthest vertex's, signed by its exact L_ik
-        rest = zip(s.vertices[k + 2:], top[k + 1:])
-        side = s.vertices[k + 1][k] or max((v[k] if x > 0 else -v[k] for v, x in rest), key=abs, default=0.0)
-        center.append(_root(m, prev * g.scale, -top[-1] if side < 0 else top[-1], 2 * m))
+    for k, (col, z) in enumerate(zip(cols, _circumcenter_axes(s.source, roots))):
+        frame, own = max(zip(col, (v[k] for v in s.vertices[k + 1:])), key=lambda pair: abs(pair[0]))
+        center.append(-z if (frame < 0) != (own < 0) else z)
     return tuple(center), math.dist(center, s.vertices[0])
 
 
 def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Facet-volume-weighted vertex average and the inradius n V / sum F_j.
 
-    The weights F_j / sum F leave exact arithmetic as square roots of
-    ratios of facet determinants (`cayley._incenter_weights`), so the
-    facet volumes themselves never need to fit a float.  So does
-    (V / max F)**2 = det(A) / (s n**2 max det), A = s*G the scaled Gram
-    matrix, as one `_root`.  The
-    insphere touches facet j inside it exactly when the weight of vertex j
-    is positive, at distance n V / sum F from the incenter for every j; a
-    weight that is not a positive finite float raises RuntimeError.  A
-    segment's two facets are points, det 1 each, so its incenter is its
-    midpoint and its inradius half its length.
+    The weights F_j / sum F and the inradius leave exact arithmetic as
+    square roots of ratios of the facet Gram determinants and det(A)
+    (`cayley._incenter_weights`), so the facet volumes themselves never
+    need to fit a float.  The insphere touches facet j inside it exactly
+    when the weight of vertex j is positive, at distance n V / sum F from
+    the incenter for every j; a weight that is not a positive finite float
+    raises RuntimeError.  A segment's two facets are points, det 1 each,
+    so its incenter is its midpoint and its inradius half its length.
     """
-    weights, total = _incenter_weights(s.source)
+    weights, radius = _incenter_weights(s.source)
     if not all(0.0 < w < math.inf for w in weights):
         raise RuntimeError("incenter weights are not all positive finite floats")
-    g = _gram_elimination(s.source)
-    radius = s.n * _root(g.minors[-1], g.scale * s.n**2 * max(_facet_dets(s.source))) / total
     return tuple(fsum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
 
 

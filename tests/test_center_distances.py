@@ -2,9 +2,11 @@
 elimination with no vertex coordinates.
 
 They are held to the exact verdicts (0.0 exactly where a coincidence
-holds), to the numpy oracle wherever `embed` accepts the matrix, and to
-60-digit decimals on near-flat, far-out and short-edge simplices, where
-each must also lie within its own error bound.
+holds), to the numpy oracle wherever `embed` accepts the matrix, to the
+circumcenter and incenter that `center_set` gives for `embed`'s vertices
+(qi, bit for bit), and to 60-digit decimals on near-flat, far-out and
+short-edge simplices, where each must also lie within its own error
+bound; the frame's columns, `embed`'s vertices, are held to 60 digits too.
 """
 
 import json
@@ -22,6 +24,7 @@ import float_oracle
 import simplexkite.cayley as cayley
 import simplexkite.centers as centers
 import simplexkite.geometry as geometry
+from simplexkite.geometry import center_set
 from simplexkite import (
     EmbeddedSimplex,
     Realizability,
@@ -35,7 +38,7 @@ from simplexkite import (
     is_realizable,
     two_apexed,
 )
-from simplexkite.cayley import _centroid_offset, _diameter, _frame, _rounded_root
+from simplexkite.cayley import _axes, _centroid_offset, _diameter, _frame, _rounded_root
 from simplexkite.cli import main
 from test_centers import _GOLDEN, _NEAR_REGULAR, _SIMPLICES
 from test_geometry import BACK, THIN, points_sdm, slanted_tetrahedron
@@ -179,6 +182,24 @@ def test_the_distances_agree_with_the_numpy_oracle(d):
         assert abs(value - oracle[name]) <= 1e-12 * max(diam, value), name
 
 
+@settings(max_examples=100, deadline=None)
+@given(_SIMPLICES)
+@example(_GOLDEN["cloud n=6"])
+def test_the_report_and_centers_read_one_frame(d):
+    # where no exact coincidence decides it, qi is the distance between the Q and I that `centers` prints,
+    # and the report's frame has embed's vertices as its columns, bit for bit
+    if not _nondegenerate(d):
+        return
+    rep = coincidence_report(d, with_floats=True)
+    if rep.qg_coincide or rep.qi_coincide or rep.ig_coincide:
+        return
+    s = embed(d)
+    printed = center_set(s)
+    assert rep.center_distances["qi"] == math.dist(printed.circumcenter, printed.incenter)
+    cols, _, _, _ = _frame(d)
+    assert cols == [[v[k] for v in s.vertices[k + 1:]] for k in range(d.n)]
+
+
 # the near-line tetrahedron at every height 10**-1..10**-200, whose circumcenter lies up to 10**200 out; the thin
 # 2**1000 / 2**-1000 triangle; the 10**-400 triangle, whose circumcenter is 10**200 out; the short-edge triangle
 DECIMAL_CASES = {"slanted h=1e-%d" % k: slanted_tetrahedron(Fraction(1, 10**k)) for k in range(1, 201)}
@@ -196,6 +217,24 @@ def test_each_distance_lies_within_its_bound_of_60_digits(d):
         error = abs(Decimal(value) - exact[name])
         assert error <= Decimal(bounds[name]), name
         assert bounds[name] <= 1e-12 * max(diam, value), name
+
+
+# the near-line tetrahedra, the thin 2**1000 / 2**-1000 triangle and the golden clouds
+COLUMN_CASES = {name: d for name, d in DECIMAL_CASES.items() if name.startswith("slanted") or name == "thin"}
+COLUMN_CASES.update({name: d for name, d in _GOLDEN.items() if name.startswith("cloud")})
+
+
+@pytest.mark.parametrize("d", list(COLUMN_CASES.values()), ids=list(COLUMN_CASES))
+def test_each_column_entry_lies_within_2_ulps_of_60_digits(d):
+    _, cols = _axes(d)
+    lower, pivots = gram_ldl(d)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k, col in enumerate(cols):
+            root = _dec(pivots[k]).sqrt()
+            # entry j of column k is coordinate k of vertex k + j + 1, L_ik sqrt(D_k) for i = k + j
+            for i, x in enumerate(col, start=k):
+                assert abs(Decimal(x) - _dec(lower[i][k]) * root) <= 2 * Decimal(math.ulp(x)), (k, i)
 
 
 def test_the_qg_distance_is_correctly_rounded_on_the_decimal_cases():
@@ -250,6 +289,18 @@ def test_a_far_circumcenter_is_a_value_error():
         _centroid_offset(d)
     with pytest.raises(ValueError, match="leaves the float range"):
         _frame(d)
+
+
+def test_an_incenter_on_a_vertex_is_refused(tmp_path, capsys):
+    # vertex 2's height 2**-1100 over the first edge rounds to 0.0 in the frame, and vertex 3's incenter weight
+    # to 0.0, so the float I falls on vertex 2, where the gradient test has no unit vector to that vertex
+    d = points_sdm([(0, 0, 0), (1, 0, 0), (Fraction(1, 2**500), Fraction(1, 2**1100), 0), (0, 1, 1)])
+    with pytest.raises(ValueError, match="falls on vertex 2"):
+        coincidence_report(d, with_floats=True)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(d.to_json()))
+    assert [main(["classify", str(path)]), main(["classify", str(path), "--exact"])] == [1, 0]
+    assert "falls on vertex 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("far", [(1, 0), (3, 7), (-250, 1000), (10**6, -10**6)])

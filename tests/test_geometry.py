@@ -30,6 +30,7 @@ from simplexkite import (
     is_realizable,
     sum_distances,
 )
+import simplexkite.cayley as cayley
 import simplexkite.geometry as geometry
 from simplexkite.geometry import _jump_change, _pull, _units
 from conftest import random_point_sdm
@@ -451,7 +452,7 @@ def test_thin_triangle_has_positive_incenter_weights(tmp_path, capsys):
     from simplexkite.cli import main
 
     dets = _facet_dets(THIN)
-    weights = [geometry._root(k, max(dets)) for k in dets]
+    weights = [cayley._root(k, max(dets)) for k in dets]
     assert weights[0] == 2.0**-1000 and weights[1:] == [1.0, 1.0]  # each as exact as its root
     point, radius = incenter(embed(THIN))
     # r = 2 area / perimeter = b sqrt(L**2 - b**2 / 4) / (2 L + b), L = 2**500 and b = 2**-500
@@ -477,7 +478,7 @@ def test_root_matches_math_sqrt_on_normal_ratios(p, q, shift):
     p, q = (p << shift, q) if shift >= 0 else (p, q << -shift)
     ratio = Fraction(p, q)
     if sys.float_info.min <= ratio <= sys.float_info.max:
-        assert geometry._root(p, q) == math.sqrt(p / q)
+        assert cayley._root(p, q) == math.sqrt(p / q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -485,13 +486,13 @@ def test_root_matches_math_sqrt_on_normal_ratios(p, q, shift):
 def test_root_of_a_subnormal_ratio_is_within_one_ulp(p, q, shift):
     q <<= shift + 1  # p / q in (2**-2002, 2**-1022): below the normal floats, its root a normal float
     assert Fraction(p, q) < Fraction(sys.float_info.min)
-    root = geometry._root(p, q)
+    root = cayley._root(p, q)
     ulp = Fraction(math.ulp(root))
     assert (Fraction(root) - ulp) ** 2 < Fraction(p, q) < (Fraction(root) + ulp) ** 2
 
 
 def _old_root(p, q):
-    """`geometry._root(p, q)` as it was before it took the factor p / q."""
+    """`cayley._root(p, q)` as it was before it took the factor p / q."""
     e = (p.bit_length() - q.bit_length()) // 2
     return math.ldexp(math.sqrt((p << -2 * e) / q if e < 0 else p / (q << 2 * e)), e)
 
@@ -518,14 +519,14 @@ def test_root_is_the_float_expression_on_normal_factors(a, b, s, p, q, t):
     if _is_normal_or_zero(Fraction(p, q)) and _is_normal_or_zero(Fraction(a, b)):
         expected = p / q * math.sqrt(a / b)
         if _is_normal_or_zero(expected):
-            assert geometry._root(a, b, p, q).hex() == expected.hex()
+            assert cayley._root(a, b, p, q).hex() == expected.hex()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 2**1000), st.integers(1, 2**1000), st.integers(-1000, 1000))
 def test_root_of_one_factor_is_the_old_square_root(a, b, shift):
     a, b = _shifted(a, b, shift)  # a / b within 2**±2000, normal or not, so its root is a normal float
-    assert geometry._root(a, b) == geometry._root(a, b, 1, 1) == _old_root(a, b)
+    assert cayley._root(a, b) == cayley._root(a, b, 1, 1) == _old_root(a, b)
 
 
 MID = st.integers(1, 2**200)
@@ -542,7 +543,7 @@ def test_root_of_factors_outside_the_floats_keeps_their_digits(a, b, p, q, j, ti
     expected = math.ldexp(p / q * math.sqrt(a / b), -tilt if flip else tilt)
     moved = (a, b << 2 * i, p << j, q) if flip else (a << 2 * i, b, p, q << j)
     assert not _is_normal_or_zero(Fraction(moved[0], moved[1]))
-    root = geometry._root(*moved)
+    root = cayley._root(*moved)
     assert root.hex() == expected.hex()
     # four correctly rounded steps, p / q, a / b, the root and the product, each within 2**-53
     # relative, so the result is within 3.5 * 2**-53 of p / q * sqrt(a / b) (to first order)
@@ -558,7 +559,7 @@ def test_root_above_the_largest_float_is_refused(args):
     a, b, p, q = args
     assert Fraction(p, q) ** 2 * Fraction(a, b) > Fraction(sys.float_info.max) ** 2
     with pytest.raises(ValueError, match=r"leaves the float range; the exact results \(classify --exact\)"):
-        geometry._root(a, b, p, q)
+        cayley._root(a, b, p, q)
 
 
 def points_sdm(points):

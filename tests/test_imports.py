@@ -5,6 +5,7 @@ imports only what it runs.  Each footprint is taken in a fresh
 interpreter, since this process has long since loaded everything.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -136,6 +137,18 @@ def test_prekite_and_its_closed_forms_load_no_elimination():
     on_import, after_forms, oracle = json.loads(proc.stderr.splitlines()[-1])
     assert on_import == after_forms == ["simplexkite", "simplexkite.exact", "simplexkite.prekite"]
     assert oracle == ["simplexkite.linalg", "ExactMatrix", [["2", "1", "1"], ["1", "2", "1"], ["1", "1", "2"]]]
+
+
+def test_geometry_reads_no_gram_elimination():
+    # `cayley` is the one reader of the kept elimination: geometry takes the frame's columns, Q's
+    # coordinates in it and the incenter's floats from it, and reads no field of the elimination
+    import simplexkite.geometry as geometry
+
+    assert not {"_gram_elimination", "_facet_dets", "_root", "_scaled_sqrt", "_times"} & set(vars(geometry))
+    with open(geometry.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    fields = {"rows", "minors", "scale", "verdict", "corner"}
+    assert not [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in fields]
 
 
 def test_exports_are_the_defining_modules_objects():
