@@ -55,15 +55,19 @@ for the float distances of `centers`, which does not import `geometry`:
 power-of-two scale (`_scaled_sqrt`, then `_times`), so that each factor
 keeps its digits at any magnitude; `_rounded_root`, the correctly
 rounded root of a ratio, and with it |Q - G| (`_centroid_offset`); the
-columns of the Gram LDL^T frame, each coordinate one `_times` of its
-axis's root (`_axes`), from which `geometry.embed` builds its vertices;
-the circumcenter's coordinates in that frame (`_circumcenter_axes`),
-which `geometry.circumcenter` prints; the incenter's float barycentrics
-and the inradius (`_incenter_weights`); the centroid, circumcenter and
-incenter in the frame, read with no vertex list (`_frame`); the
-diameter, whose reading is the one check that the squared distances fit
-the floats (`_diameter`); and `FT_GRADIENT_TOL`, the fixed Fermat
-gradient bound both read.  A result above the largest float raises
+columns of the Gram LDL^T frame, each over every vertex and each
+coordinate 0.0 or one `_times` of its axis's root (`_axes`), whose rows
+are the vertices `geometry.embed` builds; the circumcenter's coordinates
+in that frame (`_circumcenter_axes`), which `geometry.circumcenter`
+prints; the incenter's float barycentrics and the inradius
+(`_incenter_weights`); the centroid, circumcenter and incenter in the
+frame, read with no vertex list, G as the column means that
+`geometry.centroid` takes (`_frame`); the diameter, whose reading is the
+one check that the squared distances fit the floats (`_diameter`); and
+Kuhn's pull, the summed unit vectors towards the vertices (`_pull`),
+with `FT_GRADIENT_TOL`, the fixed bound on it at which both
+`geometry.fermat_torricelli` and the fi flag of `centers` take a point as
+the Fermat-Torricelli point.  A result above the largest float raises
 ValueError.
 """
 
@@ -606,17 +610,18 @@ def _axes(d: SquaredDistanceMatrix) -> tuple[list[tuple[float, int]], list[list[
     and D_k = m_k / (m_(k-1) s), m the leading minors and s the Gram scale;
     vertex 0 and the vertices 1..k lie at 0 on axis k.  Root k is
     sqrt(D_k) as `_scaled_sqrt` gives it, taken once per axis, and column
-    k holds coordinate k of the vertices k+1..n, each one `_times` of the
-    root, so no factor leaves the floats; on the diagonal rows[k][k] = m_k,
-    so the coordinate is the root itself.  A normal entry errs by at most
-    3.5 u of itself to first order, u = 2**-53 the unit roundoff: the two
-    ratios, the root and the product each round once; a subnormal one
-    errs by at most 2**-1075 more.  A coordinate above the largest float
-    raises ValueError.
+    k holds coordinate k of every vertex 0..n: 0.0 for the vertices 0..k,
+    and for the vertices k+1..n one `_times` of the root each, so no
+    factor leaves the floats and no reader needs to know where a column
+    starts; on the diagonal rows[k][k] = m_k, so the coordinate is the
+    root itself.  A normal entry errs by at most 3.5 u of itself to first
+    order, u = 2**-53 the unit roundoff: the two ratios, the root and the
+    product each round once; a subnormal one errs by at most 2**-1075
+    more.  A coordinate above the largest float raises ValueError.
     """
     g = _gram_elimination(d)
     roots = [_scaled_sqrt(m, prev * g.scale) for prev, m in zip([1] + g.minors, g.minors)]
-    return roots, [[_times(t, m, root) for t in row[k:d.n]]
+    return roots, [[0.0] * (k + 1) + [_times(t, m, root) for t in row[k:d.n]]
                    for k, (row, m, root) in enumerate(zip(g.rows, g.minors, roots))]
 
 
@@ -641,24 +646,36 @@ def _frame(d: SquaredDistanceMatrix) -> tuple[list[list[float]], list[float], li
     """(columns, G, Q, I): the vertex columns of `_axes` and the centroid,
     circumcenter and incenter in its frame, with no vertex list.
 
-    Barycentrics w push through the echelon rows to sqrt(D_k) (L^T w)_k,
-    O(n**2) per point.  G's coordinates are the exact row sums over
-    (n+1) m_k times root k, each one `_times`, and Q's are
-    `_circumcenter_axes`; I is its float barycentrics (`_incenter_weights`)
-    pushed through the columns, the same sums `geometry.incenter` takes
-    over the vertices that `embed` builds from the same columns.  So Q and
-    I here are the points `centers` prints.  `centers` reads it only where
+    G is the mean of each column, `math.fsum` over n + 1, and I its float
+    barycentrics (`_incenter_weights`) pushed through the columns: the
+    same sums `geometry.centroid` and `geometry.incenter` take over the
+    vertices that `embed` builds from the same columns.  Q's coordinates
+    are `_circumcenter_axes`, b'_k / (2 m_k) times root k.  So G, Q and I
+    here are the points `centers` prints.  `centers` reads it only where
     no exact coincidence decides the distances, and checks the float range
     first (`_diameter`).  Anything but nondegenerate input raises with the
     verdict attached, and a coordinate above the largest float raises
     ValueError.
     """
     require_nondegenerate(d)
-    g = _gram_elimination(d)
-    n = d.n
     roots, cols = _axes(d)
-    zg = [_times(sum(row[k:n]), (n + 1) * m, root) for k, (row, m, root) in enumerate(zip(g.rows, g.minors, roots))]
+    zg = [math.fsum(col) / (d.n + 1) for col in cols]
     zq = _circumcenter_axes(d, roots)
     weights, _ = _incenter_weights(d)
-    zi = [math.fsum(map(mul, col, weights[k + 1:])) for k, col in enumerate(cols)]
+    zi = [math.fsum(map(mul, col, weights)) for col in cols]
     return cols, zg, zq, zi
+
+
+def _units(x, cols, dists) -> list[list[float]]:
+    """The unit vectors from x towards the points, as coordinate columns,
+    given the points' coordinate columns, with dists[i] = |points[i] - x|."""
+    return [[(c - a) / r for c, r in zip(col, dists)] for a, col in zip(x, cols)]
+
+
+def _pull(x, cols, dists) -> list[float]:
+    """Sum of the unit vectors from x towards the points (`_units`), the
+    negated gradient of their summed distance at x: Kuhn's condition for
+    the Fermat-Torricelli point, held to `FT_GRADIENT_TOL` by
+    `geometry.fermat_torricelli` and, at the float incenter, by the fi
+    flag of `centers`."""
+    return list(map(math.fsum, _units(x, cols, dists)))

@@ -18,17 +18,19 @@ exactly when G, Q and I all coincide, once any two of them do, and in a
 triangle, whose incenter sees a side at 90 degrees plus half the
 opposite angle and F sees each at 120, only when it is equilateral;
 otherwise it is read off the float incenter by the gradient test that
-`fermat_torricelli` accepts its own answer by.
+`fermat_torricelli` accepts its own answer by: Kuhn's summed unit
+vectors, `cayley._pull`, held to `FT_GRADIENT_TOL`.
 
 The float distances between G, Q and I, and that gradient test, read no
 vertex coordinates and call nothing of `geometry`, which this module does
 not import.  Each center is read in the frame of the Gram LDL^T that the
 kept elimination holds (`cayley._frame`), axis k scaled by sqrt(D_k):
-G's and Q's coordinates there are exact rationals times that scale, I's
-are its float barycentrics pushed through the frame's columns, the
-columns `geometry.embed` builds its vertices from, so Q and I are the
-points the `centers` command prints.  |Q - G| is the correctly rounded
-root of the exact rational R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz).
+Q's coordinates there are exact rationals times that scale; G's are the
+means of the frame's columns, whose rows are `geometry.embed`'s
+vertices, and I's its float barycentrics pushed through them, so G, Q
+and I are the points the `centers` command prints.  |Q - G| is the
+correctly rounded root of the exact rational R**2 - 1^T D 1 /
+(2 (n+1)**2) (Leibniz).
 Where Q = I or I = G holds exactly, every distance is 0.0 or |Q - G|, so
 the frame is not read at all.  The diameter (`cayley._diameter`, the
 one check that the squared distances fit the floats) is read either
@@ -52,8 +54,6 @@ and this module does not import it.
 from __future__ import annotations
 
 import math
-from math import fsum
-from operator import truediv
 
 from .cayley import (
     FT_GRADIENT_TOL,
@@ -64,6 +64,7 @@ from .cayley import (
     _euclidean,
     _facet_dets,
     _frame,
+    _pull,
     facet_circumradii_sq,
     facet_volumes_sq,
     require_nondegenerate,
@@ -133,14 +134,6 @@ def is_circumcenter_interior(d: SquaredDistanceMatrix) -> bool:
     return min(_circumcenter_weights(d)) > 0
 
 
-def _from_incenter(z: list[float], zi: list[float], spread: float) -> tuple[float, float]:
-    """|Z - I| and a bound on its error, for a center Z whose frame
-    coordinates z err by at most 3 ulps of their norm, and the incenter's
-    zi, which err by at most spread in norm (`_center_floats`)."""
-    value = math.dist(z, zi)
-    return value, spread + 3 * _U * math.hypot(*z) + 2 * _U * value
-
-
 def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tuple[dict, dict, float | None]:
     """(distances, bounds, pull): the float distances qg, qi and ig between
     the centroid G, circumcenter Q and incenter I of a nondegenerate d,
@@ -156,14 +149,16 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
     distances fit the floats).  So where qi or ig holds, every distance
     is 0.0 or |Q - G|.  Otherwise |I - G| and |Q - I| are read off the
     centers' coordinates in the Gram LDL^T frame (`cayley._frame`), and
-    so is the pull, which carries no bound; |Q - I| is then the distance
-    between the Q and I that `geometry.center_set` gives for `embed`'s
-    vertices, bit for bit.  A distinct pair that rounds to 0.0 gets the
-    least positive float, within its bound.  The bounds hold to first
-    order in the unit roundoff u: each column entry errs by at most 3.5 u
-    of itself (`cayley._axes`), so a coordinate of I errs by at most 12 u
-    of the largest entry of its column, those of G and Q by 3 u of their
-    norm, and a distance by 2 u more of itself.  A bound above
+    so is the pull, Kuhn's summed unit vectors (`cayley._pull`), which
+    carries no bound; |Q - I| and, unless Q = G, |I - G| are then the
+    distances between the Q, I and G that `geometry.center_set` gives for
+    `embed`'s vertices, bit for bit.  A distinct pair that rounds to 0.0
+    gets the least positive float, within its bound.  The bounds hold to
+    first order in the unit roundoff u: each column entry errs by at most
+    3.5 u of itself (`cayley._axes`), so a coordinate of I, or of G, the
+    column mean, errs by at most 12 u of the largest entry of its column
+    (the spread), those of Q by 3 u of their norm, and a distance by 2 u
+    more of itself: |I - G| by two spreads, |Q - I| by one.  A bound above
     `TOL_DISTANCE` of the larger of the diameter and the distance raises
     ValueError, and so does a float I that falls on a vertex, where no unit
     vector points to that vertex.
@@ -177,8 +172,9 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
     else:
         cols, zg, zq, zi = _frame(d)
         spread = 12 * _U * math.hypot(*[max(map(abs, col)) for col in cols]) + d.n * _TINY
-        pairs["ig"] = _from_incenter(zg, zi, spread)
-        pairs["qi"] = pairs["ig"] if qg else _from_incenter(zq, zi, spread)
+        qi_value, ig_value = math.dist(zq, zi), math.dist(zg, zi)
+        pairs["qi"] = (qi_value, spread + 3 * _U * math.hypot(*zq) + 2 * _U * qi_value)
+        pairs["ig"] = pairs["qi"] if qg else (ig_value, 2 * spread + 2 * _U * ig_value)
     values, bounds = {}, {}
     for name, coincide in (("qg", qg), ("qi", qi), ("ig", ig)):
         value, bound = pairs[name]
@@ -189,13 +185,11 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
         bounds[name] = bound
     pull = None
     if not (qg or qi or ig or d.n == 2):
-        # axis k over the vertices 0..n, less I's coordinate; vertices 0..k lie at 0 on it
-        away = [[-a] * (k + 1) + [c - a for c in col] for k, (a, col) in enumerate(zip(zi, cols))]
-        lengths = list(map(math.hypot, *away))
+        lengths = [math.dist(v, zi) for v in zip(*cols)]
         if 0.0 in lengths:
             raise ValueError("the float incenter falls on vertex %d, where the Fermat gradient test has no float answer; "
                              "the exact results (classify --exact) do not need floats" % lengths.index(0.0))
-        pull = math.hypot(*[fsum(map(truediv, axis, lengths)) for axis in away])
+        pull = math.hypot(*_pull(zi, cols, lengths))
     return values, bounds, pull
 
 
@@ -241,15 +235,16 @@ def coincidence_report(d: SquaredDistanceMatrix, with_floats: bool = False) -> C
     when no exact coincidence decides the distances, that is, when
     neither Q = I nor I = G holds; otherwise they are 0.0 or |Q - G|.
     Where it is read, qi is the distance between the Q and I that the
-    `centers` command prints.  Squared distances outside the floats raise
-    ValueError either way (`cayley._diameter` owns that check), as does a
-    distance whose error
-    bound is not small against the diameter or itself, or that leaves
-    the floats.
+    `centers` command prints, and so is ig between its G and I, unless
+    Q = G holds, where ig is qi.  Squared distances outside the floats
+    raise ValueError either way (`cayley._diameter` owns that check), as
+    does a distance whose error bound is not small against the diameter or
+    itself, or that leaves the floats.
     F = I is decided without the Fermat point: by the exact verdicts in a
     triangle and when any two of G, Q and I coincide, and otherwise by
     whether the summed unit vectors from the float incenter to the
-    vertices have norm at most `FT_GRADIENT_TOL`; a float incenter that
+    vertices (`cayley._pull`, which `fermat_torricelli` reads too) have
+    norm at most `FT_GRADIENT_TOL`; a float incenter that
     falls on a vertex raises ValueError.  Degenerate or non-Euclidean
     input raises with the verdict attached.
     """

@@ -5,21 +5,23 @@ the package leaves exact arithmetic for points; this one needs only
 `math`, and points are tuples of floats.  It reads no field of the kept
 Gram elimination and builds no Fraction: `cayley`, the one reader of
 that elimination's float frame, hands it the frame's columns
-(`_axes`), each coordinate a scale-safe product of exact integers and
-its axis's root, from which `embed` builds its vertices; the
-circumcenter's coordinates in that frame (`_circumcenter_axes`); and the
-incenter's weights and inradius (`_incenter_weights`).  So the
+(`_axes`), each over every vertex, each coordinate 0.0 or a scale-safe
+product of exact integers and its axis's root, so `embed`'s vertices are
+the columns' rows; the circumcenter's coordinates in that frame
+(`_circumcenter_axes`); the incenter's weights and inradius
+(`_incenter_weights`); and Kuhn's pull, the summed unit vectors that the
+Fermat-Torricelli point is held to (`_pull`, `_units`).  So the
 circumcenter and incenter are read off the Gram elimination that
-certified the simplex, not solved for in floats, and where no exact
-coincidence decides it, `classify`'s |Q - I| is the distance between the
-two points printed here.  A value whose float would
+certified the simplex, not solved for in floats.  The centroid is the
+vertex mean, the column means that `cayley._frame` takes too, so where no
+exact coincidence decides it, `classify`'s |Q - I| and |I - G| are the
+distances between the points printed here.  A value whose float would
 underflow or overflow on the way still gives its share of a product
 that is a float, and a product above the largest float raises
-ValueError.  The centroid is the vertex mean.  The
-Fermat-Torricelli point is a vertex when one of least summed distance,
-up to rounding, passes its certificate; otherwise it is found by
-re-weighted averaging in the frame of the one whose certificate failed
-by least, where the floats are densest next to that vertex.
+ValueError.  The Fermat-Torricelli point is a vertex when one of least
+summed distance, up to rounding, passes its certificate; otherwise it is
+found by re-weighted averaging in the frame of the one whose certificate
+failed by least, where the floats are densest next to that vertex.
 
 Every float sum is `math.fsum`, which is correctly rounded, so each
 float output is the same on every supported Python; the builtin `sum`,
@@ -48,7 +50,9 @@ from .cayley import (
     _circumcenter_axes,
     _diameter,
     _incenter_weights,
+    _pull,
     _top_exponent,
+    _units,
     require_nondegenerate,
 )
 from .exact import Record
@@ -118,11 +122,12 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
     floats (`cayley._diameter`, the one float-range check) and the
     smallest is at least `sys.float_info.min` = 2**-1022 (compared
     exactly, on the cleared integers), it raises ValueError.  The vertices
-    are the columns of the Gram LDL^T frame (`cayley._axes`): vertex 0 at
-    the origin, and coordinate k of vertex i+1 is L_ik sqrt(D_k), one
-    scale-safe product of exact integers and the column's root.  The
-    round-trip check runs at a power-of-two scale, so its sums of squares
-    cannot overflow at the top of the range.
+    are the rows of the Gram LDL^T frame's columns (`cayley._axes`):
+    vertex 0 at the origin, and coordinate k of vertex i+1 is 0.0 for
+    i < k and otherwise L_ik sqrt(D_k), one scale-safe product of exact
+    integers and the column's root.  The round-trip check runs at a
+    power-of-two scale, so its sums of squares cannot overflow at the top
+    of the range.
     """
     require_nondegenerate(d)
     _diameter(d)
@@ -130,11 +135,12 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
     if d._den > lo << 1022:
         raise ValueError(_BEYOND_FLOATS % "squared distances leave")
     _, cols = _axes(d)
-    return EmbeddedSimplex(list(zip(*([0.0] * (k + 1) + col for k, col in enumerate(cols)))), d)
+    return EmbeddedSimplex(list(zip(*cols)), d)
 
 
 def centroid(s: EmbeddedSimplex) -> Point:
-    """Arithmetic mean of the vertices."""
+    """Arithmetic mean of the vertices, each coordinate the `math.fsum` of
+    its column over n + 1, as `cayley._frame` reads G."""
     return tuple(map(truediv, map(fsum, zip(*s.vertices)), repeat(len(s.vertices))))
 
 
@@ -146,14 +152,14 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     roots), read once the circumcenter has passed its Cayley-Menger
     certificate.  The vertices may reverse axes of that frame: axis k is
     read as reversed, and coordinate k negated, when the vertex farthest
-    along it in the frame's columns (`cayley._axes`) lies on the other
+    along it in the frame's column k (`cayley._axes`) lies on the other
     side of 0 in s; where every vertex has 0.0 there, either side is
     equidistant.
     """
     roots, cols = _axes(s.source)
     center = []
     for k, (col, z) in enumerate(zip(cols, _circumcenter_axes(s.source, roots))):
-        frame, own = max(zip(col, (v[k] for v in s.vertices[k + 1:])), key=lambda pair: abs(pair[0]))
+        frame, own = max(zip(col, (v[k] for v in s.vertices)), key=lambda pair: abs(pair[0]))
         center.append(-z if (frame < 0) != (own < 0) else z)
     return tuple(center), math.dist(center, s.vertices[0])
 
@@ -166,30 +172,21 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     (`cayley._incenter_weights`), so the facet volumes themselves never
     need to fit a float.  The insphere touches facet j inside it exactly
     when the weight of vertex j is positive, at distance n V / sum F from
-    the incenter for every j; a weight that is not a positive finite float
-    raises RuntimeError.  A segment's two facets are points, det 1 each,
-    so its incenter is its midpoint and its inradius half its length.
+    the incenter for every j.  Each weight lies in [0, 1], so one that is
+    0.0 has underflowed, and raises ValueError, pointing to the exact
+    results, which need no floats.  A segment's two facets are points,
+    det 1 each, so its incenter is its midpoint and its inradius half its
+    length.
     """
     weights, radius = _incenter_weights(s.source)
-    if not all(0.0 < w < math.inf for w in weights):
-        raise RuntimeError("incenter weights are not all positive finite floats")
+    if 0.0 in weights:
+        raise ValueError(_BEYOND_FLOATS % "an incenter weight leaves")
     return tuple(fsum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
 
 
 def sum_distances(s: EmbeddedSimplex, point) -> float:
     """Sum of distances from a point to all vertices."""
     return fsum(math.dist(v, point) for v in s.vertices)
-
-
-def _units(x, cols, dists) -> list[list[float]]:
-    """The unit vectors from x towards the points, as coordinate columns,
-    given the points' coordinate columns, with dists[i] = |points[i] - x|."""
-    return [[(c - a) / r for c, r in zip(col, dists)] for a, col in zip(x, cols)]
-
-
-def _pull(x, cols, dists) -> list[float]:
-    """Sum of the unit vectors from x towards the points (`_units`)."""
-    return list(map(fsum, _units(x, cols, dists)))
 
 
 def _jump_change(jump, step, units, dists, ydists, newdists) -> float:

@@ -3,8 +3,8 @@ elimination with no vertex coordinates.
 
 They are held to the exact verdicts (0.0 exactly where a coincidence
 holds), to the numpy oracle wherever `embed` accepts the matrix, to the
-circumcenter and incenter that `center_set` gives for `embed`'s vertices
-(qi, bit for bit), and to 60-digit decimals on near-flat, far-out and
+centroid, circumcenter and incenter that `center_set` gives for `embed`'s
+vertices (qi and ig, bit for bit), and to 60-digit decimals on near-flat, far-out and
 short-edge simplices, where each must also lie within its own error
 bound; the frame's columns, `embed`'s vertices, are held to 60 digits too.
 """
@@ -111,7 +111,7 @@ def decimal_distances(d) -> dict:
         return {"qg": dist(q, g), "qi": dist(q, i), "ig": dist(i, g)}
 
 
-@pytest.mark.parametrize("name", ["embed", "centroid", "circumcenter", "incenter", "_pull"])
+@pytest.mark.parametrize("name", ["embed", "centroid", "circumcenter", "incenter"])
 def test_the_report_reads_no_coordinates(monkeypatch, name):
     def refuse(*args, **kwargs):
         raise AssertionError("the report called geometry.%s" % name)
@@ -144,9 +144,18 @@ def test_the_frame_is_read_only_where_no_coincidence_decides(monkeypatch, d, fra
     assert calls == ["_frame", "_incenter_weights"] * frames
 
 
+def _well_distributed(t):
+    """The regular 4-simplex of squared edge 4 with t added on edges 01 and 23 and taken off 02 and 13: every
+    vertex keeps its sum of squared edges, so Q = G, while I differs from both."""
+    a = [[0 if i == j else 4 for j in range(5)] for i in range(5)]
+    for (p, q), sign in (((0, 1), 1), ((2, 3), 1), ((0, 2), -1), ((1, 3), -1)):
+        a[p][q] = a[q][p] = 4 + sign * t
+    return SquaredDistanceMatrix(a)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_SIMPLICES, _PREKITES))
-@_with(SHORT, BACK, THIN, *_KITES.values())
+@_with(SHORT, BACK, THIN, *_KITES.values(), _well_distributed(Fraction(1, 2)))
 def test_a_distance_is_zero_exactly_when_its_verdict_holds(d):
     if not _nondegenerate(d):
         return
@@ -159,6 +168,8 @@ def test_a_distance_is_zero_exactly_when_its_verdict_holds(d):
         assert distances["qi"] == distances["qg"]
     if rep.qi_coincide:
         assert distances["ig"] == distances["qg"]
+    if rep.qg_coincide:
+        assert distances["qi"] == distances["ig"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,9 +196,10 @@ def test_the_distances_agree_with_the_numpy_oracle(d):
 @settings(max_examples=100, deadline=None)
 @given(_SIMPLICES)
 @example(_GOLDEN["cloud n=6"])
+@example(_GOLDEN["cloud n=5"])
 def test_the_report_and_centers_read_one_frame(d):
-    # where no exact coincidence decides it, qi is the distance between the Q and I that `centers` prints,
-    # and the report's frame has embed's vertices as its columns, bit for bit
+    # where no exact coincidence decides it, qi and ig are the distances between the G, Q and I that `centers`
+    # prints, and the report's frame has embed's vertices as its whole columns, bit for bit
     if not _nondegenerate(d):
         return
     rep = coincidence_report(d, with_floats=True)
@@ -196,8 +208,9 @@ def test_the_report_and_centers_read_one_frame(d):
     s = embed(d)
     printed = center_set(s)
     assert rep.center_distances["qi"] == math.dist(printed.circumcenter, printed.incenter)
+    assert rep.center_distances["ig"] == math.dist(printed.centroid, printed.incenter)
     cols, _, _, _ = _frame(d)
-    assert cols == [[v[k] for v in s.vertices[k + 1:]] for k in range(d.n)]
+    assert list(map(tuple, cols)) == list(zip(*s.vertices))
 
 
 # the near-line tetrahedron at every height 10**-1..10**-200, whose circumcenter lies up to 10**200 out; the thin
@@ -232,9 +245,9 @@ def test_each_column_entry_lies_within_2_ulps_of_60_digits(d):
         ctx.prec = 60
         for k, col in enumerate(cols):
             root = _dec(pivots[k]).sqrt()
-            # entry j of column k is coordinate k of vertex k + j + 1, L_ik sqrt(D_k) for i = k + j
-            for i, x in enumerate(col, start=k):
-                assert abs(Decimal(x) - _dec(lower[i][k]) * root) <= 2 * Decimal(math.ulp(x)), (k, i)
+            # entry i of column k is coordinate k of vertex i: L_(i-1)k sqrt(D_k), 0 for the vertices 0..k
+            for i, (x, row) in enumerate(zip(col, [[0] * d.n] + lower)):
+                assert abs(Decimal(x) - _dec(row[k]) * root) <= 2 * Decimal(math.ulp(x)), (k, i)
 
 
 def test_the_qg_distance_is_correctly_rounded_on_the_decimal_cases():
@@ -291,16 +304,29 @@ def test_a_far_circumcenter_is_a_value_error():
         _frame(d)
 
 
+# vertex 2's height 2**-1100 over the first edge rounds to 0.0 in the frame, and vertex 3's incenter weight to 0.0
+ON_VERTEX = points_sdm([(0, 0, 0), (1, 0, 0), (Fraction(1, 2**500), Fraction(1, 2**1100), 0), (0, 1, 1)])
+
+
 def test_an_incenter_on_a_vertex_is_refused(tmp_path, capsys):
-    # vertex 2's height 2**-1100 over the first edge rounds to 0.0 in the frame, and vertex 3's incenter weight
-    # to 0.0, so the float I falls on vertex 2, where the gradient test has no unit vector to that vertex
-    d = points_sdm([(0, 0, 0), (1, 0, 0), (Fraction(1, 2**500), Fraction(1, 2**1100), 0), (0, 1, 1)])
+    # so the float I falls on vertex 2, where the gradient test has no unit vector to that vertex
+    d = ON_VERTEX
     with pytest.raises(ValueError, match="falls on vertex 2"):
         coincidence_report(d, with_floats=True)
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(d.to_json()))
     assert [main(["classify", str(path)]), main(["classify", str(path), "--exact"])] == [1, 0]
     assert "falls on vertex 2" in capsys.readouterr().err
+
+
+def test_an_underflowed_incenter_weight_is_a_float_range_refusal(tmp_path, capsys):
+    # a weight of 0.0 is a tetrahedron beyond the floats, not an internal error: centers exits 1, not 3
+    with pytest.raises(ValueError, match="an incenter weight leaves the float range"):
+        geometry.incenter(embed(ON_VERTEX))
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(ON_VERTEX.to_json()))
+    assert main(["centers", str(path)]) == 1
+    assert "an incenter weight leaves the float range; the exact results (classify --exact)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("far", [(1, 0), (3, 7), (-250, 1000), (10**6, -10**6)])

@@ -151,6 +151,20 @@ def test_geometry_reads_no_gram_elimination():
     assert not [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in fields]
 
 
+def test_the_kuhn_pull_is_defined_once_in_cayley():
+    # the Fermat point and the report's fi flag are held to one summed unit vector, which only cayley defines
+    import simplexkite.cayley as cayley
+    import simplexkite.centers as centers
+    import simplexkite.geometry as geometry
+
+    assert geometry._pull is centers._pull is cayley._pull
+    assert geometry._units is cayley._units
+    with open(geometry.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in {
+        "_pull", "_units"}]
+
+
 def test_exports_are_the_defining_modules_objects():
     assert len(EXPORTS) == 82
     for name, module in EXPORTS.items():
