@@ -50,20 +50,22 @@ own.  `cm_det`, `inner_cm_det`, `cm_matrix`, `gram_matrix`,
 
 This module also owns every exit by which a float leaves these
 integers, and is the one reader of the float frame, for `geometry` and
-for the float distances of `centers`, which does not import `geometry`:
-`_root(a, b, p, q)` = p / q * sqrt(a / b), taken in two steps at a
-power-of-two scale (`_scaled_sqrt`, then `_times`), so that each factor
-keeps its digits at any magnitude; `_rounded_root`, the correctly
-rounded root of a ratio, and with it |Q - G| (`_centroid_offset`); the
+for the float distances of `centers`, which does not import `geometry`.
+Every such float is a root taken by `_scaled_sqrt`, the one square root
+here, scaled by an exact ratio (`_times`): `_root(a, b, p, q)` = p / q *
+sqrt(a / b), at a power-of-two scale, so that each factor keeps its
+digits at any magnitude, and with it |Q - G| (`_centroid_offset`); the
 columns of the Gram LDL^T frame, each over every vertex and each
 coordinate 0.0 or one `_times` of its axis's root (`_axes`), whose rows
 are the vertices `geometry.embed` builds; the circumcenter's coordinates
 in that frame (`_circumcenter_axes`), which `geometry.circumcenter`
 prints; the incenter's float barycentrics and the inradius
-(`_incenter_weights`); the centroid, circumcenter and incenter in the
-frame, read with no vertex list, G as the column means that
-`geometry.centroid` takes (`_frame`); the diameter, whose reading is the
-one check that the squared distances fit the floats (`_diameter`); and
+(`_incenter_weights`); and the diameter, whose reading is the one check
+that the squared distances fit the floats (`_diameter`).  It owns the
+float sums over the frame's columns too: the centroid, their means
+(`_mean`), the incenter, its barycentrics pushed through them (`_push`),
+so `_frame`, which reads G, Q and I with no vertex list, and
+`geometry.centroid` and `geometry.incenter` take one sum each; and
 Kuhn's pull, the summed unit vectors towards the vertices (`_pull`),
 with `FT_GRADIENT_TOL`, the fixed bound on it at which both
 `geometry.fermat_torricelli` and the fi flag of `centers` take a point as
@@ -81,7 +83,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul, neg
 
-from .exact import Record, _cleared, _integer, _scalars, as_scalar
+from .exact import Record, _cleared, _from_json, _integer, _scalars, as_scalar
 from .linalg import ExactMatrix, _back_substitute, _bareiss, _fold, _resume, _signature, exact_determinant
 
 # the fixed bound on a sum of unit vectors at which a point is taken as the Fermat-Torricelli point
@@ -165,25 +167,18 @@ class SquaredDistanceMatrix(Record):
         """Parse {"n": int, "a": [[scalar-text]]}; the full symmetric matrix is required.
 
         Entries may also be bare integers; booleans are refused.  Every
-        malformed payload raises ValueError.
+        malformed payload raises ValueError (`exact._from_json`).
         """
-        if isinstance(payload, str):
-            import json  # only a JSON payload needs it, so no other caller loads it
-
-            payload = json.loads(payload)
-        if not isinstance(payload, dict) or "n" not in payload or "a" not in payload:
-            raise ValueError('expected an object with fields "n" and "a"')
-        n = payload["n"]
-        rows = payload["a"]
-        arrays = isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-        if isinstance(n, bool) or not isinstance(n, int) or not arrays:
-            raise ValueError('"n" must be an integer and "a" an array of arrays')
-        if len(rows) != n + 1:
-            raise ValueError('"a" must have n+1 rows')
-        try:
+        def build(fields):
+            n, rows = fields["n"], fields["a"]
+            arrays = isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            if isinstance(n, bool) or not isinstance(n, int) or not arrays:
+                raise ValueError('"n" must be an integer and "a" an array of arrays')
+            if len(rows) != n + 1:
+                raise ValueError('"a" must have n+1 rows')
             return cls(rows)
-        except TypeError as exc:
-            raise ValueError("invalid matrix entry: %s" % exc) from exc
+
+        return _from_json(payload, '"n" and "a"', build, "matrix entry")
 
     def __repr__(self):
         return "SquaredDistanceMatrix(n=%d)" % self.n
@@ -297,7 +292,7 @@ def _top_exponent(d: SquaredDistanceMatrix) -> int:
 
 
 def _scaled_sqrt(a: int, b: int) -> tuple[float, int]:
-    """sqrt(a / b) for integers a, b > 0 as (r, e), the root r * 2**e.
+    """sqrt(a / b) for integers a >= 0 and b > 0 as (r, e), the root r * 2**e.
 
     a / b is moved into [1/4, 4) by a power of four read from the bit
     lengths of a and b, as `relation._sqrt` scales its input, so r lies in
@@ -323,7 +318,7 @@ def _times(p: int, q: int, root: tuple[float, int]) -> float:
 
 
 def _root(a: int, b: int, p: int = 1, q: int = 1) -> float:
-    """p / q * sqrt(a / b) for integers p and a, b, q > 0, at any magnitude.
+    """p / q * sqrt(a / b) for integers p, a >= 0 and b, q > 0, at any magnitude.
 
     Each factor is taken at a power-of-two scale (`_scaled_sqrt`,
     `_times`), so no factor rounds to 0, to a subnormal or to infinity
@@ -333,26 +328,6 @@ def _root(a: int, b: int, p: int = 1, q: int = 1) -> float:
     A result above the largest float raises ValueError.
     """
     return _times(p, q, _scaled_sqrt(a, b))
-
-
-def _rounded_root(a: int, b: int) -> float:
-    """sqrt(a / b) for integers a >= 0 and b > 0, correctly rounded wherever
-    it is a normal float.
-
-    The integer root of a / b at a power-of-four scale has at least 55
-    bits; an inexact one gets its lowest bit set, which keeps it off every
-    rounding boundary, and int-to-float conversion rounds it once.  A
-    result above the largest float raises ValueError.
-    """
-    if not a:
-        return 0.0
-    e = (a.bit_length() - b.bit_length() - 112) // 2
-    q, rest = divmod(a << -2 * e, b) if e < 0 else divmod(a, b << 2 * e)
-    r = math.isqrt(q)
-    try:
-        return math.ldexp(float(r if not rest and r * r == q else r | 1), e)
-    except OverflowError:
-        raise ValueError(_BEYOND_FLOATS % "a distance leaves") from None
 
 
 class _Gram(Record):
@@ -578,17 +553,19 @@ def _incenter_weights(d: SquaredDistanceMatrix) -> tuple[list[float], float]:
 
 
 def _centroid_offset(d: SquaredDistanceMatrix) -> float:
-    """|Q - G|, the distance from the circumcenter to the centroid, as the
-    correctly rounded root (`_rounded_root`) of the exact
-    R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz), so it is 0.0 exactly when the
-    simplex is well distributed.  R**2 is read off the kept corner,
+    """|Q - G|, the distance from the circumcenter to the centroid, as one
+    `_root` of the exact R**2 - 1^T D 1 / (2 (n+1)**2) (Leibniz), so it is
+    0.0 exactly when the simplex is well distributed.  Wherever it is a
+    normal float it errs by at most 1.5 u of itself, u = 2**-53 the unit
+    roundoff, so by at most 1.5 ulps: the ratio rounds once, an error the
+    root halves, and the root once.  R**2 is read off the kept corner,
     -4 s det(A) R**2 with s = 2c, and 1^T D 1 is the sum of the cleared
     c*D over c.  Anything but nondegenerate input raises with the verdict
     attached; a distance above the largest float raises ValueError."""
     require_nondegenerate(d)
     g = _gram_elimination(d)
     det, square = g.minors[-1], (d.n + 1) ** 2
-    return _rounded_root(-g.corner * square - 4 * det * sum(map(sum, d._dist)), 8 * d._den * det * square)
+    return _root(-g.corner * square - 4 * det * sum(map(sum, d._dist)), 8 * d._den * det * square)
 
 
 def _diameter(d: SquaredDistanceMatrix) -> float:
@@ -642,13 +619,24 @@ def _circumcenter_axes(d: SquaredDistanceMatrix, roots: list[tuple[float, int]])
     return [_times(row[-1], 2 * m, root) for row, m, root in zip(g.rows, g.minors, roots)]
 
 
-def _frame(d: SquaredDistanceMatrix) -> tuple[list[list[float]], list[float], list[float], list[float]]:
+def _mean(cols) -> tuple[float, ...]:
+    """The centroid: the mean of each coordinate column, `math.fsum` over its length."""
+    return tuple(math.fsum(col) / len(col) for col in cols)
+
+
+def _push(weights, cols) -> tuple[float, ...]:
+    """The point of the given barycentric weights: each coordinate column
+    summed against them by `math.fsum`."""
+    return tuple(math.fsum(map(mul, col, weights)) for col in cols)
+
+
+def _frame(d: SquaredDistanceMatrix) -> tuple[list[list[float]], tuple[float, ...], list[float], tuple[float, ...]]:
     """(columns, G, Q, I): the vertex columns of `_axes` and the centroid,
     circumcenter and incenter in its frame, with no vertex list.
 
-    G is the mean of each column, `math.fsum` over n + 1, and I its float
-    barycentrics (`_incenter_weights`) pushed through the columns: the
-    same sums `geometry.centroid` and `geometry.incenter` take over the
+    G is the columns' mean (`_mean`), and I its float barycentrics
+    (`_incenter_weights`) pushed through the columns (`_push`): the same
+    sums `geometry.centroid` and `geometry.incenter` take over the
     vertices that `embed` builds from the same columns.  Q's coordinates
     are `_circumcenter_axes`, b'_k / (2 m_k) times root k.  So G, Q and I
     here are the points `centers` prints.  `centers` reads it only where
@@ -659,11 +647,9 @@ def _frame(d: SquaredDistanceMatrix) -> tuple[list[list[float]], list[float], li
     """
     require_nondegenerate(d)
     roots, cols = _axes(d)
-    zg = [math.fsum(col) / (d.n + 1) for col in cols]
     zq = _circumcenter_axes(d, roots)
     weights, _ = _incenter_weights(d)
-    zi = [math.fsum(map(mul, col, weights)) for col in cols]
-    return cols, zg, zq, zi
+    return cols, _mean(cols), zq, _push(weights, cols)
 
 
 def _units(x, cols, dists) -> list[list[float]]:

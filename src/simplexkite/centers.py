@@ -28,9 +28,9 @@ kept elimination holds (`cayley._frame`), axis k scaled by sqrt(D_k):
 Q's coordinates there are exact rationals times that scale; G's are the
 means of the frame's columns, whose rows are `geometry.embed`'s
 vertices, and I's its float barycentrics pushed through them, so G, Q
-and I are the points the `centers` command prints.  |Q - G| is the
-correctly rounded root of the exact rational R**2 - 1^T D 1 /
-(2 (n+1)**2) (Leibniz).
+and I are the points the `centers` command prints.  |Q - G| is one
+`cayley._root` of the exact rational R**2 - 1^T D 1 / (2 (n+1)**2)
+(Leibniz), within 1.5 ulps.
 Where Q = I or I = G holds exactly, every distance is 0.0 or |Q - G|, so
 the frame is not read at all.  The diameter (`cayley._diameter`, the
 one check that the squared distances fit the floats) is read either
@@ -143,9 +143,10 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
 
     The distances follow the exact coincidences (qg, qi, ig): a distance
     is 0.0 exactly when its coincidence holds, and where one holds the
-    other two are one distance.  |Q - G| is the correctly rounded root of
-    an exact rational (`cayley._centroid_offset`), and the diameter is
-    read once (`cayley._diameter`, the one check that the squared
+    other two are one distance.  |Q - G| is one root of an exact rational
+    (`cayley._centroid_offset`), which errs by at most 1.5 u of itself, u
+    the unit roundoff, and carries the bound 2 u of itself; the diameter
+    is read once (`cayley._diameter`, the one check that the squared
     distances fit the floats).  So where qi or ig holds, every distance
     is 0.0 or |Q - G|.  Otherwise |I - G| and |Q - I| are read off the
     centers' coordinates in the Gram LDL^T frame (`cayley._frame`), and
@@ -165,7 +166,7 @@ def _center_floats(d: SquaredDistanceMatrix, qg: bool, qi: bool, ig: bool) -> tu
     """
     offset = _centroid_offset(d)
     diam = _diameter(d)
-    pairs = {"qg": (offset, _U * offset)}
+    pairs = {"qg": (offset, 2 * _U * offset)}
     if qi or ig:
         pairs["ig"] = (0.0, 0.0) if ig else pairs["qg"]
         pairs["qi"] = (0.0, 0.0) if qi else pairs["qg"]

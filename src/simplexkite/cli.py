@@ -72,7 +72,7 @@ def _load_sdm(path: str):
         raise ValueError("malformed JSON in %s: %s" % (path, exc)) from exc
     try:
         return sk.SquaredDistanceMatrix.from_json(payload)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError("invalid matrix in %s: %s" % (path, exc)) from exc
 
 

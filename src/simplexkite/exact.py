@@ -12,11 +12,14 @@ result and value classes, whose `_fill` sets the fields wherever a class
 writes its own `__init__`; `_scalars`, the one reader of a sequence of
 scalars; `_positive_tol`, the one check of a float tolerance, which
 only functions of float input take (exact input is decided exactly);
-`_integer`, the one check of an order or dimension;
-`_at_least`, the one refusal of a dimension below what a function needs;
-and `_det`, the one cofactor expansion, which evaluates the small corner
-determinant of `prekite`'s closed forms and is, on a matrix's rows,
-`linalg.determinant_by_cofactors`, the oracle of the elimination.
+`_integer`, the one check of an order or dimension and of its floor
+("must be at least"); `_at_least`, the one refusal of a dimension below
+what a function needs ("needs n >="); `_from_json`, the one reader of a
+JSON payload, for `SquaredDistanceMatrix.from_json` and
+`PreKite.from_json`; and `_det`, the one cofactor expansion, which
+evaluates the small corner determinant of `prekite`'s closed forms and
+is, on a matrix's rows, `linalg.determinant_by_cofactors`, the oracle of
+the elimination.
 
 The elimination kernel (`ExactMatrix`, the determinants, `inertia`,
 `solve_linear`) lives in `linalg`, which only the modules that
@@ -172,13 +175,36 @@ def _positive_tol(tol) -> None:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
 
 
-def _integer(value, name: str) -> int:
-    """value when it is an int; ValueError naming it otherwise.  Orders and
-    dimensions are read with this, so a bool, a float or text is refused
-    rather than truncated or compared as a count."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value when it is an int, and at least `least` when that is given;
+    ValueError naming it otherwise ("<name> must be at least <least>").
+    Orders and dimensions are read with this, so a bool, a float or text
+    is refused rather than truncated or compared as a count."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("%s must be an integer, got %r" % (name, value))
+    if least is not None and value < least:
+        raise ValueError("%s must be at least %d" % (name, least))
     return value
+
+
+def _from_json(payload, fields: str, build, what: str):
+    """build(payload) for a JSON object, given as text or already parsed,
+    that holds the fields named in double quotes in `fields`, the text the
+    refusal prints ('"n" and "a"').  `json` is imported only for text, so
+    no caller that passes an object loads it.  Every malformed payload
+    raises ValueError: text that is not JSON, anything but an object with
+    those fields, and an entry that `build` refuses with TypeError, as
+    "invalid <what>: <reason>"."""
+    if isinstance(payload, str):
+        import json
+
+        payload = json.loads(payload)
+    if not isinstance(payload, dict) or not all(name in payload for name in re.findall(r'"(\w+)"', fields)):
+        raise ValueError("expected an object with fields %s" % fields)
+    try:
+        return build(payload)
+    except TypeError as exc:
+        raise ValueError("invalid %s: %s" % (what, exc)) from exc
 
 
 def _at_least(n: int, least: int, what: str) -> None:

@@ -9,15 +9,16 @@ that elimination's float frame, hands it the frame's columns
 product of exact integers and its axis's root, so `embed`'s vertices are
 the columns' rows; the circumcenter's coordinates in that frame
 (`_circumcenter_axes`); the incenter's weights and inradius
-(`_incenter_weights`); and Kuhn's pull, the summed unit vectors that the
-Fermat-Torricelli point is held to (`_pull`, `_units`).  So the
-circumcenter and incenter are read off the Gram elimination that
-certified the simplex, not solved for in floats.  The centroid is the
-vertex mean, the column means that `cayley._frame` takes too, so where no
-exact coincidence decides it, `classify`'s |Q - I| and |I - G| are the
-distances between the points printed here.  A value whose float would
-underflow or overflow on the way still gives its share of a product
-that is a float, and a product above the largest float raises
+(`_incenter_weights`); the sums that make the centroid and the incenter
+of the vertices' columns (`_mean`, `_push`); and Kuhn's pull, the summed
+unit vectors that the Fermat-Torricelli point is held to (`_pull`,
+`_units`).  So the circumcenter and incenter are read off the Gram
+elimination that certified the simplex, not solved for in floats, and
+the centroid and incenter are the sums `cayley._frame` takes too, so
+where no exact coincidence decides it, `classify`'s |Q - I| and |I - G|
+are the distances between the points printed here.  A value whose
+float would underflow or overflow on the way still gives its share of a
+product that is a float, and a product above the largest float raises
 ValueError.  The Fermat-Torricelli point is a vertex when one of least
 summed distance, up to rounding, passes its certificate; otherwise it is
 found by re-weighted averaging in the frame of the one whose certificate
@@ -50,7 +51,9 @@ from .cayley import (
     _circumcenter_axes,
     _diameter,
     _incenter_weights,
+    _mean,
     _pull,
+    _push,
     _top_exponent,
     _units,
     require_nondegenerate,
@@ -139,9 +142,9 @@ def embed(d: SquaredDistanceMatrix) -> EmbeddedSimplex:
 
 
 def centroid(s: EmbeddedSimplex) -> Point:
-    """Arithmetic mean of the vertices, each coordinate the `math.fsum` of
-    its column over n + 1, as `cayley._frame` reads G."""
-    return tuple(map(truediv, map(fsum, zip(*s.vertices)), repeat(len(s.vertices))))
+    """Arithmetic mean of the vertices, the mean of each coordinate column
+    (`cayley._mean`), the sum `cayley._frame` reads G by."""
+    return _mean(zip(*s.vertices))
 
 
 def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
@@ -167,8 +170,10 @@ def circumcenter(s: EmbeddedSimplex) -> tuple[Point, float]:
 def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     """Facet-volume-weighted vertex average and the inradius n V / sum F_j.
 
-    The weights F_j / sum F and the inradius leave exact arithmetic as
-    square roots of ratios of the facet Gram determinants and det(A)
+    The average is the weights pushed through the vertex columns
+    (`cayley._push`), the sum `cayley._frame` reads I by.  The weights
+    F_j / sum F and the inradius leave exact arithmetic as square roots
+    of ratios of the facet Gram determinants and det(A)
     (`cayley._incenter_weights`), so the facet volumes themselves never
     need to fit a float.  The insphere touches facet j inside it exactly
     when the weight of vertex j is positive, at distance n V / sum F from
@@ -181,7 +186,7 @@ def incenter(s: EmbeddedSimplex) -> tuple[Point, float]:
     weights, radius = _incenter_weights(s.source)
     if 0.0 in weights:
         raise ValueError(_BEYOND_FLOATS % "an incenter weight leaves")
-    return tuple(fsum(map(mul, weights, col)) for col in zip(*s.vertices)), radius
+    return _push(weights, zip(*s.vertices)), radius
 
 
 def sum_distances(s: EmbeddedSimplex, point) -> float:

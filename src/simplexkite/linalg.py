@@ -282,6 +282,13 @@ def _resume(rows: list[list[int]], minors: list[int]) -> tuple[list[list[int]], 
     acts on the columns linearly, so one of [A | C] leaves swept[i] . C
     (the dot product of swept[i] with each column, over its first i+1
     entries) in row i, and `_corners` of those rows are their corners.
+    This is the back substitution of `_back_substitute`, rows 0..i-1 with
+    right-hand sides -rows[k][i] m_(i-1), but it keeps its own loop: it
+    cuts each row's tail once for all n sweeps, where `_back_substitute`
+    would cut it again in every sweep.  Row i as
+    `_back_substitute(rows, 1, ...)` gives the same bits and took
+    1.27-1.32x as long at n = 4..12 (40 random integer simplices per n,
+    best of 7 passes, CPython 3.11).
     """
     tails = [row[k + 1:] for k, row in enumerate(rows)]
     swept = []

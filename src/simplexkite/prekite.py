@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import simplexkite as sk
 
-from .exact import Record, _at_least, _cleared, _det, _integer, _scalars, as_scalar
+from .exact import Record, _at_least, _cleared, _det, _from_json, _integer, _scalars, as_scalar
 
 _EQUIAREAL_CLAIM = "no non-regular equiareal pre-kite exists below dimension 6"
 
@@ -81,23 +81,17 @@ def _bordered_rows(corner, top, left, m: int, off, diag) -> list:
     return rows
 
 
-def _order(n) -> int:
-    if _integer(n, "order") < 1:
-        raise ValueError("order must be at least 1")
-    return n
-
-
 def uniform_det(n: int, off, diag) -> Fraction:
     """Determinant of the n x n matrix with `diag` on the diagonal and `off` elsewhere.
 
     Equals ((n-1)*off + diag) * (diag - off)**(n-1), the k = 0 form.
     """
-    return _bordered_uniform((), (), (), (), _order(n), as_scalar(off), as_scalar(diag))
+    return _bordered_uniform((), (), (), (), _integer(n, "order", 1), as_scalar(off), as_scalar(diag))
 
 
 def uniform_matrix(n: int, off, diag) -> sk.ExactMatrix:
     """The n x n uniform matrix itself, for oracle checks."""
-    return sk.ExactMatrix(_bordered_rows((), (), (), _order(n), as_scalar(off), as_scalar(diag)))
+    return sk.ExactMatrix(_bordered_rows((), (), (), _integer(n, "order", 1), as_scalar(off), as_scalar(diag)))
 
 
 class BorderedUniform(Record):
@@ -118,8 +112,7 @@ class BorderedUniform(Record):
     diag: Fraction
 
     def __init__(self, n, corner, left, top, off, diag):
-        if _integer(n, "order parameter") < 1:
-            raise ValueError("order parameter must be at least 1")
+        _integer(n, "order parameter", 1)
         left, top = _scalars(left), _scalars(top)
         if len(left) != n or len(top) != n:
             raise ValueError("border vectors must have exactly n entries")
@@ -186,20 +179,14 @@ class PreKite(Record):
     def from_json(cls, payload) -> "PreKite":
         """Parse {"n": int, "u": scalar-text, "v": [scalar-text]}.
 
-        Every malformed payload raises ValueError.
+        Every malformed payload raises ValueError (`exact._from_json`).
         """
-        if isinstance(payload, str):
-            import json  # only a JSON payload needs it, so no other caller loads it
+        def build(fields):
+            if not isinstance(fields["v"], list):
+                raise ValueError('"v" must be an array')
+            return cls(fields["n"], fields["u"], fields["v"])
 
-            payload = json.loads(payload)
-        if not isinstance(payload, dict) or not {"n", "u", "v"} <= set(payload):
-            raise ValueError('expected an object with fields "n", "u", "v"')
-        if not isinstance(payload["v"], list):
-            raise ValueError('"v" must be an array')
-        try:
-            return cls(payload["n"], payload["u"], payload["v"])
-        except TypeError as exc:
-            raise ValueError("invalid pre-kite parameter: %s" % exc) from exc
+        return _from_json(payload, '"n", "u", "v"', build, "pre-kite parameter")
 
 
 def two_apexed(n: int, u, v) -> PreKite:
@@ -293,8 +280,7 @@ def apex_squared_ratio_window(n: int) -> tuple[Fraction, Fraction]:
     strictly inside this window; at the upper endpoint the configuration
     flattens (its Cayley-Menger determinant vanishes).
     """
-    if _integer(n, "dimension") < 2:
-        raise ValueError("dimension must be at least 2")
+    _integer(n, "dimension", 2)
     return Fraction(0), Fraction(2 * n, n - 1)
 
 

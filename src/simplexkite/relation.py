@@ -101,7 +101,10 @@ def _sqrt(q) -> Fraction:
     numerator and denominator as `cayley._top_exponent` scales matrices,
     and its float root by the matching power of two, so nothing rounds
     to 0 or to infinity; float(_sqrt(q)) is math.sqrt(float(q)) wherever
-    float(q) is a normal float.
+    float(q) is a normal float.  It is the power-of-four scaling of
+    `cayley._scaled_sqrt`, kept as a copy of its own: `rel` and `pompeiu`
+    import only `exact` and this module, so that neither loads `cayley`
+    nor the elimination of `linalg` that comes with it.
     """
     q = Fraction(q)
     e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
@@ -124,8 +127,7 @@ class DistanceTuple(Record):
     t: tuple
 
     def __init__(self, n, t0, t):
-        if _integer(n, "dimension") < 1:
-            raise ValueError("dimension must be at least 1")
+        _integer(n, "dimension", 1)
         t = tuple(_numbers(t))
         if len(t) != n + 1:
             raise ValueError("expected n+1 vertex distances")
@@ -190,8 +192,7 @@ def _roots(n: int, values, den, exact) -> tuple[list, bool]:
     (edge first), integers over den, and q, ascending, and whether they
     are exact: the input exact and the discriminant a rational square.
     Otherwise they are Fractions to float precision."""
-    if _integer(n, "dimension") < 1:
-        raise ValueError("dimension must be at least 1")
+    _integer(n, "dimension", 1)
     if len(values) != n + 1:
         raise ValueError("expected the edge square plus n known vertex squares")
     if min(values) < 0 or values[0] <= 0:
@@ -271,8 +272,7 @@ def on_circumsphere_by_sums(n: int, u, sum_sq, tol: float = _RELATION_TOL) -> bo
     infinity and a negative sum are refused.
     """
     _positive_tol(tol)
-    if _integer(n, "dimension") < 1:
-        raise ValueError("dimension must be at least 1")
+    _integer(n, "dimension", 1)
     (u, total), den, exact = _read((u, sum_sq))
     if u <= 0:
         raise ValueError("edge length must be positive")

@@ -165,6 +165,59 @@ def test_the_kuhn_pull_is_defined_once_in_cayley():
         "_pull", "_units"}]
 
 
+def _tree(module) -> ast.Module:
+    with open(module.__file__, encoding="utf-8") as source:
+        return ast.parse(source.read())
+
+
+def _calls(node, name: str) -> int:
+    """How many calls under node go to `name`, as a bare name or as an attribute."""
+    return sum(isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+               for call in ast.walk(node))
+
+
+def test_integer_floors_and_json_payloads_are_read_in_exact_alone():
+    # `exact._integer` raises every "must be at least" floor and `exact._from_json` parses every payload
+    package = os.path.dirname(simplexkite.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "exact.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        floors = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and "must be at least" in node.value]
+        loads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "loads"]
+        assert (floors, loads) == ([], []), name
+    import simplexkite.exact as exact
+
+    assert _calls(_tree(exact), "loads") == 1
+
+
+def test_the_centroid_and_incenter_sums_are_defined_once_in_cayley():
+    # the centers command and the report's frame take G and I by the same two sums, which only cayley defines
+    import simplexkite.cayley as cayley
+    import simplexkite.geometry as geometry
+
+    assert geometry._mean is cayley._mean
+    assert geometry._push is cayley._push
+    functions = {node.name: node for module in (geometry, cayley) for node in ast.walk(_tree(module))
+                 if isinstance(node, ast.FunctionDef)}
+    for name, sums in (("centroid", {"_mean"}), ("incenter", {"_push"}), ("_frame", {"_mean", "_push"})):
+        assert all(_calls(functions[name], total) == 1 for total in sums), name
+        assert _calls(functions[name], "fsum") == 0, name
+
+
+def test_a_root_leaves_cayley_only_through_scaled_sqrt():
+    # every float root of cayley's integers is one `_scaled_sqrt`: no second square root sits beside it
+    import simplexkite.cayley as cayley
+
+    tree = _tree(cayley)
+    roots = {"sqrt", "isqrt"}
+    owner = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_scaled_sqrt")
+    assert sum(_calls(tree, name) for name in roots) == sum(_calls(owner, name) for name in roots) == 1
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "math"]
+
+
 def test_exports_are_the_defining_modules_objects():
     assert len(EXPORTS) == 82
     for name, module in EXPORTS.items():
